@@ -1,15 +1,18 @@
 """DfAnalyzer ingestion: runtime provenance intake into the column store.
 
-Accepts both wire formats that exist in this reproduction:
+Accepts the three wire formats that exist in this reproduction:
 
 * the ProvLight translator output (:func:`repro.core.translator.to_dfanalyzer`),
 * the DfAnalyzer capture library's own JSON messages
   (:mod:`repro.baselines.dfanalyzer_capture`),
+* the ProvLake capture library's JSON messages
+  (:mod:`repro.baselines.provlake`),
 
 normalizing them into three storage families:
 
 * ``dataflows`` — begin/end events per dataflow;
-* ``tasks`` — one row per task, upserted RUNNING -> FINISHED;
+* ``tasks`` — one row per task, upserted RUNNING -> FINISHED through an
+  index keyed on ``(dataflow_tag, task_id)``;
 * ``datasets`` — one row per data item with attribute columns, which is
   what the paper's hyperparameter queries run against.
 """
@@ -17,7 +20,7 @@ normalizing them into three storage families:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from ..simkernel import Counter
 from .dataflow import DataflowSpec
@@ -59,6 +62,9 @@ class DfAnalyzerService:
             "datasets",
             ["dataflow_tag", "task_id", "dataset_tag", "direction", "derivations"],
         )
+        #: ``(dataflow_tag, task_id)`` -> ids of the ``tasks`` rows with that
+        #: key, so a FINISHED upsert finds its rows without a table scan
+        self._task_rows: Dict[Tuple[Any, Any], List[int]] = {}
         self.specs: Dict[str, DataflowSpec] = {}
         self.records_ingested = Counter("records")
         self.validation_warnings: List[str] = []
@@ -70,7 +76,7 @@ class DfAnalyzerService:
 
     # -- ingestion ---------------------------------------------------------------
     def ingest(self, payload: Union[Dict[str, Any], List[Dict[str, Any]]]) -> int:
-        """Ingest one payload (translator batch or capture-lib message).
+        """Ingest one payload (translator batch or capture-library body).
 
         Returns the number of records ingested.
         """
@@ -91,39 +97,32 @@ class DfAnalyzerService:
 
     def _ingest_task(self, record: Dict[str, Any]) -> None:
         tasks = self.store.table("tasks")
-        key_df, key_task = record["dataflow_tag"], record["task_id"]
+        key = (record["dataflow_tag"], record["task_id"])
+        key_df, key_task = key
+        try:
+            row_ids = self._task_rows.get(key)
+        except TypeError:
+            raise IngestError(f"task key {key!r} is not hashable") from None
         status = record.get("status", "RUNNING")
-        if status == "FINISHED":
-            updated = tasks.update_where(
-                lambda row: row["dataflow_tag"] == key_df and row["task_id"] == key_task,
-                {"status": "FINISHED", "time_end": record.get("time")},
+        if status == "FINISHED" and row_ids:
+            # every row with the key, whichever device inserted it
+            tasks.update_rows(
+                row_ids, {"status": "FINISHED", "time_end": record.get("time")}
             )
-            if not updated:  # end arrived before begin (grouping reorders)
-                tasks.insert(
-                    {
-                        "dataflow_tag": key_df,
-                        "transformation_tag": record.get("transformation_tag"),
-                        "task_id": key_task,
-                        "status": "FINISHED",
-                        "time_end": record.get("time"),
-                        "dependencies": ",".join(
-                            str(d) for d in record.get("dependencies", ())
-                        ),
-                    }
-                )
         else:
-            tasks.insert(
-                {
-                    "dataflow_tag": key_df,
-                    "transformation_tag": record.get("transformation_tag"),
-                    "task_id": key_task,
-                    "status": status,
-                    "time_begin": record.get("time"),
-                    "dependencies": ",".join(
-                        str(d) for d in record.get("dependencies", ())
-                    ),
-                }
-            )
+            row = {
+                "dataflow_tag": key_df,
+                "transformation_tag": record.get("transformation_tag"),
+                "task_id": key_task,
+                "status": status,
+                "dependencies": ",".join(
+                    str(d) for d in record.get("dependencies", ())
+                ),
+            }
+            # a FINISHED record lands here only when its end arrived
+            # before its begin (grouping reorders)
+            row["time_end" if status == "FINISHED" else "time_begin"] = record.get("time")
+            self._task_rows.setdefault(key, []).append(tasks.insert(row))
         datasets = self.store.table("datasets")
         for item in record.get("datasets", ()):
             row = {
@@ -151,8 +150,8 @@ class DfAnalyzerService:
     # -- format normalization -----------------------------------------------------
     def _normalize(self, payload) -> List[Dict[str, Any]]:
         if isinstance(payload, dict) and "messages" in payload:
-            return [self._from_capture_message(m) for m in payload["messages"]]
-        if isinstance(payload, dict):
+            payload = payload["messages"]
+        elif isinstance(payload, dict):
             payload = [payload]
         if not isinstance(payload, list):
             raise IngestError(f"unsupported payload type {type(payload).__name__}")
@@ -164,9 +163,51 @@ class DfAnalyzerService:
                 out.append(record)  # translator format is native
             elif "object" in record:
                 out.append(self._from_capture_message(record))
+            elif "prov_obj" in record:
+                out.append(self._from_provlake_message(record))
             else:
                 raise IngestError(f"unrecognized record: {sorted(record)[:5]}")
         return out
+
+    @staticmethod
+    def _from_provlake_message(message: Dict[str, Any]) -> Dict[str, Any]:
+        """One message of a ProvLake client body
+        (:mod:`repro.baselines.provlake`) as a translator record."""
+        obj = message["prov_obj"]
+        kind, _, event = str(message.get("act_type")).partition("_")
+        if kind != obj or event not in ("begin", "end"):
+            raise IngestError(
+                f"unknown ProvLake message {obj!r}/{message.get('act_type')!r}"
+            )
+        dataflow_tag = str(message["wf_execution"]).removeprefix("wfexec_")
+        if obj == "workflow":
+            return {
+                "type": "dataflow",
+                "dataflow_tag": dataflow_tag,
+                "event": event,
+                "time": message.get("timestamp"),
+            }
+        begin = event == "begin"
+        task = message.get("task", {})
+        values = message.get("used" if begin else "generated", {})
+        return {
+            "type": "task",
+            "dataflow_tag": dataflow_tag,
+            "transformation_tag": message.get("data_transformation"),
+            "task_id": task.get("id"),
+            "status": "RUNNING" if begin else "FINISHED",
+            "dependencies": task.get("dependencies", []),
+            "time": message.get("timestamp"),
+            "datasets": [
+                {
+                    "tag": tag,
+                    "direction": "input" if begin else "output",
+                    "derivations": value.get("derived_from", []),
+                    "elements": value.get("attributes", {}),
+                }
+                for tag, value in values.items()
+            ],
+        }
 
     @staticmethod
     def _from_capture_message(message: Dict[str, Any]) -> Dict[str, Any]:

@@ -9,7 +9,7 @@ row reconstruction for query results.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,17 +63,20 @@ class Table:
             count += 1
         return count
 
-    def update_where(self, predicate, changes: Dict[str, Any]) -> int:
-        """Update rows matching ``predicate(row_dict)``; returns count."""
-        for name in changes:
-            self._ensure_column(name)
-        updated = 0
-        for i in range(self._nrows):
-            if predicate(self.row(i)):
-                for name, value in changes.items():
-                    self._columns[name][i] = value
-                updated += 1
-        return updated
+    def update_rows(self, row_ids: Sequence[int], changes: Dict[str, Any]) -> int:
+        """Write ``changes`` into the rows at ``row_ids``; returns count.
+
+        Row ids are positions as returned by :meth:`insert`; callers that
+        key rows keep their own index of them, so no row is scanned here.
+        """
+        for i in row_ids:
+            if not 0 <= i < self._nrows:
+                raise IndexError(f"row {i} out of range (n={self._nrows})")
+        for name, value in changes.items():
+            col = self._ensure_column(name)
+            for i in row_ids:
+                col[i] = value
+        return len(row_ids)
 
     # -- reads -----------------------------------------------------------------
     def column(self, name: str) -> List[Any]:

@@ -472,20 +472,24 @@ def run_capture_experiment(
 
     for i, (client, device) in enumerate(zip(clients, devices)):
         env.process(run_device(env, i, client, device), name=f"device-{i}")
-    env.run()
-
     fleet_stats: Optional[Dict[str, Any]] = None
-    if fleet is not None:
-        fleet_stats = fleet.stats()
-        # the zero-loss ledger: proxy calls that ran to completion (see
-        # repro.net.fleet.FleetClientProxy)
-        fleet_stats["records_completed"] = sum(
-            proxy.records_completed for proxy in clients
-        )
-        for name in fleet.devices:
-            fleet.client_of(name).close()
-    if journal_tmp is not None:
-        shutil.rmtree(journal_tmp, ignore_errors=True)
+    try:
+        env.run()
+        if fleet is not None:
+            fleet_stats = fleet.stats()
+            # the zero-loss ledger: proxy calls that ran to completion (see
+            # repro.net.fleet.FleetClientProxy)
+            fleet_stats["records_completed"] = sum(
+                proxy.records_completed for proxy in clients
+            )
+    finally:
+        try:
+            if fleet is not None:
+                for name in fleet.devices:
+                    fleet.client_of(name).close()
+        finally:
+            if journal_tmp is not None:
+                shutil.rmtree(journal_tmp, ignore_errors=True)
 
     return RunOutcome(
         elapsed=[r["elapsed"] for r in results],

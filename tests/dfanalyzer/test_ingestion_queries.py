@@ -99,6 +99,47 @@ def test_ingest_capture_library_format():
     assert rows[0]["dependencies"] == "6"
 
 
+def test_ingest_provlake_format():
+    service = DfAnalyzerService()
+    body = {
+        "@context": {"prov": "http://www.w3.org/ns/prov#"},
+        "messages": [
+            {"prov_obj": "workflow", "wf_execution": "wfexec_1",
+             "act_type": "workflow_begin", "timestamp": "t0", "status": ""},
+            {"prov_obj": "task", "wf_execution": "wfexec_1",
+             "act_type": "task_begin", "timestamp": "t1", "status": "running",
+             "data_transformation": "dt_0",
+             "task": {"id": 7, "dependencies": ["6"], "workflow": "wfexec_1"},
+             "used": {"in7": {"attributes": {"x": 1.0}, "derived_from": [],
+                              "attributed_to": "wfexec_1"}}},
+            {"prov_obj": "task", "wf_execution": "wfexec_1",
+             "act_type": "task_end", "timestamp": "t2", "status": "finished",
+             "data_transformation": "dt_0",
+             "task": {"id": 7, "dependencies": ["6"], "workflow": "wfexec_1"},
+             "generated": {"out7": {"attributes": {"y": 2.0},
+                                    "derived_from": ["in7"],
+                                    "attributed_to": "wfexec_1"}}},
+        ],
+    }
+    assert service.ingest(body) == 3
+    assert service.query("dataflows").rows() == [
+        {"dataflow_tag": "1", "event": "begin", "time": "t0"}]
+    tasks = service.query("tasks").rows()
+    assert len(tasks) == 1
+    assert tasks[0]["task_id"] == 7 and tasks[0]["dataflow_tag"] == "1"
+    assert (tasks[0]["status"], tasks[0]["time_begin"], tasks[0]["time_end"]) == (
+        "FINISHED", "t1", "t2")
+    assert tasks[0]["dependencies"] == "6"
+    datasets = {r["dataset_tag"]: r for r in service.query("datasets").rows()}
+    assert datasets["in7"]["direction"] == "input" and datasets["in7"]["x"] == 1.0
+    assert datasets["out7"]["direction"] == "output"
+    assert datasets["out7"]["derivations"] == "in7"
+    assert lineage_of(service, "1", "out7") == ["in7"]
+    with pytest.raises(IngestError):
+        service.ingest({"messages": [{"prov_obj": "task", "act_type": "task_pause",
+                                      "wf_execution": "wfexec_1"}]})
+
+
 def test_ingest_rejects_garbage():
     service = DfAnalyzerService()
     with pytest.raises(IngestError):

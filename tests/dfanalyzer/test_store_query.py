@@ -62,14 +62,18 @@ def test_column_array_is_numpy():
     assert arr.sum() == 6.0
 
 
-def test_update_where():
+def test_update_rows():
     t = Table("t", ["id", "status"])
     t.insert({"id": 1, "status": "RUNNING"})
     t.insert({"id": 2, "status": "RUNNING"})
-    updated = t.update_where(lambda r: r["id"] == 2, {"status": "DONE"})
-    assert updated == 1
-    assert t.row(1)["status"] == "DONE"
-    assert t.row(0)["status"] == "RUNNING"
+    t.insert({"id": 3, "status": "RUNNING"})
+    updated = t.update_rows([0, 2], {"status": "DONE", "note": "x"})
+    assert updated == 2
+    assert [t.row(i)["status"] for i in range(3)] == ["DONE", "RUNNING", "DONE"]
+    assert t.column("note") == ["x", None, "x"]  # new column backfilled
+    with pytest.raises(IndexError):
+        t.update_rows([3], {"status": "DONE"})
+    assert t.column("status") == ["DONE", "RUNNING", "DONE"]
 
 
 def test_store_table_management():

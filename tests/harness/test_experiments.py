@@ -54,6 +54,38 @@ def test_measure_overhead_ordering_of_systems():
     assert means["provlight"] < means["dfanalyzer"] < means["provlake"]
 
 
+@pytest.mark.parametrize("system,group_size", [
+    ("dfanalyzer", 0), ("provlake", 0), ("provlake", 5),
+])
+def test_baseline_systems_ingest_every_record(system, group_size):
+    # 2 devices x (2 workflow events + 10 x task begin/end) = 44 records
+    setup = ExperimentSetup(system=system, n_devices=2, group_size=group_size)
+    outcome = run_capture_experiment(setup, FAST, seed=1)
+    assert outcome.backend_records == 44
+
+
+def test_failed_churn_run_removes_its_journal_dir(monkeypatch, tmp_path):
+    import tempfile
+
+    from repro.harness import experiments
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    journal_dirs = []
+
+    def failing_workload(env, client, config, rng, result):
+        yield env.timeout(0.1)
+        journal_dirs.extend(tmp_path.glob("repro-fleet-journals-*"))
+        raise RuntimeError("workload failed mid-run")
+
+    monkeypatch.setattr(experiments, "synthetic_workload", failing_workload)
+    setup = ExperimentSetup(system="provlight", n_devices=2, qos=1,
+                            chaos="churn@0.5:0.5:0.2")
+    with pytest.raises(RuntimeError, match="mid-run"):
+        run_capture_experiment(setup, FAST, seed=1)
+    assert journal_dirs  # the run did provision its journals
+    assert list(tmp_path.glob("repro-fleet-journals-*")) == []
+
+
 def test_multi_device_experiment():
     setup = ExperimentSetup(system="provlight", n_devices=3)
     outcome = run_capture_experiment(setup, FAST, seed=2)
