@@ -1,22 +1,14 @@
 """Shared benchmark configuration.
 
 Repetitions per experimental condition default to 3 here (the paper uses
-10) so the full benchmark suite finishes in minutes; set
-``REPRO_REPETITIONS`` to reproduce the paper's statistics exactly::
+10; each benchmark passes ``default_repetitions(fallback=3)``) so the full
+benchmark suite finishes in minutes; set ``REPRO_REPETITIONS`` to
+reproduce the paper's statistics exactly::
 
     REPRO_REPETITIONS=10 pytest benchmarks/ --benchmark-only
 """
 
-import os
-
 import pytest
-
-
-def bench_repetitions(default: int = 3) -> int:
-    value = os.environ.get("REPRO_REPETITIONS")
-    if value:
-        return max(1, int(value))
-    return default
 
 
 @pytest.fixture

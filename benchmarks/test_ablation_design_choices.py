@@ -10,11 +10,12 @@ one on the 0.5 s / 100-attribute workload and prints its contribution:
 """
 
 import numpy as np
-from conftest import bench_repetitions, run_once
+from conftest import run_once
 
 from repro.baselines.ablations import SyncHttpProvLightClient, VerboseModelProvLightClient
 from repro.core import CallableBackend, ProvLightClient, ProvLightServer
 from repro.device import A8M3, Device
+from repro.harness import default_repetitions
 from repro.http import HttpResponse, HttpServer
 from repro.metrics import mean_ci, render_table
 from repro.net import Network
@@ -51,7 +52,7 @@ def _run_variant(variant: str, seed: int):
         client = cls(dev, server.endpoint, "abl/edge", **kwargs)
 
         def scenario(env):
-            yield from server.add_translator("abl/#")
+            yield from server.pool.attach("abl/#")
             yield from synthetic_workload(env, client, CONFIG,
                                           rng=np.random.default_rng(seed),
                                           result=result)
@@ -107,7 +108,7 @@ def run_ablation(reps: int):
 
 
 def test_ablation_design_choices(benchmark, show):
-    text, m = run_once(benchmark, lambda: run_ablation(bench_repetitions(2)))
+    text, m = run_once(benchmark, lambda: run_ablation(default_repetitions(fallback=2)))
     show(text)
     # protocol is the dominant factor for capture time (paper's main claim)
     assert m["sync-http"]["overhead"] > 5 * m["full"]["overhead"]

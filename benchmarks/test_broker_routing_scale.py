@@ -15,7 +15,7 @@ measured ratio in ``BENCH_microbench_codecs.json``.
 
 import time
 
-from repro.core import CallableBackend, ProvLightServer
+from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import XEON_GOLD_5220, Device
 from repro.mqttsn import SubscriptionIndex, topic_matches
 from repro.net import Network
@@ -114,7 +114,8 @@ def _pool_world(workers):
     device = Device(env, XEON_GOLD_5220, name="cloud-dev")
     net.add_host("cloud", device=device)
     server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(lambda r: None), workers=workers
+        net.hosts["cloud"], CallableBackend(lambda r: None),
+        config=ServerConfig(workers=workers),
     )
     return env, server
 
@@ -142,7 +143,7 @@ def test_pool_subscribes_1000_topics_with_4_clients():
 
     def scenario(env):
         for i in range(N_TOPICS):
-            yield from server.add_translator(f"provlight/dev-{i}/data")
+            yield from server.pool.attach(f"provlight/dev-{i}/data")
 
     env.process(scenario(env))
     env.run()

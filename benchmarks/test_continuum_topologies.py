@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.capture import CaptureConfig, create_client
-from repro.core import CallableBackend, ProvLightServer
+from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.mqttsn.client import MqttSnTimeout
 from repro.net import (
@@ -69,7 +69,8 @@ def build_capture_world(preset, n_devices, seed, journal_dir=None):
     net.add_host("cloud", device=Device(env, XEON_GOLD_5220, name="cloud-dev"))
     received = []
     server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(received.extend), workers=4,
+        net.hosts["cloud"], CallableBackend(received.extend),
+        config=ServerConfig(workers=4),
     )
     spec = TopologySpec.parse(preset).scaled(n_devices)
     devices = []
@@ -130,7 +131,7 @@ def _run_topology_fanin(preset: str, journal_dir: str) -> FaninResult:
     done = []
 
     def workload(env, client):
-        yield from server.add_translator(client.topic)
+        yield from server.pool.attach(client.topic)
         yield from setup_with_retry(env, client)
         for i in range(RECORDS_PER_DEVICE):
             yield from client.capture(record(i, env.now))
@@ -201,7 +202,7 @@ def run_churn_recovery() -> float:
         done = []
 
         def workload(env, proxy):
-            yield from server.add_translator(proxy.topic)
+            yield from server.pool.attach(proxy.topic)
             yield from setup_with_retry(env, proxy)
             for i in range(RECORDS_PER_DEVICE):
                 yield from proxy.capture(record(i, env.now))

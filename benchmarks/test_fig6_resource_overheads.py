@@ -6,14 +6,21 @@ attributes), executed once per system by the module-scoped fixture.
 """
 
 import pytest
-from conftest import bench_repetitions, run_once
+from conftest import run_once
 
-from repro.harness import fig6a_cpu, fig6b_memory, fig6c_network, fig6d_power, figure6_runs
+from repro.harness import (
+    default_repetitions,
+    fig6a_cpu,
+    fig6b_memory,
+    fig6c_network,
+    fig6d_power,
+    figure6_runs,
+)
 
 
 @pytest.fixture(scope="module")
 def runs():
-    return figure6_runs(bench_repetitions())
+    return figure6_runs(default_repetitions(fallback=3))
 
 
 def test_fig6a_cpu_overhead(benchmark, show, runs):

@@ -16,12 +16,13 @@ attributable to the transport adapters alone.
 """
 
 import numpy as np
-from conftest import bench_repetitions, run_once
+from conftest import run_once
 
 from repro.capture import CaptureConfig, create_client
 from repro.coap import ProvLightCoapServer
 from repro.core import CallableBackend, ProvLightServer
 from repro.device import A8M3, Device
+from repro.harness import default_repetitions
 from repro.http import HttpResponse, HttpServer
 from repro.metrics import mean_ci, render_table
 from repro.net import Network
@@ -56,7 +57,7 @@ def _run(transport: str, seed: int):
         client = create_client(dev, server.endpoint, "p/edge", capture)
 
         def scenario(env):
-            yield from server.add_translator("p/#")
+            yield from server.pool.attach("p/#")
             yield from synthetic_workload(env, client, CONFIG,
                                           rng=np.random.default_rng(seed),
                                           result=result)
@@ -96,7 +97,7 @@ def run_comparison(reps: int):
 
 
 def test_protocol_comparison(benchmark, show):
-    text, m = run_once(benchmark, lambda: run_comparison(bench_repetitions(2)))
+    text, m = run_once(benchmark, lambda: run_comparison(default_repetitions(fallback=2)))
     show(text)
     # both async transports achieve the paper's low overhead
     assert m["mqtt-sn"]["overhead"] < 0.03

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.capture import CaptureConfig, create_client
-from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
+from repro.core import CallableBackend, Data, ProvLightServer, ServerConfig, Task, Workflow
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.mqttsn import BrokerCluster, MqttSnClient
 from repro.net import Network, ServerFaultInjector
@@ -69,7 +69,7 @@ def run_failover_recovery(shards: int = 4) -> FailoverResult:
     received = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(received.extend),
-        workers=4, broker_shards=shards,
+        config=ServerConfig(workers=4, broker_shards=shards),
     )
     cluster = server.broker
     victim = None
@@ -113,7 +113,7 @@ def run_failover_recovery(shards: int = 4) -> FailoverResult:
     done = []
 
     def drive(env, client, topic):
-        yield from server.add_translator(topic)
+        yield from server.pool.attach(topic)
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()

@@ -6,12 +6,12 @@ every cell is high overhead (>3%), ProvLake is slower than DfAnalyzer,
 and each cell lands near the paper's value.
 """
 
-from conftest import bench_repetitions, run_once
+from conftest import run_once
 
-from repro.harness import table2
+from repro.harness import default_repetitions, table2
 
 
 def test_table2_baseline_edge_overhead(benchmark, show):
-    result = run_once(benchmark, lambda: table2(bench_repetitions()))
+    result = run_once(benchmark, lambda: table2(default_repetitions(fallback=3)))
     show(result.text)
     assert result.ok, result.failed_checks()

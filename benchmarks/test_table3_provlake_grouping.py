@@ -5,12 +5,12 @@ Grouping amortizes the expensive serialize+POST over many records: at
 transfer time dominates and overhead stays >43% for every group size.
 """
 
-from conftest import bench_repetitions, run_once
+from conftest import run_once
 
-from repro.harness import table3
+from repro.harness import default_repetitions, table3
 
 
 def test_table3_provlake_grouping(benchmark, show):
-    result = run_once(benchmark, lambda: table3(bench_repetitions()))
+    result = run_once(benchmark, lambda: table3(default_repetitions(fallback=3)))
     show(result.text)
     assert result.ok, result.failed_checks()

@@ -5,12 +5,12 @@ out to one translator per topic. Per-device overhead stays flat because
 clients publish asynchronously — the cloud side absorbs the fan-in.
 """
 
-from conftest import bench_repetitions, run_once
+from conftest import run_once
 
-from repro.harness import table9
+from repro.harness import default_repetitions, table9
 
 
 def test_table9_scalability(benchmark, show):
-    result = run_once(benchmark, lambda: table9(bench_repetitions(2)))
+    result = run_once(benchmark, lambda: table9(default_repetitions(fallback=2)))
     show(result.text)
     assert result.ok, result.failed_checks()

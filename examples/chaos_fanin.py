@@ -24,6 +24,7 @@ from repro.core import (
     HttpBackend,
     ProvLightServer,
     RetryPolicy,
+    ServerConfig,
     Task,
     Workflow,
 )
@@ -72,7 +73,8 @@ def main() -> None:
     )
     backend.breaker = CircuitBreaker(env, failure_threshold=3, reset_timeout_s=0.5)
     server = ProvLightServer(
-        net.hosts["cloud"], backend, workers=4, broker_shards=4
+        net.hosts["cloud"], backend,
+        config=ServerConfig(workers=4, broker_shards=4),
     )
 
     # --- 2. durable capture clients ----------------------------------------
@@ -101,7 +103,7 @@ def main() -> None:
     finished = []
 
     def workload(env, idx, client):
-        yield from server.add_translator(f"provlight/edge-{idx}/data")
+        yield from server.pool.attach(f"provlight/edge-{idx}/data")
         yield from client.setup()
         # per-device workflow ids + dataset tags keep record *content*
         # unique across the fleet (the API's idempotency key needs it)

@@ -18,7 +18,7 @@ import shutil
 import tempfile
 
 from repro.capture import CaptureConfig, create_client
-from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
+from repro.core import CallableBackend, Data, ProvLightServer, ServerConfig, Task, Workflow
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.net import (
     ChaosProfile,
@@ -48,7 +48,7 @@ def main() -> None:
     stored = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(stored.extend),
-        workers=4, broker_shards=2,
+        config=ServerConfig(workers=4, broker_shards=2),
     )
     spec = TopologySpec.parse(TOPOLOGY).scaled(N_DEVICES)
     devices = []
@@ -89,7 +89,7 @@ def main() -> None:
     finished = []
 
     def workload(env, idx, proxy):
-        yield from server.add_translator(f"provlight/{proxy.name}/data")
+        yield from server.pool.attach(f"provlight/{proxy.name}/data")
         yield from proxy.setup()
         wf_id = idx + 1
         workflow = Workflow(wf_id, proxy)

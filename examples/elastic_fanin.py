@@ -26,7 +26,7 @@ import tempfile
 
 from repro.calibration import SERVER_COSTS
 from repro.capture import CaptureConfig, create_client
-from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
+from repro.core import CallableBackend, Data, ProvLightServer, ServerConfig, Task, Workflow
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.hashring import ConsistentHashRing
 from repro.net import Network
@@ -58,8 +58,8 @@ def main() -> None:
     stored = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(stored.extend),
-        workers=2, broker_shards=4,
-        broker_placement="p2c", pool_min=2, pool_max=6,
+        config=ServerConfig(workers=2, broker_shards=4, broker_placement="p2c",
+                            pool_min=2, pool_max=6),
         costs=dataclasses.replace(SERVER_COSTS, translate_per_message_s=0.45),
     )
     cluster = server.broker
@@ -84,7 +84,7 @@ def main() -> None:
 
     def workload(env, idx, client):
         topic = f"provlight/{client.config.client_id}/data"
-        yield from server.add_translator(topic)
+        yield from server.pool.attach(topic)
         # stagger the CONNECTs a little so load-aware placement reads
         # the plane as it fills (a fleet never connects in one datagram)
         yield env.timeout(idx * 0.005)

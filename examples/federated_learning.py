@@ -43,7 +43,7 @@ def main() -> None:
     history = {}
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from federated_training(env, captures, config, history)
         yield env.timeout(30)  # let async provenance drain
 

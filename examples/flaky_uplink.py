@@ -62,7 +62,7 @@ def main() -> None:
 
     # --- 4. the instrumented workflow --------------------------------------
     def workload(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from client.setup()
         workflow = Workflow(1, client)
         yield from workflow.begin()

@@ -35,9 +35,10 @@ def main() -> None:
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.023)
 
     # --- 2. the ProvLight server: broker + translator + backend -----------
-    # broker_shards=N partitions the broker plane behind the same single
-    # endpoint (consistent hashing on client id) for multi-core fan-in;
-    # the default of 1 is the paper's one-broker deployment
+    # config=ServerConfig(broker_shards=N) partitions the broker plane
+    # behind the same single endpoint (consistent hashing on client id)
+    # for multi-core fan-in; the default of 1 is the paper's one-broker
+    # deployment
     backend = DfAnalyzerService()
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(backend.ingest))
     # the unified capture API: one declarative config selects transport x
@@ -50,7 +51,7 @@ def main() -> None:
 
     # --- 3. the instrumented workflow (paper Listing 1) --------------------
     def workload(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from client.setup()
 
         attributes = 10

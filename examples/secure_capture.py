@@ -73,7 +73,7 @@ def main() -> None:
         yield from wf.end(drain=True)
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from run_device(env, trusted, "trusted")
         yield from run_device(env, rogue, "rogue")
         yield env.timeout(10)

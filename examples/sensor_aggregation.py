@@ -56,7 +56,7 @@ def run(system: str):
 
     def scenario(env):
         if server is not None:
-            yield from server.add_translator("provlight/#")
+            yield from server.pool.attach("provlight/#")
         yield from sensor_pipeline(env, client, SensorConfig(windows=8), result)
         result["workflow_elapsed"] = env.now
 

@@ -65,4 +65,11 @@ python examples/continuum_chaos.py
 echo "elasticity smoke: examples/elastic_fanin.py"
 python examples/elastic_fanin.py
 
+# harness CLI smoke: the server-plane flags are generated from the
+# ExperimentSetup field metadata, so drive them end to end once (a
+# sharded p2c broker plane plus an elastic pool through Table IX)
+echo "harness flags smoke: python -m repro.harness table9"
+python -m repro.harness table9 --reps 1 --broker-shards 2 \
+    --broker-placement p2c --pool-min 2 --pool-max 4
+
 python scripts/run_benchmarks.py --quick

@@ -1,13 +1,12 @@
 """Capture-*sink* deployment shared by the harness and E2Clab.
 
 ``create_client`` picks the device-side transport; something on the
-cloud side still has to terminate it.  The MQTT-SN sink is the full
-:class:`~repro.core.server.ProvLightServer` (broker + translator pool)
-whose knobs the callers own, but the CoAP server and the blocking-HTTP
-collector are boilerplate — a translator feeding an ingest callable —
-that the experiment harness and the Provenance Manager would otherwise
-each hand-roll.  :func:`deploy_capture_sink` builds them once, so a new
-transport's sink is added here, next to the registry that names it.
+cloud side still has to terminate it.  :func:`deploy_capture_sink`
+builds every sink — the full :class:`~repro.core.server.ProvLightServer`
+(broker + translator pool) for MQTT-SN, a CoAP server, or the
+blocking-HTTP collector — so the experiment harness and the Provenance
+Manager deploy through one call, and a new transport's sink is added
+here, next to the registry that names it.
 
 Imports are deferred: the protocol stacks import :mod:`repro.capture`
 for their adapters, so importing them at module time would be circular.
@@ -15,7 +14,7 @@ for their adapters, so importing them at module time would be circular.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from .registry import normalize_transport
 
@@ -32,36 +31,42 @@ def deploy_capture_sink(
     target: str = "dfanalyzer",
     http_port: int = DEFAULT_HTTP_SINK_PORT,
     http_workers: int = 1,
-    dedup_state_path: Optional[str] = None,
+    server=None,
 ) -> Tuple[object, Tuple[str, int]]:
     """Deploy the capture sink for ``transport`` on ``host``.
 
     ``ingest`` is the backend callable translated records are fed to.
-    Returns ``(server, endpoint)`` where ``endpoint`` is what
+    Returns ``(sink, endpoint)`` where ``endpoint`` is what
     :func:`~repro.capture.create_client` takes as ``server``.  The
-    ``mqttsn`` sink is *not* built here — construct a
-    :class:`~repro.core.server.ProvLightServer` directly (its worker and
-    shard knobs belong to the deployment).
+    ``mqttsn`` sink is a :class:`~repro.core.server.ProvLightServer`;
+    attach device topics with ``yield from sink.pool.attach(topic)``.
 
-    ``dedup_state_path`` makes the HTTP collector's replay-dedup index
-    durable: a restarted collector recovering from the same path keeps
-    rejecting ``(client_id, seq)`` pairs it ingested before the crash,
-    so journal replays stay exactly-once across sink restarts.
+    ``server`` is the deployment's :class:`~repro.core.server.ServerConfig`.
+    The MQTT-SN server takes all of it; the HTTP collector takes its
+    ``dedup_state_path``, so a restarted collector recovering from the
+    same path keeps rejecting ``(client_id, seq)`` pairs it ingested
+    before the crash and journal replays stay exactly-once.
     """
+    from ..core.server import CallableBackend, ProvLightServer, ServerConfig
+
     transport = normalize_transport(transport)
+    server = server if server is not None else ServerConfig()
+    if transport == "mqttsn":
+        sink = ProvLightServer(host, CallableBackend(ingest), target=target,
+                               config=server)
+        return sink, sink.endpoint
     if transport == "coap":
         from ..coap import ProvLightCoapServer
-        from ..core.server import CallableBackend
 
-        server = ProvLightCoapServer(host, CallableBackend(ingest), target=target)
-        return server, server.endpoint
+        sink = ProvLightCoapServer(host, CallableBackend(ingest), target=target)
+        return sink, sink.endpoint
     if transport == "http":
         from ..core.translator import Translator
         from ..http import HttpResponse, HttpServer
         from .envelope import ReplayDeduper, unwrap_payload
 
         translator = Translator(target)
-        deduper = ReplayDeduper(state_path=dedup_state_path)
+        deduper = ReplayDeduper(state_path=server.dedup_state_path)
 
         def collector(request):
             try:
@@ -79,9 +84,6 @@ def deploy_capture_sink(
                 pass
             return HttpResponse(status=201, reason="Created")
 
-        server = HttpServer(host, http_port, collector, workers=http_workers)
-        return server, (host.name, http_port)
-    raise ValueError(
-        f"no capture sink known for transport {transport!r} "
-        "(mqttsn sinks are a ProvLightServer; see repro.capture.sinks)"
-    )
+        sink = HttpServer(host, http_port, collector, workers=http_workers)
+        return sink, (host.name, http_port)
+    raise ValueError(f"no capture sink known for transport {transport!r}")

@@ -34,11 +34,11 @@ from .serialization import (
     encode_value,
 )
 from .server import (
-    DEFAULT_BROKER_SHARDS,
     DEFAULT_TRANSLATOR_WORKERS,
     CallableBackend,
     HttpBackend,
     ProvLightServer,
+    ServerConfig,
     TranslatorPool,
 )
 from .translator import (
@@ -60,9 +60,9 @@ __all__ = [
     "ProvLightClient",
     "MqttSnCaptureTransport",
     "ProvLightServer",
+    "ServerConfig",
     "TranslatorPool",
     "DEFAULT_TRANSLATOR_WORKERS",
-    "DEFAULT_BROKER_SHARDS",
     "CallableBackend",
     "HttpBackend",
     "BackendError",

@@ -16,14 +16,14 @@ Two layers of the server shard by consistent hashing (the same ring,
 * the **translator plane** is a :class:`TranslatorPool`: topics shard
   across K workers, each owning one MQTT-SN subscriber client and
   draining its inbox in batches.  A thousand device topics therefore
-  cost K subscriber clients, not a thousand.
-  :meth:`ProvLightServer.add_translator` is kept as the compatibility
-  entry point: it attaches one topic filter to the pool.  The pool is
+  cost K subscriber clients, not a thousand.  The pool is
   **elastic** when ``min_workers < max_workers``: a
   :class:`PoolAutoscaler` watches sustained inbox depth and grows or
   shrinks the worker count, re-homing each moved topic range through
   the ring's ~1/K remap with an exactly-once, order-preserving
   hold-buffer handover (see :meth:`TranslatorPool._migrate`).
+
+Every server-plane knob lives in one frozen :class:`ServerConfig`.
 
 Backends follow a uniform generator protocol: ``ingest(translated)``
 returns an iterable of simulation events.  Synchronous backends deliver
@@ -38,16 +38,24 @@ when present.
 from __future__ import annotations
 
 import json
+import os
 import random
 import zlib
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..calibration import SERVER_COSTS, ServerCosts
 from ..capture.envelope import ReplayDeduper, unwrap_payload
 from ..hashring import ConsistentHashRing
 from ..http import HttpSession
-from ..mqttsn import BrokerCluster, DEFAULT_BROKER_PORT, MqttSnClient
+from ..mqttsn import (
+    DEFAULT_BROKER_PORT,
+    DEFAULT_BROKER_SHARDS,
+    PLACEMENT_POLICIES,
+    BrokerCluster,
+    MqttSnClient,
+)
 from ..mqttsn.topics import topic_matches
 from ..net import Endpoint, Host
 from ..simkernel import Counter, Store
@@ -62,19 +70,16 @@ from .translator import Translator
 
 __all__ = [
     "ProvLightServer",
+    "ServerConfig",
     "TranslatorPool",
     "PoolAutoscaler",
     "CallableBackend",
     "HttpBackend",
     "DEFAULT_TRANSLATOR_WORKERS",
-    "DEFAULT_BROKER_SHARDS",
 ]
 
 #: paper Table IX reproduces with 8 workers serving 64 device topics
 DEFAULT_TRANSLATOR_WORKERS = 8
-
-#: single broker shard by default — identical to the pre-cluster server
-DEFAULT_BROKER_SHARDS = 1
 
 
 class CallableBackend:
@@ -949,21 +954,60 @@ class TranslatorPool:
         )
 
 
+@dataclass(frozen=True)
+class ServerConfig:
+    """Every server-plane knob of one ProvLight deployment, validated at
+    construction.  :class:`ProvLightServer`, the experiment harness
+    (``ExperimentSetup.server_config()``), the E2Clab Provenance Manager
+    and :func:`~repro.capture.deploy_capture_sink` all take this one
+    object."""
+
+    #: translator pool size, clamped into the bounds by :attr:`pool_size`
+    workers: int = DEFAULT_TRANSLATOR_WORKERS
+    #: broker shards behind the endpoint; 1 is a single standalone broker
+    broker_shards: int = DEFAULT_BROKER_SHARDS
+    #: session placement across shards: ``"hash"`` (client-id ring hash)
+    #: or ``"p2c"`` (power-of-two-choices on live shard load)
+    broker_placement: str = "hash"
+    #: elastic translator-pool bounds; an omitted bound is the pool size
+    #: itself, so omitting both gives a static pool
+    pool_min: Optional[int] = None
+    pool_max: Optional[int] = None
+    #: file the replay-dedup index is persisted to, so a restarted sink
+    #: keeps rejecting ``(client_id, seq)`` pairs it already ingested
+    dedup_state_path: Optional[str] = None
+
+    def __post_init__(self):
+        for name in ("workers", "broker_shards", "pool_min", "pool_max"):
+            value = getattr(self, name)
+            if value is None and name.startswith("pool_"):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.broker_placement not in PLACEMENT_POLICIES:
+            raise ValueError(f"broker_placement must be one of {PLACEMENT_POLICIES}, "
+                             f"got {self.broker_placement!r}")
+        if None not in (self.pool_min, self.pool_max) and self.pool_min > self.pool_max:
+            raise ValueError(f"pool_min must be <= pool_max, got {self.pool_min} > {self.pool_max}")
+        if not isinstance(self.dedup_state_path, (str, os.PathLike, type(None))):
+            raise ValueError(f"dedup_state_path must be a path, got {self.dedup_state_path!r}")
+
+    @property
+    def pool_size(self) -> int:
+        """Starting pool size: ``workers`` clamped into the pool bounds (the
+        elastic envelope), so a static worker count outside it starts at
+        the nearest bound instead of making the server refuse to start."""
+        workers = max(self.workers, self.pool_min or 1)
+        return min(workers, self.pool_max or workers)
+
+
 class ProvLightServer:
     """Sharded broker plane + sharded translator pool on one (cloud) host.
 
-    ``broker_shards`` sizes the :class:`~repro.mqttsn.BrokerCluster`
-    behind :attr:`endpoint`; the default of 1 is wire-identical to the
-    pre-cluster single broker.  :attr:`broker` exposes the cluster,
-    which delegates the standalone broker's surface (``sessions``,
-    ``topics``, ``subscriptions``, retry knobs, counters) at any shard
-    count.
-
-    ``broker_placement`` selects the cluster's session-placement policy
-    (``"hash"`` — pure client-id ring hash, the default — or ``"p2c"``
-    — power-of-two-choices on live shard load); ``pool_min`` /
-    ``pool_max`` bound the elastic translator pool (both default to
-    ``workers``, i.e. a static pool).
+    ``config`` sizes the :class:`~repro.mqttsn.BrokerCluster` behind
+    :attr:`endpoint` (exposed as :attr:`broker`, which delegates the
+    standalone broker's surface at any shard count) and the translator
+    pool, which device topics join through ``server.pool.attach(topic)``.
     """
 
     def __init__(
@@ -974,56 +1018,37 @@ class ProvLightServer:
         target: str = "dfanalyzer",
         costs: ServerCosts = SERVER_COSTS,
         cipher=None,
-        workers: int = DEFAULT_TRANSLATOR_WORKERS,
-        broker_shards: int = DEFAULT_BROKER_SHARDS,
-        broker_placement: str = "hash",
-        pool_min: Optional[int] = None,
-        pool_max: Optional[int] = None,
-        dedup_state_path: Optional[str] = None,
+        config: ServerConfig = ServerConfig(),
     ):
         self.host = host
         self.env = host.env
         self.port = port
         self.backend = backend
         self.costs = costs
+        self.config = config
         self.translator = Translator(target, cipher=cipher)
         self.broker = BrokerCluster(
             host, port,
-            shards=broker_shards,
+            shards=config.broker_shards,
             service_time_s=costs.broker_per_packet_s,
             batch_fixed_s=costs.broker_batch_fixed_s,
             dispatch_fixed_s=costs.broker_dispatch_fixed_s,
-            placement=broker_placement,
+            placement=config.broker_placement,
         )
         self.pool = TranslatorPool(
-            self, workers, min_workers=pool_min, max_workers=pool_max
+            self, config.pool_size,
+            min_workers=config.pool_min, max_workers=config.pool_max,
         )
-        #: one entry per attached topic filter (compatibility with the
-        #: seed's translator-per-topic bookkeeping): the worker shard
-        #: each ``add_translator`` call landed on.
-        self.translators: List[_TranslatorWorker] = []
         self.records_ingested = Counter("records-ingested")
         self.translate_errors = Counter("translate-errors")
         #: replay dedup shared by every pool worker — a client publishes
         #: to one topic, so all its payloads land on one worker, but the
         #: index is server-wide so re-sharding can never unsee a seq.
-        #: With ``dedup_state_path`` the index survives a server restart,
-        #: so a sink crash does not re-ingest records that durable
-        #: clients replay on reconnect.
-        self.deduper = ReplayDeduper(state_path=dedup_state_path)
+        #: With ``config.dedup_state_path`` the index survives a server
+        #: restart, so a sink crash does not re-ingest records that
+        #: durable clients replay on reconnect.
+        self.deduper = ReplayDeduper(state_path=config.dedup_state_path)
         self.duplicates_dropped = Counter("duplicates-dropped")
-
-    def add_translator(self, topic_filter: str):
-        """Generator: attach ``topic_filter`` to the translator pool.
-
-        Compatibility shim for the paper's one-translator-per-topic
-        deployment scripts: call once per device topic, exactly as the
-        scalability experiment does (translator-1..64).  Topics shard
-        onto the pool's fixed workers instead of spawning new processes.
-        """
-        worker = yield from self.pool.attach(topic_filter)
-        self.translators.append(worker)
-        return worker
 
     @property
     def endpoint(self) -> Endpoint:
@@ -1031,7 +1056,8 @@ class ProvLightServer:
         return (self.host.name, self.port)
 
     def __repr__(self) -> str:
+        topics = sum(len(worker.topic_filters) for worker in self.pool.workers)
         return (
             f"<ProvLightServer {self.host.name}:{self.port} "
-            f"workers={len(self.pool)} topics={len(self.translators)}>"
+            f"workers={len(self.pool)} topics={topics}>"
         )

@@ -23,7 +23,6 @@ analyze captured provenance at workflow runtime.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 from ..capture import (
@@ -32,15 +31,12 @@ from ..capture import (
     create_client,
     deploy_capture_sink,
     normalize_transport,
+    transport_names,
 )
-from ..core import (
-    DEFAULT_BROKER_SHARDS,
-    DEFAULT_TRANSLATOR_WORKERS,
-    CallableBackend,
-    ProvLightServer,
-)
+from ..core import ProvLightServer, ServerConfig
 from ..device import Device, XEON_GOLD_5220
 from ..dfanalyzer import DfAnalyzerService
+from ..envhooks import env_value
 from ..net import (
     ChaosProfile,
     ContinuumTopology,
@@ -56,30 +52,23 @@ __all__ = ["ProvenanceManager"]
 HTTP_CAPTURE_PORT = 5000
 
 
-def _default_capture_transport() -> str:
-    """Manager-wide transport; ``REPRO_CAPTURE_TRANSPORT`` overrides.
-
-    The environment hook is what lets a deployment retarget every
-    ``deploy_client`` call (MQTT-SN vs CoAP vs blocking HTTP) without
-    threading an argument through each driver.  Unknown names fail
-    loudly here, at the first ``ProvenanceManager()``.
-    """
-    value = os.environ.get("REPRO_CAPTURE_TRANSPORT")
-    if not value:
-        return "mqttsn"
-    from ..capture import transport_names
-
-    canonical = normalize_transport(value)
+def _registered_transport(name: str) -> str:
+    """Canonical name of a registered capture transport."""
+    canonical = normalize_transport(name)
     if canonical not in transport_names():
         raise ValueError(
-            f"REPRO_CAPTURE_TRANSPORT={value!r} is not a registered capture "
-            f"transport; known: {', '.join(transport_names())}"
+            f"not a registered capture transport; known: "
+            f"{', '.join(transport_names())}"
         )
     return canonical
 
 
 class ProvenanceManager:
-    """Deploys and owns the provenance capture pipeline."""
+    """Deploys and owns the provenance capture pipeline.
+
+    ``server`` (a :class:`~repro.core.ServerConfig`) carries every
+    server-plane knob: pool size and bounds, broker shards, placement.
+    """
 
     #: host name used when the manager provisions its own cloud node
     HOST_NAME = "provenance-manager"
@@ -91,55 +80,29 @@ class ProvenanceManager:
         group_size: int = 0,
         compress: bool = True,
         host_name: Optional[str] = None,
-        translator_workers: int = DEFAULT_TRANSLATOR_WORKERS,
-        broker_shards: int = DEFAULT_BROKER_SHARDS,
-        broker_placement: str = "hash",
-        pool_min: Optional[int] = None,
-        pool_max: Optional[int] = None,
+        server: ServerConfig = ServerConfig(),
         transport: Optional[str] = None,
         chaos: Optional[str] = None,
         topology: Optional[str] = None,
     ):
+        self.transport = normalize_transport(transport) if transport else (
+            env_value("REPRO_CAPTURE_TRANSPORT", _registered_transport, "mqttsn")
+        )
         chaos_profile = ChaosProfile.parse(chaos) if chaos else None
         topology_spec = TopologySpec.parse(topology) if topology else None
         if chaos_profile is not None:
-            # validate before any side effect (host provisioning, port
-            # binds), so a bad config leaves the network untouched
-            if chaos_profile.requires_backend_link():
-                raise ValueError(
-                    "the manager's DfAnalyzer backend is in-process (no "
-                    "server<->backend link); backend-outage/flap-backend "
-                    "events cannot be injected here"
-                )
-            if (
-                any(e.kind == "kill-shard" for e in chaos_profile.events)
-                and broker_shards < 2
-            ):
-                raise ValueError(
-                    "kill-shard chaos needs broker_shards >= 2 (a surviving "
-                    "shard must take over the killed shard's sessions)"
-                )
-            if chaos_profile.requires_fleet():
-                raise ValueError(
-                    "the manager does not own the device lifecycle, so "
-                    "crash-device/churn events cannot be injected here; "
-                    "drive them through the harness "
-                    "(run_capture_experiment) or a FleetFaultInjector "
-                    "built over the deployed clients"
-                )
-            if chaos_profile.requires_topology() and topology_spec is None:
-                raise ValueError(
-                    "partition-tier/degrade-tier chaos events need "
-                    "topology= (a TopologySpec string or preset name)"
-                )
+            # before any side effect (host provisioning, port binds), so a
+            # bad config leaves the network untouched
+            chaos_profile.preflight(
+                transport=self.transport,
+                broker_shards=server.broker_shards,
+                has_topology=topology_spec is not None,
+            )
         self.network = network
         self.env: Environment = network.env
         self.target = target
         self.group_size = group_size
         self.compress = compress
-        self.transport = normalize_transport(transport) if transport else (
-            _default_capture_transport()
-        )
         self.service = DfAnalyzerService()
         host_name = host_name or self.HOST_NAME
         if host_name in network.hosts:
@@ -148,20 +111,10 @@ class ProvenanceManager:
             device = Device(self.env, XEON_GOLD_5220, name=host_name)
             host = network.add_host(host_name, device=device)
         self.host = host
-        # the bounds express the elastic envelope; clamp the static
-        # default worker count into it rather than refusing to deploy
-        if pool_min is not None:
-            translator_workers = max(translator_workers, pool_min)
-        if pool_max is not None:
-            translator_workers = min(translator_workers, pool_max)
-        self.server = ProvLightServer(
-            host, CallableBackend(self.service.ingest), target=target,
-            workers=translator_workers, broker_shards=broker_shards,
-            broker_placement=broker_placement,
-            pool_min=pool_min, pool_max=pool_max,
-        )
-        #: lazily deployed non-MQTT-SN sinks: transport -> (server, endpoint)
+        #: deployed capture sinks: transport -> (sink, endpoint); the
+        #: MQTT-SN server is always up, the others deploy on first use
         self._sinks: Dict[str, tuple] = {}
+        self.server: ProvLightServer = self._deploy_sink("mqttsn", server)[0]
         self.clients: Dict[str, CaptureClient] = {}
         #: the tiered continuum rooted at the manager host, when the
         #: deployment asked for one (``topology=``); device hosts are
@@ -231,18 +184,22 @@ class ProvenanceManager:
         self.clients[topic] = client
         return client
 
-    def _ensure_sink(self, transport: str, topic: str):
-        """Generator: endpoint of the capture sink for ``transport``,
-        deploying it on the manager host the first time it is needed."""
-        if transport == "mqttsn":
-            yield from self.server.add_translator(topic)  # shards onto the pool
-            return self.server.endpoint
+    def _deploy_sink(self, transport: str, server: Optional[ServerConfig] = None):
+        """``(sink, endpoint)`` for ``transport``, deploying it on the
+        manager host the first time it is asked for."""
         if transport not in self._sinks:
             self._sinks[transport] = deploy_capture_sink(
                 transport, self.host, self.service.ingest, target=self.target,
-                http_port=HTTP_CAPTURE_PORT,
+                http_port=HTTP_CAPTURE_PORT, server=server,
             )
-        _, endpoint = self._sinks[transport]
+        return self._sinks[transport]
+
+    def _ensure_sink(self, transport: str, topic: str):
+        """Generator: endpoint of the capture sink for ``transport``;
+        an MQTT-SN topic is attached to the server's translator pool."""
+        sink, endpoint = self._deploy_sink(transport)
+        if transport == "mqttsn":
+            yield from sink.pool.attach(topic)
         return endpoint
 
     def connect_layer_to_server(self, hosts: List[str], bandwidth_bps: float,

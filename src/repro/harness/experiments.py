@@ -11,8 +11,8 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -23,16 +23,13 @@ from ..capture import (
     deploy_capture_sink,
     normalize_transport,
 )
-from ..core import (
-    DEFAULT_BROKER_SHARDS,
-    DEFAULT_TRANSLATOR_WORKERS,
-    CallableBackend,
-    ProvLightServer,
-)
+from ..core import DEFAULT_TRANSLATOR_WORKERS, ProvLightServer, ServerConfig
 from ..device import A8M3, XEON_GOLD_5220, Device, DeviceSpec
 from ..dfanalyzer import DfAnalyzerService
+from ..envhooks import env_value
 from ..http import HttpResponse, HttpServer
 from ..metrics import RunMetrics, mean_ci, relative_overhead, snapshot_device
+from ..mqttsn import DEFAULT_BROKER_SHARDS, PLACEMENT_POLICIES
 from ..net import (
     ChaosProfile,
     ContinuumTopology,
@@ -50,6 +47,7 @@ __all__ = [
     "SYSTEMS",
     "ExperimentSetup",
     "RunOutcome",
+    "env_knobs",
     "run_capture_experiment",
     "run_null_baseline",
     "measure_overhead",
@@ -62,98 +60,44 @@ SYSTEMS = ("provlight", "provlake", "dfanalyzer")
 DEFAULT_REPETITIONS = 10
 
 
-def _default_broker_shards() -> int:
-    """Broker shard count; ``REPRO_BROKER_SHARDS`` overrides the default.
-
-    The environment hook is what lets ``python -m repro.harness
-    --broker-shards N`` retarget every table/figure without threading an
-    argument through each driver.  Invalid values fail loudly here, at
-    the first ``ExperimentSetup()``, matching the CLI's rejection.
-    """
-    value = os.environ.get("REPRO_BROKER_SHARDS")
-    if not value:
-        return DEFAULT_BROKER_SHARDS
-    try:
-        shards = int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BROKER_SHARDS must be an integer, got {value!r}"
-        ) from None
-    if shards < 1:
-        raise ValueError(f"REPRO_BROKER_SHARDS must be >= 1, got {shards}")
-    return shards
+def _server_knob(name: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Parser for the :class:`ServerConfig` field ``name``: ``convert``
+    the raw string, then apply that field's own checks."""
+    def parse(raw: str) -> Any:
+        value = convert(raw)
+        ServerConfig(**{name: value})  # raises ValueError naming the field
+        return value
+    return parse
 
 
-def _default_broker_placement() -> str:
-    """Session placement policy; ``REPRO_BROKER_PLACEMENT`` overrides.
-
-    ``hash`` (consistent hashing, the default) or ``p2c`` (load-aware
-    power-of-two-choices).  Same loud-failure contract as
-    :func:`_default_broker_shards`.
-    """
-    value = os.environ.get("REPRO_BROKER_PLACEMENT")
-    if not value:
-        return "hash"
-    if value not in ("hash", "p2c"):
-        raise ValueError(
-            f"REPRO_BROKER_PLACEMENT must be 'hash' or 'p2c', got {value!r}"
-        )
-    return value
+def _spec_knob(grammar: Callable[[str], Any]) -> Callable[[str], str]:
+    """Parser for a spec string: checked by ``grammar``, kept as text."""
+    def parse(raw: str) -> str:
+        grammar(raw)
+        return raw
+    return parse
 
 
-def _default_pool_bound(var: str) -> Optional[int]:
-    """Optional translator-pool bound from ``REPRO_POOL_MIN``/``_MAX``."""
-    value = os.environ.get(var)
-    if not value:
-        return None
-    try:
-        bound = int(value)
-    except ValueError:
-        raise ValueError(f"{var} must be an integer, got {value!r}") from None
-    if bound < 1:
-        raise ValueError(f"{var} must be >= 1, got {bound}")
-    return bound
-
-
-def _default_pool_min() -> Optional[int]:
-    return _default_pool_bound("REPRO_POOL_MIN")
-
-
-def _default_pool_max() -> Optional[int]:
-    return _default_pool_bound("REPRO_POOL_MAX")
-
-
-def _default_chaos() -> Optional[str]:
-    """Chaos profile spec; ``REPRO_CHAOS`` injects one into every run.
-
-    Same contract as :func:`_default_broker_shards`: a malformed spec
-    fails loudly at the first ``ExperimentSetup()``, not mid-run.
-    """
-    value = os.environ.get("REPRO_CHAOS")
-    if not value:
-        return None
-    ChaosProfile.parse(value)  # validate eagerly; keep the spec string
-    return value
-
-
-def _default_topology() -> Optional[str]:
-    """Continuum topology spec; ``REPRO_TOPOLOGY`` retargets every run.
-
-    Accepts a preset name (``ideal``, ``constrained-edge``,
-    ``lossy-wireless``, ``wan-fog``) or a full
-    :class:`~repro.net.TopologySpec` string, validated eagerly so a
-    typo fails at the first ``ExperimentSetup()``.
-    """
-    value = os.environ.get("REPRO_TOPOLOGY")
-    if not value:
-        return None
-    TopologySpec.parse(value)  # validate eagerly; keep the spec string
-    return value
+def _knob(env: str, parse: Callable[[str], Any], default: Any, help: str,
+          **flag: Any):
+    """An :class:`ExperimentSetup` field whose default ``env`` overrides.
+    ``python -m repro.harness`` generates the field's flag from the
+    metadata (``type=parse``, ``help``, the argparse options in ``flag``);
+    the flag sets ``env``, which retargets every table and figure."""
+    return field(
+        default_factory=lambda: env_value(env, parse, default),
+        metadata={"env": env, "parse": parse, "help": help, **flag},
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentSetup:
-    """Everything that defines one experimental condition."""
+    """Everything that defines one experimental condition.
+
+    Every knob is checked at construction: a bad value fails here with a
+    message naming the field (and its environment variable, when that is
+    where the value came from), not mid-run.
+    """
 
     system: str = "provlight"
     bandwidth: str = "1Gbit"
@@ -166,57 +110,83 @@ class ExperimentSetup:
     #: capture transport for the provlight system (``mqttsn``, ``coap``
     #: or ``http`` — any name in :func:`repro.capture.transport_names`)
     transport: str = "mqttsn"
-    #: attach each device topic to the server's translator pool (paper Fig. 5)
-    with_translators: bool = True
     #: size of the sharded translator pool on the server (paper Table IX:
     #: 8 workers absorb 64 device topics)
     translator_workers: int = DEFAULT_TRANSLATOR_WORKERS
-    #: broker shards behind the server endpoint (1 = the single-broker
-    #: deployment; ``REPRO_BROKER_SHARDS`` overrides the default)
-    broker_shards: int = field(default_factory=_default_broker_shards)
-    #: session placement policy across broker shards (``hash`` = consistent
-    #: hashing, ``p2c`` = load-aware power-of-two-choices;
-    #: ``REPRO_BROKER_PLACEMENT`` overrides the default)
-    broker_placement: str = field(default_factory=_default_broker_placement)
-    #: elastic translator-pool bounds (``None`` = static pool of
-    #: ``translator_workers``; ``REPRO_POOL_MIN``/``REPRO_POOL_MAX`` override)
-    pool_min: Optional[int] = field(default_factory=_default_pool_min)
-    pool_max: Optional[int] = field(default_factory=_default_pool_max)
-    #: chaos schedule (:class:`~repro.net.ChaosProfile` spec string, e.g.
-    #: ``"kill-shard@2.0"`` or ``"churn@5:0.2:2"``; ``REPRO_CHAOS`` sets
-    #: a default)
-    chaos: Optional[str] = field(default_factory=_default_chaos)
-    #: continuum topology (:class:`~repro.net.TopologySpec` spec string or
-    #: preset name, e.g. ``"lossy-wireless"``; ``None`` = the ideal star;
-    #: ``REPRO_TOPOLOGY`` sets a default).  When set, the spec's link
-    #: profiles replace ``bandwidth``/``delay`` and its leaf tier is
-    #: resized to ``n_devices``.
-    topology: Optional[str] = field(default_factory=_default_topology)
+    broker_shards: int = _knob(
+        "REPRO_BROKER_SHARDS", _server_knob("broker_shards", int),
+        DEFAULT_BROKER_SHARDS,
+        "broker shards behind the ProvLight server endpoint for every "
+        "experiment (default: 1, the single-broker deployment)",
+        metavar="N",
+    )
+    broker_placement: str = _knob(
+        "REPRO_BROKER_PLACEMENT", _server_knob("broker_placement", str),
+        "hash",
+        "session placement policy across broker shards (hash = consistent "
+        "hashing, the default; p2c = load-aware power-of-two-choices)",
+        choices=PLACEMENT_POLICIES,
+    )
+    pool_min: Optional[int] = _knob(
+        "REPRO_POOL_MIN", _server_knob("pool_min", int), None,
+        "lower bound of the elastic translator pool (default: static "
+        "pool, no autoscaling)",
+        metavar="N",
+    )
+    pool_max: Optional[int] = _knob(
+        "REPRO_POOL_MAX", _server_knob("pool_max", int), None,
+        "upper bound of the elastic translator pool (default: static "
+        "pool, no autoscaling)",
+        metavar="N",
+    )
+    chaos: Optional[str] = _knob(
+        "REPRO_CHAOS", _spec_knob(ChaosProfile.parse), None,
+        "chaos schedule applied to every ProvLight run, e.g. "
+        "'kill-shard@2.0', 'churn@5:0.2:2' or 'partition-tier:edge-fog@8:3' "
+        "(see repro.net.ChaosProfile for the grammar)",
+        metavar="SPEC",
+    )
+    #: when set, the spec's link profiles replace ``bandwidth``/``delay``
+    #: and its leaf tier is resized to ``n_devices``
+    topology: Optional[str] = _knob(
+        "REPRO_TOPOLOGY", _spec_knob(TopologySpec.parse), None,
+        "continuum topology for every run: a preset name (ideal, "
+        "constrained-edge, lossy-wireless, wan-fog) or a spec like "
+        "'edge:64:lossy-wireless,fog:4:wan-fog,cloud:1' (leaf tier first; "
+        "its count is resized to each experiment's device count — see "
+        "repro.net.TopologySpec)",
+        metavar="SPEC",
+    )
+
+    def __post_init__(self):
+        try:
+            self.server_config()
+            self.chaos_profile()
+            self.topology_spec()
+        except ValueError as exc:
+            sources = [_env_source(knob, getattr(self, knob.name))
+                       for knob in env_knobs() if knob.name in str(exc)]
+            sources = [source for source in sources if source]
+            note = f" (from {', '.join(sources)})" if sources else ""
+            raise ValueError(f"ExperimentSetup: {exc}{note}") from None
 
     def chaos_profile(self) -> Optional["ChaosProfile"]:
         """The parsed chaos schedule, or ``None`` when chaos is off."""
-        if not self.chaos:
-            return None
-        return ChaosProfile.parse(self.chaos)
+        return ChaosProfile.parse(self.chaos) if self.chaos else None
 
     def topology_spec(self) -> Optional["TopologySpec"]:
         """The parsed continuum topology, or ``None`` for the star."""
-        if not self.topology:
-            return None
-        return TopologySpec.parse(self.topology)
+        return TopologySpec.parse(self.topology) if self.topology else None
 
-    def effective_translator_workers(self) -> int:
-        """Starting pool size: ``translator_workers`` clamped into the
-        elastic bounds.  ``--pool-min``/``--pool-max`` express intent
-        about the pool envelope; the static default (8) must not make
-        the server refuse to start when it falls outside that envelope.
-        """
-        workers = self.translator_workers
-        if self.pool_min is not None:
-            workers = max(workers, self.pool_min)
-        if self.pool_max is not None:
-            workers = min(workers, self.pool_max)
-        return workers
+    def server_config(self) -> ServerConfig:
+        """The server-plane config this condition describes."""
+        return ServerConfig(
+            workers=self.translator_workers,
+            broker_shards=self.broker_shards,
+            broker_placement=self.broker_placement,
+            pool_min=self.pool_min,
+            pool_max=self.pool_max,
+        )
 
     def capture_config(self) -> CaptureConfig:
         """The declarative capture config this condition describes."""
@@ -248,6 +218,24 @@ class ExperimentSetup:
         if self.device_spec is not A8M3:
             parts.append(self.device_spec.name)
         return " ".join(parts)
+
+
+def env_knobs() -> List[Field]:
+    """The :class:`ExperimentSetup` fields an environment variable sets."""
+    return [knob for knob in fields(ExperimentSetup) if "env" in knob.metadata]
+
+
+def _env_source(knob: Field, value: Any) -> Optional[str]:
+    """``VAR='raw'`` when ``value`` is what ``knob``'s variable parses to."""
+    var = knob.metadata["env"]
+    raw = os.environ.get(var)
+    if not raw:
+        return None
+    try:
+        from_env = knob.metadata["parse"](raw) == value
+    except ValueError:
+        from_env = False
+    return f"{var}={raw!r}" if from_env else None
 
 
 @dataclass
@@ -308,50 +296,15 @@ def run_capture_experiment(
         raise ValueError(f"unknown system {setup.system!r}; known: {SYSTEMS}")
     chaos_profile = setup.chaos_profile()
     topo_spec = setup.topology_spec()
+    cap_config = capture_config or setup.capture_config()
+    transport = normalize_transport(cap_config.transport)
     if chaos_profile is not None:
-        if setup.system != "provlight" or normalize_transport(
-            (capture_config or setup.capture_config()).transport
-        ) != "mqttsn":
-            raise ValueError(
-                "chaos profiles target the provlight mqttsn server plane; "
-                f"got system={setup.system!r} transport="
-                f"{(capture_config or setup.capture_config()).transport!r}"
-            )
-        if chaos_profile.requires_backend_link():
-            raise ValueError(
-                "the harness backend is in-process (no server<->backend "
-                "link); backend-outage/flap-backend events need a "
-                "ServerFaultInjector wired with network= and backend_host="
-            )
-        if (
-            any(e.kind == "kill-shard" for e in chaos_profile.events)
-            and setup.broker_shards < 2
-        ):
-            raise ValueError(
-                "kill-shard chaos needs broker_shards >= 2 (a surviving "
-                "shard must take over the killed shard's sessions)"
-            )
-        if chaos_profile.requires_topology() and topo_spec is None:
-            raise ValueError(
-                "partition-tier/degrade-tier chaos events need a continuum "
-                "topology (set ExperimentSetup.topology / --topology / "
-                "REPRO_TOPOLOGY)"
-            )
-        if chaos_profile.requires_fleet():
-            cap = capture_config or setup.capture_config()
-            if cap.group_size:
-                raise ValueError(
-                    "crash-device/churn chaos needs group_size=0: a "
-                    "partially filled group buffer lives only in memory, "
-                    "so a crash would lose records the run already "
-                    "counted — zero-loss accounting cannot hold"
-                )
-            if cap.qos < 1:
-                raise ValueError(
-                    "crash-device/churn chaos needs qos >= 1 (QoS 0 has "
-                    "no delivery contract, so a crashed uplink silently "
-                    "drops records and zero-loss accounting cannot hold)"
-                )
+        chaos_profile.preflight(
+            transport=transport if setup.system == "provlight" else setup.system,
+            broker_shards=setup.broker_shards,
+            has_topology=topo_spec is not None,
+            fleet_capture=cap_config,
+        )
     env = Environment()
     net = Network(env, seed=seed)
 
@@ -390,23 +343,13 @@ def run_capture_experiment(
     fleet: Optional[FleetFaultInjector] = None
     journal_tmp: Optional[str] = None
     if setup.system == "provlight":
-        cap_config = capture_config or setup.capture_config()
-        transport = normalize_transport(cap_config.transport)
+        sink, endpoint = deploy_capture_sink(
+            transport, net.hosts["cloud"], backend_service.ingest,
+            http_workers=max(8, setup.n_devices),
+            server=setup.server_config(),
+        )
         if transport == "mqttsn":
-            server = ProvLightServer(
-                net.hosts["cloud"], CallableBackend(backend_service.ingest),
-                workers=setup.effective_translator_workers(),
-                broker_shards=setup.broker_shards,
-                broker_placement=setup.broker_placement,
-                pool_min=setup.pool_min,
-                pool_max=setup.pool_max,
-            )
-            endpoint = server.endpoint
-        else:
-            _, endpoint = deploy_capture_sink(
-                transport, net.hosts["cloud"], backend_service.ingest,
-                http_workers=max(8, setup.n_devices),
-            )
+            server = sink
         if chaos_profile is not None and chaos_profile.requires_fleet():
             # device churn only makes sense for clients that survive a
             # crash, so the run is auto-provisioned durable with
@@ -459,8 +402,8 @@ def run_capture_experiment(
     snapshots: List[RunMetrics] = []
 
     def run_device(env, idx, client, device):
-        if server is not None and setup.with_translators:
-            yield from server.add_translator(f"provlight/{device.name}/data")
+        if server is not None:
+            yield from server.pool.attach(f"provlight/{device.name}/data")
         device.reset_accounting()
         result: Dict[str, Any] = {}
         results.append(result)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from .experiments import ExperimentSetup, env_knobs
 from .figures import ALL_FIGURES, figure6_runs
 from .tables import ALL_TABLES, TableResult
 from .timing import WallClockTimer
@@ -22,6 +23,17 @@ from .timing import WallClockTimer
 __all__ = ["main", "run_targets", "write_experiments_md", "ALL_TARGETS"]
 
 ALL_TARGETS = list(ALL_TABLES) + list(ALL_FIGURES)
+
+
+def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``parse`` as an argparse ``type``: a rejected value exits with
+    status 2 and a message naming the flag."""
+    def convert(raw: str) -> Any:
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def run_targets(targets: List[str], repetitions: Optional[int] = None) -> Dict[str, TableResult]:
@@ -80,73 +92,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--reps", type=int, default=None,
                         help="repetitions per experiment (default: paper's 10)")
-    parser.add_argument("--broker-shards", type=int, default=None, metavar="N",
-                        help="broker shards behind the ProvLight server "
-                        "endpoint for every experiment (default: 1, the "
-                        "single-broker deployment)")
-    parser.add_argument("--broker-placement", choices=("hash", "p2c"),
-                        default=None,
-                        help="session placement policy across broker shards "
-                        "(hash = consistent hashing, the default; p2c = "
-                        "load-aware power-of-two-choices)")
-    parser.add_argument("--pool-min", type=int, default=None, metavar="N",
-                        help="lower bound of the elastic translator pool "
-                        "(default: static pool, no autoscaling)")
-    parser.add_argument("--pool-max", type=int, default=None, metavar="N",
-                        help="upper bound of the elastic translator pool "
-                        "(default: static pool, no autoscaling)")
-    parser.add_argument("--chaos", metavar="SPEC", default=None,
-                        help="chaos schedule applied to every ProvLight "
-                        "run, e.g. 'kill-shard@2.0', 'churn@5:0.2:2' or "
-                        "'partition-tier:edge-fog@8:3' (see "
-                        "repro.net.ChaosProfile for the grammar)")
-    parser.add_argument("--topology", metavar="SPEC", default=None,
-                        help="continuum topology for every run: a preset "
-                        "name (ideal, constrained-edge, lossy-wireless, "
-                        "wan-fog) or a spec like "
-                        "'edge:64:lossy-wireless,fog:4:wan-fog,cloud:1' "
-                        "(leaf tier first; its count is resized to each "
-                        "experiment's device count — see "
-                        "repro.net.TopologySpec)")
+    # one flag per ExperimentSetup knob, generated from the field metadata
+    knobs = env_knobs()
+    for knob in knobs:
+        options = {k: v for k, v in knob.metadata.items() if k not in ("env", "parse")}
+        parser.add_argument("--" + knob.name.replace("_", "-"),
+                            type=_flag_type(knob.metadata["parse"]), **options)
     parser.add_argument("--write-experiments", metavar="PATH", default=None,
                         help="append rendered results to this markdown file")
     args = parser.parse_args(argv)
 
-    if args.broker_shards is not None and args.broker_shards < 1:
-        parser.error("--broker-shards must be >= 1")
-    for bound, flag in ((args.pool_min, "--pool-min"),
-                        (args.pool_max, "--pool-max")):
-        if bound is not None and bound < 1:
-            parser.error(f"{flag} must be >= 1")
-    if (args.pool_min is not None and args.pool_max is not None
-            and args.pool_min > args.pool_max):
-        parser.error("--pool-min must be <= --pool-max")
-    if args.chaos is not None:
-        from ..net import ChaosProfile
-
-        try:
-            ChaosProfile.parse(args.chaos)
-        except ValueError as exc:
-            parser.error(f"--chaos: {exc}")
-    if args.topology is not None:
-        from ..net import TopologySpec
-
-        try:
-            TopologySpec.parse(args.topology)
-        except ValueError as exc:
-            parser.error(f"--topology: {exc}")
+    given = {knob.name: getattr(args, knob.name) for knob in knobs
+             if getattr(args, knob.name) is not None}
+    try:
+        ExperimentSetup(**given)  # cross-field checks, e.g. pool bounds
+    except ValueError as exc:
+        parser.error(str(exc))
     # the tables build their ExperimentSetup grids internally; the
     # environment hooks retarget them all (see experiments.py).  Restore
     # them afterwards so an in-process caller (tests, notebooks) does not
     # inherit the override.
-    overrides = {
-        "REPRO_BROKER_SHARDS": args.broker_shards,
-        "REPRO_BROKER_PLACEMENT": args.broker_placement,
-        "REPRO_POOL_MIN": args.pool_min,
-        "REPRO_POOL_MAX": args.pool_max,
-        "REPRO_CHAOS": args.chaos,
-        "REPRO_TOPOLOGY": args.topology,
-    }
+    overrides = {knob.metadata["env"]: getattr(args, knob.name) for knob in knobs}
     previous = {name: os.environ.get(name) for name in overrides}
     try:
         for name, value in overrides.items():

@@ -9,11 +9,11 @@ benchmark suite uses ``REPRO_REPETITIONS``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..device import XEON_GOLD_5220
+from ..envhooks import env_value
 from ..metrics import fmt_ci_pct, fmt_pct, render_table
 from ..workloads import SyntheticWorkloadConfig
 from . import paper_reference as paper
@@ -33,11 +33,9 @@ __all__ = [
 
 
 def default_repetitions(fallback: int = 10) -> int:
-    """Repetition count; ``REPRO_REPETITIONS`` overrides the default."""
-    value = os.environ.get("REPRO_REPETITIONS")
-    if value:
-        return max(1, int(value))
-    return fallback
+    """Repetition count; ``REPRO_REPETITIONS`` overrides the default
+    (values below 1 clamp to 1)."""
+    return env_value("REPRO_REPETITIONS", lambda raw: max(1, int(raw)), fallback)
 
 
 @dataclass

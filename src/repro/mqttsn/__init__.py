@@ -8,7 +8,7 @@ subscriptions, and exactly-once (QoS 2) semantics in both directions.
 from . import packets
 from .broker import DEFAULT_BROKER_PORT, MqttSnBroker
 from .client import MessageHandler, MqttSnClient, MqttSnTimeout
-from .cluster import DEFAULT_BROKER_SHARDS, BrokerCluster
+from .cluster import DEFAULT_BROKER_SHARDS, PLACEMENT_POLICIES, BrokerCluster
 from .packets import (
     Connack,
     Connect,
@@ -38,6 +38,7 @@ __all__ = [
     "BrokerCluster",
     "DEFAULT_BROKER_PORT",
     "DEFAULT_BROKER_SHARDS",
+    "PLACEMENT_POLICIES",
     "MqttSnClient",
     "MqttSnTimeout",
     "MessageHandler",

@@ -66,8 +66,9 @@ __all__ = [
     "pick_two_choices",
 ]
 
-#: valid values for the ``placement`` knob, threaded as
-#: ``--broker-placement`` through the harness and e2clab layers
+#: the session placement policies: :class:`BrokerCluster` and
+#: :class:`~repro.core.server.ServerConfig` validate against this list and
+#: the harness offers it as the ``--broker-placement`` choices
 PLACEMENT_POLICIES = ("hash", "p2c")
 
 
@@ -99,8 +100,8 @@ def pick_two_choices(
     return min(a, b)
 
 #: a single shard keeps the server byte-for-byte compatible with the
-#: pre-cluster deployment; scale-out is opt-in via the knob threaded
-#: through :class:`~repro.core.server.ProvLightServer` and the harness
+#: pre-cluster deployment; scale-out is opt-in through
+#: :class:`~repro.core.server.ServerConfig`
 DEFAULT_BROKER_SHARDS = 1
 
 

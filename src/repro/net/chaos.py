@@ -355,6 +355,42 @@ class ChaosProfile:
         """True when the profile needs a ContinuumTopology to apply."""
         return bool(self.tier_events())
 
+    def preflight(self, *, transport: str, broker_shards: int,
+                  has_topology: bool, fleet_capture=None) -> None:
+        """Reject, before any side effect, a profile the deployment cannot
+        run; the experiment harness and the Provenance Manager both call it.
+
+        ``transport`` is the run's canonical capture transport (or the
+        baseline system's name); ``fleet_capture`` is the
+        :class:`~repro.capture.CaptureConfig` of the fleet the caller
+        crashes and restarts, ``None`` when it does not own the device
+        lifecycle.
+        """
+        def require(condition: bool, why: str) -> None:
+            if not condition:
+                raise ValueError(why)
+
+        require(transport == "mqttsn", "chaos profiles target the provlight "
+                f"mqttsn server plane; got transport {transport!r}")
+        require(not self.requires_backend_link(), "the backend is in-process "
+                "(no server<->backend link); backend-outage/flap-backend events "
+                "need a ServerFaultInjector wired with network= and backend_host=")
+        require(broker_shards >= 2 or all(e.kind != "kill-shard" for e in self.events),
+                "kill-shard chaos needs broker_shards >= 2 (a surviving shard "
+                "must take over the killed shard's sessions)")
+        require(has_topology or not self.requires_topology(), "partition-tier/"
+                "degrade-tier chaos events need a continuum topology")
+        if not self.requires_fleet():
+            return
+        require(fleet_capture is not None, "crash-device/churn events need a "
+                "caller that owns the device lifecycle: the harness "
+                "(run_capture_experiment) or a FleetFaultInjector")
+        require(not fleet_capture.group_size, "crash-device/churn chaos needs "
+                "group_size=0: a partially filled group buffer lives only in "
+                "memory, so a crash would lose records already counted")
+        require(fleet_capture.qos >= 1, "crash-device/churn chaos needs qos >= 1 "
+                "(QoS 0 has no delivery contract, so a crashed uplink drops records)")
+
     def apply(self, injector: Optional[ServerFaultInjector] = None,
               fleet=None, topology=None) -> list:
         """Schedule every event on its plane; returns the processes.

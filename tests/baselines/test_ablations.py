@@ -53,7 +53,7 @@ def run_real(group_size=0, verbose=False):
     result = {}
 
     def scenario(env):
-        yield from server.add_translator("abl/#")
+        yield from server.pool.attach("abl/#")
         yield from synthetic_workload(env, client, CONFIG,
                                       rng=np.random.default_rng(1), result=result)
         yield env.timeout(30)

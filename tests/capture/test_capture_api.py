@@ -150,7 +150,7 @@ def test_close_tears_down_sender_and_fails_drain_waiters():
     outcome = {}
 
     def scenario(env):
-        yield from server.add_translator("api/#")
+        yield from server.pool.attach("api/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -224,13 +224,30 @@ def test_unregister_builtin_is_recoverable():
     assert "coap" in transport_names()
 
 
-def test_deploy_capture_sink_rejects_mqttsn_and_unknown():
+def test_deploy_capture_sink_rejects_unknown_transport():
     from repro.capture import deploy_capture_sink
 
     env = Environment()
     net = Network(env, seed=2)
     host = net.add_host("cloud")
     with pytest.raises(ValueError, match="no capture sink"):
-        deploy_capture_sink("mqttsn", host, lambda records: None)
-    with pytest.raises(ValueError, match="no capture sink"):
         deploy_capture_sink("smoke-signals", host, lambda records: None)
+
+
+def test_deploy_capture_sink_builds_the_mqttsn_server_from_its_config():
+    from repro.capture import deploy_capture_sink
+    from repro.core import ServerConfig
+
+    env = Environment()
+    net = Network(env, seed=2)
+    host = net.add_host("cloud")
+    config = ServerConfig(workers=3, broker_shards=2, broker_placement="p2c",
+                          pool_min=1, pool_max=4)
+    sink, endpoint = deploy_capture_sink("mqttsn", host, lambda records: None,
+                                         server=config)
+    assert isinstance(sink, ProvLightServer)
+    assert endpoint == sink.endpoint == ("cloud", 1883)
+    assert sink.config is config
+    assert len(sink.broker.shards) == 2
+    assert sink.pool.stats()["size"] == 3
+    assert (sink.pool.min_workers, sink.pool.max_workers) == (1, 4)

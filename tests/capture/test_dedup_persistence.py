@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.capture.envelope import ReplayDeduper, wrap_payload
-from repro.core import CallableBackend, ProvLightServer, encode_payload
+from repro.core import CallableBackend, ProvLightServer, ServerConfig, encode_payload
 from repro.mqttsn import MqttSnClient
 from repro.net import Network
 from repro.simkernel import Environment
@@ -97,12 +97,12 @@ def run_sink_incarnation(state_path, wires, seed=7):
     received = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(received.extend),
-        dedup_state_path=state_path,
+        config=ServerConfig(dedup_state_path=state_path),
     )
     publisher = MqttSnClient(net.hosts["edge"], "edge-0", server.endpoint)
 
     def scenario(env):
-        yield from server.add_translator("conf/#")
+        yield from server.pool.attach("conf/#")
         yield from publisher.connect()
         tid = yield from publisher.register("conf/edge/data")
         for wire in wires:

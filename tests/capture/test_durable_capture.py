@@ -63,7 +63,7 @@ def capture_tasks(env, server, client, n_tasks, spacing_s=0.2, done=None,
     done = done if done is not None else {}
 
     def proc(env):
-        yield from server.add_translator("conf/#")
+        yield from server.pool.attach("conf/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -171,7 +171,7 @@ def test_crashed_client_replays_journal_on_next_setup(tmp_path):
     done = {}
 
     def proc(env):
-        yield from server2.add_translator("conf/#")
+        yield from server2.pool.attach("conf/#")
         yield from client2.setup()  # recovers + replays the journal
         yield from client2.drain()
         done["at"] = env.now
@@ -255,7 +255,7 @@ def test_kill_anywhere_resume_is_exactly_once(kill_after_s, n_tasks):
         done = {}
 
         def top_up(env):
-            yield from server2.add_translator("conf/#")
+            yield from server2.pool.attach("conf/#")
             yield from client2.setup()
             wf = Workflow(1, client2)
             yield from wf.begin()
@@ -297,7 +297,7 @@ def test_sender_survives_transport_raise_and_surfaces_error(tmp_path):
     done = {}
 
     def proc(env):
-        yield from server.add_translator("conf/#")
+        yield from server.pool.attach("conf/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -342,7 +342,7 @@ def test_sender_failure_without_journal_counts_record_lost(tmp_path):
     done = {}
 
     def proc(env):
-        yield from server.add_translator("conf/#")
+        yield from server.pool.attach("conf/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()

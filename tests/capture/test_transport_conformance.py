@@ -60,7 +60,7 @@ def make_world(transport, group_size=0, latency=0.01, bandwidth=1e9,
         if with_server:
             server = ProvLightServer(net.hosts["cloud"],
                                      CallableBackend(received.extend))
-            pre = server.add_translator("conf/#")
+            pre = server.pool.attach("conf/#")
             endpoint = server.endpoint
         else:
             endpoint = ("cloud", 1883)

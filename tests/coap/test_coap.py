@@ -275,7 +275,7 @@ def test_coap_transport_uses_fewer_packets_than_qos2():
 
         def scenario(env):
             if transport == "mqttsn":
-                yield from server.add_translator("p/#")
+                yield from server.pool.attach("p/#")
             yield from synthetic_workload(env, client, config,
                                           rng=np.random.default_rng(2))
             yield from client.drain()

@@ -94,7 +94,7 @@ def _burst(env, server):
     from repro.core import encode_payload
     from repro.mqttsn import MqttSnClient
 
-    yield from server.add_translator("provlight/edge/data")
+    yield from server.pool.attach("provlight/edge/data")
     net_host = server.host.network.hosts["edge"]
     client = MqttSnClient(net_host, "edge-raw", server.endpoint)
     yield from client.connect()

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import CallableBackend, Data, ProvLightClient, ProvLightServer, Task, Workflow
+from repro.core import (
+    CallableBackend,
+    Data,
+    ProvLightClient,
+    ProvLightServer,
+    ServerConfig,
+    Task,
+    Workflow,
+)
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.net import Network
 from repro.simkernel import Environment
@@ -55,7 +63,7 @@ def test_records_flow_end_to_end():
     done = {}
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         run = run_workflow(env, client, n_tasks=3)
         yield env.timeout(60)
         done.update(run)
@@ -80,7 +88,8 @@ def test_records_flow_end_to_end_through_sharded_broker_plane():
     net.add_host("cloud", device=cloud_dev)
     sink = []
     server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(sink.extend), broker_shards=4,
+        net.hosts["cloud"], CallableBackend(sink.extend),
+        config=ServerConfig(broker_shards=4),
     )
     clients = []
     for i in range(3):
@@ -92,7 +101,7 @@ def test_records_flow_end_to_end_through_sharded_broker_plane():
         )
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         for client in clients:
             run_workflow(env, client, n_tasks=3)
         yield env.timeout(60)
@@ -112,7 +121,7 @@ def test_task_records_carry_attributes_and_lineage():
     env, net, dev, server, client, sink = make_world()
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         run_workflow(env, client, n_tasks=2, attrs=5)
         yield env.timeout(60)
 
@@ -132,7 +141,7 @@ def test_capture_call_is_fast_on_edge():
     timing = {}
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from client.setup()
         workflow = Workflow(1, client)
         yield from workflow.begin()
@@ -184,7 +193,7 @@ def test_grouped_records_all_arrive():
     env, net, dev, server, client, sink = make_world(group_size=4)
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         run_workflow(env, client, n_tasks=10)
         yield env.timeout(120)
 

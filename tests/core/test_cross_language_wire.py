@@ -169,7 +169,7 @@ def test_foreign_client_through_broker_and_translator():
     broker = ("cloud", 1883)
 
     def foreign_client(env):
-        yield from server.add_translator("c/edge")
+        yield from server.pool.attach("c/edge")
         # CONNECT with a hand-built frame: len|0x04|flags|proto|duration|id
         sock.sendto(bytes([12, 0x04, 0x04, 0x01, 0, 60]) + b"c-edge", broker)
         data, _ = yield sock.recv()  # CONNACK

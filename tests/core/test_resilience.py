@@ -20,6 +20,7 @@ from repro.core import (
     ProvLightServer,
     RetryPolicy,
     RetryableBackendError,
+    ServerConfig,
 )
 from repro.http import HttpRequestError, HttpResponse, HttpServer
 from repro.net import LinkFaultInjector, Network
@@ -297,7 +298,8 @@ def make_server_world(seed=7, workers=2):
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.01)
     received = []
     server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(received.extend), workers=workers
+        net.hosts["cloud"], CallableBackend(received.extend),
+        config=ServerConfig(workers=workers),
     )
     return env, net, server, received
 
@@ -309,7 +311,7 @@ def test_crashed_worker_restarts_and_requeues():
     worker_holder = {}
 
     def scenario(env):
-        worker = yield from server.add_translator("conf/#")
+        worker = yield from server.pool.attach("conf/#")
         worker_holder["w"] = worker
         client = ProvLightClient(
             net.hosts["edge"].device, server.endpoint, "conf/edge/data"

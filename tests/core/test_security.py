@@ -132,7 +132,7 @@ def test_end_to_end_encrypted_capture():
     )
 
     def scenario(env):
-        yield from server.add_translator("sec/#")
+        yield from server.pool.attach("sec/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -171,7 +171,7 @@ def test_end_to_end_wrong_key_drops_messages():
     )
 
     def scenario(env):
-        yield from server.add_translator("sec/#")
+        yield from server.pool.attach("sec/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()

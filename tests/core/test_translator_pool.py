@@ -7,6 +7,7 @@ from repro.core import (
     Data,
     ProvLightClient,
     ProvLightServer,
+    ServerConfig,
     Task,
     TranslatorPool,
     Workflow,
@@ -23,8 +24,8 @@ def make_world(workers=4, n_edge=2, **server_kwargs):
     net.add_host("cloud", device=cloud_dev)
     sink = []
     server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(sink.extend), workers=workers,
-        **server_kwargs,
+        net.hosts["cloud"], CallableBackend(sink.extend),
+        config=ServerConfig(workers=workers, **server_kwargs),
     )
     devices = []
     for i in range(n_edge):
@@ -40,12 +41,11 @@ def test_pool_is_fixed_size_regardless_of_topic_count():
 
     def scenario(env):
         for i in range(32):
-            yield from server.add_translator(f"provlight/dev-{i}/data")
+            yield from server.pool.attach(f"provlight/dev-{i}/data")
 
     env.process(scenario(env))
     env.run()
     assert len(server.pool) == 4
-    assert len(server.translators) == 32  # one shim entry per topic
     attached = sum(len(w.topic_filters) for w in server.pool.workers)
     assert attached == 32
     # 32 topics need at most 4 subscriber sessions on the broker, not 32
@@ -94,7 +94,7 @@ def test_records_flow_through_sharded_pool():
 
     def scenario(env):
         for i, dev in enumerate(devices):
-            yield from server.add_translator(f"provlight/edge-{i}/data")
+            yield from server.pool.attach(f"provlight/edge-{i}/data")
         for i, dev in enumerate(devices):
             client = ProvLightClient(
                 dev, server.endpoint, f"provlight/edge-{i}/data"
@@ -120,7 +120,7 @@ def test_backend_swap_after_construction_is_honoured():
     server.backend = CallableBackend(replacement.extend)
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         client = ProvLightClient(devices[0], server.endpoint, "provlight/edge-0/data")
         _run_workflow(env, client, wf_id="swap", n_tasks=1)
         yield env.timeout(30)
@@ -149,14 +149,14 @@ def test_connect_failure_propagates_and_does_not_wedge_the_worker():
 
     def attach(env, topic):
         try:
-            yield from server.add_translator(topic)
+            yield from server.pool.attach(topic)
         except MqttSnTimeout:
             errors.append(topic)
 
     def recover(env):
         yield env.timeout(1.0)
         worker.client.connect = real_connect
-        yield from server.add_translator("provlight/c")
+        yield from server.pool.attach("provlight/c")
 
     env.process(attach(env, "provlight/a"))
     env.process(attach(env, "provlight/b"))  # waits on the same gate
@@ -179,7 +179,7 @@ def test_grow_migrates_only_ring_remapped_topics():
 
     def scenario(env):
         for topic in topics:
-            yield from server.add_translator(topic)
+            yield from server.pool.attach(topic)
         before = {
             topic: server.pool.worker_for(topic).index - 1 for topic in topics
         }
@@ -219,7 +219,7 @@ def test_pool_autoscales_up_under_load_and_back_to_min_when_idle():
     sink = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(sink.extend),
-        workers=1, pool_min=1, pool_max=4,
+        config=ServerConfig(workers=1, pool_min=1, pool_max=4),
         # inflate the per-message translate cost (reference seconds; the
         # Xeon's io_speedup divides it) so one worker saturates and
         # sustained queue depth builds
@@ -242,7 +242,7 @@ def test_pool_autoscales_up_under_load_and_back_to_min_when_idle():
             yield env.timeout(0.1)
 
     def workload(env, topic, n_tasks):
-        yield from server.add_translator(topic)
+        yield from server.pool.attach(topic)
         client = ProvLightClient(dev, server.endpoint, topic)
         yield from client.setup()
         wf = Workflow(topic, client)
@@ -287,7 +287,7 @@ def test_static_pool_never_starts_the_autoscale_monitor():
     env, net, server, devices, sink = make_world(workers=2, n_edge=1)
 
     def scenario(env):
-        yield from server.add_translator("provlight/edge-0/data")
+        yield from server.pool.attach("provlight/edge-0/data")
         client = ProvLightClient(
             devices[0], server.endpoint, "provlight/edge-0/data"
         )
@@ -307,7 +307,7 @@ def test_pool_stats_snapshot():
     )
 
     def scenario(env):
-        yield from server.add_translator("provlight/edge-0/data")
+        yield from server.pool.attach("provlight/edge-0/data")
 
     env.process(scenario(env))
     env.run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Data, Task, Workflow
+from repro.core import Data, ServerConfig, Task, Workflow
 from repro.device import A8M3, Device
 from repro.e2clab import ProvenanceManager
 from repro.net import Network
@@ -57,7 +57,7 @@ def test_deploy_client_creates_topic_and_translator():
     env.process(scenario(env))
     env.run()
     assert captured["client"].topic == "provlight/edge-0/data"
-    assert len(manager.server.translators) == 1
+    assert sum(len(w.topic_filters) for w in manager.server.pool.workers) == 1
     assert manager.records_ingested == 4
     summary = manager.dataflow_summary("wf")
     assert summary["tasks"] == 1
@@ -149,7 +149,7 @@ def test_manager_with_sharded_broker_plane():
         dev = Device(env, A8M3, name=f"edge-s{i}")
         net.add_host(f"edge-s{i}", device=dev)
         devices.append(dev)
-    manager = ProvenanceManager(net, broker_shards=2)
+    manager = ProvenanceManager(net, server=ServerConfig(broker_shards=2))
     manager.connect_layer_to_server(
         [d.name for d in devices], bandwidth_bps=1e9, latency_s=0.01
     )

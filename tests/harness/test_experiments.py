@@ -147,12 +147,48 @@ def test_pool_bounds_clamp_the_static_worker_default(monkeypatch):
     # default of 8 workers must be clamped into it, not refuse to start
     setup = ExperimentSetup(system="provlight", pool_min=2, pool_max=4)
     assert setup.translator_workers == 8  # the declared default is kept
-    assert setup.effective_translator_workers() == 4
+    assert setup.server_config().workers == 8
+    assert setup.server_config().pool_size == 4
     assert ExperimentSetup(
         system="provlight", translator_workers=1, pool_min=2
-    ).effective_translator_workers() == 2
+    ).server_config().pool_size == 2
     outcome = run_capture_experiment(setup, FAST, seed=1)
     assert outcome.backend_records > 0
+
+
+@pytest.mark.parametrize("env,kwargs,named", [
+    ({"REPRO_POOL_MIN": "5", "REPRO_POOL_MAX": "2"}, {},
+     ["pool_min", "REPRO_POOL_MIN='5'", "REPRO_POOL_MAX='2'"]),
+    ({}, {"broker_shards": 0, "broker_placement": "rr"}, ["broker_shards"]),
+    ({}, {"broker_placement": "rr"}, ["broker_placement"]),
+    ({}, {"pool_min": 0}, ["pool_min"]),
+    ({}, {"translator_workers": 0}, ["workers"]),
+    ({}, {"chaos": "nonsense"}, ["'nonsense'"]),
+    ({}, {"topology": "edge:zero"}, ["zero"]),
+], ids=["env-pool-bounds", "shards-and-placement", "placement", "pool-min",
+        "workers", "chaos", "topology"])
+def test_every_knob_is_validated_at_construction(monkeypatch, env, kwargs, named):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentSetup(**kwargs)
+    for fragment in named:
+        assert fragment in str(excinfo.value)
+
+
+def test_explicit_knob_is_not_blamed_on_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_POOL_MIN", "1")
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentSetup(pool_min=5, pool_max=2)
+    assert "REPRO_POOL_MIN" not in str(excinfo.value)
+
+
+def test_bad_repetitions_env_names_the_variable(monkeypatch):
+    from repro.harness import default_repetitions
+
+    monkeypatch.setenv("REPRO_REPETITIONS", "abc")
+    with pytest.raises(ValueError, match="REPRO_REPETITIONS"):
+        default_repetitions()
 
 
 def test_runner_rejects_unknown_target():

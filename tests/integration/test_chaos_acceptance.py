@@ -11,7 +11,7 @@ the backend ingests every record exactly once.
 import pytest
 
 from repro.capture import CaptureConfig, create_client
-from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
+from repro.core import CallableBackend, Data, ProvLightServer, ServerConfig, Task, Workflow
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.net import Network, ServerFaultInjector
 from repro.simkernel import Environment
@@ -29,7 +29,7 @@ def make_chaos_world(tmp_path, shards=4, seed=11):
     received = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(received.extend),
-        workers=4, broker_shards=shards,
+        config=ServerConfig(workers=4, broker_shards=shards),
     )
     cluster = server.broker
     # choose client ids so at least one homes on the shard we will kill
@@ -69,7 +69,7 @@ def make_chaos_world(tmp_path, shards=4, seed=11):
 
 def drive(env, server, client, topic, done):
     def proc(env):
-        yield from server.add_translator(topic)
+        yield from server.pool.attach(topic)
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -129,8 +129,8 @@ def test_shard_kill_with_p2c_and_elastic_pool_is_still_exactly_once(tmp_path):
     received = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(received.extend),
-        workers=2, broker_shards=4,
-        broker_placement="p2c", pool_min=2, pool_max=4,
+        config=ServerConfig(workers=2, broker_shards=4, broker_placement="p2c",
+                            pool_min=2, pool_max=4),
     )
     cluster = server.broker
     client_ids = [f"edge-{i}" for i in range(N_DEVICES)]

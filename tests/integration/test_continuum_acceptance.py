@@ -14,7 +14,7 @@ import pytest
 
 from repro.capture import CaptureConfig, create_client
 from repro.capture.envelope import ReplayDeduper
-from repro.core import CallableBackend, ProvLightServer
+from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.mqttsn.client import MqttSnTimeout
 from repro.net import ContinuumTopology, FleetFaultInjector, Network, TopologySpec
@@ -45,7 +45,7 @@ def build_world(tmp_path, preset, seed):
     received = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(received.extend),
-        workers=4, broker_shards=2,
+        config=ServerConfig(workers=4, broker_shards=2),
     )
     spy = OrderSpyDeduper()
     server.deduper = spy
@@ -82,7 +82,7 @@ def build_world(tmp_path, preset, seed):
 
 def drive(env, server, proxy, done):
     def workload(env):
-        yield from server.add_translator(f"conf/{proxy.name}/data")
+        yield from server.pool.attach(f"conf/{proxy.name}/data")
         # burst loss can eat a whole CONNECT/REGISTER exchange; setup is
         # idempotent, so an edge deployment simply tries again
         for attempt in range(20):

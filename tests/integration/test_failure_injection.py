@@ -33,7 +33,7 @@ def test_qos2_delivers_exactly_once_under_heavy_loss():
     server.broker.retry_interval_s = 0.3
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -93,7 +93,7 @@ def test_capture_queue_drains_after_bandwidth_recovery():
         net.configure_link("edge", "cloud", bandwidth_bps=1e9)  # recover
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         result = {}
         yield from synthetic_workload(env, client, config,
                                       rng=np.random.default_rng(1), result=result)
@@ -170,7 +170,7 @@ def test_mqtt_timeout_does_not_crash_sender_loop():
         net.configure_link("edge", "cloud", loss=0.0)
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -200,7 +200,7 @@ def test_overhead_unaffected_by_moderate_loss():
         result = {}
 
         def scenario(env, client=client, server=server, result=result):
-            yield from server.add_translator("provlight/#")
+            yield from server.pool.attach("provlight/#")
             yield from synthetic_workload(env, client, config,
                                           rng=np.random.default_rng(7),
                                           result=result)

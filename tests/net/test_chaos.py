@@ -1,8 +1,10 @@
 """ServerFaultInjector + ChaosProfile: the server-plane chaos harness."""
 
+import re
+
 import pytest
 
-from repro.core import CallableBackend, ProvLightServer
+from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import XEON_GOLD_5220, Device
 from repro.net import ChaosEvent, ChaosProfile, Network, ServerFaultInjector
 from repro.simkernel import Environment
@@ -15,7 +17,7 @@ def make_server(shards=4, workers=4, seed=3):
     sink = []
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(sink.extend),
-        workers=workers, broker_shards=shards,
+        config=ServerConfig(workers=workers, broker_shards=shards),
     )
     return env, net, server, sink
 
@@ -129,7 +131,9 @@ def test_provenance_manager_threads_chaos():
 
     env = Environment()
     net = Network(env, seed=2)
-    manager = ProvenanceManager(net, broker_shards=3, chaos="kill-shard@0.5")
+    manager = ProvenanceManager(
+        net, server=ServerConfig(broker_shards=3), chaos="kill-shard@0.5"
+    )
     env.run(until=5.0)
     assert manager.server.broker.failovers.count == 1
     assert len(manager.fault_injector.events) == 1
@@ -143,7 +147,76 @@ def test_provenance_manager_rejects_impossible_chaos():
     with pytest.raises(ValueError):
         ProvenanceManager(net, chaos="kill-shard@1")  # one shard only
     with pytest.raises(ValueError):
-        ProvenanceManager(net, broker_shards=2, chaos="backend-outage@1:0.5")
+        ProvenanceManager(net, server=ServerConfig(broker_shards=2),
+                          chaos="backend-outage@1:0.5")
+
+
+#: case -> (chaos spec, harness ExperimentSetup kwargs, ProvenanceManager
+#: kwargs, message fragment); ``None`` = the surface has no such condition
+PREFLIGHT_REJECTIONS = {
+    "kill-shard-with-one-shard": ("kill-shard@1", {}, {}, "broker_shards >= 2"),
+    "backend-link-events": (
+        "backend-outage@1:0.5", {"broker_shards": 2},
+        {"server": ServerConfig(broker_shards=2)}, "server<->backend link",
+    ),
+    "tier-events-without-topology": (
+        "partition-tier:edge-fog@1:1", {}, {}, "continuum topology",
+    ),
+    "churn-with-grouping": (
+        "churn@1:0.5:1", {"group_size": 5, "qos": 1}, None, "group_size=0",
+    ),
+    "churn-with-qos-0": ("churn@1:0.5:1", {"qos": 0}, None, "qos >= 1"),
+    "non-mqttsn-transport": (
+        "crash-worker@1", {"transport": "coap"}, {"transport": "coap"},
+        "mqttsn server plane",
+    ),
+    "baseline-system": (
+        "crash-worker@1", {"system": "provlake"}, None, "mqttsn server plane",
+    ),
+    "fleet-events-on-the-manager": (
+        "churn@1:0.5:1", None, {}, "device lifecycle",
+    ),
+}
+
+
+def _reject_on_harness(chaos, kwargs, monkeypatch):
+    from repro.harness import experiments
+    from repro.workloads import SyntheticWorkloadConfig
+
+    def no_world(*args, **kwargs):
+        raise AssertionError("the preflight must run before the world is built")
+
+    monkeypatch.setattr(experiments, "Environment", no_world)
+    setup = experiments.ExperimentSetup(chaos=chaos, **kwargs)
+    experiments.run_capture_experiment(
+        setup, SyntheticWorkloadConfig(number_of_tasks=2), seed=1
+    )
+
+
+def _reject_on_manager(chaos, kwargs, monkeypatch):
+    from repro.e2clab import ProvenanceManager
+
+    net = Network(Environment(), seed=2)
+    try:
+        ProvenanceManager(net, chaos=chaos, **kwargs)
+    finally:
+        assert not net.hosts  # no host provisioned, no port bound
+
+
+@pytest.mark.parametrize("surface,case", [
+    (surface, case)
+    for case, (_, harness, manager, _) in PREFLIGHT_REJECTIONS.items()
+    for surface, kwargs in (("harness", harness), ("manager", manager))
+    if kwargs is not None
+])
+def test_shared_chaos_preflight_rejects_before_any_side_effect(
+    monkeypatch, surface, case
+):
+    chaos, harness, manager, fragment = PREFLIGHT_REJECTIONS[case]
+    reject = _reject_on_harness if surface == "harness" else _reject_on_manager
+    kwargs = harness if surface == "harness" else manager
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        reject(chaos, kwargs, monkeypatch)
 
 
 # --------------------------------------------- client-plane grammar (fleet)

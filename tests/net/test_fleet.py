@@ -3,7 +3,7 @@
 import pytest
 
 from repro.capture import CaptureConfig, create_client
-from repro.core import CallableBackend, ProvLightServer
+from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.net import ContinuumTopology, FleetFaultInjector, Network
 from repro.simkernel import Environment
@@ -22,7 +22,8 @@ def make_fleet(tmp_path, n=3, seed=5, topology=None):
     net.add_host("cloud", device=Device(env, XEON_GOLD_5220, name="cloud-dev"))
     received = []
     server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(received.extend), workers=2,
+        net.hosts["cloud"], CallableBackend(received.extend),
+        config=ServerConfig(workers=2),
     )
     topo = None
     if topology:
@@ -75,7 +76,7 @@ def test_crash_closes_the_client_and_restart_recovers(tmp_path):
     client = fleet.client_of("edge-0")
 
     def run(env):
-        yield from server.add_translator("conf/edge-0/data")
+        yield from server.pool.attach("conf/edge-0/data")
         yield from client.setup()
         yield from client.capture(rec(0))
         yield from client.drain()
@@ -118,7 +119,7 @@ def test_restart_replays_the_journal_exactly_once(tmp_path):
     client = fleet.client_of("edge-0")
 
     def run(env):
-        yield from server.add_translator("conf/edge-0/data")
+        yield from server.pool.attach("conf/edge-0/data")
         yield from client.setup()
         # journal without delivering: stage the entry, then crash before
         # the network round-trip completes
@@ -140,7 +141,7 @@ def test_restart_under_partition_retries_until_heal(tmp_path):
     client = fleet.client_of("edge-0")
 
     def run(env):
-        yield from server.add_translator("conf/edge-0/data")
+        yield from server.pool.attach("conf/edge-0/data")
         yield from client.setup()
         fleet.crash_device("edge-0")
         topo.partition_tiers("edge", "cloud")
@@ -163,7 +164,7 @@ def test_proxy_retries_a_capture_interrupted_by_crash(tmp_path):
     proxy = fleet.proxy("edge-0")
 
     def workload(env):
-        yield from server.add_translator("conf/edge-0/data")
+        yield from server.pool.attach("conf/edge-0/data")
         yield from proxy.setup()
         for i in range(20):
             yield from proxy.capture(rec(i))
@@ -222,7 +223,7 @@ def test_churn_crashes_a_deterministic_fraction(tmp_path):
 
     def run(env, name):
         client = clients[name]
-        yield from server.add_translator(f"conf/{name}/data")
+        yield from server.pool.attach(f"conf/{name}/data")
         yield from client.setup()
 
     for name in fleet.devices:

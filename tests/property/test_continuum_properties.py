@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.capture import CaptureConfig, create_client
 from repro.capture.envelope import ReplayDeduper
-from repro.core import CallableBackend, ProvLightServer
+from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.net import ContinuumTopology, FleetFaultInjector, Network
 from repro.simkernel import Environment
@@ -96,7 +96,8 @@ def test_churn_never_reorders_a_clients_seq_stream(tmp_path_factory,
     net.add_host("cloud", device=Device(env, XEON_GOLD_5220, name="cloud-dev"))
     received = []
     server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(received.extend), workers=2,
+        net.hosts["cloud"], CallableBackend(received.extend),
+        config=ServerConfig(workers=2),
     )
     spy = OrderSpyDeduper()
     server.deduper = spy
@@ -120,7 +121,7 @@ def test_churn_never_reorders_a_clients_seq_stream(tmp_path_factory,
     done = []
 
     def workload(env):
-        yield from server.add_translator("conf/edge-0/data")
+        yield from server.pool.attach("conf/edge-0/data")
         yield from proxy.setup()
         for i in range(12):
             yield from proxy.capture({

@@ -179,7 +179,7 @@ def test_translator_pool_and_broker_cluster_share_the_ring_scheme(key):
     """The pool's topic sharding and the cluster's client-id sharding are
     the same pure ring function — so both planes inherit the stability
     properties proven above."""
-    from repro.core import CallableBackend, ProvLightServer
+    from repro.core import CallableBackend, ProvLightServer, ServerConfig
     from repro.hashring import ConsistentHashRing
     from repro.mqttsn import BrokerCluster
     from repro.net import Network
@@ -189,7 +189,7 @@ def test_translator_pool_and_broker_cluster_share_the_ring_scheme(key):
     net.add_host("cloud")
     server = ProvLightServer(
         net.hosts["cloud"], CallableBackend(lambda r: None),
-        workers=4, broker_shards=4, port=2000,
+        port=2000, config=ServerConfig(workers=4, broker_shards=4),
     )
     assert (
         server.pool.worker_for(key)

@@ -79,7 +79,7 @@ def test_federated_training_improves_accuracy_and_captures():
     history = {}
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from federated_training(env, captures, config, history)
         yield env.timeout(60)
 
@@ -102,7 +102,7 @@ def test_federated_capture_answers_paper_queries():
     history = {}
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from federated_training(env, captures, config, history)
         yield env.timeout(60)
 
@@ -174,7 +174,7 @@ def test_sensor_lineage_chain_through_backend():
     client = ProvLightClient(dev, server.endpoint, "provlight/sensors")
 
     def scenario(env):
-        yield from server.add_translator("provlight/#")
+        yield from server.pool.attach("provlight/#")
         yield from sensor_pipeline(env, client, SensorConfig(windows=2))
         yield env.timeout(60)
 

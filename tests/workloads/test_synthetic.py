@@ -86,7 +86,7 @@ def test_attribute_kinds():
                                          attributes_per_task=5, attribute_kind=kind)
 
         def scenario(env, client=client, server=server, config=config):
-            yield from server.add_translator("#")
+            yield from server.pool.attach("#")
             yield from synthetic_workload(env, client, config)
             yield env.timeout(30)
 
@@ -113,7 +113,7 @@ def test_dependency_chain_links_consecutive_tasks():
                                      task_duration_s=0.01)
 
     def scenario(env):
-        yield from server.add_translator("#")
+        yield from server.pool.attach("#")
         yield from synthetic_workload(env, client, config)
         yield env.timeout(30)
 
