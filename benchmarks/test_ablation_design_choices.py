@@ -12,8 +12,9 @@ one on the 0.5 s / 100-attribute workload and prints its contribution:
 import numpy as np
 from conftest import run_once
 
-from repro.baselines.ablations import SyncHttpProvLightClient, VerboseModelProvLightClient
-from repro.core import CallableBackend, ProvLightClient, ProvLightServer
+from repro.baselines.ablations import VerboseModelProvLightClient
+from repro.capture import CaptureConfig, create_client
+from repro.core import CallableBackend, ProvLightServer
 from repro.device import A8M3, Device
 from repro.harness import default_repetitions
 from repro.http import HttpResponse, HttpServer
@@ -36,20 +37,21 @@ def _run_variant(variant: str, seed: int):
 
     if variant == "sync-http":
         HttpServer(net.hosts["cloud"], 5000, lambda r: HttpResponse(status=201))
-        client = SyncHttpProvLightClient(dev, ("cloud", 5000))
+        client = create_client(dev, ("cloud", 5000), "/provlight",
+                               CaptureConfig(transport="http"))
         env.process(synthetic_workload(env, client, CONFIG,
                                        rng=np.random.default_rng(seed), result=result))
     else:
         server = ProvLightServer(net.hosts["cloud"], CallableBackend(lambda r: None))
-        kwargs = {}
-        cls = ProvLightClient
+        config = CaptureConfig()
+        build = create_client
         if variant == "no-compression":
-            kwargs["compress"] = False
+            config = config.with_(compress=False)
         elif variant == "grouping-50":
-            kwargs["group_size"] = 50
+            config = config.with_(group_size=50)
         elif variant == "verbose-model":
-            cls = VerboseModelProvLightClient
-        client = cls(dev, server.endpoint, "abl/edge", **kwargs)
+            build = VerboseModelProvLightClient
+        client = build(dev, server.endpoint, "abl/edge", config)
 
         def scenario(env):
             yield from server.pool.attach("abl/#")
@@ -60,15 +62,13 @@ def _run_variant(variant: str, seed: int):
         env.process(scenario(env))
     env.run(until=200)
     nominal = CONFIG.nominal_duration_s()
-    payload = getattr(client, "payload_bytes", None)
-    bytes_total = payload.total if payload else client.body_bytes.total
     return {
         "overhead": result["elapsed"] / nominal - 1.0,
         # utilization over the workflow window (not the drain tail)
         "cpu": dev.cpu.busy_time("capture") / result["elapsed"],
         "mem": (dev.memory.peak("capture-static")
                 + dev.memory.peak("capture-buffers")) / dev.spec.ram_bytes,
-        "bytes": bytes_total,
+        "bytes": client.payload_bytes.total,
     }
 
 

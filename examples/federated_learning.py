@@ -12,7 +12,8 @@ DfAnalyzer backend:
 Run with:  python examples/federated_learning.py
 """
 
-from repro.core import CallableBackend, ProvLightClient, ProvLightServer
+from repro.capture import create_client
+from repro.core import CallableBackend, ProvLightServer
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.dfanalyzer import DfAnalyzerService, latest_epoch_metrics, top_k_by_metric
 from repro.net import Network
@@ -38,7 +39,7 @@ def main() -> None:
         device = Device(env, A8M3, name=f"fl-client-{i}")
         net.add_host(f"edge-{i}", device=device)
         net.connect(f"edge-{i}", "cloud", bandwidth_bps=1e9, latency_s=0.023)
-        captures.append(ProvLightClient(device, server.endpoint, f"provlight/fl/{i}"))
+        captures.append(create_client(device, server.endpoint, f"provlight/fl/{i}"))
 
     history = {}
 

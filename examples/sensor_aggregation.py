@@ -10,7 +10,8 @@ Run with:  python examples/sensor_aggregation.py
 """
 
 from repro.baselines import NullCaptureClient, ProvLakeClient
-from repro.core import CallableBackend, ProvLightClient, ProvLightServer
+from repro.capture import create_client
+from repro.core import CallableBackend, ProvLightServer
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.dfanalyzer import DfAnalyzerService, lineage_of
 from repro.http import HttpResponse, HttpServer
@@ -38,10 +39,8 @@ def run(system: str):
     backend = DfAnalyzerService()
     if system == "provlight":
         server = ProvLightServer(net.hosts["cloud"], CallableBackend(backend.ingest))
-        client = ProvLightClient(edge, server.endpoint, "provlight/sensors")
+        client = create_client(edge, server.endpoint, "provlight/sensors")
     elif system == "provlake":
-        import json
-
         def handler(request):
             return HttpResponse(status=201, reason="Created")
 

@@ -17,7 +17,7 @@ points; see the subpackages for the full surface:
 """
 
 from .capture import CaptureClient, CaptureConfig, create_client
-from .core import Data, ProvLightClient, ProvLightServer, Task, Workflow
+from .core import Data, ProvLightServer, Task, Workflow
 from .device import A8M3, XEON_GOLD_5220, Device
 from .net import Network
 from .simkernel import Environment
@@ -31,7 +31,6 @@ __all__ = [
     "CaptureClient",
     "CaptureConfig",
     "create_client",
-    "ProvLightClient",
     "ProvLightServer",
     "Device",
     "A8M3",

@@ -3,7 +3,7 @@
 ProvLake- and DfAnalyzer-style capture libraries: verbose JSON over
 blocking HTTP/1.1 on TCP, with grouping support for ProvLake only.  Both
 implement the same capture-client interface as
-:class:`repro.core.ProvLightClient`, so any instrumented workload can run
+:class:`repro.capture.CaptureClient`, so any instrumented workload can run
 against any system.  :class:`NullCaptureClient` is the no-capture control
 used as the denominator of every overhead number.
 """

@@ -4,64 +4,32 @@ Paper Section VII-A attributes ProvLight's gains to a combination of
 choices: the asynchronous MQTT-SN/UDP transport (major impact on capture
 time, energy, CPU, network), payload compression, grouping, and the
 simplified data model (major impact on memory, ~1.7%/1.4% further
-capture-time/CPU reduction).  The classes here isolate those choices so
-the ablation benchmark can toggle them one at a time:
+capture-time/CPU reduction).  The ablation benchmark toggles them one at
+a time:
 
-* :class:`SyncHttpProvLightClient` — ProvLight's model + binary codec,
-  but shipped through a *blocking HTTP POST per message* like the
-  baselines.  Isolates the transport choice.
+* the transport, compression and grouping are fields of
+  :class:`~repro.capture.CaptureConfig` and need no variant class —
+  ``transport="http"`` ships ProvLight's model + binary codec through
+  the baselines' blocking HTTP POST per message;
 * :class:`VerboseModelProvLightClient` — ProvLight's transport, but
   records are built through a heavyweight PROV-document path and carry
   the un-simplified attribute layout.  Isolates the simplified model.
-* compression and grouping are first-class flags of the real client
-  (``compress=``, ``group_size=``) and need no variant class.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from ..calibration import MEMORY_FOOTPRINTS, PROVLAKE_COSTS
 from ..capture import CaptureClient, CaptureConfig
-from ..core.client import ProvLightClient
 from ..core.model import count_attributes_from_record
 from ..device import Device
 from ..net import Endpoint
-from .common import HttpPostCaptureTransport
 
-__all__ = ["SyncHttpProvLightClient", "VerboseModelProvLightClient"]
-
-
-class SyncHttpProvLightClient(CaptureClient):
-    """ProvLight's compact payloads over the baselines' blocking HTTP.
-
-    A shim constructing the shared façade with the ``http`` transport:
-    client-side record building, encoding and memory accounting keep
-    ProvLight's cheap simplified-model costs; what changes is the
-    transport: one synchronous request/response cycle per message over
-    TCP, paying connection latency on the workflow's critical path.  The
-    measured gap to real ProvLight is the *protocol* contribution.
-    """
-
-    def __init__(self, device: Device, server: Endpoint,
-                 path: str = "/provlight", compress: bool = True):
-        config = CaptureConfig(transport="http", compress=compress)
-        transport = HttpPostCaptureTransport(
-            device, server, path=path,
-            user_agent="provlight-sync-http-capture/1.0",
-        )
-        super().__init__(device, server, path, config, transport=transport)
-        # wire counters under the baseline-family names
-        self.requests_sent = self.transport.requests_sent
-        self.body_bytes = self.transport.body_bytes
-        self.capture_errors = self.transport.capture_errors
-
-    def supports_grouping(self) -> bool:
-        # the ablation isolates the transport; grouping stays off
-        return False
+__all__ = ["VerboseModelProvLightClient"]
 
 
-class VerboseModelProvLightClient(ProvLightClient):
+class VerboseModelProvLightClient(CaptureClient):
     """ProvLight's transport with a heavyweight provenance data model.
 
     Records pass through a full PROV-document construction (charged at the
@@ -70,8 +38,9 @@ class VerboseModelProvLightClient(ProvLightClient):
     paper's *simplified data model* buys on top of the protocol.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, device: Device, server: Endpoint, topic: str,
+                 config: Optional[CaptureConfig] = None):
+        super().__init__(device, server, topic, config)
         # the heavyweight model's resident footprint matches the baselines'
         extra = MEMORY_FOOTPRINTS.provlake_lib_bytes - self.footprints.provlight_lib_bytes
         self.device.memory.allocate(extra, tag="capture-static")

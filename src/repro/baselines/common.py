@@ -10,10 +10,9 @@ Table II overheads.
 The wire mechanics of that pattern (the keep-alive session, the error
 swallowing, the radio-listen energy accounting) live in one place:
 :class:`HttpPostCaptureTransport`, which doubles as the registered
-``http`` transport of the unified capture API — so the baselines here,
-the ``SyncHttpProvLightClient`` ablation and
-``create_client(..., transport="http")`` all exercise the same blocking
-POST path.
+``http`` transport of the unified capture API — so the baselines here
+and ``create_client(..., transport="http")`` (the sync-HTTP ablation)
+exercise the same blocking POST path.
 
 The classes here also define the uniform capture-client interface that
 lets one instrumented workload run against any capture system (ProvLight,
@@ -219,16 +218,10 @@ class BlockingHttpCaptureClient:
             device, server, path=path,
             user_agent=f"{self.system_name}-capture/1.0",
         )
-        self.session = self.transport.session
         self._buffer: List[Dict[str, Any]] = []
         self._lib_bytes = lib_bytes
         device.memory.allocate(lib_bytes, tag="capture-static")
         self.records_captured = Counter("records")
-        # wire counters are owned by the transport; exposed here under the
-        # historical names
-        self.requests_sent = self.transport.requests_sent
-        self.body_bytes = self.transport.body_bytes
-        self.capture_errors = self.transport.capture_errors
 
     # -- interface hooks for subclasses -------------------------------------
     def supports_grouping(self) -> bool:

@@ -5,10 +5,10 @@ calibrated attribute-cost charging, ended-task grouping, binary
 encoding + compression, per-message memory accounting, the background
 sender loop and the ``flush_groups()/drain()/close()`` semantics — and
 delegates only the wire to a pluggable
-:class:`~repro.capture.CaptureTransport`.  The MQTT-SN, CoAP and
-blocking-HTTP capture clients are thin shims over this class, so any
-measured difference between them is attributable to the protocol alone
-(the design property behind the protocol-comparison benchmark).
+:class:`~repro.capture.CaptureTransport` picked from the registry by
+``config.transport``.  Every transport runs through this one class, so
+any measured difference between them is attributable to the protocol
+alone (the design property behind the protocol-comparison benchmark).
 
 Blocking transports (``transport.blocking``) are serviced inline: each
 send is awaited on the workflow's critical path, reproducing the
@@ -35,11 +35,14 @@ import random
 import zlib
 from typing import Any, Dict, List, Optional
 
+from ..core.grouping import GroupBuffer
+from ..core.model import count_attributes_from_record
+from ..core.serialization import encode_payload
 from ..simkernel import Counter, Store
 from .config import CaptureConfig
 from .envelope import wrap_payload
 from .journal import DEFAULT_JOURNAL_DIR, CaptureJournal, journal_path_for
-from .transport import CaptureTransport
+from .registry import create_transport
 
 __all__ = [
     "CaptureClient",
@@ -60,29 +63,6 @@ STATE_CONNECTED = "connected"
 STATE_RECONNECTING = "reconnecting"
 STATE_CLOSED = "closed"
 
-# Late-bound repro.core imports: core.client subclasses CaptureClient, so
-# importing core here at module time would be circular whichever package
-# is imported first.  Bound once, at the first client construction.
-_core_loaded = False
-_GroupBuffer = None
-_encode_payload = None
-_count_attributes_from_record = None
-
-
-def _load_core() -> None:
-    global _core_loaded, _GroupBuffer, _encode_payload, _count_attributes_from_record
-    if _core_loaded:
-        return
-    from ..core.grouping import GroupBuffer
-    from ..core.model import count_attributes_from_record
-    from ..core.serialization import encode_payload
-
-    _GroupBuffer = GroupBuffer
-    _encode_payload = encode_payload
-    _count_attributes_from_record = count_attributes_from_record
-    _core_loaded = True
-
-
 class CaptureClosedError(RuntimeError):
     """The capture client was closed; pending drains fail with this."""
 
@@ -101,21 +81,14 @@ class CaptureSenderError(RuntimeError):
 class CaptureClient:
     """Capture client bound to one device, shipping to one topic.
 
-    Build instances through :func:`repro.capture.create_client` (or a
-    compatibility shim like ``ProvLightClient``); passing an explicit
-    ``transport`` bypasses the registry, which the shims use to expose
-    protocol-specific knobs.
+    Build instances through :func:`repro.capture.create_client`; the
+    transport is the one registered under ``config.transport``, and its
+    protocol knobs are reachable as ``client.transport`` (e.g.
+    ``client.transport.mqtt`` for the MQTT-SN retry settings).
     """
 
-    def __init__(
-        self,
-        device,
-        server,
-        topic: str,
-        config: Optional[CaptureConfig] = None,
-        transport: Optional[CaptureTransport] = None,
-    ):
-        _load_core()
+    def __init__(self, device, server, topic: str,
+                 config: Optional[CaptureConfig] = None):
         if device.host is None:
             raise RuntimeError(
                 f"device {device.name} is not attached to a network host"
@@ -130,14 +103,10 @@ class CaptureClient:
         self.cipher = config.cipher
         self.costs = config.costs
         self.footprints = config.footprints
-        self.group_buffer = _GroupBuffer(config.group_size)
+        self.group_buffer = GroupBuffer(config.group_size)
         #: stable identity: journal file, envelope dedup key, backoff seed
         self.client_id = config.client_id or f"{device.name}/{topic}"
-        if transport is None:
-            from .registry import create_transport
-
-            transport = create_transport(device, server, topic, config)
-        self.transport = transport
+        self.transport = create_transport(device, server, topic, config)
         self.handle: Any = None
         self._ready = False
         self._closed = False
@@ -170,7 +139,7 @@ class CaptureClient:
         device.memory.allocate(config.footprints.provlight_lib_bytes,
                                tag="capture-static")
         self._sender = None
-        if not transport.blocking:
+        if not self.transport.blocking:
             self._sender = self.env.process(
                 self._sender_loop(), name=f"capture-sender-{self.topic}"
             )
@@ -232,7 +201,7 @@ class CaptureClient:
         if not self._ready and self.transport.requires_setup:
             raise RuntimeError("capture before setup()")
         self.records_captured.record()
-        n_attrs = _count_attributes_from_record(record)
+        n_attrs = count_attributes_from_record(record)
         costs = self.costs
         cpu_run = self.device.cpu.run
         if groupable and self.group_buffer.enabled:
@@ -253,7 +222,7 @@ class CaptureClient:
                 tag="capture",
             )
             yield from self._dispatch(
-                _encode_payload(record, compress=self.compress, cipher=self.cipher)
+                encode_payload(record, compress=self.compress, cipher=self.cipher)
             )
 
     def flush_groups(self):
@@ -364,7 +333,7 @@ class CaptureClient:
             tag="capture",
         )
         yield from self._dispatch(
-            _encode_payload(group, compress=self.compress, cipher=self.cipher)
+            encode_payload(group, compress=self.compress, cipher=self.cipher)
         )
 
     def _dispatch(self, payload: bytes):

@@ -45,7 +45,7 @@ _ALIASES = {
 #: restore an entry after ``unregister_transport`` even though the
 #: module's import side effects cannot re-run.
 _BUILTINS = {
-    "mqttsn": ("repro.core.client", "MqttSnCaptureTransport"),
+    "mqttsn": ("repro.mqttsn.transport", "MqttSnCaptureTransport"),
     "coap": ("repro.coap.transport", "CoapCaptureTransport"),
     "http": ("repro.baselines.common", "HttpPostCaptureTransport"),
 }

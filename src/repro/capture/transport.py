@@ -9,7 +9,7 @@ is written exactly once.
 
 Concrete adapters live next to the protocol stacks they wrap:
 
-* ``mqttsn`` — :class:`repro.core.client.MqttSnCaptureTransport`
+* ``mqttsn`` — :class:`repro.mqttsn.transport.MqttSnCaptureTransport`
   (the paper's choice: asynchronous QoS publish over UDP);
 * ``coap`` — :class:`repro.coap.transport.CoapCaptureTransport`
   (confirmable POST, RFC 7252);

@@ -18,7 +18,7 @@ from .messages import (
     CoapMessage,
     code_str,
 )
-from .transport import ProvLightCoapClient, ProvLightCoapServer
+from .transport import ProvLightCoapServer
 
 __all__ = [
     "CoapMessage",
@@ -28,7 +28,6 @@ __all__ = [
     "CoapServer",
     "CoapTimeout",
     "DEFAULT_COAP_PORT",
-    "ProvLightCoapClient",
     "ProvLightCoapServer",
     "TYPE_CON",
     "TYPE_NON",

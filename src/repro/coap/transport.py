@@ -12,7 +12,7 @@ benchmark quantifies the trade.
 from __future__ import annotations
 
 from ..calibration import SERVER_COSTS
-from ..capture import CaptureClient, CaptureConfig, CaptureTransport, register_transport
+from ..capture import CaptureConfig, CaptureTransport, register_transport
 from ..capture.envelope import ReplayDeduper, unwrap_payload
 from ..core.translator import Translator
 from ..device import Device
@@ -22,7 +22,6 @@ from .endpoint import DEFAULT_COAP_PORT, CoapClient, CoapServer
 from .messages import CODE_CHANGED
 
 __all__ = [
-    "ProvLightCoapClient",
     "ProvLightCoapServer",
     "CoapCaptureTransport",
     "DEFAULT_CAPTURE_PATH",
@@ -126,40 +125,3 @@ class CoapCaptureTransport(CaptureTransport):
 
 
 register_transport("coap", CoapCaptureTransport)
-
-
-class ProvLightCoapClient(CaptureClient):
-    """The ProvLight capture client with a CoAP transport.
-
-    Compatibility shim constructing the shared façade with the ``coap``
-    transport; costs and grouping behaviour are identical to the MQTT-SN
-    client so any difference in an experiment is attributable to the
-    protocol alone.
-    """
-
-    def __init__(
-        self,
-        device: Device,
-        server: Endpoint,
-        group_size: int = 0,
-        compress: bool = True,
-        cipher=None,
-        costs=None,
-    ):
-        config = CaptureConfig(
-            transport="coap",
-            group_size=group_size,
-            compress=compress,
-            cipher=cipher,
-        )
-        if costs is not None:
-            config = config.with_(costs=costs)
-        super().__init__(device, server, DEFAULT_CAPTURE_PATH, config)
-
-    @property
-    def coap(self) -> CoapClient:
-        """The underlying CoAP client (tests tune its retransmit knobs)."""
-        return self.transport.coap
-
-    def __repr__(self) -> str:
-        return f"<ProvLightCoapClient {self.transport.path} on {self.device.name}>"

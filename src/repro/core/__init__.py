@@ -2,12 +2,11 @@
 
 User-facing capture model (``Workflow``/``Task``/``Data`` per PROV-DM),
 binary serialization with compression, optional grouping of ended-task
-records, an asynchronous MQTT-SN capture client, and the server side
-(broker + a sharded pool of provenance translators with pluggable
-backends).
+records, and the server side (broker + a sharded pool of provenance
+translators with pluggable backends).  Capture clients are built with
+:func:`repro.capture.create_client`.
 """
 
-from .client import MqttSnCaptureTransport, ProvLightClient
 from .grouping import GroupBuffer
 from .model import (
     Data,
@@ -57,8 +56,6 @@ __all__ = [
     "count_attributes",
     "count_attribute_values",
     "count_attributes_from_record",
-    "ProvLightClient",
-    "MqttSnCaptureTransport",
     "ProvLightServer",
     "ServerConfig",
     "TranslatorPool",

@@ -6,9 +6,8 @@ Every workload takes any capture client through the uniform capture
 interface (``setup()`` / ``capture()`` / ``flush_groups()`` /
 ``drain()`` generators + ``close()``): a
 :class:`repro.capture.CaptureClient` built by
-:func:`repro.capture.create_client` for any registered transport, one of
-its compatibility shims (``ProvLightClient``, ``ProvLightCoapClient``),
-a blocking baseline, or the null client.  Swapping the capture system is
+:func:`repro.capture.create_client` for any registered transport, a
+blocking baseline, or the null client.  Swapping the capture system is
 therefore a one-line config change, never a workload change.
 """
 

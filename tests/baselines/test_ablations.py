@@ -1,12 +1,10 @@
 """Tests for the ProvLight ablation variants."""
 
-import json
-
 import numpy as np
-import pytest
 
-from repro.baselines.ablations import SyncHttpProvLightClient, VerboseModelProvLightClient
-from repro.core import CallableBackend, ProvLightClient, ProvLightServer, decode_payload
+from repro.baselines.ablations import VerboseModelProvLightClient
+from repro.capture import CaptureConfig, create_client
+from repro.core import CallableBackend, ProvLightServer, decode_payload
 from repro.device import A8M3, Device
 from repro.http import HttpResponse, HttpServer
 from repro.net import Network
@@ -31,7 +29,8 @@ def run_sync_http(compress=True):
         return HttpResponse(status=201)
 
     HttpServer(net.hosts["cloud"], 5000, handler)
-    client = SyncHttpProvLightClient(dev, ("cloud", 5000), compress=compress)
+    client = create_client(dev, ("cloud", 5000), "/provlight",
+                           CaptureConfig(transport="http", compress=compress))
     result = {}
     env.process(synthetic_workload(env, client, CONFIG,
                                    rng=np.random.default_rng(1), result=result))
@@ -48,8 +47,9 @@ def run_real(group_size=0, verbose=False):
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.023)
     sink = []
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(sink.extend))
-    cls = VerboseModelProvLightClient if verbose else ProvLightClient
-    client = cls(dev, server.endpoint, "abl/edge", group_size=group_size)
+    build = VerboseModelProvLightClient if verbose else create_client
+    client = build(dev, server.endpoint, "abl/edge",
+                   CaptureConfig(group_size=group_size))
     result = {}
 
     def scenario(env):
@@ -105,12 +105,3 @@ def test_compression_flag_matters_for_sync_variant():
     _, bodies_c, _ = run_sync_http(compress=True)
     _, bodies_u, _ = run_sync_http(compress=False)
     assert sum(map(len, bodies_c)) < sum(map(len, bodies_u))
-
-
-def test_sync_variant_rejects_grouping():
-    env = Environment()
-    net = Network(env, seed=1)
-    dev = Device(env, A8M3)
-    net.add_host("edge", device=dev)
-    client = SyncHttpProvLightClient(dev, ("cloud", 5000))
-    assert not client.supports_grouping()

@@ -57,7 +57,7 @@ def test_provlake_posts_every_record():
     env.run()
     # 2 workflow events + 6 task events, one POST each (no grouping)
     assert len(received) == 8
-    assert client.requests_sent.count == 8
+    assert client.transport.requests_sent.count == 8
 
 
 def test_provlake_message_format():
@@ -122,7 +122,7 @@ def test_provlake_grouping_reduces_requests():
     run_instrumented(env, client, n_tasks=10)
     env.run()
     # ProvLake groups *all* messages: 22 records -> 2 full groups + flush
-    assert client.requests_sent.count == 3
+    assert client.transport.requests_sent.count == 3
 
 
 def test_provlake_grouped_envelope_shared():
@@ -186,7 +186,7 @@ def test_capture_survives_missing_server():
     env.process(proc(env))
     env.run()
     assert finished["ok"]
-    assert client.capture_errors.count == 1
+    assert client.transport.capture_errors.count == 1
 
 
 def test_memory_static_footprints_differ():

@@ -17,10 +17,11 @@ from repro.coap import (
     CoapMessage,
     CoapServer,
     CoapTimeout,
-    ProvLightCoapClient,
     ProvLightCoapServer,
     code_str,
 )
+from repro.capture import CaptureConfig, create_client
+from repro.coap.transport import DEFAULT_CAPTURE_PATH
 from repro.core import CallableBackend
 from repro.device import A8M3, Device
 from repro.net import Network
@@ -225,7 +226,8 @@ def make_capture_world(group_size=0):
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.023)
     sink = []
     server = ProvLightCoapServer(net.hosts["cloud"], CallableBackend(sink.extend))
-    client = ProvLightCoapClient(dev, server.endpoint, group_size=group_size)
+    client = create_client(dev, server.endpoint, DEFAULT_CAPTURE_PATH,
+                           CaptureConfig(transport="coap", group_size=group_size))
     return env, net, dev, server, client, sink
 
 
@@ -253,7 +255,7 @@ def test_capture_over_coap_end_to_end():
 
 def test_coap_transport_uses_fewer_packets_than_qos2():
     """CON/ACK is a 2-packet exchange; MQTT-SN QoS 2 needs 4."""
-    from repro.core import ProvLightClient, ProvLightServer
+    from repro.core import ProvLightServer
     from repro.workloads import SyntheticWorkloadConfig, synthetic_workload
 
     config = SyntheticWorkloadConfig(number_of_tasks=10, task_duration_s=0.05)
@@ -268,10 +270,11 @@ def test_coap_transport_uses_fewer_packets_than_qos2():
         sink = []
         if transport == "coap":
             server = ProvLightCoapServer(net.hosts["cloud"], CallableBackend(sink.extend))
-            client = ProvLightCoapClient(dev, server.endpoint)
+            client = create_client(dev, server.endpoint, DEFAULT_CAPTURE_PATH,
+                                   CaptureConfig(transport="coap"))
         else:
             server = ProvLightServer(net.hosts["cloud"], CallableBackend(sink.extend))
-            client = ProvLightClient(dev, server.endpoint, "p/edge")
+            client = create_client(dev, server.endpoint, "p/edge")
 
         def scenario(env):
             if transport == "mqttsn":

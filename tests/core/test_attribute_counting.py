@@ -3,10 +3,8 @@
 One implementation (``repro.core.model``) now serves every capture
 client and baseline: container values (list/tuple/dict) count
 element-wise, scalars count one, and the record-shaped helper counts
-across a record's data items.  Historically this logic lived twice
-(``core.client.count_attributes_from_record`` duplicated
-``core.model.count_attributes``) — these tests pin the single shared
-implementation and its import paths.
+across a record's data items.  These tests pin the single shared
+implementation and the baselines' import path.
 """
 
 from repro.core import Data
@@ -64,9 +62,7 @@ def test_count_attributes_from_record_matches_item_count():
 
 
 def test_single_implementation_everywhere():
-    """The legacy import paths must all resolve to the model helper."""
-    from repro.core import client as core_client
+    """The baselines' import path must resolve to the model helper."""
     from repro.baselines import common as baselines_common
 
-    assert core_client.count_attributes_from_record is count_attributes_from_record
     assert baselines_common.count_attributes_from_record is count_attributes_from_record

@@ -10,7 +10,7 @@ delivering group by group.
 
 import json
 
-from repro.core import CallableBackend, HttpBackend, ProvLightClient, ProvLightServer
+from repro.core import CallableBackend, HttpBackend, ProvLightServer
 from repro.http import HttpResponse, HttpServer
 from repro.net import Network
 from repro.simkernel import Environment

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.capture import CaptureConfig, create_client
 from repro.core import (
     CallableBackend,
     Data,
-    ProvLightClient,
     ProvLightServer,
     ServerConfig,
     Task,
@@ -26,9 +26,9 @@ def make_world(group_size=0, compress=True, bandwidth=1e9, latency=0.023):
     net.connect("edge", "cloud", bandwidth_bps=bandwidth, latency_s=latency)
     sink = []
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(sink.extend))
-    client = ProvLightClient(
+    client = create_client(
         edge_dev, server.endpoint, "provlight/edge/data",
-        group_size=group_size, compress=compress,
+        CaptureConfig(group_size=group_size, compress=compress),
     )
     return env, net, edge_dev, server, client, sink
 
@@ -97,7 +97,7 @@ def test_records_flow_end_to_end_through_sharded_broker_plane():
         net.add_host(f"edge-{i}", device=dev)
         net.connect(f"edge-{i}", "cloud", bandwidth_bps=1e9, latency_s=0.023)
         clients.append(
-            ProvLightClient(dev, server.endpoint, f"provlight/edge-{i}/data")
+            create_client(dev, server.endpoint, f"provlight/edge-{i}/data")
         )
 
     def scenario(env):
@@ -272,7 +272,7 @@ def test_detached_device_rejected():
     env = Environment()
     dev = Device(env, A8M3)
     with pytest.raises(RuntimeError, match="not attached"):
-        ProvLightClient(dev, ("cloud", 1883), "t")
+        create_client(dev, ("cloud", 1883), "t")
 
 
 def test_drain_waits_for_queue():

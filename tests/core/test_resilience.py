@@ -305,7 +305,8 @@ def make_server_world(seed=7, workers=2):
 
 
 def test_crashed_worker_restarts_and_requeues():
-    from repro.core import Data, ProvLightClient, Task, Workflow
+    from repro.capture import create_client
+    from repro.core import Data, Task, Workflow
 
     env, net, server, received = make_server_world()
     worker_holder = {}
@@ -313,7 +314,7 @@ def test_crashed_worker_restarts_and_requeues():
     def scenario(env):
         worker = yield from server.pool.attach("conf/#")
         worker_holder["w"] = worker
-        client = ProvLightClient(
+        client = create_client(
             net.hosts["edge"].device, server.endpoint, "conf/edge/data"
         )
         yield from client.setup()

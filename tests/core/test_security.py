@@ -109,7 +109,8 @@ def test_property_encrypt_decrypt_identity(data):
 
 def test_end_to_end_encrypted_capture():
     """Client encrypts; translator with the shared key still delivers."""
-    from repro.core import CallableBackend, Data, ProvLightClient, ProvLightServer, Task, Workflow
+    from repro.capture import CaptureConfig, create_client
+    from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
     from repro.device import A8M3, Device
     from repro.net import Network
     from repro.simkernel import Environment
@@ -126,9 +127,9 @@ def test_end_to_end_encrypted_capture():
         net.hosts["cloud"], CallableBackend(sink.extend),
         cipher=PayloadCipher(key, rng=np.random.default_rng(1)),
     )
-    client = ProvLightClient(
+    client = create_client(
         dev, server.endpoint, "sec/edge",
-        cipher=PayloadCipher(key, rng=np.random.default_rng(2)),
+        CaptureConfig(cipher=PayloadCipher(key, rng=np.random.default_rng(2))),
     )
 
     def scenario(env):
@@ -149,7 +150,8 @@ def test_end_to_end_encrypted_capture():
 
 
 def test_end_to_end_wrong_key_drops_messages():
-    from repro.core import CallableBackend, Data, ProvLightClient, ProvLightServer, Task, Workflow
+    from repro.capture import CaptureConfig, create_client
+    from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
     from repro.device import A8M3, Device
     from repro.net import Network
     from repro.simkernel import Environment
@@ -165,9 +167,10 @@ def test_end_to_end_wrong_key_drops_messages():
         net.hosts["cloud"], CallableBackend(sink.extend),
         cipher=PayloadCipher(derive_key("right"), rng=np.random.default_rng(1)),
     )
-    client = ProvLightClient(
+    client = create_client(
         dev, server.endpoint, "sec/edge",
-        cipher=PayloadCipher(derive_key("wrong"), rng=np.random.default_rng(2)),
+        CaptureConfig(cipher=PayloadCipher(derive_key("wrong"),
+                                           rng=np.random.default_rng(2))),
     )
 
     def scenario(env):

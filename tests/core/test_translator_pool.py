@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.capture import create_client
 from repro.core import (
     CallableBackend,
     Data,
-    ProvLightClient,
     ProvLightServer,
     ServerConfig,
     Task,
@@ -96,7 +96,7 @@ def test_records_flow_through_sharded_pool():
         for i, dev in enumerate(devices):
             yield from server.pool.attach(f"provlight/edge-{i}/data")
         for i, dev in enumerate(devices):
-            client = ProvLightClient(
+            client = create_client(
                 dev, server.endpoint, f"provlight/edge-{i}/data"
             )
             _run_workflow(env, client, wf_id=i)
@@ -121,7 +121,7 @@ def test_backend_swap_after_construction_is_honoured():
 
     def scenario(env):
         yield from server.pool.attach("provlight/#")
-        client = ProvLightClient(devices[0], server.endpoint, "provlight/edge-0/data")
+        client = create_client(devices[0], server.endpoint, "provlight/edge-0/data")
         _run_workflow(env, client, wf_id="swap", n_tasks=1)
         yield env.timeout(30)
 
@@ -243,7 +243,7 @@ def test_pool_autoscales_up_under_load_and_back_to_min_when_idle():
 
     def workload(env, topic, n_tasks):
         yield from server.pool.attach(topic)
-        client = ProvLightClient(dev, server.endpoint, topic)
+        client = create_client(dev, server.endpoint, topic)
         yield from client.setup()
         wf = Workflow(topic, client)
         yield from wf.begin()
@@ -288,7 +288,7 @@ def test_static_pool_never_starts_the_autoscale_monitor():
 
     def scenario(env):
         yield from server.pool.attach("provlight/edge-0/data")
-        client = ProvLightClient(
+        client = create_client(
             devices[0], server.endpoint, "provlight/edge-0/data"
         )
         _run_workflow(env, client, wf_id="static", n_tasks=2)

@@ -5,7 +5,8 @@ the instrumented workflow, and honour its delivery contracts under loss.
 import numpy as np
 import pytest
 
-from repro.core import CallableBackend, Data, ProvLightClient, ProvLightServer, Task, Workflow
+from repro.capture import CaptureConfig, create_client
+from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
 from repro.device import A8M3, Device
 from repro.net import Network
 from repro.simkernel import Environment
@@ -21,15 +22,15 @@ def lossy_world(loss, seed=5):
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.01, loss=loss)
     sink = []
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(sink.extend))
-    client = ProvLightClient(dev, server.endpoint, "provlight/edge",
-                             client_id="lossy-edge")
+    client = create_client(dev, server.endpoint, "provlight/edge",
+                           CaptureConfig(client_id="lossy-edge"))
     return env, net, dev, server, client, sink
 
 
 def test_qos2_delivers_exactly_once_under_heavy_loss():
     env, net, dev, server, client, sink = lossy_world(loss=0.30)
     # faster retries so the run converges quickly
-    client.mqtt.retry_interval_s = 0.3
+    client.transport.mqtt.retry_interval_s = 0.3
     server.broker.retry_interval_s = 0.3
 
     def scenario(env):
@@ -63,9 +64,9 @@ def test_workflow_survives_total_broker_outage():
     net.add_host("edge", device=dev)
     net.add_host("cloud")  # nothing listening
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.01)
-    client = ProvLightClient(dev, ("cloud", 1883), "provlight/edge")
-    client.mqtt.retry_interval_s = 0.2
-    client.mqtt.max_retries = 2
+    client = create_client(dev, ("cloud", 1883), "provlight/edge")
+    client.transport.mqtt.retry_interval_s = 0.2
+    client.transport.mqtt.max_retries = 2
     done = {}
 
     def scenario(env):
@@ -152,15 +153,15 @@ def test_baseline_capture_survives_server_crash_midway():
     env.run()
     assert done.get("completed")
     assert served["n"] >= 1
-    assert client.capture_errors.count >= 1
+    assert client.transport.capture_errors.count >= 1
 
 
 def test_mqtt_timeout_does_not_crash_sender_loop():
     """If a QoS2 exchange exhausts retries, the record is dropped but the
     sender keeps processing subsequent records."""
     env, net, dev, server, client, sink = lossy_world(loss=0.0)
-    client.mqtt.retry_interval_s = 0.1
-    client.mqtt.max_retries = 1
+    client.transport.mqtt.retry_interval_s = 0.1
+    client.transport.mqtt.max_retries = 1
 
     def blackout(env):
         # drop everything while the first task end is in flight
@@ -196,7 +197,7 @@ def test_overhead_unaffected_by_moderate_loss():
     results = {}
     for label, loss in [("clean", 0.0), ("lossy", 0.10)]:
         env, net, dev, server, client, sink = lossy_world(loss=loss, seed=9)
-        client.mqtt.retry_interval_s = 0.3
+        client.transport.mqtt.retry_interval_s = 0.3
         result = {}
 
         def scenario(env, client=client, server=server, result=result):

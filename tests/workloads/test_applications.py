@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import NullCaptureClient
-from repro.core import CallableBackend, ProvLightClient, ProvLightServer
+from repro.capture import create_client
+from repro.core import CallableBackend, ProvLightServer
 from repro.device import A8M3, Device
 from repro.net import Network
 from repro.simkernel import Environment
@@ -66,9 +67,7 @@ def fl_world(config):
         dev = Device(env, A8M3, name=f"fl-dev-{i}")
         net.add_host(f"edge-{i}", device=dev)
         net.connect(f"edge-{i}", "cloud", bandwidth_bps=1e9, latency_s=0.023)
-        captures.append(
-            ProvLightClient(dev, server.endpoint, f"provlight/fl/{i}")
-        )
+        captures.append(create_client(dev, server.endpoint, f"provlight/fl/{i}"))
     return env, net, server, captures, sink
 
 
@@ -171,7 +170,7 @@ def test_sensor_lineage_chain_through_backend():
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.01)
     service = DfAnalyzerService()
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(service.ingest))
-    client = ProvLightClient(dev, server.endpoint, "provlight/sensors")
+    client = create_client(dev, server.endpoint, "provlight/sensors")
 
     def scenario(env):
         yield from server.pool.attach("provlight/#")

@@ -69,7 +69,8 @@ def test_tasks_split_across_transformations():
 def test_attribute_kinds():
     import numpy as np
 
-    from repro.core import CallableBackend, ProvLightClient, ProvLightServer
+    from repro.capture import create_client
+    from repro.core import CallableBackend, ProvLightServer
     from repro.net import Network
 
     for kind, check in [("int", lambda v: v == [1] * 5), ("float", lambda v: all(isinstance(x, float) for x in v))]:
@@ -81,7 +82,7 @@ def test_attribute_kinds():
         net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.001)
         sink = []
         server = ProvLightServer(net.hosts["cloud"], CallableBackend(sink.extend))
-        client = ProvLightClient(dev, server.endpoint, "t")
+        client = create_client(dev, server.endpoint, "t")
         config = SyntheticWorkloadConfig(number_of_tasks=5, task_duration_s=0.01,
                                          attributes_per_task=5, attribute_kind=kind)
 
@@ -97,7 +98,8 @@ def test_attribute_kinds():
 
 
 def test_dependency_chain_links_consecutive_tasks():
-    from repro.core import CallableBackend, ProvLightClient, ProvLightServer
+    from repro.capture import create_client
+    from repro.core import CallableBackend, ProvLightServer
     from repro.net import Network
 
     env = Environment()
@@ -108,7 +110,7 @@ def test_dependency_chain_links_consecutive_tasks():
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.001)
     sink = []
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(sink.extend))
-    client = ProvLightClient(dev, server.endpoint, "t")
+    client = create_client(dev, server.endpoint, "t")
     config = SyntheticWorkloadConfig(number_of_tasks=4, chained_transformations=2,
                                      task_duration_s=0.01)
 
