@@ -26,20 +26,45 @@ uplinks actually exhibit:
 Parameters may be changed at runtime (the E2Clab network manager does
 this to emulate ``tc netem`` reconfiguration); queued packets pick up the
 new values when they reach the head of the queue.
+
+The model runs on timer callbacks, not processes: a FIFO ``deque`` plus
+one "in serialization" slot.  A send to an idle link starts the
+serialization timer at once; when it fires, the link records
+``tx_bytes``, samples partition/loss/burst state and jitter from the
+shared RNG, arms one propagation timer whose callback delivers the
+packet, and starts serializing the next queued packet.  That is two
+kernel events per packet and no :class:`~repro.simkernel.Process`.
+Every timer is created at the same simulated instant, and in the same
+order relative to other links' timers, as the steps of a pump process
+would be, so same-instant events keep their ``(time, priority,
+insertion)`` order and shared-RNG draws keep their sequence.  A
+reconfiguration in the very instant a serialization ends applies to the
+next packet only if it runs before the serialization timer fires.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
-from ..simkernel import Counter, Environment, Store
+from ..simkernel import Counter, Environment, Event
 from .packet import Packet
 
-__all__ = ["Link"]
+__all__ = ["Link", "deliver_after"]
 
 DeliverFn = Callable[[Packet], None]
+
+
+def deliver_after(env: Environment, delay: float, packet: Packet, deliver: DeliverFn) -> None:
+    """Call ``deliver(packet)`` ``delay`` seconds from now (one timer event)."""
+    env.timeout(delay, (packet, deliver)).callbacks.append(_arrive)
+
+
+def _arrive(event: Event) -> None:
+    packet, deliver = event._value
+    deliver(packet)
 
 
 class Link:
@@ -86,10 +111,11 @@ class Link:
         #: administratively up; False drops everything (partition)
         self.up = True
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._queue: Store = Store(env)
+        self._queue: Deque[Tuple[Packet, DeliverFn]] = deque()
+        #: the packet occupying the transmitter, or None while idle
+        self._serializing: Optional[Tuple[Packet, DeliverFn]] = None
         self.tx_bytes = Counter(f"{src}->{dst}")
         self.dropped = Counter(f"{src}->{dst} drops")
-        env.process(self._pump(), name=f"link-{src}->{dst}")
 
     # -- configuration (netem-style) ----------------------------------------
     def configure(
@@ -146,27 +172,31 @@ class Link:
     # -- transmission -----------------------------------------------------------
     def send(self, packet: Packet, deliver: DeliverFn) -> None:
         """Enqueue ``packet``; call ``deliver(packet)`` at the far end."""
-        self._queue.put((packet, deliver))
+        if self._serializing is None:
+            self._serialize((packet, deliver))
+        else:
+            self._queue.append((packet, deliver))
 
-    @property
-    def queued_packets(self) -> int:
-        """Packets waiting for (or in) serialization."""
-        return len(self._queue.items)
+    def _serialize(self, entry: Tuple[Packet, DeliverFn]) -> None:
+        """Occupy the transmitter with ``entry`` for its serialization time."""
+        self._serializing = entry
+        delay = entry[0].size * 8.0 / self.bandwidth_bps
+        self.env.timeout(delay).callbacks.append(self._serialized)
 
-    def _pump(self):
-        env = self.env
-        while True:
-            packet, deliver = yield self._queue.get()
-            # serialization (transmitter occupied)
-            yield env.timeout(packet.size * 8.0 / self.bandwidth_bps)
-            self.tx_bytes.record(packet.size)
-            if not self.up or self._drop(packet):
-                self.dropped.record(packet.size)
-                continue
+    def _serialized(self, _event: Event) -> None:
+        packet, deliver = self._serializing
+        self.tx_bytes.record(packet.size)
+        if not self.up or self._drop(packet):
+            self.dropped.record(packet.size)
+        else:
             delay = self.latency_s
             if self.jitter_s > 0.0:
                 delay = max(0.0, delay + float(self.rng.normal(0.0, self.jitter_s)))
-            env.process(self._propagate(delay, packet, deliver), name="link-propagate")
+            deliver_after(self.env, delay, packet, deliver)
+        if self._queue:
+            self._serialize(self._queue.popleft())
+        else:
+            self._serializing = None
 
     def _drop(self, packet: Packet) -> bool:
         """Sample the loss model for one packet (advances burst state)."""
@@ -182,10 +212,6 @@ class Link:
         else:
             rate = self.loss
         return rate > 0.0 and self.rng.random() < rate
-
-    def _propagate(self, delay: float, packet: Packet, deliver: DeliverFn):
-        yield self.env.timeout(delay)
-        deliver(packet)
 
     def __repr__(self) -> str:
         state = "" if self.up else " DOWN"
