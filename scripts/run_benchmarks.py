@@ -20,6 +20,14 @@ than the baseline fails the run with exit code 1, so CI can catch
 regressions.  ``--write-baseline`` refreshes the baseline from the
 current run.
 
+Exact gate: the headlines read from simulated time or from payload sizes
+(``EXACT_HEADLINES``) are deterministic, so every run — ``--quick``
+included, and on any machine — must reproduce the values in the
+committed BENCH json exactly; any difference exits 1.  It runs before
+the fingerprint check, which only disarms the wall-clock median gate.  A
+full run still rewrites the BENCH json, so a deliberate change to a
+simulated headline is acknowledged by committing the rewritten file.
+
 ``--quick`` caps pytest-benchmark's calibration so the whole run fits in
 tier-1 CI budgets; it still arms the regression gate — with the
 threshold widened to at least ``QUICK_THRESHOLD`` because uncalibrated
@@ -37,6 +45,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import platform
@@ -66,6 +75,20 @@ FIXED_SEED = "0"
 #: regression; 100% still catches the order-of-magnitude collapses the
 #: gate exists for
 QUICK_THRESHOLD = 1.0
+
+#: headline keys computed from simulated time or payload sizes, never
+#: from wall-clock medians: machine-independent, so compared exactly
+EXACT_HEADLINES = (
+    "broker_throughput_speedup_*",
+    "dispatch_amortization_*",
+    "skewed_placement_gain_*",
+    "p2c_max_mean_session_ratio_*",
+    "failover_recovery_ms",
+    "degraded_throughput_3_of_4_shards",
+    "continuum_throughput_ratio_*",
+    "fleet_churn_recovery_ms_20pct",
+    "grouped_*_size_reduction",
+)
 
 
 def machine_fingerprint() -> str:
@@ -286,6 +309,20 @@ def headline(benchmarks: dict, sizes: dict) -> dict:
     return out
 
 
+def check_exact_headlines(current: dict, committed: dict) -> list:
+    """Simulated-time headlines that differ from the committed BENCH json."""
+    keys = sorted(
+        key
+        for key in {*current, *committed}
+        if any(fnmatch.fnmatchcase(key, pattern) for pattern in EXACT_HEADLINES)
+    )
+    return [
+        f"{key}: {current.get(key)!r} vs committed {committed.get(key)!r}"
+        for key in keys
+        if current.get(key) != committed.get(key)
+    ]
+
+
 def check_regressions(benchmarks: dict, baseline: dict, threshold: float) -> list:
     regressions = []
     for name, entry in baseline.get("benchmarks", {}).items():
@@ -330,6 +367,11 @@ def main() -> int:
     if args.quick and args.write_baseline:
         parser.error("--write-baseline needs a full calibrated run; drop --quick")
 
+    committed = (
+        json.loads(OUTPUT_FILE.read_text()).get("headline", {})
+        if OUTPUT_FILE.exists()
+        else {}
+    )
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
         json_out = Path(handle.name)
     try:
@@ -359,6 +401,15 @@ def main() -> int:
     for key, value in report["headline"].items():
         print(f"  {key}: {value}")
 
+    mismatches = check_exact_headlines(report["headline"], committed)
+    if mismatches:
+        print("SIMULATED-TIME HEADLINE MISMATCHES:", file=sys.stderr)
+        for line in mismatches:
+            print(f"  {line}", file=sys.stderr)
+    else:
+        print(f"simulated-time headlines match {OUTPUT_FILE.name}")
+    status = 1 if mismatches else 0
+
     if args.write_baseline:
         BASELINE_FILE.write_text(
             json.dumps(
@@ -375,7 +426,7 @@ def main() -> int:
             + "\n"
         )
         print(f"wrote {BASELINE_FILE.relative_to(REPO_ROOT)}")
-        return 0
+        return status
 
     if BASELINE_FILE.exists():
         baseline = json.loads(BASELINE_FILE.read_text())
@@ -388,7 +439,7 @@ def main() -> int:
                 f"is {machine_fingerprint()!r}; medians are not comparable — "
                 "skipping regression gate (rerun --write-baseline here)"
             )
-            return 0
+            return status
         threshold = args.threshold
         if args.quick and threshold < QUICK_THRESHOLD:
             threshold = QUICK_THRESHOLD
@@ -402,7 +453,7 @@ def main() -> int:
         print(f"no regressions vs {BASELINE_FILE.relative_to(REPO_ROOT)}")
     else:
         print("no checked-in baseline; skipping regression gate")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -162,6 +162,11 @@ class DroppedEventRule(Rule):
       name it so crash reports and the DebugEnvironment can attribute it.
       Tests spawn short-lived processes whose crashes already fail the
       test, so the naming requirement does not extend there.
+    * ``<store>.put(...)`` discarded (library sources only): the put
+      event is scheduled although nobody will ever wait on it — one heap
+      push and pop per item for nothing.  ``put_nowait`` queues the item
+      and wakes getters without an event; yield ``put`` only where a
+      bounded store's back-pressure matters.  Tests may discard puts.
     * ``<fresh event>.succeed()/.fail()`` (receiver is itself a call,
       e.g. ``env.event().succeed()``): the triggered event is discarded
       before anyone could possibly observe it.  Triggering a *stored*
@@ -193,6 +198,13 @@ class DroppedEventRule(Rule):
                     "fire-and-forget process without a name= is untraceable "
                     "when it crashes; bind the Process or pass name=...",
                 )
+        elif attr == "put" and module.is_src:
+            report(
+                node,
+                "result of .put(...) is discarded; the put event is scheduled "
+                "for nobody — use .put_nowait(...) (or yield the put to wait "
+                "on a bounded store)",
+            )
         elif attr in ("succeed", "fail") and isinstance(receiver, ast.Call):
             report(
                 node,

@@ -280,7 +280,7 @@ class CaptureClient:
             self._outstanding -= 1
         self._replay.clear()
         if self._sender is not None:
-            self._queue.put(_CLOSE)
+            self._queue.put_nowait(_CLOSE)
         gate, self._pause_gate = self._pause_gate, None
         if gate is not None:
             gate.succeed()  # let a parked sender observe _closed and exit
@@ -349,7 +349,7 @@ class CaptureClient:
         self.device.memory.allocate(nbytes, tag="capture-buffers")
         self._outstanding += 1
         if not self.transport.blocking:
-            self._queue.put((wire, nbytes, seq))
+            self._queue.put_nowait((wire, nbytes, seq))
             return
         delivered = True
         try:

@@ -85,24 +85,20 @@ class MqttSnClient:
         message = pkt.Connect(client_id=self.client_id)
         self._connect_event = self.env.event()
         self._send(message)
-        self.env.process(
-            self._retry_connect(message, 0),
-            name=f"mqttsn-connect-retry-{self.client_id}",
-        )
+        self.env.call_later(self.retry_interval_s, self._retry_connect, message, 0)
         yield self._connect_event
         self.connected = True
         return self
 
     def _retry_connect(self, message, attempt):
-        yield self.env.timeout(self.retry_interval_s)
+        """CONNECT watchdog, fired ``retry_interval_s`` after each send."""
         if self._connect_event is not None and not self._connect_event.triggered:
             if attempt >= self.max_retries:
                 self._connect_event.fail(MqttSnTimeout("CONNECT timed out"))
             else:
                 self._send(message)
-                self.env.process(
-                    self._retry_connect(message, attempt + 1),
-                    name=f"mqttsn-connect-retry-{self.client_id}",
+                self.env.call_later(
+                    self.retry_interval_s, self._retry_connect, message, attempt + 1
                 )
 
     def register(self, topic_name: str):
@@ -194,9 +190,7 @@ class MqttSnClient:
         pending = _Pending(kind, done, message)
         self._pending[(kind, msg_id)] = pending
         self._send(message)
-        self.env.process(
-            self._retry_pending(kind, msg_id, 0), name=f"mqttsn-retry-{kind}-{msg_id}"
-        )
+        self.env.call_later(self.retry_interval_s, self._retry_pending, kind, msg_id, 0)
         return done
 
     def ping(self):
@@ -219,14 +213,13 @@ class MqttSnClient:
         done = self.env.event()
         self._pending[(kind, msg_id)] = _Pending(kind, done, message)
         self._send(message)
-        self.env.process(
-            self._retry_pending(kind, msg_id, 0), name=f"mqttsn-retry-{kind}-{msg_id}"
-        )
+        self.env.call_later(self.retry_interval_s, self._retry_pending, kind, msg_id, 0)
         reply = yield done
         return reply
 
-    def _retry_pending(self, kind: str, msg_id: int, attempt: int):
-        yield self.env.timeout(self.retry_interval_s)
+    def _retry_pending(self, kind: str, msg_id: int, attempt: int) -> None:
+        """Retransmission watchdog for one tracked exchange, fired
+        ``retry_interval_s`` after each send."""
         pending = self._pending.get((kind, msg_id))
         if pending is None:
             return
@@ -241,9 +234,8 @@ class MqttSnClient:
             if isinstance(message, pkt.Publish):
                 message.dup = True
             self._send(message)
-        self.env.process(
-            self._retry_pending(kind, msg_id, attempt + 1),
-            name=f"mqttsn-retry-{kind}-{msg_id}",
+        self.env.call_later(
+            self.retry_interval_s, self._retry_pending, kind, msg_id, attempt + 1
         )
 
     def _recv_loop(self):

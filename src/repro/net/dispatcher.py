@@ -85,7 +85,7 @@ class VirtualSocket:
 
     def _deliver(self, payload: bytes, source: Endpoint) -> None:
         if not self.closed:
-            self._inbox.put((payload, source))
+            self._inbox.put_nowait((payload, source))
 
     def close(self) -> None:
         self.closed = True

@@ -27,19 +27,21 @@ Parameters may be changed at runtime (the E2Clab network manager does
 this to emulate ``tc netem`` reconfiguration); queued packets pick up the
 new values when they reach the head of the queue.
 
-The model runs on timer callbacks, not processes: a FIFO ``deque`` plus
-one "in serialization" slot.  A send to an idle link starts the
-serialization timer at once; when it fires, the link records
-``tx_bytes``, samples partition/loss/burst state and jitter from the
-shared RNG, arms one propagation timer whose callback delivers the
-packet, and starts serializing the next queued packet.  That is two
-kernel events per packet and no :class:`~repro.simkernel.Process`.
-Every timer is created at the same simulated instant, and in the same
-order relative to other links' timers, as the steps of a pump process
-would be, so same-instant events keep their ``(time, priority,
-insertion)`` order and shared-RNG draws keep their sequence.  A
-reconfiguration in the very instant a serialization ends applies to the
-next packet only if it runs before the serialization timer fires.
+The model runs on :meth:`~repro.simkernel.Environment.call_later`
+timers, not processes: a FIFO ``deque`` plus one "in serialization"
+slot.  A send to an idle link starts the serialization timer at once;
+when it fires, the link records ``tx_bytes``, samples
+partition/loss/burst state and jitter from the shared RNG, arms one
+propagation timer that delivers the packet, and starts serializing the
+next queued packet.  That is two kernel events per packet and no
+:class:`~repro.simkernel.Process`.  Every timer fires at the instant
+the matching timeout of a pump process would; only its insertion id
+moves earlier, which reorders events only when they share the identical
+float fire time.  So a reconfiguration in the very instant a
+serialization ends applies to the next packet only if it runs before
+the serialization timer fires.  ``tests/net/test_link_equivalence.py``
+checks deliveries, counters and shared-RNG draws against the
+process-based model.
 """
 
 from __future__ import annotations
@@ -49,22 +51,12 @@ from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
-from ..simkernel import Counter, Environment, Event
+from ..simkernel import Counter, Environment
 from .packet import Packet
 
-__all__ = ["Link", "deliver_after"]
+__all__ = ["Link"]
 
 DeliverFn = Callable[[Packet], None]
-
-
-def deliver_after(env: Environment, delay: float, packet: Packet, deliver: DeliverFn) -> None:
-    """Call ``deliver(packet)`` ``delay`` seconds from now (one timer event)."""
-    env.timeout(delay, (packet, deliver)).callbacks.append(_arrive)
-
-
-def _arrive(event: Event) -> None:
-    packet, deliver = event._value
-    deliver(packet)
 
 
 class Link:
@@ -181,9 +173,9 @@ class Link:
         """Occupy the transmitter with ``entry`` for its serialization time."""
         self._serializing = entry
         delay = entry[0].size * 8.0 / self.bandwidth_bps
-        self.env.timeout(delay).callbacks.append(self._serialized)
+        self.env.call_later(delay, self._serialized)
 
-    def _serialized(self, _event: Event) -> None:
+    def _serialized(self) -> None:
         packet, deliver = self._serializing
         self.tx_bytes.record(packet.size)
         if not self.up or self._drop(packet):
@@ -192,7 +184,7 @@ class Link:
             delay = self.latency_s
             if self.jitter_s > 0.0:
                 delay = max(0.0, delay + float(self.rng.normal(0.0, self.jitter_s)))
-            deliver_after(self.env, delay, packet, deliver)
+            self.env.call_later(delay, deliver, packet)
         if self._queue:
             self._serialize(self._queue.popleft())
         else:

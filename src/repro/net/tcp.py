@@ -78,7 +78,7 @@ class TcpListener:
         self.host._register_tcp(conn)
         conn._on_packet(packet)
         conn._established.callbacks.append(
-            lambda ev: self._backlog.put(conn) if ev._ok else None
+            lambda ev: self._backlog.put_nowait(conn) if ev._ok else None
         )
 
     def close(self) -> None:

@@ -119,10 +119,7 @@ class Network:
         dst_host = self.hosts[dst_name]
 
         if src_name == dst_name:  # loopback
-            def _loop():
-                yield self.env.timeout(LOOPBACK_DELAY_S)
-                dst_host.deliver(packet)
-            self.env.process(_loop(), name="loopback")
+            self.env.call_later(LOOPBACK_DELAY_S, dst_host.deliver, packet)
             return
 
         path = self.route(src_name, dst_name)

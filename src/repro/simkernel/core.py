@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from .events import (
     NORMAL,
@@ -137,6 +137,17 @@ class Environment:
         heappush(self._queue, (self._now + delay, NORMAL, eid, event))
         return event
 
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)`` ``delay`` seconds from now.
+
+        The fire-and-forget timer: one :meth:`timeout` whose callback
+        makes the call, with no :class:`Process`, generator or end event
+        around it.  Use it for waits nobody yields on (retransmission
+        watchdogs, packet propagation); an exception raised by ``fn``
+        propagates out of :meth:`step` like a crashed process would.
+        """
+        self.timeout(delay, (fn, args)).callbacks.append(_call)
+
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
@@ -230,6 +241,11 @@ class Environment:
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now} queued={len(self._queue)}>"
+
+
+def _call(event: Timeout) -> None:
+    fn, args = event._value
+    fn(*args)
 
 
 def _stop_simulation(event: Event) -> None:

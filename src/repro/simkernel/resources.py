@@ -267,6 +267,20 @@ class Store:
         """Queue ``item``; blocks (as an event) while the store is full."""
         return _StorePut(self, item)
 
+    def put_nowait(self, item: Any) -> None:
+        """Queue ``item`` at once, without creating a put event.
+
+        Waiting getters wake exactly as after :meth:`put`; only the put
+        event itself, which a fire-and-forget caller never yields, is
+        skipped.  Raises ``RuntimeError`` when the store is at capacity
+        (a bounded store's caller must yield :meth:`put` instead).
+        """
+        if len(self.items) >= self._capacity:
+            raise RuntimeError(f"store full at capacity {self._capacity}")
+        self._push(item)
+        if self._get_waiters:
+            self._trigger()
+
     def get(self) -> _StoreGet:
         """Pop the oldest item; blocks (as an event) while empty."""
         return _StoreGet(self)
@@ -290,9 +304,12 @@ class Store:
             self._trigger()
         return drained
 
+    def _push(self, item: Any) -> None:
+        self.items.append(item)
+
     def _do_put(self, event: _StorePut) -> bool:
         if len(self.items) < self._capacity:
-            self.items.append(event.item)
+            self._push(event.item)
             event.succeed()
             return True
         return False
@@ -378,12 +395,8 @@ class PriorityItem:
 class PriorityStore(Store):
     """Store that always yields the smallest item (heap ordered)."""
 
-    def _do_put(self, event: _StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            heapq.heappush(self.items, event.item)
-            event.succeed()
-            return True
-        return False
+    def _push(self, item: Any) -> None:
+        heapq.heappush(self.items, item)
 
     def _do_get(self, event: _StoreGet) -> bool:
         if self.items:

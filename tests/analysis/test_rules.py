@@ -147,6 +147,34 @@ def test_dropped_event_requires_process_name_in_src():
     assert run(source, "dropped-event", path=TEST_PATH) == []
 
 
+def test_dropped_event_flags_discarded_store_put_in_src():
+    source = """
+        def deliver(self, item):
+            self._inbox.put(item)
+    """
+    out = run(source, "dropped-event")
+    assert rules_hit(out) == ["dropped-event"]
+    assert "put_nowait" in out[0].message
+    # tests may discard puts
+    assert run(source, "dropped-event", path=TEST_PATH) == []
+
+
+def test_dropped_event_allows_put_nowait_and_yielded_put():
+    out = run(
+        """
+        def deliver(self, item):
+            self._inbox.put_nowait(item)
+
+        def produce(self, item):
+            yield self._bounded.put(item)
+            done = self._bounded.put(item)
+            return done
+        """,
+        "dropped-event",
+    )
+    assert out == []
+
+
 def test_dropped_event_clean_named_process():
     out = run(
         """

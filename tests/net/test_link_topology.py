@@ -176,6 +176,23 @@ def test_loopback_delivery():
     assert got[0][1] < 0.001
 
 
+def test_loopback_datagram_costs_one_kernel_step():
+    """A loopback datagram is one timer event: no delivery process, and
+    the socket buffers it without a put event of its own."""
+    env = Environment()
+    net = Network(env)
+    net.add_host("solo")
+    sock_in = net.hosts["solo"].udp_socket(port=5)
+    net.hosts["solo"].udp_socket().sendto(b"self", ("solo", 5))
+    steps = 0
+    while env.peek() != float("inf"):
+        env.step()
+        steps += 1
+    assert steps == 1
+    assert sock_in.pending == 1
+    assert env.now == pytest.approx(50e-6)
+
+
 def test_total_link_bytes_counted():
     env, net = make_pair()
     sock_b = net.hosts["b"].udp_socket(port=7)
