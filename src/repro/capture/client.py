@@ -200,10 +200,11 @@ class CaptureClient:
         self._raise_sender_failure()
         if not self._ready and self.transport.requires_setup:
             raise RuntimeError("capture before setup()")
-        self.records_captured.record()
         n_attrs = count_attributes_from_record(record)
         costs = self.costs
         cpu_run = self.device.cpu.run
+        # a record counts as captured only once its inline charge returned:
+        # a device killed during the charge never handed it to the library
         if groupable and self.group_buffer.enabled:
             yield from cpu_run(
                 compute_s=costs.buffered_fixed_compute_s
@@ -211,6 +212,7 @@ class CaptureClient:
                 io_wait_s=costs.buffered_io_s,
                 tag="capture",
             )
+            self.records_captured.record()
             group = self.group_buffer.add(record)
             if group is not None:
                 yield from self._flush_group(group)
@@ -221,6 +223,7 @@ class CaptureClient:
                 io_wait_s=costs.inline_io_s,
                 tag="capture",
             )
+            self.records_captured.record()
             yield from self._dispatch(
                 encode_payload(record, compress=self.compress, cipher=self.cipher)
             )
@@ -497,6 +500,8 @@ class CaptureClient:
                     yield done
                 except Exception:
                     break  # still unreachable: back off and re-probe
+                if self._closed:
+                    return  # close() already freed and cleared _replay
                 self._replay.pop(0)
                 self.replayed.record()
                 self._complete(wire, nbytes, seq, delivered=True)

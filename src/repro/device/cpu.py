@@ -13,6 +13,19 @@ A8-M3, see :mod:`repro.calibration`) in up to three components:
 
 Busy time is accounted per *tag* so the harness can attribute utilization
 to "capture" vs "workload" exactly like the paper's Fig. 6a does.
+
+One kernel event only where someone waits (the rule of
+:mod:`repro.simkernel.resources`): a charge on a free core gets an
+already-granted ``request()`` and costs just its busy timeout; only a
+caller that finds every core busy waits for a grant event.
+:meth:`Cpu.run_async` charges are timers
+(:meth:`~repro.simkernel.Environment.call_later`), not processes.  Every
+grant, busy-core change and completion falls at the same simulated time
+as with one event per grant and one process per async charge; within an
+instant, an async charge takes a free core at the call, ahead of a
+request its caller makes before yielding.  An interrupted charge is
+accounted for the time it held its core, so an interrupt in the instant
+a core is taken charges nothing.
 """
 
 from __future__ import annotations
@@ -53,17 +66,20 @@ class Cpu:
         """
         spec = self.spec
         env = self.env
-        busy = 0.0
-        if compute_s:
-            busy = spec.scale_compute(compute_s)
-        if io_busy_s:
-            busy += spec.scale_io(io_busy_s)
+        busy = self._busy_s(compute_s, io_busy_s)
         if busy > 0:
             with self._cores.request() as req:
-                yield req
+                # a granted request needs no yield, and one here would
+                # resume every frame of the caller's ``yield from`` chain
+                if req.callbacks is not None:
+                    yield req
                 self.busy_cores.add(1)
+                start = env.now
                 try:
                     yield env.timeout(busy)
+                except BaseException:
+                    busy = env.now - start  # cut short: charge the time held
+                    raise
                 finally:
                     self.busy_cores.add(-1)
                     self._busy_time_by_tag[tag] += busy
@@ -76,19 +92,41 @@ class Cpu:
         self,
         compute_s: float = 0.0,
         io_busy_s: float = 0.0,
-        io_wait_s: float = 0.0,
         tag: str = "background",
-    ):
-        """Schedule :meth:`run` as an independent process (fire and forget).
+    ) -> None:
+        """Charge busy work off the caller's path (fire and forget).
 
         Models work done by a background thread (e.g. ProvLight's async
-        sender): it consumes CPU and shows up in utilization, but does not
-        delay the caller.
+        sender): it holds a core and shows up in utilization, but does
+        not delay the caller.  On a free core the charge starts now; on
+        a busy one it starts when its queued request is granted.
         """
-        return self.env.process(
-            self.run(compute_s, io_busy_s, io_wait_s, tag=tag),
-            name=f"cpu-async-{tag}",
-        )
+        busy = self._busy_s(compute_s, io_busy_s)
+        if busy <= 0:
+            return
+        req = self._cores.request()
+        if req.callbacks is None:  # granted on a free core
+            self._start_async(req, busy, tag)
+        else:
+            req.callbacks.append(lambda granted: self._start_async(granted, busy, tag))
+
+    def _busy_s(self, compute_s: float, io_busy_s: float) -> float:
+        """Scaled seconds a charge holds one core."""
+        busy = 0.0
+        if compute_s:
+            busy = self.spec.scale_compute(compute_s)
+        if io_busy_s:
+            busy += self.spec.scale_io(io_busy_s)
+        return busy
+
+    def _start_async(self, req, busy: float, tag: str) -> None:
+        self.busy_cores.add(1)
+        self.env.call_later(busy, self._finish_async, req, busy, tag)
+
+    def _finish_async(self, req, busy: float, tag: str) -> None:
+        self.busy_cores.add(-1)
+        self._busy_time_by_tag[tag] += busy
+        req.cancel()
 
     # -- accounting ---------------------------------------------------------
     def busy_time(self, tag: str | None = None) -> float:

@@ -150,11 +150,11 @@ class TcpConnection:
     def closed(self) -> bool:
         return self.state == "CLOSED"
 
-    def send(self, data: bytes):
+    def send(self, data: bytes) -> None:
         """Queue ``data`` for transmission.
 
-        The returned event triggers immediately (send buffering is
-        unbounded, like a kernel with a large socket buffer); delivery
+        Never blocks (send buffering is unbounded, like a kernel with a
+        large socket buffer), so there is no event to wait on; delivery
         timing is governed by the window/ACK machinery.
         """
         if self.state == "CLOSED":
@@ -165,9 +165,6 @@ class TcpConnection:
             raise TypeError("TCP payload must be bytes")
         self._send_buffer.extend(data)
         self._wake_sender()
-        done = self.env.event()
-        done.succeed(len(data))
-        return done
 
     def recv(self, max_bytes: Optional[int] = None):
         """Event yielding available bytes (up to ``max_bytes``).

@@ -8,6 +8,17 @@ Three families, mirroring what network/device models need:
   bytes) with ``put``/``get`` of amounts.
 * :class:`Store` — a FIFO queue of Python objects (packet queues,
   mailboxes); :class:`FilterStore` allows selective gets.
+
+One event only where someone waits: an event exists to resume a waiter
+later, so an operation whose outcome is already decided when it is
+called schedules none.  :meth:`Resource.request` on a free slot returns
+a request already granted (yielding it resumes at once; only a queued
+request is granted by an event), :meth:`Store.put_nowait` hands an item
+straight to the first waiting getter, a ``get`` on a non-empty store is
+served on the spot, and a wait nobody yields on is a timer
+(:meth:`~repro.simkernel.core.Environment.call_later`), not a process.
+Each shortcut decides exactly what the event path would have decided in
+the same instant, so simultaneous events keep their order.
 """
 
 from __future__ import annotations
@@ -101,14 +112,14 @@ class Resource:
     # -- internal ----------------------------------------------------------
     def _do_request(self, request: Request) -> None:
         if len(self.users) < self._capacity:
-            self._grant(request)
+            # granted on the spot: nobody waits yet, so the request is
+            # processed in place instead of scheduling a grant event
+            self.users.append(request)
+            request.usage_since = self.env.now
+            request._value = None
+            request.callbacks = None
         else:
             self.queue.append(request)
-
-    def _grant(self, request: Request) -> None:
-        self.users.append(request)
-        request.usage_since = self.env.now
-        request.succeed()
 
     def _do_cancel(self, request: Request) -> None:
         if request in self.users:
@@ -119,7 +130,10 @@ class Resource:
 
     def _wake_next(self) -> None:
         while self.queue and len(self.users) < self._capacity:
-            self._grant(self.queue.pop(0))
+            request = self.queue.pop(0)
+            self.users.append(request)
+            request.usage_since = self.env.now
+            request.succeed()
 
 
 class PriorityRequest(Request):
@@ -141,10 +155,8 @@ class PriorityResource(Resource):
         return PriorityRequest(self, priority)
 
     def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self._grant(request)
-        else:
-            self.queue.append(request)
+        super()._do_request(request)
+        if request.callbacks is not None:  # queued
             self.queue.sort(key=lambda r: r.key)  # type: ignore[attr-defined]
 
 
@@ -235,6 +247,12 @@ class _StoreGet(Event):
 
     def __init__(self, store: "Store"):
         super().__init__(store.env)
+        if store.items and not store._get_waiters and store._do_get(self):
+            # served on the spot, as the sweep below would serve it; the
+            # freed capacity lets a blocked putter in after this getter
+            if store._put_waiters:
+                store._trigger()
+            return
         store._get_waiters.append(self)
         store._trigger()
 
@@ -270,16 +288,18 @@ class Store:
     def put_nowait(self, item: Any) -> None:
         """Queue ``item`` at once, without creating a put event.
 
-        Waiting getters wake exactly as after :meth:`put`; only the put
-        event itself, which a fire-and-forget caller never yields, is
-        skipped.  Raises ``RuntimeError`` when the store is at capacity
-        (a bounded store's caller must yield :meth:`put` instead).
+        Waiting getters wake exactly as after :meth:`put` (the first one
+        takes the item directly); only the put event itself, which a
+        fire-and-forget caller never yields, is skipped.  Raises
+        ``RuntimeError`` when the store is at capacity (a bounded store's
+        caller must yield :meth:`put` instead).
         """
         if len(self.items) >= self._capacity:
             raise RuntimeError(f"store full at capacity {self._capacity}")
-        self._push(item)
         if self._get_waiters:
-            self._trigger()
+            self._hand_off(item)
+        else:
+            self._push(item)
 
     def get(self) -> _StoreGet:
         """Pop the oldest item; blocks (as an event) while empty."""
@@ -306,6 +326,12 @@ class Store:
 
     def _push(self, item: Any) -> None:
         self.items.append(item)
+
+    def _hand_off(self, item: Any) -> None:
+        """Give ``item`` to the waiting getters.  A getter waits only on
+        an empty store, so the first one takes it."""
+        getter = self._get_waiters.pop(0)
+        getter.succeed(item)
 
     def _do_put(self, event: _StorePut) -> bool:
         if len(self.items) < self._capacity:
@@ -365,6 +391,11 @@ class FilterStore(Store):
         if drained and self._put_waiters:
             self._trigger()
         return drained
+
+    def _hand_off(self, item: Any) -> None:
+        # the first getter's predicate may reject the item
+        self._push(item)
+        self._trigger()
 
     def _do_get(self, event: _StoreGet) -> bool:
         predicate = getattr(event, "filter", lambda item: True)

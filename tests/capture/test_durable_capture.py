@@ -10,7 +10,7 @@ silently.
 
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.capture import (
@@ -216,6 +216,11 @@ def test_close_preserves_unacked_journal(tmp_path):
     kill_after_s=st.floats(min_value=0.05, max_value=4.0),
     n_tasks=st.integers(min_value=1, max_value=6),
 )
+# a kill during a capture's CPU charge, and one under a pending replay
+# send (close() clears the replay list the recovery loop pops from)
+@example(kill_after_s=0.875, n_tasks=4)
+@example(kill_after_s=0.25, n_tasks=3)
+@example(kill_after_s=1.76, n_tasks=3)
 @settings(max_examples=12, deadline=None)
 def test_kill_anywhere_resume_is_exactly_once(kill_after_s, n_tasks):
     """Kill the client at an arbitrary simulated instant — records may

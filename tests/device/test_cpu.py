@@ -3,12 +3,21 @@
 import pytest
 
 from repro.device import A8M3, XEON_GOLD_5220, Cpu, DeviceSpec
-from repro.simkernel import Environment
+from repro.simkernel import Environment, Interrupt, Process
 
 
 def make_cpu(spec=A8M3):
     env = Environment()
     return env, Cpu(env, spec)
+
+
+def _drain(env):
+    """Run ``env`` to idle one step at a time; returns the step count."""
+    steps = 0
+    while env.peek() != float("inf"):
+        env.step()
+        steps += 1
+    return steps
 
 
 def test_compute_work_takes_scaled_time():
@@ -178,3 +187,64 @@ def test_reset_accounting():
     env.run()
     assert cpu.busy_time("capture") == 0.0
     assert cpu.utilization() == 0.0
+
+
+def test_run_on_idle_core_costs_exactly_its_timeouts():
+    env, cpu = make_cpu()
+
+    def proc(env):
+        yield from cpu.run(compute_s=0.1, io_wait_s=0.2)
+
+    env.process(proc(env))
+    # Initialize, the busy timeout, the wait timeout and the process end:
+    # a free core is granted without an event
+    assert _drain(env) == 4
+    assert env.now == pytest.approx(0.3)
+
+
+def test_run_async_is_timers_not_processes(monkeypatch):
+    spawned = []
+    real_init = Process.__init__
+
+    def spy(self, *args, **kwargs):
+        spawned.append(kwargs.get("name"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", spy)
+    env, cpu = make_cpu()  # 1 core
+    assert cpu.run_async(io_busy_s=0.1, tag="bg") is None
+    assert cpu.busy_cores.value == 1  # a free core is taken at the call
+    cpu.run_async(io_busy_s=0.1, tag="bg")  # queues behind the first
+    cpu.run_async(tag="bg")  # no work, no event
+    # first charge: its release timer; second: its grant and release timer
+    assert _drain(env) == 3
+    assert spawned == []
+    assert env.now == pytest.approx(0.2)
+    assert cpu.busy_time("bg") == pytest.approx(0.2)
+    assert cpu.busy_cores.value == 0
+
+
+def test_interrupted_charge_accounts_only_the_time_it_held_the_core():
+    env, cpu = make_cpu(DeviceSpec(
+        name="unit", cpu_freq_hz=1e9, cores=1, compute_speedup=1.0,
+        io_speedup=1.0, io_floor_s=0.0, ram_bytes=1 << 30,
+    ))
+
+    def charge(delay):
+        try:
+            yield env.timeout(delay)
+            yield from cpu.run(compute_s=1.0, tag="capture")
+        except Interrupt:
+            pass
+
+    def interrupter(victim, at):
+        yield env.timeout(at)
+        victim.interrupt()
+
+    mid = env.process(charge(0.0))
+    at_grant = env.process(charge(2.0))
+    env.process(interrupter(mid, 0.25))
+    env.process(interrupter(at_grant, 2.0))  # as it takes the free core
+    env.run()
+    assert cpu.busy_time("capture") == 0.25
+    assert cpu.busy_cores.integral() == 0.25

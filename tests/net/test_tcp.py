@@ -283,3 +283,26 @@ def test_acks_consume_reverse_bandwidth():
     env.run()
     reverse = net.link("server", "client")
     assert reverse.tx_bytes.total > 0  # SYN-ACK + data ACKs
+
+
+def test_send_returns_none_and_schedules_no_event():
+    env, net = make_net()
+    echo_server(env, net)
+    queued = {}
+
+    def client(env):
+        conn = yield from net.hosts["client"].tcp_connect(("server", 80))
+        yield env.timeout(0.5)  # let the send pump park on its wakeup
+        before = len(env._queue)
+        queued["first"] = (conn.send(b"one"), len(env._queue) - before)
+        before = len(env._queue)
+        queued["second"] = (conn.send(b"two"), len(env._queue) - before)
+        data = b""
+        while len(data) < 6:
+            data += yield conn.recv()
+        queued["echo"] = data
+
+    env.process(client(env))
+    env.run()
+    # the first send wakes the parked send pump; nothing else is scheduled
+    assert queued == {"first": (None, 1), "second": (None, 0), "echo": b"onetwo"}

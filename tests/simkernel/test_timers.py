@@ -1,5 +1,6 @@
-"""Fire-and-forget primitives: ``Environment.call_later`` timers and
-``Store.put_nowait`` puts that schedule no event of their own."""
+"""Event-free kernel primitives: ``Environment.call_later`` timers,
+free-slot ``Resource.request`` grants, and ``Store`` puts and gets that
+schedule no event beyond the waiter's own wakeup."""
 
 import pytest
 
@@ -7,8 +8,10 @@ from repro.simkernel import (
     Environment,
     FilterStore,
     PriorityItem,
+    PriorityResource,
     PriorityStore,
     Process,
+    Resource,
     Store,
 )
 
@@ -184,3 +187,195 @@ def test_put_nowait_honours_filter_store_waiters():
     env.run()
     assert got == [("even", 0.0, 2), ("odd", 0.0, 1)]
     assert store.items == [3]
+
+
+def _count_sweeps(monkeypatch):
+    """List that grows by one per generic ``Store._trigger`` sweep."""
+    sweeps = []
+    real_trigger = Store._trigger
+    monkeypatch.setattr(
+        Store, "_trigger", lambda self: sweeps.append(1) or real_trigger(self)
+    )
+    return sweeps
+
+
+def test_put_nowait_hands_item_to_waiter_without_a_sweep(monkeypatch):
+    sweeps = _count_sweeps(monkeypatch)
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def getter():
+        got.append((yield store.get()))
+
+    env.process(getter())
+    env.run()
+    sweeps.clear()
+    store.put_nowait("x")
+    assert sweeps == [] and store.items == []
+    env.run()
+    assert got == ["x"]
+
+
+# -- direct gets ----------------------------------------------------------------
+
+
+def test_get_on_nonempty_store_is_served_without_a_sweep(monkeypatch):
+    sweeps = _count_sweeps(monkeypatch)
+    env = Environment()
+    store = Store(env)
+    store.put_nowait("a")
+    store.put_nowait("b")
+    first = store.get()
+    assert sweeps == []
+    assert first.triggered and first.value == "a"
+    assert store.items == ["b"]
+    # the getter's own wakeup is the only scheduled event
+    assert len(env._queue) == 1
+
+
+def test_direct_gets_keep_fifo_order_across_waiters():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def getter(name):
+        while True:
+            item = yield store.get()
+            got.append((name, env.now, item))
+
+    def producer():
+        store.put_nowait(1)
+        store.put_nowait(2)
+        yield env.timeout(1.0)
+        store.put_nowait(3)
+        store.put_nowait(4)
+        store.put_nowait(5)
+
+    env.process(producer())
+    env.process(getter("g1"))
+    env.process(getter("g2"))
+    env.run()
+    assert [item for _, _, item in got] == [1, 2, 3, 4, 5]
+    assert got[:2] == [("g1", 0.0, 1), ("g2", 0.0, 2)]
+
+
+def test_direct_get_on_priority_store_takes_the_smallest():
+    env = Environment()
+    store = PriorityStore(env)
+    for priority in (3, 1, 2):
+        store.put_nowait(PriorityItem(priority, f"p{priority}"))
+    event = store.get()
+    assert event.value.item == "p1"
+    assert [item.priority for item in sorted(store.items)] == [2, 3]
+
+
+def test_direct_get_on_filter_store_honours_the_predicate():
+    env = Environment()
+    store = FilterStore(env)
+    store.put_nowait(1)
+    store.put_nowait(2)
+    even = store.get(lambda item: item % 2 == 0)
+    assert even.value == 2
+    miss = store.get(lambda item: item > 5)
+    assert not miss.triggered and store.items == [1]
+    store.put_nowait(7)
+    env.run()
+    assert miss.value == 7 and store.items == [1]
+
+
+def test_direct_get_from_full_store_lets_the_blocked_putter_in():
+    env = Environment()
+    store = Store(env, capacity=1)
+    order = []
+    store.put_nowait("held")
+    blocked = store.put("next")
+    blocked.callbacks.append(lambda _ev: order.append("put"))
+    got = store.get()
+    got.callbacks.append(lambda _ev: order.append(("get", got.value)))
+    assert store.items == ["next"]
+    env.run()
+    # the getter is woken before the putter it made room for
+    assert order == [("get", "held"), "put"]
+
+
+# -- Resource.request ---------------------------------------------------------
+
+
+def test_request_grants_free_slots_without_scheduling():
+    env = Environment()
+    res = Resource(env, capacity=2)
+    first = res.request()
+    second = res.request()
+    assert first.processed and second.processed
+    assert res.count == 2
+    assert env._queue == []
+    assert first.usage_since == 0.0
+
+
+def test_request_queues_when_full_and_is_granted_by_an_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    held = res.request()
+    queued = res.request()
+    assert not queued.triggered
+    assert res.count == 1 and res.queue == [queued]
+    held.cancel()
+    assert res.count == 1 and res.queue == []
+    assert queued.triggered and not queued.processed
+    assert len(env._queue) == 1
+
+
+def test_free_slot_request_yields_at_once_and_releases_in_with():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    marks = []
+
+    def user():
+        with res.request() as req:
+            yield req  # already granted: resumes in the same step
+            marks.append((env.now, res.count))
+        marks.append(res.count)
+
+    env.process(user())
+    # Initialize and the process end; no grant event
+    assert _drain(env) == 2
+    assert marks == [(0.0, 1), 0]
+
+
+def test_cancel_of_a_free_slot_grant_wakes_the_next_queued_request():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    held = res.request()
+    granted = []
+
+    def waiter(name):
+        with res.request() as req:
+            yield req
+            granted.append((name, env.now))
+            yield env.timeout(1.0)
+
+    env.process(waiter("a"))
+    env.process(waiter("b"))
+    env.call_later(2.0, held.cancel)
+    env.run()
+    assert granted == [("a", 2.0), ("b", 3.0)]
+
+
+def test_priority_resource_grants_free_slot_at_once_and_orders_the_queue():
+    env = Environment()
+    res = PriorityResource(env, capacity=1)
+    held = res.request(priority=9)
+    assert held.processed and env._queue == []
+    order = []
+
+    def user(name, priority):
+        with res.request(priority=priority) as req:
+            yield req
+            order.append(name)
+
+    env.process(user("low", 5))
+    env.process(user("high", 1))
+    env.call_later(1.0, held.cancel)
+    env.run()
+    assert order == ["high", "low"]
