@@ -8,9 +8,9 @@ machine-independent:
   under a durable fan-in and the clock runs from the kill instant until
   every dropped publisher is reconnected onto a survivor with its
   journal backlog replayed (connection-state transitions timestamp
-  this; no polling).  Detection (``failover_detect_s``), QoS-retry
-  exhaustion, reconnect backoff and replay are all inside the window —
-  it is the end-to-end publish outage a device experiences.
+  this; no polling).  Detection (``BrokerCluster.FAILOVER_DETECT_S``),
+  QoS-retry exhaustion, reconnect backoff and replay are all inside the
+  window — it is the end-to-end publish outage a device experiences.
 * ``degraded_throughput_3_of_4_shards`` — the fan-in throughput a
   4-shard cluster sustains *after* losing one shard, as a fraction of
   the healthy 4-shard rate on the identical workload.  The ring shrinks

@@ -495,17 +495,14 @@ class _TranslatorWorker:
         pending = self._pending_get
         self._pending_get = None
         if pending is not None:
-            if pending.triggered and pending.ok:
+            if pending.triggered:
                 # the get resolved in the same instant the crash landed:
                 # the item was popped off the store for a dead consumer
                 self._inflight.insert(0, pending.value)
             else:
-                # abandoned waiter: remove it or the store will feed the
+                # abandoned waiter: cancel it or the store will feed the
                 # next arriving item to an event nobody resumes on
-                try:
-                    self._inbox._get_waiters.remove(pending)
-                except ValueError:
-                    pass
+                pending.cancel()
         if self._inflight:
             self._requeue = self._inflight + self._requeue
             self._inflight = []

@@ -285,11 +285,19 @@ class BrokerCluster:
     ``placement`` selects the session-placement policy for new CONNECTs
     (see module docstring): ``"hash"`` (default, pure client-id ring
     hash) or ``"p2c"`` (power-of-two-choices on live shard load).  The
-    ``rehome_*`` knobs govern **shard-affinity rehoming**: a subscriber
-    whose deliveries overwhelmingly originate on another shard is
-    voluntarily migrated there to turn relay hops into local deliveries
-    (only when no in-flight QoS state would be stranded).
+    ``REHOME_*`` constants govern **shard-affinity rehoming**: a
+    subscriber whose deliveries overwhelmingly originate on another shard
+    is voluntarily migrated there to turn relay hops into local
+    deliveries (only when no in-flight QoS state would be stranded).
     """
+
+    #: watchdog probe period: a killed shard is failed over this long
+    #: after the kill (simulated seconds)
+    FAILOVER_DETECT_S = 0.05
+    #: relayed deliveries to one subscriber before a rehome is considered
+    REHOME_MIN_DELIVERIES = 64
+    #: the dominant remote origin must beat the home shard by this factor
+    REHOME_MARGIN = 2.0
 
     def __init__(
         self,
@@ -304,33 +312,21 @@ class BrokerCluster:
         retry_interval_s: float = 1.0,
         max_retries: int = 5,
         replicas: int = 32,
-        failover_detect_s: float = 0.05,
         placement: str = "hash",
-        rehome_min_deliveries: int = 64,
-        rehome_margin: float = 2.0,
     ):
         if shards <= 0:
             raise ValueError("broker cluster needs at least one shard")
-        if failover_detect_s <= 0:
-            raise ValueError("failover_detect_s must be > 0")
         if placement not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"unknown placement policy {placement!r}; "
                 f"expected one of {PLACEMENT_POLICIES}"
             )
-        if rehome_min_deliveries < 1:
-            raise ValueError("rehome_min_deliveries must be >= 1")
-        if rehome_margin < 1.0:
-            raise ValueError("rehome_margin must be >= 1.0")
         self.host = host
         self.env = host.env
         self.port = port
         self.dispatch_fixed_s = dispatch_fixed_s
         self.dispatch_per_datagram_s = dispatch_per_datagram_s
-        self.failover_detect_s = failover_detect_s
         self.placement = placement
-        self.rehome_min_deliveries = rehome_min_deliveries
-        self.rehome_margin = rehome_margin
         shard_kwargs = dict(
             service_time_s=service_time_s,
             batch_fixed_s=batch_fixed_s,
@@ -412,7 +408,7 @@ class BrokerCluster:
         The shard's service loop dies immediately (datagrams already
         forwarded to it are lost, exactly like a crashed process losing
         its socket buffer); the cluster watchdog detects the dead shard
-        after :attr:`failover_detect_s` and runs :meth:`_failover`.
+        after :attr:`FAILOVER_DETECT_S` and runs :meth:`_failover`.
         Durable clients ride their QoS retries into a reconnect and
         replay from the journal, so no acknowledged record is lost.
         """
@@ -463,7 +459,7 @@ class BrokerCluster:
         # while a dead shard awaits failover, so a healthy cluster leaves
         # the event heap empty and ``env.run()`` can terminate.
         while True:
-            yield self.env.timeout(self.failover_detect_s)
+            yield self.env.timeout(self.FAILOVER_DETECT_S)
             for index, shard in enumerate(self.shards):
                 if not shard.alive and index not in self._failed_over:
                     self._failover(index)
@@ -711,7 +707,7 @@ class BrokerCluster:
         if origins is None or endpoint in self._rehoming:
             return
         total = sum(origins.values())
-        if total < self.rehome_min_deliveries or total % 16:
+        if total < self.REHOME_MIN_DELIVERIES or total % 16:
             return
         home = self._home.get(endpoint)
         if home is None:
@@ -719,7 +715,7 @@ class BrokerCluster:
         best = max(sorted(origins), key=lambda i: origins[i])
         if best == home or not self.shards[best].alive:
             return
-        if origins[best] < self.rehome_margin * max(1, origins.get(home, 0)):
+        if origins[best] < self.REHOME_MARGIN * max(1, origins.get(home, 0)):
             return
         self._rehoming.add(endpoint)
         self.env.process(

@@ -120,7 +120,14 @@ class Link:
         p_enter_burst: Optional[float] = None,
         p_exit_burst: Optional[float] = None,
     ) -> None:
-        """Change link parameters at runtime."""
+        """Change link parameters at runtime.
+
+        A packet already serializing keeps the bandwidth it started with:
+        a packet reaching an idle transmitter starts serializing at the
+        ``send`` call, so a reconfiguration in that same instant applies
+        only to the packets behind it.  Queued packets pick up the new
+        bandwidth when they reach the head of the queue.
+        """
         if bandwidth_bps is not None:
             if bandwidth_bps <= 0:
                 raise ValueError("bandwidth must be > 0")

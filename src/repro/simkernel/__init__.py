@@ -4,6 +4,11 @@ A compact, dependency-free DES engine in the generator-coroutine style:
 :class:`Environment` drives :class:`Process` generators that yield
 :class:`Event` objects (timeouts, resource requests, store gets, ...).
 
+The surface is what the simulator uses: timeouts and
+:meth:`Environment.call_later` timers, processes with interrupts,
+:class:`AllOf`/:class:`AnyOf` conditions (which carry no value), one
+FIFO :class:`Resource` and one unbounded FIFO :class:`Store`.
+
 This kernel is the substrate every other ``repro`` subsystem runs on —
 network links, protocol stacks, devices and workloads are all processes in
 one environment, sharing one simulated clock.
@@ -28,23 +33,14 @@ from .events import (
     AllOf,
     AnyOf,
     Condition,
-    ConditionValue,
     Event,
     Initialize,
     Interrupt,
     Process,
     Timeout,
 )
-from .monitor import Counter, RateMeter, Series, TimeWeighted
-from .resources import (
-    Container,
-    FilterStore,
-    PriorityItem,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from .monitor import Counter, RateMeter, TimeWeighted
+from .resources import Resource, Store
 
 __all__ = [
     "Environment",
@@ -64,18 +60,11 @@ __all__ = [
     "Interrupt",
     "Initialize",
     "Condition",
-    "ConditionValue",
     "AllOf",
     "AnyOf",
     "Resource",
-    "PriorityResource",
-    "Container",
     "Store",
-    "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
     "TimeWeighted",
     "Counter",
-    "Series",
     "RateMeter",
 ]

@@ -117,12 +117,9 @@ class Environment:
         """Create a :class:`Timeout` that fires ``delay`` seconds from now.
 
         Timeouts dominate the event heap (every modeled CPU slice and
-        network wait allocates one), so this builds the object directly
-        instead of going through ``Timeout.__init__`` → ``schedule`` —
-        the two extra frames are measurable at scalability-run volume.
-        KEEP IN SYNC with ``Timeout.__init__``/``Event.__init__``
-        (tests/simkernel/test_core.py pins the two construction paths
-        to identical state).
+        network wait allocates one), so this is their only constructor:
+        it fills the slots and pushes the heap entry itself, without the
+        ``Event.__init__`` and :meth:`schedule` frames.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -184,8 +181,8 @@ class Environment:
 
         callbacks = event.callbacks
         if callbacks is None:
-            # Event was already processed (can happen when an event is
-            # scheduled twice, e.g. via trigger chains); nothing to do.
+            # Event was already processed (it was scheduled twice);
+            # nothing to do.
             return
         event.callbacks = None
         for callback in callbacks:

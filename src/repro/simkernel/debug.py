@@ -14,9 +14,9 @@ subclass that turns silent kernel misuse into loud, attributable errors:
     that topology tests build one environment per tier by mistake.
 ``double-schedule``
     The same event was placed on the heap twice while still pending —
-    the signature of a double trigger through :meth:`Event.trigger` or a
-    manual ``env.schedule`` of an already-triggered event.  The second
-    processing is silently skipped by the base kernel; here it is loud.
+    the signature of a manual ``env.schedule`` of an already-triggered
+    event.  The second processing is silently skipped by the base
+    kernel; here it is loud.
 ``schedule-after-processed``
     An event whose callbacks already ran was scheduled again.  Waiters
     attached after the fact will never fire.
@@ -111,11 +111,11 @@ class DebugEnvironment(Environment):
 
     # -- checked construction / scheduling ---------------------------------
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Checked Timeout: skips the base fast path so the schedule goes
-        through the instrumented :meth:`schedule`."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        return Timeout(self, delay, value)
+        """Tracked Timeout: the base constructor pushes the heap entry
+        itself, so record it here for double-schedule detection."""
+        event = super().timeout(delay, value)
+        self._pending.add(id(event))
+        return event
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         owner = getattr(event, "env", None)
@@ -142,7 +142,7 @@ class DebugEnvironment(Environment):
             self._hazard(
                 "double-schedule", event,
                 "event is already on the schedule while still pending "
-                "(double trigger — check Event.trigger/succeed/fail call sites)",
+                "(double trigger — check env.schedule call sites)",
             )
         self._pending.add(key)
         super().schedule(event, priority, delay)

@@ -19,7 +19,7 @@ simultaneous events by ``(time, priority, insertion id)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 __all__ = [
     "PENDING",
@@ -33,7 +33,6 @@ __all__ = [
     "Condition",
     "AnyOf",
     "AllOf",
-    "ConditionValue",
 ]
 
 #: Sentinel for an event value that has not been set yet.
@@ -124,21 +123,6 @@ class Event:
         self.env.schedule(self, NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state/value of another event."""
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self, NORMAL)
-
-    # -- composition ------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} object at {id(self):#x}>"
 
@@ -146,21 +130,11 @@ class Event:
 class Timeout(Event):
     """An event that triggers after ``delay`` units of simulated time.
 
-    ``Environment.timeout`` builds Timeouts without calling this
-    initializer (hot-path shortcut) — keep the field set here and there
-    in sync.
+    Built only by :meth:`Environment.timeout`, which schedules it with its
+    value already set.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env, delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        env.schedule(self, NORMAL, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout({self.delay}) at {id(self):#x}>"
@@ -305,112 +279,42 @@ class Process(Event):
         return f"<Process({self.name}) at {id(self):#x}>"
 
 
-class ConditionValue:
-    """Ordered mapping of triggered events to values for conditions."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(key)
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self):
-        return list(self.events)
-
-    def values(self):
-        return [e._value for e in self.events]
-
-    def items(self):
-        return [(e, e._value) for e in self.events]
-
-    def todict(self) -> dict:
-        return dict(self.items())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
 class Condition(Event):
-    """Waits for a combination of events (all-of / any-of)."""
+    """Waits until ``need`` of ``events`` have succeeded, or one fails.
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    Succeeds with ``None``: a waiter that needs a result reads it from the
+    events themselves.  The first failed event fails the condition with
+    its exception (and is defused, since the condition received it).
+    """
 
-    def __init__(self, env, evaluate: Callable, events: Iterable[Event]):
+    __slots__ = ("_need",)
+
+    def __init__(self, env, events: list, need: int):
         super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
-
+        self._need = need
+        if not need:
+            self.succeed()
+            return
         # Immediately check events already processed; subscribe to the rest.
-        for event in self._events:
+        for event in events:
             if event.callbacks is None:
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
 
-        if not self._events and self._value is PENDING:
-            self.succeed(ConditionValue())
-
-    def _collect_values(self) -> ConditionValue:
-        # Only include events whose callbacks have already run ("processed"):
-        # a pending Timeout carries its value from creation but has not
-        # occurred yet in simulated time.
-        result = ConditionValue()
-        for event in self._events:
-            if event.callbacks is not None:
-                continue
-            if isinstance(event, Condition) and isinstance(event._value, ConditionValue):
-                result.events.extend(event._value.events)
-            else:
-                result.events.append(event)
-        return result
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
-        self._count += 1
         if not event._ok:
-            # Propagate failure.
             event._defused = True
-            self._ok = False
-            self._value = event._value
-            self.env.schedule(self, NORMAL)
-        elif self._evaluate(self._events, self._count):
-            self._ok = True
-            self._value = self._collect_values()
-            self.env.schedule(self, NORMAL)
-
-    @staticmethod
-    def all_events(events: list, count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list, count: int) -> bool:
-        return count > 0 or not events
+            self.fail(event._value)
+            return
+        self._need -= 1
+        if not self._need:
+            self.succeed()
 
 
 class AllOf(Condition):
@@ -419,7 +323,8 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env, events: Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
+        events = list(events)
+        super().__init__(env, events, len(events))
 
 
 class AnyOf(Condition):
@@ -428,4 +333,5 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env, events: Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)
+        events = list(events)
+        super().__init__(env, events, min(1, len(events)))

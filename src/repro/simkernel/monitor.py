@@ -5,8 +5,7 @@ Two recurring needs in the evaluation harness:
 * time-weighted statistics (mean CPU utilization over a run, mean queue
   length) — :class:`TimeWeighted`;
 * event counters / byte counters with per-interval rates — :class:`Counter`
-  and :class:`RateMeter`;
-* raw time series for debugging/plotting — :class:`Series`.
+  and :class:`RateMeter`.
 
 All of them read the clock from the environment they were created with, so
 they compose with any process without explicit time plumbing.
@@ -14,9 +13,9 @@ they compose with any process without explicit time plumbing.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
-__all__ = ["TimeWeighted", "Counter", "Series", "RateMeter"]
+__all__ = ["TimeWeighted", "Counter", "RateMeter"]
 
 
 class TimeWeighted:
@@ -84,29 +83,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}: n={self.count} total={self.total}>"
-
-
-class Series:
-    """Append-only (time, value) series."""
-
-    def __init__(self, env, name: str = ""):
-        self.env = env
-        self.name = name
-        self.times: list[float] = []
-        self.values: list[Any] = []
-
-    def record(self, value: Any) -> None:
-        self.times.append(self.env.now)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def last(self) -> Any:
-        return self.values[-1] if self.values else None
-
-    def __repr__(self) -> str:
-        return f"<Series {self.name}: n={len(self)}>"
 
 
 class RateMeter:

@@ -1,13 +1,12 @@
 """Shared-resource primitives built on the event kernel.
 
-Three families, mirroring what network/device models need:
+Two families, mirroring what network/device models need:
 
-* :class:`Resource` — a semaphore with ``capacity`` slots (CPU cores,
-  server worker pools).  FIFO; :class:`PriorityResource` adds priorities.
-* :class:`Container` — a continuous quantity (battery charge, buffer
-  bytes) with ``put``/``get`` of amounts.
-* :class:`Store` — a FIFO queue of Python objects (packet queues,
-  mailboxes); :class:`FilterStore` allows selective gets.
+* :class:`Resource` — a FIFO semaphore with ``capacity`` slots (CPU
+  cores, server worker pools).
+* :class:`Store` — an unbounded FIFO queue of Python objects (packet
+  queues, mailboxes), fed by :meth:`Store.put_nowait` and emptied by
+  :meth:`Store.get` and :meth:`Store.drain_pending`.
 
 One event only where someone waits: an event exists to resume a waiter
 later, so an operation whose outcome is already decided when it is
@@ -23,23 +22,11 @@ the same instant, so simultaneous events keep their order.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .events import Event
 
-__all__ = [
-    "Request",
-    "Release",
-    "Resource",
-    "PriorityRequest",
-    "PriorityResource",
-    "Container",
-    "Store",
-    "FilterStore",
-    "PriorityItem",
-    "PriorityStore",
-]
+__all__ = ["Request", "Resource", "Store"]
 
 
 class Request(Event):
@@ -71,18 +58,6 @@ class Request(Event):
         self.resource._do_cancel(self)
 
 
-class Release(Event):
-    """Explicit release event (triggers immediately)."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
-        self.request = request
-        resource._do_cancel(request)
-        self.succeed()
-
-
 class Resource:
     """Semaphore-style resource with ``capacity`` identical slots."""
 
@@ -105,9 +80,6 @@ class Resource:
 
     def request(self) -> Request:
         return Request(self)
-
-    def release(self, request: Request) -> Release:
-        return Release(self, request)
 
     # -- internal ----------------------------------------------------------
     def _do_request(self, request: Request) -> None:
@@ -136,170 +108,49 @@ class Resource:
             request.succeed()
 
 
-class PriorityRequest(Request):
-    """Request with a priority (lower value = served earlier)."""
-
-    __slots__ = ("priority", "time", "key")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        self.time = resource.env.now
-        self.key = (priority, self.time)
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """Resource whose waiting queue is ordered by request priority."""
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        super()._do_request(request)
-        if request.callbacks is not None:  # queued
-            self.queue.sort(key=lambda r: r.key)  # type: ignore[attr-defined]
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._trigger()
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._trigger()
-
-
-class Container:
-    """A homogeneous bulk quantity between 0 and ``capacity``."""
-
-    def __init__(self, env, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = init
-        self._put_waiters: list[_ContainerPut] = []
-        self._get_waiters: list[_ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> _ContainerPut:
-        return _ContainerPut(self, amount)
-
-    def get(self, amount: float) -> _ContainerGet:
-        return _ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_waiters:
-                put = self._put_waiters[0]
-                if self._level + put.amount <= self._capacity:
-                    self._put_waiters.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_waiters:
-                get = self._get_waiters[0]
-                if self._level >= get.amount:
-                    self._get_waiters.pop(0)
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True
-
-
-class _StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._put_waiters.append(self)
-        store._trigger()
-
-
 class _StoreGet(Event):
-    __slots__ = ()
+    """Get event of a :class:`Store`: served on the spot from a non-empty
+    store, otherwise queued until :meth:`Store.put_nowait` hands it an
+    item."""
+
+    __slots__ = ("store",)
 
     def __init__(self, store: "Store"):
         super().__init__(store.env)
-        if store.items and not store._get_waiters and store._do_get(self):
-            # served on the spot, as the sweep below would serve it; the
-            # freed capacity lets a blocked putter in after this getter
-            if store._put_waiters:
-                store._trigger()
-            return
-        store._get_waiters.append(self)
-        store._trigger()
+        self.store = store
+        if store.items:
+            self.succeed(store.items.pop(0))
+        else:
+            store._get_waiters.append(self)
 
-
-class _FilterStoreGet(_StoreGet):
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "FilterStore", filter: Callable[[Any], bool]):
-        self.filter = filter
-        super().__init__(store)
+    def cancel(self) -> None:
+        """Abandon the wait, so the next item goes to a live getter."""
+        waiters = self.store._get_waiters
+        if self in waiters:
+            waiters.remove(self)
 
 
 class Store:
-    """FIFO queue of arbitrary items with optional bounded capacity."""
+    """Unbounded FIFO queue of arbitrary items.
 
-    def __init__(self, env, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
+    A getter waits only on an empty store: :meth:`put_nowait` gives an
+    item to the first waiting getter and queues it only when nobody
+    waits, and a :meth:`get` on a non-empty store is served at once.
+    """
+
+    def __init__(self, env):
         self.env = env
-        self._capacity = capacity
         self.items: list = []
-        self._put_waiters: list[_StorePut] = []
         self._get_waiters: list[_StoreGet] = []
 
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def put(self, item: Any) -> _StorePut:
-        """Queue ``item``; blocks (as an event) while the store is full."""
-        return _StorePut(self, item)
-
     def put_nowait(self, item: Any) -> None:
-        """Queue ``item`` at once, without creating a put event.
-
-        Waiting getters wake exactly as after :meth:`put` (the first one
-        takes the item directly); only the put event itself, which a
-        fire-and-forget caller never yields, is skipped.  Raises
-        ``RuntimeError`` when the store is at capacity (a bounded store's
-        caller must yield :meth:`put` instead).
-        """
-        if len(self.items) >= self._capacity:
-            raise RuntimeError(f"store full at capacity {self._capacity}")
+        """Queue ``item``, or hand it to the first waiting getter; creates
+        no event of its own."""
         if self._get_waiters:
-            self._hand_off(item)
+            getter = self._get_waiters.pop(0)
+            getter.succeed(item)
         else:
-            self._push(item)
+            self.items.append(item)
 
     def get(self) -> _StoreGet:
         """Pop the oldest item; blocks (as an event) while empty."""
@@ -310,8 +161,7 @@ class Store:
 
         Returns possibly-empty list; never blocks.  This is the batch
         companion to :meth:`get`: a consumer wakes on one ``get`` and
-        drains whatever else queued up in the same instant.  Draining
-        frees capacity, so blocked putters are re-triggered.
+        drains whatever else queued up in the same instant.
         """
         if not self.items:
             return []
@@ -320,125 +170,4 @@ class Store:
         else:
             drained = self.items[:limit]
             del self.items[:limit]
-        if self._put_waiters:
-            self._trigger()
-        return drained
-
-    def _push(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _hand_off(self, item: Any) -> None:
-        """Give ``item`` to the waiting getters.  A getter waits only on
-        an empty store, so the first one takes it."""
-        getter = self._get_waiters.pop(0)
-        getter.succeed(item)
-
-    def _do_put(self, event: _StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            self._push(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: _StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.pop(0))
-            return True
-        return False
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_waiters:
-                if self._do_put(self._put_waiters[0]):
-                    self._put_waiters.pop(0)
-                    progressed = True
-                else:
-                    break
-            idx = 0
-            while idx < len(self._get_waiters):
-                if self._do_get(self._get_waiters[idx]):
-                    self._get_waiters.pop(idx)
-                    progressed = True
-                else:
-                    idx += 1
-
-
-class FilterStore(Store):
-    """Store whose ``get`` takes a predicate selecting an item."""
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> _FilterStoreGet:  # type: ignore[override]
-        return _FilterStoreGet(self, filter)
-
-    def drain_pending(  # type: ignore[override]
-        self,
-        limit: Optional[int] = None,
-        filter: Callable[[Any], bool] = lambda item: True,
-    ) -> list:
-        """Pop up to ``limit`` items matching ``filter`` without waiting.
-
-        Honours the selection contract: items the predicate rejects stay
-        queued (the base class would pop FIFO regardless of filters).
-        """
-        drained: list = []
-        index = 0
-        while index < len(self.items) and (limit is None or len(drained) < limit):
-            if filter(self.items[index]):
-                drained.append(self.items.pop(index))
-            else:
-                index += 1
-        if drained and self._put_waiters:
-            self._trigger()
-        return drained
-
-    def _hand_off(self, item: Any) -> None:
-        # the first getter's predicate may reject the item
-        self._push(item)
-        self._trigger()
-
-    def _do_get(self, event: _StoreGet) -> bool:
-        predicate = getattr(event, "filter", lambda item: True)
-        for i, item in enumerate(self.items):
-            if predicate(item):
-                self.items.pop(i)
-                event.succeed(item)
-                return True
-        return False
-
-
-class PriorityItem:
-    """Wraps an item with an orderable priority for :class:`PriorityStore`."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any):
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __repr__(self) -> str:
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """Store that always yields the smallest item (heap ordered)."""
-
-    def _push(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _do_get(self, event: _StoreGet) -> bool:
-        if self.items:
-            event.succeed(heapq.heappop(self.items))
-            return True
-        return False
-
-    def drain_pending(self, limit: Optional[int] = None) -> list:
-        """Pop up to ``limit`` items in priority order without waiting."""
-        count = len(self.items) if limit is None else min(limit, len(self.items))
-        drained = [heapq.heappop(self.items) for _ in range(count)]
-        if drained and self._put_waiters:
-            self._trigger()
         return drained

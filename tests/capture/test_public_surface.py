@@ -18,6 +18,7 @@ import repro
 import repro.baselines
 import repro.coap
 import repro.core
+import repro.simkernel
 
 EXPECTED_ALL = {
     "repro": [
@@ -99,6 +100,32 @@ EXPECTED_ALL = {
         "ProvLakeClient",
         "iso_time",
     ],
+    "repro.simkernel": [
+        "AllOf",
+        "AnyOf",
+        "Condition",
+        "Counter",
+        "DebugEnvironment",
+        "EmptySchedule",
+        "Environment",
+        "Event",
+        "Initialize",
+        "Interrupt",
+        "Process",
+        "RateMeter",
+        "Resource",
+        "SimHazard",
+        "SimHazardError",
+        "Store",
+        "StopSimulation",
+        "TimeWeighted",
+        "Timeout",
+        "debug_environment_installed",
+        "default_environment_class",
+        "install_debug_environment",
+        "set_default_environment_class",
+        "uninstall_debug_environment",
+    ],
 }
 
 MODULES = {
@@ -106,6 +133,7 @@ MODULES = {
     "repro.core": repro.core,
     "repro.coap": repro.coap,
     "repro.baselines": repro.baselines,
+    "repro.simkernel": repro.simkernel,
 }
 
 

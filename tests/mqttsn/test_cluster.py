@@ -676,8 +676,9 @@ def test_sustained_cross_shard_traffic_rehomes_the_subscriber():
     env, net, cluster, _ = make_cluster_world(n_clients=0, shards=4)
     pub_id, sub_id = ids_on_distinct_shards(cluster, 2)
     env, net, cluster, (pub, sub) = make_cluster_world(
-        shards=4, client_ids=[pub_id, sub_id], rehome_min_deliveries=16,
+        shards=4, client_ids=[pub_id, sub_id],
     )
+    cluster.REHOME_MIN_DELIVERIES = 16
     got = []
     relayed_at_rehome = {}
 

@@ -20,7 +20,7 @@ from .test_cluster import ids_on_distinct_shards, make_cluster_world
 def run_failover(env, cluster, index):
     """Kill shard ``index`` and run the sim until its failover completes."""
     cluster.kill_shard(index)
-    env.run(until=env.now + 10 * cluster.failover_detect_s)
+    env.run(until=env.now + 10 * cluster.FAILOVER_DETECT_S)
 
 
 # -------------------------------------------------------------- mechanics

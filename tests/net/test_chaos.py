@@ -50,7 +50,7 @@ def test_kill_shard_at_fires_on_the_sim_clock():
 
 def test_crash_worker_targets_deepest_inbox():
     env, net, server, _ = make_server()
-    server.pool.workers[2]._inbox.put(("t", b"x"))
+    server.pool.workers[2]._inbox.put_nowait(("t", b"x"))
     inj = ServerFaultInjector(server)
     assert inj.crash_worker() == 2
     env.run(until=5.0)

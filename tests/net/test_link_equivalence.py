@@ -9,6 +9,14 @@ Both models run the same random schedule of sends, mid-queue
 settings over several links that share one RNG; every delivery (packet
 and time), every counter and the final RNG state must agree.
 
+A packet reaching an idle transmitter serializes at the bandwidth in
+force at its ``send`` call, even if a ``configure(bandwidth_bps=...)``
+follows in the same instant; a queued packet serializes at the bandwidth
+in force when it reaches the head of the queue.  The oracle's pump only
+resumes with a handed-over packet one kernel event after the send, so
+``ProcessLink.send`` stamps the current bandwidth on a packet that finds
+the pump idle.
+
 Schedule instants sit on a millisecond grid while link timings come from
 off-grid bandwidths and latencies, so no action lands on the very
 instant a serialization ends (the one place where the two models may
@@ -16,7 +24,7 @@ order same-instant events differently).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import Link, Packet
@@ -39,16 +47,23 @@ class ProcessLink(Link):
     def __init__(self, env, *args, **kwargs):
         super().__init__(env, *args, **kwargs)
         self._inbox = Store(env)
+        #: True while the pump waits on an empty inbox
+        self._idle = True
         env.process(self._pump(), name=f"link-{self.src}->{self.dst}")
 
     def send(self, packet, deliver):
-        self._inbox.put((packet, deliver))
+        # a packet reaching an idle transmitter keeps the send-time rate
+        rate = self.bandwidth_bps if self._idle else None
+        self._idle = False
+        self._inbox.put_nowait((packet, deliver, rate))
 
     def _pump(self):
         env = self.env
         while True:
-            packet, deliver = yield self._inbox.get()
-            yield env.timeout(packet.size * 8.0 / self.bandwidth_bps)
+            if not self._inbox.items:
+                self._idle = True
+            packet, deliver, rate = yield self._inbox.get()
+            yield env.timeout(packet.size * 8.0 / (rate or self.bandwidth_bps))
             self.tx_bytes.record(packet.size)
             if not self.up or self._drop(packet):
                 self.dropped.record(packet.size)
@@ -136,6 +151,10 @@ def simulate(link_class, actions, seed):
 
 
 @given(actions=schedule, seed=st.integers(0, 2**16))
+@example(
+    actions=[(0, ("send", 0, 0)), (0, ("configure", 0, {"bandwidth_bps": 7919.0}))],
+    seed=0,
+)
 @settings(max_examples=150, deadline=None)
 def test_timer_link_matches_process_oracle(actions, seed):
     expected = simulate(ProcessLink, actions, seed)

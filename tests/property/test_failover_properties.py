@@ -107,7 +107,7 @@ def test_worker_crashes_never_reorder_a_clients_seq_stream(
         for seq in range(1, n_records + 1):
             for client in ("edge-a", "edge-b"):
                 wire = wrap_payload(client, seq, encode_payload(record(client, seq)))
-                worker._inbox.put((f"conf/{client}/data", wire))
+                worker._inbox.put_nowait((f"conf/{client}/data", wire))
             if feed_gap_ms:
                 yield env.timeout(feed_gap_ms / 1000.0)
         if not feed_gap_ms:

@@ -44,7 +44,7 @@ def test_store_is_fifo_for_any_interleaving(items):
 
     def producer(env):
         for item in items:
-            yield store.put(item)
+            store.put_nowait(item)
             yield env.timeout(0.01)
 
     def consumer(env):

@@ -1,4 +1,9 @@
-"""Tests for AllOf / AnyOf conditions and operator composition."""
+"""Tests for AllOf / AnyOf conditions.
+
+Conditions carry no value: a waiter reads results from the events it
+combined, so these tests check when a condition fires (``env.now``) and
+the state of its events.
+"""
 
 import pytest
 
@@ -14,12 +19,12 @@ def test_all_of_waits_for_all():
         t2 = env.timeout(5, value="b")
         result = yield env.all_of([t1, t2])
         times.append(env.now)
-        return result.values()
+        return result, t1.processed, t2.processed
 
     p = env.process(proc(env))
     env.run()
     assert times == [5.0]
-    assert p.value == ["a", "b"]
+    assert p.value == (None, True, True)
 
 
 def test_any_of_returns_on_first():
@@ -29,35 +34,11 @@ def test_any_of_returns_on_first():
         t1 = env.timeout(1, value="fast")
         t2 = env.timeout(5, value="slow")
         result = yield env.any_of([t1, t2])
-        return (env.now, result.values())
+        return (env.now, result, t1.processed, t2.processed)
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == (1.0, ["fast"])
-
-
-def test_and_operator():
-    env = Environment()
-
-    def proc(env):
-        result = yield env.timeout(1, value=1) & env.timeout(2, value=2)
-        return (env.now, sorted(result.values()))
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == (2.0, [1, 2])
-
-
-def test_or_operator():
-    env = Environment()
-
-    def proc(env):
-        result = yield env.timeout(1, value=1) | env.timeout(2, value=2)
-        return (env.now, result.values())
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == (1.0, [1])
+    assert p.value == (1.0, None, True, False)
 
 
 def test_empty_all_of_triggers_immediately():
@@ -84,40 +65,20 @@ def test_empty_any_of_triggers_immediately():
     assert p.value == 0.0
 
 
-def test_condition_value_mapping_interface():
-    env = Environment()
-    holder = {}
-
-    def proc(env):
-        t1 = env.timeout(1, value="x")
-        t2 = env.timeout(2, value="y")
-        result = yield env.all_of([t1, t2])
-        holder["result"] = result
-        holder["t1"] = t1
-        holder["t2"] = t2
-
-    env.process(proc(env))
-    env.run()
-    result = holder["result"]
-    assert result[holder["t1"]] == "x"
-    assert holder["t2"] in result
-    assert len(result) == 2
-    assert result.todict() == {holder["t1"]: "x", holder["t2"]: "y"}
-
-
-def test_nested_conditions_flatten_values():
+def test_nested_conditions_fire_when_the_inner_one_does():
     env = Environment()
 
     def proc(env):
-        t1 = env.timeout(1, value=1)
-        t2 = env.timeout(2, value=2)
-        t3 = env.timeout(3, value=3)
-        result = yield (t1 & t2) & t3
-        return sorted(result.values())
+        t1 = env.timeout(1)
+        t2 = env.timeout(2)
+        t3 = env.timeout(3)
+        inner = env.any_of([t2, t3])
+        yield env.all_of([t1, inner])
+        return env.now, inner.processed, t3.processed
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == [1, 2, 3]
+    assert p.value == (2.0, True, False)
 
 
 def test_condition_propagates_failure():
@@ -153,10 +114,11 @@ def test_condition_with_already_processed_event():
 
     def second(env, done):
         yield env.timeout(2)
-        result = yield env.all_of([done, env.timeout(1, value="late")])
-        marker.append((env.now, len(result)))
+        late = env.timeout(1, value="late")
+        yield env.all_of([done, late])
+        marker.append((env.now, done.processed, late.processed))
 
     done = env.process(first(env))
     env.process(second(env, done))
     env.run()
-    assert marker == [(3.0, 2)]
+    assert marker == [(3.0, True, True)]

@@ -290,34 +290,6 @@ def test_defused_failed_event_does_not_crash():
     env.run()  # should not raise
 
 
-def test_event_trigger_copies_state():
-    env = Environment()
-    src = env.event()
-    dst = env.event()
-    src.succeed("val")
-    dst.trigger(src)
-    env.run()
-    assert dst.value == "val"
-
-
-def test_timeout_fast_path_matches_direct_construction():
-    # Environment.timeout builds Timeouts without Timeout.__init__ (hot
-    # path); the two construction paths must produce identical state
-    from repro.simkernel.events import Timeout
-
-    env = Environment()
-    fast = env.timeout(1.5, value="v")
-    direct = Timeout(env, 1.5, value="v")
-    assert type(fast) is Timeout
-    slots = ["env", "callbacks", "_value", "_ok", "_defused", "delay"]
-    for name in slots:
-        assert getattr(fast, name) == getattr(direct, name), name
-    # both are scheduled for the same instant and both fire
-    env.run()
-    assert env.now == 1.5
-    assert fast.processed and direct.processed
-
-
 def test_timeout_fast_path_rejects_negative_delay():
     env = Environment()
     with pytest.raises(ValueError):

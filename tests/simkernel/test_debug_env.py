@@ -75,6 +75,14 @@ def test_double_schedule_is_detected():
     assert [h.kind for h in env.hazards] == ["double-schedule"]
 
 
+def test_double_schedule_of_a_timeout_is_detected():
+    env = DebugEnvironment()
+    timeout = env.timeout(1.0)
+    with pytest.raises(SimHazardError, match="double-schedule"):
+        env.schedule(timeout)
+    assert [h.kind for h in env.hazards] == ["double-schedule"]
+
+
 def test_schedule_after_processed_is_detected():
     env = DebugEnvironment()
     event = env.event()
@@ -115,14 +123,12 @@ def test_defused_failure_is_not_a_hazard():
 
 
 def test_double_trigger_raises_in_the_base_kernel():
-    """The Event.trigger guard holds even without the debug environment."""
+    """The Event.succeed guard holds even without the debug environment."""
     env = DebugEnvironment()
-    source = env.event()
-    source.succeed(5)
     target = env.event()
-    target.trigger(source)
+    target.succeed(5)
     with pytest.raises(RuntimeError, match="already been triggered"):
-        target.trigger(source)
+        target.succeed(5)
 
 
 # ------------------------------------------------------- install/uninstall
@@ -162,8 +168,8 @@ def simulate(env):
         trace.append(("produced", env.now))
 
     def consumer(env, gate):
-        result = yield env.any_of((gate, env.timeout(5.0)))
-        trace.append(("consumed", env.now, list(result.values())))
+        yield env.any_of((gate, env.timeout(5.0)))
+        trace.append(("consumed", env.now, gate.value))
 
     gate = env.event()
     env.process(producer(env, gate), name="producer")

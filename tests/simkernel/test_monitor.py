@@ -1,6 +1,6 @@
 """Tests for measurement helpers."""
 
-from repro.simkernel import Counter, Environment, RateMeter, Series, TimeWeighted
+from repro.simkernel import Counter, Environment, RateMeter, TimeWeighted
 
 
 def test_time_weighted_mean_utilization():
@@ -65,28 +65,6 @@ def test_counter_records():
     assert c.total == 150
     c.reset()
     assert c.count == 0 and c.total == 0
-
-
-def test_series_records_time_value_pairs():
-    env = Environment()
-    s = Series(env, "loss")
-
-    def proc(env):
-        s.record(0.9)
-        yield env.timeout(2)
-        s.record(0.5)
-
-    env.process(proc(env))
-    env.run()
-    assert s.times == [0.0, 2.0]
-    assert s.values == [0.9, 0.5]
-    assert s.last() == 0.5
-    assert len(s) == 2
-
-
-def test_series_empty_last_is_none():
-    env = Environment()
-    assert Series(env).last() is None
 
 
 def test_rate_meter_average_rate():

@@ -1,17 +1,8 @@
-"""Tests for Resource, Container, Store and variants."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.simkernel import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityItem,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.simkernel import Environment, Resource, Store
 
 
 # -- Resource ---------------------------------------------------------------
@@ -85,7 +76,7 @@ def test_resource_explicit_release():
         yield req
         order.append(("hold", env.now))
         yield env.timeout(2)
-        yield res.release(req)
+        req.cancel()
 
     def waiter(env, res):
         with res.request() as req:
@@ -119,102 +110,6 @@ def test_cancel_queued_request_leaves_queue():
     assert len(res.queue) == 0
 
 
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(env, label, prio, delay):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(label)
-
-    env.process(holder(env))
-    env.process(user(env, "low", 5, 1))
-    env.process(user(env, "high", 1, 2))
-    env.run()
-    assert order == ["high", "low"]
-
-
-# -- Container ---------------------------------------------------------------
-
-
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100, init=10)
-    levels = []
-
-    def producer(env):
-        yield tank.put(50)
-        levels.append(("after-put", tank.level))
-
-    def consumer(env):
-        yield tank.get(40)
-        levels.append(("after-get", tank.level))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    # Both operations complete; net level is 10 + 50 - 40.
-    assert len(levels) == 2
-    assert tank.level == 20
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    tank = Container(env, capacity=10, init=0)
-    times = []
-
-    def consumer(env):
-        yield tank.get(5)
-        times.append(env.now)
-
-    def producer(env):
-        yield env.timeout(3)
-        yield tank.put(5)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert times == [3.0]
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    times = []
-
-    def producer(env):
-        yield tank.put(5)
-        times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(2)
-        yield tank.get(6)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [2.0]
-
-
-def test_container_rejects_bad_amounts():
-    env = Environment()
-    tank = Container(env, capacity=10, init=0)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-
-
 # -- Store ---------------------------------------------------------------
 
 
@@ -225,7 +120,8 @@ def test_store_fifo_order():
 
     def producer(env):
         for item in ["x", "y", "z"]:
-            yield store.put(item)
+            store.put_nowait(item)
+            yield env.timeout(0)
 
     def consumer(env):
         for _ in range(3):
@@ -242,46 +138,10 @@ def test_store_drain_pending_batches_without_blocking():
     env = Environment()
     store = Store(env)
     for item in ["a", "b", "c", "d"]:
-        store.put(item)
+        store.put_nowait(item)
     assert store.drain_pending(2) == ["a", "b"]
     assert store.drain_pending() == ["c", "d"]
     assert store.drain_pending() == []  # empty: returns, never blocks
-
-
-def test_store_drain_pending_wakes_blocked_putters():
-    env = Environment()
-    store = Store(env, capacity=2)
-    done = []
-
-    def producer(env):
-        for item in range(4):
-            yield store.put(item)
-        done.append(True)
-
-    env.process(producer(env))
-    env.run()
-    assert not done  # producer stuck: store full at capacity 2
-    assert store.drain_pending() == [0, 1]
-    env.run()  # freed capacity lets the remaining puts complete
-    assert done and store.items == [2, 3]
-
-
-def test_filter_store_drain_pending_honours_filter():
-    env = Environment()
-    store = FilterStore(env)
-    for item in [1, 2, 3, 4, 5]:
-        store.put(item)
-    assert store.drain_pending(filter=lambda item: item % 2) == [1, 3, 5]
-    assert store.items == [2, 4]  # rejected items stay queued
-
-
-def test_priority_store_drain_pending_in_priority_order():
-    env = Environment()
-    store = PriorityStore(env)
-    for item in [5, 1, 3]:
-        store.put(item)
-    assert store.drain_pending(2) == [1, 3]
-    assert store.drain_pending() == [5]
 
 
 def test_store_get_blocks_until_put():
@@ -295,97 +155,9 @@ def test_store_get_blocks_until_put():
 
     def producer(env):
         yield env.timeout(4)
-        yield store.put("late")
+        store.put_nowait("late")
 
     env.process(consumer(env))
     env.process(producer(env))
     env.run()
     assert got == [("late", 4.0)]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer(env):
-        yield store.put("a")
-        yield store.put("b")
-        times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [5.0]
-
-
-def test_filter_store_selects_matching():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def producer(env):
-        for item in [1, 2, 3, 4]:
-            yield store.put(item)
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == [2]
-    assert store.items == [1, 3, 4]
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x == "wanted")
-        got.append((item, env.now))
-
-    def producer(env):
-        yield store.put("other")
-        yield env.timeout(2)
-        yield store.put("wanted")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [("wanted", 2.0)]
-
-
-def test_priority_store_yields_smallest():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def producer(env):
-        yield store.put(PriorityItem(3, "low"))
-        yield store.put(PriorityItem(1, "high"))
-        yield store.put(PriorityItem(2, "mid"))
-
-    def consumer(env):
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item.item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == ["high", "mid", "low"]
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)

@@ -4,16 +4,7 @@ schedule no event beyond the waiter's own wakeup."""
 
 import pytest
 
-from repro.simkernel import (
-    Environment,
-    FilterStore,
-    PriorityItem,
-    PriorityResource,
-    PriorityStore,
-    Process,
-    Resource,
-    Store,
-)
+from repro.simkernel import Environment, Interrupt, Process, Resource, Store
 
 
 def _drain(env):
@@ -97,8 +88,7 @@ def test_call_later_exception_propagates_from_run():
 # -- put_nowait ---------------------------------------------------------------
 
 
-def _getter_wakeups(put_method):
-    """(name, time, item) wakeups of two getters fed by ``put_method``."""
+def test_put_nowait_wakes_waiting_getters_in_fifo_order():
     env = Environment()
     store = Store(env)
     woke = []
@@ -109,22 +99,16 @@ def _getter_wakeups(put_method):
 
     def producer():
         yield env.timeout(1.0)
-        getattr(store, put_method)("x")
-        getattr(store, put_method)("y")
-        getattr(store, put_method)("z")
+        store.put_nowait("x")
+        store.put_nowait("y")
+        store.put_nowait("z")
 
     env.process(getter("g1"))
     env.process(getter("g2"))
     env.process(producer())
     env.run()
-    return woke, store.items
-
-
-def test_put_nowait_wakes_getters_like_put():
-    assert _getter_wakeups("put_nowait") == _getter_wakeups("put")
-    woke, left = _getter_wakeups("put_nowait")
     assert woke == [("g1", 1.0, "x"), ("g2", 1.0, "y")]
-    assert left == ["z"]
+    assert store.items == ["z"]
 
 
 def test_put_nowait_without_waiter_schedules_nothing():
@@ -134,73 +118,9 @@ def test_put_nowait_without_waiter_schedules_nothing():
     store.put_nowait("b")
     assert env._queue == []
     assert store.items == ["a", "b"]
-    # the put event path schedules one no-op event per put
-    store.put("c")
-    assert len(env._queue) == 1
 
 
-def test_put_nowait_on_full_bounded_store_raises():
-    env = Environment()
-    store = Store(env, capacity=2)
-    store.put_nowait(1)
-    store.put_nowait(2)
-    with pytest.raises(RuntimeError, match="full"):
-        store.put_nowait(3)
-    assert store.items == [1, 2]
-
-
-def test_put_nowait_priority_store_orders_and_wakes_waiter():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def getter():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item.item)
-
-    env.process(getter())
-    env.run()
-    store.put_nowait(PriorityItem(2, "low"))
-    store.put_nowait(PriorityItem(0, "high"))
-    store.put_nowait(PriorityItem(1, "mid"))
-    env.run()
-    # the waiting getter took the first put; the rest come out by priority
-    assert got == ["low", "high", "mid"]
-
-
-def test_put_nowait_honours_filter_store_waiters():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def getter(name, want):
-        item = yield store.get(lambda it: it == want)
-        got.append((name, env.now, item))
-
-    env.process(getter("odd", 1))
-    env.process(getter("even", 2))
-    env.run()
-    store.put_nowait(2)
-    store.put_nowait(3)
-    store.put_nowait(1)
-    env.run()
-    assert got == [("even", 0.0, 2), ("odd", 0.0, 1)]
-    assert store.items == [3]
-
-
-def _count_sweeps(monkeypatch):
-    """List that grows by one per generic ``Store._trigger`` sweep."""
-    sweeps = []
-    real_trigger = Store._trigger
-    monkeypatch.setattr(
-        Store, "_trigger", lambda self: sweeps.append(1) or real_trigger(self)
-    )
-    return sweeps
-
-
-def test_put_nowait_hands_item_to_waiter_without_a_sweep(monkeypatch):
-    sweeps = _count_sweeps(monkeypatch)
+def test_put_nowait_hands_item_to_waiter_without_a_sweep():
     env = Environment()
     store = Store(env)
     got = []
@@ -210,24 +130,51 @@ def test_put_nowait_hands_item_to_waiter_without_a_sweep(monkeypatch):
 
     env.process(getter())
     env.run()
-    sweeps.clear()
     store.put_nowait("x")
-    assert sweeps == [] and store.items == []
+    # handed straight to the getter: nothing queued, one wakeup scheduled
+    assert store.items == [] and len(env._queue) == 1
     env.run()
     assert got == ["x"]
+
+
+def test_cancelled_get_of_an_interrupted_getter_takes_no_item():
+    env = Environment()
+    store = Store(env)
+    got = []
+    pending = {}
+
+    def dead():
+        pending["get"] = store.get()
+        try:
+            yield pending["get"]
+        except Interrupt:
+            pending["get"].cancel()
+
+    def live():
+        got.append((yield store.get()))
+
+    victim = env.process(dead())
+    env.run()
+    victim.interrupt()
+    env.run()
+    env.process(live())
+    env.run()
+    store.put_nowait("x")
+    env.run()
+    assert got == ["x"] and store.items == []
+    pending["get"].cancel()  # cancelling again is a no-op
+    assert not pending["get"].triggered
 
 
 # -- direct gets ----------------------------------------------------------------
 
 
-def test_get_on_nonempty_store_is_served_without_a_sweep(monkeypatch):
-    sweeps = _count_sweeps(monkeypatch)
+def test_get_on_nonempty_store_is_served_without_a_sweep():
     env = Environment()
     store = Store(env)
     store.put_nowait("a")
     store.put_nowait("b")
     first = store.get()
-    assert sweeps == []
     assert first.triggered and first.value == "a"
     assert store.items == ["b"]
     # the getter's own wakeup is the only scheduled event
@@ -258,45 +205,6 @@ def test_direct_gets_keep_fifo_order_across_waiters():
     env.run()
     assert [item for _, _, item in got] == [1, 2, 3, 4, 5]
     assert got[:2] == [("g1", 0.0, 1), ("g2", 0.0, 2)]
-
-
-def test_direct_get_on_priority_store_takes_the_smallest():
-    env = Environment()
-    store = PriorityStore(env)
-    for priority in (3, 1, 2):
-        store.put_nowait(PriorityItem(priority, f"p{priority}"))
-    event = store.get()
-    assert event.value.item == "p1"
-    assert [item.priority for item in sorted(store.items)] == [2, 3]
-
-
-def test_direct_get_on_filter_store_honours_the_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    store.put_nowait(1)
-    store.put_nowait(2)
-    even = store.get(lambda item: item % 2 == 0)
-    assert even.value == 2
-    miss = store.get(lambda item: item > 5)
-    assert not miss.triggered and store.items == [1]
-    store.put_nowait(7)
-    env.run()
-    assert miss.value == 7 and store.items == [1]
-
-
-def test_direct_get_from_full_store_lets_the_blocked_putter_in():
-    env = Environment()
-    store = Store(env, capacity=1)
-    order = []
-    store.put_nowait("held")
-    blocked = store.put("next")
-    blocked.callbacks.append(lambda _ev: order.append("put"))
-    got = store.get()
-    got.callbacks.append(lambda _ev: order.append(("get", got.value)))
-    assert store.items == ["next"]
-    env.run()
-    # the getter is woken before the putter it made room for
-    assert order == [("get", "held"), "put"]
 
 
 # -- Resource.request ---------------------------------------------------------
@@ -360,22 +268,3 @@ def test_cancel_of_a_free_slot_grant_wakes_the_next_queued_request():
     env.call_later(2.0, held.cancel)
     env.run()
     assert granted == [("a", 2.0), ("b", 3.0)]
-
-
-def test_priority_resource_grants_free_slot_at_once_and_orders_the_queue():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    held = res.request(priority=9)
-    assert held.processed and env._queue == []
-    order = []
-
-    def user(name, priority):
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-
-    env.process(user("low", 5))
-    env.process(user("high", 1))
-    env.call_later(1.0, held.cancel)
-    env.run()
-    assert order == ["high", "low"]
