@@ -1,9 +1,25 @@
 """Network topology: hosts, links and routing.
 
 The experiments use a star (64 edge devices — one cloud server), but the
-network supports arbitrary multi-hop topologies: routes are shortest
-paths (by hop count, then latency) over a :mod:`networkx` graph, and
-forwarding is store-and-forward across each directed link.
+network supports arbitrary multi-hop topologies, and forwarding is
+store-and-forward across each directed link.
+
+Routing follows two rules:
+
+* A route is a path of least total link latency (Dijkstra over the
+  hosts' adjacency).  Among paths of equal total latency the one with
+  fewer hops wins, then the one whose sequence of host names is
+  lexicographically smallest, so a route never depends on the order the
+  links were created in.
+* A route is computed once per ``(src, dst)`` pair, on first use, and
+  cached.  :meth:`Network.connect` and :meth:`Network.add_host` clear the
+  cache; :meth:`Network.configure_link` with ``latency_s`` changes the
+  link's timing and the weight later routes see, but not a route that
+  is already cached.
+
+Every topology the experiments build (the star and
+:class:`~repro.net.continuum.ContinuumTopology`) is a tree, so each route
+is the unique path between its hosts.
 
 Loopback (sending to your own host) bypasses links with a fixed small
 kernel delay.
@@ -11,10 +27,12 @@ kernel delay.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Tuple
 
-import networkx as nx
-import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that
+# load out of the first run that builds a Network
+from numpy.random import default_rng
 
 from ..simkernel import Environment
 from .host import Host
@@ -35,10 +53,11 @@ class Network:
 
     def __init__(self, env: Environment, seed: int = 0):
         self.env = env
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
         self.hosts: Dict[str, Host] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        self._graph = nx.DiGraph()
+        #: host -> {neighbour: link latency (s)}
+        self._adjacency: Dict[str, Dict[str, float]] = {}
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
 
     # -- construction ------------------------------------------------------
@@ -48,7 +67,7 @@ class Network:
             raise ValueError(f"host {name!r} already exists")
         host = Host(self.env, name, self, device)
         self.hosts[name] = host
-        self._graph.add_node(name)
+        self._adjacency[name] = {}
         self._route_cache.clear()
         return host
 
@@ -71,8 +90,8 @@ class Network:
         ba = Link(self.env, b, a, bandwidth_bps, latency_s, jitter_s, loss, rng=self.rng)
         self._links[(a, b)] = ab
         self._links[(b, a)] = ba
-        self._graph.add_edge(a, b, latency=latency_s)
-        self._graph.add_edge(b, a, latency=latency_s)
+        self._adjacency[a][b] = latency_s
+        self._adjacency[b][a] = latency_s
         self._route_cache.clear()
         return ab, ba
 
@@ -92,8 +111,8 @@ class Network:
         self.link(a, b).configure(**params)
         self.link(b, a).configure(**params)
         if "latency_s" in params and params["latency_s"] is not None:
-            self._graph[a][b]["latency"] = params["latency_s"]
-            self._graph[b][a]["latency"] = params["latency_s"]
+            self._adjacency[a][b] = params["latency_s"]
+            self._adjacency[b][a] = params["latency_s"]
 
     # -- routing & transmission ---------------------------------------------
     def route(self, src: str, dst: str) -> List[str]:
@@ -101,12 +120,27 @@ class Network:
         key = (src, dst)
         path = self._route_cache.get(key)
         if path is None:
-            try:
-                path = nx.shortest_path(self._graph, src, dst, weight="latency")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                raise UnroutableError(f"no route {src} -> {dst}") from None
-            self._route_cache[key] = path
+            path = self._route_cache[key] = self._shortest_path(src, dst)
         return path
+
+    def _shortest_path(self, src: str, dst: str) -> List[str]:
+        """Dijkstra from ``src``; heap entries order ties by hops, then names."""
+        adjacency = self._adjacency
+        if src in adjacency and dst in adjacency:
+            heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, (src,))]
+            settled = set()
+            while heap:
+                dist, hops, path = heappop(heap)
+                node = path[-1]
+                if node == dst:
+                    return list(path)
+                if node in settled:
+                    continue
+                settled.add(node)
+                for neighbour, latency in adjacency[node].items():
+                    if neighbour not in settled:
+                        heappush(heap, (dist + latency, hops + 1, path + (neighbour,)))
+        raise UnroutableError(f"no route {src} -> {dst}")
 
     def send(self, packet: Packet) -> None:
         """Inject a packet at its source host and forward it to ``dst``."""

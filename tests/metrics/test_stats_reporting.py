@@ -19,7 +19,8 @@ def test_mean_ci_known_values():
     ci = mean_ci([10.0, 12.0, 11.0, 13.0, 9.0])
     assert ci.mean == pytest.approx(11.0)
     assert ci.n == 5
-    assert ci.halfwidth > 0
+    # sem 0.7071067811865476 x t(0.975, 4) 2.7764451051977934
+    assert ci.halfwidth == pytest.approx(1.9632431614775572, rel=1e-12)
     assert ci.low < 11.0 < ci.high
 
 
