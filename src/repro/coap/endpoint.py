@@ -3,7 +3,9 @@
 Implements the RFC 7252 messaging layer: confirmable requests with
 exponential-backoff retransmission, ACKs with piggybacked responses,
 non-confirmable fire-and-forget, and message-id deduplication on the
-server.
+server.  Both ends receive through a one-shot socket callback that
+re-registers after each datagram, not through a process; the server
+charges its per-request service time on a timer.
 """
 
 from __future__ import annotations
@@ -57,23 +59,27 @@ class CoapServer:
         self._seen: Dict[Tuple[Endpoint, int], int] = {}  # dedup cache
         self.requests = Counter("requests")
         self.duplicates = Counter("duplicates")
-        self.env.process(self._recv_loop(), name=f"coap-server-{host.name}:{port}")
+        self.sock.on_datagram(self._on_datagram)
 
     def route(self, path: str, handler: RequestHandler) -> None:
         """Register a handler for an absolute path like ``"/prov/edge"``."""
         key = tuple(seg for seg in path.split("/") if seg)
         self._handlers[key] = handler
 
-    def _recv_loop(self):
-        while True:
-            data, source = yield self.sock.recv()
-            if self.service_time_s > 0:
-                yield self.env.timeout(self.service_time_s)
-            try:
-                message = CoapMessage.decode(data)
-            except CoapError:
-                continue
+    def _on_datagram(self, data: bytes, source: Endpoint) -> None:
+        if self.service_time_s > 0:
+            self.env.call_later(self.service_time_s, self._serve, data, source)
+        else:
+            self._serve(data, source)
+
+    def _serve(self, data: bytes, source: Endpoint) -> None:
+        try:
+            message = CoapMessage.decode(data)
+        except CoapError:
+            pass
+        else:
             self._dispatch(message, source)
+        self.sock.on_datagram(self._on_datagram)
 
     def _dispatch(self, message: CoapMessage, source: Endpoint) -> None:
         if message.mtype not in (TYPE_CON, TYPE_NON):
@@ -119,22 +125,26 @@ class CoapClient:
         self._mids = itertools.cycle(range(1, 0x10000))
         self._pending: Dict[int, object] = {}  # mid -> completion event
         self.posts = Counter("posts")
-        self.env.process(self._recv_loop(), name=f"coap-client-{host.name}")
+        self.sock.on_datagram(self._on_datagram)
 
-    def _recv_loop(self):
-        while True:
-            data, _source = yield self.sock.recv()
-            try:
-                message = CoapMessage.decode(data)
-            except CoapError:
-                continue
-            if message.mtype in (TYPE_ACK, TYPE_RST):
-                event = self._pending.pop(message.message_id, None)
-                if event is not None and not event.triggered:
-                    if message.mtype == TYPE_RST:
-                        event.fail(ConnectionError("connection reset (RST)"))
-                    else:
-                        event.succeed(message)
+    def _on_datagram(self, data: bytes, _source: Endpoint) -> None:
+        try:
+            message = CoapMessage.decode(data)
+        except CoapError:
+            pass
+        else:
+            self._on_reply(message)
+        self.sock.on_datagram(self._on_datagram)
+
+    def _on_reply(self, message: CoapMessage) -> None:
+        if message.mtype not in (TYPE_ACK, TYPE_RST):
+            return
+        event = self._pending.pop(message.message_id, None)
+        if event is not None and not event.triggered:
+            if message.mtype == TYPE_RST:
+                event.fail(ConnectionError("connection reset (RST)"))
+            else:
+                event.succeed(message)
 
     def post(self, path: str, payload: bytes, confirmable: bool = True):
         """Generator: POST ``payload``; returns the ACK message (or None
@@ -159,7 +169,7 @@ class CoapClient:
 
     def post_nowait(self, path: str, payload: bytes):
         """Confirmable POST returning the completion event immediately
-        (the exchange runs in the receive loop — the async capture path)."""
+        (the exchange runs in the socket callback — the async capture path)."""
         segments = [seg for seg in path.split("/") if seg]
         mid = next(self._mids)
         request = CoapMessage(

@@ -95,7 +95,7 @@ class CoapCaptureTransport(CaptureTransport):
     """Capture over confirmable CoAP POSTs.
 
     ``send()`` is :meth:`~repro.coap.CoapClient.post_nowait`: the CON
-    retransmission machinery runs in the CoAP client's receive loop, off
+    retransmission machinery runs in the CoAP client's socket callback, off
     the workflow's critical path.  CoAP is connectionless, so there is
     nothing to establish and capture may begin before ``setup()``.
     """

@@ -1,16 +1,20 @@
 """MQTT-SN broker in the style of Eclipse RSMB (Really Small Message
 Broker), which the paper's ProvLight server embeds.
 
-Single receive loop over one UDP port.  Each wakeup drains *every*
-datagram already queued on the socket and charges one batched service
-time (``broker_batch_fixed_s`` amortized over the batch plus
-``broker_per_packet_s`` per datagram), which models an epoll-style server
-and creates realistic queueing when 64 devices publish concurrently
-(paper Table IX).  Routing uses an incrementally-maintained
+Event-driven over one UDP port, like RSMB's epoll loop, but without a
+process: the broker is a one-shot socket callback
+(:meth:`~repro.net.udp.DatagramReceiver.on_datagram`).  The datagram
+that wakes it takes up to ``max_batch - 1`` more already queued on the
+socket, and the batch is charged one batched service time
+(``broker_batch_fixed_s`` amortized over the batch plus
+``broker_per_packet_s`` per datagram) on a timer; then it is dispatched,
+its deliveries are flushed and the callback re-registers.  This creates
+realistic queueing when 64 devices publish concurrently (paper
+Table IX).  Routing uses an incrementally-maintained
 :class:`~repro.mqttsn.topics.SubscriptionIndex` (exact hash map +
 wildcard trie), so forwarding one PUBLISH costs O(topic segments)
 regardless of session count; deliveries produced within a batch are
-coalesced per subscriber so one wakeup emits grouped PUBLISHes under a
+coalesced per subscriber so one batch emits grouped PUBLISHes under a
 single retry timer instead of N interleaved send/retry cycles.
 
 QoS 2 is honoured in both roles: as receiver from publishers
@@ -117,58 +121,59 @@ class MqttSnBroker:
         self.dropped_no_session = Counter("dropped-no-session")
         self.delivery_failures = Counter("delivery-failures")
         self.serviced_batches = Counter("serviced-batches")
-        #: set when the service loop died (injected fault or real crash);
-        #: retry timers and relay hops check it so a dead broker's leftover
-        #: timers and processes drain instead of sending through a closed
-        #: socket
+        #: set by :meth:`crash`; retry timers, service timers and relay
+        #: hops check it so a dead broker's leftover timers drain instead
+        #: of sending through a closed socket
         self.crashed = False
-        self._service = self.env.process(
-            self._recv_loop(), name=f"mqttsn-broker-{host.name}:{port}"
-        )
+        self.sock.on_datagram(self._on_datagram)
 
     @property
     def alive(self) -> bool:
-        """True while the service loop is running (the liveness probe)."""
-        return self._service.is_alive and not self.crashed
+        """True until the broker crashed (the liveness probe)."""
+        return not self.crashed
 
     def crash(self) -> None:
-        """Kill the service loop (fault injection / failover testing).
+        """Stop servicing (fault injection / failover testing).
 
         The broker object stays inspectable — sessions, counters, QoS
-        state — but services nothing further; a cluster's watchdog
-        detects the dead shard via :attr:`alive` and fails it over.
+        state — but services nothing further: the socket closes, which
+        drops its buffered datagrams and any pending wake, and a batch
+        whose service time is still running is dropped unserviced.  A
+        cluster's watchdog detects the dead shard via :attr:`alive` and
+        fails it over.
         """
-        if not self._service.is_alive:
+        if not self.crashed:
             self.crashed = True
-            return
-        self.crashed = True
-        # nobody waits on the service process: defuse the failure so the
-        # injected interrupt cannot crash the whole simulation
-        self._service.defused = True
-        self._service.interrupt("broker crash")
-        if hasattr(self.sock, "close"):
             self.sock.close()
 
-    # ------------------------------------------------------------------ loop
-    def _recv_loop(self):
-        while True:
-            batch = [(yield self.sock.recv())]
-            if self.max_batch > 1:
-                batch.extend(self.sock.recv_pending(self.max_batch - 1))
-            service = self.batch_fixed_s + self.service_time_s * len(batch)
-            if service > 0:
-                yield self.env.timeout(service)
-            self.serviced_batches.record(len(batch))
-            for data, source in batch:
-                try:
-                    message = pkt.decode(data)
-                except pkt.MalformedPacket:
-                    continue
-                self._dispatch(message, source)
-            if self._batch_deliveries:
-                self._flush_deliveries()
-            if self.relay is not None:
-                self.relay.flush(self)
+    # --------------------------------------------------------------- service
+    def _on_datagram(self, data: bytes, source: Endpoint) -> None:
+        # one service batch: this datagram plus whatever queued behind
+        # it, charged one batched service time before it is dispatched
+        batch = [(data, source)]
+        if self.max_batch > 1:
+            batch.extend(self.sock.recv_pending(self.max_batch - 1))
+        service = self.batch_fixed_s + self.service_time_s * len(batch)
+        if service > 0:
+            self.env.call_later(service, self._serve, batch)
+        else:
+            self._serve(batch)
+
+    def _serve(self, batch: List[Tuple[bytes, Endpoint]]) -> None:
+        if self.crashed:
+            return  # crashed mid-service: the batch is lost
+        self.serviced_batches.record(len(batch))
+        for data, source in batch:
+            try:
+                message = pkt.decode(data)
+            except pkt.MalformedPacket:
+                continue
+            self._dispatch(message, source)
+        if self._batch_deliveries:
+            self._flush_deliveries()
+        if self.relay is not None:
+            self.relay.flush(self)
+        self.sock.on_datagram(self._on_datagram)
 
     def _send(self, message: pkt.MqttSnMessage, dest: Endpoint) -> None:
         self.sock.sendto(message.encode(), dest)
@@ -292,7 +297,7 @@ class MqttSnBroker:
     def _forward(self, topic_name: str, message: pkt.Publish) -> None:
         """Route one PUBLISH through the subscription index.
 
-        Deliveries are only *staged* here; the receive loop flushes them
+        Deliveries are only *staged* here; :meth:`_serve` flushes them
         grouped per subscriber once the whole batch has been dispatched.
         """
         if self.relay is not None:

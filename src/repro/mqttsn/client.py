@@ -1,16 +1,17 @@
 """MQTT-SN client: connection, registration, QoS 0/1/2 publish, subscribe.
 
 The client mirrors the Python MQTT-SN library the paper's prototype uses:
-a UDP socket, a receive loop matching acknowledgements to in-flight
+a UDP socket, a socket callback matching acknowledgements to in-flight
 message ids, and timer-based retransmission (DUP flag) since UDP may drop
-datagrams.
+datagrams.  No process waits on the socket: each datagram runs
+:meth:`MqttSnClient._on_datagram`, which re-registers itself.
 
 Two publish entry points matter for ProvLight:
 
 * :meth:`publish` — generator completing when the QoS contract is done
   (QoS 2: after PUBCOMP);
 * :meth:`publish_nowait` — enqueue-and-return; the QoS machinery runs in
-  the client's receive loop.  This is what keeps capture off the
+  the client's socket callback.  This is what keeps capture off the
   workflow's critical path.
 """
 
@@ -77,7 +78,7 @@ class MqttSnClient:
         self._wildcard_subs: List[Tuple[str, MessageHandler]] = []
         self.published_count = 0
         self.received_count = 0
-        self.env.process(self._recv_loop(), name=f"mqttsn-client-{client_id}")
+        self.sock.on_datagram(self._on_datagram)
 
     # ------------------------------------------------------------------ ops
     def connect(self):
@@ -173,7 +174,7 @@ class MqttSnClient:
 
         QoS 0 events complete immediately; QoS 1 on PUBACK; QoS 2 on
         PUBCOMP.  The exchange (including retransmissions) is driven by
-        the receive loop, off the caller's critical path.
+        the socket callback, off the caller's critical path.
         """
         if not self.connected:
             raise pkt.MqttSnError("publish before connect")
@@ -238,14 +239,14 @@ class MqttSnClient:
             self.retry_interval_s, self._retry_pending, kind, msg_id, attempt + 1
         )
 
-    def _recv_loop(self):
-        while True:
-            data, source = yield self.sock.recv()
-            try:
-                message = pkt.decode(data)
-            except pkt.MalformedPacket:
-                continue
+    def _on_datagram(self, data: bytes, _source: Endpoint) -> None:
+        try:
+            message = pkt.decode(data)
+        except pkt.MalformedPacket:
+            pass
+        else:
             self._dispatch(message)
+        self.sock.on_datagram(self._on_datagram)
 
     def _dispatch(self, message: pkt.MqttSnMessage) -> None:
         if isinstance(message, pkt.Connack):

@@ -3,7 +3,7 @@
 One :class:`~repro.mqttsn.broker.MqttSnBroker` owning the whole UDP port
 is the server's next bottleneck once batch servicing and indexed routing
 are in place (paper Table IX fan-in): every datagram still serializes
-through a single service loop.  :class:`BrokerCluster` partitions the
+through a single service callback.  :class:`BrokerCluster` partitions the
 session space across N broker shards — consistent hashing on the MQTT-SN
 *client id*, the same ring scheme the :class:`~repro.core.server.
 TranslatorPool` uses for topics — so shards service their sessions in
@@ -15,7 +15,7 @@ Layout (see ``docs/server-architecture.md``):
 * a :class:`~repro.net.UdpShardDispatcher` owns the public port, peeks
   the message-type octet of each datagram (CONNECTs re-pin by client id,
   everything else follows the source endpoint's sticky pin) and forwards
-  per-shard *bundles* per wakeup — ``broker_dispatch_fixed_s`` per
+  per-shard *bundles* per batch — ``broker_dispatch_fixed_s`` per
   bundle plus ``broker_dispatch_per_datagram_s`` per datagram, so heavy
   fan-in amortizes the fixed dispatch work;
 * each shard is a stock ``MqttSnBroker`` servicing only its own
@@ -399,13 +399,13 @@ class BrokerCluster:
     # ------------------------------------------------------------ failover
     @property
     def alive_shards(self) -> List[int]:
-        """Indices of shards whose service loop is running."""
+        """Indices of shards that have not crashed."""
         return [i for i, s in enumerate(self.shards) if s.alive]
 
     def kill_shard(self, index: int) -> None:
         """Injectable kill hook: crash shard ``index`` and arm detection.
 
-        The shard's service loop dies immediately (datagrams already
+        The shard stops servicing immediately (datagrams already
         forwarded to it are lost, exactly like a crashed process losing
         its socket buffer); the cluster watchdog detects the dead shard
         after :attr:`FAILOVER_DETECT_S` and runs :meth:`_failover`.
@@ -423,8 +423,8 @@ class BrokerCluster:
         """Liveness probe: arm failover for any dead, unhandled shard.
 
         :meth:`kill_shard` calls this implicitly; it is public so a
-        harness embedding its own fault source (e.g. a shard crashed by
-        an injected exception rather than the kill hook) can trigger
+        harness embedding its own fault source (e.g. a shard whose
+        ``crash()`` it called itself rather than the kill hook) can trigger
         detection.  Returns the indices found dead and not yet failed
         over.
         """
@@ -485,7 +485,6 @@ class BrokerCluster:
         replays from its journal, deduplicated server-side.
         """
         dead = self.shards[index]
-        dead.crashed = True  # stops leftover retry timers for real crashes
         self._failed_over.add(index)
         # invalidate sticky placements naming the corpse *before* re-homing:
         # reconnecting durable clients and the migration loop below must

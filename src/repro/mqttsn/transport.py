@@ -34,7 +34,7 @@ class MqttSnCaptureTransport(CaptureTransport):
 
     ``send()`` is :meth:`~repro.mqttsn.MqttSnClient.publish_nowait`: the
     QoS machinery (PUBREC/PUBREL/PUBCOMP, retransmissions) runs in the
-    MQTT-SN client's receive loop, off the workflow's critical path.
+    MQTT-SN client's socket callback, off the workflow's critical path.
     """
 
     name = "mqttsn"

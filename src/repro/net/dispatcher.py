@@ -3,8 +3,9 @@
 A horizontally sharded server still has to present a single address to
 its clients (devices configure *one* broker endpoint).  The dispatcher
 owns that public UDP port and forwards every arriving datagram to the
-backend shard that owns its sender.  Forwarding is *bundled*: each
-wakeup drains a batch off the socket and hands each destination shard
+backend shard that owns its sender.  It is a socket callback, not a
+process.  Forwarding is *bundled*: the datagram that wakes it takes a
+batch off the socket, and it hands each destination shard
 one bundle, charging a calibrated fixed cost per bundle (queue push +
 shard wakeup) plus a marginal cost per datagram (epoll-return +
 header-peek) — the work a real SO_REUSEPORT-style front process pays,
@@ -14,7 +15,8 @@ amortized so the serial front plane stops being the Amdahl bound.
 Shards receive through :class:`VirtualSocket` facades and *send through
 the dispatcher's front socket*, so every reply originates from the
 public endpoint: on the wire, the sharded plane is indistinguishable
-from one big server.
+from one big server.  The dispatcher forwards a bundle mid-step, so a
+shard's callback always runs on a zero-delay timer, never in place.
 
 Sticky routing: the shard choice is pinned per source endpoint on first
 contact.  The ``classify`` callback (owned by the protocol layer, which
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..simkernel import Counter, Store
+from ..simkernel import Counter
 from .packet import Endpoint
+from .udp import DatagramReceiver
 
 __all__ = ["UdpShardDispatcher", "VirtualSocket"]
 
@@ -37,21 +40,20 @@ __all__ = ["UdpShardDispatcher", "VirtualSocket"]
 Classifier = Callable[[bytes, Endpoint, Optional[int]], int]
 
 
-class VirtualSocket:
+class VirtualSocket(DatagramReceiver):
     """Socket facade for one backend shard behind a dispatcher.
 
     Receives whatever the dispatcher forwards to this shard; sends go out
     through the dispatcher's front socket so replies carry the public
     endpoint as their source.  Implements the subset of the
     :class:`~repro.net.udp.UdpSocket` surface servers use (``sendto`` /
-    ``recv`` / ``recv_pending`` / ``pending``).
+    ``on_datagram`` / ``recv`` / ``recv_pending`` / ``pending``).
     """
 
     def __init__(self, dispatcher: "UdpShardDispatcher", index: int):
+        super().__init__(dispatcher.env)
         self._dispatcher = dispatcher
         self.index = index
-        self._inbox: Store = Store(dispatcher.env)
-        self.closed = False
 
     @property
     def host(self):
@@ -67,28 +69,11 @@ class VirtualSocket:
             raise RuntimeError("socket is closed")
         return self._dispatcher.sock.sendto(payload, dest)
 
-    def recv(self):
-        """Event yielding ``(payload, source)`` for one forwarded datagram."""
-        if self.closed:
-            raise RuntimeError("socket is closed")
-        return self._inbox.get()
-
-    def recv_pending(self, limit: Optional[int] = None):
-        """Forwarded datagrams already buffered (non-blocking)."""
-        if self.closed:
-            raise RuntimeError("socket is closed")
-        return self._inbox.drain_pending(limit)
-
-    @property
-    def pending(self) -> int:
-        return len(self._inbox.items)
-
     def _deliver(self, payload: bytes, source: Endpoint) -> None:
+        # called mid-loop by the dispatcher, never in tail position: the
+        # shard's callback always runs on a zero-delay timer
         if not self.closed:
-            self._inbox.put_nowait((payload, source))
-
-    def close(self) -> None:
-        self.closed = True
+            self._push((payload, source), False)
 
     def __repr__(self) -> str:
         return (
@@ -129,41 +114,43 @@ class UdpShardDispatcher:
         self.pins: Dict[Endpoint, int] = {}
         self.dispatched = Counter("dispatched-datagrams")
         self.bundles = Counter("dispatched-bundles")
-        self.env.process(
-            self._recv_loop(), name=f"udp-dispatcher-{host.name}:{port}"
-        )
+        self.sock.on_datagram(self._on_datagram)
 
-    def _recv_loop(self):
+    def _on_datagram(self, payload: bytes, source: Endpoint) -> None:
         # Per wakeup: drain a batch off the socket, classify it in arrival
         # order (pins may change mid-batch), then forward one *bundle* per
         # destination shard.  The fixed dispatch cost is paid per bundle,
         # not per datagram, so fan-in from many devices to few shards
         # amortizes to ``K * fixed + N * per_datagram``.
-        while True:
-            batch = [(yield self.sock.recv())]
-            if self.max_batch > 1:
-                batch.extend(self.sock.recv_pending(self.max_batch - 1))
-            bundles: Dict[int, List] = {}
-            for payload, source in batch:
-                current = self.pins.get(source)
-                index = self.classify(payload, source, current)
-                if index != current:
-                    if current is not None and self.on_repin is not None:
-                        self.on_repin(source, current, index)
-                    self.pins[source] = index
-                bundles.setdefault(index, []).append((payload, source))
-            cost = (
-                self.dispatch_fixed_s * len(bundles)
-                + self.dispatch_per_datagram_s * len(batch)
-            )
-            if cost > 0:
-                yield self.env.timeout(cost)
-            for index, bundle in bundles.items():
-                self.bundles.record()
-                shard_socket = self.sockets[index]
-                for payload, source in bundle:
-                    self.dispatched.record()
-                    shard_socket._deliver(payload, source)
+        batch = [(payload, source)]
+        if self.max_batch > 1:
+            batch.extend(self.sock.recv_pending(self.max_batch - 1))
+        bundles: Dict[int, List] = {}
+        for payload, source in batch:
+            current = self.pins.get(source)
+            index = self.classify(payload, source, current)
+            if index != current:
+                if current is not None and self.on_repin is not None:
+                    self.on_repin(source, current, index)
+                self.pins[source] = index
+            bundles.setdefault(index, []).append((payload, source))
+        cost = (
+            self.dispatch_fixed_s * len(bundles)
+            + self.dispatch_per_datagram_s * len(batch)
+        )
+        if cost > 0:
+            self.env.call_later(cost, self._forward, bundles)
+        else:
+            self._forward(bundles)
+
+    def _forward(self, bundles: Dict[int, List]) -> None:
+        for index, bundle in bundles.items():
+            self.bundles.record()
+            shard_socket = self.sockets[index]
+            for payload, source in bundle:
+                self.dispatched.record()
+                shard_socket._deliver(payload, source)
+        self.sock.on_datagram(self._on_datagram)
 
     @property
     def datagrams_per_bundle(self) -> float:

@@ -96,7 +96,12 @@ class Host:
 
     # -- delivery (called by the network) ---------------------------------------
     def deliver(self, packet: Packet) -> None:
-        """Dispatch an arriving packet to the right socket."""
+        """Dispatch an arriving packet to the right socket.
+
+        Runs only as the last action of a link propagation or loopback
+        timer, so a UDP socket may run its consumer in place
+        (:meth:`~repro.simkernel.Environment.zero_delay_is_next`).
+        """
         if self.device is not None:
             self.device.radio.on_receive(packet.size)
         if packet.protocol == "udp":

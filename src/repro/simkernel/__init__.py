@@ -5,7 +5,8 @@ A compact, dependency-free DES engine in the generator-coroutine style:
 :class:`Event` objects (timeouts, resource requests, store gets, ...).
 
 The surface is what the simulator uses: timeouts and
-:meth:`Environment.call_later` timers, processes with interrupts,
+:meth:`Environment.call_later` timers (with the tail-position check
+:meth:`Environment.zero_delay_is_next`), processes with interrupts,
 :class:`AllOf`/:class:`AnyOf` conditions (which carry no value), one
 FIFO :class:`Resource` and one unbounded FIFO :class:`Store`.
 

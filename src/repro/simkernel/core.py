@@ -145,6 +145,23 @@ class Environment:
         """
         self.timeout(delay, (fn, args)).callbacks.append(_call)
 
+    def zero_delay_is_next(self) -> bool:
+        """True when no heap entry is due at :attr:`now`, so a zero-delay
+        event pushed now would be the very next step.
+
+        The tail-position check.  A caller in tail position (its call is
+        the last action of the step being processed, a
+        :meth:`call_later` callback that returns right after it) may,
+        on True, run the work such an event would have woken in place:
+        the same program minus one step.  On False it must push
+        ``call_later(0.0, ...)``, which takes exactly that event's
+        ``(now, NORMAL, next id)`` slot.  Either way nothing is
+        reordered.  A caller with more work after it in the same step
+        must always push the timer.
+        """
+        queue = self._queue
+        return not queue or queue[0][0] > self._now
+
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)

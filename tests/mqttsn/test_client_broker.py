@@ -3,7 +3,8 @@
 import pytest
 
 from repro.mqttsn import DEFAULT_BROKER_PORT, MqttSnBroker, MqttSnClient, MqttSnTimeout
-from repro.net import Network
+from repro.mqttsn import packets as pkt
+from repro.net import Network, Packet
 from repro.simkernel import Environment
 
 
@@ -292,3 +293,49 @@ def test_sixty_four_publishers_all_delivered():
         env.process(publisher(env, p, i))
     env.run()
     assert len(got) == 64
+
+
+def crash_world(service_time_s):
+    """A broker whose one datagram, a CONNECT, arrives at t = 1 s; returns
+    the environment, the broker and the messages it sends."""
+    env = Environment()
+    net = Network(env, seed=3)
+    broker = MqttSnBroker(
+        net.add_host("cloud"), service_time_s=service_time_s, batch_fixed_s=0.0
+    )
+    sent = []
+    broker._send = lambda message, dest: sent.append(message)
+    packet = Packet(
+        src=("edge", 9), dst=("cloud", DEFAULT_BROKER_PORT), protocol="udp",
+        payload=pkt.Connect(client_id="c").encode(),
+    )
+    env.call_later(1.0, broker.sock._deliver, packet)
+    return env, broker, sent
+
+
+def test_broker_serves_the_crash_world_datagram_without_a_crash():
+    env, broker, sent = crash_world(service_time_s=0.5)
+    env.run()
+    assert [type(m) for m in sent] == [pkt.Connack]
+    assert broker.alive and broker.serviced_batches.count == 1
+
+
+def test_broker_crash_drops_the_batch_in_service():
+    env, broker, sent = crash_world(service_time_s=0.5)
+    env.call_later(1.25, broker.crash)
+    env.run()
+    assert broker.crashed and not broker.alive
+    assert sent == [] and not broker.sessions
+    assert broker.serviced_batches.count == 0
+
+
+def test_broker_crash_voids_a_pending_wake():
+    # the crash timer is due in the delivery's instant, so the broker's
+    # wake is deferred behind it and must find the broker dead
+    env, broker, sent = crash_world(service_time_s=0.0)
+    env.call_later(1.0, broker.crash)
+    env.run()
+    assert sent == [] and not broker.sessions
+    assert broker.serviced_batches.count == 0
+    broker.crash()  # idempotent
+    assert not broker.alive

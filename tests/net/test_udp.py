@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Network, PortInUse
+from repro.net import Network, Packet, PortInUse
 from repro.simkernel import Environment
 
 
@@ -132,3 +132,64 @@ def test_ephemeral_ports_are_unique():
     env, net = make_net()
     ports = {net.hosts["a"].udp_socket().port for _ in range(10)}
     assert len(ports) == 10
+
+
+def test_callback_receives_each_datagram_once_per_registration():
+    env, net = make_net()
+    server = net.hosts["b"].udp_socket(port=100)
+    client = net.hosts["a"].udp_socket()
+    got = []
+
+    def on_datagram(payload, src):
+        got.append((env.now, payload, src))
+        server.on_datagram(on_datagram)
+
+    server.on_datagram(on_datagram)
+    client.sendto(b"one", ("b", 100))
+    client.sendto(b"two", ("b", 100))
+    env.run()
+    assert [payload for _, payload, _ in got] == [b"one", b"two"]
+    assert all(src == ("a", client.port) for _, _, src in got)
+    assert server.pending == 0
+
+
+def test_second_waiter_is_rejected():
+    env, net = make_net()
+    sock = net.hosts["b"].udp_socket(port=100)
+    sock.on_datagram(lambda payload, src: None)
+    with pytest.raises(RuntimeError):
+        sock.recv()
+
+
+def test_closed_socket_never_calls_its_callback_and_drops_its_buffer():
+    env, net = make_net()
+    server = net.hosts["b"].udp_socket(port=100)
+    client = net.hosts["a"].udp_socket()
+    got = []
+    client.sendto(b"one", ("b", 100))
+    client.sendto(b"two", ("b", 100))
+    env.run()
+    assert server.pending == 2
+    # a waiter on a non-empty buffer is woken by a zero-delay timer;
+    # closing before it fires voids the wake and drops the rest
+    server.on_datagram(lambda payload, src: got.append(payload))
+    server.close()
+    assert server.pending == 0
+    env.run()
+    assert got == []
+
+
+def test_close_unregisters_a_waiting_callback():
+    env, net = make_net()
+    server = net.hosts["b"].udp_socket(port=100)
+    got = []
+    server.on_datagram(lambda payload, src: got.append(payload))
+    server.close()
+    with pytest.raises(RuntimeError):
+        server.on_datagram(lambda payload, src: None)
+    # a datagram still reaching the socket object (the host has already
+    # unbound the port, so only a stale reference can) is dropped
+    late = Packet(src=("a", 1), dst=("b", 100), protocol="udp", payload=b"late")
+    env.call_later(0.0, server._deliver, late)
+    env.run()
+    assert got == [] and server.pending == 0

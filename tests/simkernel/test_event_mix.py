@@ -32,6 +32,13 @@ def test_event_mix_kinds_sum_to_the_step_count():
     # the async capture charge is a timer, never a process
     assert kinds[("timer", "Cpu._finish_async")] > 0
     assert not any("cpu-async" in detail for _kind, detail in kinds)
+    # datagrams reach the MQTT-SN client and broker through socket
+    # callbacks: delivery shows only as timer steps, never as a wakeup
+    assert not any(
+        kind == "wakeup" and detail.startswith(("mqttsn-client-", "mqttsn-broker-"))
+        for kind, detail in kinds
+    )
+    assert kinds[("timer", "DatagramReceiver._wake")] > 0
     lines = event_mix.report(total, kinds)
     assert lines[0] == f"{total} steps"
 

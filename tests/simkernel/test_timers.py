@@ -1,5 +1,5 @@
 """Event-free kernel primitives: ``Environment.call_later`` timers,
-free-slot ``Resource.request`` grants, and ``Store`` puts and gets that
+``Environment.zero_delay_is_next``, free-slot ``Resource.request`` grants, and ``Store`` puts and gets that
 schedule no event beyond the waiter's own wakeup."""
 
 import pytest
@@ -83,6 +83,28 @@ def test_call_later_exception_propagates_from_run():
     env.call_later(1.0, boom)
     with pytest.raises(KeyError):
         env.run()
+
+
+def test_zero_delay_is_next_only_when_nothing_else_is_due_now():
+    env = Environment()
+    seen = []
+
+    def check(tag):
+        seen.append((tag, env.zero_delay_is_next()))
+
+    assert env.zero_delay_is_next()  # empty heap
+    env.call_later(1.0, check, "alone")
+    env.call_later(2.0, check, "crowded")
+    env.call_later(2.0, check, "last-in-its-instant")
+    env.call_later(3.0, env.timeout, 0.0)  # leaves a zero-delay event due
+    env.call_later(3.0, check, "behind-a-zero-delay-event")
+    env.run()
+    assert seen == [
+        ("alone", True),
+        ("crowded", False),
+        ("last-in-its-instant", True),
+        ("behind-a-zero-delay-event", False),
+    ]
 
 
 # -- put_nowait ---------------------------------------------------------------
@@ -268,3 +290,4 @@ def test_cancel_of_a_free_slot_grant_wakes_the_next_queued_request():
     env.call_later(2.0, held.cancel)
     env.run()
     assert granted == [("a", 2.0), ("b", 3.0)]
+
