@@ -149,6 +149,24 @@ def test_journal_append_signed_100_attrs(benchmark, tmp_path):
     journal.close()
 
 
+def test_journal_append_ack_100_attrs(benchmark, tmp_path):
+    # the whole durable write path of one delivered payload: the append
+    # and the in-order ack that truncates it, one commit each (the BENCH
+    # headline tracks the ack's cost relative to the append's)
+    from repro.capture import CaptureJournal
+
+    journal = CaptureJournal(str(tmp_path / "bench-ack.journal.db"), "bench-client")
+    payload = encode_payload(RECORD_100)
+
+    def append_ack():
+        journal.ack(journal.append(payload))
+
+    benchmark(append_ack)
+    assert len(journal) == 0
+    assert journal.anchor[0] == journal.head[0]
+    journal.close()
+
+
 def test_envelope_wrap_unwrap_100_attrs(benchmark):
     from repro.capture import unwrap_payload, wrap_payload
 

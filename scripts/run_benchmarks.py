@@ -300,6 +300,11 @@ def headline(benchmarks: dict, sizes: dict) -> dict:
         out["wal_append_overhead_vs_encode_100_attrs"] = round(wal / e2, 2)
     if wal and wal_signed:
         out["wal_append_signing_overhead"] = round(wal_signed / wal, 2)
+    # what the in-order ack (one truncating transaction) adds per record,
+    # relative to the append
+    wal_ack = median("test_journal_append_ack_100_attrs")
+    if wal and wal_ack:
+        out["wal_ack_overhead_vs_append"] = round((wal_ack - wal) / wal, 2)
     g1 = sizes["grouped_50x10_v1_uncompressed_bytes"]
     g2 = sizes["grouped_50x10_v2_uncompressed_bytes"]
     out["grouped_uncompressed_size_reduction"] = round(1 - g2 / g1, 3)

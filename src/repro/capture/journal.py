@@ -4,9 +4,20 @@ The disconnected-edge scenarios need capture that survives client
 crashes and long uplink partitions, so a ``durable=True`` capture client
 writes every outbound payload through this journal *before* handing it
 to the transport.  The store is an append-only SQLite table in WAL mode
-(one fsync-cheap append per payload; the same idiom real edge capture
-daemons use), keyed by a **monotonic per-client sequence number** that
-doubles as the server-side dedup key — see :mod:`repro.capture.envelope`.
+with ``synchronous=NORMAL`` (the same idiom real edge capture daemons
+use), keyed by a **monotonic per-client sequence number** that doubles
+as the server-side dedup key — see :mod:`repro.capture.envelope`.
+
+Commit structure: an append is one autocommitted ``INSERT``, an ack is
+one transaction (or a single ``UPDATE``, see below).  A commit appends
+frames to the WAL file without an fsync; the WAL is fsynced when it is
+checkpointed into the database (SQLite's automatic checkpoints and the
+one at :meth:`CaptureJournal.close`).  A process crash therefore loses
+no committed entry, and a power loss can roll back the newest commits
+but never tears one.  Every commit writes its dirty pages whole to the
+WAL, so a new journal uses 1 KiB pages: it only ever holds the unacked
+window, and small pages keep both the commits and the close checkpoint
+cheap.
 
 Tamper evidence (HyperProv-style): every entry carries
 ``sha256(prev_hash || seq || payload)``, chaining it to its predecessor;
@@ -16,12 +27,20 @@ Optionally each chained hash is signed — :class:`HmacRecordSigner`
 (standard library, shared key) or :class:`EcdsaRecordSigner` (P-256,
 gated on the ``cryptography`` package being installed).
 
-Delivery acknowledgements truncate the journal: :meth:`ack` marks an
-entry delivered, and the contiguous acked prefix is deleted, with its
-last ``(seq, hash)`` retained as the *anchor* so the chain of the
-surviving suffix stays verifiable.  Entries never acked — the client
-crashed, or the uplink never healed — are returned by :meth:`unacked`
-and replayed on the next ``setup()``/reconnect.
+Delivery acknowledgements truncate the journal: the contiguous acked
+prefix is deleted, with its last ``(seq, hash)`` retained as the
+*anchor* so the chain of the surviving suffix stays verifiable.  The
+journal keeps one invariant between acks: row ``anchor+1`` is unacked or
+absent.  So :meth:`CaptureJournal.ack` of ``anchor+1`` (the in-order
+case) deletes that row plus the contiguous acked rows after it and moves
+the anchor, all in one ``BEGIN … COMMIT``; any other ack cannot truncate
+and only flags its row ``acked``.  An ack interrupted by a crash or an
+error rolls back whole: its row stays unacked, the anchor stays put, and
+the next incarnation replays the entry (the server drops the duplicate).
+The anchor never moves past a missing row: a gap is tamper evidence.
+Entries never acked — the client crashed, or the uplink never healed —
+are returned by :meth:`CaptureJournal.unacked` and replayed on the next
+``setup()``/reconnect.
 """
 
 from __future__ import annotations
@@ -31,6 +50,7 @@ import hmac
 import os
 import re
 import sqlite3
+from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 __all__ = [
@@ -169,22 +189,42 @@ class CaptureJournal:
         if directory and path != ":memory:":
             os.makedirs(directory, exist_ok=True)
         self._conn = sqlite3.connect(path, isolation_level=None)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS journal ("
-            " seq INTEGER PRIMARY KEY,"
-            " ts REAL NOT NULL,"
-            " payload BLOB NOT NULL,"
-            " hash TEXT NOT NULL,"
-            " sig BLOB,"
-            " acked INTEGER NOT NULL DEFAULT 0)"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta ("
-            " key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-        )
-        self._load_state()
+        try:
+            # applies to a new file only; an existing one keeps its pages
+            self._conn.execute("PRAGMA page_size=1024")
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            with self._transaction():
+                self._conn.execute(
+                    "CREATE TABLE IF NOT EXISTS journal ("
+                    " seq INTEGER PRIMARY KEY,"
+                    " ts REAL NOT NULL,"
+                    " payload BLOB NOT NULL,"
+                    " hash TEXT NOT NULL,"
+                    " sig BLOB,"
+                    " acked INTEGER NOT NULL DEFAULT 0)"
+                )
+                self._conn.execute(
+                    "CREATE TABLE IF NOT EXISTS meta ("
+                    " key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+                )
+                self._load_state()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    @contextmanager
+    def _transaction(self):
+        """One ``BEGIN … COMMIT``; any error rolls the whole of it back."""
+        conn = self._conn
+        conn.execute("BEGIN")
+        try:
+            yield
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
 
     def _load_state(self) -> None:
         meta = dict(self._conn.execute("SELECT key, value FROM meta"))
@@ -201,6 +241,15 @@ class CaptureJournal:
             )
         self._anchor_seq = int(meta.get("anchor_seq", 0))
         self._anchor_hash = meta.get("anchor_hash", GENESIS_HASH)
+        # a journal written before acks were transactional can hold an
+        # acked row at anchor+1; truncate it so the invariant holds
+        row = self._conn.execute(
+            "SELECT acked FROM journal WHERE seq=?", (self._anchor_seq + 1,)
+        ).fetchone()
+        if row is not None and row[0]:
+            self._anchor_seq, self._anchor_hash = self._truncate_from(
+                self._anchor_seq + 1
+            )
         # the head is derived, not stored: one INSERT per append, and a
         # crash between statements can never desynchronise head and rows
         row = self._conn.execute(
@@ -236,33 +285,47 @@ class CaptureJournal:
         return seq
 
     def ack(self, seq: int) -> None:
-        """Mark ``seq`` delivered; truncate the contiguous acked prefix."""
-        self._conn.execute("UPDATE journal SET acked=1 WHERE seq=?", (seq,))
-        self._truncate_acked_prefix()
+        """Mark ``seq`` delivered; truncate the contiguous acked prefix.
 
-    def _truncate_acked_prefix(self) -> None:
-        advanced = False
-        while True:
-            row = self._conn.execute(
-                "SELECT seq, hash, acked FROM journal WHERE seq=?",
-                (self._anchor_seq + 1,),
-            ).fetchone()
-            if row is None or not row[2]:
+        Row ``anchor+1`` is never acked between calls, so only an ack of
+        ``anchor+1`` can truncate: it runs as one transaction.  A later
+        seq is flagged with one ``UPDATE``; an already truncated seq is
+        a no-op.
+        """
+        first = self._anchor_seq + 1
+        if seq == first:
+            with self._transaction():
+                anchor = self._truncate_from(first)
+            self._anchor_seq, self._anchor_hash = anchor
+        elif seq > first:
+            self._conn.execute("UPDATE journal SET acked=1 WHERE seq=?", (seq,))
+
+    def _truncate_from(self, first: int) -> Tuple[int, str]:
+        """Inside a transaction: delete row ``first`` (acked, or being
+        acked) and the contiguous acked rows after it, and persist the
+        last one as the anchor.  Returns the anchor, unchanged when row
+        ``first`` is missing — the anchor never skips a gap."""
+        anchor = self._anchor_seq, self._anchor_hash
+        cursor = self._conn.execute(
+            "SELECT seq, hash, acked FROM journal WHERE seq>=? ORDER BY seq",
+            (first,),
+        )
+        for seq, digest, acked in cursor:
+            if seq != anchor[0] + 1 or not (acked or seq == first):
                 break
-            self._conn.execute("DELETE FROM journal WHERE seq=?", (row[0],))
-            self._anchor_seq, self._anchor_hash = int(row[0]), row[1]
-            advanced = True
-        if advanced:
+            anchor = seq, digest
+        cursor.close()
+        if anchor[0] >= first:
             self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('anchor_seq', ?)"
-                " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (str(self._anchor_seq),),
+                "DELETE FROM journal WHERE seq BETWEEN ? AND ?", (first, anchor[0])
             )
             self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('anchor_hash', ?)"
+                "INSERT INTO meta (key, value)"
+                " VALUES ('anchor_seq', ?), ('anchor_hash', ?)"
                 " ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (self._anchor_hash,),
+                (str(anchor[0]), anchor[1]),
             )
+        return anchor
 
     def unacked(self) -> List[Tuple[int, bytes]]:
         """Entries awaiting delivery, oldest first — the replay set."""

@@ -17,7 +17,10 @@ a registered fleet of durable capture clients:
   journal via a registered restart callable, retries ``setup()`` under
   backoff until the network lets it through (restarting under an active
   partition must not crash the experiment), and counts a journal
-  recovery when the incarnation came up with unacked entries to replay;
+  recovery when the incarnation came up with unacked entries to replay
+  (the first ``setup()`` of a :class:`FleetClientProxy` retries under
+  the same backoff: burst loss can eat a whole CONNECT/REGISTER
+  exchange);
 * :meth:`churn_at` schedules the fleet-scale version: a deterministic
   sample of the fleet crashes at once and restarts ``down_s`` later —
   the 20%-churn acceptance scenario.
@@ -52,7 +55,8 @@ class FleetClientProxy:
     *current* incarnation for the device; when a call blows up because
     the incarnation crashed underneath it, the proxy waits for the
     restart and retries the call on the new one.  Any other exception —
-    the client is open and current — is a real error and propagates.
+    the client is open and current — is a real error and propagates,
+    except in :meth:`setup`, which retries under the fleet's backoff.
     """
 
     def __init__(self, fleet: "FleetFaultInjector", name: str):
@@ -92,7 +96,10 @@ class FleetClientProxy:
                 yield from self._fleet.wait_up(self._name)
 
     def setup(self):
-        result = yield from self._retrying(lambda c: c.setup())
+        """Generator: set up the current incarnation, retrying a failed
+        ``setup()`` under the fleet's backoff (a lossy link can eat every
+        CONNECT/REGISTER retransmission) as restarts do."""
+        result = yield from self._retrying(self._fleet.setup_with_backoff)
         return result
 
     def capture(self, record, groupable: bool = True):
@@ -216,19 +223,7 @@ class FleetFaultInjector:
             getattr(client, "journal", None) is not None
             and client.journal.pending > 0
         )
-        attempt = 0
-        while True:
-            try:
-                yield from client.setup()
-                break
-            except Exception:
-                attempt += 1
-                yield self.env.timeout(
-                    min(
-                        _SETUP_RETRY_MAX_S,
-                        _SETUP_RETRY_BASE_S * _SETUP_RETRY_FACTOR ** attempt,
-                    )
-                )
+        yield from self.setup_with_backoff(client)
         self._clients[name] = client
         if recovering:
             self.journal_recoveries += 1
@@ -238,6 +233,26 @@ class FleetFaultInjector:
         self._log(f"device-up:{name}")
         gate = self._gates.pop(name)
         gate.succeed()
+
+    def setup_with_backoff(self, client):
+        """Generator: ``client.setup()``, retried under capped backoff
+        until it succeeds; a client closed underneath it (a crash)
+        re-raises instead, so the caller moves to the next incarnation."""
+        attempt = 0
+        while True:
+            try:
+                result = yield from client.setup()
+                return result
+            except Exception:
+                if client.closed:
+                    raise
+                attempt += 1
+                yield self.env.timeout(
+                    min(
+                        _SETUP_RETRY_MAX_S,
+                        _SETUP_RETRY_BASE_S * _SETUP_RETRY_FACTOR ** attempt,
+                    )
+                )
 
     def wait_up(self, name: str):
         """Generator: resolve once the device's restart completed (a

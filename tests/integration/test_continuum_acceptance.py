@@ -16,7 +16,6 @@ from repro.capture import CaptureConfig, create_client
 from repro.capture.envelope import ReplayDeduper
 from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import A8M3, XEON_GOLD_5220, Device
-from repro.mqttsn.client import MqttSnTimeout
 from repro.net import ContinuumTopology, FleetFaultInjector, Network, TopologySpec
 from repro.simkernel import Environment
 
@@ -83,16 +82,8 @@ def build_world(tmp_path, preset, seed):
 def drive(env, server, proxy, done):
     def workload(env):
         yield from server.pool.attach(f"conf/{proxy.name}/data")
-        # burst loss can eat a whole CONNECT/REGISTER exchange; setup is
-        # idempotent, so an edge deployment simply tries again
-        for attempt in range(20):
-            try:
-                yield from proxy.setup()
-                break
-            except MqttSnTimeout:
-                yield env.timeout(1.0)
-        else:
-            raise AssertionError(f"{proxy.name} never completed setup")
+        # the proxy retries a setup that burst loss ate
+        yield from proxy.setup()
         for i in range(RECORDS_PER_DEVICE):
             yield from proxy.capture({
                 "kind": "task_begin", "workflow_id": 1,
