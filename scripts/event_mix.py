@@ -54,9 +54,14 @@ def _process_name(process) -> str:
     return re.sub(r"\d+", "N", process.name)
 
 
-def kind_of(event) -> Tuple[str, str]:
-    """``(kind, detail)`` of the event an ``Environment.step`` is about
-    to process."""
+def kind_of(entry) -> Tuple[str, str]:
+    """``(kind, detail)`` of the heap entry ``(time, priority, eid,
+    target, args)`` an ``Environment.step`` is about to process: a
+    ``call_later`` timer's target is its function and ``args`` a tuple,
+    an event's target is the event and ``args`` is ``None``."""
+    event, args = entry[3:]
+    if args is not None:
+        return "timer", getattr(event, "__qualname__", repr(event))
     callbacks = event.callbacks
     if isinstance(event, Initialize):
         return "initialize", _process_name(callbacks[0].__self__)
@@ -65,9 +70,6 @@ def kind_of(event) -> Tuple[str, str]:
     if not callbacks:
         return "no-callback", type(event).__name__
     first = callbacks[0]
-    if first is core._call:
-        fn, _args = event._value
-        return "timer", getattr(fn, "__qualname__", repr(fn))
     owner = getattr(first, "__self__", None)
     if isinstance(owner, Process) and first.__name__ == "_resume":
         return "wakeup", f"{_process_name(owner)} <- {type(event).__name__}"
@@ -88,7 +90,7 @@ def count_steps(workload: Workload, seed: int) -> Tuple[int, Counter]:
             queue = self._queue
             if queue:
                 total[0] += 1
-                kinds[kind_of(queue[0][3])] += 1
+                kinds[kind_of(queue[0])] += 1
             return super().step()
 
     setup, config = experiment(workload)

@@ -155,7 +155,7 @@ class DroppedEventRule(Rule):
 
     * ``env.timeout(...)`` / ``env.event()`` discarded: the event is
       scheduled (or created) but the handle is gone, so nothing can ever
-      wait on it; it silently pads ``run_until_idle``.
+      wait on it; it silently pads ``env.run()``.
     * ``env.process(...)`` discarded without a ``name=`` (library sources
       only): fire-and-forget daemons are legitimate, but an anonymous
       dropped handle is indistinguishable from an accidentally lost one —

@@ -40,6 +40,8 @@ def deploy_capture_sink(
     :func:`~repro.capture.create_client` takes as ``server``.  The
     ``mqttsn`` sink is a :class:`~repro.core.server.ProvLightServer`;
     attach device topics with ``yield from sink.pool.attach(topic)``.
+    Every sink has a ``close()`` that drops the backend; call it once the
+    simulation is over, so the backend is freed with the run.
 
     ``server`` is the deployment's :class:`~repro.core.server.ServerConfig`.
     The MQTT-SN server takes all of it; the HTTP collector takes its

@@ -55,6 +55,11 @@ class ProvLightCoapServer:
     def endpoint(self) -> Endpoint:
         return (self.host.name, self.server.port)
 
+    def close(self) -> None:
+        """Drop the backend once the simulation is over (see
+        :meth:`repro.http.HttpServer.close`)."""
+        self.backend = None
+
     def _on_post(self, path, payload):
         self._inbox.put_nowait(payload)
         return CODE_CHANGED, b""

@@ -579,6 +579,9 @@ class _TranslatorWorker:
             else:
                 for _records, translated in translated_batch:
                     yield from backend.ingest(translated)
+            # hold no backend across the next wait, so that
+            # ProvLightServer.close() frees it
+            del backend, ingest_batch
             # the backend accepted the batch: only now do the dedup marks
             # become durable facts (no yield between ingest return and
             # here, so a crash cannot split accept from mark)
@@ -1051,6 +1054,11 @@ class ProvLightServer:
     def endpoint(self) -> Endpoint:
         """Where clients should point their broker connection."""
         return (self.host.name, self.port)
+
+    def close(self) -> None:
+        """Drop the backend once the simulation is over (see
+        :meth:`repro.http.HttpServer.close`)."""
+        self.backend = None
 
     def __repr__(self) -> str:
         topics = sum(len(worker.topic_filters) for worker in self.pool.workers)

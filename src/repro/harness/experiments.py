@@ -389,7 +389,8 @@ def run_capture_experiment(
                 pass
             return HttpResponse(status=201, reason="Created")
 
-        HttpServer(net.hosts["cloud"], 5000, handler, workers=max(8, setup.n_devices))
+        sink = HttpServer(net.hosts["cloud"], 5000, handler,
+                          workers=max(8, setup.n_devices))
         for device in devices:
             if setup.system == "provlake":
                 clients.append(
@@ -426,6 +427,9 @@ def run_capture_experiment(
                 proxy.records_completed for proxy in clients
             )
     finally:
+        # the run's world is cyclic: without this the backend service
+        # and its records would live until a full collection
+        sink.close()
         try:
             if fleet is not None:
                 for name in fleet.devices:

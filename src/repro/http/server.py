@@ -51,6 +51,12 @@ class HttpServer:
         self.errors = Counter("errors")
         self.env.process(self._accept_loop(), name=f"{self.name}-accept")
 
+    def close(self) -> None:
+        """Drop the handler, so the backend it feeds is freed with the
+        run instead of living in the run's cyclic object graph until a
+        full collection.  Call it once the simulation is over."""
+        self.handler = None
+
     def _accept_loop(self):
         while True:
             conn = yield self.listener.accept()

@@ -2,17 +2,14 @@
 
 A compact, dependency-free DES engine in the generator-coroutine style:
 :class:`Environment` drives :class:`Process` generators that yield
-:class:`Event` objects (timeouts, resource requests, store gets, ...).
+:class:`Event` objects, and calls :meth:`Environment.call_later` timers,
+bare heap entries with no event behind them, straight off its heap.
 
-The surface is what the simulator uses: timeouts and
-:meth:`Environment.call_later` timers (with the tail-position check
-:meth:`Environment.zero_delay_is_next`), processes with interrupts,
-:class:`AllOf`/:class:`AnyOf` conditions (which carry no value), one
-FIFO :class:`Resource` and one unbounded FIFO :class:`Store`.
-
-This kernel is the substrate every other ``repro`` subsystem runs on —
-network links, protocol stacks, devices and workloads are all processes in
-one environment, sharing one simulated clock.
+The rest of the surface is what the simulator uses: the tail-position
+check :meth:`Environment.zero_delay_is_next`, processes with interrupts,
+valueless :class:`AllOf`/:class:`AnyOf`, one FIFO :class:`Resource` and
+one unbounded FIFO :class:`Store`.  Every other ``repro`` subsystem runs
+on this kernel, in one environment sharing one simulated clock.
 """
 
 from .core import (

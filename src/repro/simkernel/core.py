@@ -1,4 +1,9 @@
-"""The simulation environment: clock, event heap and run loop."""
+"""The simulation environment: clock, event heap and run loop.
+
+The heap holds ``(time, priority, eid, target, args)``: an event with
+``args`` ``None``, or a :meth:`Environment.call_later` timer, which is a
+bare entry of its function and argument tuple and no event at all.
+"""
 
 from __future__ import annotations
 
@@ -93,7 +98,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list = []  # heap of (time, priority, eid, event)
+        self._queue: list = []  # heap of (time, priority, eid, target, args)
         self._eid = 0
         self._active_proc: Optional[Process] = None
 
@@ -116,13 +121,12 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create a :class:`Timeout` that fires ``delay`` seconds from now.
 
-        Timeouts dominate the event heap (every modeled CPU slice and
-        network wait allocates one), so this is their only constructor:
-        it fills the slots and pushes the heap entry itself, without the
+        Process waits make this hot, so it is the only constructor: it
+        fills the slots and pushes the heap entry itself, without the
         ``Event.__init__`` and :meth:`schedule` frames.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay {delay} is not >= 0")
         event = Timeout.__new__(Timeout)
         event.env = self
         event.callbacks = []
@@ -131,19 +135,24 @@ class Environment:
         event._defused = False
         event.delay = delay
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, NORMAL, eid, event))
+        heappush(self._queue, (self._now + delay, NORMAL, eid, event, None))
         return event
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Call ``fn(*args)`` ``delay`` seconds from now.
 
-        The fire-and-forget timer: one :meth:`timeout` whose callback
-        makes the call, with no :class:`Process`, generator or end event
-        around it.  Use it for waits nobody yields on (retransmission
-        watchdogs, packet propagation); an exception raised by ``fn``
+        The fire-and-forget timer: the heap entry
+        ``(now + delay, NORMAL, eid, fn, args)``, which :meth:`step` calls
+        straight off the heap, so it fires where a :meth:`timeout` armed in
+        its place would.  No event stands behind it to hold, wait on or
+        cancel: use it for waits nobody yields on (retransmission
+        watchdogs, packet propagation).  An exception raised by ``fn``
         propagates out of :meth:`step` like a crashed process would.
         """
-        self.timeout(delay, (fn, args)).callbacks.append(_call)
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay {delay} is not >= 0")
+        self._eid = eid = self._eid + 1
+        heappush(self._queue, (self._now + delay, NORMAL, eid, fn, args))
 
     def zero_delay_is_next(self) -> bool:
         """True when no heap entry is due at :attr:`now`, so a zero-delay
@@ -178,7 +187,7 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Schedule ``event`` to be processed ``delay`` seconds from now."""
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, priority, eid, event))
+        heappush(self._queue, (self._now + delay, priority, eid, event, None))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
@@ -187,19 +196,21 @@ class Environment:
         return self._queue[0][0]
 
     def step(self) -> None:
-        """Process the next scheduled event.
+        """Process the next heap entry: call a timer's function, or run
+        an event's callbacks.
 
         Raises :class:`EmptySchedule` when the queue is empty.
         """
         queue = self._queue
         if not queue:
             raise EmptySchedule()
-        self._now, _, _, event = heappop(queue)
+        self._now, _, _, event, args = heappop(queue)
+        if args is not None:
+            event(*args)
+            return
 
         callbacks = event.callbacks
-        if callbacks is None:
-            # Event was already processed (it was scheduled twice);
-            # nothing to do.
+        if callbacks is None:  # already processed: it was scheduled twice
             return
         event.callbacks = None
         for callback in callbacks:
@@ -249,17 +260,8 @@ class Environment:
                 ) from None
         return None
 
-    def run_until_idle(self) -> None:
-        """Run until the event queue drains completely."""
-        self.run()
-
     def __repr__(self) -> str:
         return f"<Environment now={self._now} queued={len(self._queue)}>"
-
-
-def _call(event: Timeout) -> None:
-    fn, args = event._value
-    fn(*args)
 
 
 def _stop_simulation(event: Event) -> None:

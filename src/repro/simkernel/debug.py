@@ -21,8 +21,8 @@ subclass that turns silent kernel misuse into loud, attributable errors:
     An event whose callbacks already ran was scheduled again.  Waiters
     attached after the fact will never fire.
 ``non-monotonic``
-    An event was scheduled with a negative delay (behind ``env.now``),
-    or popped behind the clock.  Time must never run backwards in a
+    An event was scheduled with a negative or NaN delay (behind
+    ``env.now``), or a heap entry was popped behind the clock or at NaN.  Time must never run backwards in a
     reproducible discrete-event run.
 ``unretrieved-failure``
     A failed event completed undefused with nobody to receive the
@@ -111,8 +111,7 @@ class DebugEnvironment(Environment):
 
     # -- checked construction / scheduling ---------------------------------
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Tracked Timeout: the base constructor pushes the heap entry
-        itself, so record it here for double-schedule detection."""
+        """Record the Timeout the base pushes, for double-schedule checks."""
         event = super().timeout(delay, value)
         self._pending.add(id(event))
         return event
@@ -131,7 +130,7 @@ class DebugEnvironment(Environment):
                 "event was scheduled again after its callbacks already ran "
                 "(double trigger of a processed event)",
             )
-        if delay < 0:
+        if not delay >= 0:
             self._hazard(
                 "non-monotonic", event,
                 f"scheduled {-delay:g}s into the past (now={self._now:g}); "
@@ -152,14 +151,17 @@ class DebugEnvironment(Environment):
         queue = self._queue
         if not queue:
             raise EmptySchedule()
-        now, _, _, event = heappop(queue)
-        if now < self._now:
+        now, _, _, event, args = heappop(queue)
+        if not now >= self._now:  # behind the clock, or NaN
             self._hazard(
                 "non-monotonic", event,
-                f"popped an event at t={now:g} behind the clock "
+                f"popped an entry at t={now:g} behind the clock "
                 f"(now={self._now:g})",
             )
         self._now = now
+        if args is not None:  # a call_later timer
+            event(*args)
+            return
         self._pending.discard(id(event))
 
         callbacks = event.callbacks
@@ -168,7 +170,6 @@ class DebugEnvironment(Environment):
         event.callbacks = None
         for callback in callbacks:
             callback(event)
-
         if not event._ok and not event._defused:
             exc = event._value
             hazard = SimHazard(

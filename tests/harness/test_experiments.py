@@ -248,3 +248,36 @@ def test_experiment_setup_capture_config_round_trip():
     config = setup.capture_config()
     assert (config.transport, config.group_size, config.compress, config.qos) == (
         "coap", 7, False, 1)
+
+
+@pytest.mark.parametrize("system,transport", [
+    ("provlight", "mqttsn"),
+    ("provlight", "http"),
+    ("provlight", "coap"),
+    ("dfanalyzer", "mqttsn"),
+])
+def test_finished_run_releases_its_backend(monkeypatch, system, transport):
+    """The run's world is cyclic; closing its sink frees the backend by
+    refcount, so its decoded records do not wait for a gen-2 collection."""
+    import gc
+    import weakref
+
+    from repro.dfanalyzer import DfAnalyzerService
+    from repro.harness import experiments
+
+    services = []
+
+    class TrackedService(DfAnalyzerService):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            services.append(weakref.ref(self))
+
+    monkeypatch.setattr(experiments, "DfAnalyzerService", TrackedService)
+    gc.disable()
+    try:
+        outcome = run_capture_experiment(
+            ExperimentSetup(system=system, transport=transport), FAST, seed=1)
+        assert outcome.backend_records > 0
+        assert len(services) == 1 and services[0]() is None
+    finally:
+        gc.enable()

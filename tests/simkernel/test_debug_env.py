@@ -24,6 +24,7 @@ from repro.simkernel import (
     set_default_environment_class,
     uninstall_debug_environment,
 )
+from repro.simkernel.events import NORMAL
 
 
 @pytest.fixture
@@ -100,6 +101,31 @@ def test_non_monotonic_schedule_is_detected():
     # the established API error for a negative timeout is preserved
     with pytest.raises(ValueError):
         env.timeout(-1)  # lint: disable=dropped-event(the call must raise before any event exists)
+
+
+def test_nan_schedule_and_nan_pop_are_non_monotonic():
+    env = DebugEnvironment()
+    env.run(until=1.0)
+    with pytest.raises(SimHazardError, match="non-monotonic"):
+        env.schedule(env.event(), delay=float("nan"))
+    # a NaN time that reached the heap by hand is caught when popped,
+    # for a call_later timer entry as for an event
+    fired = []
+    env._queue.append((float("nan"), NORMAL, 0, fired.append, ("nan",)))
+    with pytest.raises(SimHazardError, match="non-monotonic"):
+        env.step()
+    assert fired == [] and env.now == 1.0
+    assert [h.kind for h in env.hazards] == ["non-monotonic"] * 2
+
+
+def test_timer_popped_behind_the_clock_is_non_monotonic():
+    env = DebugEnvironment()
+    env.run(until=2.0)
+    fired = []
+    env._queue.append((1.0, NORMAL, 0, fired.append, ("late",)))
+    with pytest.raises(SimHazardError, match="non-monotonic"):
+        env.step()
+    assert fired == []
 
 
 def test_unretrieved_failure_is_recorded_and_reraises_the_original():

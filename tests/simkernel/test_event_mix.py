@@ -46,6 +46,9 @@ def test_event_mix_kinds_sum_to_the_step_count():
 def test_kind_of_sorts_a_bare_event_and_a_timer():
     event_mix = _load_script()
     env = Environment()
-    assert event_mix.kind_of(env.event()) == ("no-callback", "Event")
+    bare = env.event()
+    bare.succeed()
+    assert event_mix.kind_of(env._queue[0]) == ("no-callback", "Event")
+    env.run()
     env.call_later(1.0, print)
-    assert event_mix.kind_of(env._queue[0][3]) == ("timer", "print")
+    assert event_mix.kind_of(env._queue[0]) == ("timer", "print")

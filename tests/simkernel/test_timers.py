@@ -1,10 +1,24 @@
 """Event-free kernel primitives: ``Environment.call_later`` timers,
 ``Environment.zero_delay_is_next``, free-slot ``Resource.request`` grants, and ``Store`` puts and gets that
-schedule no event beyond the waiter's own wakeup."""
+schedule no event beyond the waiter's own wakeup.
+
+The order oracle at the end runs random programs against a reference
+kernel whose timers are :class:`~repro.simkernel.Timeout` events."""
+
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.simkernel import Environment, Interrupt, Process, Resource, Store
+from repro.simkernel import (
+    DebugEnvironment,
+    Environment,
+    Interrupt,
+    Process,
+    Resource,
+    Store,
+)
 
 
 def _drain(env):
@@ -72,6 +86,23 @@ def test_call_later_rejects_negative_delay():
     env = Environment()
     with pytest.raises(ValueError):
         env.call_later(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize("kernel", [Environment, DebugEnvironment])
+def test_nan_delay_is_rejected_and_the_clock_stays_monotonic(kernel):
+    env = kernel()
+    fired, rejected = [], []
+    for delay in (5.0, 3.0, float("nan"), 1.0, 4.0, 2.0):
+        try:
+            env.call_later(delay, lambda: fired.append(env.now))
+        except ValueError:
+            rejected.append(delay)
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))  # lint: disable=dropped-event(the call must raise before any event exists)
+    env.run()
+    assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert len(rejected) == 1 and math.isnan(rejected[0])
+    assert getattr(env, "hazards", []) == []
 
 
 def test_call_later_exception_propagates_from_run():
@@ -291,3 +322,134 @@ def test_cancel_of_a_free_slot_grant_wakes_the_next_queued_request():
     env.run()
     assert granted == [("a", 2.0), ("b", 3.0)]
 
+
+# -- order oracle ---------------------------------------------------------------
+
+
+class PlainEnvironment(Environment):
+    """The base kernel, unchanged; a strict subclass, so ``--sim-debug``
+    does not redirect its construction."""
+
+    __slots__ = ()
+
+
+class TimeoutTimerEnvironment(Environment):
+    """Reference kernel: ``call_later`` as a :class:`Timeout` whose
+    callback makes the call, the shape a timer had before it became a
+    bare heap entry."""
+
+    __slots__ = ()
+
+    def call_later(self, delay, fn, *args):
+        self.timeout(delay, (fn, args)).callbacks.append(_call_value)
+
+
+def _call_value(event):
+    fn, args = event._value
+    fn(*args)
+
+
+class TimerError(Exception):
+    pass
+
+
+#: few distinct delays, so many entries fall due in the same instant
+DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
+
+#: ``("timer", delay, children)`` arms ``call_later``; its callback logs
+#: and starts ``children``.  ``("sleep", delays)`` is a process yielding
+#: timeouts, ``("event", delay)`` a process waiting on an event that a
+#: timer succeeds, and ``("put",)`` / ``("get",)`` a ``Store`` hand-off.
+#: A program is its top-level ops plus, optionally, ``(delay, position)``
+#: of a timer whose function raises, armed before op ``position``.
+LEAVES = st.one_of(
+    st.tuples(st.just("sleep"), st.lists(DELAYS, min_size=1, max_size=3)),
+    st.tuples(st.just("event"), DELAYS),
+    st.tuples(st.just("put")),
+    st.tuples(st.just("get")),
+    st.tuples(st.just("timer"), DELAYS, st.just(())),
+)
+OPS = st.recursive(
+    LEAVES,
+    lambda children: st.tuples(
+        st.just("timer"), DELAYS, st.lists(children, max_size=3).map(tuple)
+    ),
+    max_leaves=12,
+)
+PROGRAMS = st.tuples(
+    st.lists(OPS, min_size=1, max_size=6),
+    st.one_of(st.none(), st.tuples(DELAYS, st.integers(0, 5))),
+)
+
+
+def run_program(kernel, program):
+    """Run ``program`` on a fresh ``kernel``; returns its
+    ``(env.now, label)`` trace, ending in ``(now, "raised ...")`` when a
+    timer's exception escaped ``run()``."""
+    ops, fault = program
+    env = kernel()
+    store = Store(env)
+    trace = []
+
+    def log(label):
+        trace.append((env.now, label))
+
+    def start(op, label):
+        kind = op[0]
+        if kind == "timer":
+            env.call_later(op[1], fire, label, op[2])
+        elif kind == "sleep":
+            env.process(sleeper(label, op[1]))
+        elif kind == "event":
+            event = env.event()
+            env.process(waiter(label, event))
+            env.call_later(op[1], event.succeed, label)
+        elif kind == "put":
+            store.put_nowait(label)
+        else:
+            env.process(getter(label))
+
+    def fire(label, children):
+        log(label)
+        for i, child in enumerate(children):
+            start(child, f"{label}.{i}")
+
+    def sleeper(label, delays):
+        for i, delay in enumerate(delays):
+            yield env.timeout(delay)
+            log(f"{label}/slept{i}")
+
+    def waiter(label, event):
+        log(f"{label}/woke:{(yield event)}")
+
+    def getter(label):
+        log(f"{label}/got:{(yield store.get())}")
+
+    def boom(label):
+        log(label)
+        raise TimerError(label)
+
+    for i, op in enumerate(ops):
+        if fault is not None and fault[1] == i:
+            env.call_later(fault[0], boom, "boom")
+        start(op, str(i))
+    if fault is not None and fault[1] >= len(ops):
+        env.call_later(fault[0], boom, "boom")
+    try:
+        env.run()
+    except TimerError as exc:
+        trace.append((env.now, f"raised {exc.args[0]}"))
+    return trace, list(store.items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAMS)
+@example((
+    [("timer", 0.0, (("timer", 0.0, ()), ("put",))), ("get",),
+     ("event", 0.0), ("sleep", [0.0, 0.5]), ("timer", 0.5, (("get",),))],
+    (0.5, 0),
+))
+def test_timers_fire_in_the_order_of_timeout_timers(program):
+    expected = run_program(TimeoutTimerEnvironment, program)
+    assert run_program(PlainEnvironment, program) == expected
+    assert run_program(DebugEnvironment, program) == expected
