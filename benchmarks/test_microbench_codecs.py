@@ -123,12 +123,12 @@ def test_encrypted_payload_overhead(benchmark):
 
 
 def test_journal_append_100_attrs(benchmark, tmp_path):
-    # the durable-capture write-through: one hash-chained SQLite WAL
-    # append per captured payload — the real cost a durable=True client
-    # pays on top of encoding (the BENCH headline tracks the ratio)
-    from repro.capture import CaptureJournal
+    # the durable-capture write-through: one hash-chained journal frame
+    # (one os.write) per captured payload — the real cost a durable=True
+    # client pays on top of encoding (the BENCH headline tracks the ratio)
+    from repro.capture.journal import CaptureJournal, journal_path_for
 
-    journal = CaptureJournal(str(tmp_path / "bench.journal.db"), "bench-client")
+    journal = CaptureJournal(journal_path_for(str(tmp_path), "bench-client"), "bench-client")
     payload = encode_payload(RECORD_100)
     benchmark(journal.append, payload)
     assert journal.verify_chain() == len(journal)
@@ -136,10 +136,10 @@ def test_journal_append_100_attrs(benchmark, tmp_path):
 
 
 def test_journal_append_signed_100_attrs(benchmark, tmp_path):
-    from repro.capture import CaptureJournal, HmacRecordSigner
+    from repro.capture.journal import CaptureJournal, HmacRecordSigner, journal_path_for
 
     journal = CaptureJournal(
-        str(tmp_path / "bench-signed.journal.db"),
+        journal_path_for(str(tmp_path), "bench-client"),
         "bench-client",
         signer=HmacRecordSigner(b"bench-signing-key-16"),
     )
@@ -151,11 +151,12 @@ def test_journal_append_signed_100_attrs(benchmark, tmp_path):
 
 def test_journal_append_ack_100_attrs(benchmark, tmp_path):
     # the whole durable write path of one delivered payload: the append
-    # and the in-order ack that truncates it, one commit each (the BENCH
-    # headline tracks the ack's cost relative to the append's)
-    from repro.capture import CaptureJournal
+    # and the in-order ack that truncates it, one os.write each plus the
+    # amortised compaction (the BENCH headline tracks the ack's cost
+    # relative to the append's)
+    from repro.capture.journal import CaptureJournal, journal_path_for
 
-    journal = CaptureJournal(str(tmp_path / "bench-ack.journal.db"), "bench-client")
+    journal = CaptureJournal(journal_path_for(str(tmp_path), "bench-client"), "bench-client")
     payload = encode_payload(RECORD_100)
 
     def append_ack():

@@ -58,11 +58,11 @@ class CaptureConfig:
     costs: ProvLightCosts = PROVLIGHT_COSTS
     #: calibrated resident/per-message memory footprints (Fig. 6b fits)
     footprints: MemoryFootprints = MEMORY_FOOTPRINTS
-    #: write every outbound payload through an append-only WAL journal
+    #: write every outbound payload through an append-only write-ahead journal
     #: before dispatch; unacknowledged entries survive crashes and are
     #: replayed on reconnect (at-least-once, deduplicated server-side)
     durable: bool = False
-    #: directory holding the journal database (durable clients only);
+    #: directory holding the journal files (durable clients only);
     #: ``None`` uses :data:`repro.capture.journal.DEFAULT_JOURNAL_DIR`
     journal_dir: Optional[str] = None
     #: optional record signer (``sign``/``verify``/``algorithm``) for
