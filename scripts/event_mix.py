@@ -1,6 +1,6 @@
 """Count the simulation kernel's steps by kind on one benchmark workload.
 
-    PYTHONPATH=src python scripts/event_mix.py WORKLOAD [--seed S]
+    PYTHONPATH=src python scripts/event_mix.py WORKLOAD [--seed S] [--top N]
 
 Runs ``WORKLOAD`` (a name from ``bench/workloads.py``) on seeds
 ``S..S+k-1`` through ``run_capture_experiment``, as the benchmark does,
@@ -18,9 +18,10 @@ and sorts every ``Environment.step`` into one kind:
 ``callback``
     any other callback (conditions, grant callbacks), by its name.
 
-It prints the total, each kind's count and share, and the top entries
-within each kind.  Like ``bench/tracer.py`` it observes the program only
-from outside: it installs an ``Environment`` subclass through
+It prints the total, each kind's count and share, and the top ``N``
+entries within each kind (``--top``, default 8; ``--top 0`` prints
+all).  Like ``bench/tracer.py`` it observes the program only from
+outside: it installs an ``Environment`` subclass through
 ``set_default_environment_class`` and restores the previous class when
 done.
 """
@@ -46,7 +47,7 @@ from workloads import WORKLOADS, Workload, experiment  # noqa: E402
 
 __all__ = ["count_steps", "kind_of", "main"]
 
-#: entries printed under each kind
+#: entries printed under each kind unless ``--top`` says otherwise
 TOP = 8
 
 
@@ -103,7 +104,8 @@ def count_steps(workload: Workload, seed: int) -> Tuple[int, Counter]:
     return total[0], kinds
 
 
-def report(total: int, kinds: Counter) -> List[str]:
+def report(total: int, kinds: Counter, top: int = TOP) -> List[str]:
+    """The printed mix: at most ``top`` entries per kind, all when 0."""
     by_kind: Counter = Counter()
     for (kind, _detail), count in kinds.items():
         by_kind[kind] += count
@@ -111,9 +113,17 @@ def report(total: int, kinds: Counter) -> List[str]:
     for kind, count in by_kind.most_common():
         lines.append(f"{count:>9} {100 * count / total:5.1f}%  {kind}")
         entries = [(c, d) for (k, d), c in kinds.items() if k == kind]
-        for c, detail in sorted(entries, key=lambda e: (-e[0], e[1]))[:TOP]:
+        entries.sort(key=lambda e: (-e[0], e[1]))
+        for c, detail in entries[:top] if top else entries:
             lines.append(f"{c:>19} {100 * c / total:5.1f}%  {detail}")
     return lines
+
+
+def _entries(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 0")
+    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -121,9 +131,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1,
                         help="first seed of the run (default 1)")
+    parser.add_argument("--top", type=_entries, default=TOP,
+                        help=f"entries printed per kind, 0 for all (default {TOP})")
     args = parser.parse_args(argv)
     total, kinds = count_steps(WORKLOADS[args.workload], args.seed)
-    print("\n".join(report(total, kinds)))
+    print("\n".join(report(total, kinds, args.top)))
     return 0
 
 

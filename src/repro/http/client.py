@@ -14,6 +14,7 @@ from typing import Dict, Optional, Tuple
 from ..net import ConnectionRefused, Endpoint, Host
 from .messages import (
     ConnectionClosed,
+    HttpError,
     HttpRequest,
     HttpResponse,
     StreamReader,
@@ -86,6 +87,10 @@ class HttpSession:
                 content_type=content_type, _retried=True,
             )
             return response
+        except HttpError as exc:
+            # a malformed response leaves the stream mid-message
+            self.invalidate(dest)
+            raise HttpRequestError(f"{method} {dest}{path}: {exc}") from exc
         self.request_count += 1
         if not response.keep_alive():
             conn.close()

@@ -143,39 +143,60 @@ class StreamReader:
         return False
 
 
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise HttpError(f"message head is not UTF-8: {raw!r}") from None
+
+
 def _parse_headers(block: bytes) -> Dict[str, str]:
     headers: Dict[str, str] = {}
-    for line in block.split(CRLF):
+    for line in _decode(block).split("\r\n"):
         if not line:
             continue
-        if b":" not in line:
+        if ":" not in line:
             raise HttpError(f"malformed header line: {line!r}")
-        key, value = line.split(b":", 1)
-        headers[key.decode().strip()] = value.decode().strip()
+        key, value = line.split(":", 1)
+        headers[key.strip()] = value.strip()
     return headers
 
 
+def _content_length(headers: Dict[str, str]) -> int:
+    """The ``Content-Length`` (1*DIGIT, RFC 9110); 0 when absent."""
+    value = headers.get("Content-Length", "0")
+    if not (value.isascii() and value.isdigit()):
+        raise HttpError(f"bad Content-Length {value!r}")
+    return int(value)
+
+
 def read_request(reader: StreamReader):
-    """Generator parsing one request from ``reader``."""
+    """Generator parsing one request from ``reader``.
+
+    Raises :class:`HttpError` on a malformed head or ``Content-Length``.
+    """
     head = yield from reader.read_until(CRLF + CRLF)
     request_line, _, header_block = head[:-4].partition(CRLF)
     try:
-        method, path, version = request_line.decode().split(" ", 2)
+        method, path, version = _decode(request_line).split(" ", 2)
     except ValueError:
         raise HttpError(f"malformed request line: {request_line!r}") from None
     headers = _parse_headers(header_block)
     body = b""
-    length = int(headers.get("Content-Length", "0"))
+    length = _content_length(headers)
     if length:
         body = yield from reader.read_exactly(length)
     return HttpRequest(method=method, path=path, headers=headers, body=body, version=version)
 
 
 def read_response(reader: StreamReader):
-    """Generator parsing one response from ``reader``."""
+    """Generator parsing one response from ``reader``.
+
+    Raises :class:`HttpError` on a malformed head or ``Content-Length``.
+    """
     head = yield from reader.read_until(CRLF + CRLF)
     status_line, _, header_block = head[:-4].partition(CRLF)
-    parts = status_line.decode().split(" ", 2)
+    parts = _decode(status_line).split(" ", 2)
     if len(parts) < 2:
         raise HttpError(f"malformed status line: {status_line!r}")
     version, status = parts[0], parts[1]
@@ -186,7 +207,7 @@ def read_response(reader: StreamReader):
         raise HttpError(f"bad status code {status!r}") from None
     headers = _parse_headers(header_block)
     body = b""
-    length = int(headers.get("Content-Length", "0"))
+    length = _content_length(headers)
     if length:
         body = yield from reader.read_exactly(length)
     return HttpResponse(

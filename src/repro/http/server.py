@@ -1,8 +1,9 @@
 """uWSGI-style HTTP/1.1 server on simulated TCP.
 
-An accept loop hands each connection to a per-connection process that
-parses requests and runs them through a bounded worker pool (uWSGI's
-process/thread workers) with a calibrated service time per request.
+An accept callback hands each connection to a per-connection process
+that parses requests and runs them through a bounded worker pool
+(uWSGI's process/thread workers) with a calibrated service time per
+request.
 Handlers return an :class:`HttpResponse` or are generators (for handlers
 that must themselves wait on simulated events, e.g. a backend insert).
 """
@@ -28,7 +29,14 @@ __all__ = ["HttpServer"]
 
 
 class HttpServer:
-    """A listening HTTP server bound to ``host:port``."""
+    """A listening HTTP server bound to ``host:port``.
+
+    No process waits for connections: :meth:`_on_accept` is a one-shot
+    :meth:`~repro.net.TcpListener.on_accept` callback that starts the
+    connection's ``<name>-conn`` process and re-registers itself.  A
+    request the parser rejects (:class:`HttpError`) is answered 400 and
+    closes its own connection only.
+    """
 
     def __init__(
         self,
@@ -49,7 +57,7 @@ class HttpServer:
         self.listener = host.tcp_listen(port)
         self.requests = Counter("requests")
         self.errors = Counter("errors")
-        self.env.process(self._accept_loop(), name=f"{self.name}-accept")
+        self.listener.on_accept(self._on_accept)
 
     def close(self) -> None:
         """Drop the handler, so the backend it feeds is freed with the
@@ -57,10 +65,9 @@ class HttpServer:
         full collection.  Call it once the simulation is over."""
         self.handler = None
 
-    def _accept_loop(self):
-        while True:
-            conn = yield self.listener.accept()
-            self.env.process(self._serve(conn), name=f"{self.name}-conn")
+    def _on_accept(self, conn) -> None:
+        self.env.process(self._serve(conn), name=f"{self.name}-conn")
+        self.listener.on_accept(self._on_accept)
 
     def _serve(self, conn):
         reader = StreamReader(conn)

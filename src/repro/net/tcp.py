@@ -14,14 +14,51 @@ Implements the pieces of TCP whose costs the paper's analysis hinges on:
 Congestion control is deliberately out of scope: the experiments are
 either latency-bound (1 Gbit) or plainly bandwidth-bound (25 Kbit), and a
 fixed 64 KiB window reproduces both regimes.
+
+A connection runs no :class:`~repro.simkernel.Process`.  Its three
+timers are :meth:`~repro.simkernel.Environment.call_later` heap entries:
+
+* the *send pump* (:meth:`TcpConnection._pump`) puts send-buffer bytes
+  on the wire while the window allows, then the FIN of a closing
+  connection.  A wake sets ``_pump_due`` and pushes a zero-delay timer,
+  so further wakes in the same instant cost nothing.  ``send()``,
+  ``close()`` and the SYN-ACK always defer the pump, because more work
+  follows them in the same step.  An ACK does not: ``_on_ack`` is the
+  last action of ``_on_packet``, which is the last action of
+  ``Host.deliver``, which ends a link or loopback timer.  In that tail
+  position the pump runs in place when nothing else is due now
+  (:meth:`~repro.simkernel.Environment.zero_delay_is_next`) and on the
+  zero-delay timer otherwise.  A closed connection's pump is never woken.
+* the *retransmission timer* (one RTO per connection, RFC 6298) covers
+  the oldest unacked segment.  It is idle until a transmit arms it at
+  ``rto * 2**min(backoff, 6)``.  When it fires it restarts on
+  cumulative-ACK progress (backoff back to 0), goes idle when nothing is
+  in flight, tears the connection down when the oldest segment has been
+  retransmitted ``MAX_RETRIES`` times, and otherwise retransmits that
+  segment and re-arms one backoff step longer.  An armed timer is never
+  cancelled: after the connection closes it stays on the heap and does
+  nothing when it fires (a dead RTO timer).
+* the *handshake timer* resends the SYN with exponential backoff and
+  refuses the connection after the fifth try.
+
+Each timer fires at the instant the matching event of the process-based
+model (a pump process and a retransmit-loop process per connection, a
+process per handshake attempt) would.  A pump timer takes the heap slot
+of the wakeup event it replaces.  An RTO or handshake timer is pushed
+when it is armed, not when a woken process got round to it later in the
+same instant, so its insertion id moves earlier; that reorders it only
+against an entry with the identical float fire time pushed in between.
+``tests/net/test_tcp_equivalence.py`` checks traces, shared-RNG draws
+and link bytes against the process-based model.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..simkernel import Environment, Store
+from ..simkernel import Environment, Event
 from .packet import Endpoint, Packet, TCP_HEADER_BYTES
 
 __all__ = ["TcpConnection", "TcpListener", "ConnectionRefused", "ConnectionReset"]
@@ -54,19 +91,61 @@ class _Segment:
 
 
 class TcpListener:
-    """Passive socket accepting incoming connections on one port."""
+    """Passive socket accepting incoming connections on one port.
+
+    The backlog has the buffer-plus-waiter shape of
+    :class:`~repro.net.udp.DatagramReceiver`: an established connection
+    goes to the waiter if there is one and is queued otherwise.  The
+    waiter is a one-shot callback registered with :meth:`on_accept` or
+    the event of an :meth:`accept`; a second waiter raises.
+    """
 
     def __init__(self, host: "Host", port: int):  # noqa: F821
         self.host = host
         self.port = port
-        self._backlog: Store = Store(host.env)
+        self._backlog: deque = deque()
+        self._waiter = None
         self.closed = False
 
-    def accept(self):
+    def accept(self) -> Event:
         """Event yielding the next established :class:`TcpConnection`."""
+        self._check_waiter()
+        event = Event(self.host.env)
+        if self._backlog:
+            event.succeed(self._backlog.popleft())
+        else:
+            self._waiter = event
+        return event
+
+    def on_accept(self, fn: Callable[["TcpConnection"], None]) -> None:
+        """Call ``fn(conn)`` once, for the next established connection.
+
+        The callback form of :meth:`accept`, on a zero-delay timer where
+        the accept event would be processed; a server re-registers after
+        each connection.
+        """
+        self._check_waiter()
+        if self._backlog:
+            self.host.env.call_later(0.0, fn, self._backlog.popleft())
+        else:
+            self._waiter = fn
+
+    def _check_waiter(self) -> None:
         if self.closed:
             raise RuntimeError("listener is closed")
-        return self._backlog.get()
+        if self._waiter is not None:
+            raise RuntimeError("listener already has a waiting acceptor")
+
+    def _push(self, conn: "TcpConnection") -> None:
+        waiter = self._waiter
+        if waiter is None:
+            self._backlog.append(conn)
+            return
+        self._waiter = None
+        if isinstance(waiter, Event):
+            waiter.succeed(conn)
+        else:
+            self.host.env.call_later(0.0, waiter, conn)
 
     def _on_syn(self, packet: Packet) -> None:
         conn = TcpConnection(
@@ -78,7 +157,7 @@ class TcpListener:
         self.host._register_tcp(conn)
         conn._on_packet(packet)
         conn._established.callbacks.append(
-            lambda ev: self._backlog.put_nowait(conn) if ev._ok else None
+            lambda ev: self._push(conn) if ev._ok else None
         )
 
     def close(self) -> None:
@@ -117,7 +196,7 @@ class TcpConnection:
         self._next_seq = 0
         self._last_acked = 0
         self._unacked: Dict[int, _Segment] = {}
-        self._send_wakeup = self.env.event()
+        self._pump_due = False  # a pump timer is on the heap
         self._fin_seq: Optional[int] = None
         self._closing = False
 
@@ -132,14 +211,7 @@ class TcpConnection:
         self._srtt: Optional[float] = None
         self._rto = 1.0
         self._rtx_backoff = 0
-        self._rtx_wakeup = self.env.event()
-
-        self.env.process(
-            self._send_pump(), name=f"tcp-pump-{host.name}:{local_port}"
-        )
-        self.env.process(
-            self._retransmit_loop(), name=f"tcp-rtx-{host.name}:{local_port}"
-        )
+        self._rto_armed = False
 
     # ------------------------------------------------------------------ API
     @property
@@ -192,21 +264,24 @@ class TcpConnection:
     def _start_connect(self) -> None:
         """Send the initial SYN (client side)."""
         self._transmit(flags="SYN", seq=0)
-        self.env.process(self._handshake_timer(0), name="tcp-handshake-timer")
+        self._arm_handshake(0)
 
-    def _handshake_timer(self, attempt: int):
-        yield self.env.timeout(self._rto * (2 ** attempt))
-        if self.state == "SYN_SENT":
-            if attempt >= 4:
-                self.state = "CLOSED"
-                self._established.fail(
-                    ConnectionRefused(f"connect to {self.remote} timed out")
-                )
-            else:
-                self._transmit(flags="SYN", seq=0)
-                self.env.process(
-                    self._handshake_timer(attempt + 1), name="tcp-handshake-timer"
-                )
+    def _arm_handshake(self, attempt: int) -> None:
+        self.env.call_later(
+            self._rto * (2 ** attempt), self._handshake_timeout, attempt
+        )
+
+    def _handshake_timeout(self, attempt: int) -> None:
+        if self.state != "SYN_SENT":
+            return
+        if attempt >= 4:
+            self.state = "CLOSED"
+            self._established.fail(
+                ConnectionRefused(f"connect to {self.remote} timed out")
+            )
+        else:
+            self._transmit(flags="SYN", seq=0)
+            self._arm_handshake(attempt + 1)
 
     # ------------------------------------------------------------ packet I/O
     def _transmit(
@@ -317,7 +392,8 @@ class TcpConnection:
         self._last_acked = ack
         if self._fin_seq is not None and ack >= self._fin_seq + 1:
             self.state = "CLOSED"
-        self._wake_sender()
+        # the last action of Host.deliver's call chain: tail position
+        self._wake_sender(tail=True)
 
     def _rtt_sample(self, sample: float) -> None:
         if self._srtt is None:
@@ -327,81 +403,81 @@ class TcpConnection:
         self._rto = min(max(0.2, 2.5 * self._srtt), 10.0)
 
     # ------------------------------------------------------------- send pump
-    def _wake_sender(self) -> None:
-        if not self._send_wakeup.triggered:
-            self._send_wakeup.succeed()
+    def _wake_sender(self, tail: bool = False) -> None:
+        """Run the send pump on a zero-delay timer, or in place when the
+        caller is in ``tail`` position and nothing else is due now."""
+        if self._pump_due or self.state == "CLOSED":
+            return
+        if tail and self.env.zero_delay_is_next():
+            self._pump()
+        else:
+            self._pump_due = True
+            self.env.call_later(0.0, self._pump_timer)
 
-    def _wait_wakeup(self):
-        if self._send_wakeup.triggered:
-            self._send_wakeup = self.env.event()
-        return self._send_wakeup
+    def _pump_timer(self) -> None:
+        self._pump_due = False
+        self._pump()
 
-    def _send_pump(self):
-        env = self.env
-        while True:
-            if self.state == "CLOSED":
-                return
-            if self.state != "ESTABLISHED":
-                yield self._wait_wakeup()
-                continue
+    def _pump(self) -> None:
+        """Transmit what the window allows, then a pending FIN."""
+        if self.state != "ESTABLISHED":
+            return
+        buffer = self._send_buffer
+        while buffer and self._next_seq - self._last_acked < self.window:
             in_flight = self._next_seq - self._last_acked
-            if self._send_buffer and in_flight < self.window:
-                chunk_len = min(MSS, len(self._send_buffer), self.window - in_flight)
-                chunk = bytes(self._send_buffer[:chunk_len])
-                del self._send_buffer[:chunk_len]
-                seq = self._next_seq
-                self._next_seq += chunk_len
-                self._unacked[seq] = _Segment(chunk, False, env.now, 0)
-                self._transmit(seq=seq, ack=self._expected_seq, payload=chunk)
-                self._wake_rtx()
-            elif self._closing and not self._send_buffer and self._fin_seq is None:
-                self._fin_seq = self._next_seq
-                self._unacked[self._fin_seq] = _Segment(b"", True, env.now, 0)
-                self._next_seq += 1
-                self._transmit(flags="FIN", seq=self._fin_seq, ack=self._expected_seq)
-                self._wake_rtx()
-                yield self._wait_wakeup()
-            else:
-                yield self._wait_wakeup()
+            chunk_len = min(MSS, len(buffer), self.window - in_flight)
+            chunk = bytes(buffer[:chunk_len])
+            del buffer[:chunk_len]
+            seq = self._next_seq
+            self._next_seq += chunk_len
+            self._unacked[seq] = _Segment(chunk, False, self.env.now, 0)
+            self._transmit(seq=seq, ack=self._expected_seq, payload=chunk)
+            self._arm_rto()
+        if self._closing and not buffer and self._fin_seq is None:
+            self._fin_seq = self._next_seq
+            self._unacked[self._fin_seq] = _Segment(b"", True, self.env.now, 0)
+            self._next_seq += 1
+            self._transmit(flags="FIN", seq=self._fin_seq, ack=self._expected_seq)
+            self._arm_rto()
 
-    def _wake_rtx(self) -> None:
-        if not self._rtx_wakeup.triggered:
-            self._rtx_wakeup.succeed()
+    # ------------------------------------------------------ retransmission
+    def _arm_rto(self) -> None:
+        """Start the retransmission timer unless it is already running."""
+        if not self._rto_armed:
+            self._rto_armed = True
+            self.env.call_later(
+                self._rto * (2 ** min(self._rtx_backoff, 6)),
+                self._on_rto,
+                self._last_acked,
+            )
 
-    def _retransmit_loop(self):
-        """One retransmission timer per connection (RFC 6298).
+    def _on_rto(self, acked_snapshot: int) -> None:
+        """The retransmission timer fired (see the module docstring).
 
-        The timer covers the *oldest* unacked segment and restarts on any
+        It covers the *oldest* unacked segment and restarts on any
         cumulative-ACK progress, so queueing delay behind a slow link does
         not trigger spurious retransmission storms for segments that are
         still waiting their turn at the bottleneck.
         """
-        env = self.env
-        while self.state != "CLOSED":
-            if not self._unacked:
-                if self._rtx_wakeup.triggered:
-                    self._rtx_wakeup = env.event()
-                yield self._rtx_wakeup
-                continue
-            acked_snapshot = self._last_acked
-            yield env.timeout(self._rto * (2 ** min(self._rtx_backoff, 6)))
-            if self.state == "CLOSED" or not self._unacked:
-                continue
-            if self._last_acked != acked_snapshot:
-                self._rtx_backoff = 0  # forward progress: restart the timer
-                continue
+        self._rto_armed = False
+        if self.state == "CLOSED" or not self._unacked:
+            return  # dead, or idle until the next transmit arms it
+        if self._last_acked != acked_snapshot:
+            self._rtx_backoff = 0  # forward progress: restart the timer
+        else:
             oldest = min(self._unacked)
             segment = self._unacked[oldest]
             if segment.retries >= MAX_RETRIES:
                 self._teardown(ConnectionReset(f"retransmission limit for seq {oldest}"))
                 return
             segment.retries += 1
-            segment.sent_at = env.now
+            segment.sent_at = self.env.now
             self._rtx_backoff += 1
             if segment.is_fin:
                 self._transmit(flags="FIN", seq=oldest, ack=self._expected_seq)
             else:
                 self._transmit(seq=oldest, ack=self._expected_seq, payload=segment.payload)
+        self._arm_rto()
 
     # ------------------------------------------------------------ teardown
     def _teardown(self, error: Exception) -> None:
@@ -410,7 +486,6 @@ class TcpConnection:
         self._satisfy_receivers()
         if not self._established.triggered:
             self._established.fail(error)
-        self._wake_sender()
 
     # ----------------------------------------------------------- receivers
     def _satisfy_receivers(self) -> None:

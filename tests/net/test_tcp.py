@@ -292,7 +292,7 @@ def test_send_returns_none_and_schedules_no_event():
 
     def client(env):
         conn = yield from net.hosts["client"].tcp_connect(("server", 80))
-        yield env.timeout(0.5)  # let the send pump park on its wakeup
+        yield env.timeout(0.5)  # let the handshake's pump timer fire
         before = len(env._queue)
         queued["first"] = (conn.send(b"one"), len(env._queue) - before)
         before = len(env._queue)
@@ -304,5 +304,39 @@ def test_send_returns_none_and_schedules_no_event():
 
     env.process(client(env))
     env.run()
-    # the first send wakes the parked send pump; nothing else is scheduled
+    # the first send pushes the send pump's timer; nothing else is scheduled
     assert queued == {"first": (None, 1), "second": (None, 0), "echo": b"onetwo"}
+
+
+def test_listener_hands_connections_to_one_waiter():
+    """The backlog feeds one waiter at a time: an ``accept()`` event or
+    a one-shot ``on_accept`` callback; connections that arrive with no
+    waiter queue in order."""
+    env, net = make_net()
+    listener = net.hosts["server"].tcp_listen(80)
+    accepted = []
+
+    def on_accept(conn):
+        accepted.append(("callback", env.now, conn.remote[1]))
+
+    listener.on_accept(on_accept)
+    with pytest.raises(RuntimeError, match="waiting acceptor"):
+        listener.accept()
+
+    def client(env):
+        for _ in range(3):
+            yield from net.hosts["client"].tcp_connect(("server", 80))
+
+    env.process(client(env))
+    env.run()
+    assert [kind for kind, *_ in accepted] == ["callback"]
+    # the second and third connections queued in the backlog
+    first = listener.accept()
+    env.run()
+    assert first.value.remote[1] == accepted[0][2] + 1
+    listener.on_accept(on_accept)
+    env.run()
+    assert accepted[1][2] == accepted[0][2] + 2
+    listener.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        listener.accept()

@@ -2,6 +2,9 @@
 
 import importlib.util
 import os
+from collections import Counter
+
+import pytest
 
 from repro.simkernel import Environment
 from repro.simkernel.core import default_environment_class
@@ -52,3 +55,56 @@ def test_kind_of_sorts_a_bare_event_and_a_timer():
     env.run()
     env.call_later(1.0, print)
     assert event_mix.kind_of(env._queue[0]) == ("timer", "print")
+
+
+def test_http_fanin_runs_no_tcp_or_accept_process():
+    """A TCP connection's pump, retransmission and handshake timers and
+    the HTTP server's accept callback are heap timers: no step wakes,
+    starts or ends a process for them."""
+    event_mix = _load_script()
+    total, kinds = event_mix.count_steps(
+        event_mix.WORKLOADS["http-fanin"].shrunk(), seed=1
+    )
+    assert total > 0
+
+    def tcp_or_accept(detail):
+        name = detail.split(" <- ")[0]
+        return name.startswith(("tcp-pump-", "tcp-rtx-", "tcp-handshake-timer")) or (
+            name.startswith("http-") and name.endswith("-accept")
+        )
+
+    offending = [
+        (kind, detail) for kind, detail in kinds
+        if kind in ("wakeup", "initialize", "process-end") and tcp_or_accept(detail)
+    ]
+    assert offending == []
+    tcp_timers = sum(
+        count for (kind, detail), count in kinds.items()
+        if kind == "timer" and detail.startswith("TcpConnection.")
+    )
+    assert tcp_timers > 0
+    assert kinds[("timer", "HttpServer._on_accept")] > 0
+
+
+def test_top_limits_the_entries_printed_per_kind(monkeypatch, capsys):
+    event_mix = _load_script()
+    kinds = Counter({("timer", f"fn{i}"): 10 - i for i in range(10)})
+    kinds[("wakeup", "p <- Event")] = 5
+    total = sum(kinds.values())
+
+    def entries(lines):
+        return [line for line in lines[1:] if line.startswith(" " * 10)]
+
+    assert len(entries(event_mix.report(total, kinds))) == event_mix.TOP + 1
+    assert len(entries(event_mix.report(total, kinds, top=2))) == 3
+    assert len(entries(event_mix.report(total, kinds, top=0))) == 11
+
+    # the command line reaches report(); count_steps is stubbed out
+    monkeypatch.setattr(event_mix, "count_steps", lambda workload, seed: (total, kinds))
+    assert event_mix.main(["fanin-64", "--top", "0"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == event_mix.report(total, kinds, top=0)
+    assert event_mix.main(["fanin-64"]) == 0
+    assert capsys.readouterr().out.splitlines() == event_mix.report(total, kinds)
+    with pytest.raises(SystemExit):
+        event_mix.main(["fanin-64", "--top", "-1"])
