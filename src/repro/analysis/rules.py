@@ -162,11 +162,11 @@ class DroppedEventRule(Rule):
       name it so crash reports and the DebugEnvironment can attribute it.
       Tests spawn short-lived processes whose crashes already fail the
       test, so the naming requirement does not extend there.
-    * ``<store>.put(...)`` discarded (library sources only): the put
-      event is scheduled although nobody will ever wait on it — one heap
-      push and pop per item for nothing.  ``put_nowait`` queues the item
-      and wakes getters without an event; yield ``put`` only where a
-      bounded store's back-pressure matters.  Tests may discard puts.
+    * ``<store>.put(...)`` discarded (library sources only): a put
+      event would be scheduled although nobody will ever wait on it —
+      one heap push and pop per item for nothing.  ``put_nowait`` queues
+      the item and wakes the waiter without an event.  Tests may discard
+      puts.
     * ``<fresh event>.succeed()/.fail()`` (receiver is itself a call,
       e.g. ``env.event().succeed()``): the triggered event is discarded
       before anyone could possibly observe it.  Triggering a *stored*
@@ -202,8 +202,7 @@ class DroppedEventRule(Rule):
             report(
                 node,
                 "result of .put(...) is discarded; the put event is scheduled "
-                "for nobody — use .put_nowait(...) (or yield the put to wait "
-                "on a bounded store)",
+                "for nobody — use .put_nowait(...)",
             )
         elif attr in ("succeed", "fail") and isinstance(receiver, ast.Call):
             report(

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional
 from ..core.grouping import GroupBuffer
 from ..core.model import count_attributes_from_record
 from ..core.serialization import encode_payload
-from ..simkernel import Counter, Store
+from ..simkernel import Counter, Mailbox
 from .config import CaptureConfig
 from .envelope import wrap_payload
 from .journal import DEFAULT_JOURNAL_DIR, CaptureJournal, journal_path_for
@@ -110,7 +110,7 @@ class CaptureClient:
         self.handle: Any = None
         self._ready = False
         self._closed = False
-        self._queue: Store = Store(self.env)
+        self._queue = Mailbox(self.env)
         self._outstanding = 0
         self._drain_waiters: List = []
         self.messages_sent = Counter("messages")
@@ -272,7 +272,7 @@ class CaptureClient:
         if self._closed:
             return
         self._closed = True
-        for item in self._queue.drain_pending():
+        for item in self._queue.drain():
             if item is _CLOSE:
                 continue
             _, nbytes, _ = item

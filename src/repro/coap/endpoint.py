@@ -59,14 +59,15 @@ class CoapServer:
         self._seen: Dict[Tuple[Endpoint, int], int] = {}  # dedup cache
         self.requests = Counter("requests")
         self.duplicates = Counter("duplicates")
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
     def route(self, path: str, handler: RequestHandler) -> None:
         """Register a handler for an absolute path like ``"/prov/edge"``."""
         key = tuple(seg for seg in path.split("/") if seg)
         self._handlers[key] = handler
 
-    def _on_datagram(self, data: bytes, source: Endpoint) -> None:
+    def _on_datagram(self, datagram: Tuple[bytes, Endpoint]) -> None:
+        data, source = datagram
         if self.service_time_s > 0:
             self.env.call_later(self.service_time_s, self._serve, data, source)
         else:
@@ -79,7 +80,7 @@ class CoapServer:
             pass
         else:
             self._dispatch(message, source)
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
     def _dispatch(self, message: CoapMessage, source: Endpoint) -> None:
         if message.mtype not in (TYPE_CON, TYPE_NON):
@@ -125,16 +126,16 @@ class CoapClient:
         self._mids = itertools.cycle(range(1, 0x10000))
         self._pending: Dict[int, object] = {}  # mid -> completion event
         self.posts = Counter("posts")
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
-    def _on_datagram(self, data: bytes, _source: Endpoint) -> None:
+    def _on_datagram(self, datagram: Tuple[bytes, Endpoint]) -> None:
         try:
-            message = CoapMessage.decode(data)
+            message = CoapMessage.decode(datagram[0])
         except CoapError:
             pass
         else:
             self._on_reply(message)
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
     def _on_reply(self, message: CoapMessage) -> None:
         if message.mtype not in (TYPE_ACK, TYPE_RST):

@@ -17,7 +17,7 @@ from ..capture.envelope import ReplayDeduper, unwrap_payload
 from ..core.translator import Translator
 from ..device import Device
 from ..net import Endpoint, Host
-from ..simkernel import Counter, Store
+from ..simkernel import Counter, Mailbox
 from .endpoint import DEFAULT_COAP_PORT, CoapClient, CoapServer
 from .messages import CODE_CHANGED
 
@@ -47,7 +47,7 @@ class ProvLightCoapServer:
         #: (client_id, seq) envelope and this index drops the replays
         self.deduper = ReplayDeduper()
         self.duplicates_dropped = Counter("duplicates-dropped")
-        self._inbox: Store = Store(self.env)
+        self._inbox = Mailbox(self.env)
         self.server.route(DEFAULT_CAPTURE_PATH, self._on_post)
         self.env.process(self._work_loop(), name="coap-prov-translator")
 

@@ -26,13 +26,13 @@ Two layers of the server shard by consistent hashing (the same ring,
 Every server-plane knob lives in one frozen :class:`ServerConfig`.
 
 Backends follow a uniform generator protocol: ``ingest(translated)``
-returns an iterable of simulation events.  Synchronous backends deliver
-inline and return no events; network backends return a generator that
-yields the I/O events of the request.  Backends may additionally expose
-``ingest_batch(batch)`` — same contract, one call per *drained worker
-batch* — which lets a network backend pipeline the whole batch into one
-bulk request instead of one POST per translated group; workers prefer it
-when present.
+and ``ingest_batch(batch)`` return an iterable of simulation events.
+Synchronous backends deliver inline and return no events; network
+backends return a generator that yields the I/O events of the request.
+Pool workers call ``ingest_batch`` once per *drained worker batch*, which
+lets a network backend pipeline the whole batch into one bulk request
+instead of one POST per translated group; the CoAP sink calls
+``ingest``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from ..mqttsn import (
 )
 from ..mqttsn.topics import topic_matches
 from ..net import Endpoint, Host
-from ..simkernel import Counter, Store
+from ..simkernel import Counter, Mailbox
 from .resilience import (
     BackendError,
     BackendTimeout,
@@ -129,14 +129,14 @@ class HttpBackend:
         host: Host,
         endpoint: Endpoint,
         path: str = "/pde",
-        timeout_s: Optional[float] = 10.0,
+        timeout_s: float = 10.0,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         spill_limit: int = 512,
         drain_max_probes: int = 25,
     ):
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0 (or None to disable)")
+        if timeout_s <= 0:
+            raise ValueError("timeout_s must be > 0")
         if spill_limit < 1:
             raise ValueError("spill_limit must be >= 1")
         self.session = HttpSession(host)
@@ -183,9 +183,6 @@ class HttpBackend:
     # ------------------------------------------------------------ internals
     def _post(self, body: bytes):
         """Generator: one POST, bounded by ``timeout_s`` on the sim clock."""
-        if self.timeout_s is None:
-            response = yield from self.session.post(self.endpoint, self.path, body)
-            return response
         request = self.env.process(
             self.session.post(self.endpoint, self.path, body),
             name="backend-post",
@@ -337,7 +334,7 @@ class _TranslatorWorker:
         self.pool: Optional["TranslatorPool"] = None
         self._retired = False
         self.topic_filters: List[str] = []
-        self._inbox: Store = Store(self.env)
+        self._inbox = Mailbox(self.env)
         self._connected = False
         self._connect_gate = None
         self.crashes = Counter(f"translator-{index}-crashes")
@@ -497,12 +494,12 @@ class _TranslatorWorker:
         if pending is not None:
             if pending.triggered:
                 # the get resolved in the same instant the crash landed:
-                # the item was popped off the store for a dead consumer
+                # the item was popped off the inbox for a dead consumer
                 self._inflight.insert(0, pending.value)
             else:
-                # abandoned waiter: cancel it or the store will feed the
+                # abandoned waiter: cancel it or the inbox will feed the
                 # next arriving item to an event nobody resumes on
-                pending.cancel()
+                self._inbox.cancel(pending)
         if self._inflight:
             self._requeue = self._inflight + self._requeue
             self._inflight = []
@@ -520,7 +517,7 @@ class _TranslatorWorker:
                 self._pending_get = None
                 batch = [first]
                 if self.max_batch > 1:
-                    batch.extend(self._inbox.drain_pending(self.max_batch - 1))
+                    batch.extend(self._inbox.drain(self.max_batch - 1))
             self._inflight = batch
             costs = server.costs
             work = 0.0
@@ -570,18 +567,10 @@ class _TranslatorWorker:
             else:
                 yield self.env.timeout(work)
             # pipelined ingest: hand the backend the whole drained batch
-            # (one bulk request for network backends) when it supports
-            # it; otherwise fall back to one ingest per translated group
-            backend = server.backend
-            ingest_batch = getattr(backend, "ingest_batch", None)
-            if ingest_batch is not None:
-                yield from ingest_batch([t for _, t in translated_batch])
-            else:
-                for _records, translated in translated_batch:
-                    yield from backend.ingest(translated)
-            # hold no backend across the next wait, so that
+            # (one bulk request for network backends).  No local holds
+            # the backend across the next wait, so that
             # ProvLightServer.close() frees it
-            del backend, ingest_batch
+            yield from server.backend.ingest_batch([t for _, t in translated_batch])
             # the backend accepted the batch: only now do the dedup marks
             # become durable facts (no yield between ingest return and
             # here, so a crash cannot split accept from mark)
@@ -684,7 +673,7 @@ class TranslatorPool:
     """Worker pool sharding topics by consistent hashing — elastic
     between ``min_workers`` and ``max_workers``.
 
-    The hash ring carries ``replicas`` virtual points per worker, so
+    The hash ring carries :attr:`REPLICAS` virtual points per worker, so
     adding topics spreads evenly and the worker serving a topic is a pure
     function of the topic name — no rebalancing state, no registry
     side effects, and the same layout regardless of the order topics
@@ -695,32 +684,32 @@ class TranslatorPool:
     fully static (no monitor process, byte-identical behaviour to the
     fixed pool).  With ``min_workers < max_workers`` a lazily-started,
     self-terminating monitor samples :attr:`queued` every
-    ``autoscale_interval_s`` and feeds a :class:`PoolAutoscaler`; each
+    :attr:`AUTOSCALE_INTERVAL_S` and feeds a :class:`PoolAutoscaler`; each
     grow/shrink re-homes exactly the ring's ~1/K topic share through the
     exactly-once hold-buffer handover of :meth:`_migrate`.
     """
+
+    #: virtual points per worker on the hash ring
+    REPLICAS = 32
+    #: payloads one worker drains off its inbox per batch
+    MAX_BATCH = 32
+    #: autoscale monitor sampling period (simulated seconds)
+    AUTOSCALE_INTERVAL_S = 0.25
+    #: poll period of a migration or shrink drain (simulated seconds)
+    DRAIN_POLL_S = 0.01
 
     def __init__(
         self,
         server: "ProvLightServer",
         size: int,
         *,
-        replicas: int = 32,
-        max_batch: int = 32,
         min_workers: Optional[int] = None,
         max_workers: Optional[int] = None,
-        autoscale_interval_s: float = 0.25,
-        high_water: float = 8.0,
-        low_water: float = 2.0,
-        sustain: int = 3,
-        drain_poll_s: float = 0.01,
     ):
         if size <= 0:
             raise ValueError("translator pool needs at least one worker")
         self.server = server
         self.env = server.env
-        self.replicas = replicas
-        self.worker_max_batch = max_batch
         self.min_workers = size if min_workers is None else min_workers
         self.max_workers = size if max_workers is None else max_workers
         if self.min_workers < 1:
@@ -730,25 +719,13 @@ class TranslatorPool:
                 f"pool size {size} outside bounds "
                 f"[{self.min_workers}, {self.max_workers}]"
             )
-        if autoscale_interval_s <= 0:
-            raise ValueError("autoscale_interval_s must be > 0")
-        if drain_poll_s <= 0:
-            raise ValueError("drain_poll_s must be > 0")
-        self.autoscale_interval_s = autoscale_interval_s
-        self.drain_poll_s = drain_poll_s
-        self.autoscaler = PoolAutoscaler(
-            self.min_workers,
-            self.max_workers,
-            high_water=high_water,
-            low_water=low_water,
-            sustain=sustain,
-        )
+        self.autoscaler = PoolAutoscaler(self.min_workers, self.max_workers)
         self.workers = [
-            _TranslatorWorker(server, i + 1, max_batch) for i in range(size)
+            _TranslatorWorker(server, i + 1, self.MAX_BATCH) for i in range(size)
         ]
         for worker in self.workers:
             worker.pool = self
-        self._ring = ConsistentHashRing(size, replicas=replicas, salt="worker")
+        self._ring = ConsistentHashRing(size, replicas=self.REPLICAS, salt="worker")
         self.grows = Counter("pool-grows")
         self.shrinks = Counter("pool-shrinks")
         self.grow_failures = Counter("pool-grow-failures")
@@ -802,7 +779,7 @@ class TranslatorPool:
     def _autoscale_loop(self):
         idle_ticks = 0
         while True:
-            yield self.env.timeout(self.autoscale_interval_s)
+            yield self.env.timeout(self.AUTOSCALE_INTERVAL_S)
             delta = self.autoscaler.observe(self.queued, len(self.workers))
             if delta > 0:
                 yield from self._grow()
@@ -820,7 +797,7 @@ class TranslatorPool:
         if len(self.workers) >= self.max_workers:
             return
         index = len(self.workers)
-        worker = _TranslatorWorker(self.server, index + 1, self.worker_max_batch)
+        worker = _TranslatorWorker(self.server, index + 1, self.MAX_BATCH)
         worker.pool = self
         try:
             yield from worker._ensure_connected()
@@ -831,7 +808,7 @@ class TranslatorPool:
             worker.retire()
             return
         new_ring = ConsistentHashRing(
-            index + 1, replicas=self.replicas, salt="worker"
+            index + 1, replicas=self.REPLICAS, salt="worker"
         )
         # the ring-subset property: exactly the filters the (K+1)-ring
         # assigns to the new node move; everything else stays put
@@ -853,14 +830,14 @@ class TranslatorPool:
             return
         dying = self.workers[-1]
         new_ring = ConsistentHashRing(
-            len(self.workers) - 1, replicas=self.replicas, salt="worker"
+            len(self.workers) - 1, replicas=self.REPLICAS, salt="worker"
         )
         self._ring = new_ring  # attaches during the drain land on survivors
         for pattern in list(dying.topic_filters):
             target = self.workers[new_ring.node_for(pattern)]
             yield from self._migrate(pattern, dying, target)
         while dying.queued or dying._inflight:
-            yield self.env.timeout(self.drain_poll_s)
+            yield self.env.timeout(self.DRAIN_POLL_S)
         self.workers.pop()
         dying.retire()
         self.shrinks.record()
@@ -908,9 +885,9 @@ class TranslatorPool:
         broker.move_subscription(old.endpoint, new.endpoint, pattern, qos)
         # always give in-flight deliveries toward the old subscriber one
         # poll interval to land before declaring the old worker clean
-        yield self.env.timeout(self.drain_poll_s)
+        yield self.env.timeout(self.DRAIN_POLL_S)
         while old._has_pending(pattern):
-            yield self.env.timeout(self.drain_poll_s)
+            yield self.env.timeout(self.DRAIN_POLL_S)
         old.client.unbind_filter(pattern)
         if pattern in old.topic_filters:
             old.topic_filters.remove(pattern)

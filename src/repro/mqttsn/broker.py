@@ -3,7 +3,7 @@ Broker), which the paper's ProvLight server embeds.
 
 Event-driven over one UDP port, like RSMB's epoll loop, but without a
 process: the broker is a one-shot socket callback
-(:meth:`~repro.net.udp.DatagramReceiver.on_datagram`).  The datagram
+(:meth:`~repro.simkernel.Mailbox.on_item`).  The datagram
 that wakes it takes up to ``max_batch - 1`` more already queued on the
 socket, and the batch is charged one batched service time
 (``broker_batch_fixed_s`` amortized over the batch plus
@@ -125,7 +125,7 @@ class MqttSnBroker:
         #: hops check it so a dead broker's leftover timers drain instead
         #: of sending through a closed socket
         self.crashed = False
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
     @property
     def alive(self) -> bool:
@@ -147,12 +147,12 @@ class MqttSnBroker:
             self.sock.close()
 
     # --------------------------------------------------------------- service
-    def _on_datagram(self, data: bytes, source: Endpoint) -> None:
+    def _on_datagram(self, datagram: Tuple[bytes, Endpoint]) -> None:
         # one service batch: this datagram plus whatever queued behind
         # it, charged one batched service time before it is dispatched
-        batch = [(data, source)]
+        batch = [datagram]
         if self.max_batch > 1:
-            batch.extend(self.sock.recv_pending(self.max_batch - 1))
+            batch.extend(self.sock.drain(self.max_batch - 1))
         service = self.batch_fixed_s + self.service_time_s * len(batch)
         if service > 0:
             self.env.call_later(service, self._serve, batch)
@@ -173,7 +173,7 @@ class MqttSnBroker:
             self._flush_deliveries()
         if self.relay is not None:
             self.relay.flush(self)
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
     def _send(self, message: pkt.MqttSnMessage, dest: Endpoint) -> None:
         self.sock.sendto(message.encode(), dest)

@@ -78,7 +78,7 @@ class MqttSnClient:
         self._wildcard_subs: List[Tuple[str, MessageHandler]] = []
         self.published_count = 0
         self.received_count = 0
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
     # ------------------------------------------------------------------ ops
     def connect(self):
@@ -239,14 +239,14 @@ class MqttSnClient:
             self.retry_interval_s, self._retry_pending, kind, msg_id, attempt + 1
         )
 
-    def _on_datagram(self, data: bytes, _source: Endpoint) -> None:
+    def _on_datagram(self, datagram: Tuple[bytes, Endpoint]) -> None:
         try:
-            message = pkt.decode(data)
+            message = pkt.decode(datagram[0])
         except pkt.MalformedPacket:
             pass
         else:
             self._dispatch(message)
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
     def _dispatch(self, message: pkt.MqttSnMessage) -> None:
         if isinstance(message, pkt.Connack):

@@ -28,11 +28,10 @@ state the old shard held for that endpoint.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..simkernel import Counter
+from ..simkernel import Counter, Mailbox
 from .packet import Endpoint
-from .udp import DatagramReceiver
 
 __all__ = ["UdpShardDispatcher", "VirtualSocket"]
 
@@ -40,14 +39,14 @@ __all__ = ["UdpShardDispatcher", "VirtualSocket"]
 Classifier = Callable[[bytes, Endpoint, Optional[int]], int]
 
 
-class VirtualSocket(DatagramReceiver):
+class VirtualSocket(Mailbox):
     """Socket facade for one backend shard behind a dispatcher.
 
     Receives whatever the dispatcher forwards to this shard; sends go out
     through the dispatcher's front socket so replies carry the public
-    endpoint as their source.  Implements the subset of the
-    :class:`~repro.net.udp.UdpSocket` surface servers use (``sendto`` /
-    ``on_datagram`` / ``recv`` / ``recv_pending`` / ``pending``).
+    endpoint as their source.  Like a :class:`~repro.net.udp.UdpSocket`
+    it is a :class:`~repro.simkernel.Mailbox` of ``(payload, source)``
+    datagrams with a ``sendto``.
     """
 
     def __init__(self, dispatcher: "UdpShardDispatcher", index: int):
@@ -68,12 +67,6 @@ class VirtualSocket(DatagramReceiver):
         if self.closed:
             raise RuntimeError("socket is closed")
         return self._dispatcher.sock.sendto(payload, dest)
-
-    def _deliver(self, payload: bytes, source: Endpoint) -> None:
-        # called mid-loop by the dispatcher, never in tail position: the
-        # shard's callback always runs on a zero-delay timer
-        if not self.closed:
-            self._push((payload, source), False)
 
     def __repr__(self) -> str:
         return (
@@ -114,26 +107,27 @@ class UdpShardDispatcher:
         self.pins: Dict[Endpoint, int] = {}
         self.dispatched = Counter("dispatched-datagrams")
         self.bundles = Counter("dispatched-bundles")
-        self.sock.on_datagram(self._on_datagram)
+        self.sock.on_item(self._on_datagram)
 
-    def _on_datagram(self, payload: bytes, source: Endpoint) -> None:
+    def _on_datagram(self, datagram: Tuple[bytes, Endpoint]) -> None:
         # Per wakeup: drain a batch off the socket, classify it in arrival
         # order (pins may change mid-batch), then forward one *bundle* per
         # destination shard.  The fixed dispatch cost is paid per bundle,
         # not per datagram, so fan-in from many devices to few shards
         # amortizes to ``K * fixed + N * per_datagram``.
-        batch = [(payload, source)]
+        batch = [datagram]
         if self.max_batch > 1:
-            batch.extend(self.sock.recv_pending(self.max_batch - 1))
+            batch.extend(self.sock.drain(self.max_batch - 1))
         bundles: Dict[int, List] = {}
-        for payload, source in batch:
+        for datagram in batch:
+            payload, source = datagram
             current = self.pins.get(source)
             index = self.classify(payload, source, current)
             if index != current:
                 if current is not None and self.on_repin is not None:
                     self.on_repin(source, current, index)
                 self.pins[source] = index
-            bundles.setdefault(index, []).append((payload, source))
+            bundles.setdefault(index, []).append(datagram)
         cost = (
             self.dispatch_fixed_s * len(bundles)
             + self.dispatch_per_datagram_s * len(batch)
@@ -147,10 +141,10 @@ class UdpShardDispatcher:
         for index, bundle in bundles.items():
             self.bundles.record()
             shard_socket = self.sockets[index]
-            for payload, source in bundle:
+            for datagram in bundle:
                 self.dispatched.record()
-                shard_socket._deliver(payload, source)
-        self.sock.on_datagram(self._on_datagram)
+                shard_socket.put_nowait(datagram)
+        self.sock.on_item(self._on_datagram)
 
     @property
     def datagrams_per_bundle(self) -> float:

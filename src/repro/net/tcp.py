@@ -54,11 +54,10 @@ and link bytes against the process-based model.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..simkernel import Environment, Event
+from ..simkernel import Environment, Event, Mailbox
 from .packet import Endpoint, Packet, TCP_HEADER_BYTES
 
 __all__ = ["TcpConnection", "TcpListener", "ConnectionRefused", "ConnectionReset"]
@@ -93,29 +92,21 @@ class _Segment:
 class TcpListener:
     """Passive socket accepting incoming connections on one port.
 
-    The backlog has the buffer-plus-waiter shape of
-    :class:`~repro.net.udp.DatagramReceiver`: an established connection
-    goes to the waiter if there is one and is queued otherwise.  The
-    waiter is a one-shot callback registered with :meth:`on_accept` or
-    the event of an :meth:`accept`; a second waiter raises.
+    Its backlog is a :class:`~repro.simkernel.Mailbox`: an established
+    connection goes to the waiter if there is one and is queued
+    otherwise.  The waiter is a one-shot callback registered with
+    :meth:`on_accept` or the event of an :meth:`accept`; a second waiter
+    raises.
     """
 
     def __init__(self, host: "Host", port: int):  # noqa: F821
         self.host = host
         self.port = port
-        self._backlog: deque = deque()
-        self._waiter = None
-        self.closed = False
+        self._backlog = Mailbox(host.env)
 
     def accept(self) -> Event:
         """Event yielding the next established :class:`TcpConnection`."""
-        self._check_waiter()
-        event = Event(self.host.env)
-        if self._backlog:
-            event.succeed(self._backlog.popleft())
-        else:
-            self._waiter = event
-        return event
+        return self._backlog.get()
 
     def on_accept(self, fn: Callable[["TcpConnection"], None]) -> None:
         """Call ``fn(conn)`` once, for the next established connection.
@@ -124,28 +115,7 @@ class TcpListener:
         the accept event would be processed; a server re-registers after
         each connection.
         """
-        self._check_waiter()
-        if self._backlog:
-            self.host.env.call_later(0.0, fn, self._backlog.popleft())
-        else:
-            self._waiter = fn
-
-    def _check_waiter(self) -> None:
-        if self.closed:
-            raise RuntimeError("listener is closed")
-        if self._waiter is not None:
-            raise RuntimeError("listener already has a waiting acceptor")
-
-    def _push(self, conn: "TcpConnection") -> None:
-        waiter = self._waiter
-        if waiter is None:
-            self._backlog.append(conn)
-            return
-        self._waiter = None
-        if isinstance(waiter, Event):
-            waiter.succeed(conn)
-        else:
-            self.host.env.call_later(0.0, waiter, conn)
+        self._backlog.on_item(fn)
 
     def _on_syn(self, packet: Packet) -> None:
         conn = TcpConnection(
@@ -157,12 +127,13 @@ class TcpListener:
         self.host._register_tcp(conn)
         conn._on_packet(packet)
         conn._established.callbacks.append(
-            lambda ev: self._push(conn) if ev._ok else None
+            lambda ev: self._backlog.put_nowait(conn) if ev._ok else None
         )
 
     def close(self) -> None:
-        if not self.closed:
-            self.closed = True
+        """Unbind the port and drop the backlog and its waiter."""
+        if not self._backlog.closed:
+            self._backlog.close()
             self.host._unbind_tcp_listener(self.port)
 
     def __repr__(self) -> str:

@@ -8,8 +8,9 @@ bare heap entries with no event behind them, straight off its heap.
 The rest of the surface is what the simulator uses: the tail-position
 check :meth:`Environment.zero_delay_is_next`, processes with interrupts,
 valueless :class:`AllOf`/:class:`AnyOf`, one FIFO :class:`Resource` and
-one unbounded FIFO :class:`Store`.  Every other ``repro`` subsystem runs
-on this kernel, in one environment sharing one simulated clock.
+one FIFO hand-off, the :class:`Mailbox` (a buffer and one waiter, taken
+by an event or a one-shot callback).  Every other ``repro`` subsystem
+runs on this kernel, in one environment sharing one simulated clock.
 """
 
 from .core import (
@@ -38,7 +39,7 @@ from .events import (
     Timeout,
 )
 from .monitor import Counter, RateMeter, TimeWeighted
-from .resources import Resource, Store
+from .resources import Mailbox, Resource
 
 __all__ = [
     "Environment",
@@ -61,7 +62,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
-    "Store",
+    "Mailbox",
     "TimeWeighted",
     "Counter",
     "RateMeter",

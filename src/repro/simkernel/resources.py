@@ -1,20 +1,22 @@
 """Shared-resource primitives built on the event kernel.
 
-Two families, mirroring what network/device models need:
+Two primitives, mirroring what network/device models need:
 
 * :class:`Resource` — a FIFO semaphore with ``capacity`` slots (CPU
   cores, server worker pools).
-* :class:`Store` — an unbounded FIFO queue of Python objects (packet
-  queues, mailboxes), fed by :meth:`Store.put_nowait` and emptied by
-  :meth:`Store.get` and :meth:`Store.drain_pending`.
+* :class:`Mailbox` — the one FIFO hand-off: an unbounded buffer of items
+  and one waiter slot (socket receive buffers, a TCP listener's
+  backlog, the capture sender queue, translator and CoAP inboxes), fed
+  by :meth:`Mailbox.put_nowait` and emptied by :meth:`Mailbox.get`,
+  :meth:`Mailbox.on_item` and :meth:`Mailbox.drain`.
 
 One event only where someone waits: an event exists to resume a waiter
 later, so an operation whose outcome is already decided when it is
 called schedules none.  :meth:`Resource.request` on a free slot returns
 a request already granted (yielding it resumes at once; only a queued
-request is granted by an event), :meth:`Store.put_nowait` hands an item
-straight to the first waiting getter, a ``get`` on a non-empty store is
-served on the spot, and a wait nobody yields on is a timer
+request is granted by an event), :meth:`Mailbox.put_nowait` hands an
+item straight to the waiter, a ``get`` on a non-empty mailbox is served
+on the spot, and a wait nobody yields on is a timer
 (:meth:`~repro.simkernel.core.Environment.call_later`), not a process.
 Each shortcut decides exactly what the event path would have decided in
 the same instant, so simultaneous events keep their order.
@@ -22,11 +24,12 @@ the same instant, so simultaneous events keep their order.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from collections import deque
+from typing import Any, Callable, Optional
 
 from .events import Event
 
-__all__ = ["Request", "Resource", "Store"]
+__all__ = ["Mailbox", "Request", "Resource"]
 
 
 class Request(Event):
@@ -108,66 +111,117 @@ class Resource:
             request.succeed()
 
 
-class _StoreGet(Event):
-    """Get event of a :class:`Store`: served on the spot from a non-empty
-    store, otherwise queued until :meth:`Store.put_nowait` hands it an
-    item."""
+class Mailbox:
+    """Unbounded FIFO hand-off: one buffer of :attr:`items` and one
+    waiter slot.
 
-    __slots__ = ("store",)
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        self.store = store
-        if store.items:
-            self.succeed(store.items.pop(0))
-        else:
-            store._get_waiters.append(self)
-
-    def cancel(self) -> None:
-        """Abandon the wait, so the next item goes to a live getter."""
-        waiters = self.store._get_waiters
-        if self in waiters:
-            waiters.remove(self)
-
-
-class Store:
-    """Unbounded FIFO queue of arbitrary items.
-
-    A getter waits only on an empty store: :meth:`put_nowait` gives an
-    item to the first waiting getter and queues it only when nobody
-    waits, and a :meth:`get` on a non-empty store is served at once.
+    The waiter is the event of a :meth:`get` or a one-shot callback
+    registered with :meth:`on_item`; a second waiter raises.  An item goes
+    to the waiter if there is one and is buffered otherwise; a waiter
+    registered on a non-empty buffer takes the oldest item (an event
+    served on the spot, a callback on a zero-delay timer).  After
+    :meth:`close` no callback runs, and buffered and later items are
+    dropped.
     """
 
     def __init__(self, env):
         self.env = env
-        self.items: list = []
-        self._get_waiters: list[_StoreGet] = []
+        self.items: deque = deque()
+        self._waiter = None
+        self.closed = False
 
-    def put_nowait(self, item: Any) -> None:
-        """Queue ``item``, or hand it to the first waiting getter; creates
-        no event of its own."""
-        if self._get_waiters:
-            getter = self._get_waiters.pop(0)
-            getter.succeed(item)
-        else:
-            self.items.append(item)
+    def put_nowait(self, item: Any, tail: bool = False) -> None:
+        """Hand ``item`` to the waiter, or buffer it; creates no event of
+        its own.
 
-    def get(self) -> _StoreGet:
-        """Pop the oldest item; blocks (as an event) while empty."""
-        return _StoreGet(self)
-
-    def drain_pending(self, limit: Optional[int] = None) -> list:
-        """Pop up to ``limit`` immediately-available items without waiting.
-
-        Returns possibly-empty list; never blocks.  This is the batch
-        companion to :meth:`get`: a consumer wakes on one ``get`` and
-        drains whatever else queued up in the same instant.
+        An event waiter is succeeded with ``item``.  ``tail`` says the
+        caller is in tail position (see
+        :meth:`~repro.simkernel.Environment.zero_delay_is_next`): a
+        callback waiter then runs in place when nothing else is due now.
+        A caller with more work after it in the same step passes False,
+        and the callback always runs on a zero-delay timer.
         """
-        if not self.items:
-            return []
-        if limit is None or limit >= len(self.items):
-            drained, self.items = self.items, []
+        if self.closed:
+            return
+        waiter = self._waiter
+        if waiter is None:
+            self.items.append(item)
+            return
+        self._waiter = None
+        if isinstance(waiter, Event):
+            waiter.succeed(item)
+        elif tail and self.env.zero_delay_is_next():
+            waiter(item)
         else:
-            drained = self.items[:limit]
-            del self.items[:limit]
-        return drained
+            self.env.call_later(0.0, self._wake, waiter, item)
+
+    def get(self) -> Event:
+        """Event yielding the oldest item; blocks while the buffer is
+        empty.  Cancel an abandoned one with :meth:`cancel`."""
+        if self.closed or self._waiter is not None:
+            self._refuse_waiter()
+        event = Event(self.env)
+        if self.items:
+            event.succeed(self.items.popleft())
+        else:
+            self._waiter = event
+        return event
+
+    def on_item(self, fn: Callable[[Any], None]) -> None:
+        """Call ``fn(item)`` once, for the next item.
+
+        The callback form of :meth:`get`: a consumer re-registers after
+        handling each item.  An item already buffered is handed over on
+        a zero-delay timer, where a :meth:`get` on a non-empty buffer
+        schedules its wake.
+        """
+        if self.closed or self._waiter is not None:
+            self._refuse_waiter()
+        if self.items:
+            self.env.call_later(0.0, self._wake, fn, self.items.popleft())
+        else:
+            self._waiter = fn
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw ``event``, the :meth:`get` of a consumer that stopped
+        waiting, so the next item is buffered for a live one; a no-op
+        when ``event`` is not the waiter."""
+        if self._waiter is event:
+            self._waiter = None
+
+    def drain(self, limit: Optional[int] = None) -> list:
+        """Items already buffered, oldest first, without waiting.
+
+        Returns at most ``limit`` items (all when None), possibly none.
+        The batch companion of :meth:`get` and :meth:`on_item`: a
+        consumer woken by one item takes whatever else queued up behind
+        it in one go.
+        """
+        items = self.items
+        if not items:
+            return []
+        if limit is None or limit >= len(items):
+            drained = list(items)
+            items.clear()
+            return drained
+        return [items.popleft() for _ in range(limit)]
+
+    @property
+    def pending(self) -> int:
+        """Items waiting in the buffer."""
+        return len(self.items)
+
+    def close(self) -> None:
+        """Stop handing off: drop the waiter and every buffered item."""
+        self.closed = True
+        self._waiter = None
+        self.items.clear()
+
+    def _refuse_waiter(self) -> None:
+        if self.closed:
+            raise RuntimeError("mailbox is closed")
+        raise RuntimeError("mailbox already has a waiter")
+
+    def _wake(self, fn: Callable[[Any], None], item: Any) -> None:
+        if not self.closed:
+            fn(item)

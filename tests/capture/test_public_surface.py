@@ -111,12 +111,12 @@ EXPECTED_ALL = {
         "Event",
         "Initialize",
         "Interrupt",
+        "Mailbox",
         "Process",
         "RateMeter",
         "Resource",
         "SimHazard",
         "SimHazardError",
-        "Store",
         "StopSimulation",
         "TimeWeighted",
         "Timeout",

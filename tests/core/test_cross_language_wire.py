@@ -172,18 +172,18 @@ def test_foreign_client_through_broker_and_translator():
         yield from server.pool.attach("c/edge")
         # CONNECT with a hand-built frame: len|0x04|flags|proto|duration|id
         sock.sendto(bytes([12, 0x04, 0x04, 0x01, 0, 60]) + b"c-edge", broker)
-        data, _ = yield sock.recv()  # CONNACK
+        data, _ = yield sock.get()  # CONNACK
         assert pkt.decode(data) == pkt.Connack(return_code=0)
         # REGISTER topic "c/edge"
         sock.sendto(pkt.Register(topic_id=0, msg_id=1, topic_name="c/edge").encode(), broker)
-        data, _ = yield sock.recv()
+        data, _ = yield sock.get()
         regack = pkt.decode(data)
         assert isinstance(regack, pkt.Regack)
         # PUBLISH qos1 with the hand-encoded provenance payload
         publish = pkt.Publish(topic_id=regack.topic_id, msg_id=2,
                               payload=hand_encoded_record(), qos=1)
         sock.sendto(publish.encode(), broker)
-        data, _ = yield sock.recv()  # PUBACK
+        data, _ = yield sock.get()  # PUBACK
         assert isinstance(pkt.decode(data), pkt.Puback)
         yield env.timeout(5)
 

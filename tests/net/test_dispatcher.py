@@ -26,11 +26,11 @@ def test_shard_callbacks_receive_forwarded_bundles():
     def listen(index):
         sock = dispatcher.sockets[index]
 
-        def on_datagram(payload, source):
-            got[index].append((env.now, payload))
-            sock.on_datagram(on_datagram)
+        def on_datagram(datagram):
+            got[index].append((env.now, datagram[0]))
+            sock.on_item(on_datagram)
 
-        sock.on_datagram(on_datagram)
+        sock.on_item(on_datagram)
 
     listen(0)
     listen(1)
@@ -50,7 +50,7 @@ def test_invalidated_shard_never_calls_its_callback_and_drops_its_buffer():
     env.run()
     assert shard.pending == 1
     got = []
-    shard.on_datagram(lambda payload, source: got.append(payload))  # wake pending
+    shard.on_item(lambda datagram: got.append(datagram[0]))  # wake pending
     dispatcher.invalidate_shard(0)
     assert shard.closed and shard.pending == 0
     client.sendto(b"\x00late", ("cloud", 9000))

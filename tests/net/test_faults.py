@@ -22,7 +22,7 @@ def blast(env, net, n=400, size=100, spacing_s=0.01, port=9):
 
     def rx(env):
         while True:
-            data, src = yield sock_b.recv()
+            data, src = yield sock_b.get()
             got.append(data)
 
     def tx(env):

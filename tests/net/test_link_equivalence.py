@@ -1,7 +1,7 @@
 """The timer-driven :class:`~repro.net.Link` against a process-based oracle.
 
 ``ProcessLink`` is the link as it was modelled before timer callbacks: a
-:class:`~repro.simkernel.Store` feeding one pump process that holds the
+``Store`` (:mod:`tests.net.store_oracle`) feeding one pump process that holds the
 transmitter for each packet's serialization time, then samples the loss
 model and spawns one ``link-propagate`` process per surviving packet.
 Both models run the same random schedule of sends, mid-queue
@@ -28,7 +28,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net import Link, Packet
-from repro.simkernel import Environment, Store
+from repro.simkernel import Environment
+
+from .store_oracle import Store
 
 #: (bandwidth_bps, latency_s, jitter_s) per link
 LINKS = [

@@ -139,7 +139,7 @@ def test_multi_hop_forwarding_delivers_end_to_end():
     received = []
 
     def receiver(env):
-        payload, src = yield sock_c.recv()
+        payload, src = yield sock_c.get()
         received.append((payload, env.now))
 
     def sender(env):
@@ -162,7 +162,7 @@ def test_loopback_delivery():
     got = []
 
     def receiver(env):
-        payload, src = yield sock_in.recv()
+        payload, src = yield sock_in.get()
         got.append((payload, env.now))
 
     def sender(env):

@@ -1,8 +1,8 @@
 """Socket-callback receivers against the receive loops they replaced.
 
-The oracle is the receive side as it was modelled before
-``on_datagram``: a :class:`~repro.simkernel.Store` inbox and a generator
-process blocked on ``Store.get()``, in two forms.
+The oracle is the receive side as it was modelled before socket
+callbacks: a ``Store`` inbox (:mod:`tests.net.store_oracle`) and a
+generator process blocked on ``Store.get()``, in two forms.
 :func:`oracle_consumer` handles one datagram per wakeup, like the
 MQTT-SN client's loop; :func:`oracle_batch_server` takes the first
 datagram plus up to ``max_batch - 1`` buffered ones, holds them for a
@@ -31,7 +31,9 @@ from hypothesis import strategies as st
 from repro.mqttsn import MqttSnBroker, MqttSnClient
 from repro.mqttsn import packets as pkt
 from repro.net import Network, Packet, VirtualSocket
-from repro.simkernel import Environment, Store
+from repro.simkernel import Environment
+
+from .store_oracle import Store
 
 #: schedule slots are multiples of this many seconds (exact in binary)
 GRID_S = 1 / 8
@@ -136,7 +138,7 @@ def simulate(model, form, actions, max_batch, fixed_s, per_s):
 
         if form == "virtual":
             def deliver(payload, source):
-                sock._deliver(payload, source)
+                sock.put_nowait((payload, source))
         else:
             def deliver(payload, source):
                 sock._deliver(

@@ -320,7 +320,7 @@ def test_listener_hands_connections_to_one_waiter():
         accepted.append(("callback", env.now, conn.remote[1]))
 
     listener.on_accept(on_accept)
-    with pytest.raises(RuntimeError, match="waiting acceptor"):
+    with pytest.raises(RuntimeError, match="already has a waiter"):
         listener.accept()
 
     def client(env):

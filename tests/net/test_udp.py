@@ -22,7 +22,7 @@ def test_send_receive_roundtrip():
     log = []
 
     def rx(env):
-        payload, src = yield server.recv()
+        payload, src = yield server.get()
         log.append((payload, src))
 
     def tx(env):
@@ -110,7 +110,7 @@ def test_closed_socket_rejects_operations():
     with pytest.raises(RuntimeError):
         sock.sendto(b"x", ("b", 1))
     with pytest.raises(RuntimeError):
-        sock.recv()
+        sock.get()
 
 
 def test_close_releases_port_for_rebinding():
@@ -140,11 +140,11 @@ def test_callback_receives_each_datagram_once_per_registration():
     client = net.hosts["a"].udp_socket()
     got = []
 
-    def on_datagram(payload, src):
-        got.append((env.now, payload, src))
-        server.on_datagram(on_datagram)
+    def on_datagram(datagram):
+        got.append((env.now, *datagram))
+        server.on_item(on_datagram)
 
-    server.on_datagram(on_datagram)
+    server.on_item(on_datagram)
     client.sendto(b"one", ("b", 100))
     client.sendto(b"two", ("b", 100))
     env.run()
@@ -156,9 +156,9 @@ def test_callback_receives_each_datagram_once_per_registration():
 def test_second_waiter_is_rejected():
     env, net = make_net()
     sock = net.hosts["b"].udp_socket(port=100)
-    sock.on_datagram(lambda payload, src: None)
+    sock.on_item(lambda datagram: None)
     with pytest.raises(RuntimeError):
-        sock.recv()
+        sock.get()
 
 
 def test_closed_socket_never_calls_its_callback_and_drops_its_buffer():
@@ -172,7 +172,7 @@ def test_closed_socket_never_calls_its_callback_and_drops_its_buffer():
     assert server.pending == 2
     # a waiter on a non-empty buffer is woken by a zero-delay timer;
     # closing before it fires voids the wake and drops the rest
-    server.on_datagram(lambda payload, src: got.append(payload))
+    server.on_item(lambda datagram: got.append(datagram[0]))
     server.close()
     assert server.pending == 0
     env.run()
@@ -183,10 +183,10 @@ def test_close_unregisters_a_waiting_callback():
     env, net = make_net()
     server = net.hosts["b"].udp_socket(port=100)
     got = []
-    server.on_datagram(lambda payload, src: got.append(payload))
+    server.on_item(lambda datagram: got.append(datagram[0]))
     server.close()
     with pytest.raises(RuntimeError):
-        server.on_datagram(lambda payload, src: None)
+        server.on_item(lambda datagram: None)
     # a datagram still reaching the socket object (the host has already
     # unbound the port, so only a stale reference can) is dropped
     late = Packet(src=("a", 1), dst=("b", 100), protocol="udp", payload=b"late")

@@ -2,7 +2,7 @@
 
 These target the data structures and protocols whose correctness the
 evaluation numbers silently depend on: the simulation kernel's clock and
-stores, TCP stream integrity under arbitrary chunking, topic matching,
+mailbox, TCP stream integrity under arbitrary chunking, topic matching,
 the grouping buffer's no-loss invariant, and the query engine against a
 reference implementation.
 """
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Environment, Store
+from repro.simkernel import Environment, Mailbox
 
 
 # -- kernel: time never goes backwards; timeouts fire in order -------------
@@ -39,17 +39,17 @@ def test_kernel_fires_timeouts_in_nondecreasing_order(delays):
 @settings(max_examples=100, deadline=None)
 def test_store_is_fifo_for_any_interleaving(items):
     env = Environment()
-    store = Store(env)
+    box = Mailbox(env)
     received = []
 
     def producer(env):
         for item in items:
-            store.put_nowait(item)
+            box.put_nowait(item)
             yield env.timeout(0.01)
 
     def consumer(env):
         for _ in items:
-            value = yield store.get()
+            value = yield box.get()
             received.append(value)
 
     env.process(producer(env))

@@ -1,15 +1,30 @@
 """scripts/event_mix.py on a shrunk benchmark workload."""
 
 import importlib.util
+import itertools
 import os
 from collections import Counter
 
 import pytest
 
+from repro.mqttsn import transport
 from repro.simkernel import Environment
 from repro.simkernel.core import default_environment_class
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+#: seed-1 kernel step totals of the shrunk workloads.  A refactor that
+#: must leave the simulation alone must leave these alone: any step
+#: added, dropped or moved between kinds changes a total or a kind.
+SHRUNK_STEPS = {"fanin-64": 2432, "durable-churn": 3860, "http-fanin": 1329}
+
+
+@pytest.fixture
+def first_run_of_a_process(monkeypatch):
+    """Default MQTT-SN client ids come from a process-wide counter whose
+    digit count moves packet timing; restart it, so a pinned total is the
+    one a fresh ``scripts/event_mix.py`` process counts."""
+    monkeypatch.setattr(transport, "_client_ids", itertools.count(1))
 
 
 def _load_script():
@@ -20,13 +35,13 @@ def _load_script():
     return module
 
 
-def test_event_mix_kinds_sum_to_the_step_count():
+def test_event_mix_kinds_sum_to_the_step_count(first_run_of_a_process):
     event_mix = _load_script()
     installed = default_environment_class()
     workload = event_mix.WORKLOADS["fanin-64"].shrunk()
     total, kinds = event_mix.count_steps(workload, seed=1)
     assert default_environment_class() is installed  # observer removed
-    assert total > 0
+    assert total == SHRUNK_STEPS["fanin-64"]
     assert sum(kinds.values()) == total
     seen = {kind for kind, _detail in kinds}
     assert {"timer", "wakeup", "initialize"} <= seen
@@ -41,7 +56,7 @@ def test_event_mix_kinds_sum_to_the_step_count():
         kind == "wakeup" and detail.startswith(("mqttsn-client-", "mqttsn-broker-"))
         for kind, detail in kinds
     )
-    assert kinds[("timer", "DatagramReceiver._wake")] > 0
+    assert kinds[("timer", "Mailbox._wake")] > 0
     lines = event_mix.report(total, kinds)
     assert lines[0] == f"{total} steps"
 
@@ -57,7 +72,7 @@ def test_kind_of_sorts_a_bare_event_and_a_timer():
     assert event_mix.kind_of(env._queue[0]) == ("timer", "print")
 
 
-def test_http_fanin_runs_no_tcp_or_accept_process():
+def test_http_fanin_runs_no_tcp_or_accept_process(first_run_of_a_process):
     """A TCP connection's pump, retransmission and handshake timers and
     the HTTP server's accept callback are heap timers: no step wakes,
     starts or ends a process for them."""
@@ -65,7 +80,7 @@ def test_http_fanin_runs_no_tcp_or_accept_process():
     total, kinds = event_mix.count_steps(
         event_mix.WORKLOADS["http-fanin"].shrunk(), seed=1
     )
-    assert total > 0
+    assert total == SHRUNK_STEPS["http-fanin"]
 
     def tcp_or_accept(detail):
         name = detail.split(" <- ")[0]
@@ -83,7 +98,17 @@ def test_http_fanin_runs_no_tcp_or_accept_process():
         if kind == "timer" and detail.startswith("TcpConnection.")
     )
     assert tcp_timers > 0
-    assert kinds[("timer", "HttpServer._on_accept")] > 0
+    # the accept callback runs on the listener backlog's zero-delay wake
+    assert kinds[("timer", "Mailbox._wake")] > 0
+
+
+def test_durable_churn_step_total_is_pinned(first_run_of_a_process):
+    event_mix = _load_script()
+    total, kinds = event_mix.count_steps(
+        event_mix.WORKLOADS["durable-churn"].shrunk(), seed=1
+    )
+    assert total == SHRUNK_STEPS["durable-churn"]
+    assert sum(kinds.values()) == total
 
 
 def test_top_limits_the_entries_printed_per_kind(monkeypatch, capsys):

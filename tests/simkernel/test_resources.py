@@ -1,8 +1,8 @@
-"""Tests for Resource and Store."""
+"""Tests for Resource and Mailbox."""
 
 import pytest
 
-from repro.simkernel import Environment, Resource, Store
+from repro.simkernel import Environment, Mailbox, Resource
 
 
 # -- Resource ---------------------------------------------------------------
@@ -110,22 +110,22 @@ def test_cancel_queued_request_leaves_queue():
     assert len(res.queue) == 0
 
 
-# -- Store ---------------------------------------------------------------
+# -- Mailbox ---------------------------------------------------------------
 
 
 def test_store_fifo_order():
     env = Environment()
-    store = Store(env)
+    box = Mailbox(env)
     got = []
 
     def producer(env):
         for item in ["x", "y", "z"]:
-            store.put_nowait(item)
+            box.put_nowait(item)
             yield env.timeout(0)
 
     def consumer(env):
         for _ in range(3):
-            item = yield store.get()
+            item = yield box.get()
             got.append(item)
 
     env.process(producer(env))
@@ -136,28 +136,63 @@ def test_store_fifo_order():
 
 def test_store_drain_pending_batches_without_blocking():
     env = Environment()
-    store = Store(env)
+    box = Mailbox(env)
     for item in ["a", "b", "c", "d"]:
-        store.put_nowait(item)
-    assert store.drain_pending(2) == ["a", "b"]
-    assert store.drain_pending() == ["c", "d"]
-    assert store.drain_pending() == []  # empty: returns, never blocks
+        box.put_nowait(item)
+    assert box.pending == 4
+    assert box.drain(2) == ["a", "b"]
+    assert box.drain() == ["c", "d"]
+    assert box.drain() == []  # empty: returns, never blocks
+    assert box.pending == 0
 
 
 def test_store_get_blocks_until_put():
     env = Environment()
-    store = Store(env)
+    box = Mailbox(env)
     got = []
 
     def consumer(env):
-        item = yield store.get()
+        item = yield box.get()
         got.append((item, env.now))
 
     def producer(env):
         yield env.timeout(4)
-        store.put_nowait("late")
+        box.put_nowait("late")
 
     env.process(consumer(env))
     env.process(producer(env))
     env.run()
     assert got == [("late", 4.0)]
+
+
+@pytest.mark.parametrize("first", ["get", "on_item"])
+@pytest.mark.parametrize("second", ["get", "on_item"])
+def test_mailbox_refuses_a_second_waiter(first, second):
+    env = Environment()
+    box = Mailbox(env)
+    waiters = {"get": box.get, "on_item": lambda: box.on_item(lambda item: None)}
+    waiters[first]()
+    with pytest.raises(RuntimeError, match="already has a waiter"):
+        waiters[second]()
+    box.put_nowait("x")  # the first waiter still takes the next item
+    assert box.pending == 0
+
+
+def test_mailbox_callback_runs_in_place_only_in_tail_position():
+    env = Environment()
+    box = Mailbox(env)
+    got = []
+    box.on_item(got.append)
+    box.put_nowait("in place", tail=True)  # nothing due now: runs at once
+    assert got == ["in place"] and env._queue == []
+    box.on_item(got.append)
+    box.put_nowait("deferred")  # not in tail position: a zero-delay timer
+    assert got == ["in place"] and len(env._queue) == 1
+    env.run()
+    assert got == ["in place", "deferred"]
+    box.on_item(got.append)
+    env.call_later(0.0, got.append, "due now")
+    box.put_nowait("behind", tail=True)  # an entry is due now: defers
+    env.run()
+    assert got == ["in place", "deferred", "due now", "behind"]
+

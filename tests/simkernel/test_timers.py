@@ -1,5 +1,5 @@
 """Event-free kernel primitives: ``Environment.call_later`` timers,
-``Environment.zero_delay_is_next``, free-slot ``Resource.request`` grants, and ``Store`` puts and gets that
+``Environment.zero_delay_is_next``, free-slot ``Resource.request`` grants, and ``Mailbox`` puts and gets that
 schedule no event beyond the waiter's own wakeup.
 
 The order oracle at the end runs random programs against a reference
@@ -16,8 +16,8 @@ from repro.simkernel import (
     Environment,
     Interrupt,
     Process,
+    Mailbox,
     Resource,
-    Store,
 )
 
 
@@ -141,70 +141,47 @@ def test_zero_delay_is_next_only_when_nothing_else_is_due_now():
 # -- put_nowait ---------------------------------------------------------------
 
 
-def test_put_nowait_wakes_waiting_getters_in_fifo_order():
-    env = Environment()
-    store = Store(env)
-    woke = []
-
-    def getter(name):
-        item = yield store.get()
-        woke.append((name, env.now, item))
-
-    def producer():
-        yield env.timeout(1.0)
-        store.put_nowait("x")
-        store.put_nowait("y")
-        store.put_nowait("z")
-
-    env.process(getter("g1"))
-    env.process(getter("g2"))
-    env.process(producer())
-    env.run()
-    assert woke == [("g1", 1.0, "x"), ("g2", 1.0, "y")]
-    assert store.items == ["z"]
-
-
 def test_put_nowait_without_waiter_schedules_nothing():
     env = Environment()
-    store = Store(env)
-    store.put_nowait("a")
-    store.put_nowait("b")
+    box = Mailbox(env)
+    box.put_nowait("a")
+    box.put_nowait("b")
     assert env._queue == []
-    assert store.items == ["a", "b"]
+    assert list(box.items) == ["a", "b"]
 
 
 def test_put_nowait_hands_item_to_waiter_without_a_sweep():
     env = Environment()
-    store = Store(env)
+    box = Mailbox(env)
     got = []
 
     def getter():
-        got.append((yield store.get()))
+        got.append((yield box.get()))
 
     env.process(getter())
     env.run()
-    store.put_nowait("x")
+    box.put_nowait("x")
     # handed straight to the getter: nothing queued, one wakeup scheduled
-    assert store.items == [] and len(env._queue) == 1
+    assert box.pending == 0 and len(env._queue) == 1
     env.run()
     assert got == ["x"]
 
 
 def test_cancelled_get_of_an_interrupted_getter_takes_no_item():
     env = Environment()
-    store = Store(env)
+    box = Mailbox(env)
     got = []
     pending = {}
 
     def dead():
-        pending["get"] = store.get()
+        pending["get"] = box.get()
         try:
             yield pending["get"]
         except Interrupt:
-            pending["get"].cancel()
+            box.cancel(pending["get"])
 
     def live():
-        got.append((yield store.get()))
+        got.append((yield box.get()))
 
     victim = env.process(dead())
     env.run()
@@ -212,10 +189,10 @@ def test_cancelled_get_of_an_interrupted_getter_takes_no_item():
     env.run()
     env.process(live())
     env.run()
-    store.put_nowait("x")
+    box.put_nowait("x")
     env.run()
-    assert got == ["x"] and store.items == []
-    pending["get"].cancel()  # cancelling again is a no-op
+    assert got == ["x"] and box.pending == 0
+    box.cancel(pending["get"])  # cancelling again is a no-op
     assert not pending["get"].triggered
 
 
@@ -224,40 +201,14 @@ def test_cancelled_get_of_an_interrupted_getter_takes_no_item():
 
 def test_get_on_nonempty_store_is_served_without_a_sweep():
     env = Environment()
-    store = Store(env)
-    store.put_nowait("a")
-    store.put_nowait("b")
-    first = store.get()
+    box = Mailbox(env)
+    box.put_nowait("a")
+    box.put_nowait("b")
+    first = box.get()
     assert first.triggered and first.value == "a"
-    assert store.items == ["b"]
+    assert list(box.items) == ["b"]
     # the getter's own wakeup is the only scheduled event
     assert len(env._queue) == 1
-
-
-def test_direct_gets_keep_fifo_order_across_waiters():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(name):
-        while True:
-            item = yield store.get()
-            got.append((name, env.now, item))
-
-    def producer():
-        store.put_nowait(1)
-        store.put_nowait(2)
-        yield env.timeout(1.0)
-        store.put_nowait(3)
-        store.put_nowait(4)
-        store.put_nowait(5)
-
-    env.process(producer())
-    env.process(getter("g1"))
-    env.process(getter("g2"))
-    env.run()
-    assert [item for _, _, item in got] == [1, 2, 3, 4, 5]
-    assert got[:2] == [("g1", 0.0, 1), ("g2", 0.0, 2)]
 
 
 # -- Resource.request ---------------------------------------------------------
@@ -359,7 +310,8 @@ DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
 #: ``("timer", delay, children)`` arms ``call_later``; its callback logs
 #: and starts ``children``.  ``("sleep", delays)`` is a process yielding
 #: timeouts, ``("event", delay)`` a process waiting on an event that a
-#: timer succeeds, and ``("put",)`` / ``("get",)`` a ``Store`` hand-off.
+#: timer succeeds, and ``("put",)`` / ``("get",)`` a ``Mailbox`` hand-off
+#: (a ``get`` while another getter waits is refused and logged).
 #: A program is its top-level ops plus, optionally, ``(delay, position)``
 #: of a timer whose function raises, armed before op ``position``.
 LEAVES = st.one_of(
@@ -388,7 +340,7 @@ def run_program(kernel, program):
     timer's exception escaped ``run()``."""
     ops, fault = program
     env = kernel()
-    store = Store(env)
+    box = Mailbox(env)
     trace = []
 
     def log(label):
@@ -405,7 +357,7 @@ def run_program(kernel, program):
             env.process(waiter(label, event))
             env.call_later(op[1], event.succeed, label)
         elif kind == "put":
-            store.put_nowait(label)
+            box.put_nowait(label)
         else:
             env.process(getter(label))
 
@@ -423,7 +375,12 @@ def run_program(kernel, program):
         log(f"{label}/woke:{(yield event)}")
 
     def getter(label):
-        log(f"{label}/got:{(yield store.get())}")
+        try:
+            get = box.get()
+        except RuntimeError:
+            log(f"{label}/refused")
+            return
+        log(f"{label}/got:{(yield get)}")
 
     def boom(label):
         log(label)
@@ -439,7 +396,7 @@ def run_program(kernel, program):
         env.run()
     except TimerError as exc:
         trace.append((env.now, f"raised {exc.args[0]}"))
-    return trace, list(store.items)
+    return trace, list(box.items)
 
 
 @settings(max_examples=300, deadline=None)
