@@ -59,15 +59,19 @@ def iso_time(seconds: float) -> str:
 class HttpPostCaptureTransport(CaptureTransport):
     """Blocking HTTP/1.1 POST capture transport (the baselines' wire).
 
-    ``blocking = True``: the façade awaits every ``send()`` on the
-    workflow's critical path, reproducing the synchronous
-    request/response stall of the real ProvLake/DfAnalyzer libraries.
-    Request errors are counted, never raised — like the real libraries,
-    capture failure must not crash the instrumented application.
+    ``blocking = True``: ``send()`` runs in the caller's process, so
+    every POST stalls the workflow's critical path, reproducing the
+    synchronous request/response stall of the real ProvLake/DfAnalyzer
+    libraries.  A failed POST is counted and raises
+    :class:`~repro.http.HttpRequestError`, the truthful ack hook a
+    durable client's journal needs; the callers absorb it — like the
+    real libraries, capture failure must not crash the instrumented
+    application.
     """
 
     name = "http"
     blocking = True
+    delivery_error = HttpRequestError
     requires_setup = False
 
     def __init__(self, device: Device, server: Endpoint, topic: str = "",
@@ -84,11 +88,6 @@ class HttpPostCaptureTransport(CaptureTransport):
         self.requests_sent = Counter("requests")
         self.body_bytes = Counter("body-bytes")
         self.capture_errors = Counter("errors")
-        #: durable clients need the ack hook to be truthful: a failed
-        #: POST must fail the completion event so the façade parks the
-        #: journaled entry for replay.  Best-effort clients keep the
-        #: baselines' count-and-carry-on semantics.
-        self._report_failures = bool(config is not None and config.durable)
 
     def connect(self):
         """Nothing to pre-establish: the first POST dials the server."""
@@ -100,43 +99,30 @@ class HttpPostCaptureTransport(CaptureTransport):
         yield  # pragma: no cover - generator shape
 
     def send(self, body: bytes):
-        """POST ``body``; the returned event completes with the response
-        (and always succeeds — errors land in ``capture_errors``)."""
-        done = self.env.event()
-        self.env.process(self._post(body, done),
-                         name=f"http-capture-post-{self.path}")
-        return done
-
-    def _post(self, body: bytes, done):
+        """Generator: POST ``body``; returns once the response is in,
+        and raises :class:`~repro.http.HttpRequestError` (counted in
+        ``capture_errors``) when the POST failed."""
         self.body_bytes.record(len(body))
-        energy = self.device.energy
         error: Optional[Exception] = None
-        if energy is not None:
-            energy.rx_listen_start()
         try:
-            response = yield from self.session.post(self.server, self.path, body)
+            response = yield from self.device.blocking_network_wait(
+                self.session.post(self.server, self.path, body)
+            )
             if not response.ok:
-                self.capture_errors.record()
                 error = HttpRequestError(
                     f"collector rejected capture POST: {response.status}"
                 )
         except HttpRequestError as exc:
-            # like the real libraries: log and carry on, never crash the
-            # instrumented application
-            self.capture_errors.record()
             error = exc
         finally:
-            # an unexpected exception still unblocks the waiting capture
-            # call (the failed post process surfaces it loudly); a parked
-            # workflow would be strictly worse than a visible error
-            if energy is not None:
-                energy.rx_listen_stop()
             self.requests_sent.record()
-            if not done.triggered:
-                if error is not None and self._report_failures:
-                    done.fail(error)
-                else:
-                    done.succeed()
+        # resume where a completion event succeeded now would be
+        # processed: behind any entry already due now
+        if not self.env.zero_delay_is_next():
+            yield self.env.timeout(0.0)
+        if error is not None:
+            self.capture_errors.record()
+            raise error
 
     def disconnect(self) -> None:
         self.session.close()
@@ -291,7 +277,10 @@ class BlockingHttpCaptureClient:
             io_wait_s=self.flush_io_wait_s(),
             tag="capture",
         )
-        yield self.transport.send(self.render_body(records))
+        try:
+            yield from self.transport.send(self.render_body(records))
+        except HttpRequestError:
+            pass  # counted; like the real library, carry on
 
 
 def _record_footprint(record: Dict[str, Any]) -> int:

@@ -11,8 +11,8 @@ any measured difference between them is attributable to the protocol
 alone (the design property behind the protocol-comparison benchmark).
 
 Blocking transports (``transport.blocking``) are serviced inline: each
-send is awaited on the workflow's critical path, reproducing the
-baselines' Table II/III behaviour.  Asynchronous transports hand
+send runs in the workflow's process, on its critical path, reproducing
+the baselines' Table II/III behaviour.  Asynchronous transports hand
 payloads to a background sender process, which is what keeps ProvLight's
 capture calls flat across bandwidths (Tables VII/VIII).
 
@@ -131,7 +131,9 @@ class CaptureClient:
         self._state_listeners: List = []
         #: entries awaiting replay after a delivery failure: (wire, nbytes, seq)
         self._replay: List = []
-        self._pause_gate = None  # sender parks here while reconnecting
+        #: set while reconnecting: the sender parks here, and a blocking
+        #: capture queues behind the replay instead of racing it
+        self._pause_gate = None
         self._recovery = None  # the reconnect state-machine process
         self._sender_failure: Optional[BaseException] = None
         self._sender_item = None  # item the sender holds while in flight
@@ -341,8 +343,8 @@ class CaptureClient:
 
     def _dispatch(self, payload: bytes):
         """Generator: journal + account for one outbound payload and ship
-        it — queued for the sender loop, or awaited inline when the
-        transport blocks."""
+        it — queued for the sender loop, or sent from the caller's own
+        process when the transport blocks."""
         seq = None
         wire = payload
         if self.journal is not None:
@@ -354,14 +356,19 @@ class CaptureClient:
         if not self.transport.blocking:
             self._queue.put_nowait((wire, nbytes, seq))
             return
+        if self._pause_gate is not None:  # queue behind the replay
+            self._replay.append((wire, nbytes, seq))
+            return
         delivered = True
         try:
-            done = self.transport.send(wire)
-            yield done
-        except Exception:
+            yield from self.transport.send(wire)
+        except self.transport.delivery_error:
             # delivery failed; without a journal the record is lost, but
             # capture must never crash the workflow
             delivered = False
+        except Exception:
+            self._release(nbytes)  # a bug: surface it, neither sent nor acked
+            raise
         if delivered or self.journal is None:
             self._complete(wire, nbytes, seq, delivered=delivered)
         else:
@@ -374,6 +381,9 @@ class CaptureClient:
         if (delivered and seq is not None
                 and self.journal is not None and not self._journal_closed):
             self.journal.ack(seq)
+        self._release(nbytes)
+
+    def _release(self, nbytes: int) -> None:
         self.device.memory.free(nbytes, tag="capture-buffers")
         self._outstanding -= 1
         if self._outstanding == 0 and not self._queue.items:
@@ -496,9 +506,11 @@ class CaptureClient:
             while self._replay and not self._closed:
                 wire, nbytes, seq = self._replay[0]
                 try:
-                    done = self.transport.send(wire)
-                    yield done
-                except Exception:
+                    if self.transport.blocking:
+                        yield from self.transport.send(wire)
+                    else:
+                        yield self.transport.send(wire)
+                except self.transport.delivery_error:
                     break  # still unreachable: back off and re-probe
                 if self._closed:
                     return  # close() already freed and cleared _replay

@@ -32,13 +32,17 @@ class CaptureTransport:
     """Protocol every capture transport implements.
 
     ``connect()`` and ``register()`` are generators (they may wait on
-    simulated network exchanges); ``send()`` is synchronous and returns
-    a completion :class:`~repro.simkernel.Event` so the caller decides
-    whether to wait.  The façade consults two class flags:
+    simulated network exchanges).  The façade consults three class
+    attributes:
 
-    * ``blocking`` — ``True`` means every ``send()`` must be awaited on
-      the workflow's critical path (the baselines' HTTP transport);
-      ``False`` means sends are queued to the background sender loop.
+    * ``blocking`` — ``True``: every send is awaited on the workflow's
+      critical path (the baselines' HTTP transport), and ``send()`` is
+      a generator the caller runs with ``yield from``; ``False``: sends
+      are queued to the background sender loop, and ``send()`` returns
+      a completion :class:`~repro.simkernel.Event`.
+    * ``delivery_error`` — what a failed delivery raises; anything else
+      out of a blocking ``send()`` is a bug and surfaces from
+      ``capture()``.
     * ``requires_setup`` — ``True`` means ``capture()`` before
       ``setup()`` is a programming error (MQTT-SN needs its topic
       registered); connectionless transports set ``False``.
@@ -48,6 +52,8 @@ class CaptureTransport:
     name: str = "abstract"
     #: True: capture() waits for each send on the workflow's critical path
     blocking: bool = False
+    #: the exception a failed delivery raises (or fails its event with)
+    delivery_error: type = Exception
     #: True: the client must run setup() before the first capture()
     requires_setup: bool = True
 
@@ -64,16 +70,18 @@ class CaptureTransport:
         yield  # pragma: no cover - generator shape
 
     def send(self, payload: bytes):
-        """Ship one opaque payload; returns the completion event.
+        """Ship one opaque payload: return its completion event or, if
+        ``blocking``, run as a generator until the payload is delivered.
 
-        The completion event doubles as the transport's **ack hook**: it
-        must *succeed* only once the transport's delivery contract for
-        this payload is fulfilled (QoS 2: PUBCOMP; CoAP CON: ACK; HTTP:
-        2xx response) and *fail* when the contract is exhausted (retries
-        spent, server missing).  A non-durable façade swallows the
-        failure — capture loss must never crash the instrumented
-        workflow; a durable façade keeps the journaled entry
-        unacknowledged and replays it after :meth:`reconnect`.
+        This is the transport's **ack hook**: the event must *succeed*
+        (the generator return) only once the transport's delivery
+        contract for this payload is fulfilled (QoS 2: PUBCOMP; CoAP CON:
+        ACK; HTTP: 2xx response) and *fail* (the generator raise) when
+        the contract is exhausted (retries spent, server missing).  A
+        non-durable façade swallows the failure — capture loss must
+        never crash the instrumented workflow; a durable façade keeps
+        the journaled entry unacknowledged and replays it after
+        :meth:`reconnect`.
         """
         raise NotImplementedError
 

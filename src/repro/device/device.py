@@ -47,8 +47,9 @@ class Device:
         """Shortcut for ``device.cpu.run(...)`` (yield from it)."""
         return self.cpu.run(compute_s, io_busy_s, io_wait_s, tag=tag)
 
-    def blocking_network_wait(self, event):
-        """Wait on ``event`` while the radio listens for the response.
+    def blocking_network_wait(self, request):
+        """Generator: run the generator ``request`` (a blocking network
+        exchange) while the radio listens for the response.
 
         Used by blocking clients (HTTP): the energy model charges RX-listen
         power for the whole wait — the mechanism behind the baselines'
@@ -57,7 +58,7 @@ class Device:
         if self.energy is not None:
             self.energy.rx_listen_start()
         try:
-            value = yield event
+            value = yield from request
         finally:
             if self.energy is not None:
                 self.energy.rx_listen_stop()

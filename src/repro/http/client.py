@@ -75,7 +75,8 @@ class HttpSession:
             all_headers.update(headers)
         request = HttpRequest(method=method, path=path, headers=all_headers, body=body)
         try:
-            conn.send(request.encode())
+            # tail position: read_response next waits on recv
+            conn.send(request.encode(), tail=True)
             response = yield from read_response(reader)
         except (ConnectionClosed, ConnectionError):
             # stale keep-alive connection: redial once, like requests does

@@ -35,7 +35,8 @@ class HttpServer:
     :meth:`~repro.net.TcpListener.on_accept` callback that starts the
     connection's ``<name>-conn`` process and re-registers itself.  A
     request the parser rejects (:class:`HttpError`) is answered 400 and
-    closes its own connection only.
+    closes its own connection only.  A keep-alive response is sent in
+    tail position, so the TCP send pump may run in place.
     """
 
     def __init__(
@@ -100,8 +101,10 @@ class HttpServer:
             if response is None:
                 response = HttpResponse(status=204, reason="No Content")
             self.requests.record()
-            conn.send(response.encode())
-            if not (request.keep_alive() and response.keep_alive()):
+            keep_alive = request.keep_alive() and response.keep_alive()
+            # on keep-alive the loop next waits on recv
+            conn.send(response.encode(), tail=keep_alive)
+            if not keep_alive:
                 conn.close()
                 return
 

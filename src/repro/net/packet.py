@@ -9,7 +9,6 @@ not estimates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
@@ -23,8 +22,6 @@ TCP_HEADER_BYTES = 40
 #: (host name, port) pair addressing a socket.
 Endpoint = Tuple[str, int]
 
-_packet_ids = itertools.count(1)
-
 
 @dataclass
 class Packet:
@@ -37,7 +34,6 @@ class Packet:
     header_bytes: int = UDP_HEADER_BYTES
     #: transport metadata (TCP flags/seq/ack, etc.)
     meta: Dict[str, Any] = field(default_factory=dict)
-    pid: int = field(default_factory=lambda: next(_packet_ids))
 
     @property
     def size(self) -> int:
@@ -47,6 +43,6 @@ class Packet:
     def __repr__(self) -> str:
         flags = self.meta.get("flags", "")
         return (
-            f"<Packet#{self.pid} {self.protocol}{('[' + flags + ']') if flags else ''} "
+            f"<Packet {self.protocol}{('[' + flags + ']') if flags else ''} "
             f"{self.src[0]}:{self.src[1]}->{self.dst[0]}:{self.dst[1]} {self.size}B>"
         )

@@ -21,12 +21,13 @@ timers are :meth:`~repro.simkernel.Environment.call_later` heap entries:
 * the *send pump* (:meth:`TcpConnection._pump`) puts send-buffer bytes
   on the wire while the window allows, then the FIN of a closing
   connection.  A wake sets ``_pump_due`` and pushes a zero-delay timer,
-  so further wakes in the same instant cost nothing.  ``send()``,
-  ``close()`` and the SYN-ACK always defer the pump, because more work
-  follows them in the same step.  An ACK does not: ``_on_ack`` is the
-  last action of ``_on_packet``, which is the last action of
-  ``Host.deliver``, which ends a link or loopback timer.  In that tail
-  position the pump runs in place when nothing else is due now
+  so further wakes in the same instant cost nothing.  ``close()``, the
+  SYN-ACK and a plain ``send()`` defer the pump, because more work may
+  follow them in the same step.  An ACK and ``send(data, tail=True)``
+  do not: ``_on_ack`` is the last action of ``_on_packet``, which is
+  the last action of ``Host.deliver``, which ends a link or loopback
+  timer.  In that tail position the pump runs in place when nothing
+  else is due now
   (:meth:`~repro.simkernel.Environment.zero_delay_is_next`) and on the
   zero-delay timer otherwise.  A closed connection's pump is never woken.
 * the *retransmission timer* (one RTO per connection, RFC 6298) covers
@@ -193,12 +194,15 @@ class TcpConnection:
     def closed(self) -> bool:
         return self.state == "CLOSED"
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes, tail: bool = False) -> None:
         """Queue ``data`` for transmission.
 
         Never blocks (send buffering is unbounded, like a kernel with a
         large socket buffer), so there is no event to wait on; delivery
         timing is governed by the window/ACK machinery.
+
+        ``tail``: the call is its caller's last action in the step, so
+        the pump may run in place (see the module docstring).
         """
         if self.state == "CLOSED":
             raise ConnectionReset("send on closed connection")
@@ -207,7 +211,7 @@ class TcpConnection:
         if not isinstance(data, (bytes, bytearray)):
             raise TypeError("TCP payload must be bytes")
         self._send_buffer.extend(data)
-        self._wake_sender()
+        self._wake_sender(tail)
 
     def recv(self, max_bytes: Optional[int] = None):
         """Event yielding available bytes (up to ``max_bytes``).

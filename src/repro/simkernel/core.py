@@ -159,8 +159,10 @@ class Environment:
         event pushed now would be the very next step.
 
         The tail-position check.  A caller in tail position (its call is
-        the last action of the step being processed, a
-        :meth:`call_later` callback that returns right after it) may,
+        the last action of the step being processed: a
+        :meth:`call_later` callback that returns right after it, or a
+        process that yields a pending event right after it, when that
+        process is the only waiter of the event that resumed it) may,
         on True, run the work such an event would have woken in place:
         the same program minus one step.  On False it must push
         ``call_later(0.0, ...)``, which takes exactly that event's

@@ -3,13 +3,16 @@
 The acceptance bar for the durability work: a simulated uplink
 partition (drop, then heal) loses **zero** records and the backend
 ingests each exactly once; a client killed mid-stream at an arbitrary
-point resumes from its journal with the same guarantee; and the
-supervised sender surfaces unexpected transport errors instead of dying
-silently.
+point resumes from its journal with the same guarantee; the supervised
+sender surfaces unexpected transport errors instead of dying silently;
+and a blocking ``http`` client replays from the workflow's process,
+lets a transport bug surface from ``capture()`` and never counts the
+record it interrupted as delivered.
 """
 
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +20,20 @@ from repro.capture import (
     CaptureConfig,
     CaptureSenderError,
     create_client,
+    deploy_capture_sink,
 )
 from repro.capture.client import (
     STATE_CONNECTED,
     STATE_RECONNECTING,
 )
-from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
+from repro.core import (
+    CallableBackend,
+    Data,
+    ProvLightServer,
+    ServerConfig,
+    Task,
+    Workflow,
+)
 from repro.device import A8M3, Device
 from repro.net import LinkFaultInjector, Network
 from repro.simkernel import Environment
@@ -63,7 +74,8 @@ def capture_tasks(env, server, client, n_tasks, spacing_s=0.2, done=None,
     done = done if done is not None else {}
 
     def proc(env):
-        yield from server.pool.attach("conf/#")
+        if server is not None:  # the MQTT-SN server; None for http
+            yield from server.pool.attach("conf/#")
         yield from client.setup()
         wf = Workflow(1, client)
         yield from wf.begin()
@@ -367,3 +379,144 @@ def test_sender_failure_without_journal_counts_record_lost(tmp_path):
     assert len(errors) == 1
     # exactly one record lost to the injected bug, the rest delivered
     assert server.records_ingested.count == client.records_captured.count - 1
+
+
+# -- blocking http: replay through the inline send ------------------------------
+
+def http_world(journal_dir, collector_at, stop_after_ingests=None,
+               durable=True):
+    """Edge device + an ``http`` client; the collector (dedup state under
+    ``journal_dir``) is deployed at ``collector_at`` (``None``: now).
+
+    Returns ``(env, client, ingested, sinks, stop)``: ``ingested`` logs
+    each record the collector ingests, and ``stop`` succeeds on the
+    ``stop_after_ingests``-th, in the step that ingests it (before the
+    POST's response is sent).
+    """
+    env = Environment()
+    net = Network(env, seed=7)
+    dev = Device(env, A8M3, name="edge-dev")
+    net.add_host("edge", device=dev)
+    cloud = net.add_host("cloud")
+    net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.01)
+    ingested = []
+    sinks = []
+    stop = env.event()
+
+    def ingest(records):
+        ingested.extend(records)
+        if len(ingested) == stop_after_ingests:
+            stop.succeed()
+
+    def deploy():
+        sink, _ = deploy_capture_sink(
+            "http", cloud, ingest, http_port=5000,
+            server=ServerConfig(dedup_state_path=f"{journal_dir}/dedup.jsonl"),
+        )
+        sinks.append(sink)
+
+    if collector_at is None:
+        deploy()
+    else:
+        env.call_later(collector_at, deploy)
+    config = durable_config(journal_dir, transport="http", durable=durable)
+    client = create_client(dev, ("cloud", 5000), "/provlight", config)
+    return env, client, ingested, sinks, stop
+
+
+def record_key(record):
+    return (record["type"], record.get("task_id"), record.get("status"),
+            record.get("event"))
+
+
+def test_durable_http_replays_from_the_workflow_process_exactly_once(tmp_path):
+    """The collector appears mid-run: the POSTs refused before it are
+    parked and replayed by the reconnect machine through the inline
+    send, in seq order.  The client then crashes with the POST of an
+    ingested record unacknowledged; the next incarnation replays it to
+    a restarted collector, whose dedup state (``dedup_state_path``)
+    rejects it."""
+    env, client, ingested, sinks, stop = http_world(
+        str(tmp_path), collector_at=1.0, stop_after_ingests=10
+    )
+    states = []
+    client.add_connection_listener(states.append)
+    capture_tasks(env, None, client, n_tasks=5, drain=False)
+    env.run(until=stop)  # crash: simply stop simulating; no close()
+    assert client.records_captured.count == 12
+    assert client.reconnects.count >= 1 and client.replayed.count >= 5
+    assert STATE_RECONNECTING in states
+    pending1 = client.journal.pending
+    assert pending1 == 12 - client.messages_sent.count >= 1
+    first = [record_key(r) for r in ingested]
+    assert len(first) == 10
+    sinks[0].close()
+
+    env2, client2, ingested2, sinks2, _ = http_world(str(tmp_path),
+                                                     collector_at=None)
+    done = {}
+
+    def proc(env):
+        yield from client2.setup()  # recovers + replays the journal
+        yield from client2.drain()
+        done["at"] = env.now
+
+    env2.process(proc(env2))
+    env2.run(until=120)
+    assert "at" in done
+    assert client2.replayed.count == pending1
+    # the ingested-but-unacked POST came back and was rejected, not doubled
+    assert sinks2[0].requests.count == pending1 > len(ingested2)
+    # every record once, in capture (seq) order across both incarnations
+    captured = ([("dataflow", None, None, "begin")]
+                + [("task", i, status, None)
+                   for i in range(5) for status in ("RUNNING", "FINISHED")]
+                + [("dataflow", None, None, "end")])
+    assert first + [record_key(r) for r in ingested2] == captured
+    assert client2.journal.pending == 0
+    assert client2.connection_state == STATE_CONNECTED
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["besteffort", "durable"])
+def test_a_bug_in_a_blocking_send_surfaces_from_capture(tmp_path, durable):
+    """Only the transport's delivery error is capture loss.  Anything
+    else raised inside a blocking send is a bug: it surfaces from
+    ``capture()``, and the record it interrupted is not counted as
+    delivered (nor acked in the journal)."""
+    env, client, ingested, _, _ = http_world(str(tmp_path), collector_at=None,
+                                             durable=durable)
+    session = client.transport.session
+    real_post = session.post
+    blowups = {"left": 1}
+
+    def buggy_post(*args, **kwargs):
+        if blowups["left"]:
+            blowups["left"] -= 1
+            raise RuntimeError("injected transport bug")
+        response = yield from real_post(*args, **kwargs)
+        return response
+
+    session.post = buggy_post
+    errors = []
+    done = {}
+
+    def proc(env):
+        yield from client.setup()
+        wf = Workflow(1, client)
+        try:
+            yield from wf.begin()
+        except RuntimeError as exc:
+            errors.append(exc)
+        yield from Task(0, wf).begin([])
+        yield from client.drain()
+        done["at"] = env.now
+
+    env.process(proc(env))
+    env.run(until=60)
+    assert "at" in done
+    assert [str(e) for e in errors] == ["injected transport bug"]
+    assert client.records_captured.count == 2
+    assert client.messages_sent.count == 1 == len(ingested)
+    assert client.device.memory.used("capture-buffers") == 0
+    if durable:
+        assert client.journal.pending == 1  # the interrupted record

@@ -213,8 +213,11 @@ def test_blocking_network_wait_charges_rx_listen():
     env = Environment()
     dev = Device(env, A8M3)
 
+    def request():
+        yield env.timeout(2.0)
+
     def proc(env):
-        yield from dev.blocking_network_wait(env.timeout(2.0))
+        yield from dev.blocking_network_wait(request())
         yield env.timeout(2.0)
 
     env.process(proc(env))

@@ -159,21 +159,33 @@ class ProcessTcpConnection(TcpConnection):
 
 class TailProbeEnvironment(Environment):
     """Records what :meth:`zero_delay_is_next` answered (the oracle
-    never asks, the timer model asks once per tail-position ACK wake)."""
+    never asks, the timer model asks once per tail-position wake) and
+    counts the pump timers pushed."""
 
     def __init__(self):
         super().__init__()
         self.answers = []
+        self.pump_timers = 0
 
     def zero_delay_is_next(self):
         answer = super().zero_delay_is_next()
         self.answers.append(answer)
         return answer
 
+    def call_later(self, delay, fn, *args):
+        self.pump_timers += getattr(fn, "__name__", "") == "_pump_timer"
+        super().call_later(delay, fn, *args)
 
-def simulate(model, link, window, echo, actions):
+
+def simulate(model, link, window, echo, actions, tail=False):
     """Run ``actions`` with ``model`` as the connection class; returns
-    ``(trace, rng_state, tx_bytes, final_states, env)``."""
+    ``(trace, rng_state, tx_bytes, final_states, env)``.
+
+    ``tail`` makes every send a ``send(data, tail=True)``: each is the
+    last action of its step (of a schedule timer, or of a reader that
+    then waits on ``recv``), so the pump may run in place.  The oracle
+    ignores the flag and always wakes its pump process.
+    """
     env = TailProbeEnvironment()
     net = Network(env, seed=11)
     client, server = net.add_host("client"), net.add_host("server")
@@ -203,7 +215,7 @@ def simulate(model, link, window, echo, actions):
             if not data:
                 return
             if echo and side == "server":
-                attempt(side, index, "echo", conn.send, data)
+                attempt(side, index, "echo", conn.send, data, tail)
 
     def attempt(side, index, what, fn, *args):
         try:
@@ -251,7 +263,7 @@ def simulate(model, link, window, echo, actions):
             conn = targets[index]
             if kind == "send":
                 data = bytes([seq % 251]) * size
-                attempt(side, index, kind, conn.send, data)
+                attempt(side, index, kind, conn.send, data, tail)
             elif kind == "close":
                 attempt(side, index, kind, conn.close)
             else:
@@ -275,9 +287,9 @@ def simulate(model, link, window, echo, actions):
     return trace, net.rng.bit_generator.state, tx_bytes, states, env
 
 
-def assert_equivalent(link, window, echo, actions):
+def assert_equivalent(link, window, echo, actions, tail=False):
     expected = simulate(ProcessTcpConnection, link, window, echo, actions)
-    got = simulate(TcpConnection, link, window, echo, actions)
+    got = simulate(TcpConnection, link, window, echo, actions, tail)
     assert got[0] == expected[0]  # (env.now, what) trace
     assert got[1:4] == expected[1:4]  # RNG draws, link bytes, final states
     return got
@@ -324,25 +336,44 @@ RESETS = [
 ]
 
 
-@given(link=links, window=windows, echo=st.booleans(), actions=schedule)
-@example(link=(2.0 ** 20, 1 / 8, 0.0, 0.0), window=600, echo=True, actions=EXCHANGE)
+#: a send, then a connect on the same link in the same instant: the SYN
+#: goes out at once, and a tail send's pump must still wait behind it
+SEND_THEN_CONNECT = [
+    (0, "connect", "client", 0, 1),
+    (4, "send", "client", 0, 2 * MSS),
+    (4, "connect", "client", 1, 1),
+    (8, "send", "client", 1, 100),
+]
+
+
+@given(link=links, window=windows, echo=st.booleans(), actions=schedule,
+       tail=st.booleans())
+@example(link=(2.0 ** 20, 1 / 8, 0.0, 0.0), window=600, echo=True, actions=EXCHANGE,
+         tail=False)
+@example(link=(2.0 ** 20, 1 / 8, 0.0, 0.0), window=600, echo=True, actions=EXCHANGE,
+         tail=True)
 # a lost pure ACK makes the echo carry new ACK information with its data
-@example(link=(2.0 ** 16, 1 / 64, 0.0, 0.3), window=600, echo=True, actions=EXCHANGE)
+@example(link=(2.0 ** 16, 1 / 64, 0.0, 0.3), window=600, echo=True, actions=EXCHANGE,
+         tail=True)
 @example(
     link=(2.0 ** 20, 1 / 8, 0.0, 0.0), window=DEFAULT_WINDOW, echo=False,
     actions=[(0, "connect", "client", 0, 1), (0, "connect", "client", 0, 2),
              (4, "send", "client", 0, 2 * MSS), (4, "send", "client", 1, 2 * MSS),
              (5, "partition", "client", 0, 1)],
+    tail=True,
 )
-@example(link=(1e9, 0.0123, 0.004, 0.0), window=3 * MSS, echo=True, actions=RESETS)
+@example(link=(1e9, 0.0123, 0.004, 0.0), window=3 * MSS, echo=True, actions=RESETS,
+         tail=False)
+@example(link=(2.0 ** 16, 1 / 64, 0.0, 0.0), window=DEFAULT_WINDOW, echo=True,
+         actions=SEND_THEN_CONNECT, tail=True)
 @settings(max_examples=200, deadline=None)
-def test_timer_connection_matches_process_model(link, window, echo, actions):
-    assert_equivalent(link, window, echo, actions)
+def test_timer_connection_matches_process_model(link, window, echo, actions, tail):
+    assert_equivalent(link, window, echo, actions, tail)
 
 
 def test_oracle_exercises_every_timer_path():
     """Guard against a vacuous oracle: hand-picked schedules drive the
-    in-place and the deferred ACK pump, window-bound sends,
+    in-place and the deferred ACK pump, tail sends, window-bound sends,
     retransmission with backoff, the retransmission limit, the
     handshake timeout, RST, abort and close before establishment, and
     both models still agree."""
@@ -353,6 +384,19 @@ def test_oracle_exercises_every_timer_path():
     sizes = [what[6] for _, *what in trace if what[0] == "tx" and what[6]]
     assert max(sizes) <= 600 and sum(sizes) > 6 * 600  # window-bound, both ways
     assert states["client"][0][0] == states["server"][0][0] == "CLOSED"
+    # tail sends: some pump in place, so fewer pump timers
+    *_, tail_env = assert_equivalent(
+        (2.0 ** 20, 1 / 8, 0.0, 0.0), 600, True, EXCHANGE, tail=True
+    )
+    assert 0 < tail_env.pump_timers < env.pump_timers
+    # a tail send with a connect due in its instant: deferred, so the
+    # SYN goes out first
+    trace, *_ = assert_equivalent(
+        (2.0 ** 16, 1 / 64, 0.0, 0.0), DEFAULT_WINDOW, True, SEND_THEN_CONNECT,
+        tail=True,
+    )
+    at_slot = [w[3] or w[6] for t, *w in trace if w[0] == "tx" and t == 4 * GRID_S]
+    assert at_slot == ["SYN", MSS, MSS]
 
     # the uplink goes down for good: RTO backoff up to the retry limit
     trace, _, _, states, _ = assert_equivalent(
