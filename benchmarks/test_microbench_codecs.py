@@ -8,11 +8,12 @@ qualitative point: the compact binary encoding is cheaper to produce
 and much smaller than verbose JSON.
 """
 
+import itertools
 import json
 
 import pytest
 
-from repro.core import decode_payload, encode_payload
+from repro.core import decode_payload, encode_payload, serialization
 from repro.mqttsn import packets as pkt
 
 RECORD_10 = {
@@ -180,3 +181,105 @@ def test_envelope_wrap_unwrap_100_attrs(benchmark):
     client_id, seq, inner = benchmark(roundtrip)
     assert (client_id, seq) == ("edge-dev/conf/edge/data", 12345)
     assert inner == payload
+
+
+# -- the record shapes that dominate the benchmark workloads -------------------
+
+
+class _RecordingClient:
+    """Just enough of a capture client for ``core/model.py`` to build its
+    records: ``capture`` keeps the record instead of sending it."""
+
+    now = 21.5
+
+    def __init__(self):
+        self.records = []
+
+    def capture(self, record, groupable=True):
+        self.records.append(record)
+        return iter(())
+
+
+def _task_records(count, attributes=100):
+    """``(begin, end)`` records of ``count`` chained tasks, built by
+    ``core/model.py`` the way the synthetic workload builds them."""
+    from repro.core.model import Data, Task, Workflow
+
+    client = _RecordingClient()
+    workflow = Workflow(1, client)
+    previous = []
+    for i in range(1, count + 1):
+        task = Task(f"0-{i}", workflow, transformation_id=0, dependencies=previous)
+        for _ in task.begin([Data(f"in{i}", 1, {"in": [1] * attributes},
+                                  derivations=[f"out{i - 1}"])]):
+            pass
+        for _ in task.end([Data(f"out{i}", 1, {"out": [2] * attributes},
+                                derivations=[f"in{i}"])]):
+            pass
+        previous = [task.id]
+    return client.records[0::2], client.records[1::2]
+
+
+#: a fan-in payload: one task_begin record with 100 int attributes
+TASK_BEGIN_100 = _task_records(2)[0][1]
+#: an edge-grouped payload: one flush of a group of 50 task_end records
+TASK_END_GROUP_50 = _task_records(50)[1]
+
+
+def test_encode_task_begin_100_int_attrs(benchmark):
+    assert TASK_BEGIN_100["kind"] == "task_begin"
+    wire = benchmark(encode_payload, TASK_BEGIN_100)
+    assert decode_payload(wire) == TASK_BEGIN_100
+
+
+def test_decode_task_begin_100_int_attrs(benchmark):
+    wire = encode_payload(TASK_BEGIN_100)
+    assert benchmark(decode_payload, wire) == TASK_BEGIN_100
+
+
+def test_encode_task_end_group_50(benchmark):
+    assert [r["kind"] for r in TASK_END_GROUP_50] == ["task_end"] * 50
+    wire = benchmark(encode_payload, TASK_END_GROUP_50)
+    assert decode_payload(wire) == TASK_END_GROUP_50
+
+
+def test_decode_task_end_group_50(benchmark):
+    wire = encode_payload(TASK_END_GROUP_50)
+    assert benchmark(decode_payload, wire) == TASK_END_GROUP_50
+
+
+def test_encode_task_begin_unique_table(benchmark):
+    # the table-prefix cache's miss path: a fresh task id each round
+    # makes every string table new, so no section is ever reused
+    record = dict(TASK_BEGIN_100)
+    ids = (f"miss-{i}" for i in itertools.count())
+
+    def encode_fresh():
+        record["task_id"] = next(ids)
+        return encode_payload(record)
+
+    wire = benchmark(encode_fresh)
+    assert decode_payload(wire) == record
+
+
+def test_decode_task_begin_unique_table(benchmark):
+    # the decoder's table-cache miss path: cycling through more distinct
+    # tables than the cache holds, each decode parses its table afresh
+    wires = [encode_payload({**TASK_BEGIN_100, "task_id": f"miss-{i}"})
+             for i in range(2 * serialization._TABLE_CACHE_MAX)]
+    pending = itertools.cycle(wires)
+    value = benchmark(lambda: decode_payload(next(pending)))
+    assert value["task_id"].startswith("miss-")
+    assert {**value, "task_id": TASK_BEGIN_100["task_id"]} == TASK_BEGIN_100
+
+
+def test_mqttsn_qos2_ack_frames_roundtrip(benchmark):
+    # every QoS 2 publish costs one PUBREC, PUBREL and PUBCOMP each way
+    # through the codec: build, encode and decode all three
+    def roundtrip():
+        return (pkt.decode(pkt.Pubrec(99).encode()),
+                pkt.decode(pkt.Pubrel(99).encode()),
+                pkt.decode(pkt.Pubcomp(99).encode()))
+
+    rec, rel, comp = benchmark(roundtrip)
+    assert (rec, rel, comp) == (pkt.Pubrec(99), pkt.Pubrel(99), pkt.Pubcomp(99))

@@ -5,11 +5,26 @@ one session per library instance, connection reused across POSTs, and a
 fully synchronous request/response cycle — the caller is blocked for
 (client serialization +) transmission + server service + response, which
 is exactly the overhead mechanism paper Section III measures.
+
+A request waits for its response under a watchdog: one heap timer per
+pooled connection, armed by the first request while none is running and
+never cancelled, like the TCP retransmission timer.  When it fires it
+goes idle if no request is waiting.  It restarts while TCP is still
+delivering the request (sent bytes unacked) and on progress since it
+was armed (request bytes acked or response bytes received), so TCP's
+own retransmission limit, and the redial after it, stay in charge of a
+request the server has not got yet.  Otherwise the request was
+delivered and no response byte came for a whole deadline: the watchdog
+presumes the response lost, aborts the connection, and the waiting
+request raises :class:`HttpRequestError`.  So a response lost for good
+(the collector ingested the POST, then the path died before the
+response got out) ends a request within two
+:attr:`HttpSession.RESPONSE_TIMEOUT_S` of its delivery, instead of never.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..net import ConnectionRefused, Endpoint, Host
 from .messages import (
@@ -28,28 +43,64 @@ class HttpRequestError(ConnectionError):
     """The request could not be completed."""
 
 
+class _Pooled:
+    """One pooled keep-alive connection and its response watchdog."""
+
+    __slots__ = ("conn", "reader", "waiting", "armed", "expired")
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.reader = StreamReader(conn)
+        self.waiting = False  # a request awaits its response
+        self.armed = False  # a watchdog timer is on the heap
+        self.expired = False  # the watchdog aborted the connection
+
+
 class HttpSession:
     """A keep-alive HTTP client bound to one host."""
+
+    #: sim seconds a delivered request may wait with no progress on its
+    #: connection before the watchdog aborts it
+    RESPONSE_TIMEOUT_S = 120.0
 
     def __init__(self, host: Host, user_agent: str = "repro-requests/1.0"):
         self.host = host
         self.env = host.env
         self.user_agent = user_agent
-        self._conns: Dict[Endpoint, Tuple[object, StreamReader]] = {}
+        self._conns: Dict[Endpoint, _Pooled] = {}
         self.request_count = 0
 
     def _connection(self, dest: Endpoint):
-        """Generator: return a live (conn, reader), dialing if needed."""
+        """Generator: return a live pooled connection, dialing if needed."""
         entry = self._conns.get(dest)
-        if entry is not None and not entry[0].closed:
+        if entry is not None and not entry.conn.closed:
             return entry
         try:
             conn = yield from self.host.tcp_connect(dest)
         except ConnectionRefused as exc:
             raise HttpRequestError(str(exc)) from exc
-        entry = (conn, StreamReader(conn))
+        entry = _Pooled(conn)
         self._conns[dest] = entry
         return entry
+
+    def _watchdog(self, entry: _Pooled, progress) -> None:
+        """The response watchdog of ``entry`` fired (see the module
+        docstring); ``progress`` is its connection's mark when armed."""
+        entry.armed = False
+        conn = entry.conn
+        if not entry.waiting or conn.closed:
+            return  # idle: the next request arms it again
+        if conn.send_pending or conn.progress != progress:
+            self._arm_watchdog(entry)  # TCP is delivering, or progress
+            return
+        entry.expired = True
+        conn.abort()  # the waiting read ends with end-of-stream
+
+    def _arm_watchdog(self, entry: _Pooled) -> None:
+        entry.armed = True
+        self.env.call_later(
+            self.RESPONSE_TIMEOUT_S, self._watchdog, entry, entry.conn.progress
+        )
 
     def request(
         self,
@@ -62,7 +113,7 @@ class HttpSession:
         _retried: bool = False,
     ):
         """Generator performing one blocking request (use ``yield from``)."""
-        conn, reader = yield from self._connection(dest)
+        entry = yield from self._connection(dest)
         all_headers = {
             "Host": f"{dest[0]}:{dest[1]}",
             "User-Agent": self.user_agent,
@@ -74,13 +125,22 @@ class HttpSession:
         if headers:
             all_headers.update(headers)
         request = HttpRequest(method=method, path=path, headers=all_headers, body=body)
+        entry.waiting = True
+        if not entry.armed:
+            self._arm_watchdog(entry)
         try:
             # tail position: read_response next waits on recv
-            conn.send(request.encode(), tail=True)
-            response = yield from read_response(reader)
+            entry.conn.send(request.encode(), tail=True)
+            response = yield from read_response(entry.reader)
         except (ConnectionClosed, ConnectionError):
-            # stale keep-alive connection: redial once, like requests does
+            entry.waiting = False  # before a redial waits on another entry
             self._conns.pop(dest, None)
+            if entry.expired:
+                raise HttpRequestError(
+                    f"{method} {dest}{path}: no response within "
+                    f"{self.RESPONSE_TIMEOUT_S} s"
+                ) from None
+            # stale keep-alive connection: redial once, like requests does
             if _retried:
                 raise HttpRequestError(f"{method} {dest}{path} failed") from None
             response = yield from self.request(
@@ -92,9 +152,11 @@ class HttpSession:
             # a malformed response leaves the stream mid-message
             self.invalidate(dest)
             raise HttpRequestError(f"{method} {dest}{path}: {exc}") from exc
+        finally:
+            entry.waiting = False
         self.request_count += 1
         if not response.keep_alive():
-            conn.close()
+            entry.conn.close()
             self._conns.pop(dest, None)
         return response
 
@@ -118,12 +180,12 @@ class HttpSession:
         """
         entry = self._conns.pop(dest, None)
         if entry is not None:
-            entry[0].close()
+            entry.conn.close()
 
     def close(self) -> None:
         """Close all pooled connections."""
-        for conn, _ in self._conns.values():
-            conn.close()
+        for entry in self._conns.values():
+            entry.conn.close()
         self._conns.clear()
 
     def __repr__(self) -> str:

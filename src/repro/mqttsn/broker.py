@@ -180,12 +180,13 @@ class MqttSnBroker:
 
     # ------------------------------------------------------------- dispatch
     def _dispatch(self, message: pkt.MqttSnMessage, source: Endpoint) -> None:
-        if isinstance(message, pkt.Connect):
+        kind = type(message)
+        if kind is pkt.Connect:
             # a fresh CONNECT replaces any previous session state,
             # including its subscriptions in the routing index
             self.subscriptions.remove(source)
             self.sessions[source] = _Session(endpoint=source, client_id=message.client_id)
-            self._send(pkt.Connack(return_code=pkt.RC_ACCEPTED), source)
+            self._send(pkt.Connack(pkt.RC_ACCEPTED), source)
             return
 
         session = self.sessions.get(source)
@@ -194,97 +195,80 @@ class MqttSnBroker:
             # is dropped (the RSMB behaviour for unknown peers).
             self.dropped_no_session.record()
             return
+        handler = _HANDLERS.get(kind)
+        if handler is not None:
+            handler(self, message, source, session)
 
-        if isinstance(message, pkt.Register):
-            try:
-                topic_id = self.topics.register(message.topic_name)
-            except ValueError:
-                self._send(
-                    pkt.Regack(
-                        topic_id=0, msg_id=message.msg_id,
-                        return_code=pkt.RC_INVALID_TOPIC,
-                    ),
-                    source,
-                )
-                return
+    def _on_register(self, message: pkt.Register, source: Endpoint,
+                     session: _Session) -> None:
+        try:
+            topic_id = self.topics.register(message.topic_name)
+        except ValueError:
+            self._send(
+                pkt.Regack(0, message.msg_id, pkt.RC_INVALID_TOPIC), source
+            )
+            return
+        session.known_topic_ids.add(topic_id)
+        self._send(pkt.Regack(topic_id, message.msg_id), source)
+
+    def _on_regack(self, message: pkt.Regack, source: Endpoint,
+                   session: _Session) -> None:
+        # client acknowledged a broker-initiated topic registration
+        if message.return_code == pkt.RC_ACCEPTED:
+            session.known_topic_ids.add(message.topic_id)
+
+    def _on_subscribe(self, message: pkt.Subscribe, source: Endpoint,
+                      session: _Session) -> None:
+        try:
+            # add() validates the filter; one parse, one rejection path
+            self.subscriptions.add(source, message.topic_name, message.qos)
+        except ValueError:
+            self._send(
+                pkt.Suback(0, message.msg_id, pkt.RC_INVALID_TOPIC), source
+            )
+            return
+        topic_id = 0
+        if "+" not in message.topic_name and "#" not in message.topic_name:
+            topic_id = self.topics.register(message.topic_name)
             session.known_topic_ids.add(topic_id)
-            self._send(
-                pkt.Regack(topic_id=topic_id, msg_id=message.msg_id), source
-            )
-            return
+        self._send(
+            pkt.Suback(topic_id, message.msg_id, pkt.RC_ACCEPTED, message.qos),
+            source,
+        )
 
-        if isinstance(message, pkt.Regack):
-            # client acknowledged a broker-initiated topic registration
-            if message.return_code == pkt.RC_ACCEPTED:
-                session.known_topic_ids.add(message.topic_id)
-            return
+    def _on_pubrel(self, message: pkt.Pubrel, source: Endpoint,
+                   session: _Session) -> None:
+        session.inbound_qos2.discard(message.msg_id)
+        self._send(pkt.Pubcomp(message.msg_id), source)
 
-        if isinstance(message, pkt.Subscribe):
-            try:
-                # add() validates the filter; one parse, one rejection path
-                self.subscriptions.add(source, message.topic_name, message.qos)
-            except ValueError:
-                self._send(
-                    pkt.Suback(
-                        topic_id=0, msg_id=message.msg_id,
-                        return_code=pkt.RC_INVALID_TOPIC,
-                    ),
-                    source,
-                )
-                return
-            topic_id = 0
-            if "+" not in message.topic_name and "#" not in message.topic_name:
-                topic_id = self.topics.register(message.topic_name)
-                session.known_topic_ids.add(topic_id)
-            self._send(
-                pkt.Suback(topic_id=topic_id, msg_id=message.msg_id, qos=message.qos),
-                source,
-            )
-            return
+    def _on_pubrec(self, message: pkt.Pubrec, source: Endpoint,
+                   session: _Session) -> None:
+        out = self._outbound.get((source, message.msg_id))
+        if out is not None:
+            out.state = "pubrel"
+        self._send(pkt.Pubrel(message.msg_id), source)
 
-        if isinstance(message, pkt.Publish):
-            self._on_publish(message, session)
-            return
+    def _on_delivered(self, message, source: Endpoint, session: _Session) -> None:
+        """PUBCOMP (QoS 2) or PUBACK (QoS 1) ends a delivery."""
+        self._outbound.pop((source, message.msg_id), None)
 
-        if isinstance(message, pkt.Pubrel):
-            session.inbound_qos2.discard(message.msg_id)
-            self._send(pkt.Pubcomp(msg_id=message.msg_id), source)
-            return
+    def _on_pingreq(self, message: pkt.Pingreq, source: Endpoint,
+                    session: _Session) -> None:
+        self._send(pkt.Pingresp(), source)
 
-        if isinstance(message, pkt.Pubrec):
-            out = self._outbound.get((source, message.msg_id))
-            if out is not None:
-                out.state = "pubrel"
-            self._send(pkt.Pubrel(msg_id=message.msg_id), source)
-            return
-
-        if isinstance(message, pkt.Pubcomp):
-            self._outbound.pop((source, message.msg_id), None)
-            return
-
-        if isinstance(message, pkt.Puback):
-            self._outbound.pop((source, message.msg_id), None)
-            return
-
-        if isinstance(message, pkt.Pingreq):
-            self._send(pkt.Pingresp(), source)
-            return
-
-        if isinstance(message, pkt.Disconnect):
-            self._send(pkt.Disconnect(), source)
-            self.subscriptions.remove(source)
-            self.sessions.pop(source, None)
-            return
+    def _on_disconnect(self, message: pkt.Disconnect, source: Endpoint,
+                       session: _Session) -> None:
+        self._send(pkt.Disconnect(), source)
+        self.subscriptions.remove(source)
+        self.sessions.pop(source, None)
 
     # ------------------------------------------------------------- publishing
-    def _on_publish(self, message: pkt.Publish, session: _Session) -> None:
-        source = session.endpoint
+    def _on_publish(self, message: pkt.Publish, source: Endpoint,
+                    session: _Session) -> None:
         if message.qos == 1:
-            self._send(
-                pkt.Puback(topic_id=message.topic_id, msg_id=message.msg_id), source
-            )
+            self._send(pkt.Puback(message.topic_id, message.msg_id), source)
         elif message.qos == 2:
-            self._send(pkt.Pubrec(msg_id=message.msg_id), source)
+            self._send(pkt.Pubrec(message.msg_id), source)
             if message.msg_id in session.inbound_qos2:
                 return  # duplicate: exactly-once suppression
             session.inbound_qos2.add(message.msg_id)
@@ -365,17 +349,11 @@ class MqttSnBroker:
             # Repeated until the client REGACKs, so a lost REGISTER only
             # costs the duplicate-suppressed retransmission round.
             self._send(
-                pkt.Register(
-                    topic_id=topic_id,
-                    msg_id=next(session.msg_ids),
-                    topic_name=topic_name,
-                ),
+                pkt.Register(topic_id, next(session.msg_ids), topic_name),
                 session.endpoint,
             )
         msg_id = next(session.msg_ids) if qos > 0 else 0
-        out_message = pkt.Publish(
-            topic_id=topic_id, msg_id=msg_id, payload=message.payload, qos=qos
-        )
+        out_message = pkt.Publish(topic_id, msg_id, message.payload, qos)
         self.forwarded.record(len(message.payload))
         self._send(out_message, session.endpoint)
         if qos > 0:
@@ -399,7 +377,7 @@ class MqttSnBroker:
         for msg_id in outstanding:
             out = self._outbound[(dest, msg_id)]
             if out.state == "pubrel":
-                self._send(pkt.Pubrel(msg_id=msg_id), dest)
+                self._send(pkt.Pubrel(msg_id), dest)
             else:
                 out.message.dup = True
                 self._send(out.message, dest)
@@ -409,3 +387,19 @@ class MqttSnBroker:
 
     def __repr__(self) -> str:
         return f"<MqttSnBroker {self.host.name}:{self.port} sessions={len(self.sessions)}>"
+
+
+#: message type from a connected client -> its handler (CONNECT, which
+#: needs no session, is handled before the lookup)
+_HANDLERS = {
+    pkt.Register: MqttSnBroker._on_register,
+    pkt.Regack: MqttSnBroker._on_regack,
+    pkt.Subscribe: MqttSnBroker._on_subscribe,
+    pkt.Publish: MqttSnBroker._on_publish,
+    pkt.Pubrel: MqttSnBroker._on_pubrel,
+    pkt.Pubrec: MqttSnBroker._on_pubrec,
+    pkt.Pubcomp: MqttSnBroker._on_delivered,
+    pkt.Puback: MqttSnBroker._on_delivered,
+    pkt.Pingreq: MqttSnBroker._on_pingreq,
+    pkt.Disconnect: MqttSnBroker._on_disconnect,
+}

@@ -83,7 +83,7 @@ class MqttSnClient:
     # ------------------------------------------------------------------ ops
     def connect(self):
         """Generator: CONNECT / CONNACK exchange (use ``yield from``)."""
-        message = pkt.Connect(client_id=self.client_id)
+        message = pkt.Connect(self.client_id)
         self._connect_event = self.env.event()
         self._send(message)
         self.env.call_later(self.retry_interval_s, self._retry_connect, message, 0)
@@ -105,7 +105,7 @@ class MqttSnClient:
     def register(self, topic_name: str):
         """Generator: REGISTER / REGACK; returns the broker's topic id."""
         msg_id = next(self._msg_ids)
-        message = pkt.Register(topic_id=0, msg_id=msg_id, topic_name=topic_name)
+        message = pkt.Register(0, msg_id, topic_name)
         regack = yield from self._tracked_exchange("register", msg_id, message)
         self._topic_names[regack.topic_id] = topic_name
         return regack.topic_id
@@ -114,7 +114,7 @@ class MqttSnClient:
         """Generator: SUBSCRIBE / SUBACK; registers ``handler`` for
         messages whose topic matches ``topic_filter``."""
         msg_id = next(self._msg_ids)
-        message = pkt.Subscribe(msg_id=msg_id, topic_name=topic_filter, qos=qos)
+        message = pkt.Subscribe(msg_id, topic_filter, qos)
         suback = yield from self._tracked_exchange("subscribe", msg_id, message)
         if suback.topic_id:
             self._topic_names[suback.topic_id] = topic_filter
@@ -179,7 +179,7 @@ class MqttSnClient:
         if not self.connected:
             raise pkt.MqttSnError("publish before connect")
         msg_id = next(self._msg_ids) if qos > 0 else 0
-        message = pkt.Publish(topic_id=topic_id, msg_id=msg_id, payload=payload, qos=qos)
+        message = pkt.Publish(topic_id, msg_id, payload, qos)
         self.published_count += 1
         if qos == 0:
             self._send(message)
@@ -230,7 +230,7 @@ class MqttSnClient:
             return
         message = pending.message
         if pending.state == "pubrel":
-            self._send(pkt.Pubrel(msg_id=msg_id))
+            self._send(pkt.Pubrel(msg_id))
         else:
             if isinstance(message, pkt.Publish):
                 message.dup = True
@@ -249,53 +249,51 @@ class MqttSnClient:
         self.sock.on_item(self._on_datagram)
 
     def _dispatch(self, message: pkt.MqttSnMessage) -> None:
-        if isinstance(message, pkt.Connack):
-            if self._connect_event is not None and not self._connect_event.triggered:
-                if message.return_code == pkt.RC_ACCEPTED:
-                    self._connect_event.succeed(message)
-                else:
-                    self._connect_event.fail(
-                        pkt.MqttSnError(f"CONNECT rejected: {message.return_code}")
-                    )
-            return
-        if isinstance(message, pkt.Regack):
-            self._complete(("register", message.msg_id), message)
-            return
-        if isinstance(message, pkt.Suback):
-            self._complete(("subscribe", message.msg_id), message)
-            return
-        if isinstance(message, pkt.Puback):
-            self._complete(("publish", message.msg_id), message)
-            return
-        if isinstance(message, pkt.Pubrec):
-            pending = self._pending.get(("publish", message.msg_id))
-            if pending is not None:
-                pending.state = "pubrel"
-            self._send(pkt.Pubrel(msg_id=message.msg_id))
-            return
-        if isinstance(message, pkt.Pubcomp):
-            self._complete(("publish", message.msg_id), message)
-            return
-        if isinstance(message, pkt.Publish):
-            self._on_inbound_publish(message)
-            return
-        if isinstance(message, pkt.Pubrel):
-            self._inbound_qos2.discard(message.msg_id)
-            self._send(pkt.Pubcomp(msg_id=message.msg_id))
-            return
-        if isinstance(message, pkt.Register):
-            # broker informs the topic mapping for wildcard subscriptions
-            self._topic_names[message.topic_id] = message.topic_name
-            self._send(pkt.Regack(topic_id=message.topic_id, msg_id=message.msg_id))
-            return
-        if isinstance(message, pkt.Pingresp):
-            if self._ping_event is not None and not self._ping_event.triggered:
-                self._ping_event.succeed()
-            return
-        if isinstance(message, pkt.Pingreq):
-            self._send(pkt.Pingresp())
-            return
+        handler = _HANDLERS.get(type(message))
+        if handler is not None:
+            handler(self, message)
         # CONNECT/SUBSCRIBE/etc. are not expected at a client: ignore.
+
+    def _on_connack(self, message: pkt.Connack) -> None:
+        if self._connect_event is not None and not self._connect_event.triggered:
+            if message.return_code == pkt.RC_ACCEPTED:
+                self._connect_event.succeed(message)
+            else:
+                self._connect_event.fail(
+                    pkt.MqttSnError(f"CONNECT rejected: {message.return_code}")
+                )
+
+    def _on_regack(self, message: pkt.Regack) -> None:
+        self._complete(("register", message.msg_id), message)
+
+    def _on_suback(self, message: pkt.Suback) -> None:
+        self._complete(("subscribe", message.msg_id), message)
+
+    def _on_publish_done(self, message) -> None:
+        """PUBACK (QoS 1) or PUBCOMP (QoS 2) ends a publish."""
+        self._complete(("publish", message.msg_id), message)
+
+    def _on_pubrec(self, message: pkt.Pubrec) -> None:
+        pending = self._pending.get(("publish", message.msg_id))
+        if pending is not None:
+            pending.state = "pubrel"
+        self._send(pkt.Pubrel(message.msg_id))
+
+    def _on_pubrel(self, message: pkt.Pubrel) -> None:
+        self._inbound_qos2.discard(message.msg_id)
+        self._send(pkt.Pubcomp(message.msg_id))
+
+    def _on_register(self, message: pkt.Register) -> None:
+        # broker informs the topic mapping for wildcard subscriptions
+        self._topic_names[message.topic_id] = message.topic_name
+        self._send(pkt.Regack(message.topic_id, message.msg_id))
+
+    def _on_pingresp(self, message: pkt.Pingresp) -> None:
+        if self._ping_event is not None and not self._ping_event.triggered:
+            self._ping_event.succeed()
+
+    def _on_pingreq(self, message: pkt.Pingreq) -> None:
+        self._send(pkt.Pingresp())
 
     def _complete(self, key: Tuple[str, int], message) -> None:
         pending = self._pending.pop(key, None)
@@ -304,9 +302,9 @@ class MqttSnClient:
 
     def _on_inbound_publish(self, message: pkt.Publish) -> None:
         if message.qos == 1:
-            self._send(pkt.Puback(topic_id=message.topic_id, msg_id=message.msg_id))
+            self._send(pkt.Puback(message.topic_id, message.msg_id))
         elif message.qos == 2:
-            self._send(pkt.Pubrec(msg_id=message.msg_id))
+            self._send(pkt.Pubrec(message.msg_id))
             if message.msg_id in self._inbound_qos2:
                 return  # duplicate of an unreleased exactly-once message
             self._inbound_qos2.add(message.msg_id)
@@ -320,3 +318,19 @@ class MqttSnClient:
 
     def __repr__(self) -> str:
         return f"<MqttSnClient {self.client_id}@{self.host.name}>"
+
+
+#: inbound message type -> its handler (one lookup per datagram)
+_HANDLERS = {
+    pkt.Connack: MqttSnClient._on_connack,
+    pkt.Regack: MqttSnClient._on_regack,
+    pkt.Suback: MqttSnClient._on_suback,
+    pkt.Puback: MqttSnClient._on_publish_done,
+    pkt.Pubrec: MqttSnClient._on_pubrec,
+    pkt.Pubcomp: MqttSnClient._on_publish_done,
+    pkt.Publish: MqttSnClient._on_inbound_publish,
+    pkt.Pubrel: MqttSnClient._on_pubrel,
+    pkt.Register: MqttSnClient._on_register,
+    pkt.Pingresp: MqttSnClient._on_pingresp,
+    pkt.Pingreq: MqttSnClient._on_pingreq,
+}

@@ -17,8 +17,7 @@ by ``msgType`` and the variable part.  Integers are big-endian.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Type
+from typing import Callable, ClassVar, Dict
 
 __all__ = [
     "MqttSnError",
@@ -83,51 +82,72 @@ class MalformedPacket(MqttSnError):
     """Bytes that do not decode to a valid MQTT-SN message."""
 
 
-#: preallocated ``length | msgType`` short-frame headers, indexed
-#: ``[msg_type][total]`` — every QoS 2 publish sends four control packets
-#: through :func:`_frame`, so the per-call ``bytes([total, msg_type])``
-#: allocation was pure hot-path overhead
-_SHORT_HEADERS = {
-    msg_type: tuple(bytes((total, msg_type)) for total in range(256))
-    for msg_type in (
-        MT_CONNECT, MT_CONNACK, MT_REGISTER, MT_REGACK, MT_PUBLISH,
-        MT_PUBACK, MT_PUBCOMP, MT_PUBREC, MT_PUBREL, MT_SUBSCRIBE,
-        MT_SUBACK, MT_PINGREQ, MT_PINGRESP, MT_DISCONNECT,
-    )
-}
+# One precompiled struct per frame shape.  A short frame is
+# ``length | msgType | body`` with a one-octet length; a body that makes
+# the frame longer than 255 octets takes the long form
+# ``0x01 | length (2) | msgType | body``.
+_FRAME_LONG = struct.Struct(">BHB")
+_MSG_ID_FRAME = struct.Struct(">BBH")  # PUBREC / PUBREL / PUBCOMP, DISCONNECT
+_ACK_FRAME = struct.Struct(">BBHHB")  # REGACK, PUBACK
+_SUBACK_FRAME = struct.Struct(">BBBHHB")
+_CONNECT_FRAME = struct.Struct(">BBBBH")
+_REGISTER_FRAME = struct.Struct(">BBHH")
+_SUBSCRIBE_FRAME = struct.Struct(">BBBH")
+_PUBLISH_FRAME = struct.Struct(">BBBHH")
+_PUBLISH_LONG_FRAME = struct.Struct(">BHBBHH")
+_U16 = struct.Struct(">H")
+_U16_U16 = struct.Struct(">HH")
+_ACK_BODY = struct.Struct(">HHB")
+_SUBACK_BODY = struct.Struct(">BHHB")
+_PUBLISH_BODY = struct.Struct(">BHH")
 
-_pack_long_frame = struct.Struct(">BHB").pack
-_pack_publish_head = struct.Struct(">BHH").pack
+#: a PUBLISH payload up to this size fits a short frame (7 header octets)
+_PUBLISH_SHORT_MAX = 255 - 7
+
+#: QoS -> flag bits; any other QoS is invalid
+_QOS_FLAGS = {0: 0x00, 1: 0x20, 2: 0x40}
 
 
 def _frame(msg_type: int, body: bytes) -> bytes:
+    """``length | msgType | body`` in the short or the long form."""
     total = 2 + len(body)  # length octet + type octet + body
     if total <= 255:
-        return _SHORT_HEADERS[msg_type][total] + body
-    total = 4 + len(body)  # 3 length octets + type octet + body
-    return _pack_long_frame(0x01, total, msg_type) + body
+        return bytes((total, msg_type)) + body
+    return _FRAME_LONG.pack(0x01, 4 + len(body), msg_type) + body
 
 
 def _qos_to_flags(qos: int) -> int:
-    if qos not in (0, 1, 2):
+    flags = _QOS_FLAGS.get(qos)
+    if flags is None:
         raise ValueError(f"invalid QoS {qos}")
-    return (qos << 5) & FLAG_QOS_MASK
+    return flags
 
 
-def _flags_to_qos(flags: int) -> int:
-    return (flags & FLAG_QOS_MASK) >> 5
+def _text(data: bytes, start: int, what: str) -> str:
+    """The UTF-8 string from ``start`` to the end of the frame."""
+    try:
+        return str(data[start:], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedPacket(f"{what} is not UTF-8: {exc}") from None
 
 
-@dataclass
 class MqttSnMessage:
-    """Base class: every message knows how to encode itself."""
+    """Base class: every message encodes itself to one frame.
+
+    A message is a plain record: its fields are ``_fields``, held in
+    slots; its constructor takes them positionally or by name, in that
+    order; and two messages are equal when their types and fields are.
+    Each type encodes through one precompiled struct and parses from the
+    frame's body offset with ``_parse(data, start)``.
+    """
+
+    __slots__ = ()
+    #: the message's fields, in constructor order
+    _fields: ClassVar[tuple] = ()
 
     MSG_TYPE: ClassVar[int] = 0
 
-    def encode(self) -> bytes:
-        return _frame(self.MSG_TYPE, self._body())
-
-    def _body(self) -> bytes:  # pragma: no cover - abstract
+    def encode(self) -> bytes:  # pragma: no cover - abstract
         raise NotImplementedError
 
     @property
@@ -135,274 +155,322 @@ class MqttSnMessage:
         """Encoded size in bytes."""
         return len(self.encode())
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._fields
+        )
 
-@dataclass
+    __hash__ = None  # mutable (a retransmitted PUBLISH sets ``dup``)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 class Connect(MqttSnMessage):
-    client_id: str = ""
-    duration: int = 60
-    clean_session: bool = True
+    __slots__ = _fields = ("client_id", "duration", "clean_session")
 
     MSG_TYPE: ClassVar[int] = MT_CONNECT
 
-    def _body(self) -> bytes:
-        flags = FLAG_CLEAN if self.clean_session else 0
+    def __init__(self, client_id: str = "", duration: int = 60,
+                 clean_session: bool = True):
+        self.client_id = client_id
+        self.duration = duration
+        self.clean_session = clean_session
+
+    def encode(self) -> bytes:
         cid = self.client_id.encode()
         if not 1 <= len(cid) <= 23:
             raise ValueError("client id must be 1..23 bytes")
-        return bytes([flags, 0x01]) + struct.pack(">H", self.duration) + cid
+        flags = FLAG_CLEAN if self.clean_session else 0
+        return _CONNECT_FRAME.pack(
+            6 + len(cid), MT_CONNECT, flags, 0x01, self.duration
+        ) + cid
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Connect":
-        if len(body) < 5:
+    def _parse(cls, data: bytes, start: int) -> "Connect":
+        if len(data) - start < 5:
             raise MalformedPacket("CONNECT too short")
-        flags, _proto = body[0], body[1]
-        (duration,) = struct.unpack(">H", body[2:4])
+        (duration,) = _U16.unpack_from(data, start + 2)
         return cls(
-            client_id=body[4:].decode(),
-            duration=duration,
-            clean_session=bool(flags & FLAG_CLEAN),
+            _text(data, start + 4, "CONNECT client id"),
+            duration,
+            bool(data[start] & FLAG_CLEAN),
         )
 
 
-@dataclass
 class Connack(MqttSnMessage):
-    return_code: int = RC_ACCEPTED
+    __slots__ = _fields = ("return_code",)
 
     MSG_TYPE: ClassVar[int] = MT_CONNACK
 
-    def _body(self) -> bytes:
-        return bytes([self.return_code])
+    def __init__(self, return_code: int = RC_ACCEPTED):
+        self.return_code = return_code
+
+    def encode(self) -> bytes:
+        return bytes((3, MT_CONNACK, self.return_code))
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Connack":
-        if len(body) != 1:
+    def _parse(cls, data: bytes, start: int) -> "Connack":
+        if len(data) - start != 1:
             raise MalformedPacket("CONNACK length")
-        return cls(return_code=body[0])
+        return cls(data[start])
 
 
-@dataclass
 class Register(MqttSnMessage):
-    topic_id: int = 0  # 0 when client registers (broker assigns)
-    msg_id: int = 0
-    topic_name: str = ""
+    __slots__ = _fields = ("topic_id", "msg_id", "topic_name")
 
     MSG_TYPE: ClassVar[int] = MT_REGISTER
 
-    def _body(self) -> bytes:
-        return struct.pack(">HH", self.topic_id, self.msg_id) + self.topic_name.encode()
+    def __init__(self, topic_id: int = 0, msg_id: int = 0, topic_name: str = ""):
+        self.topic_id = topic_id  # 0 when a client registers (broker assigns)
+        self.msg_id = msg_id
+        self.topic_name = topic_name
+
+    def encode(self) -> bytes:
+        name = self.topic_name.encode()
+        if len(name) <= 255 - 6:
+            return _REGISTER_FRAME.pack(
+                6 + len(name), MT_REGISTER, self.topic_id, self.msg_id
+            ) + name
+        return _frame(MT_REGISTER, _U16_U16.pack(self.topic_id, self.msg_id) + name)
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Register":
-        if len(body) < 5:
+    def _parse(cls, data: bytes, start: int) -> "Register":
+        if len(data) - start < 5:
             raise MalformedPacket("REGISTER too short")
-        topic_id, msg_id = struct.unpack(">HH", body[:4])
-        return cls(topic_id=topic_id, msg_id=msg_id, topic_name=body[4:].decode())
+        topic_id, msg_id = _U16_U16.unpack_from(data, start)
+        return cls(topic_id, msg_id, _text(data, start + 4, "REGISTER topic name"))
 
 
-@dataclass
-class Regack(MqttSnMessage):
-    topic_id: int = 0
-    msg_id: int = 0
-    return_code: int = RC_ACCEPTED
+class _Ack(MqttSnMessage):
+    """REGACK and PUBACK share a topicId | msgId | returnCode body."""
+
+    __slots__ = _fields = ("topic_id", "msg_id", "return_code")
+
+    def __init__(self, topic_id: int = 0, msg_id: int = 0,
+                 return_code: int = RC_ACCEPTED):
+        self.topic_id = topic_id
+        self.msg_id = msg_id
+        self.return_code = return_code
+
+    def encode(self) -> bytes:
+        return _ACK_FRAME.pack(7, self.MSG_TYPE, self.topic_id, self.msg_id,
+                               self.return_code)
+
+    @classmethod
+    def _parse(cls, data: bytes, start: int):
+        if len(data) - start != 5:
+            raise MalformedPacket(f"{cls.__name__.upper()} length")
+        return cls(*_ACK_BODY.unpack_from(data, start))
+
+
+class Regack(_Ack):
+    __slots__ = ()
 
     MSG_TYPE: ClassVar[int] = MT_REGACK
 
-    def _body(self) -> bytes:
-        return struct.pack(">HHB", self.topic_id, self.msg_id, self.return_code)
 
-    @classmethod
-    def _parse(cls, body: bytes) -> "Regack":
-        if len(body) != 5:
-            raise MalformedPacket("REGACK length")
-        topic_id, msg_id, rc = struct.unpack(">HHB", body)
-        return cls(topic_id=topic_id, msg_id=msg_id, return_code=rc)
+class Puback(_Ack):
+    __slots__ = ()
+
+    MSG_TYPE: ClassVar[int] = MT_PUBACK
 
 
-@dataclass
 class Publish(MqttSnMessage):
-    topic_id: int = 0
-    msg_id: int = 0
-    payload: bytes = b""
-    qos: int = 0
-    dup: bool = False
-    retain: bool = False
+    __slots__ = _fields = ("topic_id", "msg_id", "payload", "qos", "dup", "retain")
 
     MSG_TYPE: ClassVar[int] = MT_PUBLISH
 
-    def _body(self) -> bytes:
+    def __init__(self, topic_id: int = 0, msg_id: int = 0, payload: bytes = b"",
+                 qos: int = 0, dup: bool = False, retain: bool = False):
+        self.topic_id = topic_id
+        self.msg_id = msg_id
+        self.payload = payload
+        self.qos = qos
+        self.dup = dup
+        self.retain = retain
+
+    def encode(self) -> bytes:
         flags = _qos_to_flags(self.qos)
         if self.dup:
             flags |= FLAG_DUP
         if self.retain:
             flags |= FLAG_RETAIN
-        # one pack + one concat instead of three intermediate allocations
-        return _pack_publish_head(flags, self.topic_id, self.msg_id) + self.payload
+        payload = self.payload
+        if len(payload) <= _PUBLISH_SHORT_MAX:
+            return _PUBLISH_FRAME.pack(
+                7 + len(payload), MT_PUBLISH, flags, self.topic_id, self.msg_id
+            ) + payload
+        return _PUBLISH_LONG_FRAME.pack(
+            0x01, 9 + len(payload), MT_PUBLISH, flags, self.topic_id, self.msg_id
+        ) + payload
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Publish":
-        if len(body) < 5:
+    def _parse(cls, data: bytes, start: int) -> "Publish":
+        if len(data) - start < 5:
             raise MalformedPacket("PUBLISH too short")
-        flags = body[0]
-        topic_id, msg_id = struct.unpack(">HH", body[1:5])
+        flags, topic_id, msg_id = _PUBLISH_BODY.unpack_from(data, start)
         return cls(
-            topic_id=topic_id,
-            msg_id=msg_id,
-            payload=body[5:],
-            qos=_flags_to_qos(flags),
-            dup=bool(flags & FLAG_DUP),
-            retain=bool(flags & FLAG_RETAIN),
+            topic_id,
+            msg_id,
+            data[start + 5:],
+            (flags & FLAG_QOS_MASK) >> 5,
+            bool(flags & FLAG_DUP),
+            bool(flags & FLAG_RETAIN),
         )
 
 
-def _make_msgid_only(name: str, msg_type: int):
+class _MsgIdOnly(MqttSnMessage):
     """PUBREC / PUBREL / PUBCOMP share a msgId-only body."""
 
-    @dataclass
-    class _MsgIdOnly(MqttSnMessage):
-        msg_id: int = 0
+    __slots__ = _fields = ("msg_id",)
 
-        MSG_TYPE: ClassVar[int] = msg_type
+    def __init__(self, msg_id: int = 0):
+        self.msg_id = msg_id
 
-        def _body(self) -> bytes:
-            return struct.pack(">H", self.msg_id)
-
-        @classmethod
-        def _parse(cls, body: bytes):
-            if len(body) != 2:
-                raise MalformedPacket(f"{name} length")
-            return cls(msg_id=struct.unpack(">H", body)[0])
-
-    _MsgIdOnly.__name__ = _MsgIdOnly.__qualname__ = name
-    return _MsgIdOnly
-
-
-Pubrec = _make_msgid_only("Pubrec", MT_PUBREC)
-Pubrel = _make_msgid_only("Pubrel", MT_PUBREL)
-Pubcomp = _make_msgid_only("Pubcomp", MT_PUBCOMP)
-
-
-@dataclass
-class Puback(MqttSnMessage):
-    topic_id: int = 0
-    msg_id: int = 0
-    return_code: int = RC_ACCEPTED
-
-    MSG_TYPE: ClassVar[int] = MT_PUBACK
-
-    def _body(self) -> bytes:
-        return struct.pack(">HHB", self.topic_id, self.msg_id, self.return_code)
+    def encode(self) -> bytes:
+        return _MSG_ID_FRAME.pack(4, self.MSG_TYPE, self.msg_id)
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Puback":
-        if len(body) != 5:
-            raise MalformedPacket("PUBACK length")
-        topic_id, msg_id, rc = struct.unpack(">HHB", body)
-        return cls(topic_id=topic_id, msg_id=msg_id, return_code=rc)
+    def _parse(cls, data: bytes, start: int):
+        if len(data) - start != 2:
+            raise MalformedPacket(f"{cls.__name__} length")
+        return cls(_U16.unpack_from(data, start)[0])
 
 
-@dataclass
+class Pubrec(_MsgIdOnly):
+    __slots__ = ()
+
+    MSG_TYPE: ClassVar[int] = MT_PUBREC
+
+
+class Pubrel(_MsgIdOnly):
+    __slots__ = ()
+
+    MSG_TYPE: ClassVar[int] = MT_PUBREL
+
+
+class Pubcomp(_MsgIdOnly):
+    __slots__ = ()
+
+    MSG_TYPE: ClassVar[int] = MT_PUBCOMP
+
+
 class Subscribe(MqttSnMessage):
-    msg_id: int = 0
-    topic_name: str = ""
-    qos: int = 0
+    __slots__ = _fields = ("msg_id", "topic_name", "qos")
 
     MSG_TYPE: ClassVar[int] = MT_SUBSCRIBE
 
-    def _body(self) -> bytes:
-        return bytes([_qos_to_flags(self.qos)]) + struct.pack(">H", self.msg_id) + self.topic_name.encode()
+    def __init__(self, msg_id: int = 0, topic_name: str = "", qos: int = 0):
+        self.msg_id = msg_id
+        self.topic_name = topic_name
+        self.qos = qos
+
+    def encode(self) -> bytes:
+        flags = _qos_to_flags(self.qos)
+        name = self.topic_name.encode()
+        if len(name) <= 255 - 5:
+            return _SUBSCRIBE_FRAME.pack(
+                5 + len(name), MT_SUBSCRIBE, flags, self.msg_id
+            ) + name
+        return _frame(MT_SUBSCRIBE, bytes((flags,)) + _U16.pack(self.msg_id) + name)
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Subscribe":
-        if len(body) < 3:
+    def _parse(cls, data: bytes, start: int) -> "Subscribe":
+        if len(data) - start < 3:
             raise MalformedPacket("SUBSCRIBE too short")
-        flags = body[0]
-        (msg_id,) = struct.unpack(">H", body[1:3])
-        return cls(msg_id=msg_id, topic_name=body[3:].decode(), qos=_flags_to_qos(flags))
+        (msg_id,) = _U16.unpack_from(data, start + 1)
+        return cls(
+            msg_id,
+            _text(data, start + 3, "SUBSCRIBE topic name"),
+            (data[start] & FLAG_QOS_MASK) >> 5,
+        )
 
 
-@dataclass
 class Suback(MqttSnMessage):
-    topic_id: int = 0
-    msg_id: int = 0
-    return_code: int = RC_ACCEPTED
-    qos: int = 0
+    __slots__ = _fields = ("topic_id", "msg_id", "return_code", "qos")
 
     MSG_TYPE: ClassVar[int] = MT_SUBACK
 
-    def _body(self) -> bytes:
-        return (
-            bytes([_qos_to_flags(self.qos)])
-            + struct.pack(">HHB", self.topic_id, self.msg_id, self.return_code)
+    def __init__(self, topic_id: int = 0, msg_id: int = 0,
+                 return_code: int = RC_ACCEPTED, qos: int = 0):
+        self.topic_id = topic_id
+        self.msg_id = msg_id
+        self.return_code = return_code
+        self.qos = qos
+
+    def encode(self) -> bytes:
+        return _SUBACK_FRAME.pack(
+            8, MT_SUBACK, _qos_to_flags(self.qos), self.topic_id, self.msg_id,
+            self.return_code,
         )
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Suback":
-        if len(body) != 6:
+    def _parse(cls, data: bytes, start: int) -> "Suback":
+        if len(data) - start != 6:
             raise MalformedPacket("SUBACK length")
-        flags = body[0]
-        topic_id, msg_id, rc = struct.unpack(">HHB", body[1:])
-        return cls(topic_id=topic_id, msg_id=msg_id, return_code=rc, qos=_flags_to_qos(flags))
+        flags, topic_id, msg_id, rc = _SUBACK_BODY.unpack_from(data, start)
+        return cls(topic_id, msg_id, rc, (flags & FLAG_QOS_MASK) >> 5)
 
 
-@dataclass
-class Pingreq(MqttSnMessage):
+class _Empty(MqttSnMessage):
+    """PINGREQ / PINGRESP carry no body (and ignore one on decode)."""
+
+    __slots__ = ()
+
+    def encode(self) -> bytes:
+        return bytes((2, self.MSG_TYPE))
+
+    @classmethod
+    def _parse(cls, data: bytes, start: int):
+        return cls()
+
+
+class Pingreq(_Empty):
+    __slots__ = ()
+
     MSG_TYPE: ClassVar[int] = MT_PINGREQ
 
-    def _body(self) -> bytes:
-        return b""
 
-    @classmethod
-    def _parse(cls, body: bytes) -> "Pingreq":
-        return cls()
+class Pingresp(_Empty):
+    __slots__ = ()
 
-
-@dataclass
-class Pingresp(MqttSnMessage):
     MSG_TYPE: ClassVar[int] = MT_PINGRESP
 
-    def _body(self) -> bytes:
-        return b""
 
-    @classmethod
-    def _parse(cls, body: bytes) -> "Pingresp":
-        return cls()
-
-
-@dataclass
 class Disconnect(MqttSnMessage):
-    duration: int = 0  # 0: no sleep
+    __slots__ = _fields = ("duration",)
 
     MSG_TYPE: ClassVar[int] = MT_DISCONNECT
 
-    def _body(self) -> bytes:
+    def __init__(self, duration: int = 0):
+        self.duration = duration  # 0: no sleep
+
+    def encode(self) -> bytes:
         if self.duration:
-            return struct.pack(">H", self.duration)
-        return b""
+            return _MSG_ID_FRAME.pack(4, MT_DISCONNECT, self.duration)
+        return bytes((2, MT_DISCONNECT))
 
     @classmethod
-    def _parse(cls, body: bytes) -> "Disconnect":
-        if len(body) == 0:
+    def _parse(cls, data: bytes, start: int) -> "Disconnect":
+        size = len(data) - start
+        if size == 0:
             return cls()
-        if len(body) == 2:
-            return cls(duration=struct.unpack(">H", body)[0])
+        if size == 2:
+            return cls(_U16.unpack_from(data, start)[0])
         raise MalformedPacket("DISCONNECT length")
 
 
-_TYPES: Dict[int, Type[MqttSnMessage]] = {
-    MT_CONNECT: Connect,
-    MT_CONNACK: Connack,
-    MT_REGISTER: Register,
-    MT_REGACK: Regack,
-    MT_PUBLISH: Publish,
-    MT_PUBACK: Puback,
-    MT_PUBREC: Pubrec,
-    MT_PUBREL: Pubrel,
-    MT_PUBCOMP: Pubcomp,
-    MT_SUBSCRIBE: Subscribe,
-    MT_SUBACK: Suback,
-    MT_PINGREQ: Pingreq,
-    MT_PINGRESP: Pingresp,
-    MT_DISCONNECT: Disconnect,
+#: msgType -> the parser of its body
+_PARSERS: Dict[int, Callable[[bytes, int], MqttSnMessage]] = {
+    cls.MSG_TYPE: cls._parse
+    for cls in (
+        Connect, Connack, Register, Regack, Publish, Puback, Pubrec, Pubrel,
+        Pubcomp, Subscribe, Suback, Pingreq, Pingresp, Disconnect,
+    )
 }
 
 
@@ -412,24 +480,29 @@ def encode(message: MqttSnMessage) -> bytes:
 
 
 def decode(data: bytes) -> MqttSnMessage:
-    """Decode one MQTT-SN message from wire bytes."""
-    if len(data) < 2:
+    """Decode one MQTT-SN message from wire bytes.
+
+    Raises :class:`MalformedPacket` for anything that is not one whole
+    frame of a known type with a valid body.
+    """
+    size = len(data)
+    if size < 2:
         raise MalformedPacket("packet shorter than minimal frame")
     if data[0] == 0x01:
-        if len(data) < 4:
+        if size < 4:
             raise MalformedPacket("truncated long frame")
-        (length,) = struct.unpack(">H", data[1:3])
-        msg_type, body = data[3], data[4:]
-        expected = length - 4
+        expected = (data[1] << 8 | data[2]) - 4
+        msg_type = data[3]
+        start = 4
     else:
-        length = data[0]
-        msg_type, body = data[1], data[2:]
-        expected = length - 2
-    if len(body) != expected:
+        expected = data[0] - 2
+        msg_type = data[1]
+        start = 2
+    if size - start != expected:
         raise MalformedPacket(
-            f"length field says {expected} body bytes, got {len(body)}"
+            f"length field says {expected} body bytes, got {size - start}"
         )
-    cls = _TYPES.get(msg_type)
-    if cls is None:
+    parse = _PARSERS.get(msg_type)
+    if parse is None:
         raise MalformedPacket(f"unknown message type {msg_type:#x}")
-    return cls._parse(body)
+    return parse(data, start)

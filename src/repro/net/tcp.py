@@ -194,6 +194,18 @@ class TcpConnection:
     def closed(self) -> bool:
         return self.state == "CLOSED"
 
+    @property
+    def progress(self) -> Tuple[int, int]:
+        """``(bytes the peer acked, bytes received in order)``: moves
+        whenever the connection makes headway in either direction."""
+        return (self._last_acked, self._expected_seq)
+
+    @property
+    def send_pending(self) -> bool:
+        """Sent data the peer has not acked yet (queued or in flight).
+        While it has, the retransmission timer is in charge of it."""
+        return bool(self._send_buffer or self._unacked)
+
     def send(self, data: bytes, tail: bool = False) -> None:
         """Queue ``data`` for transmission.
 

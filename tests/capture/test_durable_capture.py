@@ -384,14 +384,15 @@ def test_sender_failure_without_journal_counts_record_lost(tmp_path):
 # -- blocking http: replay through the inline send ------------------------------
 
 def http_world(journal_dir, collector_at, stop_after_ingests=None,
-               durable=True):
+               durable=True, on_ingest=None):
     """Edge device + an ``http`` client; the collector (dedup state under
     ``journal_dir``) is deployed at ``collector_at`` (``None``: now).
 
     Returns ``(env, client, ingested, sinks, stop)``: ``ingested`` logs
     each record the collector ingests, and ``stop`` succeeds on the
     ``stop_after_ingests``-th, in the step that ingests it (before the
-    POST's response is sent).
+    POST's response is sent).  ``on_ingest(net, count)`` runs in that
+    step too, after every ingest.
     """
     env = Environment()
     net = Network(env, seed=7)
@@ -407,6 +408,8 @@ def http_world(journal_dir, collector_at, stop_after_ingests=None,
         ingested.extend(records)
         if len(ingested) == stop_after_ingests:
             stop.succeed()
+        if on_ingest is not None:
+            on_ingest(net, len(ingested))
 
     def deploy():
         sink, _ = deploy_capture_sink(
@@ -475,6 +478,51 @@ def test_durable_http_replays_from_the_workflow_process_exactly_once(tmp_path):
     assert first + [record_key(r) for r in ingested2] == captured
     assert client2.journal.pending == 0
     assert client2.connection_state == STATE_CONNECTED
+
+
+#: the records ``capture_tasks(..., n_tasks=5)`` captures, in seq order
+CAPTURED_5 = ([("dataflow", None, None, "begin")]
+              + [("task", i, status, None)
+                 for i in range(5) for status in ("RUNNING", "FINISHED")]
+              + [("dataflow", None, None, "end")])
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["besteffort", "durable"])
+def test_a_response_lost_for_good_ends_the_request(tmp_path, durable):
+    """The collector ingests the third POST, and in that step the uplink
+    is cut for 500 s, so its response never gets out: the server's
+    connection gives up at its retransmission limit and the client's has
+    nothing unacknowledged.  The response watchdog ends the wait with
+    ``HttpRequestError``: a best-effort client counts the record lost and
+    goes on, a durable one replays it after the heal and the collector's
+    dedup state drops the copy.  Either way the workflow finishes."""
+    cut = {}
+
+    def on_ingest(net, count):
+        if count == 3 and not cut:
+            cut["faults"] = faults = LinkFaultInjector(net, "edge", "cloud")
+            faults.partition_now()
+            net.env.call_later(500.0, faults.heal_now)
+            cut["at"] = net.env.now
+
+    env, client, ingested, _, _ = http_world(
+        str(tmp_path), collector_at=None, durable=durable, on_ingest=on_ingest
+    )
+    done = capture_tasks(env, None, client, n_tasks=5, drain=durable)
+    env.run(until=3000)
+    assert "at" in done, "the workflow never finished"
+    assert done["at"] > cut["at"] + client.transport.session.RESPONSE_TIMEOUT_S
+    keys = [record_key(r) for r in ingested]
+    assert len(set(keys)) == len(keys)  # nothing ingested twice
+    if durable:
+        assert keys == CAPTURED_5  # every record once, in seq order
+        assert client.journal.pending == 0
+    else:
+        assert keys[:3] == CAPTURED_5[:3]
+        # the third record was ingested, but its sender counts it lost,
+        # and so are the records captured while the uplink is down
+        assert client.transport.capture_errors.count >= 1
+        assert len(keys) + client.transport.capture_errors.count - 1 == len(CAPTURED_5)
 
 
 @pytest.mark.parametrize("durable", [False, True], ids=["besteffort", "durable"])

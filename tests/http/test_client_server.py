@@ -4,6 +4,7 @@ import pytest
 
 from repro.http import HttpRequestError, HttpResponse, HttpServer, HttpSession
 from repro.net import Network
+from repro.net.faults import LinkFaultInjector
 from repro.simkernel import Environment
 
 
@@ -221,3 +222,112 @@ def test_many_sequential_requests_count():
     env.process(client(env))
     env.run()
     assert server.requests.count == 50
+
+
+# -- the response watchdog ------------------------------------------------------
+
+
+def test_a_response_that_never_comes_ends_the_request():
+    """The server takes the request and never answers: nothing is left
+    unacknowledged on the client's connection, so only the response
+    watchdog can end the wait.  The request's ACK is progress, so the
+    first firing restarts it; the second aborts the connection and the
+    request raises ``HttpRequestError`` two deadlines after the watchdog
+    was armed.  The next request dials a fresh connection."""
+    never = {}
+
+    def handler(request):
+        if request.path == "/lost":
+            never["event"] = event = env_holder["env"].event()
+            yield event  # nobody ever triggers it
+        return HttpResponse(status=200, body=b"ok")
+
+    env_holder = {}
+    env, net, server, session = make_world(handler=handler, service_time=0.0)
+    env_holder["env"] = env
+    session.RESPONSE_TIMEOUT_S = 30.0
+    out = {}
+
+    def client(env):
+        t0 = env.now
+        try:
+            yield from session.get(("server", 80), "/lost")
+        except HttpRequestError as exc:
+            out["error"] = str(exc)
+            out["waited"] = env.now - t0
+        assert session._conns == {}  # the aborted connection is dropped
+        response = yield from session.get(("server", 80), "/after")
+        out["after"] = response.body
+
+    env.process(client(env))
+    env.run(until=500)
+    assert "no response within 30.0 s" in out["error"]
+    # armed once the connection was up, one handshake RTT after t0
+    assert 60.0 < out["waited"] < 60.1
+    assert out["after"] == b"ok"
+
+
+def test_the_watchdog_restarts_on_progress_and_is_one_timer_per_connection():
+    """Responses that each take most of a deadline keep the connection:
+    a completed response restarts the watchdog, so only a wait with no
+    response in between expires.  Requests do not push timers of their
+    own: one armed watchdog covers every request until it fires."""
+
+    def handler(request):
+        yield env_holder["env"].timeout(20.0)
+        return HttpResponse(status=200, body=request.path.encode())
+
+    env_holder = {}
+    env, net, server, session = make_world(handler=handler, service_time=0.0)
+    env_holder["env"] = env
+    session.RESPONSE_TIMEOUT_S = 30.0
+    armed = []
+    real_arm = session._arm_watchdog
+
+    def counting_arm(entry):
+        armed.append(env.now)
+        real_arm(entry)
+
+    session._arm_watchdog = counting_arm
+    bodies = []
+
+    def client(env):
+        for i in range(4):  # 80 s of back-to-back 20 s responses
+            response = yield from session.get(("server", 80), f"/{i}")
+            bodies.append(response.body)
+
+    env.process(client(env))
+    env.run()
+    assert bodies == [b"/0", b"/1", b"/2", b"/3"]
+    assert session.request_count == 4 and len(session._conns) == 1
+    # armed by the first request, restarted at 30 s and 60 s on progress
+    assert [round(t) for t in armed] == [0, 30, 60]
+
+
+def test_the_watchdog_leaves_a_request_tcp_still_delivers_to_tcp():
+    """A 200 s partition swallows a POST on a link whose RTO is 0.5 s.
+    TCP keeps retransmitting it (its retry limit is ~511 RTOs away), so
+    each watchdog firing finds the request unacked and restarts instead
+    of presuming the response lost.  The POST gets through after the
+    heal and succeeds, with the server handling it once."""
+    env, net, server, session = make_world(latency=0.1)
+    faults = LinkFaultInjector(net, "client", "server")
+    out = {}
+
+    def client(env):
+        yield from session.get(("server", 80), "/warm")  # RTT samples
+        # idle past a deadline: the watchdog's next firing is the POST's
+        yield env.timeout(session.RESPONSE_TIMEOUT_S + 10.0)
+        faults.partition_now()
+        env.call_later(200.0, faults.heal_now)
+        t0 = env.now
+        response = yield from session.post(("server", 80), "/prov", b"x" * 100)
+        out["body"] = response.body
+        out["waited"] = env.now - t0
+
+    env.process(client(env))
+    env.run(until=1000)
+    assert out["body"] == b"pong"
+    assert 200.0 < out["waited"] < 2 * session.RESPONSE_TIMEOUT_S
+    assert server.requests.count == 2 and session.request_count == 2
+    assert len(session._conns) == 1  # the same connection throughout

@@ -252,6 +252,39 @@ def test_messages_from_unconnected_peer_dropped():
     assert broker.dropped_no_session.count == 1
 
 
+def test_names_that_are_not_utf8_are_dropped_and_serving_goes_on():
+    """A CONNECT, REGISTER or SUBSCRIBE whose client id or topic name is
+    not UTF-8 is a malformed datagram: the broker and a client drop it
+    like any other and keep serving (it used to raise out of the run)."""
+    env, net, broker, (pub, sub) = make_world(n_clients=2)
+    broker_ep = ("cloud", DEFAULT_BROKER_PORT)
+    bad_connect = bytes((7, pkt.MT_CONNECT, pkt.FLAG_CLEAN, 0x01, 0, 60, 0xFF))
+    bad_register = bytes((7, pkt.MT_REGISTER, 0, 0, 0, 1, 0xFF))
+    bad_subscribe = bytes((6, pkt.MT_SUBSCRIBE, 0x40, 0, 2, 0xFE))
+    stranger = net.hosts["cloud"].udp_socket()
+    got = []
+
+    def subscriber(env):
+        yield from sub.connect()
+        yield from sub.subscribe("prov/#", lambda t, p: got.append((t, p)))
+        # a broker-side REGISTER whose name is not UTF-8, to the client
+        stranger.sendto(bad_register, (sub.host.name, sub.sock.port))
+
+    def publisher(env):
+        yield from pub.connect()
+        for datagram in (bad_connect, bad_register, bad_subscribe):
+            pub.sock.sendto(datagram, broker_ep)
+        yield env.timeout(0.5)
+        tid = yield from pub.register("prov/e0/data")
+        yield from pub.publish(tid, b"after", qos=2)
+
+    env.process(subscriber(env))
+    env.process(publisher(env))
+    env.run()
+    assert got == [("prov/e0/data", b"after")]
+    assert len(broker.sessions) == 2 and broker.alive
+
+
 def test_connect_times_out_without_broker():
     env = Environment()
     net = Network(env)

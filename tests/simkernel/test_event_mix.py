@@ -16,7 +16,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 #: seed-1 kernel step totals of the shrunk workloads.  A refactor that
 #: must leave the simulation alone must leave these alone: any step
 #: added, dropped or moved between kinds changes a total or a kind.
-SHRUNK_STEPS = {"fanin-64": 2432, "durable-churn": 3860, "http-fanin": 1017}
+#: ``http-fanin`` counts one ``HttpSession._watchdog`` step per device:
+#: each pooled connection's response watchdog fires once, after the
+#: workflow ended, and finds no request waiting.
+SHRUNK_STEPS = {"fanin-64": 2432, "durable-churn": 3860, "http-fanin": 1020}
 
 
 @pytest.fixture
@@ -106,6 +109,8 @@ def test_http_fanin_runs_no_tcp_or_accept_process(first_run_of_a_process):
     )
     assert tcp_timers > 0
     assert 0 < kinds[("timer", "TcpConnection._pump_timer")] < DEFERRED_PUMP_TIMERS
+    # one response watchdog per device's connection, never one per request
+    assert kinds[("timer", "HttpSession._watchdog")] == 3
     # the accept callback runs on the listener backlog's zero-delay wake
     assert kinds[("timer", "Mailbox._wake")] > 0
 
