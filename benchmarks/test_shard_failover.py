@@ -151,7 +151,7 @@ def run_failover_recovery(shards: int = 4) -> FailoverResult:
         return FailoverResult(
             recovery_ms=(recovered_at - KILL_AT_S) * 1e3,
             captured=captured,
-            ingested=int(server.records_ingested.total),
+            ingested=int(server.front.ingested.total),
             reconnected=reconnected,
         )
     finally:

@@ -135,7 +135,7 @@ def main() -> None:
           f"dropped {cluster.sessions_dropped.count})")
     print(f"client reconnects      : {sum(c.reconnects.count for c in clients)}")
     print(f"journal replays        : {sum(c.replayed.count for c in clients)}")
-    print(f"replay dups dropped    : {server.duplicates_dropped.count}")
+    print(f"replay dups dropped    : {server.front.duplicates.count}")
     print(f"breaker opens / spills : {backend.breaker.opens.count} / "
           f"{backend.spilled.count} (drained {backend.spill_drained.count}, "
           f"shed {backend.shed.count})")
@@ -156,7 +156,7 @@ def main() -> None:
 
     for client in clients:
         client.close()
-    server.deduper.close()
+    server.front.deduper.close()
     shutil.rmtree(journal_dir, ignore_errors=True)
 
 

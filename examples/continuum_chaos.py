@@ -135,7 +135,7 @@ def main() -> None:
 
     for name in fleet.devices:
         fleet.client_of(name).close()
-    server.deduper.close()
+    server.front.deduper.close()
     shutil.rmtree(journal_dir, ignore_errors=True)
 
 

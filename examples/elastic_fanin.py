@@ -158,7 +158,7 @@ def main() -> None:
 
     for client in clients:
         client.close()
-    server.deduper.close()
+    server.front.deduper.close()
     shutil.rmtree(journal_dir, ignore_errors=True)
 
 

@@ -87,7 +87,7 @@ def main() -> None:
     print(f"records accepted from trusted   : "
           f"{backend.records_ingested.count}")
     print(f"payloads rejected (bad key)     : "
-          f"{server.translate_errors.count}")
+          f"{server.front.malformed.count}")
     tags = sorted({r['dataflow_tag'] for r in backend.query('tasks').rows()})
     print(f"dataflows stored                : {tags}")
     assert tags == ["trusted"], "rogue data must never reach the backend"

@@ -10,8 +10,8 @@ sequence number::
     magic "PE" | version (1) | flags (1) | varint(len cid) | cid utf8
                | varint(seq) | inner payload...
 
-The sink side (translator pool, CoAP capture server, HTTP collector)
-peeks the envelope *without* decoding the inner payload, asks a
+Every sink's :class:`~repro.core.translator.IngestFront` peeks the
+envelope *without* decoding the inner payload, asks its
 :class:`ReplayDeduper` whether ``(client_id, seq)`` was already ingested
 and drops duplicates before paying any translate cost.  Non-durable
 clients send bare payloads (magic ``PL``) which pass through untouched,
@@ -112,8 +112,6 @@ class ReplayDeduper:
     crash-supervised sink can check *before* translating but mark only
     *after* the backend accepted the batch — marking at check time would
     make a crash-then-requeue drop the requeued records as "duplicates".
-    :meth:`is_duplicate` keeps the one-shot check-and-record semantics
-    for sinks whose ingest cannot crash mid-way.
 
     With ``state_path`` every mark is appended to a JSON-lines file and
     the index is rebuilt (then compacted) on construction, so a sink
@@ -154,17 +152,6 @@ class ReplayDeduper:
         if self._state_file is not None:
             self._state_file.write(json.dumps([client_id, seq]) + "\n")
             self._state_file.flush()
-
-    def is_duplicate(self, client_id: str, seq: int) -> bool:
-        """True when this pair was already ingested; records it otherwise."""
-        if self.seen(client_id, seq):
-            return True
-        self.mark(client_id, seq)
-        return False
-
-    def floor(self, client_id: str) -> int:
-        """Highest contiguous sequence number seen for ``client_id``."""
-        return self._floor.get(client_id, 0)
 
     # --------------------------------------------------------- persistence
     def _recover(self, state_path: str) -> None:

@@ -44,10 +44,9 @@ def deploy_capture_sink(
     simulation is over, so the backend is freed with the run.
 
     ``server`` is the deployment's :class:`~repro.core.server.ServerConfig`.
-    The MQTT-SN server takes all of it; the HTTP collector takes its
-    ``dedup_state_path``, so a restarted collector recovering from the
-    same path keeps rejecting ``(client_id, seq)`` pairs it ingested
-    before the crash and journal replays stay exactly-once.
+    The MQTT-SN server takes all of it; the CoAP server and the HTTP
+    collector take its ``dedup_state_path``.  Every sink's
+    :class:`~repro.core.translator.IngestFront` is its ``front``.
     """
     from ..core.server import CallableBackend, ProvLightServer, ServerConfig
 
@@ -60,32 +59,30 @@ def deploy_capture_sink(
     if transport == "coap":
         from ..coap import ProvLightCoapServer
 
-        sink = ProvLightCoapServer(host, CallableBackend(ingest), target=target)
+        sink = ProvLightCoapServer(host, CallableBackend(ingest), target=target,
+                                   config=server)
         return sink, sink.endpoint
     if transport == "http":
-        from ..core.translator import Translator
+        from ..core.translator import IngestFront
         from ..http import HttpResponse, HttpServer
-        from .envelope import ReplayDeduper, unwrap_payload
 
-        translator = Translator(target)
-        deduper = ReplayDeduper(state_path=server.dedup_state_path)
+        front = IngestFront(target, state_path=server.dedup_state_path)
 
         def collector(request):
-            try:
-                body = request.body
-                envelope = unwrap_payload(body)
-                if envelope is not None:
-                    client_id, seq, body = envelope
-                    if deduper.is_duplicate(client_id, seq):
-                        # a replayed POST the collector already ingested:
-                        # still 201 so the durable client acks its journal
-                        return HttpResponse(status=201, reason="Created")
-                _, translated = translator.translate_payload(body)
-                ingest(translated)
-            except Exception:  # lint: disable=bare-swallow(wire bytes are untrusted: any malformed envelope/payload is capture loss, and loss must never crash the collector — the durability acceptance tests pin this)
-                pass
+            # a malformed payload or a replayed duplicate is still 201:
+            # the client acks it and does not send it again
+            entry = front.admit(request.body)
+            if entry is not None:
+                try:
+                    ingest(entry[2])
+                except Exception:
+                    # unmarked: a durable client replays the record
+                    front.failures.record()
+                    return HttpResponse(status=503, reason="Service Unavailable")
+                front.accepted((entry,))
             return HttpResponse(status=201, reason="Created")
 
         sink = HttpServer(host, http_port, collector, workers=http_workers)
+        sink.front = front
         return sink, (host.name, http_port)
     raise ValueError(f"no capture sink known for transport {transport!r}")

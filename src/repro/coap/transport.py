@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from ..calibration import SERVER_COSTS
 from ..capture import CaptureConfig, CaptureTransport, register_transport
-from ..capture.envelope import ReplayDeduper, unwrap_payload
-from ..core.translator import Translator
+from ..core.server import ServerConfig
+from ..core.translator import IngestFront
 from ..device import Device
 from ..net import Endpoint, Host
-from ..simkernel import Counter, Mailbox
+from ..simkernel import Mailbox
 from .endpoint import DEFAULT_COAP_PORT, CoapClient, CoapServer
 from .messages import CODE_CHANGED
 
@@ -32,21 +32,19 @@ DEFAULT_CAPTURE_PATH = "/prov"
 
 
 class ProvLightCoapServer:
-    """Capture sink: CoAP server + translator + backend."""
+    """Capture sink: CoAP server + ingest front + backend.  A POST is
+    acked on receipt, so durability ends at the inbox: a payload the
+    backend then fails is counted in ``front.failures`` and lost."""
 
     def __init__(self, host: Host, backend, port: int = DEFAULT_COAP_PORT,
-                 target: str = "dfanalyzer", cipher=None):
+                 target: str = "dfanalyzer", cipher=None,
+                 config: ServerConfig = ServerConfig()):
         self.host = host
         self.env = host.env
         self.backend = backend
-        self.translator = Translator(target, cipher=cipher)
+        self.front = IngestFront(target, cipher=cipher,
+                                 state_path=config.dedup_state_path)
         self.server = CoapServer(host, port)
-        self.records_ingested = Counter("records")
-        self.translate_errors = Counter("errors")
-        #: CoAP CON is at-least-once on the wire; durable clients add a
-        #: (client_id, seq) envelope and this index drops the replays
-        self.deduper = ReplayDeduper()
-        self.duplicates_dropped = Counter("duplicates-dropped")
         self._inbox = Mailbox(self.env)
         self.server.route(DEFAULT_CAPTURE_PATH, self._on_post)
         self.env.process(self._work_loop(), name="coap-prov-translator")
@@ -68,23 +66,11 @@ class ProvLightCoapServer:
         device = self.host.device
         while True:
             payload = yield self._inbox.get()
-            try:
-                envelope = unwrap_payload(payload)
-            except Exception:
-                self.translate_errors.record()
-                continue
-            if envelope is not None:
-                client_id, seq, payload = envelope
-                if self.deduper.is_duplicate(client_id, seq):
-                    self.duplicates_dropped.record()
-                    continue
-            try:
-                records, translated = self.translator.translate_payload(payload)
-            except Exception:
-                self.translate_errors.record()
+            entry = self.front.admit(payload)
+            if entry is None:
                 continue
             work = SERVER_COSTS.translate_per_message_s
-            if len(records) > 1:
+            if len(entry[1]) > 1:
                 work += SERVER_COSTS.translate_group_fixed_s
             if device is not None:
                 yield from device.cpu.run(io_busy_s=work, tag="translator")
@@ -92,8 +78,12 @@ class ProvLightCoapServer:
                 yield self.env.timeout(work)
             # uniform backend protocol: ingest() returns an iterable of
             # simulation events (empty for synchronous backends)
-            yield from self.backend.ingest(translated)
-            self.records_ingested.record(len(records))
+            try:
+                yield from self.backend.ingest(entry[2])
+            except Exception:
+                self.front.failures.record()
+                continue
+            self.front.accepted((entry,))
 
 
 class CoapCaptureTransport(CaptureTransport):

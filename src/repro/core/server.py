@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..calibration import SERVER_COSTS, ServerCosts
-from ..capture.envelope import ReplayDeduper, unwrap_payload
 from ..hashring import ConsistentHashRing
 from ..http import HttpSession
 from ..mqttsn import (
@@ -66,7 +65,7 @@ from .resilience import (
     RetryPolicy,
     RetryableBackendError,
 )
-from .translator import Translator
+from .translator import IngestFront
 
 __all__ = [
     "ProvLightServer",
@@ -519,44 +518,20 @@ class _TranslatorWorker:
                 if self.max_batch > 1:
                     batch.extend(self._inbox.drain(self.max_batch - 1))
             self._inflight = batch
+            front = server.front
             costs = server.costs
             work = 0.0
-            translated_batch: List[Tuple[list, Any]] = []
-            batch_marks: List[Tuple[str, int]] = []
-            marked = set()
+            admitted = []
+            keys = set()
             for _topic, payload in batch:
-                # durable clients wrap payloads in a (client_id, seq)
-                # envelope: peek it *before* paying any translate cost
-                # and drop replays already ingested — this is what turns
-                # the client's at-least-once delivery into exactly-once
-                # backend ingestion.  The pair is only *marked* after the
-                # backend accepts the batch (see below), so a crash in
-                # between re-processes instead of losing the records.
-                try:
-                    envelope = unwrap_payload(payload)
-                except Exception:
-                    server.translate_errors.record()
-                    continue
-                if envelope is not None:
-                    client_id, seq, payload = envelope
-                    if (
-                        server.deduper.seen(client_id, seq)
-                        or (client_id, seq) in marked
-                    ):
-                        server.duplicates_dropped.record()
-                        continue
-                    marked.add((client_id, seq))
-                    batch_marks.append((client_id, seq))
-                try:
-                    records, translated = server.translator.translate_payload(payload)
-                except Exception:
-                    server.translate_errors.record()
-                    continue
-                work += costs.translate_per_message_s
-                if len(records) > 1:
-                    work += costs.translate_group_fixed_s
-                translated_batch.append((records, translated))
-            if not translated_batch:
+                entry = front.admit(payload, keys)
+                if entry is not None:
+                    keys.add(entry[0])
+                    work += costs.translate_per_message_s
+                    if len(entry[1]) > 1:
+                        work += costs.translate_group_fixed_s
+                    admitted.append(entry)
+            if not admitted:
                 self._inflight = []
                 continue
             # one CPU grant covers the whole drained batch: same simulated
@@ -569,15 +544,14 @@ class _TranslatorWorker:
             # pipelined ingest: hand the backend the whole drained batch
             # (one bulk request for network backends).  No local holds
             # the backend across the next wait, so that
-            # ProvLightServer.close() frees it
-            yield from server.backend.ingest_batch([t for _, t in translated_batch])
-            # the backend accepted the batch: only now do the dedup marks
-            # become durable facts (no yield between ingest return and
-            # here, so a crash cannot split accept from mark)
-            for client_id, seq in batch_marks:
-                server.deduper.mark(client_id, seq)
-            for records, _translated in translated_batch:
-                server.records_ingested.record(len(records))
+            # ProvLightServer.close() frees it.  A failure propagates to
+            # the supervisor, which requeues the batch unmarked
+            try:
+                yield from server.backend.ingest_batch([t for _, _, t in admitted])
+            except Exception:
+                front.failures.record()
+                raise
+            front.accepted(admitted)
             self._inflight = []
             self._batches_completed += 1
 
@@ -1003,7 +977,6 @@ class ProvLightServer:
         self.backend = backend
         self.costs = costs
         self.config = config
-        self.translator = Translator(target, cipher=cipher)
         self.broker = BrokerCluster(
             host, port,
             shards=config.broker_shards,
@@ -1016,16 +989,10 @@ class ProvLightServer:
             self, config.pool_size,
             min_workers=config.pool_min, max_workers=config.pool_max,
         )
-        self.records_ingested = Counter("records-ingested")
-        self.translate_errors = Counter("translate-errors")
-        #: replay dedup shared by every pool worker — a client publishes
-        #: to one topic, so all its payloads land on one worker, but the
-        #: index is server-wide so re-sharding can never unsee a seq.
-        #: With ``config.dedup_state_path`` the index survives a server
-        #: restart, so a sink crash does not re-ingest records that
-        #: durable clients replay on reconnect.
-        self.deduper = ReplayDeduper(state_path=config.dedup_state_path)
-        self.duplicates_dropped = Counter("duplicates-dropped")
+        #: one front for every pool worker: its dedup index is
+        #: server-wide, so re-sharding can never unsee a seq
+        self.front = IngestFront(target, cipher=cipher,
+                                 state_path=config.dedup_state_path)
 
     @property
     def endpoint(self) -> Endpoint:

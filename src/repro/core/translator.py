@@ -10,13 +10,15 @@ others".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional
 
-from ..capture.envelope import unwrap_payload
+from ..capture.envelope import ReplayDeduper, unwrap_payload
+from ..simkernel import Counter
 from .provdm import document_from_records
 from .serialization import decode_payload
 
 __all__ = [
+    "IngestFront",
     "TranslationError",
     "Translator",
     "records_from_payload",
@@ -35,10 +37,10 @@ def records_from_payload(payload: bytes, cipher=None) -> List[Dict[str, Any]]:
 
     A payload is either one record (dict) or a group (list of dicts),
     optionally wrapped in a durable-capture dedup envelope (stripped
-    transparently here; *deduplication* is the sink's job, the decode
-    path must just never choke on an enveloped payload).  The decoder
-    only ever produces plain dicts/lists, so exact type checks suffice
-    on this per-message path.
+    transparently here; *deduplication* is the :class:`IngestFront`'s,
+    the decode path must just never choke on an enveloped payload).  The
+    decoder only ever produces plain dicts/lists, so exact type checks
+    suffice on this per-message path.
     """
     envelope = unwrap_payload(payload)
     if envelope is not None:
@@ -173,3 +175,53 @@ class Translator:
         ``(records, translated)``."""
         records = records_from_payload(payload, cipher=self.cipher)
         return records, self._translate(records)
+
+
+class IngestFront:
+    """The ingest path every capture sink shares: unwrap -> dedup ->
+    translate -> (the sink's CPU charge and backend call) -> mark -> count.
+
+    It owns the sink's :class:`Translator`, :class:`ReplayDeduper`
+    (persisted at ``state_path``) and counts.  A ``(client_id, seq)``
+    pair is marked only once the backend accepted its records, so a
+    record whose ingest failed is ingested when it is replayed."""
+
+    def __init__(self, target: str = "dfanalyzer", cipher=None,
+                 state_path: Optional[str] = None):
+        self.translator = Translator(target, cipher=cipher)
+        self.deduper = ReplayDeduper(state_path=state_path)
+        #: one count per payload, its records in the total
+        self.ingested = Counter("records-ingested")
+        self.duplicates = Counter("duplicates-dropped")
+        self.malformed = Counter("malformed")
+        self.failures = Counter("ingest-failures")
+
+    def admit(self, payload: bytes, batch: Collection = ()):
+        """``(key, records, translated)`` to ingest, or ``None`` for a
+        duplicate or malformed payload (counted).  ``key`` is the
+        envelope's ``(client_id, seq)``, peeked before any translate
+        cost, or ``None`` for a bare payload; ``batch`` holds the keys
+        the caller admitted and has not marked yet."""
+        key = None
+        try:
+            envelope = unwrap_payload(payload)
+            if envelope is not None:
+                client_id, seq, payload = envelope
+                key = (client_id, seq)
+                if self.deduper.seen(client_id, seq) or key in batch:
+                    self.duplicates.record()
+                    return None
+            records, translated = self.translator.translate_payload(payload)
+        except Exception:  # untrusted wire bytes: any decode failure
+            self.malformed.record()
+            return None
+        return key, records, translated
+
+    def accepted(self, admitted: Iterable[tuple]) -> None:
+        """The backend accepted these admissions: mark and count them.
+        Call it in the step the backend returned in, so a crash cannot
+        split the accept from the mark."""
+        for key, records, _translated in admitted:
+            if key is not None:
+                self.deduper.mark(*key)
+            self.ingested.record(len(records))

@@ -186,12 +186,17 @@ class ProvenanceManager:
 
     def _deploy_sink(self, transport: str, server: Optional[ServerConfig] = None):
         """``(sink, endpoint)`` for ``transport``, deploying it on the
-        manager host the first time it is asked for."""
+        manager host the first time it is asked for.  The MQTT-SN server
+        takes the manager's config; every later sink shares its dedup
+        index, so a ``dedup_state_path`` has one writer (a second index
+        would compact the file away under the first one's handle)."""
         if transport not in self._sinks:
-            self._sinks[transport] = deploy_capture_sink(
+            sink, _ = self._sinks[transport] = deploy_capture_sink(
                 transport, self.host, self.service.ingest, target=self.target,
                 http_port=HTTP_CAPTURE_PORT, server=server,
             )
+            if transport != "mqttsn":
+                sink.front.deduper = self.server.front.deduper
         return self._sinks[transport]
 
     def _ensure_sink(self, transport: str, topic: str):

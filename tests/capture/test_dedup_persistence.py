@@ -11,9 +11,10 @@ import os
 
 import pytest
 
+from repro.capture import CaptureConfig, create_transport, deploy_capture_sink
 from repro.capture.envelope import ReplayDeduper, wrap_payload
-from repro.core import CallableBackend, ProvLightServer, ServerConfig, encode_payload
-from repro.mqttsn import MqttSnClient
+from repro.core import ServerConfig, encode_payload
+from repro.device import A8M3, Device
 from repro.net import Network
 from repro.simkernel import Environment
 
@@ -81,38 +82,47 @@ def test_deduper_without_state_path_is_memory_only(tmp_path):
 
 # ----------------------------------------- the sink-crash-then-replay story
 
-def run_sink_incarnation(state_path, wires, seed=7):
-    """One server lifetime: publish every (topic, wire) pair, QoS 1.
+TOPIC = "conf/edge/data"
 
-    Returns the records the backend ingested and the server (for its
-    counters).  Each call is a fresh simulation — exactly what a sink
-    crash + restart looks like: all in-memory state gone, only
+
+def run_sink_incarnation(state_path, wires, transport="mqttsn", seed=7):
+    """One sink lifetime: send every wire payload, one at a time.
+
+    Returns the records the backend ingested and the sink (for its
+    front's counters).  Each call is a fresh simulation — exactly what a
+    sink crash + restart looks like: all in-memory state gone, only
     ``state_path`` carries over.
     """
     env = Environment()
     net = Network(env, seed=seed)
     net.add_host("cloud")
-    net.add_host("edge")
+    edge = Device(env, A8M3, name="edge")
+    net.add_host("edge", device=edge)
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.01)
     received = []
-    server = ProvLightServer(
-        net.hosts["cloud"], CallableBackend(received.extend),
-        config=ServerConfig(dedup_state_path=state_path),
+    sink, endpoint = deploy_capture_sink(
+        transport, net.hosts["cloud"], received.extend,
+        server=ServerConfig(dedup_state_path=state_path),
     )
-    publisher = MqttSnClient(net.hosts["edge"], "edge-0", server.endpoint)
+    sender = create_transport(edge, endpoint, TOPIC,
+                              CaptureConfig(transport=transport, qos=1))
 
     def scenario(env):
-        yield from server.pool.attach("conf/#")
-        yield from publisher.connect()
-        tid = yield from publisher.register("conf/edge/data")
+        if transport == "mqttsn":
+            yield from sink.pool.attach("conf/#")
+        yield from sender.connect()
+        yield from sender.register(TOPIC)
         for wire in wires:
-            yield from publisher.publish(tid, wire, qos=1)
+            if sender.blocking:
+                yield from sender.send(wire)
+            else:
+                yield sender.send(wire)
             yield env.timeout(0.05)
 
     env.process(scenario(env))
     env.run(until=60)
-    server.deduper.close()
-    return received, server
+    sink.front.deduper.close()
+    return received, sink
 
 
 def record(i):
@@ -125,16 +135,18 @@ def record(i):
     }
 
 
-def test_restarted_sink_does_not_reingest_replayed_records(tmp_path):
+@pytest.mark.parametrize("transport", ["mqttsn", "coap", "http"])
+def test_restarted_sink_does_not_reingest_replayed_records(tmp_path, transport):
     state_path = str(tmp_path / "server-dedup.log")
     wires = [
         wrap_payload("edge-0", seq, encode_payload(record(seq)))
         for seq in range(1, 6)
     ]
 
-    first_received, first_server = run_sink_incarnation(state_path, wires)
+    first_received, first_server = run_sink_incarnation(state_path, wires,
+                                                        transport)
     assert len(first_received) == 5
-    assert first_server.records_ingested.total == 5
+    assert first_server.front.ingested.total == 5
 
     # the sink crashes; the durable client saw no acks for its last
     # publishes and replays everything, then continues with fresh seqs
@@ -143,12 +155,12 @@ def test_restarted_sink_does_not_reingest_replayed_records(tmp_path):
         for seq in range(6, 9)
     ]
     second_received, second_server = run_sink_incarnation(
-        state_path, replay_plus_new
+        state_path, replay_plus_new, transport
     )
     # exactly-once across incarnations: only the 3 new records ingest
     assert len(second_received) == 3
-    assert second_server.duplicates_dropped.count == 5
-    assert second_server.records_ingested.total == 3
+    assert second_server.front.duplicates.count == 5
+    assert second_server.front.ingested.total == 3
 
 
 def test_without_state_path_a_restart_reingests(tmp_path):
@@ -162,4 +174,4 @@ def test_without_state_path_a_restart_reingests(tmp_path):
     second_received, second_server = run_sink_incarnation(None, wires)
     assert len(first_received) == 3
     assert len(second_received) == 3  # the replays ingested again
-    assert second_server.duplicates_dropped.count == 0
+    assert second_server.front.duplicates.count == 0

@@ -109,13 +109,13 @@ def test_partition_heal_loses_zero_records_exactly_once(tmp_path):
     # 2 workflow events + 8 x (begin + end)
     assert client.records_captured.count == 18
     # zero loss, exactly once: every record ingested, none twice
-    assert server.records_ingested.count == 18
+    assert server.front.ingested.count == 18
     assert len(received) == 18
     # the outage actually exercised replay and the server-side dedup
     assert client.reconnects.count >= 1
     assert client.replayed.count >= 1
-    assert server.duplicates_dropped.count >= 0
-    assert (server.records_ingested.count + server.duplicates_dropped.count
+    assert server.front.duplicates.count >= 0
+    assert (server.front.ingested.count + server.front.duplicates.count
             >= client.messages_sent.count)
     # journal fully acknowledged and truncated after the drain
     assert client.journal.pending == 0
@@ -135,7 +135,7 @@ def test_repeated_flaps_converge(tmp_path):
     env.run(until=600)
     assert "at" in done
     assert client.records_captured.count == 22
-    assert server.records_ingested.count == 22
+    assert server.front.ingested.count == 22
     assert client.journal.pending == 0
     assert len(faults.outages) == 3
 
@@ -153,7 +153,7 @@ def test_best_effort_client_loses_records_on_partition(tmp_path):
     env.run(until=600)
     assert "at" in done
     assert client.records_captured.count == 18
-    assert server.records_ingested.count < 18
+    assert server.front.ingested.count < 18
 
 
 # -- crash recovery -----------------------------------------------------------
@@ -179,7 +179,7 @@ def test_crashed_client_replays_journal_on_next_setup(tmp_path):
         str(tmp_path)
     )
     # same logical backend: its dedup state survives client restarts
-    server2.deduper = server.deduper
+    server2.front.deduper = server.front.deduper
     done = {}
 
     def proc(env):
@@ -194,8 +194,8 @@ def test_crashed_client_replays_journal_on_next_setup(tmp_path):
     assert client2.replayed.count == pending1
     # exactly once across the crash: every captured record ingested,
     # boundary stragglers deduped rather than doubled
-    assert (server.records_ingested.count
-            + server2.records_ingested.count) == 8
+    assert (server.front.ingested.count
+            + server2.front.ingested.count) == 8
     assert client2.journal.pending == 0
 
 
@@ -268,7 +268,7 @@ def test_kill_anywhere_resume_is_exactly_once(kill_after_s, n_tasks):
             journal_dir
         )
         # same logical backend: ingested set and dedup floor carry over
-        server2.deduper = server.deduper
+        server2.front.deduper = server.front.deduper
         done = {}
 
         def top_up(env):
@@ -286,8 +286,8 @@ def test_kill_anywhere_resume_is_exactly_once(kill_after_s, n_tasks):
         env2.process(top_up(env2))
         env2.run(until=600)
         assert "at" in done
-        ingested_total = (server.records_ingested.count
-                          + server2.records_ingested.count)
+        ingested_total = (server.front.ingested.count
+                          + server2.front.ingested.count)
         captured_total = captured_phase1 + client2.records_captured.count
         # exactly once across the crash: nothing lost, nothing doubled
         assert ingested_total == captured_total
@@ -335,7 +335,7 @@ def test_sender_survives_transport_raise_and_surfaces_error(tmp_path):
     assert len(errors) >= 1
     assert "injected transport bug" in str(errors[0])
     # and the journaled entries still made it through after the restarts
-    assert server.records_ingested.count == client.records_captured.count
+    assert server.front.ingested.count == client.records_captured.count
     assert client.journal.pending == 0
 
 
@@ -378,7 +378,7 @@ def test_sender_failure_without_journal_counts_record_lost(tmp_path):
     assert "at" in done
     assert len(errors) == 1
     # exactly one record lost to the injected bug, the rest delivered
-    assert server.records_ingested.count == client.records_captured.count - 1
+    assert server.front.ingested.count == client.records_captured.count - 1
 
 
 # -- blocking http: replay through the inline send ------------------------------

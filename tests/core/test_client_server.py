@@ -74,7 +74,7 @@ def test_records_flow_end_to_end():
     types = [r["type"] for r in sink]
     assert types.count("dataflow") == 2
     assert types.count("task") == 6
-    assert server.records_ingested.total == 8
+    assert server.front.ingested.total == 8
 
 
 def test_records_flow_end_to_end_through_sharded_broker_plane():
@@ -109,7 +109,7 @@ def test_records_flow_end_to_end_through_sharded_broker_plane():
     env.process(scenario(env))
     env.run()
     # per device: workflow begin/end + 3 x (task begin + end) = 8 records
-    assert server.records_ingested.total == 24
+    assert server.front.ingested.total == 24
     types = [r["type"] for r in sink]
     assert types.count("dataflow") == 6
     assert types.count("task") == 18

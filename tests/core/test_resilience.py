@@ -340,7 +340,7 @@ def test_crashed_worker_restarts_and_requeues():
     assert server.pool.crashes == 1
     assert server.pool.restarts == 1
     # nothing lost: 2 workflow events + 3 x (begin + end), exactly once
-    assert server.records_ingested.total == 8
+    assert server.front.ingested.total == 8
     assert worker.queued == 0
 
 

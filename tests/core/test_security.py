@@ -184,4 +184,4 @@ def test_end_to_end_wrong_key_drops_messages():
     env.process(scenario(env))
     env.run()
     assert sink == []
-    assert server.translate_errors.count == 2
+    assert server.front.malformed.count == 2

@@ -105,7 +105,7 @@ def test_records_flow_through_sharded_pool():
     env.process(scenario(env))
     env.run()
     # 2 workflows x (wf begin/end + 3 x task begin/end) = 16 records
-    assert server.records_ingested.total == 16
+    assert server.front.ingested.total == 16
     types = [r["type"] for r in sink]
     assert types.count("dataflow") == 4
     assert types.count("task") == 12
@@ -266,7 +266,7 @@ def test_pool_autoscales_up_under_load_and_back_to_min_when_idle():
     assert server.pool.shrinks.count >= 1
     assert server.pool.queued == 0
     # exactly once: 3 x (2 workflow events + 40 x (begin + end))
-    assert server.records_ingested.total == 246
+    assert server.front.ingested.total == 246
     # per-client order survived every handover: each task's RUNNING
     # record was ingested before its FINISHED record
     seen = {}

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.capture import CaptureConfig, create_client
+from repro.capture.envelope import ReplayDeduper
 from repro.core import Data, ServerConfig, Task, Workflow
 from repro.device import A8M3, Device
 from repro.e2clab import ProvenanceManager
@@ -238,3 +240,48 @@ def test_mixed_transports_share_one_backend():
     env.run()
     # 2 workflows x (wf begin/end + task begin/end) via two transports
     assert manager.records_ingested == 8
+
+
+def test_every_sink_persists_into_the_managers_one_dedup_state(tmp_path):
+    """The manager's ``dedup_state_path`` reaches the sinks it deploys
+    on demand, and they share the MQTT-SN server's index: a second index
+    on the file would compact it away under the first one's handle."""
+    state_path = str(tmp_path / "dedup.jsonl")
+    env = Environment()
+    net = Network(env, seed=8)
+    manager = ProvenanceManager(
+        net, server=ServerConfig(dedup_state_path=state_path)
+    )
+    clients = []
+
+    def run(device, transport):
+        topic = f"provlight/{device.name}/data"
+        endpoint = yield from manager._ensure_sink(transport, topic)
+        config = CaptureConfig(transport=transport, durable=True,
+                               journal_dir=str(tmp_path / "journals"))
+        client = create_client(device, endpoint, topic, config)
+        clients.append(client)
+        yield from client.setup()
+        wf = Workflow(transport, client)
+        yield from wf.begin()
+        yield from Task(0, wf).begin([])
+        yield from wf.end(drain=True)
+
+    for transport in ("mqttsn", "coap", "http"):
+        device = Device(env, A8M3, name=f"edge-{transport}")
+        net.add_host(device.name, device=device)
+        net.connect(device.name, manager.host_name, bandwidth_bps=1e9,
+                    latency_s=0.01)
+        env.process(run(device, transport))
+    env.run(until=60)
+    assert manager.records_ingested == 9
+    for sink, _ in manager._sinks.values():
+        assert sink.front.deduper is manager.server.front.deduper
+    manager.server.front.deduper.close()
+
+    recovered = ReplayDeduper(state_path=state_path)
+    for client in clients:
+        assert client.journal.pending == 0
+        assert recovered.seen(client.client_id, 3)
+        assert not recovered.seen(client.client_id, 4)
+    recovered.close()

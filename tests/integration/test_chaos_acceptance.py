@@ -111,7 +111,7 @@ def test_shard_kill_mid_fanin_loses_zero_records_exactly_once(tmp_path):
     captured = sum(c.records_captured.count for c in clients)
     assert captured == expected
     # zero loss AND exactly-once: the backend saw each record precisely once
-    assert server.records_ingested.total == expected
+    assert server.front.ingested.total == expected
     assert len(received) == expected
     # replays happened, and the dedup index swallowed every duplicate
     assert sum(c.replayed.count for c in clients) >= 1
@@ -175,7 +175,7 @@ def test_shard_kill_with_p2c_and_elastic_pool_is_still_exactly_once(tmp_path):
     expected = N_DEVICES * RECORDS_PER_DEVICE
     captured = sum(c.records_captured.count for c in clients)
     assert captured == expected
-    assert server.records_ingested.total == expected
+    assert server.front.ingested.total == expected
     assert len(received) == expected
     # the elastic pool is intact and drained; under this light load it
     # must have settled back at (or never left) its minimum
@@ -198,7 +198,7 @@ def test_degraded_cluster_keeps_ingesting_after_failover(tmp_path):
         drive(env, server, client, f"conf/{cid}/data", done)
     env.run(until=600)
     assert len(done) == N_DEVICES
-    first_total = server.records_ingested.total
+    first_total = server.front.ingested.total
     assert first_total == N_DEVICES * RECORDS_PER_DEVICE
 
     # second wave on the degraded plane
@@ -219,4 +219,4 @@ def test_degraded_cluster_keeps_ingesting_after_failover(tmp_path):
     env.run(until=1200)
     assert len(done2) == N_DEVICES
     assert cluster.failovers.count == 1  # no new failovers
-    assert server.records_ingested.total == first_total + N_DEVICES * 10
+    assert server.front.ingested.total == first_total + N_DEVICES * 10

@@ -47,7 +47,7 @@ def build_world(tmp_path, preset, seed):
         config=ServerConfig(workers=4, broker_shards=2),
     )
     spy = OrderSpyDeduper()
-    server.deduper = spy
+    server.front.deduper = spy
 
     spec = TopologySpec.parse(preset).scaled(N_DEVICES)
     devices = []
@@ -126,7 +126,7 @@ def test_churn_plus_tier_partition_is_zero_loss_exactly_once(tmp_path, preset):
     completed = sum(proxy.records_completed for proxy in proxies)
     assert completed == expected
     # exactly once: no duplicate survived the dedup index
-    assert server.records_ingested.total == expected
+    assert server.front.ingested.total == expected
     assert len(received) == expected
     # per-client order: each client's (client_id, seq) stream arrived at
     # the backend in strictly increasing seq order, churn or not

@@ -100,7 +100,7 @@ def test_churn_never_reorders_a_clients_seq_stream(tmp_path_factory,
         config=ServerConfig(workers=2),
     )
     spy = OrderSpyDeduper()
-    server.deduper = spy
+    server.front.deduper = spy
     fleet = FleetFaultInjector(env, seed=seed)
     dev = Device(env, A8M3, name="edge-0")
     net.add_host("host-edge-0", device=dev)

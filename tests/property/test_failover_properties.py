@@ -136,4 +136,4 @@ def test_worker_crashes_never_reorder_a_clients_seq_stream(
             f"{client}: got {seqs} (crashes={sorted(crash_times)}, "
             f"failed_calls={sorted(fail_calls)})"
         )
-    assert server.records_ingested.total == 2 * n_records
+    assert server.front.ingested.total == 2 * n_records
