@@ -4,8 +4,9 @@ Layer 1 of the two-layer correctness tooling (layer 2 is the runtime
 :class:`~repro.simkernel.DebugEnvironment`): an AST checker framework
 plus repo-specific rules that enforce the paper's controlled-experiment
 methodology — no wall-clock reads, no hidden-global RNG draws, no
-dropped simkernel event handles, no silently-swallowed failures, and an
-``__all__`` that matches the public surface.
+dropped simkernel event handles, no silently-swallowed failures, no
+process-environment reads in library code, and an ``__all__`` that
+matches the public surface.
 
 Run it via ``python scripts/lint.py src tests``; CI gates on the result.
 See ``docs/static-analysis.md`` for the rule catalog and suppression
@@ -33,6 +34,7 @@ from .rules import (
     AllExportSyncRule,
     BareSwallowRule,
     DroppedEventRule,
+    EnvironReadRule,
     UnseededRandomRule,
     WallClockRule,
 )
@@ -58,4 +60,5 @@ __all__ = [
     "DroppedEventRule",
     "BareSwallowRule",
     "AllExportSyncRule",
+    "EnvironReadRule",
 ]

@@ -20,6 +20,7 @@ __all__ = [
     "DroppedEventRule",
     "BareSwallowRule",
     "AllExportSyncRule",
+    "EnvironReadRule",
 ]
 
 
@@ -368,3 +369,35 @@ class AllExportSyncRule(Rule):
                     f"public {name!r} is defined but missing from __all__; "
                     "export it or rename it with a leading underscore",
                 )
+
+
+# -- environ-read ----------------------------------------------------------
+#: the process environment, read through ``os``
+_ENVIRON = frozenset({"os.environ", "os.environb", "os.getenv", "os.getenvb"})
+
+
+@register_rule
+class EnvironReadRule(Rule):
+    """Ban process-environment reads in library code.
+
+    A default taken from ``os.environ`` makes a run depend on the shell
+    that started it, not on its arguments and seed, so a failure cannot
+    be replayed from them.  Take the value as an argument; a read that
+    does not change what a run is carries an audited suppression.
+    """
+
+    name = "environ-read"
+    description = "process environment read in library code"
+    src_only = True
+
+    def visitors(self):
+        return {ast.Attribute: self._node, ast.Name: self._node}
+
+    def _node(self, node: ast.AST, module: SourceModule, report) -> None:
+        origin = module.resolve(node)
+        if origin in _ENVIRON:
+            report(
+                node,
+                f"{origin} makes a run depend on the process environment; "
+                "take the value as an argument",
+            )

@@ -32,7 +32,9 @@ backends return a generator that yields the I/O events of the request.
 Pool workers call ``ingest_batch`` once per *drained worker batch*, which
 lets a network backend pipeline the whole batch into one bulk request
 instead of one POST per translated group; the CoAP sink calls
-``ingest``.
+``ingest``.  An ``ingest_batch`` that fails after delivering the first
+``n`` groups sets ``delivered = n`` on the exception it raises: the
+worker marks those groups and requeues only the rest.
 """
 
 from __future__ import annotations
@@ -97,9 +99,14 @@ class CallableBackend:
     def ingest_batch(self, batch: Sequence[Any]) -> Iterable:
         """Deliver each group inline, in order — an in-process callable
         gains nothing from bulk framing, so the single-group behaviour
-        is preserved group by group."""
-        for translated in batch:
-            self.ingest(translated)
+        is preserved group by group.  A failing group's error says how
+        many groups before it were delivered (``delivered``)."""
+        for done, translated in enumerate(batch):
+            try:
+                self.ingest(translated)
+            except Exception as exc:
+                exc.delivered = done
+                raise
         return ()
 
 
@@ -522,15 +529,17 @@ class _TranslatorWorker:
             costs = server.costs
             work = 0.0
             admitted = []
+            sources = []  # the batch item of each admitted entry
             keys = set()
-            for _topic, payload in batch:
-                entry = front.admit(payload, keys)
+            for item in batch:
+                entry = front.admit(item[1], keys)
                 if entry is not None:
                     keys.add(entry[0])
                     work += costs.translate_per_message_s
                     if len(entry[1]) > 1:
                         work += costs.translate_group_fixed_s
                     admitted.append(entry)
+                    sources.append(item)
             if not admitted:
                 self._inflight = []
                 continue
@@ -545,11 +554,15 @@ class _TranslatorWorker:
             # (one bulk request for network backends).  No local holds
             # the backend across the next wait, so that
             # ProvLightServer.close() frees it.  A failure propagates to
-            # the supervisor, which requeues the batch unmarked
+            # the supervisor, which requeues the entries the backend did
+            # not take, unmarked
             try:
                 yield from server.backend.ingest_batch([t for _, _, t in admitted])
-            except Exception:
+            except Exception as exc:
                 front.failures.record()
+                done = getattr(exc, "delivered", 0)
+                front.accepted(admitted[:done])
+                self._inflight = sources[done:]
                 raise
             front.accepted(admitted)
             self._inflight = []

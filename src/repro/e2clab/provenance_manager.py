@@ -10,12 +10,10 @@ and hands out capture clients for edge devices — one topic per device as
 in the paper's Fig. 5, sharded across the server's fixed-size translator
 worker pool.  Clients are built through the unified capture API
 (:func:`repro.capture.create_client`), so the transport is a deployment
-choice: the manager-wide default comes from the ``transport=`` argument
-or the ``REPRO_CAPTURE_TRANSPORT`` environment hook (so an operator can
-retarget a whole experiment campaign without touching driver code), and
-:meth:`deploy_client` can override it per device.  The matching capture
-sink (CoAP server, HTTP collector) is deployed on demand next to the
-MQTT-SN server.
+choice: the manager-wide default is the ``transport=`` argument
+(``"mqttsn"`` unless given), and :meth:`deploy_client` can override it
+per device.  The matching capture sink (CoAP server, HTTP collector) is
+deployed on demand next to the MQTT-SN server.
 
 The manager also exposes the DfAnalyzer query interface so users can
 analyze captured provenance at workflow runtime.
@@ -30,13 +28,12 @@ from ..capture import (
     CaptureConfig,
     create_client,
     deploy_capture_sink,
+    get_transport_factory,
     normalize_transport,
-    transport_names,
 )
 from ..core import ProvLightServer, ServerConfig
 from ..device import Device, XEON_GOLD_5220
 from ..dfanalyzer import DfAnalyzerService
-from ..envhooks import env_value
 from ..net import (
     ChaosProfile,
     ContinuumTopology,
@@ -54,13 +51,8 @@ HTTP_CAPTURE_PORT = 5000
 
 def _registered_transport(name: str) -> str:
     """Canonical name of a registered capture transport."""
-    canonical = normalize_transport(name)
-    if canonical not in transport_names():
-        raise ValueError(
-            f"not a registered capture transport; known: "
-            f"{', '.join(transport_names())}"
-        )
-    return canonical
+    get_transport_factory(name)  # raises ValueError naming it
+    return normalize_transport(name)
 
 
 class ProvenanceManager:
@@ -81,13 +73,11 @@ class ProvenanceManager:
         compress: bool = True,
         host_name: Optional[str] = None,
         server: ServerConfig = ServerConfig(),
-        transport: Optional[str] = None,
+        transport: str = "mqttsn",
         chaos: Optional[str] = None,
         topology: Optional[str] = None,
     ):
-        self.transport = normalize_transport(transport) if transport else (
-            env_value("REPRO_CAPTURE_TRANSPORT", _registered_transport, "mqttsn")
-        )
+        self.transport = _registered_transport(transport)
         chaos_profile = ChaosProfile.parse(chaos) if chaos else None
         topology_spec = TopologySpec.parse(topology) if topology else None
         if chaos_profile is not None:

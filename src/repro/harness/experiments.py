@@ -8,10 +8,9 @@ count, and returns the measures every table/figure is built from.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -21,12 +20,12 @@ from ..capture import (
     CaptureConfig,
     create_client,
     deploy_capture_sink,
+    get_transport_factory,
     normalize_transport,
 )
 from ..core import DEFAULT_TRANSLATOR_WORKERS, ProvLightServer, ServerConfig
 from ..device import A8M3, XEON_GOLD_5220, Device, DeviceSpec
 from ..dfanalyzer import DfAnalyzerService
-from ..envhooks import env_value
 from ..http import HttpResponse, HttpServer
 from ..metrics import RunMetrics, mean_ci, relative_overhead, snapshot_device
 from ..mqttsn import DEFAULT_BROKER_SHARDS, PLACEMENT_POLICIES
@@ -47,7 +46,6 @@ __all__ = [
     "SYSTEMS",
     "ExperimentSetup",
     "RunOutcome",
-    "env_knobs",
     "run_capture_experiment",
     "run_null_baseline",
     "measure_overhead",
@@ -78,25 +76,21 @@ def _spec_knob(grammar: Callable[[str], Any]) -> Callable[[str], str]:
     return parse
 
 
-def _knob(env: str, parse: Callable[[str], Any], default: Any, help: str,
-          **flag: Any):
-    """An :class:`ExperimentSetup` field whose default ``env`` overrides.
-    ``python -m repro.harness`` generates the field's flag from the
-    metadata (``type=parse``, ``help``, the argparse options in ``flag``);
-    the flag sets ``env``, which retargets every table and figure."""
-    return field(
-        default_factory=lambda: env_value(env, parse, default),
-        metadata={"env": env, "parse": parse, "help": help, **flag},
-    )
+def _knob(parse: Callable[[str], Any], default: Any, help: str, **flag: Any):
+    """An :class:`ExperimentSetup` field whose flag ``python -m
+    repro.harness`` generates from the metadata (``type=parse``,
+    ``help``, the argparse options in ``flag``)."""
+    return field(default=default, metadata={"parse": parse, "help": help, **flag})
 
 
 @dataclass(frozen=True)
 class ExperimentSetup:
     """Everything that defines one experimental condition.
 
-    Every knob is checked at construction: a bad value fails here with a
-    message naming the field (and its environment variable, when that is
-    where the value came from), not mid-run.
+    Every field is checked at construction: a bad value fails here with
+    a message naming the field, not mid-run.  A setup is a value: no
+    default reads the environment, so a run depends only on its setup,
+    its workload config and its seed.
     """
 
     system: str = "provlight"
@@ -114,33 +108,31 @@ class ExperimentSetup:
     #: 8 workers absorb 64 device topics)
     translator_workers: int = DEFAULT_TRANSLATOR_WORKERS
     broker_shards: int = _knob(
-        "REPRO_BROKER_SHARDS", _server_knob("broker_shards", int),
-        DEFAULT_BROKER_SHARDS,
+        _server_knob("broker_shards", int), DEFAULT_BROKER_SHARDS,
         "broker shards behind the ProvLight server endpoint for every "
         "experiment (default: 1, the single-broker deployment)",
         metavar="N",
     )
     broker_placement: str = _knob(
-        "REPRO_BROKER_PLACEMENT", _server_knob("broker_placement", str),
-        "hash",
+        _server_knob("broker_placement", str), "hash",
         "session placement policy across broker shards (hash = consistent "
         "hashing, the default; p2c = load-aware power-of-two-choices)",
         choices=PLACEMENT_POLICIES,
     )
     pool_min: Optional[int] = _knob(
-        "REPRO_POOL_MIN", _server_knob("pool_min", int), None,
+        _server_knob("pool_min", int), None,
         "lower bound of the elastic translator pool (default: static "
         "pool, no autoscaling)",
         metavar="N",
     )
     pool_max: Optional[int] = _knob(
-        "REPRO_POOL_MAX", _server_knob("pool_max", int), None,
+        _server_knob("pool_max", int), None,
         "upper bound of the elastic translator pool (default: static "
         "pool, no autoscaling)",
         metavar="N",
     )
     chaos: Optional[str] = _knob(
-        "REPRO_CHAOS", _spec_knob(ChaosProfile.parse), None,
+        _spec_knob(ChaosProfile.parse), None,
         "chaos schedule applied to every ProvLight run, e.g. "
         "'kill-shard@2.0', 'churn@5:0.2:2' or 'partition-tier:edge-fog@8:3' "
         "(see repro.net.ChaosProfile for the grammar)",
@@ -149,7 +141,7 @@ class ExperimentSetup:
     #: when set, the spec's link profiles replace ``bandwidth``/``delay``
     #: and its leaf tier is resized to ``n_devices``
     topology: Optional[str] = _knob(
-        "REPRO_TOPOLOGY", _spec_knob(TopologySpec.parse), None,
+        _spec_knob(TopologySpec.parse), None,
         "continuum topology for every run: a preset name (ideal, "
         "constrained-edge, lossy-wireless, wan-fog) or a spec like "
         "'edge:64:lossy-wireless,fog:4:wan-fog,cloud:1' (leaf tier first; "
@@ -160,15 +152,20 @@ class ExperimentSetup:
 
     def __post_init__(self):
         try:
+            if self.system not in SYSTEMS:
+                raise ValueError(
+                    f"unknown system {self.system!r}; known: {', '.join(SYSTEMS)}")
+            if self.n_devices < 1:
+                raise ValueError(f"n_devices must be >= 1, got {self.n_devices}")
+            parse_rate(self.bandwidth)
+            parse_delay(self.delay)
+            self.capture_config()
+            get_transport_factory(self.transport)
             self.server_config()
             self.chaos_profile()
             self.topology_spec()
         except ValueError as exc:
-            sources = [_env_source(knob, getattr(self, knob.name))
-                       for knob in env_knobs() if knob.name in str(exc)]
-            sources = [source for source in sources if source]
-            note = f" (from {', '.join(sources)})" if sources else ""
-            raise ValueError(f"ExperimentSetup: {exc}{note}") from None
+            raise ValueError(f"ExperimentSetup: {exc}") from None
 
     def chaos_profile(self) -> Optional["ChaosProfile"]:
         """The parsed chaos schedule, or ``None`` when chaos is off."""
@@ -218,24 +215,6 @@ class ExperimentSetup:
         if self.device_spec is not A8M3:
             parts.append(self.device_spec.name)
         return " ".join(parts)
-
-
-def env_knobs() -> List[Field]:
-    """The :class:`ExperimentSetup` fields an environment variable sets."""
-    return [knob for knob in fields(ExperimentSetup) if "env" in knob.metadata]
-
-
-def _env_source(knob: Field, value: Any) -> Optional[str]:
-    """``VAR='raw'`` when ``value`` is what ``knob``'s variable parses to."""
-    var = knob.metadata["env"]
-    raw = os.environ.get(var)
-    if not raw:
-        return None
-    try:
-        from_env = knob.metadata["parse"](raw) == value
-    except ValueError:
-        from_env = False
-    return f"{var}={raw!r}" if from_env else None
 
 
 @dataclass
@@ -292,8 +271,6 @@ def run_capture_experiment(
     ``provlight`` system; the matching capture sink (MQTT-SN server, CoAP
     server or HTTP collector) is deployed automatically.
     """
-    if setup.system not in SYSTEMS:
-        raise ValueError(f"unknown system {setup.system!r}; known: {SYSTEMS}")
     chaos_profile = setup.chaos_profile()
     topo_spec = setup.topology_spec()
     cap_config = capture_config or setup.capture_config()
@@ -482,6 +459,8 @@ def measure_overhead(
     with, using identical task-duration jitter streams, and the relative
     elapsed-time difference is recorded.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     overheads: List[float] = []
     outcomes: List[RunOutcome] = []
     for rep in range(repetitions):

@@ -9,7 +9,7 @@ and the four panel functions read different metrics from those runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..metrics import fmt_pct, render_table
@@ -33,13 +33,14 @@ _CONFIG = SyntheticWorkloadConfig(attributes_per_task=100, task_duration_s=0.5)
 def figure6_runs(
     repetitions: Optional[int] = None,
     attribute_kind: str = "int",
+    base: ExperimentSetup = ExperimentSetup(),
 ) -> Dict[str, OverheadResult]:
-    """Run the Fig. 6 condition for all three systems."""
-    reps = repetitions or default_repetitions(fallback=5)
+    """Run the Fig. 6 condition of ``base`` for all three systems."""
+    reps = default_repetitions(5) if repetitions is None else repetitions
     config = _CONFIG.with_(attribute_kind=attribute_kind)
     return {
         system: measure_overhead(
-            ExperimentSetup(system=system), config, repetitions=reps
+            replace(base, system=system), config, repetitions=reps
         )
         for system in SYSTEMS
     }
@@ -77,9 +78,10 @@ _HEADERS = ["system", "measured", "vs provlight", "paper value", "paper factor"]
 
 
 def fig6a_cpu(runs: Optional[Dict[str, OverheadResult]] = None,
-              repetitions: Optional[int] = None) -> TableResult:
+              repetitions: Optional[int] = None,
+              base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Fig. 6a: capture CPU utilization (5x/7x claims)."""
-    runs = runs or figure6_runs(repetitions)
+    runs = runs or figure6_runs(repetitions, base=base)
     values = {
         s: runs[s].mean_metric(lambda m: m.capture_cpu_utilization) for s in SYSTEMS
     }
@@ -100,9 +102,10 @@ def fig6a_cpu(runs: Optional[Dict[str, OverheadResult]] = None,
 
 
 def fig6b_memory(runs: Optional[Dict[str, OverheadResult]] = None,
-                 repetitions: Optional[int] = None) -> TableResult:
+                 repetitions: Optional[int] = None,
+                 base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Fig. 6b: capture memory as a fraction of device RAM (~2x claim)."""
-    runs = runs or figure6_runs(repetitions)
+    runs = runs or figure6_runs(repetitions, base=base)
     values = {
         s: runs[s].mean_metric(lambda m: m.capture_memory_fraction) for s in SYSTEMS
     }
@@ -123,7 +126,8 @@ def fig6b_memory(runs: Optional[Dict[str, OverheadResult]] = None,
 
 
 def fig6c_network(runs: Optional[Dict[str, OverheadResult]] = None,
-                  repetitions: Optional[int] = None) -> TableResult:
+                  repetitions: Optional[int] = None,
+                  base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Fig. 6c: network usage during capture (~2x-fewer-data claim).
 
     Measured twice: with the paper's constant-integer attributes
@@ -131,14 +135,14 @@ def fig6c_network(runs: Optional[Dict[str, OverheadResult]] = None,
     *larger* than the paper's 2x, and with random-float attributes (the
     FL metrics case), which matches the paper's ~2x.
     """
-    runs = runs or figure6_runs(repetitions)
+    runs = runs or figure6_runs(repetitions, base=base)
     values = {s: runs[s].mean_metric(lambda m: m.network_kb_per_s) for s in SYSTEMS}
     rendered, rows = _factor_rows(
         values, paper.FIG6["network_kb_per_s"],
         paper.FIG6["network_factor_vs_provlight"],
         lambda v: f"{v:.2f} KB/s" if v is not None else "-",
     )
-    float_runs = figure6_runs(repetitions=2, attribute_kind="float")
+    float_runs = figure6_runs(2, attribute_kind="float", base=base)
     float_values = {
         s: float_runs[s].mean_metric(lambda m: m.network_kb_per_s) for s in SYSTEMS
     }
@@ -178,9 +182,10 @@ def fig6c_network(runs: Optional[Dict[str, OverheadResult]] = None,
 
 
 def fig6d_power(runs: Optional[Dict[str, OverheadResult]] = None,
-                repetitions: Optional[int] = None) -> TableResult:
+                repetitions: Optional[int] = None,
+                base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Fig. 6d: power consumption overhead (2.1x/2.6x claims)."""
-    runs = runs or figure6_runs(repetitions)
+    runs = runs or figure6_runs(repetitions, base=base)
     base_w = None
     values_w = {}
     for s in SYSTEMS:

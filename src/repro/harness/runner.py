@@ -11,11 +11,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional
 
-from .experiments import ExperimentSetup, env_knobs
+from .experiments import ExperimentSetup
 from .figures import ALL_FIGURES, figure6_runs
 from .tables import ALL_TABLES, TableResult
 from .timing import WallClockTimer
@@ -36,8 +36,18 @@ def _flag_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return convert
 
 
-def run_targets(targets: List[str], repetitions: Optional[int] = None) -> Dict[str, TableResult]:
-    """Run the named targets; 'all' expands to every table and figure."""
+def _repetitions(raw: str) -> int:
+    """``--reps``: a count of at least one."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def run_targets(targets: List[str], repetitions: Optional[int] = None,
+                base: ExperimentSetup = ExperimentSetup()) -> Dict[str, TableResult]:
+    """Run the named targets; 'all' expands to every table and figure.
+    Every table and figure derives its grid from ``base``."""
     if "all" in targets:
         targets = ALL_TARGETS
     unknown = [t for t in targets if t not in ALL_TARGETS]
@@ -46,13 +56,13 @@ def run_targets(targets: List[str], repetitions: Optional[int] = None) -> Dict[s
 
     results: Dict[str, TableResult] = {}
     fig_targets = [t for t in targets if t in ALL_FIGURES]
-    shared_runs = figure6_runs(repetitions) if fig_targets else None
+    shared_runs = figure6_runs(repetitions, base=base) if fig_targets else None
     for target in targets:
         with WallClockTimer() as timer:
             if target in ALL_TABLES:
-                result = ALL_TABLES[target](repetitions)
+                result = ALL_TABLES[target](repetitions, base=base)
             else:
-                result = ALL_FIGURES[target](shared_runs)
+                result = ALL_FIGURES[target](shared_runs, base=base)
         results[target] = result
         print(result.text)
         print(f"[{target}] {result.summary()} ({timer.elapsed:.1f}s)\n")
@@ -90,12 +100,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "targets", nargs="*", default=["all"],
         help=f"any of: all, {', '.join(ALL_TARGETS)} (default: all)",
     )
-    parser.add_argument("--reps", type=int, default=None,
+    parser.add_argument("--reps", type=_flag_type(_repetitions), default=None,
                         help="repetitions per experiment (default: paper's 10)")
     # one flag per ExperimentSetup knob, generated from the field metadata
-    knobs = env_knobs()
+    knobs = [knob for knob in fields(ExperimentSetup) if "parse" in knob.metadata]
     for knob in knobs:
-        options = {k: v for k, v in knob.metadata.items() if k not in ("env", "parse")}
+        options = {k: v for k, v in knob.metadata.items() if k != "parse"}
         parser.add_argument("--" + knob.name.replace("_", "-"),
                             type=_flag_type(knob.metadata["parse"]), **options)
     parser.add_argument("--write-experiments", metavar="PATH", default=None,
@@ -105,27 +115,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     given = {knob.name: getattr(args, knob.name) for knob in knobs
              if getattr(args, knob.name) is not None}
     try:
-        ExperimentSetup(**given)  # cross-field checks, e.g. pool bounds
+        base = ExperimentSetup(**given)  # cross-field checks, e.g. pool bounds
     except ValueError as exc:
         parser.error(str(exc))
-    # the tables build their ExperimentSetup grids internally; the
-    # environment hooks retarget them all (see experiments.py).  Restore
-    # them afterwards so an in-process caller (tests, notebooks) does not
-    # inherit the override.
-    overrides = {knob.metadata["env"]: getattr(args, knob.name) for knob in knobs}
-    previous = {name: os.environ.get(name) for name in overrides}
-    try:
-        for name, value in overrides.items():
-            if value is not None:
-                os.environ[name] = str(value)
-        results = run_targets(args.targets or ["all"], repetitions=args.reps)
-    finally:
-        for name, value in overrides.items():
-            if value is not None:
-                if previous[name] is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = previous[name]
+    results = run_targets(args.targets or ["all"], args.reps, base)
     if args.write_experiments:
         write_experiments_md(results, args.write_experiments)
         print(f"appended results to {args.write_experiments}")

@@ -2,18 +2,20 @@
 
 Each ``tableN()`` runs the experiment grid of the corresponding paper
 table, renders a paper-vs-measured comparison and evaluates *shape
-checks* — the qualitative claims the table supports.  Repetition counts
-default to the paper's 10 but can be reduced for quick runs (the
-benchmark suite uses ``REPRO_REPETITIONS``).
+checks* — the qualitative claims the table supports.  Every table
+derives its grid from a ``base`` :class:`ExperimentSetup` (default:
+``ExperimentSetup()``), replacing only the fields the table varies.
+Repetition counts default to the paper's 10 but can be reduced for quick
+runs (the benchmark suite uses ``REPRO_REPETITIONS``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..device import XEON_GOLD_5220
-from ..envhooks import env_value
 from ..metrics import fmt_ci_pct, fmt_pct, render_table
 from ..workloads import SyntheticWorkloadConfig
 from . import paper_reference as paper
@@ -35,7 +37,11 @@ __all__ = [
 def default_repetitions(fallback: int = 10) -> int:
     """Repetition count; ``REPRO_REPETITIONS`` overrides the default
     (values below 1 clamp to 1)."""
-    return env_value("REPRO_REPETITIONS", lambda raw: max(1, int(raw)), fallback)
+    raw = os.environ.get("REPRO_REPETITIONS")  # lint: disable=environ-read(how many runs a table makes, not what a run is)
+    try:
+        return max(1, int(raw)) if raw else fallback
+    except ValueError as exc:
+        raise ValueError(f"REPRO_REPETITIONS={raw!r}: {exc}") from None
 
 
 @dataclass
@@ -66,29 +72,30 @@ def _config(attrs: int, duration: float) -> SyntheticWorkloadConfig:
     )
 
 
-def table2(repetitions: Optional[int] = None) -> TableResult:
+def _cell(rows: List[Dict[str, Any]], setup: ExperimentSetup,
+          config: SyntheticWorkloadConfig, reps: int, reference: float,
+          **key: Any) -> str:
+    """Measure one overhead cell: append its row (``key``, the measured
+    mean and CI half-width, the paper's value) and return its text."""
+    ci = measure_overhead(setup, config, repetitions=reps, keep_outcomes=False).ci
+    rows.append({**key, "overhead": ci.mean, "ci": ci.halfwidth, "paper": reference})
+    return f"{fmt_ci_pct(ci.mean, ci.halfwidth)} (paper {fmt_pct(reference)})"
+
+
+def table2(repetitions: Optional[int] = None,
+           base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Table II: ProvLake/DfAnalyzer capture overhead on IoT/Edge."""
-    reps = repetitions or default_repetitions()
+    reps = default_repetitions() if repetitions is None else repetitions
     rows: List[Dict[str, Any]] = []
     rendered = []
     for (system, attrs), per_duration in paper.TABLE2.items():
         cells = [f"{system} @{attrs} attrs"]
         for duration in paper.DURATIONS:
-            result = measure_overhead(
-                ExperimentSetup(system=system), _config(attrs, duration),
-                repetitions=reps, keep_outcomes=False,
-            )
-            ci = result.ci
-            rows.append(
-                {
-                    "system": system, "attrs": attrs, "duration": duration,
-                    "overhead": ci.mean, "ci": ci.halfwidth,
-                    "paper": per_duration[duration],
-                }
-            )
-            cells.append(
-                f"{fmt_ci_pct(ci.mean, ci.halfwidth)} (paper {fmt_pct(per_duration[duration])})"
-            )
+            cells.append(_cell(
+                rows, replace(base, system=system), _config(attrs, duration),
+                reps, per_duration[duration],
+                system=system, attrs=attrs, duration=duration,
+            ))
         rendered.append(cells)
 
     checks = []
@@ -129,7 +136,7 @@ def table2(repetitions: Optional[int] = None) -> TableResult:
 def _grouping_table(
     name: str,
     title: str,
-    system: str,
+    base: ExperimentSetup,
     reference: Dict[Tuple[str, int], Dict[float, float]],
     reps: int,
     extra_checks: Callable[[Dict], List[Tuple[str, bool]]],
@@ -140,22 +147,11 @@ def _grouping_table(
     for (bandwidth, group), per_duration in reference.items():
         cells = [f"{bandwidth} group={group}"]
         for duration in durations:
-            result = measure_overhead(
-                ExperimentSetup(system=system, bandwidth=bandwidth, group_size=group),
-                _config(100, duration),
-                repetitions=reps, keep_outcomes=False,
-            )
-            ci = result.ci
-            rows.append(
-                {
-                    "bandwidth": bandwidth, "group": group, "duration": duration,
-                    "overhead": ci.mean, "ci": ci.halfwidth,
-                    "paper": per_duration[duration],
-                }
-            )
-            cells.append(
-                f"{fmt_ci_pct(ci.mean, ci.halfwidth)} (paper {fmt_pct(per_duration[duration])})"
-            )
+            cells.append(_cell(
+                rows, replace(base, bandwidth=bandwidth, group_size=group),
+                _config(100, duration), reps, per_duration[duration],
+                bandwidth=bandwidth, group=group, duration=duration,
+            ))
         rendered.append(cells)
 
     by_key = {(r["bandwidth"], r["group"], r["duration"]): r["overhead"] for r in rows}
@@ -166,9 +162,10 @@ def _grouping_table(
     return TableResult(name, title, text, rows, checks)
 
 
-def table3(repetitions: Optional[int] = None) -> TableResult:
+def table3(repetitions: Optional[int] = None,
+           base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Table III: ProvLake grouping/bandwidth impact."""
-    reps = repetitions or default_repetitions()
+    reps = default_repetitions() if repetitions is None else repetitions
 
     def checks(by_key) -> List[Tuple[str, bool]]:
         out = []
@@ -205,36 +202,26 @@ def table3(repetitions: Optional[int] = None) -> TableResult:
     return _grouping_table(
         "table3",
         f"Table III - ProvLake grouping & bandwidth (100 attrs, {reps} runs)",
-        "provlake",
+        replace(base, system="provlake"),
         paper.TABLE3,
         reps,
         checks,
     )
 
 
-def table7(repetitions: Optional[int] = None) -> TableResult:
+def table7(repetitions: Optional[int] = None,
+           base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Table VII: ProvLight capture overhead on IoT/Edge."""
-    reps = repetitions or default_repetitions()
+    reps = default_repetitions() if repetitions is None else repetitions
     rows: List[Dict[str, Any]] = []
     rendered = []
     for attrs, per_duration in paper.TABLE7.items():
         cells = [f"provlight @{attrs} attrs"]
         for duration in paper.DURATIONS:
-            result = measure_overhead(
-                ExperimentSetup(system="provlight"), _config(attrs, duration),
-                repetitions=reps, keep_outcomes=False,
-            )
-            ci = result.ci
-            rows.append(
-                {
-                    "attrs": attrs, "duration": duration,
-                    "overhead": ci.mean, "ci": ci.halfwidth,
-                    "paper": per_duration[duration],
-                }
-            )
-            cells.append(
-                f"{fmt_ci_pct(ci.mean, ci.halfwidth)} (paper {fmt_pct(per_duration[duration])})"
-            )
+            cells.append(_cell(
+                rows, replace(base, system="provlight"), _config(attrs, duration),
+                reps, per_duration[duration], attrs=attrs, duration=duration,
+            ))
         rendered.append(cells)
 
     checks: List[Tuple[str, bool]] = []
@@ -267,9 +254,10 @@ def table7(repetitions: Optional[int] = None) -> TableResult:
     return TableResult("table7", "Table VII", text, rows, checks)
 
 
-def table8(repetitions: Optional[int] = None) -> TableResult:
+def table8(repetitions: Optional[int] = None,
+           base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Table VIII: ProvLight grouping/bandwidth impact."""
-    reps = repetitions or default_repetitions()
+    reps = default_repetitions() if repetitions is None else repetitions
 
     def checks(by_key) -> List[Tuple[str, bool]]:
         out = []
@@ -301,38 +289,29 @@ def table8(repetitions: Optional[int] = None) -> TableResult:
     return _grouping_table(
         "table8",
         f"Table VIII - ProvLight grouping & bandwidth (100 attrs, {reps} runs)",
-        "provlight",
+        replace(base, system="provlight"),
         paper.TABLE8,
         reps,
         checks,
     )
 
 
-def table9(repetitions: Optional[int] = None) -> TableResult:
+def table9(repetitions: Optional[int] = None,
+           base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Table IX: ProvLight scalability over 8..64 devices.
 
     The heaviest experiment (64 simulated devices); default repetitions
     are reduced to 3 unless overridden.
     """
-    reps = repetitions or default_repetitions(fallback=3)
+    reps = default_repetitions(3) if repetitions is None else repetitions
     config = _config(100, 0.5)
     rows: List[Dict[str, Any]] = []
     cells = ["provlight"]
     for n_devices in sorted(paper.TABLE9):
-        result = measure_overhead(
-            ExperimentSetup(system="provlight", n_devices=n_devices),
-            config, repetitions=reps, keep_outcomes=False,
-        )
-        ci = result.ci
-        rows.append(
-            {
-                "devices": n_devices, "overhead": ci.mean, "ci": ci.halfwidth,
-                "paper": paper.TABLE9[n_devices],
-            }
-        )
-        cells.append(
-            f"{fmt_ci_pct(ci.mean, ci.halfwidth)} (paper {fmt_pct(paper.TABLE9[n_devices])})"
-        )
+        cells.append(_cell(
+            rows, replace(base, system="provlight", n_devices=n_devices),
+            config, reps, paper.TABLE9[n_devices], devices=n_devices,
+        ))
 
     overheads = {r["devices"]: r["overhead"] for r in rows}
     checks = [
@@ -357,33 +336,21 @@ def table9(repetitions: Optional[int] = None) -> TableResult:
     return TableResult("table9", "Table IX", text, rows, checks)
 
 
-def table10(repetitions: Optional[int] = None) -> TableResult:
+def table10(repetitions: Optional[int] = None,
+            base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Table X: capture overhead on cloud servers."""
-    reps = repetitions or default_repetitions()
+    reps = default_repetitions() if repetitions is None else repetitions
     rows: List[Dict[str, Any]] = []
     rendered = []
     for system, per_duration in paper.TABLE10.items():
         cells = [system]
         for duration in paper.DURATIONS:
-            result = measure_overhead(
-                ExperimentSetup(
-                    system=system, device_spec=XEON_GOLD_5220,
-                    delay="0.05ms", bandwidth="1Gbit",
-                ),
-                _config(100, duration),
-                repetitions=reps, keep_outcomes=False,
-            )
-            ci = result.ci
-            rows.append(
-                {
-                    "system": system, "duration": duration,
-                    "overhead": ci.mean, "ci": ci.halfwidth,
-                    "paper": per_duration[duration],
-                }
-            )
-            cells.append(
-                f"{fmt_ci_pct(ci.mean, ci.halfwidth)} (paper {fmt_pct(per_duration[duration])})"
-            )
+            cells.append(_cell(
+                rows, replace(base, system=system, device_spec=XEON_GOLD_5220,
+                              delay="0.05ms", bandwidth="1Gbit"),
+                _config(100, duration), reps, per_duration[duration],
+                system=system, duration=duration,
+            ))
         rendered.append(cells)
 
     by_key = {(r["system"], r["duration"]): r["overhead"] for r in rows}

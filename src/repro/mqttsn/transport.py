@@ -16,7 +16,6 @@ Not re-exported from :mod:`repro.mqttsn`: this module imports
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from ..capture import CaptureConfig, CaptureTransport, register_transport
@@ -26,8 +25,6 @@ from .client import MqttSnClient
 
 __all__ = ["MqttSnCaptureTransport"]
 
-_client_ids = itertools.count(1)
-
 
 class MqttSnCaptureTransport(CaptureTransport):
     """Capture over an asynchronous MQTT-SN publish (the paper's choice).
@@ -35,6 +32,8 @@ class MqttSnCaptureTransport(CaptureTransport):
     ``send()`` is :meth:`~repro.mqttsn.MqttSnClient.publish_nowait`: the
     QoS machinery (PUBREC/PUBREL/PUBCOMP, retransmissions) runs in the
     MQTT-SN client's socket callback, off the workflow's critical path.
+    Without ``config.client_id``, the n-th client built on a network is
+    ``provlight-n``.
     """
 
     name = "mqttsn"
@@ -43,9 +42,9 @@ class MqttSnCaptureTransport(CaptureTransport):
 
     def __init__(self, device: Device, broker: Endpoint, topic: str,
                  config: CaptureConfig):
+        host = device.host
         self.mqtt = MqttSnClient(
-            device.host,
-            config.client_id or f"provlight-{next(_client_ids)}",
+            host, config.client_id or f"provlight-{next(host.network.client_ids)}",
             broker,
         )
         self.qos = config.qos

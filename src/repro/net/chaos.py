@@ -12,7 +12,7 @@ Table IX-style run can execute under churn and assert zero loss.
 :class:`ChaosProfile` is the reproducible-from-the-CLI face of the same
 machinery: a compact spec string (``"kill-shard@2.0,flap-backend@1:0.5:3"``)
 parsed into scheduled fault events, threaded through
-``ExperimentSetup.chaos`` / ``--chaos`` / ``REPRO_CHAOS``.  Beyond the
+``ExperimentSetup.chaos`` / ``--chaos``.  Beyond the
 server plane it also schedules *client-plane* chaos — device
 crash/restart churn on a :class:`~repro.net.fleet.FleetFaultInjector`
 and whole-tier partitions/degradations on a

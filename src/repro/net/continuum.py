@@ -19,7 +19,8 @@ named ``{tier}-{index}`` and each host's uplink goes to parent
 :data:`TOPOLOGY_PRESETS` names the four shapes the benchmarks compare
 (``ideal``, ``constrained-edge``, ``lossy-wireless``, ``wan-fog``); a
 preset name is accepted anywhere a spec string is
-(``REPRO_TOPOLOGY=lossy-wireless``, ``--topology lossy-wireless``).
+(``ExperimentSetup(topology="lossy-wireless")``,
+``--topology lossy-wireless``).
 
 The built :class:`ContinuumTopology` is also the tier-level fault
 surface: :meth:`~ContinuumTopology.partition_tiers` cuts every link

@@ -27,6 +27,7 @@ kernel delay.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
@@ -59,6 +60,10 @@ class Network:
         #: host -> {neighbour: link latency (s)}
         self._adjacency: Dict[str, Dict[str, float]] = {}
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
+        #: numbers the default ids of the capture clients built on this
+        #: network (``provlight-1``, ``provlight-2``, ...), so an id
+        #: depends on the run alone, not on what the process ran before
+        self.client_ids = itertools.count(1)
 
     # -- construction ------------------------------------------------------
     def add_host(self, name: str, device=None) -> Host:

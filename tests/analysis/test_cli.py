@@ -56,7 +56,7 @@ def test_list_rules_names_every_check():
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
     for name in ("wall-clock", "unseeded-random", "dropped-event",
-                 "bare-swallow", "all-export-sync"):
+                 "bare-swallow", "all-export-sync", "environ-read"):
         assert name in proc.stdout
 
 

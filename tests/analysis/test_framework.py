@@ -102,6 +102,7 @@ def test_registry_has_the_documented_rules():
         "dropped-event",
         "bare-swallow",
         "all-export-sync",
+        "environ-read",
     }
 
 

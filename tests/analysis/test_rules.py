@@ -335,3 +335,53 @@ def test_all_export_skips_dynamic_and_absent_all():
 
 def test_all_export_is_src_only():
     assert run('__all__ = ["ghost"]\n', "all-export-sync", path=TEST_PATH) == []
+
+
+# -- environ-read ----------------------------------------------------------
+def test_environ_read_flags_environ_and_getenv():
+    out = run(
+        """
+        import os
+        from os import environ, getenv as env_var
+
+        a = os.environ.get("REPRO_X")
+        b = os.getenv("REPRO_Y", "1")
+        c = environ["REPRO_Z"]
+        d = env_var("REPRO_W")
+        e = "REPRO_V" in os.environ
+        """,
+        "environ-read",
+    )
+    assert rules_hit(out) == ["environ-read"]
+    assert [v.line for v in out] == [5, 6, 7, 8, 9]
+    assert "os.getenv" in out[1].message
+
+
+def test_environ_read_clean_value_passed_as_argument():
+    out = run(
+        """
+        import os
+
+        def run(shards, env):
+            path = os.path.join("a", "b")
+            return env.now, shards, path
+        """,
+        "environ-read",
+    )
+    assert out == []
+
+
+def test_environ_read_suppressible_with_reason():
+    out = run(
+        'import os\n'
+        'n = os.environ.get("REPRO_REPETITIONS")'
+        '  # lint: disable=environ-read(how many runs, not what a run is)\n',
+        "environ-read",
+    )
+    assert out == []
+
+
+def test_environ_read_is_src_only():
+    source = "import os\nx = os.environ.get('HOME')\n"
+    assert run(source, "environ-read", path=TEST_PATH) == []
+    assert rules_hit(run(source, "environ-read")) == ["environ-read"]

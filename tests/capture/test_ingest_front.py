@@ -11,7 +11,15 @@ import pytest
 
 from repro.capture import CaptureConfig, create_client, deploy_capture_sink
 from repro.capture.envelope import wrap_payload
-from repro.core import Data, Task, Workflow, encode_payload
+from repro.core import (
+    CallableBackend,
+    Data,
+    ProvLightServer,
+    ServerConfig,
+    Task,
+    Workflow,
+    encode_payload,
+)
 from repro.core.translator import IngestFront
 from repro.device import A8M3, Device
 from repro.dfanalyzer import DfAnalyzerService
@@ -47,6 +55,35 @@ def test_front_classifies_records_duplicates_and_malformed_payloads():
     assert front.admit(b"not a payload") is None
     assert (front.ingested.count, front.duplicates.count,
             front.malformed.count, front.failures.count) == (1, 2, 2, 0)
+
+
+def test_a_pool_batch_failing_midway_marks_its_delivered_prefix():
+    """Three payloads drained as one worker batch; the backend callable
+    raises on its 2nd call.  The group delivered before the failure is
+    marked and not requeued, so no record reaches the backend twice."""
+    env = Environment()
+    net = Network(env, seed=1)
+    net.add_host("cloud")
+    ingested, calls = [], []
+
+    def ingest(translated):
+        calls.append(translated)
+        if len(calls) == 2:
+            raise RuntimeError("backend down")
+        ingested.extend(r["task_id"] for r in translated)
+
+    server = ProvLightServer(net.hosts["cloud"], CallableBackend(ingest),
+                             target="raw", config=ServerConfig(workers=1))
+    worker = server.pool.workers[0]
+    for i in range(3):
+        wire = wrap_payload("edge", i + 1, encode_payload(record(i)))
+        worker._inbox.put_nowait((TOPIC, wire))
+    env.run(until=10)
+    assert ingested == [0, 1, 2]
+    front = server.front
+    assert (front.duplicates.count, front.failures.count) == (0, 1)
+    assert front.ingested.count == 3
+    assert worker.crashes.count == 1 and worker.queued == 0
 
 
 # -- a world with one device per run -------------------------------------------

@@ -11,7 +11,7 @@ from repro.net import Network
 from repro.simkernel import Environment
 
 
-def make_world(n_edge=2):
+def make_world(n_edge=2, **manager_kwargs):
     env = Environment()
     net = Network(env, seed=8)
     devices = []
@@ -19,7 +19,7 @@ def make_world(n_edge=2):
         dev = Device(env, A8M3, name=f"edge-{i}")
         net.add_host(f"edge-{i}", device=dev)
         devices.append(dev)
-    manager = ProvenanceManager(net)
+    manager = ProvenanceManager(net, **manager_kwargs)
     manager.connect_layer_to_server(
         [d.name for d in devices], bandwidth_bps=1e9, latency_s=0.01
     )
@@ -194,9 +194,11 @@ def test_deploy_client_with_coap_transport():
     assert manager.records_ingested == 4
 
 
-def test_env_hook_selects_manager_transport(monkeypatch):
-    monkeypatch.setenv("REPRO_CAPTURE_TRANSPORT", "coap")
-    env, net, manager, devices = make_world()
+def test_transport_argument_selects_manager_transport(monkeypatch):
+    # the argument is the one route: the environment retargets nothing
+    monkeypatch.setenv("REPRO_CAPTURE_TRANSPORT", "http")
+    assert make_world()[2].transport == "mqttsn"
+    env, net, manager, devices = make_world(transport="coap")
     assert manager.transport == "coap"
 
     def scenario(env):
@@ -212,12 +214,11 @@ def test_env_hook_selects_manager_transport(monkeypatch):
     assert manager.records_ingested == 2
 
 
-def test_env_hook_rejects_unknown_transport(monkeypatch):
-    monkeypatch.setenv("REPRO_CAPTURE_TRANSPORT", "avian-carrier")
-    env = Environment()
-    net = Network(env, seed=1)
-    with pytest.raises(ValueError, match="REPRO_CAPTURE_TRANSPORT"):
-        ProvenanceManager(net)
+def test_unknown_transport_is_rejected_at_construction():
+    net = Network(Environment(), seed=1)
+    with pytest.raises(ValueError, match="'avian-carrier'"):
+        ProvenanceManager(net, transport="avian-carrier")
+    assert net.hosts == {}  # rejected before any side effect
 
 
 def test_mixed_transports_share_one_backend():

@@ -105,6 +105,9 @@ def test_setup_describe():
     described = setup.describe()
     assert "provlake" in described and "25Kbit" in described
     assert "group=10" in described and "devices=4" in described
+    described = ExperimentSetup(broker_placement="p2c", pool_min=2,
+                                pool_max=4).describe()
+    assert "placement=p2c" in described and "pool=2..4" in described
 
 
 def test_table_result_checks():
@@ -128,20 +131,6 @@ def test_default_repetitions_env(monkeypatch):
     assert default_repetitions() == 1
 
 
-def test_placement_and_pool_env_hooks(monkeypatch):
-    monkeypatch.setenv("REPRO_BROKER_PLACEMENT", "p2c")
-    monkeypatch.setenv("REPRO_POOL_MIN", "2")
-    monkeypatch.setenv("REPRO_POOL_MAX", "4")
-    setup = ExperimentSetup(system="provlight")
-    assert setup.broker_placement == "p2c"
-    assert (setup.pool_min, setup.pool_max) == (2, 4)
-    assert "placement=p2c" in setup.describe()
-    assert "pool=2..4" in setup.describe()
-    monkeypatch.setenv("REPRO_BROKER_PLACEMENT", "round-robin")
-    with pytest.raises(ValueError):
-        ExperimentSetup(system="provlight")
-
-
 def test_pool_bounds_clamp_the_static_worker_default(monkeypatch):
     # --pool-min/--pool-max express the elastic envelope: the static
     # default of 8 workers must be clamped into it, not refuse to start
@@ -156,31 +145,32 @@ def test_pool_bounds_clamp_the_static_worker_default(monkeypatch):
     assert outcome.backend_records > 0
 
 
-@pytest.mark.parametrize("env,kwargs,named", [
-    ({"REPRO_POOL_MIN": "5", "REPRO_POOL_MAX": "2"}, {},
-     ["pool_min", "REPRO_POOL_MIN='5'", "REPRO_POOL_MAX='2'"]),
-    ({}, {"broker_shards": 0, "broker_placement": "rr"}, ["broker_shards"]),
-    ({}, {"broker_placement": "rr"}, ["broker_placement"]),
-    ({}, {"pool_min": 0}, ["pool_min"]),
-    ({}, {"translator_workers": 0}, ["workers"]),
-    ({}, {"chaos": "nonsense"}, ["'nonsense'"]),
-    ({}, {"topology": "edge:zero"}, ["zero"]),
-], ids=["env-pool-bounds", "shards-and-placement", "placement", "pool-min",
-        "workers", "chaos", "topology"])
-def test_every_knob_is_validated_at_construction(monkeypatch, env, kwargs, named):
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+@pytest.mark.parametrize("kwargs,named", [
+    ({"pool_min": 5, "pool_max": 2}, ["pool_min"]),
+    ({"broker_shards": 0, "broker_placement": "rr"}, ["broker_shards"]),
+    ({"broker_placement": "rr"}, ["broker_placement"]),
+    ({"pool_min": 0}, ["pool_min"]),
+    ({"translator_workers": 0}, ["workers"]),
+    ({"chaos": "nonsense"}, ["'nonsense'"]),
+    ({"topology": "edge:zero"}, ["zero"]),
+    ({"bandwidth": "fast"}, ["rate", "'fast'"]),
+    ({"delay": "soon"}, ["delay", "'soon'"]),
+    ({"transport": "pigeon"}, ["transport", "'pigeon'"]),
+    ({"system": "zsystem"}, ["system", "'zsystem'"]),
+    ({"n_devices": 0}, ["n_devices"]),
+], ids=["pool-bounds", "shards-and-placement", "placement", "pool-min",
+        "workers", "chaos", "topology", "bandwidth", "delay", "transport",
+        "system", "n-devices"])
+def test_every_knob_is_validated_at_construction(kwargs, named):
     with pytest.raises(ValueError) as excinfo:
         ExperimentSetup(**kwargs)
-    for fragment in named:
+    for fragment in ["ExperimentSetup", *named]:
         assert fragment in str(excinfo.value)
 
 
-def test_explicit_knob_is_not_blamed_on_the_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_MIN", "1")
-    with pytest.raises(ValueError) as excinfo:
-        ExperimentSetup(pool_min=5, pool_max=2)
-    assert "REPRO_POOL_MIN" not in str(excinfo.value)
+def test_measure_overhead_needs_one_repetition():
+    with pytest.raises(ValueError, match="repetitions"):
+        measure_overhead(ExperimentSetup(), FAST, repetitions=0)
 
 
 def test_bad_repetitions_env_names_the_variable(monkeypatch):

@@ -1,17 +1,19 @@
 """The ``python -m repro.harness`` knob flags.
 
-Every ``ExperimentSetup`` field with environment metadata gets a flag
-generated from that metadata; these tests drive each flag through
-``repro.harness.runner.main`` end to end (up to ``run_targets``, which
-is stubbed so each case stays fast).
+Every ``ExperimentSetup`` field with flag metadata gets a flag generated
+from that metadata; these tests drive each flag through
+``repro.harness.runner.main`` end to end, up to the table, which is
+stubbed so each case stays fast and records the ``base`` setup and the
+repetition count it receives.
 """
 
-import os
+from dataclasses import fields
 
 import pytest
 
 from repro.harness import runner
-from repro.harness.experiments import ExperimentSetup, env_knobs
+from repro.harness.experiments import ExperimentSetup
+from repro.harness.tables import TableResult
 
 BAD_VALUES = [
     ("--broker-shards", "0"),
@@ -22,6 +24,9 @@ BAD_VALUES = [
     ("--pool-max", "-1"),
     ("--chaos", "nonsense"),
     ("--topology", "edge:zero"),
+    ("--reps", "0"),
+    ("--reps", "-1"),
+    ("--reps", "many"),
 ]
 
 GOOD_VALUES = [
@@ -34,67 +39,65 @@ GOOD_VALUES = [
 ]
 
 
+def knobs():
+    return [knob for knob in fields(ExperimentSetup) if "parse" in knob.metadata]
+
+
 @pytest.fixture
-def setups_seen(monkeypatch):
-    """Stub ``run_targets``: record the ExperimentSetup() a table would
-    build while the run is in progress."""
-    seen = []
+def table_calls(monkeypatch):
+    """Stub Table IX: record the ``(repetitions, base)`` it is run with."""
+    calls = []
 
-    def fake_run_targets(targets, repetitions=None):
-        seen.append(ExperimentSetup())
-        return {}
+    def fake_table9(repetitions=None, base=ExperimentSetup()):
+        calls.append((repetitions, base))
+        return TableResult("table9", "Table IX", "", [])
 
-    monkeypatch.setattr(runner, "run_targets", fake_run_targets)
-    for knob in env_knobs():
-        monkeypatch.delenv(knob.metadata["env"], raising=False)
-    return seen
+    monkeypatch.setitem(runner.ALL_TABLES, "table9", fake_table9)
+    return calls
 
 
 @pytest.mark.parametrize("flag,value", BAD_VALUES)
-def test_bad_flag_value_exits_2_naming_the_flag(setups_seen, capsys, flag, value):
+def test_bad_flag_value_exits_2_naming_the_flag(table_calls, capsys, flag, value):
     with pytest.raises(SystemExit) as excinfo:
         runner.main(["table9", flag, value])
     assert excinfo.value.code == 2
     assert flag in capsys.readouterr().err
-    assert setups_seen == []  # rejected before any run
+    assert table_calls == []  # rejected before any run
 
 
-def test_pool_min_above_pool_max_is_rejected(setups_seen, capsys):
+def test_pool_min_above_pool_max_is_rejected(table_calls, capsys):
     with pytest.raises(SystemExit) as excinfo:
         runner.main(["table9", "--pool-min", "3", "--pool-max", "2"])
     assert excinfo.value.code == 2
     assert "pool_min must be <= pool_max" in capsys.readouterr().err
-    assert setups_seen == []
+    assert table_calls == []
 
 
 @pytest.mark.parametrize("flag,value,field,expected", GOOD_VALUES)
-def test_good_flag_reaches_experiment_setup_and_env_is_restored(
-    setups_seen, flag, value, field, expected
+def test_good_flag_reaches_the_base_setup_of_the_tables(
+    table_calls, flag, value, field, expected
 ):
     assert runner.main(["table9", flag, value]) == 0
-    assert getattr(setups_seen[0], field) == expected
-    var = next(k.metadata["env"] for k in env_knobs() if k.name == field)
-    assert var not in os.environ
+    [(_, base)] = table_calls
+    assert getattr(base, field) == expected
+    assert base == ExperimentSetup(**{field: expected})  # nothing else moved
 
 
-def test_flag_restores_a_preexisting_env_value(setups_seen, monkeypatch):
-    monkeypatch.setenv("REPRO_BROKER_SHARDS", "3")
-    assert runner.main(["table9", "--broker-shards", "2"]) == 0
-    assert setups_seen[0].broker_shards == 2
-    assert os.environ["REPRO_BROKER_SHARDS"] == "3"
+def test_reps_default_is_left_to_the_table(table_calls):
+    assert runner.main(["table9"]) == 0
+    assert runner.main(["table9", "--reps", "2"]) == 0
+    assert table_calls == [(None, ExperimentSetup()), (2, ExperimentSetup())]
 
 
-def test_every_env_knob_has_a_generated_flag(capsys):
-    knobs = env_knobs()
-    assert {k.name for k in knobs} == {
+def test_every_knob_has_a_generated_flag(capsys):
+    assert {k.name for k in knobs()} == {
         "broker_shards", "broker_placement", "pool_min", "pool_max",
         "chaos", "topology",
     }
     with pytest.raises(SystemExit):
         runner.main(["--help"])
     usage = capsys.readouterr().out
-    for knob in knobs:
-        assert knob.metadata["env"] == "REPRO_" + knob.name.upper()
+    for knob in knobs():
         assert knob.metadata["help"]
         assert "--" + knob.name.replace("_", "-") in usage
 

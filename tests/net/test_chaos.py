@@ -114,16 +114,13 @@ def test_profile_apply_schedules_events():
 
 # ----------------------------------------------------- harness/e2clab wiring
 
-def test_experiment_setup_validates_chaos(monkeypatch):
+def test_experiment_setup_validates_chaos():
     from repro.harness.experiments import ExperimentSetup
 
     assert ExperimentSetup().chaos is None
     assert ExperimentSetup(chaos="kill-shard@1").chaos_profile() is not None
-    monkeypatch.setenv("REPRO_CHAOS", "kill-shard@2.5")
-    assert ExperimentSetup().chaos == "kill-shard@2.5"
-    monkeypatch.setenv("REPRO_CHAOS", "nonsense")
     with pytest.raises(ValueError):
-        ExperimentSetup()
+        ExperimentSetup(chaos="nonsense")
 
 
 def test_provenance_manager_threads_chaos():

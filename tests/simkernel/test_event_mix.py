@@ -1,13 +1,11 @@
 """scripts/event_mix.py on a shrunk benchmark workload."""
 
 import importlib.util
-import itertools
 import os
 from collections import Counter
 
 import pytest
 
-from repro.mqttsn import transport
 from repro.simkernel import Environment
 from repro.simkernel.core import default_environment_class
 
@@ -22,14 +20,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 SHRUNK_STEPS = {"fanin-64": 2432, "durable-churn": 3860, "http-fanin": 1020}
 
 
-@pytest.fixture
-def first_run_of_a_process(monkeypatch):
-    """Default MQTT-SN client ids come from a process-wide counter whose
-    digit count moves packet timing; restart it, so a pinned total is the
-    one a fresh ``scripts/event_mix.py`` process counts."""
-    monkeypatch.setattr(transport, "_client_ids", itertools.count(1))
-
-
 def _load_script():
     path = os.path.join(REPO_ROOT, "scripts", "event_mix.py")
     spec = importlib.util.spec_from_file_location("event_mix", path)
@@ -38,7 +28,7 @@ def _load_script():
     return module
 
 
-def test_event_mix_kinds_sum_to_the_step_count(first_run_of_a_process):
+def test_event_mix_kinds_sum_to_the_step_count():
     event_mix = _load_script()
     installed = default_environment_class()
     workload = event_mix.WORKLOADS["fanin-64"].shrunk()
@@ -80,7 +70,7 @@ def test_kind_of_sorts_a_bare_event_and_a_timer():
 DEFERRED_PUMP_TIMERS = 144
 
 
-def test_http_fanin_runs_no_tcp_or_accept_process(first_run_of_a_process):
+def test_http_fanin_runs_no_tcp_or_accept_process():
     """A TCP connection's pump, retransmission and handshake timers and
     the HTTP server's accept callback are heap timers, and a blocking
     capture POSTs from the workflow's own process: no step wakes, starts
@@ -115,7 +105,7 @@ def test_http_fanin_runs_no_tcp_or_accept_process(first_run_of_a_process):
     assert kinds[("timer", "Mailbox._wake")] > 0
 
 
-def test_durable_churn_step_total_is_pinned(first_run_of_a_process):
+def test_durable_churn_step_total_is_pinned():
     event_mix = _load_script()
     total, kinds = event_mix.count_steps(
         event_mix.WORKLOADS["durable-churn"].shrunk(), seed=1
