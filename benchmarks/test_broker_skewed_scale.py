@@ -131,7 +131,7 @@ def run_skewed_workload(shards: int, placement: str) -> SkewRunResult:
         placement=placement,
         delivered=done["count"],
         makespan_s=done["at"] - BLAST_AT_S,
-        max_mean_session_ratio=cluster.stats()["max_mean_session_ratio"],
+        max_mean_session_ratio=cluster.max_mean_session_ratio(),
     )
 
 

@@ -34,6 +34,7 @@ from repro.net import (
     Network,
     TopologySpec,
 )
+from repro.net.fleet import recovery_times
 from repro.simkernel import Environment
 
 N_DEVICES = 12
@@ -187,7 +188,7 @@ def run_churn_recovery() -> float:
         env, net, server, received, topo, clients = build_capture_world(
             "ideal", CHURN_FLEET, seed=23, journal_dir=journal_dir,
         )
-        fleet = FleetFaultInjector(env, topology=topo, seed=23)
+        fleet = FleetFaultInjector(env, seed=23)
         proxies = []
         for client in clients:
             def build(client=client):
@@ -214,13 +215,13 @@ def run_churn_recovery() -> float:
             env.process(workload(env, proxy))
         env.run(until=3600)
         assert len(done) == CHURN_FLEET, "some proxy never drained"
-        stats = fleet.stats()
-        assert stats["devices_crashed"] == round(CHURN_FRACTION * CHURN_FLEET)
-        assert stats["devices_down"] == 0
+        crashes = env.metrics.events("crash-device")
+        assert len(crashes) == round(CHURN_FRACTION * CHURN_FLEET)
+        assert fleet.devices_down == []
         completed = sum(p.records_completed for p in proxies)
         assert completed == CHURN_FLEET * RECORDS_PER_DEVICE
         assert len(received) == completed, "churn lost records"
-        return max(fleet.recovery_times_s())
+        return max(recovery_times(env.metrics.events()))
     finally:
         shutil.rmtree(journal_dir, ignore_errors=True)
 

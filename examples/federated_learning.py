@@ -31,7 +31,7 @@ def main() -> None:
     net = Network(env, seed=7)
     cloud = Device(env, XEON_GOLD_5220, name="fl-server")
     net.add_host("cloud", device=cloud)
-    backend = DfAnalyzerService()
+    backend = DfAnalyzerService(metrics=env.metrics)
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(backend.ingest))
 
     captures = []

@@ -39,7 +39,7 @@ def main() -> None:
     # behind the same single endpoint (consistent hashing on client id)
     # for multi-core fan-in; the default of 1 is the paper's one-broker
     # deployment
-    backend = DfAnalyzerService()
+    backend = DfAnalyzerService(metrics=env.metrics)
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(backend.ingest))
     # the unified capture API: one declarative config selects transport x
     # grouping x QoS (swap transport="coap" or "http" and nothing else

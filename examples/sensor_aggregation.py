@@ -36,7 +36,7 @@ def build_world():
 
 def run(system: str):
     env, net, edge = build_world()
-    backend = DfAnalyzerService()
+    backend = DfAnalyzerService(metrics=env.metrics)
     if system == "provlight":
         server = ProvLightServer(net.hosts["cloud"], CallableBackend(backend.ingest))
         client = create_client(edge, server.endpoint, "provlight/sensors")

@@ -146,12 +146,16 @@ def _parse_suppressions(
     return suppressions, violations
 
 
-def _collect_imports(tree: ast.Module) -> Dict[str, str]:
+def _collect_imports(tree: ast.Module, package: List[str]) -> Dict[str, str]:
     """Map local names to their dotted import origin.
 
     ``import time`` → ``{"time": "time"}``; ``import numpy as np`` →
     ``{"np": "numpy"}``; ``from time import sleep as zzz`` →
-    ``{"zzz": "time.sleep"}``.  Only top-of-tree imports matter for the
+    ``{"zzz": "time.sleep"}``.  A relative import resolves against
+    ``package`` (``["repro", "net"]`` for ``repro/net/link.py``), so
+    ``from ..simkernel import Counter`` there →
+    ``{"Counter": "repro.simkernel.Counter"}``; outside a ``repro``
+    package it is skipped.  Only top-of-tree imports matter for the
     determinism rules, but nested imports (inside defs) are collected
     too — a wall-clock call is a hazard wherever its import lives.
     """
@@ -163,12 +167,17 @@ def _collect_imports(tree: ast.Module) -> Dict[str, str]:
                 origin = alias.name if alias.asname else alias.name.split(".")[0]
                 imports[local] = origin
         elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                continue  # relative imports cannot name stdlib hazards
+            if node.level:
+                if not package or node.level > len(package):
+                    continue
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + ([node.module] if node.module else []))
+            else:
+                module = node.module
             for alias in node.names:
                 if alias.name == "*":
                     continue
-                imports[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                imports[alias.asname or alias.name] = f"{module}.{alias.name}"
     return imports
 
 
@@ -179,9 +188,14 @@ class SourceModule:
         self.path = path
         self.source = source
         self.tree = ast.parse(source, filename=path)
-        self.imports = _collect_imports(self.tree)
-        self.suppressions, self.suppression_errors = _parse_suppressions(source, path)
         parts = path.replace(os.sep, "/").split("/")
+        #: the package a relative import starts from: the directories from
+        #: the last ``repro`` on (``[]`` outside a repro package)
+        package: List[str] = []
+        if "repro" in parts:
+            package = parts[len(parts) - 1 - parts[::-1].index("repro"):-1]
+        self.imports = _collect_imports(self.tree, package)
+        self.suppressions, self.suppression_errors = _parse_suppressions(source, path)
         #: True for library sources (under a ``repro`` package directory,
         #: not under ``tests``): some rules only police the library.
         self.is_src = "repro" in parts and "tests" not in parts

@@ -21,6 +21,7 @@ __all__ = [
     "BareSwallowRule",
     "AllExportSyncRule",
     "EnvironReadRule",
+    "BareCounterRule",
 ]
 
 
@@ -400,4 +401,45 @@ class EnvironReadRule(Rule):
                 node,
                 f"{origin} makes a run depend on the process environment; "
                 "take the value as an argument",
+            )
+
+
+# -- bare-counter ------------------------------------------------------------
+#: the simkernel counter class, by every name it is exported under
+_COUNTER = frozenset({"repro.simkernel.Counter", "repro.simkernel.monitor.Counter"})
+
+#: the registry that builds every counter
+_COUNTER_HOME = "repro/simkernel/monitor.py"
+
+
+@register_rule
+class BareCounterRule(Rule):
+    """Ban counters built outside the run's registry.
+
+    A simkernel ``Counter`` built by hand is a count only its owner can find:
+    it is missing from ``env.metrics.snapshot()``, the one record of
+    what a run did.  Take the handle from
+    ``env.metrics.counter(component, name, **labels)``; a component with
+    no environment takes its owner's registry.  ``collections.Counter``
+    is a different class and never flagged.
+    """
+
+    name = "bare-counter"
+    description = "simkernel Counter built outside the metrics registry"
+    src_only = True
+
+    def applies(self, module: SourceModule) -> bool:
+        if not super().applies(module):
+            return False
+        return not module.path.replace(os.sep, "/").endswith(_COUNTER_HOME)
+
+    def visitors(self):
+        return {ast.Call: self._call}
+
+    def _call(self, node: ast.Call, module: SourceModule, report) -> None:
+        if module.resolve(node.func) in _COUNTER:
+            report(
+                node,
+                "Counter built outside the run's registry; take it from "
+                "env.metrics.counter(component, name, **labels)",
             )

@@ -33,7 +33,6 @@ from ..core.model import count_attributes_from_record
 from ..device import Device
 from ..http import HttpRequestError, HttpSession
 from ..net import Endpoint
-from ..simkernel import Counter
 
 __all__ = [
     "NullCaptureClient",
@@ -85,9 +84,10 @@ class HttpPostCaptureTransport(CaptureTransport):
             path = topic if topic.startswith("/") else DEFAULT_HTTP_CAPTURE_PATH
         self.path = path
         self.session = HttpSession(device.host, user_agent=user_agent)
-        self.requests_sent = Counter("requests")
-        self.body_bytes = Counter("body-bytes")
-        self.capture_errors = Counter("errors")
+        metrics = self.env.metrics
+        self.requests_sent = metrics.counter("http-capture", "requests_sent", device=device.name)
+        self.body_bytes = metrics.counter("http-capture", "body_bytes", device=device.name)
+        self.capture_errors = metrics.counter("http-capture", "capture_errors", device=device.name)
 
     def connect(self):
         """Nothing to pre-establish: the first POST dials the server."""
@@ -140,7 +140,8 @@ class NullCaptureClient:
     def __init__(self, device: Device):
         self.device = device
         self.env = device.env
-        self.records_captured = Counter("records")
+        self.records_captured = self.env.metrics.counter(
+            "capture", "records_captured", device=device.name)
 
     @property
     def now(self) -> float:
@@ -207,7 +208,8 @@ class BlockingHttpCaptureClient:
         self._buffer: List[Dict[str, Any]] = []
         self._lib_bytes = lib_bytes
         device.memory.allocate(lib_bytes, tag="capture-static")
-        self.records_captured = Counter("records")
+        self.records_captured = device.env.metrics.counter(
+            "capture", "records_captured", device=device.name)
 
     # -- interface hooks for subclasses -------------------------------------
     def supports_grouping(self) -> bool:

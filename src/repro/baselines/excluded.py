@@ -24,7 +24,6 @@ from ..calibration import MS, SERVER_COSTS
 from ..core.model import count_attributes_from_record
 from ..core.serialization import encode_value
 from ..device import Device
-from ..simkernel import Counter
 
 __all__ = ["ProvIOClient", "KomaduClient", "FlashStorage"]
 
@@ -41,7 +40,7 @@ class FlashStorage:
         self.env = env
         self.write_bandwidth_bps = write_bandwidth_bps
         self.sync_latency_s = sync_latency_s
-        self.bytes_written = Counter("flash-bytes")
+        self.bytes_written = env.metrics.counter("flash", "bytes_written")
 
     def write(self, nbytes: int):
         """Generator: blocking write of ``nbytes`` (with fsync)."""
@@ -70,8 +69,9 @@ class ProvIOClient:
         self.dump_every_records = dump_every_records
         self._graph: List[Dict[str, Any]] = []
         self._graph_bytes = 0
-        self.records_captured = Counter("records")
-        self.dumps = Counter("dumps")
+        metrics = self.env.metrics
+        self.records_captured = metrics.counter("capture", "records_captured", device=device.name)
+        self.dumps = metrics.counter("capture", "dumps", device=device.name)
 
     @property
     def now(self) -> float:
@@ -133,7 +133,8 @@ class KomaduClient:
         self.device = device
         self.env = device.env
         self.backend = backend
-        self.records_captured = Counter("records")
+        self.records_captured = self.env.metrics.counter(
+            "capture", "records_captured", device=device.name)
 
     @property
     def now(self) -> float:

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional
 from ..core.grouping import GroupBuffer
 from ..core.model import count_attributes_from_record
 from ..core.serialization import encode_payload
-from ..simkernel import Counter, Mailbox
+from ..simkernel import Mailbox
 from .config import CaptureConfig
 from .envelope import wrap_payload
 from .journal import DEFAULT_JOURNAL_DIR, CaptureJournal, journal_path_for
@@ -113,11 +113,12 @@ class CaptureClient:
         self._queue = Mailbox(self.env)
         self._outstanding = 0
         self._drain_waiters: List = []
-        self.messages_sent = Counter("messages")
-        self.payload_bytes = Counter("payload-bytes")
-        self.records_captured = Counter("records")
-        self.replayed = Counter("replayed")
-        self.reconnects = Counter("reconnects")
+        metrics = self.env.metrics
+        self.messages_sent = metrics.counter("capture", "messages_sent", client=self.client_id)
+        self.payload_bytes = metrics.counter("capture", "payload_bytes", client=self.client_id)
+        self.records_captured = metrics.counter(
+            "capture", "records_captured", client=self.client_id)
+        self.replayed = metrics.counter("capture", "replayed", client=self.client_id)
         self.journal: Optional[CaptureJournal] = None
         self._journal_closed = False
         if config.durable:
@@ -501,7 +502,7 @@ class CaptureClient:
                     self.handle = yield from self.transport.reconnect(self.topic)
                 except Exception:
                     continue  # uplink still down: back off harder
-                self.reconnects.record()
+                self.env.metrics.event("reconnect", client=self.client_id)
             established = False
             while self._replay and not self._closed:
                 wire, nbytes, seq = self._replay[0]

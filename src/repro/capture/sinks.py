@@ -66,7 +66,8 @@ def deploy_capture_sink(
         from ..core.translator import IngestFront
         from ..http import HttpResponse, HttpServer
 
-        front = IngestFront(target, state_path=server.dedup_state_path)
+        front = IngestFront(target, state_path=server.dedup_state_path,
+                            metrics=host.env.metrics)
 
         def collector(request):
             # a malformed payload or a replayed duplicate is still 201:

@@ -14,7 +14,6 @@ import itertools
 from typing import Callable, Dict, Optional, Tuple
 
 from ..net import Endpoint, Host
-from ..simkernel import Counter
 from .messages import (
     CODE_CHANGED,
     CODE_EMPTY,
@@ -57,8 +56,9 @@ class CoapServer:
         self.service_time_s = service_time_s
         self._handlers: Dict[Tuple[str, ...], RequestHandler] = {}
         self._seen: Dict[Tuple[Endpoint, int], int] = {}  # dedup cache
-        self.requests = Counter("requests")
-        self.duplicates = Counter("duplicates")
+        metrics = self.env.metrics
+        self.requests = metrics.counter("coap", "requests", host=host.name, port=port)
+        self.duplicates = metrics.counter("coap", "duplicates", host=host.name, port=port)
         self.sock.on_item(self._on_datagram)
 
     def route(self, path: str, handler: RequestHandler) -> None:
@@ -125,7 +125,7 @@ class CoapClient:
         self.max_retransmit = max_retransmit
         self._mids = itertools.cycle(range(1, 0x10000))
         self._pending: Dict[int, object] = {}  # mid -> completion event
-        self.posts = Counter("posts")
+        self.posts = self.env.metrics.counter("coap", "posts", host=host.name)
         self.sock.on_item(self._on_datagram)
 
     def _on_datagram(self, datagram: Tuple[bytes, Endpoint]) -> None:

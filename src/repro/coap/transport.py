@@ -43,7 +43,8 @@ class ProvLightCoapServer:
         self.env = host.env
         self.backend = backend
         self.front = IngestFront(target, cipher=cipher,
-                                 state_path=config.dedup_state_path)
+                                 state_path=config.dedup_state_path,
+                                 metrics=self.env.metrics)
         self.server = CoapServer(host, port)
         self._inbox = Mailbox(self.env)
         self.server.route(DEFAULT_CAPTURE_PATH, self._on_post)

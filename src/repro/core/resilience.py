@@ -23,7 +23,7 @@ import random
 import zlib
 from typing import Optional
 
-from ..simkernel import Counter, Environment
+from ..simkernel import Environment
 
 __all__ = [
     "BackendError",
@@ -88,7 +88,10 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Closed → open → half-open breaker on the simulation clock."""
+    """Closed → open → half-open breaker on the simulation clock.
+
+    Every state change is one ``breaker`` event (``state``: the state
+    entered) in the run's event log."""
 
     CLOSED = "closed"
     OPEN = "open"
@@ -110,7 +113,6 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._failures = 0
         self._opened_at: Optional[float] = None
-        self.opens = Counter("breaker-opens")
 
     @property
     def state(self) -> str:
@@ -138,13 +140,14 @@ class CircuitBreaker:
             return True
         if state == self.HALF_OPEN and self._state == self.OPEN:
             # admit exactly one probe
-            self._state = self.HALF_OPEN
+            self._enter(self.HALF_OPEN)
             return True
         return False
 
     def record_success(self) -> None:
         """A request succeeded: close the circuit."""
-        self._state = self.CLOSED
+        if self._state != self.CLOSED:
+            self._enter(self.CLOSED)
         self._failures = 0
         self._opened_at = None
 
@@ -159,10 +162,13 @@ class CircuitBreaker:
             self._trip()
 
     def _trip(self) -> None:
-        self._state = self.OPEN
+        self._enter(self.OPEN)
         self._failures = 0
         self._opened_at = self.env.now
-        self.opens.record()
+
+    def _enter(self, state: str) -> None:
+        self._state = state
+        self.env.metrics.event("breaker", state=state)
 
     def __repr__(self) -> str:
-        return f"<CircuitBreaker {self.state} opens={self.opens.count}>"
+        return f"<CircuitBreaker {self.state}>"

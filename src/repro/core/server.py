@@ -45,7 +45,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..calibration import SERVER_COSTS, ServerCosts
 from ..hashring import ConsistentHashRing
@@ -59,7 +59,7 @@ from ..mqttsn import (
 )
 from ..mqttsn.topics import topic_matches
 from ..net import Endpoint, Host
-from ..simkernel import Counter, Mailbox
+from ..simkernel import Mailbox
 from .resilience import (
     BackendError,
     BackendTimeout,
@@ -88,12 +88,10 @@ class CallableBackend:
 
     def __init__(self, fn: Callable[[Any], None]):
         self.fn = fn
-        self.delivered = Counter("backend-delivered")
 
     def ingest(self, translated: Any) -> Iterable:
         """Deliver inline; no simulation events to wait on."""
         self.fn(translated)
-        self.delivered.record()
         return ()
 
     def ingest_batch(self, batch: Sequence[Any]) -> Iterable:
@@ -156,12 +154,13 @@ class HttpBackend:
         )
         self.spill_limit = spill_limit
         self.drain_max_probes = drain_max_probes
-        self.delivered = Counter("backend-delivered")
-        self.requests = Counter("backend-requests")
-        self.retries = Counter("backend-retries")
-        self.spilled = Counter("backend-spilled")
-        self.spill_drained = Counter("backend-spill-drained")
-        self.shed = Counter("backend-shed")
+        metrics, where = self.env.metrics, f"{endpoint[0]}:{endpoint[1]}"
+        self.delivered = metrics.counter("backend", "delivered", endpoint=where)
+        self.requests = metrics.counter("backend", "requests", endpoint=where)
+        self.retries = metrics.counter("backend", "retries", endpoint=where)
+        self.spilled = metrics.counter("backend", "spilled", endpoint=where)
+        self.spill_drained = metrics.counter("backend", "spill_drained", endpoint=where)
+        self.shed = metrics.counter("backend", "shed", endpoint=where)
         self._spill: deque = deque()
         self._drainer = None
 
@@ -318,8 +317,9 @@ class _TranslatorWorker:
     The work loop runs under a supervisor (mirroring the capture
     client's sender supervision): an escaped exception — a backend
     raising a fatal error, or a fault injected through :meth:`crash` —
-    is caught, the drained-but-unacked batch is requeued, and the loop
-    restarts after a jittered backoff.  Requeued items are consumed
+    is caught (a ``crash-worker`` event), the drained-but-unacked batch
+    is requeued, and the loop restarts after a jittered backoff (a
+    ``restart-worker`` event).  Requeued items are consumed
     before the inbox, and the server's dedup index is only *marked*
     after the backend accepted a batch, so a crash between drain and
     ingest re-processes the batch instead of losing it.
@@ -343,8 +343,6 @@ class _TranslatorWorker:
         self._inbox = Mailbox(self.env)
         self._connected = False
         self._connect_gate = None
-        self.crashes = Counter(f"translator-{index}-crashes")
-        self.restarts = Counter(f"translator-{index}-restarts")
         self.last_failure: Optional[BaseException] = None
         #: items drained off the inbox but not yet acked by the backend;
         #: a restart replays them ahead of fresh inbox traffic (the inbox
@@ -470,7 +468,7 @@ class _TranslatorWorker:
             except Exception as exc:  # includes injected Interrupts
                 if self._retired:
                     return  # elastic shrink, not a fault: no restart
-                self.crashes.record()
+                self.env.metrics.event("crash-worker", worker=self.index)
                 self.last_failure = exc
                 self._recover_inflight()
                 delay = self._restart_delay(attempt)
@@ -487,11 +485,11 @@ class _TranslatorWorker:
                     except Exception as exc:
                         if self._retired:
                             return
-                        # a crash landed while already restarting: count
+                        # a crash landed while already restarting: record
                         # it and re-arm the backoff from scratch
-                        self.crashes.record()
+                        self.env.metrics.event("crash-worker", worker=self.index)
                         self.last_failure = exc
-                self.restarts.record()
+                self.env.metrics.event("restart-worker", worker=self.index)
 
     def _recover_inflight(self) -> None:
         """Requeue whatever the crashed loop had drained but not acked."""
@@ -713,10 +711,6 @@ class TranslatorPool:
         for worker in self.workers:
             worker.pool = self
         self._ring = ConsistentHashRing(size, replicas=self.REPLICAS, salt="worker")
-        self.grows = Counter("pool-grows")
-        self.shrinks = Counter("pool-shrinks")
-        self.grow_failures = Counter("pool-grow-failures")
-        self.migrated_filters = Counter("pool-migrated-filters")
         self._monitor = None
 
     def __len__(self) -> int:
@@ -736,16 +730,6 @@ class TranslatorPool:
     def queued(self) -> int:
         """Total payloads waiting across all worker inboxes."""
         return sum(worker.queued for worker in self.workers)
-
-    @property
-    def crashes(self) -> int:
-        """Worker work-loop crashes caught by supervision, pool-wide."""
-        return sum(worker.crashes.count for worker in self.workers)
-
-    @property
-    def restarts(self) -> int:
-        """Supervised worker restarts, pool-wide."""
-        return sum(worker.restarts.count for worker in self.workers)
 
     # -- elasticity --------------------------------------------------------
     def _wake_autoscaler(self) -> None:
@@ -791,7 +775,7 @@ class TranslatorPool:
         except Exception:
             # broker unreachable: abandon the attempt quietly; the next
             # sustained signal retries with a fresh worker
-            self.grow_failures.record()
+            self.env.metrics.event("grow-pool-failed", worker=worker.index)
             worker.retire()
             return
         new_ring = ConsistentHashRing(
@@ -808,7 +792,7 @@ class TranslatorPool:
         self._ring = new_ring  # new attaches land by the grown layout
         for pattern, owner in moves:
             yield from self._migrate(pattern, owner, worker)
-        self.grows.record()
+        self.env.metrics.event("grow-pool", workers=len(self.workers))
         self.autoscaler.reset()
 
     def _shrink(self):
@@ -827,7 +811,7 @@ class TranslatorPool:
             yield self.env.timeout(self.DRAIN_POLL_S)
         self.workers.pop()
         dying.retire()
-        self.shrinks.record()
+        self.env.metrics.event("shrink-pool", workers=len(self.workers))
         self.autoscaler.reset()
 
     def _migrate(self, pattern: str, old: _TranslatorWorker,
@@ -883,32 +867,8 @@ class TranslatorPool:
             new._inbox.put_nowait(item)
         new.client.bind_filter(pattern, new._on_message)
         new.topic_filters.append(pattern)
-        self.migrated_filters.record()
-
-    # -- observability -----------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """Cheap point-in-time snapshot of the translator plane."""
-        return {
-            "size": len(self.workers),
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "queued": self.queued,
-            "ewma_per_worker": self.autoscaler.ewma,
-            "grows": self.grows.count,
-            "shrinks": self.shrinks.count,
-            "grow_failures": self.grow_failures.count,
-            "migrated_filters": self.migrated_filters.count,
-            "workers": [
-                {
-                    "index": worker.index,
-                    "queued": worker.queued,
-                    "filters": len(worker.topic_filters),
-                    "crashes": worker.crashes.count,
-                    "restarts": worker.restarts.count,
-                }
-                for worker in self.workers
-            ],
-        }
+        self.env.metrics.event("migrate-filter", pattern=pattern,
+                               old_worker=old.index, new_worker=new.index)
 
     def __repr__(self) -> str:
         return (
@@ -1005,7 +965,8 @@ class ProvLightServer:
         #: one front for every pool worker: its dedup index is
         #: server-wide, so re-sharding can never unsee a seq
         self.front = IngestFront(target, cipher=cipher,
-                                 state_path=config.dedup_state_path)
+                                 state_path=config.dedup_state_path,
+                                 metrics=self.env.metrics)
 
     @property
     def endpoint(self) -> Endpoint:

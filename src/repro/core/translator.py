@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable, Collection, Dict, Iterable, List, Optional
 
 from ..capture.envelope import ReplayDeduper, unwrap_payload
-from ..simkernel import Counter
 from .provdm import document_from_records
 from .serialization import decode_payload
 
@@ -182,19 +181,20 @@ class IngestFront:
     translate -> (the sink's CPU charge and backend call) -> mark -> count.
 
     It owns the sink's :class:`Translator`, :class:`ReplayDeduper`
-    (persisted at ``state_path``) and counts.  A ``(client_id, seq)``
-    pair is marked only once the backend accepted its records, so a
-    record whose ingest failed is ingested when it is replayed."""
+    (persisted at ``state_path``) and counts, registered in ``metrics``,
+    the owning sink's run registry (``env.metrics``).  A ``(client_id,
+    seq)`` pair is marked only once the backend accepted its records, so
+    a record whose ingest failed is ingested when it is replayed."""
 
     def __init__(self, target: str = "dfanalyzer", cipher=None,
-                 state_path: Optional[str] = None):
+                 state_path: Optional[str] = None, *, metrics):
         self.translator = Translator(target, cipher=cipher)
         self.deduper = ReplayDeduper(state_path=state_path)
         #: one count per payload, its records in the total
-        self.ingested = Counter("records-ingested")
-        self.duplicates = Counter("duplicates-dropped")
-        self.malformed = Counter("malformed")
-        self.failures = Counter("ingest-failures")
+        self.ingested = metrics.counter("front", "ingested")
+        self.duplicates = metrics.counter("front", "duplicates")
+        self.malformed = metrics.counter("front", "malformed")
+        self.failures = metrics.counter("front", "failures")
 
     def admit(self, payload: bytes, batch: Collection = ()):
         """``(key, records, translated)`` to ingest, or ``None`` for a

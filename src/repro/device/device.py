@@ -38,7 +38,7 @@ class Device:
         self.energy: Optional[EnergyMeter] = (
             EnergyMeter(env, spec.energy, self.cpu) if spec.energy else None
         )
-        self.radio = Radio(env, self.energy)
+        self.radio = Radio(env, self.energy, device=self.name)
         #: set by the network layer when this device joins a topology
         self.host = None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..simkernel import Counter, Environment, RateMeter
+from ..simkernel import Environment
 from .energy import EnergyMeter
 
 __all__ = ["Radio"]
@@ -19,25 +19,22 @@ __all__ = ["Radio"]
 class Radio:
     """Per-device transmit/receive accounting."""
 
-    def __init__(self, env: Environment, energy: Optional[EnergyMeter] = None):
+    def __init__(self, env: Environment, energy: Optional[EnergyMeter] = None,
+                 *, device: str):
         self.env = env
         self.energy = energy
-        self.tx = Counter("tx-bytes")
-        self.rx = Counter("rx-bytes")
-        self.tx_rate = RateMeter(env)
-        self.rx_rate = RateMeter(env)
+        self.tx = env.metrics.counter("radio", "tx", device=device)
+        self.rx = env.metrics.counter("radio", "rx", device=device)
 
     def on_transmit(self, nbytes: int) -> None:
         """Called by the network layer when this device sends a packet."""
         self.tx.record(nbytes)
-        self.tx_rate.record(nbytes)
         if self.energy is not None:
             self.energy.on_transmit(nbytes)
 
     def on_receive(self, nbytes: int) -> None:
         """Called by the network layer when this device receives a packet."""
         self.rx.record(nbytes)
-        self.rx_rate.record(nbytes)
         if self.energy is not None:
             self.energy.on_receive(nbytes)
 
@@ -49,8 +46,6 @@ class Radio:
     def reset(self) -> None:
         self.tx.reset()
         self.rx.reset()
-        self.tx_rate = RateMeter(self.env)
-        self.rx_rate = RateMeter(self.env)
 
     def __repr__(self) -> str:
         return f"<Radio tx={self.tx.total:.0f}B rx={self.rx.total:.0f}B>"

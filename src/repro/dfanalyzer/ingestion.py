@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple, Union
 
-from ..simkernel import Counter
 from .dataflow import DataflowSpec
 from .query import Query
 from .store import ColumnStore
@@ -39,9 +38,11 @@ class DfAnalyzerService:
 
     The paper deliberately uses only this part of DfAnalyzer (its capture
     side is the slow baseline); ProvLight feeds it through the translator.
+    The store has no simulation environment: it counts the records it
+    stored in its owner's registry, ``metrics``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, metrics) -> None:
         self.store = ColumnStore()
         self.store.create_table(
             "dataflows", ["dataflow_tag", "event", "time"]
@@ -66,7 +67,7 @@ class DfAnalyzerService:
         #: key, so a FINISHED upsert finds its rows without a table scan
         self._task_rows: Dict[Tuple[Any, Any], List[int]] = {}
         self.specs: Dict[str, DataflowSpec] = {}
-        self.records_ingested = Counter("records")
+        self.records_ingested = metrics.counter("dfanalyzer", "records_ingested")
         self.validation_warnings: List[str] = []
 
     # -- prospective provenance -----------------------------------------------

@@ -93,7 +93,7 @@ class ProvenanceManager:
         self.target = target
         self.group_size = group_size
         self.compress = compress
-        self.service = DfAnalyzerService()
+        self.service = DfAnalyzerService(metrics=self.env.metrics)
         host_name = host_name or self.HOST_NAME
         if host_name in network.hosts:
             host = network.hosts[host_name]

@@ -39,6 +39,7 @@ from ..net import (
     parse_delay,
     parse_rate,
 )
+from ..net.fleet import recovery_times
 from ..simkernel import Environment
 from ..workloads import SyntheticWorkloadConfig, synthetic_workload
 
@@ -155,9 +156,12 @@ class ExperimentSetup:
             if self.system not in SYSTEMS:
                 raise ValueError(
                     f"unknown system {self.system!r}; known: {', '.join(SYSTEMS)}")
-            if self.n_devices < 1:
-                raise ValueError(f"n_devices must be >= 1, got {self.n_devices}")
-            parse_rate(self.bandwidth)
+            if (not isinstance(self.n_devices, int) or isinstance(self.n_devices, bool)
+                    or self.n_devices < 1):
+                raise ValueError(
+                    f"n_devices must be an integer >= 1, got {self.n_devices!r}")
+            if not parse_rate(self.bandwidth) > 0:
+                raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
             parse_delay(self.delay)
             self.capture_config()
             get_transport_factory(self.transport)
@@ -224,12 +228,12 @@ class RunOutcome:
     elapsed: List[float]
     metrics: List[RunMetrics]
     backend_records: int
-    #: device-churn snapshot (devices crashed/restarted, journal
+    #: device-churn summary (devices crashed/restarted, journal
     #: recoveries, ``records_completed`` ledger) when the run drove a
     #: :class:`~repro.net.FleetFaultInjector`; ``None`` otherwise
     fleet_stats: Optional[Dict[str, Any]] = None
-    #: tier-fault snapshot when the run used a continuum topology
-    topology_stats: Optional[Dict[str, Any]] = None
+    #: the run's counters and event log: ``env.metrics.snapshot()``
+    telemetry: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def mean_elapsed(self) -> float:
@@ -314,7 +318,7 @@ def run_capture_experiment(
                         latency_s=delay)
             devices.append(device)
 
-    backend_service = DfAnalyzerService()
+    backend_service = DfAnalyzerService(metrics=env.metrics)
     clients: List[Any] = []
     server: Optional[ProvLightServer] = None
     fleet: Optional[FleetFaultInjector] = None
@@ -332,7 +336,7 @@ def run_capture_experiment(
             # crash, so the run is auto-provisioned durable with
             # run-scoped journals (cleaned up after the run) unless the
             # caller already supplied a durable config
-            fleet = FleetFaultInjector(env, topology=topology, seed=seed)
+            fleet = FleetFaultInjector(env, seed=seed)
             if not cap_config.durable:
                 journal_tmp = tempfile.mkdtemp(prefix="repro-fleet-journals-")
                 cap_config = replace(
@@ -396,12 +400,13 @@ def run_capture_experiment(
     fleet_stats: Optional[Dict[str, Any]] = None
     try:
         env.run()
+        telemetry = env.metrics.snapshot()
         if fleet is not None:
-            fleet_stats = fleet.stats()
             # the zero-loss ledger: proxy calls that ran to completion (see
             # repro.net.fleet.FleetClientProxy)
-            fleet_stats["records_completed"] = sum(
-                proxy.records_completed for proxy in clients
+            fleet_stats = _fleet_summary(
+                telemetry["events"], devices=len(fleet.devices),
+                records_completed=sum(proxy.records_completed for proxy in clients),
             )
     finally:
         # the run's world is cyclic: without this the backend service
@@ -420,8 +425,29 @@ def run_capture_experiment(
         metrics=snapshots,
         backend_records=int(backend_service.records_ingested.count),
         fleet_stats=fleet_stats,
-        topology_stats=topology.stats() if topology is not None else None,
+        telemetry=telemetry,
     )
+
+
+def _fleet_summary(events: List[Dict[str, Any]], devices: int,
+                   records_completed: int) -> Dict[str, Any]:
+    """The device-churn figures of a run, read off its event log."""
+    recovery_s = recovery_times(events)
+    crashed = sum(1 for event in events if event["kind"] == "crash-device")
+    summary: Dict[str, Any] = {
+        "devices": devices,
+        "devices_down": crashed - len(recovery_s),
+        "devices_crashed": crashed,
+        "devices_restarted": len(recovery_s),
+        "journal_recoveries": sum(
+            event["journal_recovery"] for event in events
+            if event["kind"] == "device-up"
+        ),
+        "records_completed": records_completed,
+    }
+    if recovery_s:
+        summary["max_recovery_s"] = max(recovery_s)
+    return summary
 
 
 @dataclass

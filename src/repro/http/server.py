@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from ..calibration import SERVER_COSTS
 from ..net import Host
-from ..simkernel import Counter, Resource
+from ..simkernel import Resource
 from .messages import (
     ConnectionClosed,
     HttpError,
@@ -56,8 +56,8 @@ class HttpServer:
         self.name = name or f"http-{host.name}:{port}"
         self._workers = Resource(host.env, capacity=workers)
         self.listener = host.tcp_listen(port)
-        self.requests = Counter("requests")
-        self.errors = Counter("errors")
+        self.requests = self.env.metrics.counter("http", "requests", server=self.name)
+        self.errors = self.env.metrics.counter("http", "errors", server=self.name)
         self.listener.on_accept(self._on_accept)
 
     def close(self) -> None:

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..calibration import SERVER_COSTS
 from ..net import Endpoint, Host
-from ..simkernel import Counter
 from . import packets as pkt
 from .topics import SubscriptionIndex, TopicRegistry
 
@@ -117,10 +116,14 @@ class MqttSnBroker:
         self._batch_deliveries: Dict[
             int, Tuple[_Session, List[Tuple[str, pkt.Publish, int]]]
         ] = {}
-        self.forwarded = Counter("forwarded-publishes")
-        self.dropped_no_session = Counter("dropped-no-session")
-        self.delivery_failures = Counter("delivery-failures")
-        self.serviced_batches = Counter("serviced-batches")
+        #: a standalone broker is shard 0; a cluster shard's socket
+        #: carries its index
+        labels = dict(host=host.name, port=port, shard=getattr(self.sock, "index", 0))
+        metrics = self.env.metrics
+        self.forwarded = metrics.counter("broker", "forwarded", **labels)
+        self.dropped_no_session = metrics.counter("broker", "dropped_no_session", **labels)
+        self.delivery_failures = metrics.counter("broker", "delivery_failures", **labels)
+        self.serviced_batches = metrics.counter("broker", "serviced_batches", **labels)
         #: set by :meth:`crash`; retry timers, service timers and relay
         #: hops check it so a dead broker's leftover timers drain instead
         #: of sending through a closed socket

@@ -54,7 +54,6 @@ from zlib import crc32
 from ..calibration import SERVER_COSTS
 from ..hashring import ConsistentHashRing
 from ..net import Endpoint, Host, UdpShardDispatcher
-from ..simkernel import Counter
 from . import packets as pkt
 from .broker import DEFAULT_BROKER_PORT, MqttSnBroker
 from .topics import SubscriptionIndex
@@ -334,7 +333,8 @@ class BrokerCluster:
             retry_interval_s=retry_interval_s,
             max_retries=max_retries,
         )
-        self.relayed = Counter("relayed-deliveries")
+        metrics = self.env.metrics
+        self.relayed = metrics.counter("cluster", "relayed", host=host.name, port=port)
         if shards == 1:
             # wire-identical to a standalone broker: it binds the public
             # port itself; no dispatcher, no replication, no relay
@@ -377,19 +377,18 @@ class BrokerCluster:
         #: so CONNECT retransmissions, repins and durable reconnects agree
         self._placement: Dict[str, int] = {}
         self._p2c_rng = random.Random(crc32(f"{host.name}:{port}".encode()))
-        self.p2c_placements = Counter("p2c-placements")
+        self.p2c_placements = metrics.counter(
+            "cluster", "p2c_placements", host=host.name, port=port)
         # ---- shard-affinity rehoming state: see _maybe_rehome() ----------
         #: per-subscriber delivery counts keyed by originating shard
         self._sub_origins: Dict[Endpoint, Dict[int, int]] = {}
         #: endpoints with a rehome decision already scheduled
         self._rehoming: set = set()
-        self.rehomed = Counter("subscribers-rehomed")
         # ---- failover state: see kill_shard() / _failover() --------------
-        self.failovers = Counter("shard-failovers")
-        self.sessions_migrated = Counter("failover-sessions-migrated")
-        self.sessions_dropped = Counter("failover-sessions-dropped")
-        self.relay_redirected = Counter("relay-redirected")
-        self.relay_dropped = Counter("relay-dropped")
+        self.relay_redirected = metrics.counter(
+            "cluster", "relay_redirected", host=host.name, port=port)
+        self.relay_dropped = metrics.counter(
+            "cluster", "relay_dropped", host=host.name, port=port)
         #: shards whose failover has completed (indices stay valid; a dead
         #: shard keeps its slot so ring/pin indices never shift)
         self._failed_over: set = set()
@@ -411,12 +410,15 @@ class BrokerCluster:
         after :attr:`FAILOVER_DETECT_S` and runs :meth:`_failover`.
         Durable clients ride their QoS retries into a reconnect and
         replay from the journal, so no acknowledged record is lost.
+        The kill is a ``kill-shard`` event, the failover a ``failover``
+        event.
         """
         if self._ring is None:
             raise ValueError("cannot fail over a single-shard cluster")
         shard = self.shards[index]
         if shard.alive:
             shard.crash()
+            self.env.metrics.event("kill-shard", shard=index)
         self._failover_event(index)  # arms the watchdog
 
     def check_shards(self) -> List[int]:
@@ -493,6 +495,7 @@ class BrokerCluster:
             cid for cid, placed in self._placement.items() if placed == index
         ]:
             del self._placement[client_id]
+        migrated = dropped = 0
         if len(self._ring.live_nodes()) <= 1:
             # the last shard died: there is no survivor to re-home onto;
             # drop the sessions and leave the (empty) ring alone so a
@@ -501,45 +504,40 @@ class BrokerCluster:
             for endpoint in list(dead.sessions):
                 dead.subscriptions.remove(endpoint)
                 self._sub_origins.pop(endpoint, None)
-                self.sessions_dropped.record()
-            dead.sessions.clear()
-            dead._outbound.clear()
-            self.failovers.record()
-            event = self._failover_events.get(index)
-            if event is not None and not event.triggered:
-                event.succeed()
-            return
-        self._ring.remove_node(index)
-        self.dispatcher.invalidate_shard(index)
-        for endpoint, session in list(dead.sessions.items()):
-            filters = dead.subscriptions.subscriptions_of(endpoint)
-            dead.subscriptions.remove(endpoint)  # replicated: view + home
-            self._sub_origins.pop(endpoint, None)
-            if not filters:
-                self.sessions_dropped.record()
-                continue
-            # place through the live policy: p2c sees the survivors'
-            # session counts shift as this loop migrates, hash falls back
-            # to the shrunk ring (the historical behaviour)
-            new_index = self._place(session.client_id)
-            new = self.shards[new_index]
-            if not new.alive:
-                # the new owner is a corpse awaiting its own failover
-                # (several shards died in the same detection window):
-                # migrating onto it just defers the drop, so be honest
-                self.sessions_dropped.record()
-                continue
-            session.known_topic_ids.clear()
-            new.sessions[endpoint] = session
-            for pattern, qos in filters:
-                new.subscriptions.add(endpoint, pattern, qos)
-            self.dispatcher.pins[endpoint] = new_index
-            self._placement[session.client_id] = new_index
-            self.sessions_migrated.record()
+                dropped += 1
+        else:
+            self._ring.remove_node(index)
+            self.dispatcher.invalidate_shard(index)
+            for endpoint, session in list(dead.sessions.items()):
+                filters = dead.subscriptions.subscriptions_of(endpoint)
+                dead.subscriptions.remove(endpoint)  # replicated: view + home
+                self._sub_origins.pop(endpoint, None)
+                if not filters:
+                    dropped += 1
+                    continue
+                # place through the live policy: p2c sees the survivors'
+                # session counts shift as this loop migrates, hash falls
+                # back to the shrunk ring (the historical behaviour)
+                new_index = self._place(session.client_id)
+                new = self.shards[new_index]
+                if not new.alive:
+                    # the new owner is a corpse awaiting its own failover
+                    # (several shards died in the same detection window):
+                    # migrating onto it just defers the drop, so be honest
+                    dropped += 1
+                    continue
+                session.known_topic_ids.clear()
+                new.sessions[endpoint] = session
+                for pattern, qos in filters:
+                    new.subscriptions.add(endpoint, pattern, qos)
+                self.dispatcher.pins[endpoint] = new_index
+                self._placement[session.client_id] = new_index
+                migrated += 1
+            self._rebalance_weights()
         dead.sessions.clear()
         dead._outbound.clear()
-        self._rebalance_weights()
-        self.failovers.record()
+        self.env.metrics.event("failover", shard=index, migrated=migrated,
+                               dropped=dropped)
         event = self._failover_events.get(index)
         if event is not None and not event.triggered:
             event.succeed()
@@ -767,7 +765,8 @@ class BrokerCluster:
         self.dispatcher.pins[endpoint] = new_index
         self._placement[session.client_id] = new_index
         self._sub_origins.pop(endpoint, None)
-        self.rehomed.record()
+        self.env.metrics.event("rehome", subscriber=f"{endpoint[0]}:{endpoint[1]}",
+                               old_shard=old_index, new_shard=new_index)
         return True
 
     # ----------------------------------------------------- delegated views
@@ -817,88 +816,13 @@ class BrokerCluster:
         for shard in self.shards:
             shard.max_retries = value
 
-    # --------------------------------------------------- aggregate counters
-    class _Aggregate:
-        """Read-only sum of one counter across every shard."""
-
-        __slots__ = ("name", "_counters")
-
-        def __init__(self, name: str, counters):
-            self.name = name
-            self._counters = counters
-
-        @property
-        def count(self) -> int:
-            return sum(c.count for c in self._counters)
-
-        @property
-        def total(self) -> float:
-            return sum(c.total for c in self._counters)
-
-        def __repr__(self) -> str:
-            return f"<Aggregate {self.name}: n={self.count} total={self.total}>"
-
-    def _aggregate(self, attr: str) -> "BrokerCluster._Aggregate":
-        if len(self.shards) == 1:
-            return getattr(self.shards[0], attr)
-        return self._Aggregate(attr, [getattr(s, attr) for s in self.shards])
-
-    @property
-    def forwarded(self):
-        return self._aggregate("forwarded")
-
-    @property
-    def dropped_no_session(self):
-        return self._aggregate("dropped_no_session")
-
-    @property
-    def delivery_failures(self):
-        return self._aggregate("delivery_failures")
-
-    @property
-    def serviced_batches(self):
-        return self._aggregate("serviced_batches")
-
     # --------------------------------------------------------- observability
-    def stats(self) -> Dict[str, object]:
-        """Cheap point-in-time snapshot of the broker plane.
-
-        Plain counter/len reads — no locking, no simulation time — so
-        the autoscaler, the benchmarks and operators can poll it on the
-        hot path.  ``max_mean_session_ratio`` is the skew figure the
-        placement acceptance criteria gate on (1.0 = perfectly even).
-        """
-        pins = (
-            self.dispatcher.pin_counts() if self.dispatcher is not None else {}
-        )
-        per_shard = []
-        for i, shard in enumerate(self.shards):
-            per_shard.append({
-                "index": i,
-                "alive": shard.alive,
-                "sessions": len(shard.sessions),
-                "inbox_depth": shard.sock.pending,
-                "pinned_endpoints": pins.get(i, 0),
-                "forwarded": shard.forwarded.count,
-                "serviced_batches": shard.serviced_batches.count,
-                "delivery_failures": shard.delivery_failures.count,
-            })
-        live_counts = [s["sessions"] for s in per_shard if s["alive"]]
-        mean = sum(live_counts) / len(live_counts) if live_counts else 0.0
-        return {
-            "placement": self.placement,
-            "shards": per_shard,
-            "sessions": sum(live_counts),
-            "placement_entries": len(self._placement),
-            "max_mean_session_ratio": (
-                max(live_counts) / mean if live_counts and mean else 0.0
-            ),
-            "relayed": self.relayed.count,
-            "relay_redirected": self.relay_redirected.count,
-            "relay_dropped": self.relay_dropped.count,
-            "rehomed": self.rehomed.count,
-            "failovers": self.failovers.count,
-        }
+    def max_mean_session_ratio(self) -> float:
+        """Session skew across live shards: the largest shard's sessions
+        over the mean (1.0 = perfectly even, 0.0 with no session)."""
+        counts = [len(self.shards[i].sessions) for i in self.alive_shards]
+        mean = sum(counts) / len(counts) if counts else 0.0
+        return max(counts) / mean if mean else 0.0
 
     def __len__(self) -> int:
         return len(self.shards)

@@ -15,7 +15,7 @@ parsed into scheduled fault events, threaded through
 ``ExperimentSetup.chaos`` / ``--chaos``.  Beyond the
 server plane it also schedules *client-plane* chaos — device
 crash/restart churn on a :class:`~repro.net.fleet.FleetFaultInjector`
-and whole-tier partitions/degradations on a
+and whole-tier partitions and loss storms on a
 :class:`~repro.net.continuum.ContinuumTopology` — so a continuum run
 (``--topology`` x ``--chaos``) replays identically from its two spec
 strings.
@@ -23,6 +23,7 @@ strings.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -41,7 +42,11 @@ class ServerFaultInjector:
     timing lives on the simulation clock and a given schedule replays
     identically on every run.  ``network``/``backend_host`` are only
     needed for the backend-fault methods (they partition the server ↔
-    backend link through a :class:`LinkFaultInjector`).
+    backend link through a :class:`LinkFaultInjector`).  Each fault is
+    recorded where it takes effect, in the run's event log
+    (``env.metrics``): ``kill-shard`` by the cluster, ``crash-worker``
+    by the worker's supervisor, ``partition-link``/``heal-link`` by the
+    link injector.
     """
 
     def __init__(
@@ -54,12 +59,7 @@ class ServerFaultInjector:
         self.env = server.env
         self.network = network
         self.backend_host = backend_host
-        #: injected faults as ``(sim time, description)``
-        self.events: List[Tuple[float, str]] = []
         self._backend_faults: Optional[LinkFaultInjector] = None
-
-    def _log(self, what: str) -> None:
-        self.events.append((self.env.now, what))
 
     # -- broker shards ---------------------------------------------------
     def kill_shard(self, index: Optional[int] = None) -> int:
@@ -76,7 +76,6 @@ class ServerFaultInjector:
                 raise ValueError("no alive shard to kill")
             index = max(alive, key=lambda i: (len(cluster.shards[i].sessions), -i))
         cluster.kill_shard(index)
-        self._log(f"kill-shard:{index}")
         return index
 
     def kill_shard_at(self, after_s: float, index: Optional[int] = None):
@@ -104,7 +103,6 @@ class ServerFaultInjector:
                 range(len(workers)), key=lambda i: (workers[i].queued, -i)
             )
         workers[index].crash()
-        self._log(f"crash-worker:{index}")
         return index
 
     def crash_worker_at(self, after_s: float, index: Optional[int] = None):
@@ -134,24 +132,15 @@ class ServerFaultInjector:
     def backend_outage(self, after_s: float, duration_s: float):
         """Partition the backend uplink once: down at ``now + after_s``,
         healed ``duration_s`` later."""
-        self._log(f"backend-outage@{after_s}:{duration_s}")
         return self._backend_injector().partition_at(after_s, duration_s)
 
     def flap_backend(self, period_s: float, down_s: float, cycles: int):
         """Flap the backend uplink: every ``period_s`` it goes down for
         ``down_s``, ``cycles`` times."""
-        self._log(f"flap-backend@{period_s}:{down_s}:{cycles}")
         return self._backend_injector().flap(period_s, down_s, cycles)
 
-    @property
-    def backend_outages(self) -> List[Tuple[float, float]]:
-        """Completed backend outage intervals (empty before any fault)."""
-        if self._backend_faults is None:
-            return []
-        return list(self._backend_faults.outages)
-
     def __repr__(self) -> str:
-        return f"<ServerFaultInjector events={len(self.events)}>"
+        return f"<ServerFaultInjector {self.server!r}>"
 
 
 @dataclass(frozen=True)
@@ -196,7 +185,7 @@ class ChaosProfile:
     :class:`~repro.net.continuum.ContinuumTopology` respectively.
 
     Every malformed or semantically impossible event — unknown kind,
-    negative times, zero durations, a churn fraction outside (0, 1], a
+    negative times, zero durations, an infinite or NaN argument, a churn fraction outside (0, 1], a
     flap whose DOWN exceeds its PERIOD — fails at :meth:`parse` time,
     before anything is provisioned.
     """
@@ -297,6 +286,8 @@ class ChaosProfile:
             if not condition:
                 raise ValueError(f"chaos event {token!r}: {what}")
 
+        require(all(math.isfinite(a) for a in args),
+                f"every argument must be finite, got {args}")
         if kind in ("kill-shard", "crash-worker"):
             require(args[0] >= 0, f"AFTER must be >= 0, got {args[0]}")
         elif kind == "backend-outage":

@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .faults import LinkFaultInjector
+from .link import Link
 from .netem import parse_delay, parse_rate
 from .topology import Network
 
@@ -267,17 +267,12 @@ class ContinuumTopology:
         self.spec = spec
         #: tier name -> host names, leaf tier first
         self._hosts: Dict[str, List[str]] = {}
-        #: (lower, upper) adjacent tier pair -> one injector per uplink
-        self._injectors: Dict[Tuple[str, str], List[LinkFaultInjector]] = {}
-        #: open partitions: pair -> start time
-        self._down_since: Dict[Tuple[str, str], float] = {}
-        #: completed tier outages: (lower, upper, start, end)
-        self.tier_outages: List[Tuple[str, str, float, float]] = []
+        #: (lower, upper) adjacent tier pair -> both directions of every uplink
+        self._links: Dict[Tuple[str, str], List[Link]] = {}
+        #: pairs partitioned now
+        self._partitioned: set = set()
         #: saved per-link uniform loss while a degradation is active
         self._degraded: Dict[Tuple[str, str], List[float]] = {}
-        self._degraded_since: Dict[Tuple[str, str], float] = {}
-        #: completed degradation windows
-        self.degradations: List[Tuple[str, str, float, float]] = []
         self._build(root_host, device_factory)
 
     # -- construction ------------------------------------------------------
@@ -304,7 +299,7 @@ class ContinuumTopology:
             self._hosts[tier.name] = names
         for lower, upper in zip(spec.tiers, spec.tiers[1:]):
             profile = LINK_PROFILES[lower.profile or "ideal"]
-            injectors = []
+            links = []
             for i, host in enumerate(self._hosts[lower.name]):
                 parent = self._hosts[upper.name][i % upper.count]
                 self.network.connect(
@@ -323,8 +318,9 @@ class ContinuumTopology:
                         p_enter_burst=profile.p_enter_burst,
                         p_exit_burst=profile.p_exit_burst,
                     )
-                injectors.append(LinkFaultInjector(self.network, host, parent))
-            self._injectors[(lower.name, upper.name)] = injectors
+                links += [self.network.link(host, parent),
+                          self.network.link(parent, host)]
+            self._links[(lower.name, upper.name)] = links
 
     # -- accessors ---------------------------------------------------------
     def hosts_in(self, tier: str) -> List[str]:
@@ -347,53 +343,49 @@ class ContinuumTopology:
             )
         return hosts[0]
 
-    def uplink_of(self, host: str) -> LinkFaultInjector:
-        """The fault injector of one host's uplink toward its parent."""
-        for injectors in self._injectors.values():
-            for injector in injectors:
-                if injector.a == host:
-                    return injector
-        raise KeyError(f"host {host!r} has no uplink in this topology")
-
     def pair(self, a: str, b: str) -> Tuple[str, str]:
         """Normalize two tier names to the (lower, upper) adjacent pair."""
         self.spec.tier(a)
         self.spec.tier(b)
-        if (a, b) in self._injectors:
+        if (a, b) in self._links:
             return (a, b)
-        if (b, a) in self._injectors:
+        if (b, a) in self._links:
             return (b, a)
         raise ValueError(
             f"tiers {a!r} and {b!r} are not adjacent; adjacent pairs: "
-            f"{sorted(self._injectors)}"
+            f"{sorted(self._links)}"
         )
 
-    def injectors(self, a: str, b: str) -> List[LinkFaultInjector]:
-        """The per-uplink fault injectors between two adjacent tiers."""
-        return list(self._injectors[self.pair(a, b)])
+    def links(self, a: str, b: str) -> List[Link]:
+        """Both directions of every uplink between two adjacent tiers."""
+        return list(self._links[self.pair(a, b)])
 
     def tier_partitioned(self, a: str, b: str) -> bool:
         """True while the tier pair is administratively partitioned."""
-        return self.pair(a, b) in self._down_since
+        return self.pair(a, b) in self._partitioned
 
     # -- tier-level faults -------------------------------------------------
+    # A tier fault is one event (``partition-tier``/``heal-tier``,
+    # ``degrade-tier``/``restore-tier``, with the pair as ``"lower-upper"``),
+    # not one per uplink.
     def partition_tiers(self, a: str, b: str) -> None:
         """Cut every link between two adjacent tiers now (idempotent)."""
         pair = self.pair(a, b)
-        if pair in self._down_since:
+        if pair in self._partitioned:
             return
-        self._down_since[pair] = self.env.now
-        for injector in self._injectors[pair]:
-            injector.partition_now()
+        self._partitioned.add(pair)
+        self.env.metrics.event("partition-tier", pair="-".join(pair))
+        for link in self._links[pair]:
+            link.partition()
 
     def heal_tiers(self, a: str, b: str) -> None:
         """Restore every link between two adjacent tiers (idempotent)."""
         pair = self.pair(a, b)
-        for injector in self._injectors[pair]:
-            injector.heal_now()
-        start = self._down_since.pop(pair, None)
-        if start is not None:
-            self.tier_outages.append((*pair, start, self.env.now))
+        for link in self._links[pair]:
+            link.heal()
+        if pair in self._partitioned:
+            self._partitioned.remove(pair)
+            self.env.metrics.event("heal-tier", pair="-".join(pair))
 
     def partition_tiers_at(self, a: str, b: str, after_s: float,
                            duration_s: float):
@@ -422,15 +414,12 @@ class ContinuumTopology:
         if not 0.0 < loss < 1.0:
             raise ValueError(f"storm loss must be in (0, 1), got {loss}")
         pair = self.pair(a, b)
-        injectors = self._injectors[pair]
+        links = self._links[pair]
         if pair not in self._degraded:
-            self._degraded[pair] = [
-                injector._links[0].loss for injector in injectors
-            ]
-            self._degraded_since[pair] = self.env.now
-        for injector in injectors:
-            for link in injector._links:
-                link.configure(loss=loss)
+            self._degraded[pair] = [link.loss for link in links]
+        self.env.metrics.event("degrade-tier", pair="-".join(pair), loss=loss)
+        for link in links:
+            link.configure(loss=loss)
 
     def clear_degradation(self, a: str, b: str) -> None:
         """End a storm: restore the pair's configured loss (idempotent)."""
@@ -438,12 +427,9 @@ class ContinuumTopology:
         saved = self._degraded.pop(pair, None)
         if saved is None:
             return
-        start = self._degraded_since.pop(pair, None)
-        for injector, loss in zip(self._injectors[pair], saved):
-            for link in injector._links:
-                link.configure(loss=loss)
-        if start is not None:
-            self.degradations.append((*pair, start, self.env.now))
+        self.env.metrics.event("restore-tier", pair="-".join(pair))
+        for link, loss in zip(self._links[pair], saved):
+            link.configure(loss=loss)
 
     def degrade_tiers_at(self, a: str, b: str, after_s: float,
                          duration_s: float, loss: float):
@@ -463,20 +449,6 @@ class ContinuumTopology:
         return self.env.process(
             _storm(), name=f"chaos-degrade-tier-{pair[0]}-{pair[1]}"
         )
-
-    # -- observability -----------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """Cheap point-in-time snapshot of the topology's fault state."""
-        return {
-            "spec": self.spec.describe(),
-            "tiers": {t.name: t.count for t in self.spec.tiers},
-            "hosts": sum(len(h) for h in self._hosts.values()),
-            "partitioned_pairs": sorted(
-                f"{a}-{b}" for a, b in self._down_since
-            ),
-            "tier_outages": len(self.tier_outages),
-            "degradations": len(self.degradations),
-        }
 
     def __repr__(self) -> str:
         return f"<ContinuumTopology {self.spec.describe()}>"

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..simkernel import Counter, Mailbox
+from ..simkernel import Mailbox
 from .packet import Endpoint
 
 __all__ = ["UdpShardDispatcher", "VirtualSocket"]
@@ -105,8 +105,9 @@ class UdpShardDispatcher:
         ]
         #: sticky source-endpoint -> shard-index routing decisions
         self.pins: Dict[Endpoint, int] = {}
-        self.dispatched = Counter("dispatched-datagrams")
-        self.bundles = Counter("dispatched-bundles")
+        metrics = self.env.metrics
+        self.dispatched = metrics.counter("dispatcher", "dispatched", host=host.name, port=port)
+        self.bundles = metrics.counter("dispatcher", "bundles", host=host.name, port=port)
         self.sock.on_item(self._on_datagram)
 
     def _on_datagram(self, datagram: Tuple[bytes, Endpoint]) -> None:

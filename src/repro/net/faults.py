@@ -28,8 +28,9 @@ class LinkFaultInjector:
 
     Immediate controls (:meth:`partition_now`, :meth:`heal_now`,
     :meth:`set_burst_loss`) act synchronously; the scheduled ones
-    (:meth:`partition`, :meth:`flap`) register simulation processes and
-    take effect as the clock advances.
+    (:meth:`partition_at`, :meth:`flap`) register simulation processes and
+    take effect as the clock advances.  Each cut is a ``partition-link``
+    event and each heal a ``heal-link`` event in the run's event log.
     """
 
     def __init__(self, network: Network, a: str, b: str):
@@ -37,9 +38,6 @@ class LinkFaultInjector:
         self.a = a
         self.b = b
         self._links: tuple[Link, Link] = (network.link(a, b), network.link(b, a))
-        #: completed partition intervals as (start, end) sim times
-        self.outages: list[tuple[float, float]] = []
-        self._down_since: float | None = None
 
     # -- state ---------------------------------------------------------------
     @property
@@ -50,17 +48,16 @@ class LinkFaultInjector:
     def partition_now(self) -> None:
         """Cut both directions immediately."""
         if not self.partitioned:
-            self._down_since = self.env.now
+            self.env.metrics.event("partition-link", a=self.a, b=self.b)
         for link in self._links:
             link.partition()
 
     def heal_now(self) -> None:
         """Restore both directions immediately."""
+        if self.partitioned:
+            self.env.metrics.event("heal-link", a=self.a, b=self.b)
         for link in self._links:
             link.heal()
-        if self._down_since is not None:
-            self.outages.append((self._down_since, self.env.now))
-            self._down_since = None
 
     def set_burst_loss(
         self,

@@ -16,11 +16,11 @@ a registered fleet of durable capture clients:
 * :meth:`restart_device` builds a *new* client incarnation on the same
   journal via a registered restart callable, retries ``setup()`` under
   backoff until the network lets it through (restarting under an active
-  partition must not crash the experiment), and counts a journal
-  recovery when the incarnation came up with unacked entries to replay
-  (the first ``setup()`` of a :class:`FleetClientProxy` retries under
-  the same backoff: burst loss can eat a whole CONNECT/REGISTER
-  exchange);
+  partition must not crash the experiment), and records whether the
+  incarnation came up with unacked entries to replay (a journal
+  recovery; the first ``setup()`` of a :class:`FleetClientProxy`
+  retries under the same backoff: burst loss can eat a whole
+  CONNECT/REGISTER exchange);
 * :meth:`churn_at` schedules the fleet-scale version: a deterministic
   sample of the fleet crashes at once and restarts ``down_s`` later —
   the 20%-churn acceptance scenario.
@@ -37,14 +37,29 @@ capture never journaled anything, so the retry cannot double-ingest).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["FleetFaultInjector", "FleetClientProxy"]
+__all__ = ["FleetFaultInjector", "FleetClientProxy", "recovery_times"]
 
 #: restart setup() retry backoff: base * factor**attempt, capped
 _SETUP_RETRY_BASE_S = 0.2
 _SETUP_RETRY_FACTOR = 1.6
 _SETUP_RETRY_MAX_S = 2.0
+
+
+def recovery_times(events: List[Dict[str, Any]]) -> List[float]:
+    """Seconds from each ``crash-device`` event to its device's next
+    ``device-up``, in restart order, read off a run's event list
+    (``env.metrics.events()`` or a snapshot's ``"events"``); a device
+    still down at the end has no entry."""
+    crashed_at: Dict[str, float] = {}
+    recovery_s: List[float] = []
+    for event in events:
+        if event["kind"] == "crash-device":
+            crashed_at[event["device"]] = event["t"]
+        elif event["kind"] == "device-up":
+            recovery_s.append(event["t"] - crashed_at.pop(event["device"]))
+    return recovery_s
 
 
 class FleetClientProxy:
@@ -124,27 +139,21 @@ class FleetClientProxy:
 class FleetFaultInjector:
     """Deterministic device churn for a fleet of durable capture clients.
 
-    ``topology`` (a :class:`~repro.net.continuum.ContinuumTopology`) is
-    optional and only consulted by :meth:`stats` — tier-level faults are
-    scheduled on the topology itself; this class owns the device plane.
+    Tier-level faults are scheduled on a
+    :class:`~repro.net.continuum.ContinuumTopology`; this class owns the
+    device plane.  Each crash is a ``crash-device`` event and each
+    completed restart a ``device-up`` event (``journal_recovery``: the
+    incarnation came up with unacked entries to replay) in the run's
+    event log.
     """
 
-    def __init__(self, env, topology=None, seed: int = 0):
+    def __init__(self, env, seed: int = 0):
         self.env = env
-        self.topology = topology
         self._rng = random.Random(seed)
         self._clients: Dict[str, object] = {}
         self._restarts: Dict[str, Callable[[], object]] = {}
         #: devices currently down: name -> gate event restarts succeed
         self._gates: Dict[str, object] = {}
-        self._down_at: Dict[str, float] = {}
-        #: injected faults as ``(sim time, description)``
-        self.events: List[Tuple[float, str]] = []
-        #: completed crash/restart cycles: (name, crashed_at, up_at)
-        self.recoveries: List[Tuple[str, float, float]] = []
-        self.devices_crashed = 0
-        self.devices_restarted = 0
-        self.journal_recoveries = 0
 
     # -- registration ------------------------------------------------------
     def register(self, name: str, client, restart: Callable[[], object]) -> None:
@@ -177,9 +186,6 @@ class FleetFaultInjector:
     def devices_down(self) -> List[str]:
         return sorted(self._gates)
 
-    def _log(self, what: str) -> None:
-        self.events.append((self.env.now, what))
-
     # -- immediate controls ------------------------------------------------
     def crash_device(self, name: Optional[str] = None) -> str:
         """Crash one device now (close its client); returns its name.
@@ -197,9 +203,7 @@ class FleetFaultInjector:
         if name in self._gates:
             raise ValueError(f"device {name!r} is already down")
         self._gates[name] = self.env.event()
-        self._down_at[name] = self.env.now
-        self.devices_crashed += 1
-        self._log(f"crash-device:{name}")
+        self.env.metrics.event("crash-device", device=name)
         client.close()
         return name
 
@@ -225,12 +229,8 @@ class FleetFaultInjector:
         )
         yield from self.setup_with_backoff(client)
         self._clients[name] = client
-        if recovering:
-            self.journal_recoveries += 1
-        self.devices_restarted += 1
-        crashed_at = self._down_at.pop(name)
-        self.recoveries.append((name, crashed_at, self.env.now))
-        self._log(f"device-up:{name}")
+        self.env.metrics.event("device-up", device=name,
+                               journal_recovery=recovering)
         gate = self._gates.pop(name)
         gate.succeed()
 
@@ -290,7 +290,6 @@ class FleetFaultInjector:
             up = [d for d in self.devices if d not in self._gates]
             count = max(1, round(fraction * len(self._clients)))
             victims = self._rng.sample(up, min(count, len(up)))
-            self._log(f"churn:{len(victims)}")
             restarts = []
             for victim in victims:
                 self.crash_device(victim)
@@ -302,30 +301,8 @@ class FleetFaultInjector:
 
         return self.env.process(_churn(), name="fleet-churn")
 
-    # -- observability -----------------------------------------------------
-    def recovery_times_s(self) -> List[float]:
-        """Crash→up durations of every completed cycle (sim seconds)."""
-        return [up - crashed for _, crashed, up in self.recoveries]
-
-    def stats(self) -> Dict[str, object]:
-        """Cheap point-in-time snapshot of the device plane (merged with
-        the topology's tier-level snapshot when one is attached)."""
-        snapshot: Dict[str, object] = {
-            "devices": len(self._clients),
-            "devices_down": len(self._gates),
-            "devices_crashed": self.devices_crashed,
-            "devices_restarted": self.devices_restarted,
-            "journal_recoveries": self.journal_recoveries,
-        }
-        if self.recoveries:
-            times = self.recovery_times_s()
-            snapshot["max_recovery_s"] = max(times)
-        if self.topology is not None:
-            snapshot["topology"] = self.topology.stats()
-        return snapshot
-
     def __repr__(self) -> str:
         return (
             f"<FleetFaultInjector devices={len(self._clients)} "
-            f"down={len(self._gates)} events={len(self.events)}>"
+            f"down={len(self._gates)}>"
         )

@@ -51,7 +51,7 @@ from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
-from ..simkernel import Counter, Environment
+from ..simkernel import Environment
 from .packet import Packet
 
 __all__ = ["Link"]
@@ -106,8 +106,8 @@ class Link:
         self._queue: Deque[Tuple[Packet, DeliverFn]] = deque()
         #: the packet occupying the transmitter, or None while idle
         self._serializing: Optional[Tuple[Packet, DeliverFn]] = None
-        self.tx_bytes = Counter(f"{src}->{dst}")
-        self.dropped = Counter(f"{src}->{dst} drops")
+        self.tx_bytes = env.metrics.counter("link", "tx_bytes", src=src, dst=dst)
+        self.dropped = env.metrics.counter("link", "dropped", src=src, dst=dst)
 
     # -- configuration (netem-style) ----------------------------------------
     def configure(

@@ -38,7 +38,7 @@ from .events import (
     Process,
     Timeout,
 )
-from .monitor import Counter, RateMeter, TimeWeighted
+from .monitor import Counter, Metrics, TimeWeighted
 from .resources import Mailbox, Resource
 
 __all__ = [
@@ -65,5 +65,5 @@ __all__ = [
     "Mailbox",
     "TimeWeighted",
     "Counter",
-    "RateMeter",
+    "Metrics",
 ]

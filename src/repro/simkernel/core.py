@@ -19,6 +19,7 @@ from .events import (
     Process,
     Timeout,
 )
+from .monitor import Metrics
 
 __all__ = [
     "Environment",
@@ -84,7 +85,7 @@ class Environment:
         assert env.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_proc")
+    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "metrics")
 
     #: consulted once per process yield (see ``Process._resume``); the
     #: debug subclass flips it to route yields through hazard checks
@@ -101,6 +102,8 @@ class Environment:
         self._queue: list = []  # heap of (time, priority, eid, target, args)
         self._eid = 0
         self._active_proc: Optional[Process] = None
+        #: the run's counters and event log (see :class:`Metrics`)
+        self.metrics = Metrics(self)
 
     # -- clock ------------------------------------------------------------
     @property

@@ -1,11 +1,10 @@
 """Measurement helpers for simulations.
 
-Two recurring needs in the evaluation harness:
-
 * time-weighted statistics (mean CPU utilization over a run, mean queue
   length) — :class:`TimeWeighted`;
-* event counters / byte counters with per-interval rates — :class:`Counter`
-  and :class:`RateMeter`.
+* one run's record of what happened — :class:`Metrics`, the registry
+  every :class:`~repro.simkernel.Environment` owns as ``env.metrics``:
+  its :class:`Counter` handles and one sim-timestamped event log.
 
 All of them read the clock from the environment they were created with, so
 they compose with any process without explicit time plumbing.
@@ -13,9 +12,9 @@ they compose with any process without explicit time plumbing.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
-__all__ = ["TimeWeighted", "Counter", "RateMeter"]
+__all__ = ["TimeWeighted", "Counter", "Metrics"]
 
 
 class TimeWeighted:
@@ -85,39 +84,71 @@ class Counter:
         return f"<Counter {self.name}: n={self.count} total={self.total}>"
 
 
-class RateMeter:
-    """Accumulates amounts and reports an average rate over elapsed time.
+class Metrics:
+    """One run's counters and event log (``env.metrics``).
 
-    Used for the paper's Fig. 6c "network usage (KB/s) during capture".
+    A *counter* counts messages, bytes or records: a component takes its
+    :class:`Counter` handle once from :meth:`counter`, stores it under
+    the attribute named ``name``, and its hot path calls ``record()`` on
+    the handle.  An *event* is one occurrence of a fault or a control
+    action (a shard killed, a failover, a pool resize), recorded once by
+    :meth:`event`, stamped with the simulated time it took effect.
+    Nothing here schedules anything, so recording never moves a run.
     """
 
+    __slots__ = ("_env", "_counters", "_events")
+
     def __init__(self, env):
-        self.env = env
-        self._start: Optional[float] = None
-        self._stop: Optional[float] = None
-        self.total = 0.0
+        self._env = env
+        self._counters: List[tuple] = []  # (component, name, labels, Counter)
+        self._events: List[tuple] = []  # (time, kind, fields)
 
-    def start(self) -> None:
-        if self._start is None:
-            self._start = self.env.now
+    def counter(self, component: str, name: str, **labels: Any) -> Counter:
+        """Register a new counter; returns its handle.  Label values are
+        plain data (str, int), as are event fields."""
+        counter = Counter(name)
+        self._counters.append((component, name, labels, counter))
+        return counter
 
-    def stop(self) -> None:
-        self._stop = self.env.now
+    def event(self, kind: str, **fields: Any) -> None:
+        """Append ``(now, kind, fields)`` to the event log."""
+        self._events.append((self._env.now, kind, fields))
 
-    def record(self, amount: float) -> None:
-        if self._start is None:
-            self._start = self.env.now
-        self.total += amount
+    def events(self, kind: Optional[str] = None) -> List[Dict[str, Any]]:
+        """The events of ``kind`` (all of them without one), oldest first,
+        each ``{"t": time, "kind": kind, **fields}``."""
+        return [
+            {"t": t, "kind": k, **fields}
+            for t, k, fields in self._events
+            if kind is None or k == kind
+        ]
 
-    def elapsed(self) -> float:
-        if self._start is None:
-            return 0.0
-        end = self._stop if self._stop is not None else self.env.now
-        return max(0.0, end - self._start)
+    def summed(self, component: str, name: str, **labels: Any) -> Counter:
+        """One counter summed over every registration of ``component``'s
+        ``name`` whose labels include ``labels``."""
+        summed = Counter(name)
+        for comp, cname, clabels, counter in self._counters:
+            if comp == component and cname == name and all(
+                clabels.get(key) == value for key, value in labels.items()
+            ):
+                summed.count += counter.count
+                summed.total += counter.total
+        return summed
 
-    def rate(self) -> float:
-        """Average rate (amount per second); 0 if no time elapsed."""
-        elapsed = self.elapsed()
-        if elapsed <= 0:
-            return 0.0
-        return self.total / elapsed
+    def snapshot(self) -> Dict[str, Any]:
+        """Every counter and event as plain JSON data (no reference into
+        the run survives it)."""
+        return {
+            "counters": [
+                {"component": comp, "name": name, "labels": dict(labels),
+                 "count": counter.count, "total": counter.total}
+                for comp, name, labels, counter in self._counters
+            ],
+            "events": self.events(),
+        }
+
+    def __repr__(self) -> str:
+        return (
+            f"<Metrics counters={len(self._counters)} "
+            f"events={len(self._events)}>"
+        )

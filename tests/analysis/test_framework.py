@@ -103,6 +103,7 @@ def test_registry_has_the_documented_rules():
         "bare-swallow",
         "all-export-sync",
         "environ-read",
+        "bare-counter",
     }
 
 

@@ -385,3 +385,61 @@ def test_environ_read_is_src_only():
     source = "import os\nx = os.environ.get('HOME')\n"
     assert run(source, "environ-read", path=TEST_PATH) == []
     assert rules_hit(run(source, "environ-read")) == ["environ-read"]
+
+
+# -- bare-counter ----------------------------------------------------------
+def test_bare_counter_flags_every_import_form():
+    out = run(
+        """
+        from ..simkernel import Counter
+        from ..simkernel.monitor import Counter as MonitorCounter
+        import repro.simkernel as sk
+        from repro.simkernel import Counter as AbsoluteCounter
+
+        a = Counter("records")
+        b = MonitorCounter("bytes")
+        c = sk.Counter("drops")
+        d = AbsoluteCounter("posts")
+        """,
+        "bare-counter",
+        path="src/repro/net/somemod.py",
+    )
+    assert rules_hit(out) == ["bare-counter"]
+    assert [v.line for v in out] == [7, 8, 9, 10]
+    assert "env.metrics.counter" in out[0].message
+
+
+def test_bare_counter_clean_registry_and_collections_counter():
+    out = run(
+        """
+        import collections
+        from collections import Counter
+
+        def build(env):
+            tally = Counter("abc")
+            other = collections.Counter()
+            return env.metrics.counter("link", "tx_bytes", src="a"), tally, other
+        """,
+        "bare-counter",
+    )
+    assert out == []
+
+
+def test_bare_counter_allows_the_registry_itself():
+    source = "from .. import simkernel\nc = simkernel.Counter('x')\n"
+    home = "src/repro/simkernel/monitor.py"
+    assert run(source, "bare-counter", path=home) == []
+    assert rules_hit(run(source, "bare-counter",
+                         path="src/repro/simkernel/other.py")) == ["bare-counter"]
+
+
+def test_bare_counter_suppressible_with_reason_and_src_only():
+    source = (
+        "from repro.simkernel import Counter\n"
+        "n = Counter('records')  # lint: disable=bare-counter(no environment here)\n"
+    )
+    assert run(source, "bare-counter") == []
+    dirty = "from repro.simkernel import Counter\nn = Counter('records')\n"
+    assert run(dirty, "bare-counter", path=TEST_PATH) == []
+    assert rules_hit(run(dirty, "bare-counter")) == ["bare-counter"]
+

@@ -249,5 +249,5 @@ def test_deploy_capture_sink_builds_the_mqttsn_server_from_its_config():
     assert endpoint == sink.endpoint == ("cloud", 1883)
     assert sink.config is config
     assert len(sink.broker.shards) == 2
-    assert sink.pool.stats()["size"] == 3
+    assert len(sink.pool) == 3
     assert (sink.pool.min_workers, sink.pool.max_workers) == (1, 4)

@@ -112,7 +112,7 @@ def test_partition_heal_loses_zero_records_exactly_once(tmp_path):
     assert server.front.ingested.count == 18
     assert len(received) == 18
     # the outage actually exercised replay and the server-side dedup
-    assert client.reconnects.count >= 1
+    assert len(env.metrics.events("reconnect")) >= 1
     assert client.replayed.count >= 1
     assert server.front.duplicates.count >= 0
     assert (server.front.ingested.count + server.front.duplicates.count
@@ -123,7 +123,9 @@ def test_partition_heal_loses_zero_records_exactly_once(tmp_path):
     # the client reported the flap to its listeners
     assert STATE_RECONNECTING in states
     assert states[-1] == STATE_CONNECTED
-    assert faults.outages == [(0.5, 2.5)]
+    assert [(e["t"], e["kind"]) for e in env.metrics.events()
+            if e["kind"].endswith("-link")] == [(0.5, "partition-link"),
+                                                (2.5, "heal-link")]
 
 
 def test_repeated_flaps_converge(tmp_path):
@@ -137,7 +139,7 @@ def test_repeated_flaps_converge(tmp_path):
     assert client.records_captured.count == 22
     assert server.front.ingested.count == 22
     assert client.journal.pending == 0
-    assert len(faults.outages) == 3
+    assert len(env.metrics.events("heal-link")) == 3
 
 
 def test_best_effort_client_loses_records_on_partition(tmp_path):
@@ -447,7 +449,7 @@ def test_durable_http_replays_from_the_workflow_process_exactly_once(tmp_path):
     capture_tasks(env, None, client, n_tasks=5, drain=False)
     env.run(until=stop)  # crash: simply stop simulating; no close()
     assert client.records_captured.count == 12
-    assert client.reconnects.count >= 1 and client.replayed.count >= 5
+    assert env.metrics.events("reconnect") and client.replayed.count >= 5
     assert STATE_RECONNECTING in states
     pending1 = client.journal.pending
     assert pending1 == 12 - client.messages_sent.count >= 1

@@ -39,7 +39,8 @@ def record(i):
 # -- the front on its own ------------------------------------------------------
 
 def test_front_classifies_records_duplicates_and_malformed_payloads():
-    front = IngestFront("raw")
+    env = Environment()
+    front = IngestFront("raw", metrics=env.metrics)
     first = wrap_payload("c", 1, encode_payload(record(1)))
 
     key, records, translated = front.admit(first)
@@ -55,6 +56,8 @@ def test_front_classifies_records_duplicates_and_malformed_payloads():
     assert front.admit(b"not a payload") is None
     assert (front.ingested.count, front.duplicates.count,
             front.malformed.count, front.failures.count) == (1, 2, 2, 0)
+    # the front counts into its owner's registry
+    assert env.metrics.summed("front", "duplicates").count == 2
 
 
 def test_a_pool_batch_failing_midway_marks_its_delivered_prefix():
@@ -83,7 +86,7 @@ def test_a_pool_batch_failing_midway_marks_its_delivered_prefix():
     front = server.front
     assert (front.duplicates.count, front.failures.count) == (0, 1)
     assert front.ingested.count == 3
-    assert worker.crashes.count == 1 and worker.queued == 0
+    assert len(env.metrics.events("crash-worker")) == 1 and worker.queued == 0
 
 
 # -- a world with one device per run -------------------------------------------
@@ -180,7 +183,7 @@ def test_every_transport_stores_the_same_provenance(tmp_path):
     contents = {}
     for transport in TRANSPORTS:
         for durable in (False, True):
-            service = DfAnalyzerService()
+            service = DfAnalyzerService(metrics=Environment().metrics)
             run_dir = tmp_path / f"{transport}-{durable}"
             run_dir.mkdir()
             _, client, sink, done = run_workflow(transport, durable, run_dir,

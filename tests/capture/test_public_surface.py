@@ -112,8 +112,8 @@ EXPECTED_ALL = {
         "Initialize",
         "Interrupt",
         "Mailbox",
+        "Metrics",
         "Process",
-        "RateMeter",
         "Resource",
         "SimHazard",
         "SimHazardError",

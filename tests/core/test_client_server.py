@@ -113,7 +113,7 @@ def test_records_flow_end_to_end_through_sharded_broker_plane():
     types = [r["type"] for r in sink]
     assert types.count("dataflow") == 6
     assert types.count("task") == 18
-    assert server.broker.delivery_failures.count == 0
+    assert server.env.metrics.summed("broker", "delivery_failures").count == 0
     assert len(server.broker.shards) == 4
 
 

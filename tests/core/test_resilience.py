@@ -84,7 +84,6 @@ def test_breaker_closed_to_open_to_half_open_to_closed():
     assert breaker.state == CircuitBreaker.CLOSED  # below threshold
     breaker.record_failure()
     assert breaker.state == CircuitBreaker.OPEN
-    assert breaker.opens.count == 1
     assert not breaker.allow()
 
     env.run(until=1.0)  # advance the clock past reset_timeout_s
@@ -93,6 +92,9 @@ def test_breaker_closed_to_open_to_half_open_to_closed():
     assert not breaker.allow()   # concurrent callers stay rejected
     breaker.record_success()
     assert breaker.state == CircuitBreaker.CLOSED
+    # one event per state change, stamped when it happened
+    assert [(e["t"], e["state"]) for e in env.metrics.events("breaker")] == [
+        (0.0, "open"), (1.0, "half-open"), (1.0, "closed")]
 
 
 def test_breaker_half_open_failure_reopens():
@@ -103,7 +105,8 @@ def test_breaker_half_open_failure_reopens():
     assert breaker.allow()
     breaker.record_failure()  # the probe failed
     assert breaker.state == CircuitBreaker.OPEN
-    assert breaker.opens.count == 2
+    assert [e["state"] for e in env.metrics.events("breaker")] == [
+        "open", "half-open", "open"]
     assert breaker.time_until_probe() == pytest.approx(0.5)
 
 
@@ -114,6 +117,7 @@ def test_breaker_success_resets_failure_streak():
     breaker.record_success()
     breaker.record_failure()
     assert breaker.state == CircuitBreaker.CLOSED
+    assert env.metrics.events() == []  # it never left the closed state
 
 
 # ------------------------------------------------------- retries and spill
@@ -335,10 +339,8 @@ def test_crashed_worker_restarts_and_requeues():
     env.process(chaos(env))
     env.run(until=60)
     worker = worker_holder["w"]
-    assert worker.crashes.count == 1
-    assert worker.restarts.count == 1
-    assert server.pool.crashes == 1
-    assert server.pool.restarts == 1
+    assert [(e["kind"], e["worker"]) for e in env.metrics.events()] == [
+        ("crash-worker", worker.index), ("restart-worker", worker.index)]
     # nothing lost: 2 workflow events + 3 x (begin + end), exactly once
     assert server.front.ingested.total == 8
     assert worker.queued == 0
@@ -356,8 +358,8 @@ def test_repeated_crashes_escalate_then_reset_backoff():
 
     env.process(chaos(env))
     env.run(until=30)
-    assert worker.crashes.count == 3
+    assert len(env.metrics.events("crash-worker")) == 3
     # crashes landing during the restart backoff are absorbed: the
     # worker comes back once, not once per overlapping crash
-    assert worker.restarts.count == 1
+    assert len(env.metrics.events("restart-worker")) == 1
     assert worker.last_failure is not None

@@ -201,8 +201,9 @@ def test_grow_migrates_only_ring_remapped_topics():
         1 for t in topics
         if ConsistentHashRing(3, salt="worker").node_for(t) == 2
     )
-    assert server.pool.migrated_filters.count == moved
-    assert server.pool.grows.count == 1
+    assert len(env.metrics.events("migrate-filter")) == moved
+    assert all(e["new_worker"] == 3 for e in env.metrics.events("migrate-filter"))
+    assert [e["workers"] for e in env.metrics.events("grow-pool")] == [3]
 
 
 def test_pool_autoscales_up_under_load_and_back_to_min_when_idle():
@@ -259,11 +260,11 @@ def test_pool_autoscales_up_under_load_and_back_to_min_when_idle():
         env.process(workload(env, f"provlight/edge-{t}/data", 40))
     env.process(sampler(env))
     env.run()
-    assert server.pool.grows.count >= 1
-    assert server.pool.migrated_filters.count >= 1  # handover under load
+    assert len(env.metrics.events("grow-pool")) >= 1
+    assert len(env.metrics.events("migrate-filter")) >= 1  # handover under load
     assert max(sizes) > 1  # it actually ran wider than min
     assert len(server.pool) == 1  # ...and came back down when idle
-    assert server.pool.shrinks.count >= 1
+    assert env.metrics.events("shrink-pool")[-1]["workers"] == 1
     assert server.pool.queued == 0
     # exactly once: 3 x (2 workflow events + 40 x (begin + end))
     assert server.front.ingested.total == 246
@@ -297,11 +298,10 @@ def test_static_pool_never_starts_the_autoscale_monitor():
     env.process(scenario(env))
     env.run()
     assert server.pool._monitor is None
-    assert server.pool.grows.count == 0
-    assert server.pool.shrinks.count == 0
+    assert env.metrics.events() == []
 
 
-def test_pool_stats_snapshot():
+def test_an_idle_elastic_pool_keeps_its_size_and_records_no_event():
     env, net, server, devices, sink = make_world(
         workers=2, pool_min=1, pool_max=4
     )
@@ -311,14 +311,12 @@ def test_pool_stats_snapshot():
 
     env.process(scenario(env))
     env.run()
-    stats = server.pool.stats()
-    assert stats["size"] == 2
-    assert stats["min_workers"] == 1
-    assert stats["max_workers"] == 4
-    assert stats["queued"] == 0
-    assert stats["grows"] == 0
-    assert len(stats["workers"]) == 2
-    assert sum(w["filters"] for w in stats["workers"]) == 1
+    pool = server.pool
+    assert len(pool) == 2
+    assert (pool.min_workers, pool.max_workers) == (1, 4)
+    assert pool.queued == 0
+    assert sum(len(w.topic_filters) for w in pool.workers) == 1
+    assert env.metrics.events() == []
 
 
 def test_callable_backend_uniform_generator_protocol():
@@ -328,4 +326,3 @@ def test_callable_backend_uniform_generator_protocol():
     # synchronous backend: delivery happens inline, no events to wait on
     assert delivered == [{"r": 1}]
     assert list(events) == []
-    assert backend.delivered.count == 1

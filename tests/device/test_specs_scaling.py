@@ -3,6 +3,7 @@
 import pytest
 
 from repro.device import A8M3, XEON_GOLD_5220, Device, DeviceSpec
+from repro.metrics import snapshot_device
 from repro.simkernel import Environment
 
 
@@ -49,10 +50,11 @@ def test_radio_rates_and_reset():
     env.process(proc(env))
     env.run()
     assert dev.radio.total_bytes == 1500
-    assert dev.radio.tx_rate.rate() == pytest.approx(500.0)  # 1000B over 2s
+    # 1500 B both ways over 2 s
+    assert snapshot_device(dev, env.now).network_rate_bps == pytest.approx(6000.0)
     dev.radio.reset()
     assert dev.radio.total_bytes == 0
-    assert dev.radio.tx_rate.rate() == 0.0
+    assert snapshot_device(dev, env.now).network_rate_bps == 0.0
 
 
 def test_custom_spec_device():

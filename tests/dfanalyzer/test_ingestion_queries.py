@@ -12,6 +12,7 @@ from repro.dfanalyzer import (
     task_durations,
     top_k_by_metric,
 )
+from repro.simkernel import Environment
 
 
 def provlight_records(wf=1, n_tasks=3):
@@ -40,7 +41,7 @@ def provlight_records(wf=1, n_tasks=3):
 
 
 def seeded_service(n_tasks=3):
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     service.ingest(to_dfanalyzer(provlight_records(n_tasks=n_tasks)))
     return service
 
@@ -61,7 +62,7 @@ def test_task_upsert_running_to_finished():
 
 
 def test_end_before_begin_still_recorded():
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     records = provlight_records(n_tasks=1)
     end_first = [records[2], records[1]]  # swap begin/end order
     service.ingest(to_dfanalyzer(end_first))
@@ -79,7 +80,7 @@ def test_dataset_attributes_become_columns():
 
 
 def test_ingest_capture_library_format():
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     message = {
         "dfa_version": "1.0.4",
         "messages": [
@@ -100,7 +101,7 @@ def test_ingest_capture_library_format():
 
 
 def test_ingest_provlake_format():
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     body = {
         "@context": {"prov": "http://www.w3.org/ns/prov#"},
         "messages": [
@@ -141,7 +142,7 @@ def test_ingest_provlake_format():
 
 
 def test_ingest_rejects_garbage():
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     with pytest.raises(IngestError):
         service.ingest("not a record")
     with pytest.raises(IngestError):
@@ -161,7 +162,7 @@ def test_spec_validation_warnings():
     spec = DataflowSpec("1")
     spec.add_dataset("out0", [("epoch", "numeric"), ("lr", "numeric"),
                               ("loss", "numeric"), ("accuracy", "numeric")])
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     service.register_dataflow(spec)
     service.ingest(to_dfanalyzer(provlight_records(n_tasks=1)))
     # out0 has an undeclared column: elapsed_time

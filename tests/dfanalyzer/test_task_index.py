@@ -71,7 +71,7 @@ def test_index_upsert_matches_the_full_scan(draws):
          "time": float(i), "datasets": []}
         for i, (df, task_id, status, device) in enumerate(draws)
     ]
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     for record in records:
         service.ingest(record)
     tasks = service.store.table("tasks")
@@ -92,7 +92,7 @@ def test_ingest_visits_no_rows(monkeypatch, n_tasks):
         return row(self, index)
 
     monkeypatch.setattr(Table, "row", counting_row)
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     for _device in range(3):  # every device shares workflow 1's task keys
         service.ingest(to_dfanalyzer(provlight_records(n_tasks=n_tasks)))
     assert visited == []
@@ -105,7 +105,7 @@ def test_ingest_visits_no_rows(monkeypatch, n_tasks):
 
 @pytest.mark.parametrize("status", ["RUNNING", "FINISHED"])
 def test_unhashable_task_id_is_an_ingest_error(status):
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=Environment().metrics)
     with pytest.raises(IngestError, match="not hashable"):
         service.ingest({"type": "task", "dataflow_tag": "1", "task_id": [1],
                         "status": status})
@@ -118,7 +118,7 @@ def test_http_service_answers_unhashable_task_id_with_400():
     net.add_host("client")
     net.add_host("server")
     net.connect("client", "server", bandwidth_bps=1e9, latency_s=0.001)
-    http = DfAnalyzerHttpService(net.hosts["server"], 80, DfAnalyzerService())
+    http = DfAnalyzerHttpService(net.hosts["server"], 80, DfAnalyzerService(metrics=env.metrics))
     session = HttpSession(net.hosts["client"])
     statuses = []
 

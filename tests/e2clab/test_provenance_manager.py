@@ -172,7 +172,7 @@ def test_manager_with_sharded_broker_plane():
     env.run()
     # 2 devices x (wf begin/end + task begin/end) = 8 records
     assert manager.records_ingested == 8
-    assert manager.server.broker.delivery_failures.count == 0
+    assert manager.server.env.metrics.summed("broker", "delivery_failures").count == 0
 
 
 def test_deploy_client_with_coap_transport():

@@ -158,9 +158,13 @@ def test_pool_bounds_clamp_the_static_worker_default(monkeypatch):
     ({"transport": "pigeon"}, ["transport", "'pigeon'"]),
     ({"system": "zsystem"}, ["system", "'zsystem'"]),
     ({"n_devices": 0}, ["n_devices"]),
+    ({"bandwidth": "0bit"}, ["bandwidth", "'0bit'"]),
+    ({"n_devices": 2.5}, ["n_devices", "2.5"]),
+    ({"n_devices": True}, ["n_devices", "True"]),
 ], ids=["pool-bounds", "shards-and-placement", "placement", "pool-min",
         "workers", "chaos", "topology", "bandwidth", "delay", "transport",
-        "system", "n-devices"])
+        "system", "n-devices", "zero-bandwidth", "fractional-n-devices",
+        "bool-n-devices"])
 def test_every_knob_is_validated_at_construction(kwargs, named):
     with pytest.raises(ValueError) as excinfo:
         ExperimentSetup(**kwargs)

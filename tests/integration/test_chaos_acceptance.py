@@ -99,13 +99,12 @@ def test_shard_kill_mid_fanin_loses_zero_records_exactly_once(tmp_path):
     env.run(until=600)
 
     assert len(done) == N_DEVICES, "some client never finished its drain"
-    assert cluster.failovers.count == 1
+    [failover] = env.metrics.events("failover")
     assert victim not in cluster._ring.live_nodes()
     # the victim-homed publishers were dropped and reconnected; their
     # replays are why the totals below still balance
-    assert cluster.sessions_dropped.count >= 1
-    reconnected = [c for c in clients if c.reconnects.count > 0]
-    assert reconnected, "no client exercised the reconnect path"
+    assert failover["dropped"] >= 1
+    assert env.metrics.events("reconnect"), "no client exercised the reconnect path"
 
     expected = N_DEVICES * RECORDS_PER_DEVICE
     captured = sum(c.records_captured.count for c in clients)
@@ -170,7 +169,7 @@ def test_shard_kill_with_p2c_and_elastic_pool_is_still_exactly_once(tmp_path):
     env.run(until=600)
 
     assert len(done) == N_DEVICES, "some client never finished its drain"
-    assert cluster.failovers.count == 1
+    assert len(env.metrics.events("failover")) == 1
     assert cluster.p2c_placements.count >= N_DEVICES
     expected = N_DEVICES * RECORDS_PER_DEVICE
     captured = sum(c.records_captured.count for c in clients)
@@ -218,5 +217,5 @@ def test_degraded_cluster_keeps_ingesting_after_failover(tmp_path):
         env.process(wave(env))
     env.run(until=1200)
     assert len(done2) == N_DEVICES
-    assert cluster.failovers.count == 1  # no new failovers
+    assert len(env.metrics.events("failover")) == 1  # no new failovers
     assert server.front.ingested.total == first_total + N_DEVICES * 10

@@ -93,7 +93,9 @@ def test_cluster_of_one_is_the_standalone_broker():
     assert cluster.sessions is shard.sessions
     assert cluster.subscriptions is shard.subscriptions
     assert cluster.topics is shard.topics
-    assert cluster.delivery_failures is shard.delivery_failures
+    # the one shard's counters are the run's broker counters
+    shard.delivery_failures.record()
+    assert cluster.env.metrics.summed("broker", "delivery_failures", shard=0).count == 1
 
 
 def test_cluster_of_one_full_qos2_roundtrip():
@@ -114,7 +116,7 @@ def test_cluster_of_one_full_qos2_roundtrip():
     env.process(publisher(env))
     env.run()
     assert got == [b"x"]
-    assert cluster.delivery_failures.count == 0
+    assert cluster.env.metrics.summed("broker", "delivery_failures").count == 0
 
 
 def test_retry_knob_setter_reaches_every_shard():
@@ -194,7 +196,7 @@ def test_cross_shard_qos1_publish_reaches_exact_subscriber():
     env.run()
     assert got == [("prov/dev/1", b"cross")]
     assert cluster.relayed.count == 1
-    assert cluster.delivery_failures.count == 0
+    assert cluster.env.metrics.summed("broker", "delivery_failures").count == 0
     assert all(not s._outbound for s in cluster.shards)
     # the delivery was made by the subscriber's home shard, not the origin
     sub_home = cluster.shards[cluster.shard_of(sub_id)]
@@ -229,7 +231,7 @@ def test_cross_shard_wildcard_subscriber_receives_qos2():
     # topic resolution crossed shards: the subscriber's home shard had
     # never seen the topic and must broker-REGISTER it before delivering
     assert got == [("prov/dev/fresh", b"w")]
-    assert cluster.delivery_failures.count == 0
+    assert cluster.env.metrics.summed("broker", "delivery_failures").count == 0
     assert all(not s._outbound for s in cluster.shards)
 
 
@@ -423,7 +425,7 @@ def test_repin_purges_in_flight_qos_state_on_the_old_shard():
     env.process(scenario(env))
     env.run()
     assert got == [b"inflight"]  # the delivery itself went out
-    assert cluster.delivery_failures.count == 0  # no spurious give-up
+    assert cluster.env.metrics.summed("broker", "delivery_failures").count == 0  # no spurious give-up
     assert all(not shard._outbound for shard in cluster.shards)
 
 
@@ -464,7 +466,7 @@ def test_relayed_delivery_survives_session_replacement_in_flight():
     env.process(scenario(env))
     env.run()
     assert got == [b"kept"]  # delivered with the session live at match time
-    assert cluster.delivery_failures.count == 0
+    assert cluster.env.metrics.summed("broker", "delivery_failures").count == 0
 
 
 # ------------------------------------------------- p2c session placement
@@ -503,10 +505,9 @@ def test_p2c_balances_a_hash_clumped_connect_burst():
     env.run()
     assert len(cluster.sessions) == 16
     assert cluster.p2c_placements.count == 16
-    stats = cluster.stats()
-    assert stats["placement"] == "p2c"
-    assert stats["max_mean_session_ratio"] <= 1.75
-    occupied = [s for s in stats["shards"] if s["sessions"]]
+    assert cluster.placement == "p2c"
+    assert cluster.max_mean_session_ratio() <= 1.75
+    occupied = [s for s in cluster.shards if s.sessions]
     assert len(occupied) >= 3  # hash placement would use exactly one
 
 
@@ -583,7 +584,7 @@ def test_p2c_never_places_on_a_dead_shard_and_failover_unsticks():
 # --------------------------------------------- control-plane observability
 
 
-def test_cluster_stats_snapshot():
+def test_a_quiet_cluster_is_balanced_and_records_no_event():
     env, net, cluster, (a, b) = make_cluster_world(
         shards=4, client_ids=["statA", "statB"],
     )
@@ -595,17 +596,15 @@ def test_cluster_stats_snapshot():
 
     env.process(scenario(env))
     env.run()
-    stats = cluster.stats()
-    assert stats["placement"] == "hash"
-    assert stats["sessions"] == 2
-    assert len(stats["shards"]) == 4
-    assert sum(s["sessions"] for s in stats["shards"]) == 2
-    for shard_stats in stats["shards"]:
-        assert shard_stats["alive"]
-        assert shard_stats["inbox_depth"] == 0
-    assert stats["max_mean_session_ratio"] >= 1.0
-    assert stats["failovers"] == 0
-    assert stats["rehomed"] == 0
+    assert cluster.placement == "hash"
+    assert len(cluster.sessions) == 2
+    assert len(cluster.shards) == 4
+    assert sum(len(s.sessions) for s in cluster.shards) == 2
+    for shard in cluster.shards:
+        assert shard.alive
+        assert shard.sock.pending == 0
+    assert cluster.max_mean_session_ratio() >= 1.0
+    assert env.metrics.events() == []
 
 
 # ------------------------------------------- subscription handover (move)
@@ -641,7 +640,7 @@ def test_move_subscription_flips_routing_in_one_instant():
     env.run()
     assert got_old == [b"before"]
     assert got_new == [b"after"]
-    assert cluster.delivery_failures.count == 0
+    assert cluster.env.metrics.summed("broker", "delivery_failures").count == 0
 
 
 def test_move_subscription_requires_the_old_holder():
@@ -691,12 +690,13 @@ def test_sustained_cross_shard_traffic_rehomes_the_subscriber():
         for i in range(32):
             yield from pub.publish(tid, b"m%d" % i, qos=1)
             yield env.timeout(0.02)
-            if cluster.rehomed.count and "relayed" not in relayed_at_rehome:
+            if env.metrics.events("rehome") and "relayed" not in relayed_at_rehome:
                 relayed_at_rehome["relayed"] = cluster.relayed.count
 
     env.process(scenario(env))
     env.run()
-    assert cluster.rehomed.count == 1
+    [rehome] = env.metrics.events("rehome")
+    assert rehome["new_shard"] == cluster.shard_of(pub_id)
     assert len(got) == 32  # zero loss, zero duplication across the move
     sub_endpoint = (sub.host.name, sub.sock.port)
     pub_home = cluster.shard_of(pub_id)
@@ -704,7 +704,7 @@ def test_sustained_cross_shard_traffic_rehomes_the_subscriber():
     assert cluster.dispatcher.pins[sub_endpoint] == pub_home
     # deliveries after the move are local: the relay counter stopped
     assert cluster.relayed.count == relayed_at_rehome["relayed"]
-    assert cluster.delivery_failures.count == 0
+    assert cluster.env.metrics.summed("broker", "delivery_failures").count == 0
 
 
 def test_rehome_subscriber_direct_call_and_edge_cases():
@@ -767,5 +767,5 @@ def test_unknown_peer_traffic_is_dropped_with_accounting():
 
     env.process(scenario(env))
     env.run()
-    assert cluster.dropped_no_session.count == 1
+    assert cluster.env.metrics.summed("broker", "dropped_no_session").count == 1
     assert cluster.dispatcher.dispatched.count == 1

@@ -31,7 +31,7 @@ def test_kill_shard_removes_it_from_ring_and_pins():
     cluster.kill_shard(victim)
     assert not cluster.shards[victim].alive
     env.run(until=1.0)
-    assert cluster.failovers.count == 1
+    assert len(env.metrics.events("failover")) == 1
     assert victim not in cluster._ring.live_nodes()
     assert cluster.alive_shards == [0, 1, 3]
     # the dead shard keeps its slot: indices of survivors never shift
@@ -57,7 +57,7 @@ def test_check_shards_detects_an_externally_crashed_shard():
     cluster.shards[1].crash()
     assert cluster.check_shards() == [1]
     env.run(until=1.0)
-    assert cluster.failovers.count == 1
+    assert len(env.metrics.events("failover")) == 1
     assert 1 not in cluster._ring.live_nodes()
     # idempotent: the handled shard is not reported again
     assert cluster.check_shards() == []
@@ -69,7 +69,7 @@ def test_watchdog_terminates_after_failover():
     env, net, cluster, _ = make_cluster_world(n_clients=0, shards=2)
     cluster.kill_shard(0)
     env.run()  # would hang (or spin to the horizon) with a pinned probe
-    assert cluster.failovers.count == 1
+    assert len(env.metrics.events("failover")) == 1
 
 
 def test_last_shard_death_drops_all_sessions_and_terminates():
@@ -85,12 +85,13 @@ def test_last_shard_death_drops_all_sessions_and_terminates():
 
     env.process(scenario(env))
     env.run(until=30)
-    assert cluster.failovers.count == 2
+    assert len(env.metrics.events("failover")) == 2
     assert cluster.alive_shards == []
     assert all(not shard.sessions for shard in cluster.shards)
     # nothing survived to migrate onto
-    assert cluster.sessions_migrated.count == 0
-    assert cluster.sessions_dropped.count == 2
+    failovers = env.metrics.events("failover")
+    assert sum(e["migrated"] for e in failovers) == 0
+    assert sum(e["dropped"] for e in failovers) == 2
 
 
 # --------------------------------------------------- session re-homing
@@ -128,7 +129,8 @@ def test_subscriber_session_migrates_and_keeps_receiving():
 
     env.process(scenario(env))
     env.run(until=30)
-    assert cluster.sessions_migrated.count == 1
+    [failover] = env.metrics.events("failover")
+    assert (failover["shard"], failover["migrated"]) == (victim, 1)
     new_home = cluster.shard_of(sub_id)
     assert new_home != victim
     assert [p for _, p in got] == [b"before", b"after"]
@@ -158,7 +160,8 @@ def test_publisher_session_drops_and_reconnect_lands_on_survivor():
 
     env.process(scenario(env))
     env.run(until=30)
-    assert cluster.sessions_dropped.count == 1
+    [failover] = env.metrics.events("failover")
+    assert (failover["shard"], failover["dropped"]) == (victim, 1)
     new_home = cluster.shard_of(pub_id)
     assert new_home != victim
     assert cluster.shards[new_home].sessions, "reconnect created no session"

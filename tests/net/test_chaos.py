@@ -30,9 +30,9 @@ def test_kill_shard_defaults_to_busiest_and_logs():
     killed = inj.kill_shard()
     assert killed in range(4)
     assert not server.broker.shards[killed].alive
-    assert inj.events == [(0.0, f"kill-shard:{killed}")]
+    assert env.metrics.events() == [{"t": 0.0, "kind": "kill-shard", "shard": killed}]
     env.run()
-    assert server.broker.failovers.count == 1
+    assert len(env.metrics.events("failover")) == 1
 
 
 def test_kill_shard_at_fires_on_the_sim_clock():
@@ -43,7 +43,8 @@ def test_kill_shard_at_fires_on_the_sim_clock():
     assert server.broker.shards[2].alive
     env.run(until=5.0)
     assert not server.broker.shards[2].alive
-    assert inj.events[0][0] == pytest.approx(1.5)
+    assert env.metrics.events("kill-shard") == [
+        {"t": pytest.approx(1.5), "kind": "kill-shard", "shard": 2}]
     with pytest.raises(ValueError):
         inj.kill_shard_at(-1.0)
 
@@ -54,8 +55,8 @@ def test_crash_worker_targets_deepest_inbox():
     inj = ServerFaultInjector(server)
     assert inj.crash_worker() == 2
     env.run(until=5.0)
-    assert server.pool.workers[2].crashes.count == 1
-    assert server.pool.workers[2].restarts.count == 1
+    assert [(e["kind"], e["worker"]) for e in env.metrics.events()] == [
+        ("crash-worker", 3), ("restart-worker", 3)]  # worker index 3 at position 2
 
 
 def test_backend_faults_require_network_wiring():
@@ -63,7 +64,8 @@ def test_backend_faults_require_network_wiring():
     inj = ServerFaultInjector(server)  # no backend link configured
     with pytest.raises(ValueError):
         inj.backend_outage(0.5, 1.0)
-    assert inj.backend_outages == []
+    env.run(until=2.0)
+    assert env.metrics.events() == []
 
 
 # -------------------------------------------------------------- the grammar
@@ -106,10 +108,13 @@ def test_profile_apply_schedules_events():
     procs = ChaosProfile.parse("kill-shard:3@0.5,crash-worker:0@0.25").apply(inj)
     assert len(procs) == 2
     env.run(until=5.0)
-    kinds = [what.split("@")[0] for _, what in inj.events]
-    assert sorted(kinds) == ["crash-worker:0", "kill-shard:3"]
+    faults = [(e["t"], e["kind"], e.get("shard", e.get("worker")))
+              for e in env.metrics.events() if e["kind"] != "restart-worker"]
+    # the worker at position 0 has index 1
+    assert faults == [(0.25, "crash-worker", 1), (0.5, "kill-shard", 3),
+                      (pytest.approx(0.5 + server.broker.FAILOVER_DETECT_S),
+                       "failover", 3)]
     assert not server.broker.shards[3].alive
-    assert server.pool.workers[0].crashes.count == 1
 
 
 # ----------------------------------------------------- harness/e2clab wiring
@@ -132,8 +137,7 @@ def test_provenance_manager_threads_chaos():
         net, server=ServerConfig(broker_shards=3), chaos="kill-shard@0.5"
     )
     env.run(until=5.0)
-    assert manager.server.broker.failovers.count == 1
-    assert len(manager.fault_injector.events) == 1
+    assert [e["kind"] for e in env.metrics.events()] == ["kill-shard", "failover"]
 
 
 def test_provenance_manager_rejects_impossible_chaos():
@@ -261,6 +265,16 @@ def test_parse_client_plane_grammar():
     "degrade-tier:edge-fog@1:2:1.0",   # LOSS must be in (0, 1)
     "churn:3@5:0.2:2",                 # churn takes no selector
     "kill-shard:-1@1",                 # negative index
+    "kill-shard@inf",                  # AFTER must be finite
+    "crash-worker@nan",                # AFTER must be finite
+    "backend-outage@1:inf",            # DUR must be finite
+    "flap-backend@inf:0.5:3",          # PERIOD must be finite
+    "flap-backend@1:0.5:inf",          # N must be finite
+    "churn@inf:0.2:1",                 # AFTER must be finite
+    "churn@5:0.2:inf",                 # DOWN must be finite
+    "crash-device@1:inf",              # DOWN must be finite
+    "partition-tier:edge-fog@inf:3",   # AFTER must be finite
+    "degrade-tier:edge-fog@1:inf:0.2", # DUR must be finite
 ])
 def test_parse_rejects_malformed_client_plane_specs(bad):
     with pytest.raises(ValueError):
@@ -299,5 +313,5 @@ def test_apply_schedules_tier_events_on_the_topology():
     assert topo.tier_partitioned("edge", "fog")
     env.run(until=5.0)
     assert not topo.tier_partitioned("edge", "fog")
-    assert len(topo.tier_outages) == 1
-    assert len(topo.degradations) == 1
+    assert sorted(e["kind"] for e in env.metrics.events()) == [
+        "degrade-tier", "heal-tier", "partition-tier", "restore-tier"]

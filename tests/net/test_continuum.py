@@ -143,15 +143,16 @@ def test_partition_and_heal_tiers_cuts_and_restores_routing():
     assert not topo.tier_partitioned("edge", "fog")
     topo.partition_tiers("edge", "fog")
     assert topo.tier_partitioned("fog", "edge")  # order-insensitive
-    for injector in topo.injectors("edge", "fog"):
-        assert not injector._links[0].up
+    assert not any(link.up for link in topo.links("edge", "fog"))
     topo.partition_tiers("edge", "fog")  # idempotent
     env.run(until=2.0)
     topo.heal_tiers("edge", "fog")
     assert not topo.tier_partitioned("edge", "fog")
-    for injector in topo.injectors("edge", "fog"):
-        assert injector._links[0].up
-    assert topo.tier_outages == [("edge", "fog", 0.0, pytest.approx(2.0))]
+    assert all(link.up for link in topo.links("edge", "fog"))
+    assert env.metrics.events() == [
+        {"t": 0.0, "kind": "partition-tier", "pair": "edge-fog"},
+        {"t": pytest.approx(2.0), "kind": "heal-tier", "pair": "edge-fog"},
+    ]
 
 
 def test_partition_rejects_non_adjacent_tiers():
@@ -169,7 +170,7 @@ def test_partition_tiers_at_runs_on_the_sim_clock():
     assert topo.tier_partitioned("edge", "fog")
     env.run(until=2.0)
     assert not topo.tier_partitioned("edge", "fog")
-    assert len(topo.tier_outages) == 1
+    assert len(env.metrics.events("heal-tier")) == 1
     with pytest.raises(ValueError):
         topo.partition_tiers_at("edge", "fog", after_s=-1.0, duration_s=0.5)
     with pytest.raises(ValueError):
@@ -186,7 +187,10 @@ def test_degrade_and_clear_restores_the_original_loss():
     topo.clear_degradation("edge", "cloud")
     assert net.link("edge-0", "cloud-0").loss == pytest.approx(original)
     topo.clear_degradation("edge", "cloud")  # idempotent
-    assert topo.degradations == [("edge", "cloud", 0.0, pytest.approx(1.0))]
+    assert [(e["kind"], e["t"], e.get("loss")) for e in env.metrics.events()] == [
+        ("degrade-tier", 0.0, 0.5), ("degrade-tier", 0.0, 0.7),
+        ("restore-tier", pytest.approx(1.0), None),
+    ]
     with pytest.raises(ValueError):
         topo.degrade_tiers("edge", "cloud", loss=0.0)
     with pytest.raises(ValueError):
@@ -209,13 +213,14 @@ def test_packets_stop_during_partition_and_flow_after_heal():
 
 # ---------------------------------------------------------- observability
 
-def test_stats_snapshot():
+def test_a_tier_fault_is_one_event_not_one_per_uplink():
     env, net, topo = make_topology()
+    assert topo.spec.describe() == "edge:6:constrained-edge,fog:2,cloud:1"
     topo.partition_tiers("fog", "cloud")
-    stats = topo.stats()
-    assert stats["spec"] == "edge:6:constrained-edge,fog:2,cloud:1"
-    assert stats["tiers"] == {"edge": 6, "fog": 2, "cloud": 1}
-    assert stats["hosts"] == 9
-    assert stats["partitioned_pairs"] == ["fog-cloud"]
-    assert stats["tier_outages"] == 0
-    assert stats["degradations"] == 0
+    topo.partition_tiers("fog", "cloud")  # idempotent: no second event
+    topo.degrade_tiers("edge", "fog", loss=0.3)
+    assert topo.tier_partitioned("cloud", "fog")
+    assert env.metrics.events() == [
+        {"t": 0.0, "kind": "partition-tier", "pair": "fog-cloud"},
+        {"t": 0.0, "kind": "degrade-tier", "pair": "edge-fog", "loss": 0.3},
+    ]

@@ -96,7 +96,10 @@ def test_partition_drops_everything_until_heal():
     # 3s of traffic, 1s outage: roughly a third of the stream is gone
     assert 150 < len(got) < 250
     assert net.link("a", "b").dropped.count > 50
-    assert faults.outages == [(0.5, 1.5)]
+    assert env.metrics.events() == [
+        {"t": 0.5, "kind": "partition-link", "a": "a", "b": "b"},
+        {"t": 1.5, "kind": "heal-link", "a": "a", "b": "b"},
+    ]
     assert not faults.partitioned
 
 
@@ -112,7 +115,7 @@ def test_partition_now_and_heal_now():
     faults.heal_now()
     assert not faults.partitioned
     assert net.link("a", "b").up
-    assert len(faults.outages) == 1
+    assert [e["kind"] for e in env.metrics.events()] == ["partition-link", "heal-link"]
 
 
 def test_flap_schedules_repeated_outages():
@@ -120,9 +123,11 @@ def test_flap_schedules_repeated_outages():
     faults = LinkFaultInjector(net, "a", "b")
     faults.flap(period_s=1.0, down_s=0.25, cycles=4)
     env.run(until=10)
-    assert len(faults.outages) == 4
-    for start, end in faults.outages:
-        assert end - start == pytest.approx(0.25)
+    downs = env.metrics.events("partition-link")
+    ups = env.metrics.events("heal-link")
+    assert len(downs) == len(ups) == 4
+    for down, up in zip(downs, ups):
+        assert up["t"] - down["t"] == pytest.approx(0.25)
     assert not faults.partitioned
 
 

@@ -6,6 +6,7 @@ from repro.capture import CaptureConfig, create_client
 from repro.core import CallableBackend, ProvLightServer, ServerConfig
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.net import ContinuumTopology, FleetFaultInjector, Network
+from repro.net.fleet import recovery_times
 from repro.simkernel import Environment
 
 
@@ -28,7 +29,7 @@ def make_fleet(tmp_path, n=3, seed=5, topology=None):
     topo = None
     if topology:
         topo = ContinuumTopology(net, topology, root_host="cloud")
-    fleet = FleetFaultInjector(env, topology=topo, seed=seed)
+    fleet = FleetFaultInjector(env, seed=seed)
     for i in range(n):
         cid = f"edge-{i}"
         dev = Device(env, A8M3, name=cid)
@@ -89,7 +90,9 @@ def test_crash_closes_the_client_and_restart_recovers(tmp_path):
     assert victim == "edge-0"
     assert client.closed
     assert fleet.devices_down == ["edge-0"]
-    assert fleet.events[-1][1] == "crash-device:edge-0"
+    crashed_at = env.now
+    assert env.metrics.events()[-1] == {
+        "t": crashed_at, "kind": "crash-device", "device": "edge-0"}
     with pytest.raises(ValueError, match="already down"):
         fleet.crash_device("edge-0")
     with pytest.raises(ValueError, match="no device is up"):
@@ -100,9 +103,8 @@ def test_crash_closes_the_client_and_restart_recovers(tmp_path):
     assert fleet.devices_down == []
     assert fleet.client_of("edge-0") is not client
     assert not fleet.client_of("edge-0").closed
-    assert fleet.devices_restarted == 1
-    assert len(fleet.recoveries) == 1
-    assert fleet.recovery_times_s()[0] > 0
+    [up] = env.metrics.events("device-up")
+    assert up["device"] == "edge-0" and up["t"] > crashed_at
 
 
 def test_restart_requires_a_crash_first(tmp_path):
@@ -130,7 +132,7 @@ def test_restart_replays_the_journal_exactly_once(tmp_path):
 
     env.process(run(env))
     env.run(until=30.0)
-    assert fleet.journal_recoveries == 1
+    assert [e["journal_recovery"] for e in env.metrics.events("device-up")] == [True]
     assert fleet.client_of("edge-0").replayed.count == 1
 
 
@@ -154,7 +156,7 @@ def test_restart_under_partition_retries_until_heal(tmp_path):
     env.process(run(env))
     env.run(until=60.0)
     assert fleet.devices_down == []
-    assert fleet.devices_restarted == 1
+    assert len(env.metrics.events("device-up")) == 1
 
 
 # ------------------------------------------------------------- the proxy
@@ -180,7 +182,7 @@ def test_proxy_retries_a_capture_interrupted_by_crash(tmp_path):
     env.process(workload(env))
     env.process(chaos(env))
     env.run(until=120.0)
-    assert fleet.devices_restarted == 1
+    assert len(env.metrics.events("device-up")) == 1
     assert proxy.records_completed == 20
     # zero loss, exactly once: the ledger balances the backend
     assert len(received) == 20
@@ -274,28 +276,37 @@ def test_churn_crashes_a_deterministic_fraction(tmp_path):
     assert len(fleet.devices_down) == 2  # round(0.4 * 5)
     env.run(until=60.0)
     assert fleet.devices_down == []
-    assert fleet.devices_crashed == 2
-    assert fleet.devices_restarted == 2
-    assert len(fleet.recoveries) == 2
+    assert len(env.metrics.events("crash-device")) == 2
+    restarted = [e["device"] for e in env.metrics.events("device-up")]
+    assert len(restarted) == 2
 
     # same seed, same world -> same victims
     env2, _, server2, _, fleet2, _ = make_fleet(tmp_path / "replay", n=5)
     fleet2.churn_at(1.0, 0.4, 2.0)
     env2.run(until=1.5)
-    assert fleet2.devices_down == sorted(
-        name for name, _, _ in fleet.recoveries
-    )
+    assert fleet2.devices_down == sorted(restarted)
 
 
 # ---------------------------------------------------------- observability
 
-def test_stats_snapshot_merges_topology(tmp_path):
+def test_an_idle_fleet_records_no_event(tmp_path):
     env, net, server, _, fleet, topo = make_fleet(
         tmp_path, n=2, topology="edge:2,cloud:1",
     )
-    stats = fleet.stats()
-    assert stats["devices"] == 2
-    assert stats["devices_down"] == 0
-    assert stats["devices_crashed"] == 0
-    assert "max_recovery_s" not in stats
-    assert stats["topology"]["tiers"] == {"edge": 2, "cloud": 1}
+    env.run(until=1.0)
+    assert fleet.devices == ["edge-0", "edge-1"]
+    assert fleet.devices_down == []
+    assert env.metrics.events() == []
+
+
+def test_recovery_times_pair_each_crash_with_its_own_restart():
+    events = [
+        {"t": 1.0, "kind": "crash-device", "device": "edge-0"},
+        {"t": 1.5, "kind": "crash-device", "device": "edge-1"},
+        {"t": 3.0, "kind": "device-up", "device": "edge-0", "journal_recovery": True},
+        {"t": 4.0, "kind": "crash-device", "device": "edge-0"},
+        {"t": 4.5, "kind": "device-up", "device": "edge-0", "journal_recovery": False},
+    ]
+    # edge-0's second outage is measured from its second crash; edge-1
+    # is still down and has no entry
+    assert recovery_times(events) == [2.0, 0.5]

@@ -59,8 +59,7 @@ def test_healing_every_partition_restores_routability(counts, ops, probe_leaf):
     # every inter-tier link is administratively up again
     for a, b in pairs:
         assert not topo.tier_partitioned(a, b)
-        for injector in topo.injectors(a, b):
-            assert all(link.up for link in injector._links)
+        assert all(link.up for link in topo.links(a, b))
     # and packets actually flow end to end: leaf -> root probe
     leaf = topo.edge_hosts[probe_leaf % len(topo.edge_hosts)]
     rx = net.hosts[topo.root].udp_socket(port=7000)

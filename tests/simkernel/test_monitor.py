@@ -1,6 +1,8 @@
 """Tests for measurement helpers."""
 
-from repro.simkernel import Counter, Environment, RateMeter, TimeWeighted
+import json
+
+from repro.simkernel import Counter, Environment, TimeWeighted
 
 
 def test_time_weighted_mean_utilization():
@@ -67,39 +69,51 @@ def test_counter_records():
     assert c.count == 0 and c.total == 0
 
 
-def test_rate_meter_average_rate():
+def test_registry_counters_are_handles_summed_over_labels():
     env = Environment()
-    meter = RateMeter(env)
+    a = env.metrics.counter("link", "tx_bytes", src="a", dst="b")
+    b = env.metrics.counter("link", "tx_bytes", src="b", dst="a")
+    env.metrics.counter("link", "dropped", src="a", dst="b").record()
+    a.record(100)
+    a.record(50)
+    b.record(10)
+    assert (a.count, a.total) == (2, 150)
+    both = env.metrics.summed("link", "tx_bytes")
+    assert (both.count, both.total) == (3, 160)
+    assert env.metrics.summed("link", "tx_bytes", src="b").total == 10
+    assert env.metrics.summed("link", "nothing").count == 0
+
+
+def test_registry_events_are_stamped_with_sim_time():
+    env = Environment()
 
     def proc(env):
-        meter.start()
-        yield env.timeout(1)
-        meter.record(1000)
-        yield env.timeout(1)
-        meter.record(1000)
-        meter.stop()
+        env.metrics.event("kill-shard", shard=1)
+        yield env.timeout(2.5)
+        env.metrics.event("failover", shard=1, migrated=3, dropped=0)
 
     env.process(proc(env))
     env.run()
-    assert meter.total == 2000
-    assert meter.rate() == 1000.0
+    assert env.metrics.events("failover") == [
+        {"t": 2.5, "kind": "failover", "shard": 1, "migrated": 3, "dropped": 0}
+    ]
+    assert [e["kind"] for e in env.metrics.events()] == ["kill-shard", "failover"]
 
 
-def test_rate_meter_auto_start_on_record():
+def test_snapshot_is_plain_data_detached_from_the_run():
     env = Environment()
-    meter = RateMeter(env)
+    counter = env.metrics.counter("capture", "records_captured", client="c")
+    counter.record()
+    env.metrics.event("reconnect", client="c")
+    snapshot = env.metrics.snapshot()
+    assert json.loads(json.dumps(snapshot)) == snapshot
+    assert snapshot == {
+        "counters": [{"component": "capture", "name": "records_captured",
+                      "labels": {"client": "c"}, "count": 1, "total": 1.0}],
+        "events": [{"t": 0.0, "kind": "reconnect", "client": "c"}],
+    }
+    counter.record()
+    env.metrics.event("reconnect", client="c")
+    assert snapshot["counters"][0]["count"] == 1
+    assert len(snapshot["events"]) == 1
 
-    def proc(env):
-        yield env.timeout(5)
-        meter.record(10)
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    env.run()
-    assert meter.rate() == 10.0
-
-
-def test_rate_meter_zero_time():
-    env = Environment()
-    meter = RateMeter(env)
-    assert meter.rate() == 0.0

@@ -96,7 +96,7 @@ def test_federated_capture_answers_paper_queries():
     config = FederatedConfig(n_clients=2, rounds=2, local_epochs=3,
                              epoch_duration_s=0.02)
     env, net, server, captures, sink = fl_world(config)
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=env.metrics)
     server.backend = CallableBackend(service.ingest)
     history = {}
 
@@ -168,7 +168,7 @@ def test_sensor_lineage_chain_through_backend():
     net.add_host("edge", device=dev)
     net.add_host("cloud")
     net.connect("edge", "cloud", bandwidth_bps=1e9, latency_s=0.01)
-    service = DfAnalyzerService()
+    service = DfAnalyzerService(metrics=env.metrics)
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(service.ingest))
     client = create_client(dev, server.endpoint, "provlight/sensors")
 
