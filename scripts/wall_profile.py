@@ -62,9 +62,13 @@ def module_of(filename: str) -> Optional[str]:
     return module.removesuffix(".__init__")
 
 
-def sample_run(workload: Workload, seed: int) -> Tuple[int, Counter]:
+def sample_run(workload: Workload, seed: int, min_samples: int = 0) -> Tuple[int, Counter]:
     """Run ``workload`` on seeds ``seed..seed+k-1`` under the sampler;
-    returns the sample count and a ``Counter`` of ``(module, function)``."""
+    returns the sample count and a ``Counter`` of ``(module, function)``.
+
+    The seeds run again, whole, until at least ``min_samples`` samples
+    have landed, so a short run still gives a fixed floor of samples.
+    """
     samples: Counter = Counter()
     modules = {}  # code object -> module name or None, memoized
 
@@ -84,8 +88,11 @@ def sample_run(workload: Workload, seed: int) -> Tuple[int, Counter]:
     previous = signal.signal(signal.SIGPROF, on_sample)
     signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
     try:
-        for s in range(seed, seed + workload.seeds):
-            run_capture_experiment(setup, config, s)
+        while True:
+            for s in range(seed, seed + workload.seeds):
+                run_capture_experiment(setup, config, s)
+            if sum(samples.values()) >= min_samples:
+                break
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
         signal.signal(signal.SIGPROF, previous)

@@ -444,10 +444,15 @@ class CaptureClient:
                 # delivery contract exhausted its retries
                 delivered = False
             self._sender_item = None
-            if delivered or self.journal is None:
+            if delivered:
+                self._complete(wire, nbytes, seq)
+            elif self.journal is None:
                 # without a journal the record is lost, but capture must
-                # never crash the workflow
-                self._complete(wire, nbytes, seq, delivered=delivered)
+                # never crash the workflow; the session may be gone too
+                # (a failed-over broker shard drops it), so reconnect
+                # before the next send, with nothing to replay
+                self._complete(wire, nbytes, seq, delivered=False)
+                self._start_recovery()
             else:
                 self._mark_failed(wire, nbytes, seq)
 

@@ -154,13 +154,6 @@ class UdpShardDispatcher:
             return 0.0
         return self.dispatched.count / self.bundles.count
 
-    def pin_counts(self) -> Dict[int, int]:
-        """Pinned endpoints per shard index (observability snapshot)."""
-        counts: Dict[int, int] = {}
-        for pin in self.pins.values():
-            counts[pin] = counts.get(pin, 0) + 1
-        return counts
-
     def unpin(self, source: Endpoint) -> None:
         """Forget the sticky routing decision for ``source``."""
         self.pins.pop(source, None)

@@ -91,9 +91,6 @@ class Host:
     def _register_tcp(self, conn: TcpConnection) -> None:
         self._tcp_conns[(conn.local_port, conn.remote)] = conn
 
-    def _drop_tcp(self, conn: TcpConnection) -> None:
-        self._tcp_conns.pop((conn.local_port, conn.remote), None)
-
     # -- delivery (called by the network) ---------------------------------------
     def deliver(self, packet: Packet) -> None:
         """Dispatch an arriving packet to the right socket.
@@ -102,8 +99,9 @@ class Host:
         timer, so a UDP socket may run its consumer in place
         (:meth:`~repro.simkernel.Environment.zero_delay_is_next`).
         """
-        if self.device is not None:
-            self.device.radio.on_receive(packet.size)
+        device = self.device
+        if device is not None:
+            device.radio.on_receive(packet.size)
         if packet.protocol == "udp":
             sock = self._udp_ports.get(packet.dst[1])
             if sock is not None:
@@ -134,11 +132,6 @@ class Host:
                 )
             return
         raise ValueError(f"unknown protocol {packet.protocol!r}")
-
-    def notify_transmit(self, packet: Packet) -> None:
-        """Radio/energy accounting for an outgoing packet."""
-        if self.device is not None:
-            self.device.radio.on_transmit(packet.size)
 
     def __repr__(self) -> str:
         return f"<Host {self.name}>"

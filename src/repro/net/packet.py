@@ -9,8 +9,7 @@ not estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["Endpoint", "Packet", "UDP_HEADER_BYTES", "TCP_HEADER_BYTES"]
 
@@ -23,25 +22,35 @@ TCP_HEADER_BYTES = 40
 Endpoint = Tuple[str, int]
 
 
-@dataclass
 class Packet:
-    """One network-layer datagram/segment."""
+    """One network-layer datagram/segment.
 
-    src: Endpoint
-    dst: Endpoint
-    protocol: str  # "udp" | "tcp"
-    payload: bytes = b""
-    header_bytes: int = UDP_HEADER_BYTES
-    #: transport metadata (TCP flags/seq/ack, etc.)
-    meta: Dict[str, Any] = field(default_factory=dict)
+    ``size`` (total on-wire bytes) is fixed when the packet is built, so
+    ``payload`` and ``header_bytes`` must not change afterwards.
+    """
 
-    @property
-    def size(self) -> int:
-        """Total on-wire size in bytes."""
-        return self.header_bytes + len(self.payload)
+    __slots__ = ("src", "dst", "protocol", "payload", "header_bytes", "meta", "size")
+
+    def __init__(
+        self,
+        src: Endpoint,
+        dst: Endpoint,
+        protocol: str,  # "udp" | "tcp"
+        payload: bytes = b"",
+        header_bytes: int = UDP_HEADER_BYTES,
+        meta: Optional[Dict[str, Any]] = None,
+    ):
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.payload = payload
+        self.header_bytes = header_bytes
+        #: transport metadata (TCP flags/seq/ack); None on a UDP datagram
+        self.meta = meta
+        self.size = header_bytes + len(payload)
 
     def __repr__(self) -> str:
-        flags = self.meta.get("flags", "")
+        flags = self.meta.get("flags", "") if self.meta else ""
         return (
             f"<Packet {self.protocol}{('[' + flags + ']') if flags else ''} "
             f"{self.src[0]}:{self.src[1]}->{self.dst[0]}:{self.dst[1]} {self.size}B>"

@@ -17,6 +17,22 @@ Routing follows two rules:
   link's timing and the weight later routes see, but not a route that
   is already cached.
 
+Each source host has one Dijkstra search, paused once it has settled the
+host asked for and resumed by the next route from that source to a host
+it has not settled.  Its heap entries are ``(latency, hops, path)``, so
+each route is the path a search for that pair alone returns, and each
+host is settled at most once per source.  ``connect`` and ``add_host``
+drop every search; so does ``configure_link(latency_s=...)``, so a
+route first asked for after it sees the new weight.
+
+:meth:`Network.send` forwards along one entry per host pair: the source
+host, the first link and a chain of :class:`_Hop` that ends at the
+destination host, built from the route on the pair's first packet and
+dropped with the routes by ``connect`` and ``add_host``.  The entry holds
+hosts, not bound methods: ``deliver`` is looked up when the packet goes
+onto each link, and :meth:`Host.deliver` looks up the socket per packet,
+so a wrapper set on a host's or a socket's instance sees every packet.
+
 Every topology the experiments build (the star and
 :class:`~repro.net.continuum.ContinuumTopology`) is a tree, so each route
 is the unique path between its hosts.
@@ -29,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 # numpy loads numpy.random on first use; importing it here keeps that
 # load out of the first run that builds a Network
@@ -49,6 +65,35 @@ class UnroutableError(RuntimeError):
     """No path exists between two hosts."""
 
 
+class _Search:
+    """One source's Dijkstra, paused between route queries."""
+
+    __slots__ = ("heap", "settled", "last")
+
+    def __init__(self, src: str):
+        self.heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, (src,))]
+        #: settled host -> its path from the source
+        self.settled: Dict[str, Tuple[str, ...]] = {}
+        #: the last settled heap entry, whose neighbours are not pushed yet
+        self.last: Optional[Tuple[float, int, Tuple[str, ...]]] = None
+
+
+class _Hop:
+    """A packet's step through an intermediate host: it goes on ``link``
+    towards ``next`` (the following hop, or the destination host)."""
+
+    __slots__ = ("link", "next")
+
+    def __init__(self, link: Link, next):
+        self.link = link
+        self.next = next
+
+    def deliver(self, packet: Packet) -> None:
+        # ``next.deliver`` is looked up per packet, so a wrapper set on
+        # the destination host's instance sees every packet
+        self.link.send(packet, self.next.deliver)
+
+
 class Network:
     """The set of hosts and links sharing one simulated medium."""
 
@@ -59,7 +104,12 @@ class Network:
         self._links: Dict[Tuple[str, str], Link] = {}
         #: host -> {neighbour: link latency (s)}
         self._adjacency: Dict[str, Dict[str, float]] = {}
+        #: routes asked for, by host pair
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
+        #: the resumable route search of each source host
+        self._searches: Dict[str, _Search] = {}
+        #: forwarding entries, by host pair (see :meth:`_entry`)
+        self._entries: Dict[Tuple[str, str], tuple] = {}
         #: numbers the default ids of the capture clients built on this
         #: network (``provlight-1``, ``provlight-2``, ...), so an id
         #: depends on the run alone, not on what the process ran before
@@ -73,7 +123,7 @@ class Network:
         host = Host(self.env, name, self, device)
         self.hosts[name] = host
         self._adjacency[name] = {}
-        self._route_cache.clear()
+        self._drop_routes()
         return host
 
     def connect(
@@ -97,8 +147,14 @@ class Network:
         self._links[(b, a)] = ba
         self._adjacency[a][b] = latency_s
         self._adjacency[b][a] = latency_s
-        self._route_cache.clear()
+        self._drop_routes()
         return ab, ba
+
+    def _drop_routes(self) -> None:
+        """Forget every route, search and forwarding entry (the graph grew)."""
+        self._route_cache.clear()
+        self._searches.clear()
+        self._entries.clear()
 
     def link(self, src: str, dst: str) -> Link:
         """The directed link from ``src`` to ``dst`` (adjacent hosts)."""
@@ -118,6 +174,9 @@ class Network:
         if "latency_s" in params and params["latency_s"] is not None:
             self._adjacency[a][b] = params["latency_s"]
             self._adjacency[b][a] = params["latency_s"]
+            # a route asked for from now on sees the new weight; the
+            # routes already asked for, and their forwarding entries, stay
+            self._searches.clear()
 
     # -- routing & transmission ---------------------------------------------
     def route(self, src: str, dst: str) -> List[str]:
@@ -125,56 +184,76 @@ class Network:
         key = (src, dst)
         path = self._route_cache.get(key)
         if path is None:
-            path = self._route_cache[key] = self._shortest_path(src, dst)
+            path = self._route_cache[key] = list(self._settle(src, dst))
         return path
 
-    def _shortest_path(self, src: str, dst: str) -> List[str]:
-        """Dijkstra from ``src``; heap entries order ties by hops, then names."""
+    def _settle(self, src: str, dst: str) -> Tuple[str, ...]:
+        """Resume the Dijkstra from ``src`` until ``dst`` is settled.
+
+        Heap entries are ``(latency, hops, path)``, so ties go to fewer
+        hops, then to the smaller sequence of names.  A settled host's
+        neighbours are pushed only when the search resumes past it, so
+        asking for the route to an adjacent host expands nothing more.
+        """
         adjacency = self._adjacency
-        if src in adjacency and dst in adjacency:
-            heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, (src,))]
-            settled = set()
-            while heap:
-                dist, hops, path = heappop(heap)
-                node = path[-1]
-                if node == dst:
-                    return list(path)
-                if node in settled:
-                    continue
-                settled.add(node)
-                for neighbour, latency in adjacency[node].items():
+        if src not in adjacency or dst not in adjacency:
+            raise UnroutableError(f"no route {src} -> {dst}")
+        search = self._searches.get(src)
+        if search is None:
+            search = self._searches[src] = _Search(src)
+        settled = search.settled
+        heap = search.heap
+        path = settled.get(dst)
+        while path is None:
+            if search.last is not None:
+                dist, hops, tail = search.last
+                search.last = None
+                for neighbour, latency in adjacency[tail[-1]].items():
                     if neighbour not in settled:
-                        heappush(heap, (dist + latency, hops + 1, path + (neighbour,)))
-        raise UnroutableError(f"no route {src} -> {dst}")
+                        heappush(heap, (dist + latency, hops + 1, tail + (neighbour,)))
+            if not heap:
+                raise UnroutableError(f"no route {src} -> {dst}")
+            entry = heappop(heap)
+            node = entry[2][-1]
+            if node not in settled:
+                settled[node] = entry[2]
+                search.last = entry
+                if node == dst:
+                    path = entry[2]
+        return path
+
+    def _entry(self, src_name: str, dst_name: str) -> tuple:
+        """The forwarding entry ``(source host, first link, next hop)`` of
+        a host pair; the next hop is a :class:`_Hop` or the destination
+        host, and the first link is None for loopback."""
+        hosts = self.hosts
+        if src_name not in hosts:
+            raise KeyError(f"unknown source host {src_name!r}")
+        if dst_name not in hosts:
+            raise KeyError(f"unknown destination host {dst_name!r}")
+        nxt = hosts[dst_name]
+        if src_name == dst_name:
+            return hosts[src_name], None, nxt
+        path = self.route(src_name, dst_name)
+        links = self._links
+        for hop in range(len(path) - 2, 0, -1):
+            nxt = _Hop(links[path[hop], path[hop + 1]], nxt)
+        return hosts[src_name], links[path[0], path[1]], nxt
 
     def send(self, packet: Packet) -> None:
         """Inject a packet at its source host and forward it to ``dst``."""
-        src_name, dst_name = packet.src[0], packet.dst[0]
-        if src_name not in self.hosts:
-            raise KeyError(f"unknown source host {src_name!r}")
-        if dst_name not in self.hosts:
-            raise KeyError(f"unknown destination host {dst_name!r}")
-        src_host = self.hosts[src_name]
-        dst_host = self.hosts[dst_name]
-
-        if src_name == dst_name:  # loopback
-            self.env.call_later(LOOPBACK_DELAY_S, dst_host.deliver, packet)
+        key = (packet.src[0], packet.dst[0])
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = self._entry(*key)
+        host, link, nxt = entry
+        if link is None:  # loopback
+            self.env.call_later(LOOPBACK_DELAY_S, nxt.deliver, packet)
             return
-
-        path = self.route(src_name, dst_name)
-        src_host.notify_transmit(packet)
-        self._forward(packet, path, 0, dst_host)
-
-    def _forward(self, packet: Packet, path: List[str], hop: int, dst_host: Host) -> None:
-        link = self._links[(path[hop], path[hop + 1])]
-        last_hop = hop + 2 == len(path)
-        if last_hop:
-            link.send(packet, dst_host.deliver)
-        else:
-            link.send(
-                packet,
-                lambda p, _hop=hop: self._forward(p, path, _hop + 1, dst_host),
-            )
+        device = host.device
+        if device is not None:
+            device.radio.on_transmit(packet.size)
+        link.send(packet, nxt.deliver)
 
     # -- inspection ----------------------------------------------------------
     def total_link_bytes(self) -> int:

@@ -41,14 +41,9 @@ class UdpSocket(Mailbox):
             raise RuntimeError("socket is closed")
         if not isinstance(payload, (bytes, bytearray)):
             raise TypeError("UDP payload must be bytes")
-        packet = Packet(
-            src=(self.host.name, self.port),
-            dst=dest,
-            protocol="udp",
-            payload=bytes(payload),
-            header_bytes=UDP_HEADER_BYTES,
-        )
-        self.host.network.send(packet)
+        host = self.host
+        packet = Packet((host.name, self.port), dest, "udp", bytes(payload), UDP_HEADER_BYTES)
+        host.network.send(packet)
         return packet
 
     # -- receiving -----------------------------------------------------------

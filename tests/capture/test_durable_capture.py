@@ -144,18 +144,23 @@ def test_repeated_flaps_converge(tmp_path):
 
 def test_best_effort_client_loses_records_on_partition(tmp_path):
     """The control: without durable=True the same outage drops records
-    (this is the gap the journal exists to close)."""
+    (this is the gap the journal exists to close).  It drops only the one
+    the transport gave up on: the client then reconnects, with nothing to
+    replay, and delivers every later record after the heal."""
     env, net, dev, server, client, received, faults = make_durable_world(
         str(tmp_path), durable=False
     )
-    # long enough that at least one message exhausts its entire QoS
-    # retry budget strictly inside the outage
-    faults.partition_at(0.5, 4.0)
+    # the cut falls between two sends, so the next PUBLISH goes into the
+    # outage and exhausts its entire QoS retry budget strictly inside it
+    faults.partition_at(0.35, 4.0)
     done = capture_tasks(env, server, client, n_tasks=8, drain=False)
     env.run(until=600)
     assert "at" in done
     assert client.records_captured.count == 18
-    assert server.front.ingested.count < 18
+    assert server.front.ingested.count == 17
+    (heal,) = env.metrics.events("heal-link")
+    (reconnect,) = env.metrics.events("reconnect")
+    assert reconnect["t"] > heal["t"]
 
 
 # -- crash recovery -----------------------------------------------------------

@@ -80,6 +80,26 @@ def test_a_durable_churn_run_balances_captured_against_ingested_and_stored():
     assert counted(snap, "front", "failures") == 0
 
 
+def test_best_effort_publishers_reconnect_after_a_failover():
+    """A failover drops the publisher sessions of the killed shard.  A
+    best-effort client loses the one record it had in flight there, then
+    reconnects with nothing to replay; every later record is ingested."""
+    outcome = run_capture_experiment(
+        ExperimentSetup(n_devices=4, broker_shards=2, chaos="kill-shard@2"),
+        SyntheticWorkloadConfig(number_of_tasks=10, attributes_per_task=10), seed=1,
+    )
+    snap = json.loads(json.dumps(outcome.telemetry))
+    [failover] = events(snap, "failover")
+    reconnects = events(snap, "reconnect")
+    assert failover["dropped"] == 4
+    assert len({e["client"] for e in reconnects}) == len(reconnects) == failover["dropped"]
+    assert all(e["t"] > failover["t"] for e in reconnects)
+    captured = counted(snap, "capture", "records_captured")
+    assert captured == 4 * (2 + 2 * 10)
+    assert counted(snap, "front", "ingested", "total") == captured - failover["dropped"]
+    assert counted(snap, "dfanalyzer", "records_ingested") == captured - failover["dropped"]
+
+
 # -- a run is a value ----------------------------------------------------------
 
 def test_a_second_run_holds_nothing_of_the_first():

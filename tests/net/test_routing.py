@@ -4,12 +4,15 @@ networkx is a test-only dependency here: routing itself is a heap-based
 Dijkstra over ``Network``'s adjacency dict.
 """
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import TOPOLOGY_PRESETS, ContinuumTopology, Network, TopologySpec
+from repro.net import topology
 from repro.net.topology import UnroutableError
 from repro.simkernel import Environment
 
@@ -145,16 +148,78 @@ def test_islands_and_unknown_hosts_are_unroutable():
 
 def test_route_is_cached_until_connect_or_add_host():
     """``configure_link(latency_s=...)`` reweights the link but keeps a
-    cached route; ``connect`` and ``add_host`` clear every cached route."""
+    cached route; ``connect`` and ``add_host`` clear every cached route.
+    A route first asked for after a reweighting sees the new weight."""
     net = build(3, [("h0", "h1", 0.01), ("h1", "h2", 0.01), ("h0", "h2", 0.05)])
     assert net.route("h0", "h2") == ["h0", "h1", "h2"]
     net.configure_link("h0", "h1", latency_s=1.0)
     assert net.link("h0", "h1").latency_s == 1.0
     assert net.route("h0", "h2") == ["h0", "h1", "h2"]  # cached
     assert net.route("h2", "h0") == ["h2", "h0"]  # first use sees the new weight
+    # so does a first use from a source whose search already ran, though
+    # that search had settled h1 on the old weight
+    assert net.route("h0", "h1") == ["h0", "h2", "h1"]
     net.add_host("h3")
     assert net.route("h0", "h2") == ["h0", "h2"]
     net.configure_link("h0", "h2", latency_s=2.0)
     assert net.route("h0", "h2") == ["h0", "h2"]  # cached
     net.connect("h3", "h0", bandwidth_bps=1e9, latency_s=0.01)
     assert net.route("h0", "h2") == ["h0", "h1", "h2"]
+
+
+def test_packets_follow_the_cached_route_until_connect():
+    """A packet takes its pair's cached route, also after a reweighting;
+    ``connect`` drops the forwarding entries, so the next packet takes
+    the shorter path the new link makes."""
+    net = build(3, [("h0", "h1", 0.01), ("h1", "h2", 0.01)])
+    env = net.env
+    arrivals = []
+    sink = net.hosts["h2"].udp_socket(7)
+
+    def receive(datagram):
+        arrivals.append((env.now, datagram[0]))
+        sink.on_item(receive)
+
+    sink.on_item(receive)
+    sender = net.hosts["h0"].udp_socket()
+    sender.sendto(b"a", ("h2", 7))
+    env.run()
+    net.configure_link("h1", "h2", latency_s=0.5)
+    sender.sendto(b"b", ("h2", 7))
+    env.run()
+    net.connect("h0", "h2", bandwidth_bps=1e9, latency_s=0.05)
+    sender.sendto(b"c", ("h2", 7))
+    env.run()
+    assert [payload for _, payload in arrivals] == [b"a", b"b", b"c"]
+    assert net.link("h0", "h1").tx_bytes.count == 2
+    assert net.link("h1", "h2").tx_bytes.count == 2
+    assert net.link("h0", "h2").tx_bytes.count == 1
+    assert arrivals[2][0] - arrivals[1][0] < 0.06  # direct, not via h1
+
+
+def test_routing_a_star_settles_each_host_once_per_source(monkeypatch):
+    """Every hub<->leaf route of a 1,024-leaf star costs one search per
+    source: the hub's search pops each host once, and a leaf's pops the
+    leaf and the hub, whose neighbours it never pushes."""
+    net = star(1024)
+    pops, pushes = Counter(), Counter()  # by the search's source
+    real_heappop, real_heappush = topology.heappop, topology.heappush
+
+    def counting_heappop(heap):
+        entry = real_heappop(heap)
+        pops[entry[2][0]] += 1
+        return entry
+
+    def counting_heappush(heap, entry):
+        pushes[entry[2][0]] += 1
+        real_heappush(heap, entry)
+
+    monkeypatch.setattr(topology, "heappop", counting_heappop)
+    monkeypatch.setattr(topology, "heappush", counting_heappush)
+    leaves = [name for name in net.hosts if name != "cloud"]
+    for leaf in leaves:
+        assert net.route("cloud", leaf) == ["cloud", leaf]
+        assert net.route(leaf, "cloud") == [leaf, "cloud"]
+    assert pops["cloud"] == len(net.hosts)
+    assert pushes["cloud"] == len(leaves)
+    assert all(pops[leaf] == 2 and pushes[leaf] == 1 for leaf in leaves)
