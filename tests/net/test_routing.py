@@ -1,4 +1,5 @@
-"""Network.route against networkx as an oracle, plus the route-cache rule.
+"""Network.route against networkx as an oracle, plus the route-cache rule,
+the forwarding entries' invalidation and the cost of the per-source search.
 
 networkx is a test-only dependency here: routing itself is a heap-based
 Dijkstra over ``Network``'s adjacency dict.
