@@ -50,6 +50,8 @@ OUTSIDE = "<outside>"
 #: kernel's profiling tick (4 ms on common Linux configurations) is the
 #: real floor; asking for less only makes sure every tick samples.
 INTERVAL_S = 1e-3
+#: most passes of the seeds ``sample_run`` makes to reach ``min_samples``
+MAX_ROUNDS = 50
 _PREFIX = os.path.join(SRC, "")
 
 
@@ -68,6 +70,8 @@ def sample_run(workload: Workload, seed: int, min_samples: int = 0) -> Tuple[int
 
     The seeds run again, whole, until at least ``min_samples`` samples
     have landed, so a short run still gives a fixed floor of samples.
+    After :data:`MAX_ROUNDS` passes it returns what it has, so a sampler
+    that never fires gives a short count instead of a loop that never ends.
     """
     samples: Counter = Counter()
     modules = {}  # code object -> module name or None, memoized
@@ -88,7 +92,7 @@ def sample_run(workload: Workload, seed: int, min_samples: int = 0) -> Tuple[int
     previous = signal.signal(signal.SIGPROF, on_sample)
     signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
     try:
-        while True:
+        for _round in range(MAX_ROUNDS):
             for s in range(seed, seed + workload.seeds):
                 run_capture_experiment(setup, config, s)
             if sum(samples.values()) >= min_samples:

@@ -27,6 +27,14 @@ deliveries acknowledge (and truncate) their journal entry.  Combined
 with server-side ``(client_id, seq)`` dedup this gives at-least-once
 transport semantics and exactly-once backend ingestion, and a journal
 left behind by a crashed client is replayed by the next ``setup()``.
+
+A best-effort client on a session transport (``requires_setup``:
+MQTT-SN) loses a failed delivery but runs the same machine with nothing
+to replay, probing once before its next send, since the failure may mean
+the session is gone (a failed-over broker shard drops it).  If that probe
+fails too the sender goes on, and its next failed send probes again; so a
+best-effort client never holds a record for a server that does not come
+back.  Connectionless transports (CoAP) never reconnect.
 """
 
 from __future__ import annotations
@@ -246,6 +254,8 @@ class CaptureClient:
 
         On a durable client this includes entries parked for replay: the
         drain resolves only once the reconnect machine delivered them.
+        A best-effort client's drain resolves once every message was
+        delivered or lost, also when the server never comes back.
 
         Raises :class:`CaptureClosedError` on a closed client — both
         when called after ``close()`` (a post-close drain would never
@@ -448,11 +458,12 @@ class CaptureClient:
                 self._complete(wire, nbytes, seq)
             elif self.journal is None:
                 # without a journal the record is lost, but capture must
-                # never crash the workflow; the session may be gone too
-                # (a failed-over broker shard drops it), so reconnect
-                # before the next send, with nothing to replay
+                # never crash the workflow; a session transport may have
+                # lost its session too (a failed-over broker shard drops
+                # it), so probe once before the next send
                 self._complete(wire, nbytes, seq, delivered=False)
-                self._start_recovery()
+                if self.transport.requires_setup:
+                    self._start_recovery(probes=1)
             else:
                 self._mark_failed(wire, nbytes, seq)
 
@@ -478,7 +489,8 @@ class CaptureClient:
             self._replay.append((wire, nbytes, seq))
         self._start_recovery(established=True)
 
-    def _start_recovery(self, established: bool = False) -> None:
+    def _start_recovery(self, established: bool = False,
+                        probes: Optional[int] = None) -> None:
         if self._closed or (self._recovery is not None
                             and self._recovery.is_alive):
             return
@@ -486,15 +498,18 @@ class CaptureClient:
         if self._pause_gate is None:
             self._pause_gate = self.env.event()
         self._recovery = self.env.process(
-            self._recovery_loop(established),
+            self._recovery_loop(established, probes),
             name=f"capture-recovery-{self.topic}",
         )
 
-    def _recovery_loop(self, established: bool):
+    def _recovery_loop(self, established: bool, probes: Optional[int]):
         """Exponential backoff + reconnect probe + in-order replay.
 
         ``established`` skips the first probe: crash recovery runs right
-        after ``setup()`` already performed the handshake.
+        after ``setup()`` already performed the handshake.  ``probes``
+        bounds the failed probes (None: probe until one succeeds); once
+        they are spent the sender resumes disconnected, and its next
+        failed send starts the machine again.
         """
         attempt = 0
         while not self._closed:
@@ -506,6 +521,9 @@ class CaptureClient:
                 try:
                     self.handle = yield from self.transport.reconnect(self.topic)
                 except Exception:
+                    if attempt == probes:
+                        self._end_recovery(STATE_DISCONNECTED)
+                        return
                     continue  # uplink still down: back off harder
                 self.env.metrics.event("reconnect", client=self.client_id)
             established = False
@@ -525,15 +543,15 @@ class CaptureClient:
                 self._complete(wire, nbytes, seq, delivered=True)
             else:
                 if not self._closed:
-                    self._recovered()
+                    self._end_recovery(STATE_CONNECTED)
                 return
 
-    def _recovered(self) -> None:
+    def _end_recovery(self, state: str) -> None:
         self._recovery = None
         gate, self._pause_gate = self._pause_gate, None
         if gate is not None:
             gate.succeed()  # resume the parked sender
-        self._set_state(STATE_CONNECTED)
+        self._set_state(state)
 
     def _backoff_delay(self, attempt: int) -> float:
         config = self.config

@@ -88,9 +88,12 @@ class CaptureTransport:
     def reconnect(self, topic: str):
         """Generator: re-establish the session after a delivery failure.
 
-        Called by the durable client's reconnect state machine between
-        backoff delays; it may raise (the uplink is still down), in
-        which case the machine backs off and retries.  The default
+        Called by the client's reconnect state machine between backoff
+        delays: a durable client's after each delivery failure, a
+        best-effort client's once per failure on a transport with
+        ``requires_setup``.  It may raise (the uplink is still down), in
+        which case a durable client backs off and retries and a
+        best-effort one resumes sending.  The default
         re-runs the connect/register handshake and returns the fresh
         topic handle; connectionless transports inherit this as a no-op
         probe (their first replayed ``send()`` is the real probe).

@@ -58,12 +58,8 @@ class EnergyMeter:
         """The device stops listening."""
         self._rx_listeners.add(-1)
 
-    def touch_wake_window(self, nbytes: int = 0) -> None:
-        """Extend the awake window to ``now + wake_window_s``, merging.
-
-        It is also the receive hook, :meth:`on_receive`: RX energy is
-        duty-based, so a packet's receipt only opens a wake window.
-        """
+    def touch_wake_window(self) -> None:
+        """Extend the awake window to ``now + wake_window_s``, merging."""
         now = self.env.now
         new_until = now + self.coeffs.wake_window_s
         if now >= self._wake_until:
@@ -71,8 +67,6 @@ class EnergyMeter:
         else:
             self._awake_time += max(0.0, new_until - self._wake_until)
         self._wake_until = max(self._wake_until, new_until)
-
-    on_receive = touch_wake_window
 
     # -- readout ---------------------------------------------------------------
     def _awake_time_so_far(self) -> float:

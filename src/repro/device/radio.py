@@ -26,23 +26,18 @@ class Radio:
         self.tx = env.metrics.counter("radio", "tx", device=device)
         self.rx = env.metrics.counter("radio", "rx", device=device)
 
-    # both hooks run once per packet, so each records its counter in
-    # place (what Counter.record does) and makes one call into the meter
     def on_transmit(self, nbytes: int) -> None:
         """Called by the network layer when this device sends a packet."""
-        tx = self.tx
-        tx.count += 1
-        tx.total += nbytes
+        self.tx.record(nbytes)
         if self.energy is not None:
             self.energy.on_transmit(nbytes)
 
     def on_receive(self, nbytes: int) -> None:
         """Called by the network layer when this device receives a packet."""
-        rx = self.rx
-        rx.count += 1
-        rx.total += nbytes
+        self.rx.record(nbytes)
         if self.energy is not None:
-            self.energy.on_receive(nbytes)
+            # RX energy is duty-based: a receipt only opens a wake window
+            self.energy.touch_wake_window()
 
     @property
     def total_bytes(self) -> int:

@@ -172,8 +172,7 @@ class Link:
     def send(self, packet: Packet, deliver: DeliverFn) -> None:
         """Enqueue ``packet``; call ``deliver(packet)`` at the far end."""
         if self._serializing is None:
-            self._serializing = (packet, deliver)
-            self.env.call_later(packet.size * 8.0 / self.bandwidth_bps, self._serialized)
+            self._serialize((packet, deliver))
         else:
             self._queue.append((packet, deliver))
 
@@ -186,11 +185,7 @@ class Link:
     def _serialized(self) -> None:
         packet, deliver = self._serializing
         self.tx_bytes.record(packet.size)
-        # a clean link (no loss, no burst state) draws nothing from the RNG
-        if not self.up or (
-            (self.loss > 0.0 or self.p_enter_burst > 0.0 or self._in_burst)
-            and self._drop(packet)
-        ):
+        if not self.up or self._drop(packet):
             self.dropped.record(packet.size)
         else:
             delay = self.latency_s

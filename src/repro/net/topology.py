@@ -17,14 +17,6 @@ Routing follows two rules:
   link's timing and the weight later routes see, but not a route that
   is already cached.
 
-Each source host has one Dijkstra search, paused once it has settled the
-host asked for and resumed by the next route from that source to a host
-it has not settled.  Its heap entries are ``(latency, hops, path)``, so
-each route is the path a search for that pair alone returns, and each
-host is settled at most once per source.  ``connect`` and ``add_host``
-drop every search; so does ``configure_link(latency_s=...)``, so a
-route first asked for after it sees the new weight.
-
 :meth:`Network.send` forwards along one entry per host pair: the source
 host, the first link and a chain of :class:`_Hop` that ends at the
 destination host, built from the route on the pair's first packet and
@@ -45,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 # numpy loads numpy.random on first use; importing it here keeps that
 # load out of the first run that builds a Network
@@ -63,19 +55,6 @@ LOOPBACK_DELAY_S = 50e-6
 
 class UnroutableError(RuntimeError):
     """No path exists between two hosts."""
-
-
-class _Search:
-    """One source's Dijkstra, paused between route queries."""
-
-    __slots__ = ("heap", "settled", "last")
-
-    def __init__(self, src: str):
-        self.heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, (src,))]
-        #: settled host -> its path from the source
-        self.settled: Dict[str, Tuple[str, ...]] = {}
-        #: the last settled heap entry, whose neighbours are not pushed yet
-        self.last: Optional[Tuple[float, int, Tuple[str, ...]]] = None
 
 
 class _Hop:
@@ -106,8 +85,6 @@ class Network:
         self._adjacency: Dict[str, Dict[str, float]] = {}
         #: routes asked for, by host pair
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
-        #: the resumable route search of each source host
-        self._searches: Dict[str, _Search] = {}
         #: forwarding entries, by host pair (see :meth:`_entry`)
         self._entries: Dict[Tuple[str, str], tuple] = {}
         #: numbers the default ids of the capture clients built on this
@@ -151,9 +128,8 @@ class Network:
         return ab, ba
 
     def _drop_routes(self) -> None:
-        """Forget every route, search and forwarding entry (the graph grew)."""
+        """Forget every route and forwarding entry (the graph grew)."""
         self._route_cache.clear()
-        self._searches.clear()
         self._entries.clear()
 
     def link(self, src: str, dst: str) -> Link:
@@ -174,9 +150,6 @@ class Network:
         if "latency_s" in params and params["latency_s"] is not None:
             self._adjacency[a][b] = params["latency_s"]
             self._adjacency[b][a] = params["latency_s"]
-            # a route asked for from now on sees the new weight; the
-            # routes already asked for, and their forwarding entries, stay
-            self._searches.clear()
 
     # -- routing & transmission ---------------------------------------------
     def route(self, src: str, dst: str) -> List[str]:
@@ -184,43 +157,27 @@ class Network:
         key = (src, dst)
         path = self._route_cache.get(key)
         if path is None:
-            path = self._route_cache[key] = list(self._settle(src, dst))
+            path = self._route_cache[key] = self._shortest_path(src, dst)
         return path
 
-    def _settle(self, src: str, dst: str) -> Tuple[str, ...]:
-        """Resume the Dijkstra from ``src`` until ``dst`` is settled.
-
-        Heap entries are ``(latency, hops, path)``, so ties go to fewer
-        hops, then to the smaller sequence of names.  A settled host's
-        neighbours are pushed only when the search resumes past it, so
-        asking for the route to an adjacent host expands nothing more.
-        """
+    def _shortest_path(self, src: str, dst: str) -> List[str]:
+        """Dijkstra from ``src``; heap entries order ties by hops, then names."""
         adjacency = self._adjacency
-        if src not in adjacency or dst not in adjacency:
-            raise UnroutableError(f"no route {src} -> {dst}")
-        search = self._searches.get(src)
-        if search is None:
-            search = self._searches[src] = _Search(src)
-        settled = search.settled
-        heap = search.heap
-        path = settled.get(dst)
-        while path is None:
-            if search.last is not None:
-                dist, hops, tail = search.last
-                search.last = None
-                for neighbour, latency in adjacency[tail[-1]].items():
-                    if neighbour not in settled:
-                        heappush(heap, (dist + latency, hops + 1, tail + (neighbour,)))
-            if not heap:
-                raise UnroutableError(f"no route {src} -> {dst}")
-            entry = heappop(heap)
-            node = entry[2][-1]
-            if node not in settled:
-                settled[node] = entry[2]
-                search.last = entry
+        if src in adjacency and dst in adjacency:
+            heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, (src,))]
+            settled = set()
+            while heap:
+                dist, hops, path = heappop(heap)
+                node = path[-1]
                 if node == dst:
-                    path = entry[2]
-        return path
+                    return list(path)
+                if node in settled:
+                    continue
+                settled.add(node)
+                for neighbour, latency in adjacency[node].items():
+                    if neighbour not in settled:
+                        heappush(heap, (dist + latency, hops + 1, path + (neighbour,)))
+        raise UnroutableError(f"no route {src} -> {dst}")
 
     def _entry(self, src_name: str, dst_name: str) -> tuple:
         """The forwarding entry ``(source host, first link, next hop)`` of

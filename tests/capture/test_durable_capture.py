@@ -24,6 +24,7 @@ from repro.capture import (
 )
 from repro.capture.client import (
     STATE_CONNECTED,
+    STATE_DISCONNECTED,
     STATE_RECONNECTING,
 )
 from repro.core import (
@@ -144,12 +145,15 @@ def test_repeated_flaps_converge(tmp_path):
 
 def test_best_effort_client_loses_records_on_partition(tmp_path):
     """The control: without durable=True the same outage drops records
-    (this is the gap the journal exists to close).  It drops only the one
-    the transport gave up on: the client then reconnects, with nothing to
-    replay, and delivers every later record after the heal."""
+    (this is the gap the journal exists to close).  It drops only the
+    sends that fall in the outage: each failed send spends its QoS retry
+    budget, then one reconnect probe, and the sender goes on; the first
+    probe after the heal reconnects, and every later record is delivered."""
     env, net, dev, server, client, received, faults = make_durable_world(
         str(tmp_path), durable=False
     )
+    states = []
+    client.add_connection_listener(states.append)
     # the cut falls between two sends, so the next PUBLISH goes into the
     # outage and exhausts its entire QoS retry budget strictly inside it
     faults.partition_at(0.35, 4.0)
@@ -157,10 +161,31 @@ def test_best_effort_client_loses_records_on_partition(tmp_path):
     env.run(until=600)
     assert "at" in done
     assert client.records_captured.count == 18
-    assert server.front.ingested.count == 17
+    # two sends fell in the outage: the first, and the one after its
+    # failed probe; the second send's probe comes after the heal
+    assert server.front.ingested.count == 16
+    assert states == [STATE_CONNECTED, STATE_RECONNECTING, STATE_DISCONNECTED,
+                      STATE_RECONNECTING, STATE_CONNECTED]
     (heal,) = env.metrics.events("heal-link")
     (reconnect,) = env.metrics.events("reconnect")
     assert reconnect["t"] > heal["t"]
+
+
+def test_best_effort_drain_resolves_when_the_server_never_returns(tmp_path):
+    """A best-effort client holds no record for a session it cannot get
+    back: every send into a cut that never heals spends its retry budget
+    and one probe, and ``drain()`` resolves once they are all spent."""
+    env, net, dev, server, client, received, faults = make_durable_world(
+        str(tmp_path), durable=False
+    )
+    faults.partition_at(0.35, 10_000.0)
+    done = capture_tasks(env, server, client, n_tasks=8, drain=True)
+    env.run(until=600)
+    assert "at" in done, "a best-effort drain must not wait for a reconnect"
+    assert client.records_captured.count == client.messages_sent.count == 18
+    assert server.front.ingested.count < 18
+    assert client.connection_state == STATE_DISCONNECTED
+    assert env.metrics.events("reconnect") == []
 
 
 # -- crash recovery -----------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.capture import (
     create_client,
     transport_names,
 )
+from repro.capture.client import STATE_CONNECTED
 from repro.coap import ProvLightCoapServer
 from repro.core import CallableBackend, Data, ProvLightServer, Task, Workflow
 from repro.device import A8M3, Device
@@ -197,6 +198,22 @@ def test_loss_never_crashes_the_workflow(transport, durable, tmp_path):
     env.run(until=300)
     assert done["ok"]
     assert client.records_captured.count == 8
+
+
+def test_best_effort_coap_loses_a_failed_con_without_reconnecting():
+    """CoAP holds no session, so a best-effort client's failed CON is one
+    lost record and nothing more: no reconnect probe pauses the sender,
+    and the drain resolves once every CON spent its retransmissions."""
+    env, dev, client, received, pre = make_world("coap", with_server=False)
+    states = []
+    client.add_connection_listener(states.append)
+    done = run_workflow(env, client, pre, n_tasks=2)
+    env.run()
+    assert done["ok"]
+    assert received == []
+    assert client.messages_sent.count == client.records_captured.count == 6
+    assert states == [STATE_CONNECTED]
+    assert env.metrics.events("reconnect") == []
 
 
 @pytest.mark.parametrize("transport", ALL_TRANSPORTS)

@@ -1,11 +1,9 @@
-"""Network.route against networkx as an oracle, plus the route-cache rule,
-the forwarding entries' invalidation and the cost of the per-source search.
+"""Network.route against networkx as an oracle, plus the route-cache rule
+and the forwarding entries' invalidation.
 
 networkx is a test-only dependency here: routing itself is a heap-based
 Dijkstra over ``Network``'s adjacency dict.
 """
-
-from collections import Counter
 
 import networkx as nx
 import pytest
@@ -13,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import TOPOLOGY_PRESETS, ContinuumTopology, Network, TopologySpec
-from repro.net import topology
 from repro.net.topology import UnroutableError
 from repro.simkernel import Environment
 
@@ -157,8 +154,7 @@ def test_route_is_cached_until_connect_or_add_host():
     assert net.link("h0", "h1").latency_s == 1.0
     assert net.route("h0", "h2") == ["h0", "h1", "h2"]  # cached
     assert net.route("h2", "h0") == ["h2", "h0"]  # first use sees the new weight
-    # so does a first use from a source whose search already ran, though
-    # that search had settled h1 on the old weight
+    # so does a first use from a source that already has a cached route
     assert net.route("h0", "h1") == ["h0", "h2", "h1"]
     net.add_host("h3")
     assert net.route("h0", "h2") == ["h0", "h2"]
@@ -197,30 +193,3 @@ def test_packets_follow_the_cached_route_until_connect():
     assert net.link("h0", "h2").tx_bytes.count == 1
     assert arrivals[2][0] - arrivals[1][0] < 0.06  # direct, not via h1
 
-
-def test_routing_a_star_settles_each_host_once_per_source(monkeypatch):
-    """Every hub<->leaf route of a 1,024-leaf star costs one search per
-    source: the hub's search pops each host once, and a leaf's pops the
-    leaf and the hub, whose neighbours it never pushes."""
-    net = star(1024)
-    pops, pushes = Counter(), Counter()  # by the search's source
-    real_heappop, real_heappush = topology.heappop, topology.heappush
-
-    def counting_heappop(heap):
-        entry = real_heappop(heap)
-        pops[entry[2][0]] += 1
-        return entry
-
-    def counting_heappush(heap, entry):
-        pushes[entry[2][0]] += 1
-        real_heappush(heap, entry)
-
-    monkeypatch.setattr(topology, "heappop", counting_heappop)
-    monkeypatch.setattr(topology, "heappush", counting_heappush)
-    leaves = [name for name in net.hosts if name != "cloud"]
-    for leaf in leaves:
-        assert net.route("cloud", leaf) == ["cloud", leaf]
-        assert net.route(leaf, "cloud") == [leaf, "cloud"]
-    assert pops["cloud"] == len(net.hosts)
-    assert pushes["cloud"] == len(leaves)
-    assert all(pops[leaf] == 2 and pushes[leaf] == 1 for leaf in leaves)
