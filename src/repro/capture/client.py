@@ -463,7 +463,7 @@ class CaptureClient:
                 # it), so probe once before the next send
                 self._complete(wire, nbytes, seq, delivered=False)
                 if self.transport.requires_setup:
-                    self._start_recovery(probes=1)
+                    self._start_recovery(probe_once=True)
             else:
                 self._mark_failed(wire, nbytes, seq)
 
@@ -490,7 +490,7 @@ class CaptureClient:
         self._start_recovery(established=True)
 
     def _start_recovery(self, established: bool = False,
-                        probes: Optional[int] = None) -> None:
+                        probe_once: bool = False) -> None:
         if self._closed or (self._recovery is not None
                             and self._recovery.is_alive):
             return
@@ -498,18 +498,18 @@ class CaptureClient:
         if self._pause_gate is None:
             self._pause_gate = self.env.event()
         self._recovery = self.env.process(
-            self._recovery_loop(established, probes),
+            self._recovery_loop(established, probe_once),
             name=f"capture-recovery-{self.topic}",
         )
 
-    def _recovery_loop(self, established: bool, probes: Optional[int]):
+    def _recovery_loop(self, established: bool, probe_once: bool):
         """Exponential backoff + reconnect probe + in-order replay.
 
         ``established`` skips the first probe: crash recovery runs right
-        after ``setup()`` already performed the handshake.  ``probes``
-        bounds the failed probes (None: probe until one succeeds); once
-        they are spent the sender resumes disconnected, and its next
-        failed send starts the machine again.
+        after ``setup()`` already performed the handshake.  With
+        ``probe_once`` (best-effort) a failed probe ends the machine: the
+        sender resumes disconnected, and its next failed send starts the
+        machine again.
         """
         attempt = 0
         while not self._closed:
@@ -521,7 +521,7 @@ class CaptureClient:
                 try:
                     self.handle = yield from self.transport.reconnect(self.topic)
                 except Exception:
-                    if attempt == probes:
+                    if probe_once:
                         self._end_recovery(STATE_DISCONNECTED)
                         return
                     continue  # uplink still down: back off harder

@@ -45,7 +45,9 @@ class CaptureTransport:
       ``capture()``.
     * ``requires_setup`` — ``True`` means ``capture()`` before
       ``setup()`` is a programming error (MQTT-SN needs its topic
-      registered); connectionless transports set ``False``.
+      registered); connectionless transports set ``False``.  It also
+      marks a transport that holds a session, which a best-effort
+      client probes with :meth:`reconnect` after a failed delivery.
     """
 
     #: registry name of this transport (diagnostics)
