@@ -9,12 +9,11 @@ report back to the raw window through the captured provenance.
 Run with:  python examples/sensor_aggregation.py
 """
 
-from repro.baselines import NullCaptureClient, ProvLakeClient
-from repro.capture import create_client
+from repro.baselines import NullCaptureClient, ProvLakeClient, decode_json_records
+from repro.capture import create_client, deploy_capture_sink
 from repro.core import CallableBackend, ProvLightServer
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.dfanalyzer import DfAnalyzerService, lineage_of
-from repro.http import HttpResponse, HttpServer
 from repro.net import Network
 from repro.simkernel import Environment
 from repro.workloads import SensorConfig, sensor_pipeline
@@ -41,11 +40,10 @@ def run(system: str):
         server = ProvLightServer(net.hosts["cloud"], CallableBackend(backend.ingest))
         client = create_client(edge, server.endpoint, "provlight/sensors")
     elif system == "provlake":
-        def handler(request):
-            return HttpResponse(status=201, reason="Created")
-
-        HttpServer(net.hosts["cloud"], 5000, handler)
-        client = ProvLakeClient(edge, ("cloud", 5000))
+        # the baseline POSTs JSON bodies to the HTTP collector
+        _, endpoint = deploy_capture_sink("http", net.hosts["cloud"], backend.ingest,
+                                          decode=decode_json_records)
+        client = ProvLakeClient(edge, endpoint)
         server = None
     else:
         client = NullCaptureClient(edge)
@@ -75,10 +73,13 @@ def main() -> None:
     print(f"with ProvLight           : {t_light:.2f}s "
           f"(overhead {100 * (t_light / t0 - 1):.2f}%)")
 
-    lake, _, _ = run("provlake")
+    lake, lake_backend, _ = run("provlake")
     t_lake = lake["workflow_elapsed"]
     print(f"with ProvLake            : {t_lake:.2f}s "
           f"(overhead {100 * (t_lake / t0 - 1):.2f}%)")
+
+    print(f"records stored           : ProvLight {backend.records_ingested.count}, "
+          f"ProvLake {lake_backend.records_ingested.count}")
 
     print(f"\nanomalous windows detected: {light['anomalous_windows']}")
 

@@ -72,4 +72,10 @@ echo "harness flags smoke: python -m repro.harness table9"
 python -m repro.harness table9 --reps 1 --broker-shards 2 \
     --broker-placement p2c --pool-min 2 --pool-max 4
 
+# baselines smoke: the only gate that drives ProvLake and DfAnalyzer end
+# to end through the CLI (their JSON bodies through the HTTP collector's
+# ingest front) and checks the paper's comparison shapes
+echo "baselines smoke: python -m repro.harness table2 table3 table10"
+python -m repro.harness table2 table3 table10 --reps 1
+
 python scripts/run_benchmarks.py --quick

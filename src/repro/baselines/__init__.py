@@ -5,10 +5,17 @@ blocking HTTP/1.1 on TCP, with grouping support for ProvLake only.  Both
 implement the same capture-client interface as
 :class:`repro.capture.CaptureClient`, so any instrumented workload can run
 against any system.  :class:`NullCaptureClient` is the no-capture control
-used as the denominator of every overhead number.
+used as the denominator of every overhead number.  The two libraries
+POST to the HTTP capture sink, whose ingest front decodes their bodies
+with :func:`decode_json_records`.
 """
 
-from .common import BlockingHttpCaptureClient, NullCaptureClient, iso_time
+from .common import (
+    BlockingHttpCaptureClient,
+    NullCaptureClient,
+    decode_json_records,
+    iso_time,
+)
 from .dfanalyzer_capture import DfAnalyzerCaptureClient
 from .provlake import ProvLakeClient
 
@@ -17,5 +24,6 @@ __all__ = [
     "NullCaptureClient",
     "ProvLakeClient",
     "DfAnalyzerCaptureClient",
+    "decode_json_records",
     "iso_time",
 ]

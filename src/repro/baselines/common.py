@@ -26,7 +26,8 @@ the baselines, or no capture at all):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import json
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..capture import CaptureConfig, CaptureTransport, register_transport
 from ..core.model import count_attributes_from_record
@@ -38,6 +39,7 @@ __all__ = [
     "NullCaptureClient",
     "BlockingHttpCaptureClient",
     "HttpPostCaptureTransport",
+    "decode_json_records",
     "iso_time",
 ]
 
@@ -53,6 +55,16 @@ def iso_time(seconds: float) -> str:
     m, s = divmod(s, 60)
     h, m = divmod(m, 60)
     return f"2023-01-17T{h:02d}:{m:02d}:{s:02d}.{ms:03d}Z"
+
+
+def decode_json_records(payload: bytes) -> Tuple[List[Any], Dict[str, Any]]:
+    """The collector's translate step for a baseline POST: ``(records,
+    body)``.  Both libraries send one JSON object whose ``messages`` are
+    the records; DfAnalyzer ingests the body as it is.  Raises on a body
+    that is not JSON or has no ``messages``, which the ingest front
+    counts as malformed."""
+    body = json.loads(payload)
+    return body["messages"], body
 
 
 class HttpPostCaptureTransport(CaptureTransport):

@@ -14,7 +14,7 @@ for their adapters, so importing them at module time would be circular.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from .registry import normalize_transport
 
@@ -32,6 +32,7 @@ def deploy_capture_sink(
     http_port: int = DEFAULT_HTTP_SINK_PORT,
     http_workers: int = 1,
     server=None,
+    decode: Optional[Callable[[bytes], tuple]] = None,
 ) -> Tuple[object, Tuple[str, int]]:
     """Deploy the capture sink for ``transport`` on ``host``.
 
@@ -47,11 +48,19 @@ def deploy_capture_sink(
     The MQTT-SN server takes all of it; the CoAP server and the HTTP
     collector take its ``dedup_state_path``.  Every sink's
     :class:`~repro.core.translator.IngestFront` is its ``front``.
+
+    ``decode`` replaces the front's translate step for clients that POST
+    another wire format (the baselines pass
+    :func:`repro.baselines.decode_json_records`); only the HTTP collector
+    takes one, so an MQTT-SN or CoAP sink never accepts JSON.
     """
     from ..core.server import CallableBackend, ProvLightServer, ServerConfig
 
     transport = normalize_transport(transport)
     server = server if server is not None else ServerConfig()
+    if decode is not None and transport != "http":
+        raise ValueError(f"decode= applies to the http collector only, "
+                         f"not to a {transport!r} sink")
     if transport == "mqttsn":
         sink = ProvLightServer(host, CallableBackend(ingest), target=target,
                                config=server)
@@ -67,7 +76,7 @@ def deploy_capture_sink(
         from ..http import HttpResponse, HttpServer
 
         front = IngestFront(target, state_path=server.dedup_state_path,
-                            metrics=host.env.metrics)
+                            metrics=host.env.metrics, decode=decode)
 
         def collector(request):
             # a malformed payload or a replayed duplicate is still 201:

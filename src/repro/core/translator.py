@@ -184,11 +184,17 @@ class IngestFront:
     (persisted at ``state_path``) and counts, registered in ``metrics``,
     the owning sink's run registry (``env.metrics``).  A ``(client_id,
     seq)`` pair is marked only once the backend accepted its records, so
-    a record whose ingest failed is ingested when it is replayed."""
+    a record whose ingest failed is ingested when it is replayed.
+
+    ``decode`` replaces the translate step for a sink whose clients send
+    another wire format (the baselines' JSON bodies): it maps a payload
+    to ``(records, translated)`` and raises on a malformed one."""
 
     def __init__(self, target: str = "dfanalyzer", cipher=None,
-                 state_path: Optional[str] = None, *, metrics):
+                 state_path: Optional[str] = None, *, metrics,
+                 decode: Optional[Callable[[bytes], tuple]] = None):
         self.translator = Translator(target, cipher=cipher)
+        self.decode = decode
         self.deduper = ReplayDeduper(state_path=state_path)
         #: one count per payload, its records in the total
         self.ingested = metrics.counter("front", "ingested")
@@ -211,7 +217,8 @@ class IngestFront:
                 if self.deduper.seen(client_id, seq) or key in batch:
                     self.duplicates.record()
                     return None
-            records, translated = self.translator.translate_payload(payload)
+            decode = self.decode or self.translator.translate_payload
+            records, translated = decode(payload)
         except Exception:  # untrusted wire bytes: any decode failure
             self.malformed.record()
             return None

@@ -9,11 +9,21 @@ deploys, on a cloud host:
 and hands out capture clients for edge devices — one topic per device as
 in the paper's Fig. 5, sharded across the server's fixed-size translator
 worker pool.  Clients are built through the unified capture API
-(:func:`repro.capture.create_client`), so the transport is a deployment
-choice: the manager-wide default is the ``transport=`` argument
-(``"mqttsn"`` unless given), and :meth:`deploy_client` can override it
-per device.  The matching capture sink (CoAP server, HTTP collector) is
-deployed on demand next to the MQTT-SN server.
+(:func:`repro.capture.create_client`) from the manager's one
+``capture=`` :class:`~repro.capture.CaptureConfig` (transport, grouping,
+QoS, durability, cipher), so the transport is a deployment choice, and
+:meth:`deploy_client` can override it per device.  The matching capture
+sink (CoAP server, HTTP collector) is deployed on demand next to the
+MQTT-SN server.
+
+The manager deploys the capture pipeline and nothing else of the world.
+Tiers and chaos compose with it from their own parts, as
+``examples/continuum_chaos.py`` does::
+
+    ChaosProfile.parse(spec).apply(
+        ServerFaultInjector(manager.server),
+        topology=ContinuumTopology(net, topology_spec, root_host=manager.host_name),
+    )
 
 The manager also exposes the DfAnalyzer query interface so users can
 analyze captured provenance at workflow runtime.
@@ -21,6 +31,7 @@ analyze captured provenance at workflow runtime.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..capture import (
@@ -34,13 +45,7 @@ from ..capture import (
 from ..core import ProvLightServer, ServerConfig
 from ..device import Device, XEON_GOLD_5220
 from ..dfanalyzer import DfAnalyzerService
-from ..net import (
-    ChaosProfile,
-    ContinuumTopology,
-    Network,
-    ServerFaultInjector,
-    TopologySpec,
-)
+from ..net import Network
 from ..simkernel import Environment
 
 __all__ = ["ProvenanceManager"]
@@ -60,6 +65,8 @@ class ProvenanceManager:
 
     ``server`` (a :class:`~repro.core.ServerConfig`) carries every
     server-plane knob: pool size and bounds, broker shards, placement.
+    ``capture`` (a :class:`~repro.capture.CaptureConfig`) is the config
+    every deployed client gets; its ``cipher`` also reaches the sinks.
     """
 
     #: host name used when the manager provisions its own cloud node
@@ -69,30 +76,14 @@ class ProvenanceManager:
         self,
         network: Network,
         target: str = "dfanalyzer",
-        group_size: int = 0,
-        compress: bool = True,
         host_name: Optional[str] = None,
         server: ServerConfig = ServerConfig(),
-        transport: str = "mqttsn",
-        chaos: Optional[str] = None,
-        topology: Optional[str] = None,
+        capture: CaptureConfig = CaptureConfig(),
     ):
-        self.transport = _registered_transport(transport)
-        chaos_profile = ChaosProfile.parse(chaos) if chaos else None
-        topology_spec = TopologySpec.parse(topology) if topology else None
-        if chaos_profile is not None:
-            # before any side effect (host provisioning, port binds), so a
-            # bad config leaves the network untouched
-            chaos_profile.preflight(
-                transport=self.transport,
-                broker_shards=server.broker_shards,
-                has_topology=topology_spec is not None,
-            )
+        self.capture = replace(capture, transport=_registered_transport(capture.transport))
         self.network = network
         self.env: Environment = network.env
         self.target = target
-        self.group_size = group_size
-        self.compress = compress
         self.service = DfAnalyzerService(metrics=self.env.metrics)
         host_name = host_name or self.HOST_NAME
         if host_name in network.hosts:
@@ -106,18 +97,6 @@ class ProvenanceManager:
         self._sinks: Dict[str, tuple] = {}
         self.server: ProvLightServer = self._deploy_sink("mqttsn", server)[0]
         self.clients: Dict[str, CaptureClient] = {}
-        #: the tiered continuum rooted at the manager host, when the
-        #: deployment asked for one (``topology=``); device hosts are
-        #: created bare — attach devices with :meth:`place_device`
-        self.topology: Optional[ContinuumTopology] = None
-        if topology_spec is not None:
-            self.topology = ContinuumTopology(
-                network, topology_spec, root_host=self.host.name
-            )
-        #: server-plane fault injector (always available for manual chaos)
-        self.fault_injector = ServerFaultInjector(self.server, network=network)
-        if chaos_profile is not None:
-            chaos_profile.apply(self.fault_injector, topology=self.topology)
 
     @property
     def host_name(self) -> str:
@@ -125,36 +104,9 @@ class ProvenanceManager:
 
     def capture_config(self, transport: Optional[str] = None) -> CaptureConfig:
         """The config handed to every deployed capture client."""
-        return CaptureConfig(
-            transport=normalize_transport(transport) if transport else self.transport,
-            group_size=self.group_size,
-            compress=self.compress,
-        )
-
-    def place_device(self, device: Device, tier: Optional[str] = None) -> str:
-        """Attach ``device`` to the next free host of the topology's
-        leaf tier (or of ``tier``); returns the host name.
-
-        The manager's ``topology=`` builds the tiered network with bare
-        forwarding hosts; experiment drivers place their devices here
-        and then :meth:`deploy_client` them as usual.
-        """
-        if self.topology is None:
-            raise ValueError(
-                "place_device needs a topology= deployment (the star "
-                "layout attaches devices through network.add_host)"
-            )
-        tier = tier or self.topology.spec.leaf.name
-        for host_name in self.topology.hosts_in(tier):
-            host = self.network.hosts[host_name]
-            if host.device is None:
-                host.device = device
-                device.host = host
-                return host_name
-        raise ValueError(
-            f"no free host left in tier {tier!r} "
-            f"({len(self.topology.hosts_in(tier))} hosts, all occupied)"
-        )
+        if transport is None:
+            return self.capture
+        return replace(self.capture, transport=normalize_transport(transport))
 
     def deploy_client(self, device: Device, topic: Optional[str] = None,
                       transport: Optional[str] = None):
@@ -179,12 +131,14 @@ class ProvenanceManager:
         manager host the first time it is asked for.  The MQTT-SN server
         takes the manager's config; every later sink shares its dedup
         index, so a ``dedup_state_path`` has one writer (a second index
-        would compact the file away under the first one's handle)."""
+        would compact the file away under the first one's handle).
+        Every sink decrypts with the capture config's ``cipher``."""
         if transport not in self._sinks:
             sink, _ = self._sinks[transport] = deploy_capture_sink(
                 transport, self.host, self.service.ingest, target=self.target,
                 http_port=HTTP_CAPTURE_PORT, server=server,
             )
+            sink.front.translator.cipher = self.capture.cipher
             if transport != "mqttsn":
                 sink.front.deduper = self.server.front.deduper
         return self._sinks[transport]
@@ -224,5 +178,5 @@ class ProvenanceManager:
     def __repr__(self) -> str:
         return (
             f"<ProvenanceManager target={self.target} host={self.host_name} "
-            f"transport={self.transport} clients={len(self.clients)}>"
+            f"transport={self.capture.transport} clients={len(self.clients)}>"
         )

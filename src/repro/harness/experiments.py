@@ -15,7 +15,12 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..baselines import DfAnalyzerCaptureClient, NullCaptureClient, ProvLakeClient
+from ..baselines import (
+    DfAnalyzerCaptureClient,
+    NullCaptureClient,
+    ProvLakeClient,
+    decode_json_records,
+)
 from ..capture import (
     CaptureConfig,
     create_client,
@@ -26,7 +31,6 @@ from ..capture import (
 from ..core import DEFAULT_TRANSLATOR_WORKERS, ProvLightServer, ServerConfig
 from ..device import A8M3, XEON_GOLD_5220, Device, DeviceSpec
 from ..dfanalyzer import DfAnalyzerService
-from ..http import HttpResponse, HttpServer
 from ..metrics import RunMetrics, mean_ci, relative_overhead, snapshot_device
 from ..mqttsn import DEFAULT_BROKER_SHARDS, PLACEMENT_POLICIES
 from ..net import (
@@ -273,7 +277,9 @@ def run_capture_experiment(
     ``capture_config`` overrides the :class:`~repro.capture.CaptureConfig`
     derived from ``setup`` (transport/grouping/QoS/compression) for the
     ``provlight`` system; the matching capture sink (MQTT-SN server, CoAP
-    server or HTTP collector) is deployed automatically.
+    server or HTTP collector) is deployed automatically.  The baselines
+    POST to the HTTP collector, so every system's records pass one
+    ingest front (``front.ingested`` in the run's telemetry).
     """
     chaos_profile = setup.chaos_profile()
     topo_spec = setup.topology_spec()
@@ -319,16 +325,24 @@ def run_capture_experiment(
             devices.append(device)
 
     backend_service = DfAnalyzerService(metrics=env.metrics)
+    baseline = setup.system != "provlight"
+    # the baselines POST JSON bodies to the HTTP collector
+    sink, endpoint = deploy_capture_sink(
+        "http" if baseline else transport, net.hosts["cloud"],
+        backend_service.ingest, http_workers=max(8, setup.n_devices),
+        server=setup.server_config(),
+        decode=decode_json_records if baseline else None,
+    )
     clients: List[Any] = []
     server: Optional[ProvLightServer] = None
     fleet: Optional[FleetFaultInjector] = None
     journal_tmp: Optional[str] = None
-    if setup.system == "provlight":
-        sink, endpoint = deploy_capture_sink(
-            transport, net.hosts["cloud"], backend_service.ingest,
-            http_workers=max(8, setup.n_devices),
-            server=setup.server_config(),
-        )
+    if setup.system == "provlake":
+        clients = [ProvLakeClient(device, endpoint, group_size=setup.group_size)
+                   for device in devices]
+    elif setup.system == "dfanalyzer":
+        clients = [DfAnalyzerCaptureClient(device, endpoint) for device in devices]
+    else:
         if transport == "mqttsn":
             server = sink
         if chaos_profile is not None and chaos_profile.requires_fleet():
@@ -357,28 +371,6 @@ def run_capture_experiment(
             chaos_profile.apply(
                 ServerFaultInjector(server), fleet=fleet, topology=topology
             )
-    else:
-        def handler(request):
-            import json
-
-            try:
-                backend_service.ingest(json.loads(request.body.decode()))
-            except (ValueError, KeyError, TypeError):
-                # malformed body or record shape: byte/timing fidelity
-                # matters here, not storage — but programming errors
-                # (anything outside the malformed-payload family) surface
-                pass
-            return HttpResponse(status=201, reason="Created")
-
-        sink = HttpServer(net.hosts["cloud"], 5000, handler,
-                          workers=max(8, setup.n_devices))
-        for device in devices:
-            if setup.system == "provlake":
-                clients.append(
-                    ProvLakeClient(device, ("cloud", 5000), group_size=setup.group_size)
-                )
-            else:
-                clients.append(DfAnalyzerCaptureClient(device, ("cloud", 5000)))
 
     results: List[Dict[str, Any]] = []
     snapshots: List[RunMetrics] = []

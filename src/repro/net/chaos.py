@@ -347,15 +347,14 @@ class ChaosProfile:
         return bool(self.tier_events())
 
     def preflight(self, *, transport: str, broker_shards: int,
-                  has_topology: bool, fleet_capture=None) -> None:
-        """Reject, before any side effect, a profile the deployment cannot
-        run; the experiment harness and the Provenance Manager both call it.
+                  has_topology: bool, fleet_capture) -> None:
+        """Reject, before any side effect, a profile the experiment
+        harness cannot run.
 
         ``transport`` is the run's canonical capture transport (or the
         baseline system's name); ``fleet_capture`` is the
-        :class:`~repro.capture.CaptureConfig` of the fleet the caller
-        crashes and restarts, ``None`` when it does not own the device
-        lifecycle.
+        :class:`~repro.capture.CaptureConfig` of the fleet the harness
+        crashes and restarts.
         """
         def require(condition: bool, why: str) -> None:
             if not condition:
@@ -373,9 +372,6 @@ class ChaosProfile:
                 "degrade-tier chaos events need a continuum topology")
         if not self.requires_fleet():
             return
-        require(fleet_capture is not None, "crash-device/churn events need a "
-                "caller that owns the device lifecycle: the harness "
-                "(run_capture_experiment) or a FleetFaultInjector")
         require(not fleet_capture.group_size, "crash-device/churn chaos needs "
                 "group_size=0: a partially filled group buffer lives only in "
                 "memory, so a crash would lose records already counted")

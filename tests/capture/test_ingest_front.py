@@ -9,6 +9,7 @@ same DfAnalyzer table contents whichever transport carried it.
 
 import pytest
 
+from repro.baselines import ProvLakeClient, decode_json_records
 from repro.capture import CaptureConfig, create_client, deploy_capture_sink
 from repro.capture.envelope import wrap_payload
 from repro.core import (
@@ -60,6 +61,21 @@ def test_front_classifies_records_duplicates_and_malformed_payloads():
     assert env.metrics.summed("front", "duplicates").count == 2
 
 
+def test_only_the_http_collector_takes_a_decoder():
+    """A baseline's JSON body is malformed to the ProvLight front, and no
+    MQTT-SN or CoAP sink can be given the baselines' decoder."""
+    env = Environment()
+    cloud = Network(env, seed=1).add_host("cloud")
+    for transport in ("mqttsn", "coap"):
+        with pytest.raises(ValueError, match="http collector only"):
+            deploy_capture_sink(transport, cloud, lambda translated: None,
+                                decode=decode_json_records)
+    body = b'{"messages": [{"prov_obj": "workflow"}]}'
+    assert decode_json_records(body)[0] == [{"prov_obj": "workflow"}]
+    front = IngestFront(metrics=env.metrics)
+    assert front.admit(body) is None and front.malformed.count == 1
+
+
 def test_a_pool_batch_failing_midway_marks_its_delivered_prefix():
     """Three payloads drained as one worker batch; the backend callable
     raises on its 2nd call.  The group delivered before the failure is
@@ -93,19 +109,35 @@ def test_a_pool_batch_failing_midway_marks_its_delivered_prefix():
 
 def run_workflow(transport, durable, tmp_path, ingest, n_tasks=3, seed=5):
     """One device captures ``2 + 2 * n_tasks`` records over ``transport``
-    into ``ingest``.  Returns ``(env, client, sink, done)``."""
+    into ``ingest``; ``"provlake"`` is the ProvLake client POSTing to the
+    HTTP collector.  Returns ``(env, client, sink, done)``; an HTTP
+    collector's response codes are in ``done["statuses"]``."""
     env = Environment()
     net = Network(env, seed=seed)
     dev = Device(env, A8M3, name="edge-dev")
     net.add_host("edge", device=dev)
     cloud = net.add_host("cloud")
     net.connect("edge", "cloud", bandwidth_bps=1e6, latency_s=0.02)
-    sink, endpoint = deploy_capture_sink(transport, cloud, ingest)
-    config = CaptureConfig(transport=transport, durable=durable,
-                           journal_dir=str(tmp_path), reconnect_base_s=0.2,
-                           reconnect_max_s=1.0)
-    client = create_client(dev, endpoint, TOPIC, config)
     done = {}
+    if transport == "provlake":
+        sink, endpoint = deploy_capture_sink("http", cloud, ingest,
+                                             decode=decode_json_records)
+        client = ProvLakeClient(dev, endpoint)
+    else:
+        sink, endpoint = deploy_capture_sink(transport, cloud, ingest)
+        config = CaptureConfig(transport=transport, durable=durable,
+                               journal_dir=str(tmp_path), reconnect_base_s=0.2,
+                               reconnect_max_s=1.0)
+        client = create_client(dev, endpoint, TOPIC, config)
+    if transport in ("http", "provlake"):
+        handle = sink.handler
+
+        def recorded(request):
+            response = handle(request)
+            done.setdefault("statuses", []).append(response.status)
+            return response
+
+        sink.handler = recorded
 
     def proc(env):
         if transport == "mqttsn":
@@ -132,13 +164,27 @@ def record_key(record):
             record.get("event"))
 
 
-@pytest.mark.parametrize("durable", [False, True], ids=["besteffort", "durable"])
-@pytest.mark.parametrize("transport", TRANSPORTS)
+def stored_keys(translated):
+    """Keys of the records one backend call stores: translator records,
+    or the messages of a ProvLake JSON body."""
+    if isinstance(translated, dict):
+        return [(m["prov_obj"], m.get("task", {}).get("id"), m["act_type"])
+                for m in translated["messages"]]
+    return [record_key(r) for r in translated]
+
+
+BACKEND_FAILURE_CASES = [(t, d) for t in TRANSPORTS for d in (False, True)] + [
+    ("provlake", False)]
+
+
+@pytest.mark.parametrize("transport,durable", BACKEND_FAILURE_CASES, ids=[
+    f"{t}-{'durable' if d else 'besteffort'}" for t, d in BACKEND_FAILURE_CASES])
 def test_a_backend_that_fails_one_ingest(tmp_path, transport, durable):
     """The backend raises on its 2nd call.  The MQTT-SN pool requeues
     the batch; HTTP answers 503, so a durable client replays the record
-    and a best-effort one counts it lost; CoAP acked the POST on
-    receipt, so it counts the failure and the record is lost."""
+    and a best-effort one (the ProvLake baseline too) counts it lost;
+    CoAP acked the POST on receipt, so it counts the failure and the
+    record is lost."""
     ingested = []
     calls = []
 
@@ -146,22 +192,41 @@ def test_a_backend_that_fails_one_ingest(tmp_path, transport, durable):
         calls.append(translated)
         if len(calls) == 2:
             raise RuntimeError("backend down")
-        ingested.extend(record_key(r) for r in translated)
+        ingested.extend(stored_keys(translated))
 
     env, client, sink, done = run_workflow(transport, durable, tmp_path, ingest)
     assert "at" in done, "the workflow never finished"
     assert client.records_captured.count == 8
     assert sink.front.failures.count == 1
     assert len(set(ingested)) == len(ingested)  # nothing ingested twice
-    lost = 1 if transport == "coap" or (transport == "http" and not durable) else 0
+    lost = 0 if transport == "mqttsn" or (transport == "http" and durable) else 1
     assert len(ingested) == 8 - lost
     assert sink.front.ingested.total == 8 - lost
-    if transport == "http":
+    if transport in ("http", "provlake"):
         assert client.transport.capture_errors.count == 1
+        assert done["statuses"].count(503) == 1
     if durable:
         assert client.journal.pending == 0
         if transport == "http":
             assert client.replayed.count >= 1
+
+
+def test_the_baseline_collector_acks_a_body_that_is_not_json(tmp_path):
+    """A baseline body the JSON decoder rejects is counted malformed and
+    answered 201, so the library does not send it again."""
+    env, client, sink, done = run_workflow("provlake", False, tmp_path,
+                                           lambda translated: None, n_tasks=1)
+    response = {}
+
+    def post(env):
+        response["r"] = yield from client.transport.session.post(
+            client.server, client.path, b"not json")
+
+    env.process(post(env))
+    env.run(until=env.now + 60)
+    assert response["r"].status == 201 and done["statuses"][-1] == 201
+    assert sink.front.malformed.count == 1
+    assert sink.front.ingested.total == 4
 
 
 def table_contents(service):

@@ -98,6 +98,7 @@ EXPECTED_ALL = {
         "DfAnalyzerCaptureClient",
         "NullCaptureClient",
         "ProvLakeClient",
+        "decode_json_records",
         "iso_time",
     ],
     "repro.simkernel": [

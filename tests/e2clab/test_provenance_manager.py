@@ -1,10 +1,11 @@
 """Direct tests for the Provenance Manager (paper Section V)."""
 
+import numpy as np
 import pytest
 
 from repro.capture import CaptureConfig, create_client
 from repro.capture.envelope import ReplayDeduper
-from repro.core import Data, ServerConfig, Task, Workflow
+from repro.core import Data, PayloadCipher, ServerConfig, Task, Workflow, derive_key
 from repro.device import A8M3, Device
 from repro.e2clab import ProvenanceManager
 from repro.net import Network
@@ -117,16 +118,18 @@ def test_query_passthrough():
 
 
 def test_grouped_manager_clients():
+    """Every field of the manager's capture config reaches its clients."""
     env = Environment()
     net = Network(env, seed=3)
     dev = Device(env, A8M3, name="edge-g")
     net.add_host("edge-g", device=dev)
-    manager = ProvenanceManager(net, group_size=4)
+    manager = ProvenanceManager(net, capture=CaptureConfig(qos=1, group_size=4))
     manager.connect_layer_to_server(["edge-g"], bandwidth_bps=1e9, latency_s=0.01)
 
     def scenario(env):
         client = yield from manager.deploy_client(dev)
         assert client.group_buffer.group_size == 4
+        assert client.qos == client.transport.qos == 1
         wf = Workflow("g", client)
         yield from wf.begin()
         for i in range(6):
@@ -139,6 +142,27 @@ def test_grouped_manager_clients():
     env.process(scenario(env))
     env.run()
     assert manager.records_ingested == 14
+
+
+def test_manager_clients_encrypt_and_every_sink_decrypts():
+    """The capture config's cipher reaches the clients and every sink the
+    manager deploys; a record none of them can decrypt is malformed."""
+    cipher = PayloadCipher(derive_key("fleet-secret"), rng=np.random.default_rng(1))
+    env, net, manager, devices = make_world(capture=CaptureConfig(cipher=cipher))
+
+    def scenario(env):
+        for device, transport in zip(devices, ("mqttsn", "coap")):
+            client = yield from manager.deploy_client(device, transport=transport)
+            assert client.config.cipher is cipher
+            wf = Workflow(transport, client)
+            yield from wf.begin()
+            yield from wf.end(drain=True)
+        yield env.timeout(10)
+
+    env.process(scenario(env))
+    env.run()
+    assert manager.records_ingested == 4
+    assert env.metrics.summed("front", "malformed").count == 0
 
 
 def test_manager_with_sharded_broker_plane():
@@ -194,12 +218,12 @@ def test_deploy_client_with_coap_transport():
     assert manager.records_ingested == 4
 
 
-def test_transport_argument_selects_manager_transport(monkeypatch):
+def test_capture_config_selects_manager_transport(monkeypatch):
     # the argument is the one route: the environment retargets nothing
     monkeypatch.setenv("REPRO_CAPTURE_TRANSPORT", "http")
-    assert make_world()[2].transport == "mqttsn"
-    env, net, manager, devices = make_world(transport="coap")
-    assert manager.transport == "coap"
+    assert make_world()[2].capture.transport == "mqttsn"
+    env, net, manager, devices = make_world(capture=CaptureConfig(transport="coap"))
+    assert manager.capture.transport == "coap"
 
     def scenario(env):
         client = yield from manager.deploy_client(devices[0])
@@ -217,7 +241,7 @@ def test_transport_argument_selects_manager_transport(monkeypatch):
 def test_unknown_transport_is_rejected_at_construction():
     net = Network(Environment(), seed=1)
     with pytest.raises(ValueError, match="'avian-carrier'"):
-        ProvenanceManager(net, transport="avian-carrier")
+        ProvenanceManager(net, capture=CaptureConfig(transport="avian-carrier"))
     assert net.hosts == {}  # rejected before any side effect
 
 

@@ -80,6 +80,23 @@ def test_a_durable_churn_run_balances_captured_against_ingested_and_stored():
     assert counted(snap, "front", "failures") == 0
 
 
+@pytest.mark.parametrize("setup", [
+    ExperimentSetup(n_devices=2),
+    ExperimentSetup(system="provlake", n_devices=2),
+    ExperimentSetup(system="provlake", n_devices=2, group_size=5),
+    ExperimentSetup(system="dfanalyzer", n_devices=2),
+], ids=["provlight", "provlake", "provlake-grouped", "dfanalyzer"])
+def test_every_system_balances_captured_against_ingested_and_stored(setup):
+    """Every system's records pass the one ingest front, the baselines'
+    JSON bodies included."""
+    snap = snapshot(setup)
+    captured = counted(snap, "capture", "records_captured")
+    assert captured == 2 * (2 + 2 * CONFIG.number_of_tasks)
+    assert counted(snap, "front", "ingested", "total") == captured
+    assert counted(snap, "dfanalyzer", "records_ingested") == captured
+    assert counted(snap, "front", "malformed") == counted(snap, "front", "failures") == 0
+
+
 def test_best_effort_publishers_reconnect_after_a_failover():
     """A failover drops the publisher sessions of the killed shard.  A
     best-effort client loses the one record it had in flight there, then

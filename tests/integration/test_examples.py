@@ -38,6 +38,8 @@ def test_sensor_aggregation(capsys):
     out = run_example("sensor_aggregation.py", capsys)
     assert "with ProvLight" in out and "with ProvLake" in out
     assert "rep-3 <- det-3 <- agg-3 <- clean-3 <- raw-3" in out
+    # the ProvLake run stores through the HTTP collector as well
+    assert "ProvLight 82, ProvLake 82" in out
     # ProvLake's overhead line must show a much larger percentage
     light_line = next(l for l in out.splitlines() if "ProvLight" in l and "overhead" in l)
     lake_line = next(l for l in out.splitlines() if "ProvLake" in l and "overhead" in l)

@@ -128,96 +128,64 @@ def test_experiment_setup_validates_chaos():
         ExperimentSetup(chaos="nonsense")
 
 
-def test_provenance_manager_threads_chaos():
+def test_provenance_manager_composes_with_chaos_and_a_topology():
+    """The manager deploys the pipeline; tiers and chaos compose with it
+    from their own parts, rooted at the manager's host."""
     from repro.e2clab import ProvenanceManager
+    from repro.net import ContinuumTopology, TopologySpec
 
     env = Environment()
     net = Network(env, seed=2)
-    manager = ProvenanceManager(
-        net, server=ServerConfig(broker_shards=3), chaos="kill-shard@0.5"
+    manager = ProvenanceManager(net, server=ServerConfig(broker_shards=3))
+    topology = ContinuumTopology(net, TopologySpec.parse("edge:2,fog:1,cloud:1"),
+                                 root_host=manager.host_name)
+    ChaosProfile.parse("kill-shard@0.5").apply(
+        ServerFaultInjector(manager.server), topology=topology,
     )
     env.run(until=5.0)
     assert [e["kind"] for e in env.metrics.events()] == ["kill-shard", "failover"]
+    [edge, _] = topology.hosts_in("edge")
+    assert net.route(edge, manager.host_name)[-1] == manager.host_name
 
 
-def test_provenance_manager_rejects_impossible_chaos():
-    from repro.e2clab import ProvenanceManager
-
-    env = Environment()
-    net = Network(env, seed=2)
-    with pytest.raises(ValueError):
-        ProvenanceManager(net, chaos="kill-shard@1")  # one shard only
-    with pytest.raises(ValueError):
-        ProvenanceManager(net, server=ServerConfig(broker_shards=2),
-                          chaos="backend-outage@1:0.5")
-
-
-#: case -> (chaos spec, harness ExperimentSetup kwargs, ProvenanceManager
-#: kwargs, message fragment); ``None`` = the surface has no such condition
+#: case -> (chaos spec, harness ExperimentSetup kwargs, message fragment)
 PREFLIGHT_REJECTIONS = {
-    "kill-shard-with-one-shard": ("kill-shard@1", {}, {}, "broker_shards >= 2"),
+    "kill-shard-with-one-shard": ("kill-shard@1", {}, "broker_shards >= 2"),
     "backend-link-events": (
-        "backend-outage@1:0.5", {"broker_shards": 2},
-        {"server": ServerConfig(broker_shards=2)}, "server<->backend link",
+        "backend-outage@1:0.5", {"broker_shards": 2}, "server<->backend link",
     ),
     "tier-events-without-topology": (
-        "partition-tier:edge-fog@1:1", {}, {}, "continuum topology",
+        "partition-tier:edge-fog@1:1", {}, "continuum topology",
     ),
     "churn-with-grouping": (
-        "churn@1:0.5:1", {"group_size": 5, "qos": 1}, None, "group_size=0",
+        "churn@1:0.5:1", {"group_size": 5, "qos": 1}, "group_size=0",
     ),
-    "churn-with-qos-0": ("churn@1:0.5:1", {"qos": 0}, None, "qos >= 1"),
+    "churn-with-qos-0": ("churn@1:0.5:1", {"qos": 0}, "qos >= 1"),
     "non-mqttsn-transport": (
-        "crash-worker@1", {"transport": "coap"}, {"transport": "coap"},
-        "mqttsn server plane",
+        "crash-worker@1", {"transport": "coap"}, "mqttsn server plane",
     ),
     "baseline-system": (
-        "crash-worker@1", {"system": "provlake"}, None, "mqttsn server plane",
-    ),
-    "fleet-events-on-the-manager": (
-        "churn@1:0.5:1", None, {}, "device lifecycle",
+        "crash-worker@1", {"system": "provlake"}, "mqttsn server plane",
     ),
 }
 
 
-def _reject_on_harness(chaos, kwargs, monkeypatch):
+@pytest.mark.parametrize("case", PREFLIGHT_REJECTIONS)
+def test_chaos_preflight_rejects_before_any_side_effect(monkeypatch, case):
     from repro.harness import experiments
     from repro.workloads import SyntheticWorkloadConfig
+
+    chaos, kwargs, fragment = PREFLIGHT_REJECTIONS[case]
 
     def no_world(*args, **kwargs):
         raise AssertionError("the preflight must run before the world is built")
 
     monkeypatch.setattr(experiments, "Environment", no_world)
     setup = experiments.ExperimentSetup(chaos=chaos, **kwargs)
-    experiments.run_capture_experiment(
-        setup, SyntheticWorkloadConfig(number_of_tasks=2), seed=1
-    )
-
-
-def _reject_on_manager(chaos, kwargs, monkeypatch):
-    from repro.e2clab import ProvenanceManager
-
-    net = Network(Environment(), seed=2)
-    try:
-        ProvenanceManager(net, chaos=chaos, **kwargs)
-    finally:
-        assert not net.hosts  # no host provisioned, no port bound
-
-
-@pytest.mark.parametrize("surface,case", [
-    (surface, case)
-    for case, (_, harness, manager, _) in PREFLIGHT_REJECTIONS.items()
-    for surface, kwargs in (("harness", harness), ("manager", manager))
-    if kwargs is not None
-])
-def test_shared_chaos_preflight_rejects_before_any_side_effect(
-    monkeypatch, surface, case
-):
-    chaos, harness, manager, fragment = PREFLIGHT_REJECTIONS[case]
-    reject = _reject_on_harness if surface == "harness" else _reject_on_manager
-    kwargs = harness if surface == "harness" else manager
     with pytest.raises(ValueError, match=re.escape(fragment)):
-        reject(chaos, kwargs, monkeypatch)
+        experiments.run_capture_experiment(
+            setup, SyntheticWorkloadConfig(number_of_tasks=2), seed=1
+        )
 
 
 # --------------------------------------------- client-plane grammar (fleet)
