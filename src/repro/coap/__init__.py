@@ -2,7 +2,13 @@
 transport — a protocol-comparison extension: CON/ACK (2 packets,
 at-least-once + dedup) versus MQTT-SN QoS 2 (4 packets, exactly-once)."""
 
-from .endpoint import DEFAULT_COAP_PORT, CoapClient, CoapServer, CoapTimeout
+from .endpoint import (
+    DEFAULT_COAP_PORT,
+    CoapClient,
+    CoapServer,
+    CoapServerError,
+    CoapTimeout,
+)
 from .messages import (
     CODE_BAD_REQUEST,
     CODE_CHANGED,
@@ -10,6 +16,7 @@ from .messages import (
     CODE_EMPTY,
     CODE_NOT_FOUND,
     CODE_POST,
+    CODE_SERVICE_UNAVAILABLE,
     TYPE_ACK,
     TYPE_CON,
     TYPE_NON,
@@ -27,6 +34,7 @@ __all__ = [
     "CoapClient",
     "CoapServer",
     "CoapTimeout",
+    "CoapServerError",
     "DEFAULT_COAP_PORT",
     "ProvLightCoapServer",
     "TYPE_CON",
@@ -39,4 +47,5 @@ __all__ = [
     "CODE_CHANGED",
     "CODE_BAD_REQUEST",
     "CODE_NOT_FOUND",
+    "CODE_SERVICE_UNAVAILABLE",
 ]

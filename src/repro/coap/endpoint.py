@@ -6,11 +6,19 @@ non-confirmable fire-and-forget, and message-id deduplication on the
 server.  Both ends receive through a one-shot socket callback that
 re-registers after each datagram, not through a process; the server
 charges its per-request service time on a timer.
+
+A handler answers through the ``reply`` it is given, at once or later
+(deferred): the piggy-backed ACK leaves when it is called.  A
+retransmitted CON whose first copy is still being handled is neither
+dispatched again nor answered; once answered, a retransmission gets the
+cached response code again.  The client fails a CON answered with a
+server error (5.xx) with :class:`CoapServerError`.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from ..net import Endpoint, Host
@@ -25,9 +33,10 @@ from .messages import (
     TYPE_RST,
     CoapError,
     CoapMessage,
+    code_str,
 )
 
-__all__ = ["CoapClient", "CoapServer", "CoapTimeout", "DEFAULT_COAP_PORT"]
+__all__ = ["CoapClient", "CoapServer", "CoapServerError", "CoapTimeout", "DEFAULT_COAP_PORT"]
 
 DEFAULT_COAP_PORT = 5683
 
@@ -40,8 +49,15 @@ class CoapTimeout(ConnectionError):
     """A confirmable exchange exhausted its retransmissions."""
 
 
-#: handler: (path segments, payload) -> (code, response payload)
-RequestHandler = Callable[[Tuple[str, ...], bytes], Tuple[int, bytes]]
+class CoapServerError(ConnectionError):
+    """The server answered a confirmable request with a 5.xx code."""
+
+
+#: ``reply(code, payload=b"")``: answer the request, once
+Reply = Callable[..., None]
+#: handler: (path segments, payload, reply) -> None; calls ``reply`` now
+#: or later
+RequestHandler = Callable[[Tuple[str, ...], bytes, Reply], None]
 
 
 class CoapServer:
@@ -55,7 +71,9 @@ class CoapServer:
         self.port = port
         self.service_time_s = service_time_s
         self._handlers: Dict[Tuple[str, ...], RequestHandler] = {}
-        self._seen: Dict[Tuple[Endpoint, int], int] = {}  # dedup cache
+        #: dedup cache: (source, mid) -> response code, None while the
+        #: handler has not replied yet
+        self._seen: Dict[Tuple[Endpoint, int], Optional[int]] = {}
         metrics = self.env.metrics
         self.requests = metrics.counter("coap", "requests", host=host.name, port=port)
         self.duplicates = metrics.counter("coap", "duplicates", host=host.name, port=port)
@@ -88,19 +106,28 @@ class CoapServer:
         dedup_key = (source, message.message_id)
         if dedup_key in self._seen:
             self.duplicates.record()
-            if message.mtype == TYPE_CON:
+            code = self._seen[dedup_key]
+            if message.mtype == TYPE_CON and code is not None:
                 # re-ACK with the cached response code
-                self._reply(message, source, self._seen[dedup_key], b"")
+                self._reply(message, source, code, b"")
             return
-        handler = self._handlers.get(tuple(message.uri_path))
-        if handler is None:
-            code, payload = CODE_NOT_FOUND, b""
-        else:
-            code, payload = handler(tuple(message.uri_path), message.payload)
+        self._seen[dedup_key] = None  # being handled
         self.requests.record(len(message.payload))
+        reply = partial(self._answer, message, source, dedup_key)
+        path = tuple(message.uri_path)
+        handler = self._handlers.get(path)
+        if handler is None:
+            reply(CODE_NOT_FOUND)
+        else:
+            handler(path, message.payload, reply)
+
+    def _answer(self, request: CoapMessage, source: Endpoint, dedup_key,
+                code: int, payload: bytes = b"") -> None:
+        """The handler's ``reply``: cache ``code`` for retransmissions,
+        and ACK a CON."""
         self._seen[dedup_key] = code
-        if message.mtype == TYPE_CON:
-            self._reply(message, source, code, payload)
+        if request.mtype == TYPE_CON:
+            self._reply(request, source, code, payload)
 
     def _reply(self, request: CoapMessage, source: Endpoint, code: int,
                payload: bytes) -> None:
@@ -144,6 +171,9 @@ class CoapClient:
         if event is not None and not event.triggered:
             if message.mtype == TYPE_RST:
                 event.fail(ConnectionError("connection reset (RST)"))
+            elif message.code >> 5 == 5:
+                event.fail(CoapServerError(
+                    f"CON {message.message_id} answered {code_str(message.code)}"))
             else:
                 event.succeed(message)
 

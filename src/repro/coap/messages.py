@@ -29,6 +29,7 @@ __all__ = [
     "CODE_CHANGED",
     "CODE_BAD_REQUEST",
     "CODE_NOT_FOUND",
+    "CODE_SERVICE_UNAVAILABLE",
     "code_str",
 ]
 
@@ -46,6 +47,7 @@ CODE_CREATED = 0x41         # 2.01
 CODE_CHANGED = 0x44         # 2.04
 CODE_BAD_REQUEST = 0x80     # 4.00
 CODE_NOT_FOUND = 0x84       # 4.04
+CODE_SERVICE_UNAVAILABLE = 0xA3  # 5.03
 
 OPT_URI_PATH = 11
 OPT_CONTENT_FORMAT = 12

@@ -19,7 +19,7 @@ from ..device import Device
 from ..net import Endpoint, Host
 from ..simkernel import Mailbox
 from .endpoint import DEFAULT_COAP_PORT, CoapClient, CoapServer
-from .messages import CODE_CHANGED
+from .messages import CODE_CHANGED, CODE_SERVICE_UNAVAILABLE
 
 __all__ = [
     "ProvLightCoapServer",
@@ -32,9 +32,13 @@ DEFAULT_CAPTURE_PATH = "/prov"
 
 
 class ProvLightCoapServer:
-    """Capture sink: CoAP server + ingest front + backend.  A POST is
-    acked on receipt, so durability ends at the inbox: a payload the
-    backend then fails is counted in ``front.failures`` and lost."""
+    """Capture sink: CoAP server + ingest front + backend.
+
+    A CON is answered once the backend took its record: 2.04 piggy-backed
+    on the ACK, or 5.03 when the backend failed (counted in
+    ``front.failures``), which a durable client replays.  A malformed or
+    duplicate payload is answered 2.04 too, as the HTTP collector
+    answers it 201: the client acks it and does not send it again."""
 
     def __init__(self, host: Host, backend, port: int = DEFAULT_COAP_PORT,
                  target: str = "dfanalyzer", cipher=None,
@@ -59,16 +63,16 @@ class ProvLightCoapServer:
         :meth:`repro.http.HttpServer.close`)."""
         self.backend = None
 
-    def _on_post(self, path, payload):
-        self._inbox.put_nowait(payload)
-        return CODE_CHANGED, b""
+    def _on_post(self, path, payload, reply):
+        self._inbox.put_nowait((payload, reply))
 
     def _work_loop(self):
         device = self.host.device
         while True:
-            payload = yield self._inbox.get()
+            payload, reply = yield self._inbox.get()
             entry = self.front.admit(payload)
             if entry is None:
+                reply(CODE_CHANGED)
                 continue
             work = SERVER_COSTS.translate_per_message_s
             if len(entry[1]) > 1:
@@ -82,9 +86,12 @@ class ProvLightCoapServer:
             try:
                 yield from self.backend.ingest(entry[2])
             except Exception:
+                # unmarked: a durable client replays the record
                 self.front.failures.record()
+                reply(CODE_SERVICE_UNAVAILABLE)
                 continue
             self.front.accepted((entry,))
+            reply(CODE_CHANGED)
 
 
 class CoapCaptureTransport(CaptureTransport):

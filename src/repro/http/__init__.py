@@ -7,8 +7,7 @@ from .messages import (
     HttpError,
     HttpRequest,
     HttpResponse,
-    StreamReader,
-    read_request,
+    parse_head,
     read_response,
 )
 from .server import HttpServer
@@ -21,7 +20,6 @@ __all__ = [
     "HttpResponse",
     "HttpError",
     "ConnectionClosed",
-    "StreamReader",
-    "read_request",
+    "parse_head",
     "read_response",
 ]

@@ -27,14 +27,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..net import ConnectionRefused, Endpoint, Host
-from .messages import (
-    ConnectionClosed,
-    HttpError,
-    HttpRequest,
-    HttpResponse,
-    StreamReader,
-    read_response,
-)
+from .messages import ConnectionClosed, HttpError, HttpRequest, read_response
 
 __all__ = ["HttpSession", "HttpRequestError"]
 
@@ -46,11 +39,11 @@ class HttpRequestError(ConnectionError):
 class _Pooled:
     """One pooled keep-alive connection and its response watchdog."""
 
-    __slots__ = ("conn", "reader", "waiting", "armed", "expired")
+    __slots__ = ("conn", "buf", "waiting", "armed", "expired")
 
     def __init__(self, conn):
         self.conn = conn
-        self.reader = StreamReader(conn)
+        self.buf = b""  # received and not yet read as a response
         self.waiting = False  # a request awaits its response
         self.armed = False  # a watchdog timer is on the heap
         self.expired = False  # the watchdog aborted the connection
@@ -68,13 +61,13 @@ class HttpSession:
         self.env = host.env
         self.user_agent = user_agent
         self._conns: Dict[Endpoint, _Pooled] = {}
+        #: (dest, content type or None) -> the default headers; shared
+        #: by every request built from them, which only reads them
+        self._headers: Dict[tuple, Dict[str, str]] = {}
         self.request_count = 0
 
     def _connection(self, dest: Endpoint):
-        """Generator: return a live pooled connection, dialing if needed."""
-        entry = self._conns.get(dest)
-        if entry is not None and not entry.conn.closed:
-            return entry
+        """Generator: dial ``dest`` and pool the new connection."""
         try:
             conn = yield from self.host.tcp_connect(dest)
         except ConnectionRefused as exc:
@@ -113,25 +106,20 @@ class HttpSession:
         _retried: bool = False,
     ):
         """Generator performing one blocking request (use ``yield from``)."""
-        entry = yield from self._connection(dest)
-        all_headers = {
-            "Host": f"{dest[0]}:{dest[1]}",
-            "User-Agent": self.user_agent,
-            "Accept": "*/*",
-            "Connection": "keep-alive",
-        }
-        if body:
-            all_headers["Content-Type"] = content_type
+        entry = self._conns.get(dest)
+        if entry is None or entry.conn.closed:
+            entry = yield from self._connection(dest)
+        all_headers = self._default_headers(dest, content_type if body else None)
         if headers:
-            all_headers.update(headers)
-        request = HttpRequest(method=method, path=path, headers=all_headers, body=body)
+            all_headers = {**all_headers, **headers}
+        request = HttpRequest(method, path, all_headers, body)
         entry.waiting = True
         if not entry.armed:
             self._arm_watchdog(entry)
         try:
             # tail position: read_response next waits on recv
             entry.conn.send(request.encode(), tail=True)
-            response = yield from read_response(entry.reader)
+            response, entry.buf = yield from read_response(entry.conn, entry.buf)
         except (ConnectionClosed, ConnectionError):
             entry.waiting = False  # before a redial waits on another entry
             self._conns.pop(dest, None)
@@ -160,15 +148,29 @@ class HttpSession:
             self._conns.pop(dest, None)
         return response
 
+    def _default_headers(self, dest: Endpoint, content_type: Optional[str]):
+        """The headers every request to ``dest`` carries, with the
+        ``Content-Type`` of a body; built once per pair."""
+        key = (dest, content_type)
+        headers = self._headers.get(key)
+        if headers is None:
+            headers = self._headers[key] = {
+                "Host": f"{dest[0]}:{dest[1]}",
+                "User-Agent": self.user_agent,
+                "Accept": "*/*",
+                "Connection": "keep-alive",
+            }
+            if content_type is not None:
+                headers["Content-Type"] = content_type
+        return headers
+
     def post(self, dest: Endpoint, path: str, body: bytes, **kw):
         """Generator: POST ``body`` and return the response."""
-        response = yield from self.request("POST", dest, path, body=body, **kw)
-        return response
+        return self.request("POST", dest, path, body=body, **kw)
 
     def get(self, dest: Endpoint, path: str, **kw):
         """Generator: GET ``path`` and return the response."""
-        response = yield from self.request("GET", dest, path, **kw)
-        return response
+        return self.request("GET", dest, path, **kw)
 
     def invalidate(self, dest: Endpoint) -> None:
         """Drop the pooled connection to ``dest`` (if any).

@@ -1,28 +1,38 @@
-"""HTTP/1.1 message formatting and incremental parsing.
+"""HTTP/1.1 message formatting and parsing.
 
 Real bytes: requests/responses are encoded exactly as a ``requests``
 client and a uWSGI server would put them on the wire (request line,
 canonical headers, ``Content-Length`` framing).  The byte counts behind
 the paper's Fig. 6c baseline traffic come from these encoders plus the
 TCP/IP headers.
+
+Both ``encode`` methods build the whole head as one ``str`` and encode
+it once.  Parsing works on buffered bytes: :func:`parse_head` is the one
+head parser.  The server (:mod:`repro.http.server`) calls it on each
+connection's buffer, and the client's :func:`read_response` on the
+pooled connection's; both call it as soon as the blank line that ends
+the head is in, so a malformed head or ``Content-Length`` is rejected
+before any body byte is awaited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Tuple
 
 __all__ = [
     "HttpRequest",
     "HttpResponse",
     "HttpError",
     "ConnectionClosed",
-    "StreamReader",
-    "read_request",
+    "HEAD_END",
+    "parse_head",
     "read_response",
 ]
 
-CRLF = b"\r\n"
+#: the blank line that ends a message head
+HEAD_END = b"\r\n\r\n"
 
 
 class HttpError(Exception):
@@ -42,16 +52,14 @@ class HttpRequest:
     version: str = "HTTP/1.1"
 
     def encode(self) -> bytes:
-        headers = dict(self.headers)
-        if self.body and "Content-Length" not in headers:
-            headers["Content-Length"] = str(len(self.body))
-        lines = [f"{self.method} {self.path} {self.version}".encode()]
-        lines += [f"{k}: {v}".encode() for k, v in headers.items()]
-        return CRLF.join(lines) + CRLF + CRLF + self.body
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.encode())
+        headers = self.headers
+        body = self.body
+        head = f"{self.method} {self.path} {self.version}\r\n"
+        for name, value in headers.items():
+            head += f"{name}: {value}\r\n"
+        if body and "Content-Length" not in headers:
+            head += f"Content-Length: {len(body)}\r\n"
+        return (head + "\r\n").encode() + body
 
     def keep_alive(self) -> bool:
         return self.headers.get("Connection", "keep-alive").lower() != "close"
@@ -66,15 +74,14 @@ class HttpResponse:
     version: str = "HTTP/1.1"
 
     def encode(self) -> bytes:
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(self.body)))
-        lines = [f"{self.version} {self.status} {self.reason}".encode()]
-        lines += [f"{k}: {v}".encode() for k, v in headers.items()]
-        return CRLF.join(lines) + CRLF + CRLF + self.body
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.encode())
+        headers = self.headers
+        body = self.body
+        head = f"{self.version} {self.status} {self.reason}\r\n"
+        for name, value in headers.items():
+            head += f"{name}: {value}\r\n"
+        if "Content-Length" not in headers:
+            head += f"Content-Length: {len(body)}\r\n"
+        return (head + "\r\n").encode() + body
 
     @property
     def ok(self) -> bool:
@@ -84,65 +91,6 @@ class HttpResponse:
         return self.headers.get("Connection", "keep-alive").lower() != "close"
 
 
-class StreamReader:
-    """Buffered reader over a simulated TCP connection.
-
-    All read methods are generators (use ``yield from``); they raise
-    :class:`ConnectionClosed` if the stream ends before the requested
-    data arrives.
-    """
-
-    def __init__(self, conn):
-        self.conn = conn
-        self._buf = bytearray()
-        self._eof = False
-
-    def _fill(self):
-        if self._eof:
-            raise ConnectionClosed("read past end of stream")
-        data = yield self.conn.recv()
-        if data == b"":
-            self._eof = True
-            raise ConnectionClosed("peer closed the connection")
-        self._buf.extend(data)
-
-    def read_until(self, delimiter: bytes):
-        """Read up to and including ``delimiter``."""
-        while True:
-            idx = self._buf.find(delimiter)
-            if idx >= 0:
-                end = idx + len(delimiter)
-                data = bytes(self._buf[:end])
-                del self._buf[:end]
-                return data
-            yield from self._fill()
-
-    def read_exactly(self, n: int):
-        """Read exactly ``n`` bytes."""
-        while len(self._buf) < n:
-            yield from self._fill()
-        data = bytes(self._buf[:n])
-        del self._buf[:n]
-        return data
-
-    def at_eof_between_messages(self):
-        """Block until either data arrives (False) or a clean EOF (True).
-
-        Lets a keep-alive server distinguish "next request coming" from
-        "client closed the idle connection".
-        """
-        if self._buf:
-            return False
-        if self._eof:
-            return True
-        data = yield self.conn.recv()
-        if data == b"":
-            self._eof = True
-            return True
-        self._buf.extend(data)
-        return False
-
-
 def _decode(raw: bytes) -> str:
     try:
         return raw.decode()
@@ -150,66 +98,79 @@ def _decode(raw: bytes) -> str:
         raise HttpError(f"message head is not UTF-8: {raw!r}") from None
 
 
-def _parse_headers(block: bytes) -> Dict[str, str]:
+def parse_head(head: bytes, response: bool = False) -> Tuple[tuple, Dict[str, str], int]:
+    """Parse a complete message head, the bytes before :data:`HEAD_END`.
+
+    Returns ``(start, headers, length)``: ``start`` is ``(method, path,
+    version)`` for a request and ``(version, status, reason)`` for a
+    ``response``, and ``length`` is the ``Content-Length`` (1*DIGIT,
+    RFC 9110; 0 when absent).  Raises :class:`HttpError` on a malformed
+    start line, a header line without a colon, a bad ``Content-Length``
+    or a head that is not UTF-8, checked in that order.
+
+    The heads on a keep-alive connection repeat (the same client sends
+    the same headers, the server the same response), so the parse of a
+    recent head is reused; ``headers`` is a fresh dict on every call.
+    """
+    start, headers, length = _parse_head(head, response)
+    return start, dict(headers), length
+
+
+@lru_cache(maxsize=256)
+def _parse_head(head: bytes, response: bool) -> Tuple[tuple, tuple, int]:
+    """:func:`parse_head` with the headers as a tuple of pairs, so that
+    a cached result cannot be changed by its caller."""
+    start_line, _, block = head.partition(b"\r\n")
+    start = _decode(start_line).split(" ", 2)
+    if response:
+        if len(start) < 2:
+            raise HttpError(f"malformed status line: {start_line!r}")
+        try:
+            status = int(start[1])
+        except ValueError:
+            raise HttpError(f"bad status code {start[1]!r}") from None
+        start = (start[0], status, start[2] if len(start) > 2 else "")
+    elif len(start) < 3:
+        raise HttpError(f"malformed request line: {start_line!r}")
     headers: Dict[str, str] = {}
-    for line in _decode(block).split("\r\n"):
-        if not line:
-            continue
-        if ":" not in line:
-            raise HttpError(f"malformed header line: {line!r}")
-        key, value = line.split(":", 1)
-        headers[key.strip()] = value.strip()
-    return headers
-
-
-def _content_length(headers: Dict[str, str]) -> int:
-    """The ``Content-Length`` (1*DIGIT, RFC 9110); 0 when absent."""
+    if block:
+        for line in _decode(block).split("\r\n"):
+            if not line:
+                continue
+            key, colon, value = line.partition(":")
+            if not colon:
+                raise HttpError(f"malformed header line: {line!r}")
+            headers[key.strip()] = value.strip()
     value = headers.get("Content-Length", "0")
     if not (value.isascii() and value.isdigit()):
         raise HttpError(f"bad Content-Length {value!r}")
-    return int(value)
+    return tuple(start), tuple(headers.items()), int(value)
 
 
-def read_request(reader: StreamReader):
-    """Generator parsing one request from ``reader``.
+def read_response(conn, buf: bytes = b""):
+    """Generator reading one response from the TCP connection ``conn``.
 
-    Raises :class:`HttpError` on a malformed head or ``Content-Length``.
+    ``buf`` holds bytes already received on ``conn`` and not yet
+    consumed.  Returns ``(response, rest)``, ``rest`` being the bytes
+    received after the response.  Waits on ``conn.recv()`` only while
+    the head or the body is incomplete; raises :class:`HttpError` on a
+    malformed head and :class:`ConnectionClosed` when the stream ends
+    first.
     """
-    head = yield from reader.read_until(CRLF + CRLF)
-    request_line, _, header_block = head[:-4].partition(CRLF)
-    try:
-        method, path, version = _decode(request_line).split(" ", 2)
-    except ValueError:
-        raise HttpError(f"malformed request line: {request_line!r}") from None
-    headers = _parse_headers(header_block)
-    body = b""
-    length = _content_length(headers)
-    if length:
-        body = yield from reader.read_exactly(length)
-    return HttpRequest(method=method, path=path, headers=headers, body=body, version=version)
-
-
-def read_response(reader: StreamReader):
-    """Generator parsing one response from ``reader``.
-
-    Raises :class:`HttpError` on a malformed head or ``Content-Length``.
-    """
-    head = yield from reader.read_until(CRLF + CRLF)
-    status_line, _, header_block = head[:-4].partition(CRLF)
-    parts = _decode(status_line).split(" ", 2)
-    if len(parts) < 2:
-        raise HttpError(f"malformed status line: {status_line!r}")
-    version, status = parts[0], parts[1]
-    reason = parts[2] if len(parts) > 2 else ""
-    try:
-        status_code = int(status)
-    except ValueError:
-        raise HttpError(f"bad status code {status!r}") from None
-    headers = _parse_headers(header_block)
-    body = b""
-    length = _content_length(headers)
-    if length:
-        body = yield from reader.read_exactly(length)
-    return HttpResponse(
-        status=status_code, reason=reason, headers=headers, body=body, version=version
-    )
+    end = buf.find(HEAD_END)
+    while end < 0:
+        data = yield conn.recv()
+        if not data:
+            raise ConnectionClosed("peer closed the connection")
+        buf += data
+        end = buf.find(HEAD_END)
+    (version, status, reason), headers, length = parse_head(buf[:end], response=True)
+    end += 4
+    while len(buf) - end < length:
+        data = yield conn.recv()
+        if not data:
+            raise ConnectionClosed("peer closed the connection")
+        buf += data
+    stop = end + length
+    response = HttpResponse(status, reason, headers, buf[end:stop], version)
+    return response, buf[stop:]

@@ -11,6 +11,21 @@ Implements the pieces of TCP whose costs the paper's analysis hinges on:
   contract survives lossy links (failure-injection tests exercise this);
 * FIN-based half-close: ``recv`` returns ``b""`` at end-of-stream.
 
+A reader waits with :meth:`TcpConnection.recv` (an event, for a
+process) or :meth:`TcpConnection.on_recv` (a one-shot callback, for a
+reader that runs no process, like the HTTP server's connections).  Both
+wait in one FIFO queue; a callback waiter is fired by
+``call_later(0.0, fn, data)`` exactly where an event waiter is
+succeeded, so it runs in the heap slot that event would take.
+
+The steady state has fast paths that reach the general path's outcome
+with less work: ``_on_packet`` handles an ``ESTABLISHED`` segment with
+flags ``""`` or ``"ACK"`` (data and/or a cumulative ACK) before the
+handshake and reset branches, and ``_on_ack`` walks the unacked
+segments in insertion order, which is sequence order (a segment is
+inserted once, at the next sequence number), stopping at the first one
+still unacked.
+
 Congestion control is deliberately out of scope: the experiments are
 either latency-bound (1 Gbit) or plainly bandwidth-bound (25 Kbit), and a
 fixed 64 KiB window reproduces both regimes.
@@ -55,7 +70,6 @@ and link bytes against the process-based model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..simkernel import Environment, Event, Mailbox
@@ -76,18 +90,18 @@ class ConnectionReset(ConnectionError):
     """The connection failed (reset or retransmission limit exceeded)."""
 
 
-@dataclass
 class _Segment:
     """Sender-side bookkeeping for one in-flight segment."""
 
-    payload: bytes
-    is_fin: bool
-    sent_at: float
-    retries: int
+    __slots__ = ("payload", "is_fin", "sent_at", "retries", "length")
 
-    @property
-    def length(self) -> int:
-        return 1 if self.is_fin else len(self.payload)
+    def __init__(self, payload: bytes, is_fin: bool, sent_at: float, retries: int):
+        self.payload = payload
+        self.is_fin = is_fin
+        self.sent_at = sent_at
+        self.retries = retries
+        #: sequence space taken: the payload bytes, or 1 for a FIN
+        self.length = 1 if is_fin else len(payload)
 
 
 class TcpListener:
@@ -155,6 +169,7 @@ class TcpConnection:
         self.host = host
         self.env: Environment = host.env
         self.local_port = local_port
+        self._endpoint = (host.name, local_port)  # every segment's source
         self.remote = remote
         self.initiator = initiator
         self.window = window
@@ -176,7 +191,8 @@ class TcpConnection:
         self._expected_seq = 0
         self._ooo: Dict[int, Tuple[bytes, bool]] = {}  # seq -> (payload, is_fin)
         self._recv_buffer = bytearray()
-        self._recv_waiters: List = []  # (event, max_bytes)
+        #: (event, max_bytes, False) or (on_recv callback, None, True)
+        self._recv_waiters: List = []
         self._eof = False
 
         # -- RTO estimation (RFC 6298 style: one timer per connection)
@@ -232,9 +248,21 @@ class TcpConnection:
         has closed and the buffer is drained.
         """
         event = self.env.event()
-        self._recv_waiters.append((event, max_bytes))
+        self._recv_waiters.append((event, max_bytes, False))
         self._satisfy_receivers()
         return event
+
+    def on_recv(self, fn: Callable[[bytes], None]) -> None:
+        """Call ``fn(data)`` once, with the bytes :meth:`recv` would
+        yield.
+
+        The callback form of :meth:`recv`: a one-shot waiter in the same
+        queue, fired by ``call_later(0.0, fn, data)`` where a
+        :meth:`recv` event would succeed, so it runs in that event's
+        heap slot.  A reader re-registers after each call.
+        """
+        self._recv_waiters.append((fn, None, True))
+        self._satisfy_receivers()
 
     def close(self) -> None:
         """Half-close: flush pending data, then send FIN."""
@@ -278,18 +306,23 @@ class TcpConnection:
         ack: Optional[int] = None,
         payload: bytes = b"",
     ) -> None:
-        packet = Packet(
-            src=(self.host.name, self.local_port),
-            dst=self.remote,
-            protocol="tcp",
-            payload=payload,
-            header_bytes=TCP_HEADER_BYTES,
-            meta={"flags": flags, "seq": seq, "ack": ack},
-        )
-        self.host.network.send(packet)
+        self.host.network.send(Packet(
+            self._endpoint, self.remote, "tcp", payload, TCP_HEADER_BYTES,
+            {"flags": flags, "seq": seq, "ack": ack},
+        ))
 
     def _on_packet(self, packet: Packet) -> None:
-        flags = packet.meta.get("flags", "")
+        meta = packet.meta
+        flags = meta.get("flags", "")
+        if self.state == "ESTABLISHED" and (flags == "ACK" or not flags):
+            # steady state: data and/or a cumulative ACK, where the
+            # general path below would reach the same two calls
+            if packet.payload:
+                self._on_data(packet)
+            ack = meta.get("ack")
+            if ack is not None:
+                self._on_ack(ack)
+            return
         # --- reset handling -------------------------------------------------
         if flags == "RST":
             if self.state == "SYN_SENT":
@@ -370,12 +403,23 @@ class TcpConnection:
         if ack <= self._last_acked:
             return
         now = self.env.now
-        for seq in sorted(self._unacked):
-            segment = self._unacked[seq]
-            if seq + segment.length <= ack:
-                del self._unacked[seq]
-                if segment.retries == 0:  # Karn's rule
-                    self._rtt_sample(now - segment.sent_at)
+        unacked = self._unacked
+        # insertion order is seq order (a segment is inserted once, at
+        # the next seq), so the acked segments are a prefix
+        acked = 0
+        for seq in unacked:
+            segment = unacked[seq]
+            if seq + segment.length > ack:
+                break
+            acked += 1
+            if segment.retries == 0:  # Karn's rule
+                self._rtt_sample(now - segment.sent_at)
+        else:  # every segment in flight is acked
+            unacked.clear()
+            acked = 0
+        if acked:  # the first ``acked`` segments, not all of them
+            for seq in list(unacked)[:acked]:
+                del unacked[seq]
         self._last_acked = ack
         if self._fin_seq is not None and ack >= self._fin_seq + 1:
             self.state = "CLOSED"
@@ -387,7 +431,8 @@ class TcpConnection:
             self._srtt = sample
         else:
             self._srtt = 0.875 * self._srtt + 0.125 * sample
-        self._rto = min(max(0.2, 2.5 * self._srtt), 10.0)
+        rto = 2.5 * self._srtt
+        self._rto = 0.2 if rto < 0.2 else 10.0 if rto > 10.0 else rto
 
     # ------------------------------------------------------------- send pump
     def _wake_sender(self, tail: bool = False) -> None:
@@ -411,10 +456,15 @@ class TcpConnection:
             return
         buffer = self._send_buffer
         while buffer and self._next_seq - self._last_acked < self.window:
-            in_flight = self._next_seq - self._last_acked
-            chunk_len = min(MSS, len(buffer), self.window - in_flight)
-            chunk = bytes(buffer[:chunk_len])
-            del buffer[:chunk_len]
+            room = self.window - (self._next_seq - self._last_acked)
+            chunk_len = len(buffer)
+            if chunk_len <= MSS and chunk_len <= room:  # the rest fits
+                chunk = bytes(buffer)
+                buffer.clear()
+            else:
+                chunk_len = min(MSS, chunk_len, room)
+                chunk = bytes(buffer[:chunk_len])
+                del buffer[:chunk_len]
             seq = self._next_seq
             self._next_seq += chunk_len
             self._unacked[seq] = _Segment(chunk, False, self.env.now, 0)
@@ -476,22 +526,26 @@ class TcpConnection:
 
     # ----------------------------------------------------------- receivers
     def _satisfy_receivers(self) -> None:
-        while self._recv_waiters:
-            if self._recv_buffer:
-                event, max_bytes = self._recv_waiters.pop(0)
-                take = (
-                    len(self._recv_buffer)
-                    if max_bytes is None
-                    else min(max_bytes, len(self._recv_buffer))
-                )
-                data = bytes(self._recv_buffer[:take])
-                del self._recv_buffer[:take]
-                event.succeed(data)
+        waiters = self._recv_waiters
+        buffer = self._recv_buffer
+        while waiters:
+            if buffer:
+                waiter, max_bytes, callback = waiters.pop(0)
+                if max_bytes is None or max_bytes >= len(buffer):
+                    data = bytes(buffer)
+                    buffer.clear()
+                else:
+                    data = bytes(buffer[:max_bytes])
+                    del buffer[:max_bytes]
             elif self._eof:
-                event, _ = self._recv_waiters.pop(0)
-                event.succeed(b"")
+                waiter, _, callback = waiters.pop(0)
+                data = b""
             else:
                 break
+            if callback:  # on_recv: in the heap slot of the event
+                self.env.call_later(0.0, waiter, data)
+            else:
+                waiter.succeed(data)
 
     def __repr__(self) -> str:
         return (

@@ -181,10 +181,9 @@ BACKEND_FAILURE_CASES = [(t, d) for t in TRANSPORTS for d in (False, True)] + [
     f"{t}-{'durable' if d else 'besteffort'}" for t, d in BACKEND_FAILURE_CASES])
 def test_a_backend_that_fails_one_ingest(tmp_path, transport, durable):
     """The backend raises on its 2nd call.  The MQTT-SN pool requeues
-    the batch; HTTP answers 503, so a durable client replays the record
-    and a best-effort one (the ProvLake baseline too) counts it lost;
-    CoAP acked the POST on receipt, so it counts the failure and the
-    record is lost."""
+    the batch; HTTP answers 503 and CoAP 5.03, so a durable client
+    replays the record and a best-effort one (the ProvLake baseline
+    too) counts it lost."""
     ingested = []
     calls = []
 
@@ -199,7 +198,7 @@ def test_a_backend_that_fails_one_ingest(tmp_path, transport, durable):
     assert client.records_captured.count == 8
     assert sink.front.failures.count == 1
     assert len(set(ingested)) == len(ingested)  # nothing ingested twice
-    lost = 0 if transport == "mqttsn" or (transport == "http" and durable) else 1
+    lost = 0 if transport == "mqttsn" or durable else 1
     assert len(ingested) == 8 - lost
     assert sink.front.ingested.total == 8 - lost
     if transport in ("http", "provlake"):
@@ -207,7 +206,7 @@ def test_a_backend_that_fails_one_ingest(tmp_path, transport, durable):
         assert done["statuses"].count(503) == 1
     if durable:
         assert client.journal.pending == 0
-        if transport == "http":
+        if transport != "mqttsn":
             assert client.replayed.count >= 1
 
 

@@ -80,10 +80,12 @@ EXPECTED_ALL = {
         "CODE_EMPTY",
         "CODE_NOT_FOUND",
         "CODE_POST",
+        "CODE_SERVICE_UNAVAILABLE",
         "CoapClient",
         "CoapError",
         "CoapMessage",
         "CoapServer",
+        "CoapServerError",
         "CoapTimeout",
         "DEFAULT_COAP_PORT",
         "ProvLightCoapServer",

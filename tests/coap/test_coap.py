@@ -9,6 +9,7 @@ from repro.coap import (
     CODE_CHANGED,
     CODE_NOT_FOUND,
     CODE_POST,
+    CODE_SERVICE_UNAVAILABLE,
     TYPE_ACK,
     TYPE_CON,
     TYPE_NON,
@@ -16,6 +17,7 @@ from repro.coap import (
     CoapError,
     CoapMessage,
     CoapServer,
+    CoapServerError,
     CoapTimeout,
     ProvLightCoapServer,
     code_str,
@@ -111,9 +113,8 @@ def make_world(loss=0.0, seed=2):
 
 def test_confirmable_post_roundtrip():
     env, net, server, client = make_world()
-    seen = []
-    server.route("/prov", lambda path, payload: (seen.append(payload) or CODE_CHANGED, b"ok")[0:2] if False else (CODE_CHANGED, b"ok"))
-    server.route("/sink", lambda path, payload: (CODE_CHANGED, b""))
+    server.route("/prov", lambda path, payload, reply: reply(CODE_CHANGED, b"ok"))
+    server.route("/sink", lambda path, payload, reply: reply(CODE_CHANGED))
     out = {}
 
     def run(env):
@@ -144,7 +145,7 @@ def test_unknown_path_returns_404():
 def test_non_confirmable_is_fire_and_forget():
     env, net, server, client = make_world()
     got = []
-    server.route("/prov", lambda path, payload: (got.append(payload), (CODE_CHANGED, b""))[1])
+    server.route("/prov", lambda path, payload, reply: (got.append(payload), reply(CODE_CHANGED)))
 
     def run(env):
         result = yield from client.post("/prov", b"non", confirmable=False)
@@ -159,7 +160,7 @@ def test_non_confirmable_is_fire_and_forget():
 def test_retransmission_recovers_from_loss():
     env, net, server, client = make_world(loss=0.4, seed=9)
     got = []
-    server.route("/prov", lambda path, payload: (got.append(payload), (CODE_CHANGED, b""))[1])
+    server.route("/prov", lambda path, payload, reply: (got.append(payload), reply(CODE_CHANGED)))
     completed = []
 
     def run(env):
@@ -177,7 +178,7 @@ def test_retransmission_recovers_from_loss():
 def test_duplicate_con_is_deduplicated():
     env, net, server, client = make_world()
     calls = []
-    server.route("/prov", lambda path, payload: (calls.append(1), (CODE_CHANGED, b""))[1])
+    server.route("/prov", lambda path, payload, reply: (calls.append(1), reply(CODE_CHANGED)))
 
     def run(env):
         # send the same message id twice, by hand
@@ -191,6 +192,56 @@ def test_duplicate_con_is_deduplicated():
     env.run()
     assert len(calls) == 1
     assert server.duplicates.count == 1
+
+
+def test_a_deferred_reply_holds_back_retransmissions():
+    """The handler replies 1 s after the request, while the client
+    retransmits every 0.3 s and more: the copies are counted duplicates,
+    never dispatched and never answered before the reply; the one ACK
+    carries the handler's code."""
+    env, net, server, client = make_world()
+    calls, acks = [], []
+
+    def handler(path, payload, reply):
+        calls.append(env.now)
+        env.call_later(1.0, reply, CODE_CHANGED, b"done")
+
+    server.route("/prov", handler)
+    sent = server.sock.sendto
+
+    def spy(data, dest):
+        acks.append(env.now)
+        sent(data, dest)
+
+    server.sock.sendto = spy
+    out = {}
+
+    def run(env):
+        response = yield from client.post("/prov", b"slow")
+        out["at"], out["payload"] = env.now, response.payload
+
+    env.process(run(env))
+    env.run()
+    assert len(calls) == 1
+    assert server.duplicates.count >= 2
+    assert acks[0] == pytest.approx(calls[0] + 1.0)
+    assert out["payload"] == b"done" and out["at"] == pytest.approx(acks[0] + 0.02)
+
+
+def test_a_server_error_fails_the_con():
+    env, net, server, client = make_world()
+    server.route("/prov", lambda path, payload, reply: reply(CODE_SERVICE_UNAVAILABLE))
+    out = {}
+
+    def run(env):
+        try:
+            yield from client.post("/prov", b"x")
+        except CoapServerError as exc:
+            out["error"] = str(exc)
+
+    env.process(run(env))
+    env.run()
+    assert out["error"] == "CON 1 answered 5.03"
 
 
 def test_timeout_after_max_retransmit():

@@ -14,10 +14,10 @@ from repro.http import (
     HttpResponse,
     HttpServer,
     HttpSession,
-    StreamReader,
-    read_request,
+    parse_head,
     read_response,
 )
+from repro.http.messages import HEAD_END
 from repro.net import Network
 from repro.simkernel import Environment
 
@@ -47,14 +47,22 @@ def make_net():
     return env, net
 
 
+def at_eof(conn, rest):
+    """Generator: True when nothing follows ``rest`` but the end of the
+    stream, False as soon as another byte arrives."""
+    if rest:
+        return False
+    data = yield conn.recv()
+    return data == b""
+
+
 def raw_exchange(env, net, raw, out, key):
     """Process: send ``raw`` on a fresh connection, read the response
     and then the end of the stream."""
     conn = yield from net.hosts["client"].tcp_connect(("server", 80))
-    reader = StreamReader(conn)
     conn.send(raw)
-    response = yield from read_response(reader)
-    eof = yield from reader.at_eof_between_messages()
+    response, rest = yield from read_response(conn)
+    eof = yield from at_eof(conn, rest)
     out[key] = (response.status, eof)
 
 
@@ -89,10 +97,11 @@ def test_session_turns_a_malformed_response_into_a_request_error(raw):
 
     def server(env):
         conn = yield listener.accept()
-        reader = StreamReader(conn)
-        yield from read_request(reader)
+        received = b""
+        while HEAD_END not in received:  # the GET has no body
+            received += yield conn.recv()
         conn.send(raw)
-        out["server_eof"] = yield from reader.at_eof_between_messages()
+        out["server_eof"] = yield from at_eof(conn, received.partition(HEAD_END)[2])
 
     session = HttpSession(net.hosts["client"])
 
@@ -112,23 +121,32 @@ def test_session_turns_a_malformed_response_into_a_request_error(raw):
 
 
 @pytest.mark.parametrize("raw", BAD_REQUESTS)
-def test_read_request_raises_http_error(raw):
+def test_request_head_parser_raises_http_error(raw):
+    with pytest.raises(HttpError) as caught:
+        parse_head(raw[:raw.index(HEAD_END)])
+    assert type(caught.value) is HttpError
+
+
+@pytest.mark.parametrize("raw", BAD_RESPONSES)
+def test_read_response_raises_http_error_once_the_head_is_in(raw):
+    """The head is rejected before a body is awaited: the stream stays
+    open, and no further byte arrives."""
     env, net = make_net()
     listener = net.hosts["server"].tcp_listen(80)
     out = {}
 
     def server(env):
         conn = yield listener.accept()
-        try:
-            yield from read_request(StreamReader(conn))
-        except HttpError as exc:
-            out["error"] = exc
+        conn.send(raw)
 
     def client(env):
         conn = yield from net.hosts["client"].tcp_connect(("server", 80))
-        conn.send(raw)
+        try:
+            yield from read_response(conn)
+        except HttpError as exc:
+            out["error"] = (exc, conn.closed)
 
     env.process(server(env))
     env.process(client(env))
     env.run()
-    assert type(out["error"]) is HttpError
+    assert type(out["error"][0]) is HttpError and out["error"][1] is False

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.http import HttpRequest, HttpResponse
-from repro.http.messages import _parse_headers, HttpError
+from repro.http.messages import HttpError, parse_head
 
 
 def test_request_encoding_includes_content_length():
@@ -42,17 +42,30 @@ def test_keep_alive_defaults_and_close():
     assert not HttpResponse(headers={"Connection": "Close"}).keep_alive()
 
 
-def test_wire_size_matches():
-    req = HttpRequest(method="POST", path="/p", body=b"abc")
-    assert req.wire_size == len(req.encode())
+def test_request_head_round_trips_through_the_parser():
+    req = HttpRequest(method="POST", path="/p", body=b"abc", headers={"Host": "cloud:80"})
+    wire = req.encode()
+    head, _, body = wire.partition(b"\r\n\r\n")
+    start, headers, length = parse_head(head)
+    assert start == ("POST", "/p", "HTTP/1.1")
+    assert headers == {"Host": "cloud:80", "Content-Length": "3"}
+    assert length == len(body) == 3
 
 
 def test_parse_headers():
-    block = b"Host: cloud:80\r\nContent-Type: application/json"
-    headers = _parse_headers(block)
+    block = b"GET / HTTP/1.1\r\nHost: cloud:80\r\nContent-Type: application/json"
+    _, headers, length = parse_head(block)
     assert headers == {"Host": "cloud:80", "Content-Type": "application/json"}
+    assert length == 0
 
 
 def test_parse_headers_rejects_garbage():
     with pytest.raises(HttpError):
-        _parse_headers(b"not-a-header-line")
+        parse_head(b"GET / HTTP/1.1\r\nnot-a-header-line")
+
+
+def test_parse_status_line():
+    start, headers, length = parse_head(b"HTTP/1.1 201 Created\r\nContent-Length: 2",
+                                        response=True)
+    assert start == ("HTTP/1.1", 201, "Created") and length == 2
+    assert parse_head(b"HTTP/1.1 204", response=True)[0] == ("HTTP/1.1", 204, "")

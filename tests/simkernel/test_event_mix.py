@@ -16,8 +16,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 #: added, dropped or moved between kinds changes a total or a kind.
 #: ``http-fanin`` counts one ``HttpSession._watchdog`` step per device:
 #: each pooled connection's response watchdog fires once, after the
-#: workflow ended, and finds no request waiting.
-SHRUNK_STEPS = {"fanin-64": 2432, "durable-churn": 3860, "http-fanin": 1020}
+#: workflow ended, and finds no request waiting.  The HTTP server reads
+#: its connections from TCP callbacks, so no step starts an
+#: ``http-*-conn`` process (there used to be one per connection).
+SHRUNK_STEPS = {"fanin-64": 2432, "durable-churn": 3860, "http-fanin": 1017}
 
 
 def _load_script():
@@ -72,10 +74,10 @@ DEFERRED_PUMP_TIMERS = 144
 
 def test_http_fanin_runs_no_tcp_or_accept_process():
     """A TCP connection's pump, retransmission and handshake timers and
-    the HTTP server's accept callback are heap timers, and a blocking
-    capture POSTs from the workflow's own process: no step wakes, starts
-    or ends a process for any of them.  HTTP sends in tail position pump
-    in place, so fewer pump timers run."""
+    the HTTP server's accept and receive callbacks are heap timers, and
+    a blocking capture POSTs from the workflow's own process: no step
+    wakes, starts or ends a process for any of them.  HTTP sends in tail
+    position pump in place, so fewer pump timers run."""
     event_mix = _load_script()
     total, kinds = event_mix.count_steps(
         event_mix.WORKLOADS["http-fanin"].shrunk(), seed=1
@@ -86,7 +88,7 @@ def test_http_fanin_runs_no_tcp_or_accept_process():
         name = detail.split(" <- ")[0]
         return name.startswith(
             ("tcp-pump-", "tcp-rtx-", "tcp-handshake-timer", "http-capture-post")
-        ) or (name.startswith("http-") and name.endswith("-accept"))
+        ) or (name.startswith("http-") and name.endswith(("-accept", "-conn")))
 
     offending = [
         (kind, detail) for kind, detail in kinds
@@ -101,8 +103,10 @@ def test_http_fanin_runs_no_tcp_or_accept_process():
     assert 0 < kinds[("timer", "TcpConnection._pump_timer")] < DEFERRED_PUMP_TIMERS
     # one response watchdog per device's connection, never one per request
     assert kinds[("timer", "HttpSession._watchdog")] == 3
-    # the accept callback runs on the listener backlog's zero-delay wake
+    # the accept callback runs on the listener backlog's zero-delay wake,
+    # and the server reads each request on an on_recv timer
     assert kinds[("timer", "Mailbox._wake")] > 0
+    assert kinds[("timer", "_Connection.received")] > 0
 
 
 def test_durable_churn_step_total_is_pinned():
