@@ -72,10 +72,11 @@ echo "harness flags smoke: python -m repro.harness table9"
 python -m repro.harness table9 --reps 1 --broker-shards 2 \
     --broker-placement p2c --pool-min 2 --pool-max 4
 
-# baselines smoke: the only gate that drives ProvLake and DfAnalyzer end
-# to end through the CLI (their JSON bodies through the HTTP collector's
-# ingest front) and checks the paper's comparison shapes
-echo "baselines smoke: python -m repro.harness table2 table3 table10"
-python -m repro.harness table2 table3 table10 --reps 1
+# relations smoke: drives ProvLake and DfAnalyzer end to end through the
+# CLI (their JSON bodies through the HTTP collector's ingest front) and
+# checks every relation of the paper's claims outside Table IX (which the
+# flags smoke above runs)
+echo "relations smoke: python -m repro.harness table2 table3 table7 table8 table10 fig6a-d"
+python -m repro.harness table2 table3 table7 table8 table10 fig6a fig6b fig6c fig6d --reps 1
 
 python scripts/run_benchmarks.py --quick

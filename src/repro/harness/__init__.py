@@ -1,6 +1,8 @@
 """Evaluation harness: reproduces every table and figure of the paper's
 evaluation section, prints paper-vs-measured comparisons and validates
-shape checks (who wins, orderings, rough factors, low/high overhead)."""
+shape checks: the paper's claims as relations over sibling runs, which
+:func:`repro.harness.relations.evaluate` checks over a table's grid or,
+given a ``measure``, over one drawn run (the per-spec entry point)."""
 
 from .experiments import (
     DEFAULT_REPETITIONS,

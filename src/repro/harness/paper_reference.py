@@ -1,9 +1,10 @@
 """The paper's published numbers, as data.
 
-Every harness table prints these next to the measured values, and the
-acceptance checks compare *shapes* (who wins, ordering, rough factors,
-low/high-overhead classification) rather than absolute equality — the
-substrate here is a simulator, not the authors' testbed.
+Every harness table prints these next to the measured values.  Its
+checks are relations over sibling runs (:mod:`repro.harness.relations`,
+each naming its entry here) that compare *shapes* (who wins, ordering,
+rough factors, low/high overhead), not absolute values: the substrate
+here is a simulator, not the authors' testbed.
 
 Overheads are fractions (0.569 = 56.9 %).
 """

@@ -199,12 +199,12 @@ def test_runner_runs_single_target(capsys):
     try:
         from repro.harness import run_targets
 
-        results = run_targets(["table9"], repetitions=1)
+        results = run_targets(["table8"], repetitions=1)
     finally:
         del os.environ["REPRO_REPETITIONS"]
-    assert "table9" in results
+    assert "table8" in results
     out = capsys.readouterr().out
-    assert "Table IX" in out
+    assert "Table VIII" in out
 
 
 def test_run_capture_experiment_coap_transport():
