@@ -14,13 +14,29 @@ points; see the subpackages for the full surface:
 * :mod:`repro.harness` — drivers for every paper table and figure;
 * :mod:`repro.simkernel`, :mod:`repro.net`, :mod:`repro.mqttsn`,
   :mod:`repro.http`, :mod:`repro.device` — the simulated substrate.
+
+Subpackages and their modules load on first use: importing a package
+imports none of its submodules, and the first read of an exported name
+imports the module that defines it (see :mod:`repro._lazy`).  A run thus
+compiles only the modules it runs.
 """
 
-from .capture import CaptureClient, CaptureConfig, create_client
-from .core import Data, ProvLightServer, Task, Workflow
-from .device import A8M3, XEON_GOLD_5220, Device
-from .net import Network
-from .simkernel import Environment
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    "CaptureClient": ".capture",
+    "CaptureConfig": ".capture",
+    "create_client": ".capture",
+    "Data": ".core",
+    "ProvLightServer": ".core",
+    "Task": ".core",
+    "Workflow": ".core",
+    "A8M3": ".device",
+    "XEON_GOLD_5220": ".device",
+    "Device": ".device",
+    "Network": ".net",
+    "Environment": ".simkernel",
+}
 
 __version__ = "1.0.0"
 
@@ -39,3 +55,6 @@ __all__ = [
     "Environment",
     "__version__",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -263,6 +263,27 @@ class BareSwallowRule(Rule):
 
 
 # -- all-export-sync -------------------------------------------------------
+#: a package's lazy export table, ``{name: ".submodule"}`` (``repro._lazy``)
+_EXPORT_TABLE = "_EXPORTS"
+
+
+def _literal_exports(tree: ast.Module) -> Optional[tuple]:
+    """``(node, keys)`` for a top-level ``_EXPORTS`` dict literal whose
+    keys are all strings, else None."""
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == _EXPORT_TABLE for t in stmt.targets)
+            and isinstance(stmt.value, ast.Dict)
+            and all(
+                isinstance(k, ast.Constant) and isinstance(k.value, str)
+                for k in stmt.value.keys
+            )
+        ):
+            return stmt, [k.value for k in stmt.value.keys]
+    return None
+
+
 def _literal_all(tree: ast.Module) -> Optional[tuple]:
     """``(node, names)`` for a top-level literal ``__all__``, else None."""
     for stmt in tree.body:
@@ -337,7 +358,10 @@ class AllExportSyncRule(Rule):
     ``__all__``; an exported name that does not exist is a latent
     ``from x import *`` crash, and a public top-level def/class missing
     from ``__all__`` is surface the conformance pin silently does not
-    cover.  Modules without a literal ``__all__`` are skipped.
+    cover.  A package that exports lazily binds its names through the
+    literal ``_EXPORTS`` table (:mod:`repro._lazy`): each key counts as a
+    binding, and each key must be in ``__all__`` and listed once.
+    Modules without a literal ``__all__`` are skipped.
     """
 
     name = "all-export-sync"
@@ -350,6 +374,21 @@ class AllExportSyncRule(Rule):
             return
         all_node, exported = found
         bound, defs = _top_level_bindings(module.tree)
+        table = _literal_exports(module.tree)
+        if table is not None:
+            table_node, keys = table
+            listed: Set[str] = set()
+            for key in keys:
+                if key in listed:
+                    report(table_node, f"{_EXPORT_TABLE} lists {key!r} twice")
+                listed.add(key)
+                if key not in exported:
+                    report(
+                        table_node,
+                        f"{_EXPORT_TABLE} names {key!r} but __all__ does not "
+                        "export it; export it or drop it from the table",
+                    )
+            bound |= listed
 
         seen: Set[str] = set()
         for name in exported:

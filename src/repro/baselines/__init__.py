@@ -10,14 +10,16 @@ POST to the HTTP capture sink, whose ingest front decodes their bodies
 with :func:`decode_json_records`.
 """
 
-from .common import (
-    BlockingHttpCaptureClient,
-    NullCaptureClient,
-    decode_json_records,
-    iso_time,
-)
-from .dfanalyzer_capture import DfAnalyzerCaptureClient
-from .provlake import ProvLakeClient
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "BlockingHttpCaptureClient": ".common",
+    "NullCaptureClient": ".common",
+    "decode_json_records": ".common",
+    "iso_time": ".common",
+    "DfAnalyzerCaptureClient": ".dfanalyzer_capture",
+    "ProvLakeClient": ".provlake",
+}
 
 __all__ = [
     "BlockingHttpCaptureClient",
@@ -27,3 +29,6 @@ __all__ = [
     "decode_json_records",
     "iso_time",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -20,27 +20,32 @@ blocking HTTP/1.1 POST).  Adding one is three steps — subclass
 :func:`register_transport` — see ``docs/capture-api.md``.
 """
 
-from .client import CaptureClient, CaptureClosedError, CaptureSenderError
-from .config import DEFAULT_TRANSPORT, CaptureConfig
-from .envelope import ReplayDeduper, unwrap_payload, wrap_payload
-from .journal import (
-    CaptureJournal,
-    EcdsaRecordSigner,
-    HmacRecordSigner,
-    JournalError,
-    TamperError,
-)
-from .registry import (
-    create_client,
-    create_transport,
-    get_transport_factory,
-    normalize_transport,
-    register_transport,
-    transport_names,
-    unregister_transport,
-)
-from .sinks import deploy_capture_sink
-from .transport import CaptureTransport
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "CaptureClient": ".client",
+    "CaptureClosedError": ".client",
+    "CaptureSenderError": ".client",
+    "create_client": ".client",
+    "DEFAULT_TRANSPORT": ".config",
+    "CaptureConfig": ".config",
+    "ReplayDeduper": ".envelope",
+    "unwrap_payload": ".envelope",
+    "wrap_payload": ".envelope",
+    "CaptureJournal": ".journal",
+    "EcdsaRecordSigner": ".journal",
+    "HmacRecordSigner": ".journal",
+    "JournalError": ".journal",
+    "TamperError": ".journal",
+    "create_transport": ".registry",
+    "get_transport_factory": ".registry",
+    "normalize_transport": ".registry",
+    "register_transport": ".registry",
+    "transport_names": ".registry",
+    "unregister_transport": ".registry",
+    "deploy_capture_sink": ".sinks",
+    "CaptureTransport": ".transport",
+}
 
 __all__ = [
     "CaptureClient",
@@ -66,3 +71,6 @@ __all__ = [
     "unwrap_payload",
     "wrap_payload",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..core.grouping import GroupBuffer
 from ..core.model import count_attributes_from_record
@@ -49,10 +49,13 @@ from ..core.serialization import encode_payload
 from ..simkernel import Mailbox
 from .config import CaptureConfig
 from .envelope import wrap_payload
-from .journal import DEFAULT_JOURNAL_DIR, CaptureJournal, journal_path_for
 from .registry import create_transport
 
+if TYPE_CHECKING:
+    from .journal import CaptureJournal
+
 __all__ = [
+    "create_client",
     "CaptureClient",
     "CaptureClosedError",
     "CaptureSenderError",
@@ -130,6 +133,9 @@ class CaptureClient:
         self.journal: Optional[CaptureJournal] = None
         self._journal_closed = False
         if config.durable:
+            # only a durable client loads the journal (and hashlib)
+            from .journal import DEFAULT_JOURNAL_DIR, CaptureJournal, journal_path_for
+
             journal_dir = config.journal_dir or DEFAULT_JOURNAL_DIR
             self.journal = CaptureJournal(
                 journal_path_for(journal_dir, self.client_id),
@@ -570,3 +576,21 @@ class CaptureClient:
             f"<CaptureClient {self.transport.name}:{self.topic} "
             f"on {self.device.name}>"
         )
+
+
+def create_client(device, server, topic: str,
+                  config: Optional[CaptureConfig] = None, **overrides):
+    """Build a ready-to-``setup()`` capture client.
+
+    ``server`` is the transport-specific endpoint (broker for MQTT-SN,
+    CoAP server, HTTP collector).  ``overrides`` are
+    :class:`CaptureConfig` field overrides applied on top of ``config``,
+    so quick one-off variations read naturally::
+
+        client = create_client(dev, broker, "provlight/edge/data",
+                               transport="coap", group_size=10)
+    """
+    config = config or CaptureConfig()
+    if overrides:
+        config = config.with_(**overrides)
+    return CaptureClient(device, server, topic, config)

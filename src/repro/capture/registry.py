@@ -1,5 +1,6 @@
-"""Transport registry: name -> factory, plus the ``create_client`` entry
-point that is the library's single public way to build a capture client.
+"""Transport registry: name -> factory, read by
+:func:`~repro.capture.client.create_client`, the library's single public
+way to build a capture client.
 
 Built-in transports self-register when their module is imported; the
 registry knows which module provides each built-in name and imports it
@@ -20,7 +21,6 @@ from .transport import CaptureTransport
 __all__ = [
     "register_transport",
     "unregister_transport",
-    "create_client",
     "create_transport",
     "get_transport_factory",
     "transport_names",
@@ -125,22 +125,3 @@ def create_transport(device, server, topic: str,
     factory = get_transport_factory(config.transport)
     return factory(device, server, topic, config)
 
-
-def create_client(device, server, topic: str,
-                  config: Optional[CaptureConfig] = None, **overrides):
-    """Build a ready-to-``setup()`` capture client.
-
-    ``server`` is the transport-specific endpoint (broker for MQTT-SN,
-    CoAP server, HTTP collector).  ``overrides`` are
-    :class:`CaptureConfig` field overrides applied on top of ``config``,
-    so quick one-off variations read naturally::
-
-        client = create_client(dev, broker, "provlight/edge/data",
-                               transport="coap", group_size=10)
-    """
-    from .client import CaptureClient  # deferred: client imports this module
-
-    config = config or CaptureConfig()
-    if overrides:
-        config = config.with_(**overrides)
-    return CaptureClient(device, server, topic, config)

@@ -9,19 +9,44 @@ Manager deploy through one call, and a new transport's sink is added
 here, next to the registry that names it.
 
 Imports are deferred: the protocol stacks import :mod:`repro.capture`
-for their adapters, so importing them at module time would be circular.
+for their adapters, and a run loads only the sink it deploys.
+:func:`check_sink` loads it ahead of the run.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, Optional, Tuple
 
 from .registry import normalize_transport
 
-__all__ = ["deploy_capture_sink"]
+__all__ = ["check_sink", "deploy_capture_sink"]
 
 #: default port of the blocking-HTTP capture collector
 DEFAULT_HTTP_SINK_PORT = 5000
+
+#: the module of the sink :func:`deploy_capture_sink` builds per
+#: transport; a transport gets a branch there and an entry here
+_SINK_MODULES = {
+    "mqttsn": "repro.core.server",
+    "coap": "repro.coap.transport",
+    "http": "repro.http.server",
+}
+
+
+def check_sink(transport: str) -> None:
+    """Import the module of ``transport``'s sink; ``ValueError`` when
+    :func:`deploy_capture_sink` knows no sink for it.
+
+    A caller that names its transport ahead of a run (the harness's
+    ``ExperimentSetup``) checks it here, so a bad name fails before the
+    world is built and the run compiles no sink code.
+    """
+    try:
+        module = _SINK_MODULES[normalize_transport(transport)]
+    except KeyError:
+        raise ValueError(f"no capture sink known for transport {transport!r}") from None
+    import_module(module)
 
 
 def deploy_capture_sink(

@@ -7,47 +7,45 @@ translators with pluggable backends).  Capture clients are built with
 :func:`repro.capture.create_client`.
 """
 
-from .grouping import GroupBuffer
-from .model import (
-    Data,
-    Task,
-    Workflow,
-    count_attribute_values,
-    count_attributes,
-    count_attributes_from_record,
-)
-from .provdm import ProvDocument, ProvError, document_from_records
-from .resilience import (
-    BackendError,
-    BackendTimeout,
-    CircuitBreaker,
-    RetryPolicy,
-    RetryableBackendError,
-)
-from .security import AuthenticationError, PayloadCipher, derive_key
-from .serialization import (
-    CodecError,
-    decode_payload,
-    decode_value,
-    encode_payload,
-    encode_value,
-)
-from .server import (
-    DEFAULT_TRANSLATOR_WORKERS,
-    CallableBackend,
-    HttpBackend,
-    ProvLightServer,
-    ServerConfig,
-    TranslatorPool,
-)
-from .translator import (
-    TranslationError,
-    Translator,
-    records_from_payload,
-    to_dfanalyzer,
-    to_prov_json,
-    to_provlake,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "GroupBuffer": ".grouping",
+    "Data": ".model",
+    "Task": ".model",
+    "Workflow": ".model",
+    "count_attribute_values": ".model",
+    "count_attributes": ".model",
+    "count_attributes_from_record": ".model",
+    "ProvDocument": ".provdm",
+    "ProvError": ".provdm",
+    "document_from_records": ".provdm",
+    "BackendError": ".resilience",
+    "BackendTimeout": ".resilience",
+    "CircuitBreaker": ".resilience",
+    "RetryPolicy": ".resilience",
+    "RetryableBackendError": ".resilience",
+    "AuthenticationError": ".security",
+    "PayloadCipher": ".security",
+    "derive_key": ".security",
+    "CodecError": ".serialization",
+    "decode_payload": ".serialization",
+    "decode_value": ".serialization",
+    "encode_payload": ".serialization",
+    "encode_value": ".serialization",
+    "DEFAULT_TRANSLATOR_WORKERS": ".server",
+    "CallableBackend": ".server",
+    "HttpBackend": ".server",
+    "ProvLightServer": ".server",
+    "ServerConfig": ".server",
+    "TranslatorPool": ".server",
+    "TranslationError": ".translator",
+    "Translator": ".translator",
+    "records_from_payload": ".translator",
+    "to_dfanalyzer": ".translator",
+    "to_prov_json": ".translator",
+    "to_provlake": ".translator",
+}
 
 __all__ = [
     "Workflow",
@@ -86,3 +84,6 @@ __all__ = [
     "AuthenticationError",
     "derive_key",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -45,11 +45,10 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..calibration import SERVER_COSTS, ServerCosts
 from ..hashring import ConsistentHashRing
-from ..http import HttpSession
 from ..mqttsn import (
     DEFAULT_BROKER_PORT,
     DEFAULT_BROKER_SHARDS,
@@ -60,14 +59,10 @@ from ..mqttsn import (
 from ..mqttsn.topics import topic_matches
 from ..net import Endpoint, Host
 from ..simkernel import Mailbox
-from .resilience import (
-    BackendError,
-    BackendTimeout,
-    CircuitBreaker,
-    RetryPolicy,
-    RetryableBackendError,
-)
 from .translator import IngestFront
+
+if TYPE_CHECKING:
+    from .resilience import CircuitBreaker, RetryPolicy
 
 __all__ = [
     "ProvLightServer",
@@ -143,6 +138,11 @@ class HttpBackend:
             raise ValueError("timeout_s must be > 0")
         if spill_limit < 1:
             raise ValueError("spill_limit must be >= 1")
+        # the HTTP stack and the resilience policies load with the first
+        # network backend, not with every server
+        from ..http import HttpSession
+        from .resilience import CircuitBreaker, RetryPolicy
+
         self.session = HttpSession(host)
         self.env = host.env
         self.endpoint = endpoint
@@ -188,6 +188,8 @@ class HttpBackend:
     # ------------------------------------------------------------ internals
     def _post(self, body: bytes):
         """Generator: one POST, bounded by ``timeout_s`` on the sim clock."""
+        from .resilience import BackendTimeout
+
         request = self.env.process(
             self.session.post(self.endpoint, self.path, body),
             name="backend-post",
@@ -209,6 +211,8 @@ class HttpBackend:
 
     def _submit(self, body: bytes, groups: int):
         """Generator: deliver ``body`` through retry + breaker, else spill."""
+        from .resilience import BackendError, CircuitBreaker, RetryableBackendError
+
         if not self.breaker.allow():
             self._spill_body(body, groups)
             return
@@ -268,6 +272,8 @@ class HttpBackend:
         keep the event heap alive forever — the next spill or successful
         ingest re-arms it.
         """
+        from .resilience import RetryableBackendError
+
         misses = 0
         while self._spill:
             wait = max(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Callable, Collection, Dict, Iterable, List, Optional
 
 from ..capture.envelope import ReplayDeduper, unwrap_payload
-from .provdm import document_from_records
 from .serialization import decode_payload
 
 __all__ = [
@@ -99,6 +98,8 @@ def to_dfanalyzer(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 def to_prov_json(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Translate to a PROV-JSON document (via the PROV-DM mapping)."""
+    from .provdm import document_from_records
+
     return document_from_records(records).to_prov_json()
 
 

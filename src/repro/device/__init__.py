@@ -5,12 +5,20 @@ cloud servers — whose specs live in :mod:`repro.device.specs`.  Work is
 charged in calibrated reference-seconds (see :mod:`repro.calibration`).
 """
 
-from .cpu import Cpu
-from .device import Device
-from .energy import EnergyMeter
-from .memory import Memory, MemoryExceeded
-from .radio import Radio
-from .specs import A8M3, XEON_GOLD_5220, DeviceSpec, spec_by_name
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "Cpu": ".cpu",
+    "Device": ".device",
+    "EnergyMeter": ".energy",
+    "Memory": ".memory",
+    "MemoryExceeded": ".memory",
+    "Radio": ".radio",
+    "A8M3": ".specs",
+    "XEON_GOLD_5220": ".specs",
+    "DeviceSpec": ".specs",
+    "spec_by_name": ".specs",
+}
 
 __all__ = [
     "Cpu",
@@ -24,3 +32,6 @@ __all__ = [
     "XEON_GOLD_5220",
     "spec_by_name",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

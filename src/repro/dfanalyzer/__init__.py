@@ -7,11 +7,27 @@ side is a baseline); the E2Clab Provenance Manager wires ProvLight's
 translator output into this service.
 """
 
-from .dataflow import AttributeSpec, DataflowSpec, DatasetSpec, TransformationSpec
-from .ingestion import DfAnalyzerHttpService, DfAnalyzerService, IngestError
-from .queries import lineage_of, latest_epoch_metrics, task_durations, top_k_by_metric
-from .query import AGGREGATES, Query, QueryError
-from .store import ColumnStore, StoreError, Table
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "AttributeSpec": ".dataflow",
+    "DataflowSpec": ".dataflow",
+    "DatasetSpec": ".dataflow",
+    "TransformationSpec": ".dataflow",
+    "DfAnalyzerHttpService": ".ingestion",
+    "DfAnalyzerService": ".ingestion",
+    "IngestError": ".ingestion",
+    "lineage_of": ".queries",
+    "latest_epoch_metrics": ".queries",
+    "task_durations": ".queries",
+    "top_k_by_metric": ".queries",
+    "AGGREGATES": ".query",
+    "Query": ".query",
+    "QueryError": ".query",
+    "ColumnStore": ".store",
+    "StoreError": ".store",
+    "Table": ".store",
+}
 
 __all__ = [
     "ColumnStore",
@@ -32,3 +48,6 @@ __all__ = [
     "task_durations",
     "lineage_of",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -20,11 +20,13 @@ normalizing them into three storage families:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
-from .dataflow import DataflowSpec
-from .query import Query
 from .store import ColumnStore
+
+if TYPE_CHECKING:
+    from .dataflow import DataflowSpec
+    from .query import Query
 
 __all__ = ["DfAnalyzerService", "DfAnalyzerHttpService", "IngestError"]
 
@@ -245,6 +247,8 @@ class DfAnalyzerService:
     # -- queries ------------------------------------------------------------------
     def query(self, table: str) -> Query:
         """Start a :class:`~repro.dfanalyzer.query.Query` on a table."""
+        from .query import Query
+
         return Query(self.store, table)
 
     def dataflow_summary(self, dataflow_tag: str) -> Dict[str, Any]:

@@ -4,29 +4,36 @@ shape checks: the paper's claims as relations over sibling runs, which
 :func:`repro.harness.relations.evaluate` checks over a table's grid or,
 given a ``measure``, over one drawn run (the per-spec entry point)."""
 
-from .experiments import (
-    DEFAULT_REPETITIONS,
-    SYSTEMS,
-    ExperimentSetup,
-    OverheadResult,
-    RunOutcome,
-    measure_overhead,
-    run_capture_experiment,
-    run_null_baseline,
-)
-from .figures import ALL_FIGURES, fig6a_cpu, fig6b_memory, fig6c_network, fig6d_power, figure6_runs
-from .runner import ALL_TARGETS, main, run_targets
-from .tables import (
-    ALL_TABLES,
-    TableResult,
-    default_repetitions,
-    table2,
-    table3,
-    table7,
-    table8,
-    table9,
-    table10,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "DEFAULT_REPETITIONS": ".experiments",
+    "SYSTEMS": ".experiments",
+    "ExperimentSetup": ".experiments",
+    "OverheadResult": ".experiments",
+    "RunOutcome": ".experiments",
+    "measure_overhead": ".experiments",
+    "run_capture_experiment": ".experiments",
+    "run_null_baseline": ".experiments",
+    "ALL_FIGURES": ".figures",
+    "fig6a_cpu": ".figures",
+    "fig6b_memory": ".figures",
+    "fig6c_network": ".figures",
+    "fig6d_power": ".figures",
+    "figure6_runs": ".figures",
+    "ALL_TARGETS": ".runner",
+    "main": ".runner",
+    "run_targets": ".runner",
+    "ALL_TABLES": ".tables",
+    "TableResult": ".tables",
+    "default_repetitions": ".tables",
+    "table2": ".tables",
+    "table3": ".tables",
+    "table7": ".tables",
+    "table8": ".tables",
+    "table9": ".tables",
+    "table10": ".tables",
+}
 
 __all__ = [
     "SYSTEMS",
@@ -56,3 +63,6 @@ __all__ = [
     "run_targets",
     "main",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -11,16 +11,11 @@ from __future__ import annotations
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..baselines import (
-    DfAnalyzerCaptureClient,
-    NullCaptureClient,
-    ProvLakeClient,
-    decode_json_records,
-)
 from ..capture import (
     CaptureConfig,
     create_client,
@@ -28,24 +23,23 @@ from ..capture import (
     get_transport_factory,
     normalize_transport,
 )
+from ..capture.sinks import check_sink
 from ..core import DEFAULT_TRANSLATOR_WORKERS, ProvLightServer, ServerConfig
 from ..device import A8M3, XEON_GOLD_5220, Device, DeviceSpec
 from ..dfanalyzer import DfAnalyzerService
-from ..metrics import RunMetrics, mean_ci, relative_overhead, snapshot_device
+from ..metrics import RunMetrics, snapshot_device
 from ..mqttsn import DEFAULT_BROKER_SHARDS, PLACEMENT_POLICIES
-from ..net import (
-    ChaosProfile,
-    ContinuumTopology,
-    FleetFaultInjector,
-    Network,
-    ServerFaultInjector,
-    TopologySpec,
-    parse_delay,
-    parse_rate,
-)
-from ..net.fleet import recovery_times
+from ..net import Network, parse_delay, parse_rate
 from ..simkernel import Environment
 from ..workloads import SyntheticWorkloadConfig, synthetic_workload
+
+if TYPE_CHECKING:
+    from ..metrics import MeanCI
+    from ..net import ChaosProfile, ContinuumTopology, FleetFaultInjector, TopologySpec
+
+# The baselines, the chaos stack (chaos, fleet) and continuum topologies
+# load when a setup names them: a ProvLight run on the star compiles none
+# of them.
 
 __all__ = [
     "SYSTEMS",
@@ -71,6 +65,18 @@ def _server_knob(name: str, convert: Callable[[str], Any]) -> Callable[[str], An
         ServerConfig(**{name: value})  # raises ValueError naming the field
         return value
     return parse
+
+
+def _parse_chaos(spec: str) -> "ChaosProfile":
+    from ..net.chaos import ChaosProfile
+
+    return ChaosProfile.parse(spec)
+
+
+def _parse_topology(spec: str) -> "TopologySpec":
+    from ..net.continuum import TopologySpec
+
+    return TopologySpec.parse(spec)
 
 
 def _spec_knob(grammar: Callable[[str], Any]) -> Callable[[str], str]:
@@ -137,7 +143,7 @@ class ExperimentSetup:
         metavar="N",
     )
     chaos: Optional[str] = _knob(
-        _spec_knob(ChaosProfile.parse), None,
+        _spec_knob(_parse_chaos), None,
         "chaos schedule applied to every ProvLight run, e.g. "
         "'kill-shard@2.0', 'churn@5:0.2:2' or 'partition-tier:edge-fog@8:3' "
         "(see repro.net.ChaosProfile for the grammar)",
@@ -146,7 +152,7 @@ class ExperimentSetup:
     #: when set, the spec's link profiles replace ``bandwidth``/``delay``
     #: and its leaf tier is resized to ``n_devices``
     topology: Optional[str] = _knob(
-        _spec_knob(TopologySpec.parse), None,
+        _spec_knob(_parse_topology), None,
         "continuum topology for every run: a preset name (ideal, "
         "constrained-edge, lossy-wireless, wan-fog) or a spec like "
         "'edge:64:lossy-wireless,fog:4:wan-fog,cloud:1' (leaf tier first; "
@@ -169,6 +175,8 @@ class ExperimentSetup:
             parse_delay(self.delay)
             self.capture_config()
             get_transport_factory(self.transport)
+            # the baselines POST to the HTTP collector
+            check_sink(self.transport if self.system == "provlight" else "http")
             self.server_config()
             self.chaos_profile()
             self.topology_spec()
@@ -177,11 +185,11 @@ class ExperimentSetup:
 
     def chaos_profile(self) -> Optional["ChaosProfile"]:
         """The parsed chaos schedule, or ``None`` when chaos is off."""
-        return ChaosProfile.parse(self.chaos) if self.chaos else None
+        return _parse_chaos(self.chaos) if self.chaos else None
 
     def topology_spec(self) -> Optional["TopologySpec"]:
         """The parsed continuum topology, or ``None`` for the star."""
-        return TopologySpec.parse(self.topology) if self.topology else None
+        return _parse_topology(self.topology) if self.topology else None
 
     def server_config(self) -> ServerConfig:
         """The server-plane config this condition describes."""
@@ -249,6 +257,8 @@ def run_null_baseline(
     device_spec: DeviceSpec = A8M3,
 ) -> float:
     """Elapsed time of the workload with no capture at all (same seeds)."""
+    from ..baselines import NullCaptureClient
+
     env = Environment()
     results = []
     for i in range(n_devices):
@@ -301,6 +311,8 @@ def run_capture_experiment(
     devices: List[Device] = []
     topology: Optional[ContinuumTopology] = None
     if topo_spec is not None:
+        from ..net.continuum import ContinuumTopology
+
         # the spec's link profiles define the network; the star's
         # bandwidth/delay fields do not apply
         def _make_device(tier: str, index: int):
@@ -325,22 +337,30 @@ def run_capture_experiment(
             devices.append(device)
 
     backend_service = DfAnalyzerService(metrics=env.metrics)
-    baseline = setup.system != "provlight"
-    # the baselines POST JSON bodies to the HTTP collector
+    if setup.system == "provlight":
+        sink_transport, decode = transport, None
+    else:
+        # the baselines POST JSON bodies to the HTTP collector
+        from ..baselines import decode_json_records as decode
+
+        sink_transport = "http"
     sink, endpoint = deploy_capture_sink(
-        "http" if baseline else transport, net.hosts["cloud"],
+        sink_transport, net.hosts["cloud"],
         backend_service.ingest, http_workers=max(8, setup.n_devices),
-        server=setup.server_config(),
-        decode=decode_json_records if baseline else None,
+        server=setup.server_config(), decode=decode,
     )
     clients: List[Any] = []
     server: Optional[ProvLightServer] = None
     fleet: Optional[FleetFaultInjector] = None
     journal_tmp: Optional[str] = None
     if setup.system == "provlake":
+        from ..baselines import ProvLakeClient
+
         clients = [ProvLakeClient(device, endpoint, group_size=setup.group_size)
                    for device in devices]
     elif setup.system == "dfanalyzer":
+        from ..baselines import DfAnalyzerCaptureClient
+
         clients = [DfAnalyzerCaptureClient(device, endpoint) for device in devices]
     else:
         if transport == "mqttsn":
@@ -350,6 +370,8 @@ def run_capture_experiment(
             # crash, so the run is auto-provisioned durable with
             # run-scoped journals (cleaned up after the run) unless the
             # caller already supplied a durable config
+            from ..net.fleet import FleetFaultInjector
+
             fleet = FleetFaultInjector(env, seed=seed)
             if not cap_config.durable:
                 journal_tmp = tempfile.mkdtemp(prefix="repro-fleet-journals-")
@@ -368,6 +390,8 @@ def run_capture_experiment(
             else:
                 clients.append(client)
         if chaos_profile is not None:
+            from ..net.chaos import ServerFaultInjector
+
             chaos_profile.apply(
                 ServerFaultInjector(server), fleet=fleet, topology=topology
             )
@@ -424,6 +448,8 @@ def run_capture_experiment(
 def _fleet_summary(events: List[Dict[str, Any]], devices: int,
                    records_completed: int) -> Dict[str, Any]:
     """The device-churn figures of a run, read off its event log."""
+    from ..net.fleet import recovery_times
+
     recovery_s = recovery_times(events)
     crashed = sum(1 for event in events if event["kind"] == "crash-device")
     summary: Dict[str, Any] = {
@@ -451,8 +477,11 @@ class OverheadResult:
     overheads: List[float]
     outcomes: List[RunOutcome] = field(default_factory=list)
 
-    @property
-    def ci(self):
+    @cached_property
+    def ci(self) -> "MeanCI":
+        """Mean and 95% CI of :attr:`overheads`, computed on first read."""
+        from ..metrics.stats import mean_ci
+
         return mean_ci(self.overheads)
 
     def mean_metric(self, reader) -> float:
@@ -477,6 +506,8 @@ def measure_overhead(
     with, using identical task-duration jitter streams, and the relative
     elapsed-time difference is recorded.
     """
+    from ..metrics.stats import relative_overhead
+
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     overheads: List[float] = []

@@ -1,9 +1,21 @@
 """Measurement: overhead statistics (mean ± 95% CI like the paper),
 per-device metric snapshots and ASCII table rendering for the harness."""
 
-from .collectors import RunMetrics, snapshot_device
-from .reporting import fmt_bytes, fmt_ci_pct, fmt_pct, fmt_si, render_table
-from .stats import MeanCI, mean_ci, relative_overhead, speedup
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "RunMetrics": ".collectors",
+    "snapshot_device": ".collectors",
+    "fmt_bytes": ".reporting",
+    "fmt_ci_pct": ".reporting",
+    "fmt_pct": ".reporting",
+    "fmt_si": ".reporting",
+    "render_table": ".reporting",
+    "MeanCI": ".stats",
+    "mean_ci": ".stats",
+    "relative_overhead": ".stats",
+    "speedup": ".stats",
+}
 
 __all__ = [
     "MeanCI",
@@ -18,3 +30,6 @@ __all__ = [
     "fmt_bytes",
     "fmt_si",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

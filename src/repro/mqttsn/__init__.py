@@ -5,32 +5,42 @@ retransmission, an RSMB-style broker with topic registry and wildcard
 subscriptions, and exactly-once (QoS 2) semantics in both directions.
 """
 
-from . import packets
-from .broker import DEFAULT_BROKER_PORT, MqttSnBroker
-from .client import MessageHandler, MqttSnClient, MqttSnTimeout
-from .cluster import DEFAULT_BROKER_SHARDS, PLACEMENT_POLICIES, BrokerCluster
-from .packets import (
-    Connack,
-    Connect,
-    Disconnect,
-    MalformedPacket,
-    MqttSnError,
-    MqttSnMessage,
-    Pingreq,
-    Pingresp,
-    Puback,
-    Pubcomp,
-    Publish,
-    Pubrec,
-    Pubrel,
-    Regack,
-    Register,
-    Suback,
-    Subscribe,
-    decode,
-    encode,
-)
-from .topics import SubscriptionIndex, TopicRegistry, topic_matches, validate_filter
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "packets": ".packets",
+    "DEFAULT_BROKER_PORT": ".broker",
+    "MqttSnBroker": ".broker",
+    "MessageHandler": ".client",
+    "MqttSnClient": ".client",
+    "MqttSnTimeout": ".client",
+    "DEFAULT_BROKER_SHARDS": ".cluster",
+    "PLACEMENT_POLICIES": ".cluster",
+    "BrokerCluster": ".cluster",
+    "Connack": ".packets",
+    "Connect": ".packets",
+    "Disconnect": ".packets",
+    "MalformedPacket": ".packets",
+    "MqttSnError": ".packets",
+    "MqttSnMessage": ".packets",
+    "Pingreq": ".packets",
+    "Pingresp": ".packets",
+    "Puback": ".packets",
+    "Pubcomp": ".packets",
+    "Publish": ".packets",
+    "Pubrec": ".packets",
+    "Pubrel": ".packets",
+    "Regack": ".packets",
+    "Register": ".packets",
+    "Suback": ".packets",
+    "Subscribe": ".packets",
+    "decode": ".packets",
+    "encode": ".packets",
+    "SubscriptionIndex": ".topics",
+    "TopicRegistry": ".topics",
+    "topic_matches": ".topics",
+    "validate_filter": ".topics",
+}
 
 __all__ = [
     "packets",
@@ -66,3 +76,6 @@ __all__ = [
     "encode",
     "decode",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

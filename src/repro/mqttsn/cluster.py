@@ -53,7 +53,7 @@ from zlib import crc32
 
 from ..calibration import SERVER_COSTS
 from ..hashring import ConsistentHashRing
-from ..net import Endpoint, Host, UdpShardDispatcher
+from ..net import Endpoint, Host
 from . import packets as pkt
 from .broker import DEFAULT_BROKER_PORT, MqttSnBroker
 from .topics import SubscriptionIndex
@@ -346,6 +346,8 @@ class BrokerCluster:
                 MqttSnBroker(host, port, **shard_kwargs)
             ]
         else:
+            from ..net.dispatcher import UdpShardDispatcher
+
             self.routing_view = SubscriptionIndex()
             self._home = {}
             self._ring = ConsistentHashRing(shards, replicas=replicas, salt="shard")

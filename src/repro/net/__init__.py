@@ -12,25 +12,42 @@ stack (:mod:`~repro.net.faults`, :mod:`~repro.net.chaos`,
 device-plane chaos over them.
 """
 
-from .chaos import ChaosEvent, ChaosProfile, ServerFaultInjector
-from .continuum import (
-    LINK_PROFILES,
-    TOPOLOGY_PRESETS,
-    ContinuumTopology,
-    LinkProfile,
-    TierSpec,
-    TopologySpec,
-)
-from .dispatcher import UdpShardDispatcher, VirtualSocket
-from .faults import LinkFaultInjector
-from .fleet import FleetClientProxy, FleetFaultInjector
-from .host import Host, PortInUse
-from .link import Link
-from .netem import NetworkConstraint, apply_constraints, parse_delay, parse_rate
-from .packet import TCP_HEADER_BYTES, UDP_HEADER_BYTES, Endpoint, Packet
-from .tcp import ConnectionRefused, ConnectionReset, TcpConnection, TcpListener
-from .topology import Network, UnroutableError
-from .udp import UdpSocket
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "ChaosEvent": ".chaos",
+    "ChaosProfile": ".chaos",
+    "ServerFaultInjector": ".chaos",
+    "LINK_PROFILES": ".continuum",
+    "TOPOLOGY_PRESETS": ".continuum",
+    "ContinuumTopology": ".continuum",
+    "LinkProfile": ".continuum",
+    "TierSpec": ".continuum",
+    "TopologySpec": ".continuum",
+    "UdpShardDispatcher": ".dispatcher",
+    "VirtualSocket": ".dispatcher",
+    "LinkFaultInjector": ".faults",
+    "FleetClientProxy": ".fleet",
+    "FleetFaultInjector": ".fleet",
+    "Host": ".host",
+    "PortInUse": ".host",
+    "Link": ".link",
+    "NetworkConstraint": ".netem",
+    "apply_constraints": ".netem",
+    "parse_delay": ".netem",
+    "parse_rate": ".netem",
+    "TCP_HEADER_BYTES": ".packet",
+    "UDP_HEADER_BYTES": ".packet",
+    "Endpoint": ".packet",
+    "Packet": ".packet",
+    "ConnectionRefused": ".tcp",
+    "ConnectionReset": ".tcp",
+    "TcpConnection": ".tcp",
+    "TcpListener": ".tcp",
+    "Network": ".topology",
+    "UnroutableError": ".topology",
+    "UdpSocket": ".udp",
+}
 
 __all__ = [
     "Host",
@@ -66,3 +83,6 @@ __all__ = [
     "ConnectionRefused",
     "ConnectionReset",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

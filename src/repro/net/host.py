@@ -7,12 +7,14 @@ it feeds.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..simkernel import Environment
 from .packet import Endpoint, Packet
-from .tcp import ConnectionRefused, TcpConnection, TcpListener
 from .udp import UdpSocket
+
+if TYPE_CHECKING:
+    from .tcp import TcpConnection, TcpListener
 
 __all__ = ["Host", "PortInUse"]
 
@@ -63,9 +65,11 @@ class Host:
     def _unbind_udp(self, port: int) -> None:
         self._udp_ports.pop(port, None)
 
-    # -- TCP -------------------------------------------------------------------
+    # -- TCP (repro.net.tcp loads on a host's first TCP call) ----------------
     def tcp_listen(self, port: int) -> TcpListener:
         """Open a passive TCP socket on ``port``."""
+        from .tcp import TcpListener
+
         if port in self._tcp_listeners:
             raise PortInUse(f"{self.name}: TCP port {port} in use")
         listener = TcpListener(self, port)
@@ -79,8 +83,10 @@ class Host:
         """Generator establishing a connection (use with ``yield from``).
 
         Returns the established :class:`TcpConnection`; raises
-        :class:`ConnectionRefused` when nobody answers.
+        :class:`~repro.net.tcp.ConnectionRefused` when nobody answers.
         """
+        from .tcp import TcpConnection
+
         port = self._alloc_port()
         conn = TcpConnection(self, port, dest, initiator=True)
         self._register_tcp(conn)

@@ -13,33 +13,34 @@ by an event or a one-shot callback).  Every other ``repro`` subsystem
 runs on this kernel, in one environment sharing one simulated clock.
 """
 
-from .core import (
-    EmptySchedule,
-    Environment,
-    StopSimulation,
-    default_environment_class,
-    set_default_environment_class,
-)
-from .debug import (
-    DebugEnvironment,
-    SimHazard,
-    SimHazardError,
-    debug_environment_installed,
-    install_debug_environment,
-    uninstall_debug_environment,
-)
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Initialize,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from .monitor import Counter, Metrics, TimeWeighted
-from .resources import Mailbox, Resource
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "EmptySchedule": ".core",
+    "Environment": ".core",
+    "StopSimulation": ".core",
+    "default_environment_class": ".core",
+    "set_default_environment_class": ".core",
+    "DebugEnvironment": ".debug",
+    "SimHazard": ".debug",
+    "SimHazardError": ".debug",
+    "debug_environment_installed": ".debug",
+    "install_debug_environment": ".debug",
+    "uninstall_debug_environment": ".debug",
+    "AllOf": ".events",
+    "AnyOf": ".events",
+    "Condition": ".events",
+    "Event": ".events",
+    "Initialize": ".events",
+    "Interrupt": ".events",
+    "Process": ".events",
+    "Timeout": ".events",
+    "Counter": ".monitor",
+    "Metrics": ".monitor",
+    "TimeWeighted": ".monitor",
+    "Mailbox": ".resources",
+    "Resource": ".resources",
+}
 
 __all__ = [
     "Environment",
@@ -67,3 +68,6 @@ __all__ = [
     "Counter",
     "Metrics",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

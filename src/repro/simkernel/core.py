@@ -85,7 +85,9 @@ class Environment:
         assert env.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "metrics")
+    #: ``now`` is the current simulated time in seconds: a plain slot,
+    #: so reading the clock costs no call; only :meth:`step` writes it
+    __slots__ = ("now", "_queue", "_eid", "_active_proc", "metrics")
 
     #: consulted once per process yield (see ``Process._resume``); the
     #: debug subclass flips it to route yields through hazard checks
@@ -98,18 +100,12 @@ class Environment:
         return object.__new__(cls)
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._queue: list = []  # heap of (time, priority, eid, target, args)
         self._eid = 0
         self._active_proc: Optional[Process] = None
         #: the run's counters and event log (see :class:`Metrics`)
         self.metrics = Metrics(self)
-
-    # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -138,7 +134,7 @@ class Environment:
         event._defused = False
         event.delay = delay
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, NORMAL, eid, event, None))
+        heappush(self._queue, (self.now + delay, NORMAL, eid, event, None))
         return event
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -155,7 +151,7 @@ class Environment:
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"delay {delay} is not >= 0")
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, NORMAL, eid, fn, args))
+        heappush(self._queue, (self.now + delay, NORMAL, eid, fn, args))
 
     def zero_delay_is_next(self) -> bool:
         """True when no heap entry is due at :attr:`now`, so a zero-delay
@@ -174,7 +170,7 @@ class Environment:
         must always push the timer.
         """
         queue = self._queue
-        return not queue or queue[0][0] > self._now
+        return not queue or queue[0][0] > self.now
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
@@ -192,7 +188,7 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Schedule ``event`` to be processed ``delay`` seconds from now."""
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, priority, eid, event, None))
+        heappush(self._queue, (self.now + delay, priority, eid, event, None))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
@@ -209,7 +205,7 @@ class Environment:
         queue = self._queue
         if not queue:
             raise EmptySchedule()
-        self._now, _, _, event, args = heappop(queue)
+        self.now, _, _, event, args = heappop(queue)
         if args is not None:
             event(*args)
             return
@@ -242,15 +238,15 @@ class Environment:
                 at_event.callbacks.append(_stop_simulation)
             else:
                 at = float(until)
-                if at < self._now:
+                if at < self.now:
                     raise ValueError(
-                        f"until ({at}) must not be before the current time ({self._now})"
+                        f"until ({at}) must not be before the current time ({self.now})"
                     )
                 stop = Event(self)
                 stop._ok = True
                 stop._value = None
                 stop.callbacks = [_stop_simulation]
-                self.schedule(stop, NORMAL, at - self._now)
+                self.schedule(stop, NORMAL, at - self.now)
 
         step = self.step
         try:
@@ -266,7 +262,7 @@ class Environment:
         return None
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} queued={len(self._queue)}>"
+        return f"<Environment now={self.now} queued={len(self._queue)}>"
 
 
 def _stop_simulation(event: Event) -> None:

@@ -105,7 +105,7 @@ class DebugEnvironment(Environment):
 
     # -- hazard plumbing ---------------------------------------------------
     def _hazard(self, kind: str, event: Any, detail: str) -> None:
-        hazard = SimHazard(kind, self._now, repr(event), detail)
+        hazard = SimHazard(kind, self.now, repr(event), detail)
         self.hazards.append(hazard)
         raise SimHazardError(hazard)
 
@@ -133,7 +133,7 @@ class DebugEnvironment(Environment):
         if not delay >= 0:
             self._hazard(
                 "non-monotonic", event,
-                f"scheduled {-delay:g}s into the past (now={self._now:g}); "
+                f"scheduled {-delay:g}s into the past (now={self.now:g}); "
                 "simulated time must never run backwards",
             )
         key = id(event)
@@ -152,13 +152,13 @@ class DebugEnvironment(Environment):
         if not queue:
             raise EmptySchedule()
         now, _, _, event, args = heappop(queue)
-        if not now >= self._now:  # behind the clock, or NaN
+        if not now >= self.now:  # behind the clock, or NaN
             self._hazard(
                 "non-monotonic", event,
                 f"popped an entry at t={now:g} behind the clock "
-                f"(now={self._now:g})",
+                f"(now={self.now:g})",
             )
-        self._now = now
+        self.now = now
         if args is not None:  # a call_later timer
             event(*args)
             return
@@ -173,7 +173,7 @@ class DebugEnvironment(Environment):
         if not event._ok and not event._defused:
             exc = event._value
             hazard = SimHazard(
-                "unretrieved-failure", self._now, repr(event),
+                "unretrieved-failure", self.now, repr(event),
                 f"failed event completed undefused with {len(callbacks)} "
                 f"callback(s); its exception {exc!r} was never retrieved "
                 "(yield the event, or mark it defused if the failure is "
@@ -207,7 +207,7 @@ class DebugEnvironment(Environment):
 
     def __repr__(self) -> str:
         return (
-            f"<DebugEnvironment now={self._now} queued={len(self._queue)} "
+            f"<DebugEnvironment now={self.now} queued={len(self._queue)} "
             f"hazards={len(self.hazards)}>"
         )
 

@@ -11,21 +11,24 @@ blocking baseline, or the null client.  Swapping the capture system is
 therefore a one-line config change, never a workload change.
 """
 
-from .federated import (
-    FederatedConfig,
-    LogisticModel,
-    federated_training,
-    make_client_datasets,
-)
-from .imaging import ImagingConfig, imaging_pipeline, mean_filter
-from .sensors import SensorConfig, sensor_pipeline
-from .synthetic import (
-    PAPER_ATTRIBUTE_COUNTS,
-    PAPER_TASK_DURATIONS,
-    SyntheticWorkloadConfig,
-    paper_workload_grid,
-    synthetic_workload,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "FederatedConfig": ".federated",
+    "LogisticModel": ".federated",
+    "federated_training": ".federated",
+    "make_client_datasets": ".federated",
+    "ImagingConfig": ".imaging",
+    "imaging_pipeline": ".imaging",
+    "mean_filter": ".imaging",
+    "SensorConfig": ".sensors",
+    "sensor_pipeline": ".sensors",
+    "PAPER_ATTRIBUTE_COUNTS": ".synthetic",
+    "PAPER_TASK_DURATIONS": ".synthetic",
+    "SyntheticWorkloadConfig": ".synthetic",
+    "paper_workload_grid": ".synthetic",
+    "synthetic_workload": ".synthetic",
+}
 
 __all__ = [
     "SyntheticWorkloadConfig",
@@ -43,3 +46,6 @@ __all__ = [
     "imaging_pipeline",
     "mean_filter",
 ]
+
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -333,6 +333,66 @@ def test_all_export_skips_dynamic_and_absent_all():
     assert out == []
 
 
+def test_all_export_counts_lazy_table_keys_as_bindings():
+    out = run(
+        """
+        from ._lazy import lazy_exports
+
+        _EXPORTS = {"Task": ".model", "encode": ".codec"}
+
+        __all__ = ["Task", "encode", "VERSION"]
+
+        VERSION = 1
+
+        __getattr__ = lazy_exports(__name__, _EXPORTS)
+        """,
+        "all-export-sync",
+    )
+    assert out == []
+
+
+def test_all_export_flags_name_in_neither_module_nor_table():
+    out = run(
+        '_EXPORTS = {"Task": ".model"}\n\n__all__ = ["Task", "ghost"]\n',
+        "all-export-sync",
+    )
+    assert rules_hit(out) == ["all-export-sync"]
+    assert len(out) == 1 and "'ghost'" in out[0].message
+    assert "never binds" in out[0].message
+
+
+def test_all_export_flags_table_key_missing_from_all():
+    out = run(
+        '_EXPORTS = {"Task": ".model", "hidden": ".model"}\n\n__all__ = ["Task"]\n',
+        "all-export-sync",
+    )
+    assert len(out) == 1
+    assert "'hidden'" in out[0].message and "__all__ does not export" in out[0].message
+
+
+def test_all_export_flags_duplicate_table_key_and_duplicate_all():
+    out = run(
+        '_EXPORTS = {"Task": ".model", "Task": ".other"}\n\n'
+        '__all__ = ["Task", "Task"]\n',
+        "all-export-sync",
+    )
+    messages = sorted(v.message for v in out)
+    assert len(messages) == 2
+    assert all("twice" in m for m in messages)
+    assert any(m.startswith("_EXPORTS") for m in messages)
+    assert any(m.startswith("__all__") for m in messages)
+
+
+def test_all_export_ignores_a_table_that_is_not_a_literal():
+    """Only a literal table binds: a computed one is not checkable, so
+    its names count as unbound."""
+    out = run(
+        '_EXPORTS = dict(Task=".model")\n\n__all__ = ["Task"]\n',
+        "all-export-sync",
+    )
+    assert len(out) == 1 and "never binds" in out[0].message
+
+
 def test_all_export_is_src_only():
     assert run('__all__ = ["ghost"]\n', "all-export-sync", path=TEST_PATH) == []
 

@@ -234,6 +234,15 @@ def test_deploy_capture_sink_rejects_unknown_transport():
         deploy_capture_sink("smoke-signals", host, lambda records: None)
 
 
+def test_check_sink_knows_every_builtin_transport_and_only_them():
+    from repro.capture.sinks import check_sink
+
+    for name in transport_names() + ("MQTT-SN",):
+        check_sink(name)
+    with pytest.raises(ValueError, match="no capture sink"):
+        check_sink("smoke-signals")
+
+
 def test_deploy_capture_sink_builds_the_mqttsn_server_from_its_config():
     from repro.capture import deploy_capture_sink
     from repro.core import ServerConfig

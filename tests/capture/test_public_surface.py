@@ -7,6 +7,7 @@ constructor or transport adapter.  Surface changes are fine but must be delibera
 *and* the docs).
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -148,7 +149,51 @@ def test_public_surface_is_pinned(name):
         assert hasattr(module, symbol), f"{name}.__all__ names missing {symbol}"
 
 
+#: every package that exports lazily (``repro._lazy``): reading a name
+#: imports its submodule, so a name whose submodule is missing or does
+#: not define it fails only here, or at its first use
+LAZY_PACKAGES = [
+    "repro",
+    "repro.baselines",
+    "repro.capture",
+    "repro.coap",
+    "repro.core",
+    "repro.device",
+    "repro.dfanalyzer",
+    "repro.harness",
+    "repro.http",
+    "repro.metrics",
+    "repro.mqttsn",
+    "repro.net",
+    "repro.simkernel",
+    "repro.workloads",
+]
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_every_lazy_export_resolves(name):
+    module = importlib.import_module(name)
+    for symbol in module.__all__:
+        assert hasattr(module, symbol), f"{name}.__all__ names missing {symbol}"
+
+
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+@pytest.mark.parametrize("first", LAZY_PACKAGES)
+def test_star_import_of_every_package_whichever_loads_first(first):
+    """``from pkg import *`` reads every name of ``__all__``; run it for
+    every package in a fresh interpreter that imports ``first`` before
+    the rest, so an import-order cycle between submodules fails here."""
+    code = "".join(
+        f"from {name} import *\n"
+        for name in [first] + [p for p in LAZY_PACKAGES if p != first]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("first", [

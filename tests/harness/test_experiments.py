@@ -38,11 +38,42 @@ def test_run_capture_experiment_unknown_system():
         run_capture_experiment(ExperimentSetup(system="zsystem"), FAST, seed=1)
 
 
+def test_setup_rejects_a_transport_without_a_sink():
+    from repro.capture import register_transport, unregister_transport
+
+    register_transport("test-sinkless", lambda *args: None)
+    try:
+        with pytest.raises(ValueError, match="ExperimentSetup: no capture sink"):
+            ExperimentSetup(transport="test-sinkless")
+    finally:
+        unregister_transport("test-sinkless")
+
+
 def test_measure_overhead_provlight_is_small():
     # 0.1 s tasks: per-call cost ~3.9 ms => ~8% overhead expected here
     result = measure_overhead(ExperimentSetup(system="provlight"), FAST, repetitions=2)
     assert 0.0 < result.ci.mean < 0.12
     assert len(result.overheads) == 2
+
+
+def test_overhead_ci_is_computed_once_per_result(monkeypatch):
+    from repro.harness.experiments import OverheadResult
+    from repro.metrics import stats
+
+    calls = []
+
+    def counting_mean_ci(values, *args, **kwargs):
+        calls.append(list(values))
+        return real_mean_ci(values, *args, **kwargs)
+
+    real_mean_ci = stats.mean_ci
+    monkeypatch.setattr(stats, "mean_ci", counting_mean_ci)
+    result = OverheadResult(setup=ExperimentSetup(), config=FAST,
+                            overheads=[0.01, 0.02, 0.04])
+    first, second = result.ci, result.ci
+    assert first is second
+    assert calls == [[0.01, 0.02, 0.04]]
+    assert first == real_mean_ci([0.01, 0.02, 0.04])
 
 
 def test_measure_overhead_ordering_of_systems():
