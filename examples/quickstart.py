@@ -3,8 +3,8 @@
 This is the paper's Listing 1 in runnable form: an edge device runs a
 small instrumented workflow; captured records travel over MQTT-SN/UDP to
 the broker on a cloud host, where a translator feeds the DfAnalyzer-style
-backend.  At the end we query the backend and rebuild the W3C PROV-DM
-document.
+backend.  At the end we query the backend for the stored tasks, datasets
+and lineage.
 
 Run with:  python examples/quickstart.py
 """
@@ -16,7 +16,6 @@ from repro.core import (
     ProvLightServer,
     Task,
     Workflow,
-    document_from_records,
 )
 from repro.device import A8M3, XEON_GOLD_5220, Device
 from repro.dfanalyzer import DfAnalyzerService
@@ -47,8 +46,6 @@ def main() -> None:
     client = create_client(edge, server.endpoint, "provlight/edge/data",
                            CaptureConfig(transport="mqttsn"))
 
-    raw_records = []  # also keep the raw records for the PROV-DM rebuild
-
     # --- 3. the instrumented workflow (paper Listing 1) --------------------
     def workload(env):
         yield from server.pool.attach("provlight/#")
@@ -76,7 +73,6 @@ def main() -> None:
                                 {"out": [2] * attributes},
                                 derivations=[f"in{data_id}"])
                 yield from task.end([data_out])
-                raw_records.append(task)
                 previous_task = [task.id]
         yield from workflow.end(drain=True)
 
@@ -101,7 +97,7 @@ def main() -> None:
             f"deps=[{row['dependencies']}]"
         )
 
-    # rebuild the PROV-DM document from the captured dataset rows
+    # the captured dataset rows and their lineage
     datasets = backend.query("datasets").rows()
     print(f"\ndatasets captured: {len(datasets)} "
           f"(inputs: {sum(1 for d in datasets if d['direction'] == 'input')}, "

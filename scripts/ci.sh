@@ -74,9 +74,14 @@ python -m repro.harness table9 --reps 1 --broker-shards 2 \
 
 # relations smoke: drives ProvLake and DfAnalyzer end to end through the
 # CLI (their JSON bodies through the HTTP collector's ingest front) and
-# checks every relation of the paper's claims outside Table IX (which the
-# flags smoke above runs)
+# checks every relation of the paper's claims outside Tables IV and IX (which
+# the smokes around it run)
 echo "relations smoke: python -m repro.harness table2 table3 table7 table8 table10 fig6a-d"
 python -m repro.harness table2 table3 table7 table8 table10 fig6a fig6b fig6c fig6d --reps 1
+
+# Table IV smoke: runs the PROV-IO and Komadu capture models the paper
+# excluded and checks the design limits it cites as relations
+echo "table IV smoke: python -m repro.harness table4"
+python -m repro.harness table4 --reps 1
 
 python scripts/run_benchmarks.py --quick

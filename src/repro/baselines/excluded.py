@@ -10,22 +10,30 @@ because of design-level limitations, not measured numbers:
   of the captured information run in the same machine".
 
 To make Table IV executable rather than prose, this module implements
-both behaviours against the simulated device models, and the tests
-demonstrate exactly the limitations the paper cites: PROV-IO's growing
-in-memory graph plus periodic flash stalls, and Komadu's server-grade
-processing cost charged to the edge CPU.
+both behaviours against the simulated device models, and
+:func:`run_excluded` measures them on the paper's workload.  The
+harness target ``table4`` checks exactly the limitations the paper
+cites as relations: PROV-IO's growing in-memory graph plus periodic
+flash stalls, and Komadu's server-grade processing cost charged to the
+edge CPU.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from ..calibration import MS, SERVER_COSTS
 from ..core.model import count_attributes_from_record
 from ..core.serialization import encode_value
-from ..device import Device
+from ..device import A8M3, Device, DeviceSpec
+from ..simkernel import Environment
+from ..workloads import SyntheticWorkloadConfig, synthetic_workload
 
-__all__ = ["ProvIOClient", "KomaduClient", "FlashStorage"]
+__all__ = ["ProvIOClient", "KomaduClient", "FlashStorage", "ExcludedSetup",
+           "run_excluded"]
 
 
 class FlashStorage:
@@ -171,3 +179,45 @@ class KomaduClient:
 
     def close(self) -> None:
         pass
+
+
+@dataclass(frozen=True)
+class ExcludedSetup:
+    """One Table IV condition: an excluded system capturing on one device."""
+
+    system: str  # "prov-io" or "komadu"
+    #: PROV-IO's dump interval in captured records (Komadu has none)
+    dump_every_records: int = 50
+    device_spec: DeviceSpec = A8M3
+
+    def describe(self) -> str:
+        if self.system == "prov-io":
+            return f"prov-io, dump every {self.dump_every_records} records"
+        return self.system
+
+
+def run_excluded(setup: ExcludedSetup, config: SyntheticWorkloadConfig,
+                 seed: int) -> Dict[str, float]:
+    """Run the synthetic workload once under ``setup``'s capture model;
+    returns what Table IV reads of it.  The task-duration jitter is
+    :func:`~repro.harness.run_null_baseline`'s for the same seed."""
+    env = Environment()
+    device = Device(env, setup.device_spec, name="edge-0")
+    client = (ProvIOClient(device, dump_every_records=setup.dump_every_records)
+              if setup.system == "prov-io" else KomaduClient(device))
+    result: Dict[str, Any] = {}
+    env.process(synthetic_workload(env, client, config,
+                                   rng=np.random.default_rng(seed * 1000), result=result),
+                name=f"{setup.system}-workload")
+    env.run()
+    measures = {
+        "elapsed_s": result["elapsed"],
+        "cpu_utilization": device.cpu.busy_time() / result["elapsed"],
+        "server_cpu_ratio": (device.cpu.busy_time("capture-server")
+                             / device.cpu.busy_time("capture")),
+        "tx_bytes": device.radio.tx.total,
+        "resident_bytes": device.memory.used("capture-buffers"),
+        "dumps": client.dumps.count if setup.system == "prov-io" else 0,
+    }
+    client.close()
+    return measures

@@ -53,7 +53,6 @@ def deploy_capture_sink(
     transport: str,
     host,
     ingest: Callable,
-    target: str = "dfanalyzer",
     http_port: int = DEFAULT_HTTP_SINK_PORT,
     http_workers: int = 1,
     server=None,
@@ -87,20 +86,18 @@ def deploy_capture_sink(
         raise ValueError(f"decode= applies to the http collector only, "
                          f"not to a {transport!r} sink")
     if transport == "mqttsn":
-        sink = ProvLightServer(host, CallableBackend(ingest), target=target,
-                               config=server)
+        sink = ProvLightServer(host, CallableBackend(ingest), config=server)
         return sink, sink.endpoint
     if transport == "coap":
         from ..coap import ProvLightCoapServer
 
-        sink = ProvLightCoapServer(host, CallableBackend(ingest), target=target,
-                                   config=server)
+        sink = ProvLightCoapServer(host, CallableBackend(ingest), config=server)
         return sink, sink.endpoint
     if transport == "http":
         from ..core.translator import IngestFront
         from ..http import HttpResponse, HttpServer
 
-        front = IngestFront(target, state_path=server.dedup_state_path,
+        front = IngestFront(state_path=server.dedup_state_path,
                             metrics=host.env.metrics, decode=decode)
 
         def collector(request):

@@ -41,12 +41,11 @@ class ProvLightCoapServer:
     answers it 201: the client acks it and does not send it again."""
 
     def __init__(self, host: Host, backend, port: int = DEFAULT_COAP_PORT,
-                 target: str = "dfanalyzer", cipher=None,
-                 config: ServerConfig = ServerConfig()):
+                 cipher=None, config: ServerConfig = ServerConfig()):
         self.host = host
         self.env = host.env
         self.backend = backend
-        self.front = IngestFront(target, cipher=cipher,
+        self.front = IngestFront(cipher=cipher,
                                  state_path=config.dedup_state_path,
                                  metrics=self.env.metrics)
         self.server = CoapServer(host, port)

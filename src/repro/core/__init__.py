@@ -44,7 +44,6 @@ _EXPORTS = {
     "records_from_payload": ".translator",
     "to_dfanalyzer": ".translator",
     "to_prov_json": ".translator",
-    "to_provlake": ".translator",
 }
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "records_from_payload",
     "to_dfanalyzer",
     "to_prov_json",
-    "to_provlake",
     "encode_value",
     "decode_value",
     "encode_payload",

@@ -50,7 +50,6 @@ __all__ = [
     "decode_value",
     "encode_payload",
     "decode_payload",
-    "wire_overhead_bytes",
     "VERSION",
     "VERSION_1",
     "VERSION_2",
@@ -125,11 +124,6 @@ class CodecError(ValueError):
     """Encoding/decoding failure."""
 
 
-def wire_overhead_bytes() -> int:
-    """Fixed framing overhead per payload."""
-    return HEADER_SIZE
-
-
 # -- varints ------------------------------------------------------------------
 
 
@@ -167,10 +161,6 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 def _zigzag(value: int) -> int:
     return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
 # -- v1 value encoding --------------------------------------------------------

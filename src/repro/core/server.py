@@ -945,7 +945,6 @@ class ProvLightServer:
         host: Host,
         backend,
         port: int = DEFAULT_BROKER_PORT,
-        target: str = "dfanalyzer",
         costs: ServerCosts = SERVER_COSTS,
         cipher=None,
         config: ServerConfig = ServerConfig(),
@@ -970,7 +969,7 @@ class ProvLightServer:
         )
         #: one front for every pool worker: its dedup index is
         #: server-wide, so re-sharding can never unsee a seq
-        self.front = IngestFront(target, cipher=cipher,
+        self.front = IngestFront(cipher=cipher,
                                  state_path=config.dedup_state_path,
                                  metrics=self.env.metrics)
 

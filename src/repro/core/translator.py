@@ -1,11 +1,9 @@
-"""Provenance data translator: ProvLight wire records -> target systems.
+"""Provenance data translator: ProvLight wire records -> DfAnalyzer.
 
 The ProvLight server runs one translator per topic (paper Fig. 5).  The
 translator decodes the (possibly grouped, compressed) payload and emits
-the data model of the configured provenance system.  Users extend this
-by registering additional targets — the mechanism the paper describes
-for integrating with "DfAnalyzer, ProvLake, PROV-IO, Komadu, among
-others".
+the DfAnalyzer data model, the one backend every capture sink feeds.
+:func:`to_prov_json` maps the same records to a W3C PROV-JSON document.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ __all__ = [
     "records_from_payload",
     "to_dfanalyzer",
     "to_prov_json",
-    "to_provlake",
 ]
 
 
@@ -103,78 +100,17 @@ def to_prov_json(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     return document_from_records(records).to_prov_json()
 
 
-def to_provlake(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Translate to a ProvLake-style workflow/task message list."""
-    out = []
-    for record in records:
-        kind = record.get("kind")
-        if kind in ("workflow_begin", "workflow_end"):
-            out.append(
-                {
-                    "prov_obj": "workflow",
-                    "wf_execution": str(record["workflow_id"]),
-                    "act_type": kind.split("_")[1],
-                    "timestamp": record.get("time"),
-                }
-            )
-            continue
-        if kind not in ("task_begin", "task_end"):
-            raise TranslationError(f"unknown record kind {kind!r}")
-        values_in, values_out = {}, {}
-        bucket = values_in if kind == "task_begin" else values_out
-        for item in record.get("data", ()):
-            bucket[str(item["id"])] = dict(item.get("attributes", {}))
-        out.append(
-            {
-                "prov_obj": "task",
-                "wf_execution": str(record["workflow_id"]),
-                "data_transformation": str(record.get("transformation_id")),
-                "task_id": record["task_id"],
-                "status": "RUNNING" if kind == "task_begin" else "FINISHED",
-                "used": values_in,
-                "generated": values_out,
-                "timestamp": record.get("time"),
-            }
-        )
-    return out
-
-
-_TARGETS: Dict[str, Callable[[List[Dict[str, Any]]], Any]] = {
-    "dfanalyzer": to_dfanalyzer,
-    "prov-json": to_prov_json,
-    "provlake": to_provlake,
-    "raw": lambda records: records,
-}
-
-
 class Translator:
-    """Decodes payloads and translates them to a target data model."""
+    """Decodes payloads and translates them to the DfAnalyzer data model."""
 
-    def __init__(self, target: str = "dfanalyzer", cipher=None):
-        if target not in _TARGETS:
-            raise ValueError(
-                f"unknown target {target!r}; known: {sorted(_TARGETS)}"
-            )
-        self.target = target
+    def __init__(self, cipher=None):
         self.cipher = cipher
-        self._translate = _TARGETS[target]
-
-    @classmethod
-    def register_target(
-        cls, name: str, fn: Callable[[List[Dict[str, Any]]], Any]
-    ) -> None:
-        """Extend the translator with a new provenance-system format."""
-        _TARGETS[name] = fn
-
-    @classmethod
-    def known_targets(cls) -> List[str]:
-        return sorted(_TARGETS)
 
     def translate_payload(self, payload: bytes):
         """Decode a wire payload and translate it; returns
         ``(records, translated)``."""
         records = records_from_payload(payload, cipher=self.cipher)
-        return records, self._translate(records)
+        return records, to_dfanalyzer(records)
 
 
 class IngestFront:
@@ -191,10 +127,9 @@ class IngestFront:
     another wire format (the baselines' JSON bodies): it maps a payload
     to ``(records, translated)`` and raises on a malformed one."""
 
-    def __init__(self, target: str = "dfanalyzer", cipher=None,
-                 state_path: Optional[str] = None, *, metrics,
+    def __init__(self, cipher=None, state_path: Optional[str] = None, *, metrics,
                  decode: Optional[Callable[[bytes], tuple]] = None):
-        self.translator = Translator(target, cipher=cipher)
+        self.translator = Translator(cipher=cipher)
         self.decode = decode
         self.deduper = ReplayDeduper(state_path=state_path)
         #: one count per payload, its records in the total

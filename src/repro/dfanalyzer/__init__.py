@@ -1,6 +1,6 @@
-"""DfAnalyzer-style provenance backend: columnar storage, dataflow
-specifications, runtime ingestion (in-process and RESTful) and a query
-engine including the paper's FL analysis queries.
+"""DfAnalyzer-style provenance backend: columnar storage, runtime
+ingestion and a query engine including the
+paper's FL analysis queries.
 
 The paper uses only DfAnalyzer's storage/query components (its capture
 side is a baseline); the E2Clab Provenance Manager wires ProvLight's
@@ -10,18 +10,12 @@ translator output into this service.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "AttributeSpec": ".dataflow",
-    "DataflowSpec": ".dataflow",
-    "DatasetSpec": ".dataflow",
-    "TransformationSpec": ".dataflow",
-    "DfAnalyzerHttpService": ".ingestion",
     "DfAnalyzerService": ".ingestion",
     "IngestError": ".ingestion",
     "lineage_of": ".queries",
     "latest_epoch_metrics": ".queries",
     "task_durations": ".queries",
     "top_k_by_metric": ".queries",
-    "AGGREGATES": ".query",
     "Query": ".query",
     "QueryError": ".query",
     "ColumnStore": ".store",
@@ -35,13 +29,7 @@ __all__ = [
     "StoreError",
     "Query",
     "QueryError",
-    "AGGREGATES",
-    "DataflowSpec",
-    "DatasetSpec",
-    "TransformationSpec",
-    "AttributeSpec",
     "DfAnalyzerService",
-    "DfAnalyzerHttpService",
     "IngestError",
     "top_k_by_metric",
     "latest_epoch_metrics",

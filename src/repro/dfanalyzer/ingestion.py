@@ -19,16 +19,14 @@ normalizing them into three storage families:
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 from .store import ColumnStore
 
 if TYPE_CHECKING:
-    from .dataflow import DataflowSpec
     from .query import Query
 
-__all__ = ["DfAnalyzerService", "DfAnalyzerHttpService", "IngestError"]
+__all__ = ["DfAnalyzerService", "IngestError"]
 
 
 class IngestError(ValueError):
@@ -68,14 +66,7 @@ class DfAnalyzerService:
         #: ``(dataflow_tag, task_id)`` -> ids of the ``tasks`` rows with that
         #: key, so a FINISHED upsert finds its rows without a table scan
         self._task_rows: Dict[Tuple[Any, Any], List[int]] = {}
-        self.specs: Dict[str, DataflowSpec] = {}
         self.records_ingested = metrics.counter("dfanalyzer", "records_ingested")
-        self.validation_warnings: List[str] = []
-
-    # -- prospective provenance -----------------------------------------------
-    def register_dataflow(self, spec: DataflowSpec) -> None:
-        """Declare a dataflow specification (prospective provenance)."""
-        self.specs[spec.tag] = spec
 
     # -- ingestion ---------------------------------------------------------------
     def ingest(self, payload: Union[Dict[str, Any], List[Dict[str, Any]]]) -> int:
@@ -135,20 +126,9 @@ class DfAnalyzerService:
                 "direction": item.get("direction"),
                 "derivations": ",".join(str(d) for d in item.get("derivations", ())),
             }
-            elements = item.get("elements", {})
-            self._validate_elements(key_df, item.get("tag"), elements)
-            for name, value in elements.items():
+            for name, value in item.get("elements", {}).items():
                 row[name] = value
             datasets.insert(row)
-
-    def _validate_elements(self, dataflow_tag, dataset_tag, elements) -> None:
-        spec = self.specs.get(str(dataflow_tag))
-        if spec is None:
-            return
-        ds = spec.datasets.get(str(dataset_tag))
-        if ds is None:
-            return
-        self.validation_warnings.extend(ds.validate_elements(elements))
 
     # -- format normalization -----------------------------------------------------
     def _normalize(self, payload) -> List[Dict[str, Any]]:
@@ -261,34 +241,4 @@ class DfAnalyzerService:
             "dataflow": dataflow_tag,
             "tasks": len(rows),
             "by_status": by_status,
-            "spec": self.specs.get(dataflow_tag).describe()
-            if dataflow_tag in self.specs
-            else None,
         }
-
-
-class DfAnalyzerHttpService:
-    """RESTful facade: POST JSON provenance to ``/pde``-style endpoints."""
-
-    def __init__(self, host, port: int, service: DfAnalyzerService, workers: int = 8):
-        from ..http import HttpResponse, HttpServer
-
-        self.service = service
-
-        def handler(request):
-            if request.method != "POST":
-                return HttpResponse(status=405, reason="Method Not Allowed")
-            try:
-                payload = json.loads(request.body.decode() or "null")
-                count = self.service.ingest(payload)
-            except (ValueError, IngestError) as exc:
-                return HttpResponse(status=400, reason="Bad Request",
-                                    body=str(exc).encode())
-            return HttpResponse(status=201, reason="Created",
-                                body=json.dumps({"ingested": count}).encode())
-
-        self.server = HttpServer(host, port, handler, workers=workers)
-
-    @property
-    def endpoint(self):
-        return (self.server.host.name, self.server.port)

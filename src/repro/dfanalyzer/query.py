@@ -1,22 +1,21 @@
 """Query engine over the column store.
 
 Covers what the paper's use cases need (Sections I and VII-B): filter,
-project, join, order/limit and grouped aggregation — enough to answer
-"retrieve the hyperparameters with the 3 best accuracy values" or "the
-elapsed time and training loss in the latest epoch for each
-hyperparameter combination" against captured provenance.
+project and order/limit — enough to answer "retrieve the
+hyperparameters with the 3 best accuracy values" or "the elapsed time
+and training loss in the latest epoch for each hyperparameter
+combination" (:mod:`repro.dfanalyzer.queries`) against captured
+provenance.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-import numpy as np
+from .store import ColumnStore
 
-from .store import ColumnStore, Table
-
-__all__ = ["Query", "QueryError", "AGGREGATES"]
+__all__ = ["Query", "QueryError"]
 
 _OPS: Dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq,
@@ -27,16 +26,6 @@ _OPS: Dict[str, Callable[[Any, Any], bool]] = {
     ">=": operator.ge,
     "in": lambda value, container: value in container,
     "contains": lambda container, value: value in container,
-}
-
-AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
-    "count": len,
-    "sum": lambda xs: float(np.sum(xs)) if xs else 0.0,
-    "mean": lambda xs: float(np.mean(xs)) if xs else float("nan"),
-    "min": lambda xs: min(xs),
-    "max": lambda xs: max(xs),
-    "first": lambda xs: xs[0],
-    "last": lambda xs: xs[-1],
 }
 
 
@@ -51,8 +40,7 @@ class Query:
 
         (Query(store, "tasks")
             .where("status", "==", "FINISHED")
-            .join("metrics", on=("task_id", "task_id"))
-            .order_by("accuracy", desc=True)
+            .order_by("time_begin", desc=True)
             .limit(3)
             .rows())
     """
@@ -79,14 +67,6 @@ class Query:
         self._stages.append(("select", (columns,)))
         return self
 
-    def join(self, table: str, on: Tuple[str, str], prefix: str = "") -> "Query":
-        """Inner hash join: ``on=(left_column, right_column)``.
-
-        Columns from the right table may be prefixed to avoid collisions.
-        """
-        self._stages.append(("join", (table, on, prefix)))
-        return self
-
     def order_by(self, column: str, desc: bool = False) -> "Query":
         self._stages.append(("order_by", (column, desc)))
         return self
@@ -97,27 +77,12 @@ class Query:
         self._stages.append(("limit", (n,)))
         return self
 
-    def group_by(self, *columns: str, aggregate: Dict[str, Tuple[str, str]]) -> "Query":
-        """Group rows and aggregate: ``aggregate={"out": ("fn", "col")}``.
-
-        e.g. ``group_by("lr", aggregate={"best_acc": ("max", "accuracy")})``.
-        """
-        for out, (fn, _col) in aggregate.items():
-            if fn not in AGGREGATES:
-                raise QueryError(f"unknown aggregate {fn!r} for {out!r}")
-        self._stages.append(("group_by", (columns, aggregate)))
-        return self
-
     # -- evaluation -----------------------------------------------------------
     def rows(self) -> List[Dict[str, Any]]:
         data = list(self.store.table(self._table).rows())
         for stage, args in self._stages:
             data = getattr(self, f"_eval_{stage}")(data, *args)
         return data
-
-    def scalars(self, column: str) -> List[Any]:
-        """Shortcut: the values of one column of the result."""
-        return [row[column] for row in self.rows()]
 
     def count(self) -> int:
         return len(self.rows())
@@ -146,21 +111,6 @@ class Query:
     def _eval_select(data, columns):
         return [{c: row.get(c) for c in columns} for row in data]
 
-    def _eval_join(self, data, table, on, prefix):
-        left_col, right_col = on
-        right_table: Table = self.store.table(table)
-        index: Dict[Any, List[Dict[str, Any]]] = {}
-        for row in right_table.rows():
-            index.setdefault(row.get(right_col), []).append(row)
-        out = []
-        for row in data:
-            for match in index.get(row.get(left_col), ()):
-                merged = dict(row)
-                for key, value in match.items():
-                    merged[f"{prefix}{key}"] = value
-                out.append(merged)
-        return out
-
     @staticmethod
     def _eval_order_by(data, column, desc):
         def key(row):
@@ -173,18 +123,3 @@ class Query:
     @staticmethod
     def _eval_limit(data, n):
         return data[:n]
-
-    @staticmethod
-    def _eval_group_by(data, columns, aggregate):
-        groups: Dict[tuple, List[Dict[str, Any]]] = {}
-        for row in data:
-            key = tuple(row.get(c) for c in columns)
-            groups.setdefault(key, []).append(row)
-        out = []
-        for key, rows in groups.items():
-            result = dict(zip(columns, key))
-            for out_name, (fn, col) in aggregate.items():
-                values = [r.get(col) for r in rows if r.get(col) is not None]
-                result[out_name] = AGGREGATES[fn](values) if (values or fn == "count") else None
-            out.append(result)
-        return out

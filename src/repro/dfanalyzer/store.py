@@ -3,15 +3,12 @@
 DfAnalyzer stores provenance in MonetDB, a column store.  This module
 provides the minimal column-organized storage engine the backend needs:
 append-only tables with dynamic schemas, column projections backed by
-plain lists (converted to NumPy arrays on demand for aggregation), and
-row reconstruction for query results.
+plain lists, and row reconstruction for query results.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
-
-import numpy as np
 
 __all__ = ["Table", "ColumnStore", "StoreError"]
 
@@ -56,13 +53,6 @@ class Table:
         self._nrows += 1
         return self._nrows - 1
 
-    def insert_many(self, rows: Iterable[Dict[str, Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
-
     def update_rows(self, row_ids: Sequence[int], changes: Dict[str, Any]) -> int:
         """Write ``changes`` into the rows at ``row_ids``; returns count.
 
@@ -84,10 +74,6 @@ class Table:
         if col is None:
             raise StoreError(f"table {self.name!r} has no column {name!r}")
         return col
-
-    def column_array(self, name: str) -> np.ndarray:
-        """Column as a NumPy array (for vectorized aggregation)."""
-        return np.asarray(self.column(name))
 
     def row(self, index: int) -> Dict[str, Any]:
         if not 0 <= index < self._nrows:
@@ -120,17 +106,6 @@ class ColumnStore:
         if table is None:
             raise StoreError(f"no table {name!r}")
         return table
-
-    def ensure_table(self, name: str) -> Table:
-        table = self._tables.get(name)
-        if table is None:
-            table = self.create_table(name)
-        return table
-
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise StoreError(f"no table {name!r}")
-        del self._tables[name]
 
     @property
     def table_names(self) -> List[str]:

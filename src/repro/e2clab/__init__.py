@@ -2,8 +2,8 @@
 
 Configuration-driven deployment of Edge-to-Cloud experiments on simulated
 testbeds: layers & services, network constraints, workflow execution, the
-Provenance Manager (ProvLight + DfAnalyzer), and an optimization manager
-— mirroring the architecture of the paper's Fig. 4.
+Provenance Manager (ProvLight + DfAnalyzer) — mirroring the architecture
+of the paper's Fig. 4.
 """
 
 from . import miniyaml
@@ -25,7 +25,6 @@ from .experiment import Experiment, ExperimentResults
 from .layers import DeployedService, LayersServicesManager
 from .miniyaml import MiniYamlError, load_file, loads
 from .network_manager import NetworkManager
-from .optimizer import OptimizationManager, SearchSpace, Trial
 from .provenance_manager import ProvenanceManager
 from .testbeds import TESTBEDS, ProvisionError, Testbed, testbed_by_name
 from .workflow_manager import UnknownWorkload, WorkflowManager, WorkloadSpec
@@ -60,7 +59,4 @@ __all__ = [
     "UnknownWorkload",
     "Experiment",
     "ExperimentResults",
-    "OptimizationManager",
-    "SearchSpace",
-    "Trial",
 ]

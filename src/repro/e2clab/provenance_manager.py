@@ -75,7 +75,6 @@ class ProvenanceManager:
     def __init__(
         self,
         network: Network,
-        target: str = "dfanalyzer",
         host_name: Optional[str] = None,
         server: ServerConfig = ServerConfig(),
         capture: CaptureConfig = CaptureConfig(),
@@ -83,7 +82,6 @@ class ProvenanceManager:
         self.capture = replace(capture, transport=_registered_transport(capture.transport))
         self.network = network
         self.env: Environment = network.env
-        self.target = target
         self.service = DfAnalyzerService(metrics=self.env.metrics)
         host_name = host_name or self.HOST_NAME
         if host_name in network.hosts:
@@ -135,7 +133,7 @@ class ProvenanceManager:
         Every sink decrypts with the capture config's ``cipher``."""
         if transport not in self._sinks:
             sink, _ = self._sinks[transport] = deploy_capture_sink(
-                transport, self.host, self.service.ingest, target=self.target,
+                transport, self.host, self.service.ingest,
                 http_port=HTTP_CAPTURE_PORT, server=server,
             )
             sink.front.translator.cipher = self.capture.cipher
@@ -177,6 +175,6 @@ class ProvenanceManager:
 
     def __repr__(self) -> str:
         return (
-            f"<ProvenanceManager target={self.target} host={self.host_name} "
+            f"<ProvenanceManager host={self.host_name} "
             f"transport={self.capture.transport} clients={len(self.clients)}>"
         )

@@ -29,6 +29,7 @@ _EXPORTS = {
     "default_repetitions": ".tables",
     "table2": ".tables",
     "table3": ".tables",
+    "table4": ".tables",
     "table7": ".tables",
     "table8": ".tables",
     "table9": ".tables",
@@ -48,6 +49,7 @@ __all__ = [
     "default_repetitions",
     "table2",
     "table3",
+    "table4",
     "table7",
     "table8",
     "table9",

@@ -178,10 +178,23 @@ class ExperimentSetup:
             # the baselines POST to the HTTP collector
             check_sink(self.transport if self.system == "provlight" else "http")
             self.server_config()
-            self.chaos_profile()
             self.topology_spec()
+            self._preflight(self.capture_config())
         except ValueError as exc:
             raise ValueError(f"ExperimentSetup: {exc}") from None
+
+    def _preflight(self, capture: CaptureConfig) -> None:
+        """Reject a chaos schedule that no run of this setup capturing
+        with ``capture`` can execute."""
+        chaos = self.chaos_profile()
+        if chaos is not None:
+            chaos.preflight(
+                transport=(normalize_transport(capture.transport)
+                           if self.system == "provlight" else self.system),
+                broker_shards=self.broker_shards,
+                has_topology=self.topology is not None,
+                fleet_capture=capture,
+            )
 
     def chaos_profile(self) -> Optional["ChaosProfile"]:
         """The parsed chaos schedule, or ``None`` when chaos is off."""
@@ -291,17 +304,12 @@ def run_capture_experiment(
     POST to the HTTP collector, so every system's records pass one
     ingest front (``front.ingested`` in the run's telemetry).
     """
+    if capture_config is not None:  # the setup checked its own when built
+        setup._preflight(capture_config)
     chaos_profile = setup.chaos_profile()
     topo_spec = setup.topology_spec()
     cap_config = capture_config or setup.capture_config()
     transport = normalize_transport(cap_config.transport)
-    if chaos_profile is not None:
-        chaos_profile.preflight(
-            transport=transport if setup.system == "provlight" else setup.system,
-            broker_shards=setup.broker_shards,
-            has_topology=topo_spec is not None,
-            fleet_capture=cap_config,
-        )
     env = Environment()
     net = Network(env, seed=seed)
 

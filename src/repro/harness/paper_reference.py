@@ -14,6 +14,7 @@ from __future__ import annotations
 __all__ = [
     "TABLE2",
     "TABLE3",
+    "TABLE4",
     "TABLE7",
     "TABLE8",
     "TABLE9",
@@ -48,6 +49,14 @@ TABLE3 = {
     ("25Kbit", 10): {0.5: 1.025, 1.0: 0.498},
     ("25Kbit", 20): {0.5: 1.008, 1.0: 0.5116},
     ("25Kbit", 50): {0.5: 0.9504, 1.0: 0.4323},
+}
+
+# Table IV: provenance systems left out of the performance analysis, and why
+TABLE4 = {
+    "prov-io": "does not send the captured data over the network; periodically "
+               "dumps the in-memory provenance graph to disk",
+    "komadu": "capture and processing of the captured information run in the "
+              "same machine",
 }
 
 # Table VII: ProvLight overhead on IoT/Edge, attrs -> per duration

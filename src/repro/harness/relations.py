@@ -19,6 +19,7 @@ and so checks every claim that applies to that one run::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,9 @@ class Relation:
     name: str  # the check description, a template over the cell's fields
     table: str  # the harness target that reproduces it
     reference: str  # its entry in repro.harness.paper_reference
-    metric: Callable[[OverheadResult], float]  # one value per sibling
+    #: one value per sibling, read off its measures (an
+    #: :class:`OverheadResult`; Table IV's are a dict)
+    metric: Callable[[Any], float]
     holds: Callable[..., bool]  # the claim, over the values in knob order
     knob: Optional[str]  # the field siblings differ in; None: one cell
     values: Tuple[Any, ...]
@@ -158,6 +161,8 @@ _GROUPS = dict(_EDGE, bandwidth=("1Gbit", "25Kbit"), group_size=paper.GROUPS,
 _FIG6 = dict(_EDGE, attributes_per_task=(100,), task_duration_s=(0.5,), attribute_kind=("int",))
 _T2 = _family("table2", "TABLE2", system=("provlake", "dfanalyzer"), **_TASKS)
 _T3 = _family("table3", "TABLE3", system=("provlake",), **_GROUPS)
+_T4 = _family("table4", "TABLE4", itemgetter("overhead"), system=("prov-io",),
+              device_spec=(A8M3,))
 _T7 = _family("table7", "TABLE7", system=("provlight",), **_TASKS)
 _T8 = _family("table8", "TABLE8", system=("provlight",), **_GROUPS)
 _T9 = _family("table9", "TABLE9", system=("provlight",), **dict(
@@ -191,6 +196,19 @@ RELATIONS: Tuple[Relation, ...] = (
     _T3("25Kbit ungrouped is several times worse than 1Gbit at {task_duration_s}s",
         lambda slow, fast: slow / fast > 3.0, "bandwidth", ("25Kbit", "1Gbit"),
         group_size=(0,)),
+    _T4("{system} sends no captured byte over the network (dump every "
+        "{dump_every_records})", lambda v: v == 0, own_metric=itemgetter("tx_bytes")),
+    _T4("{system} holds its whole graph in RAM until a dump (every "
+        "{dump_every_records} records)", lambda v: v > 0,
+        own_metric=itemgetter("resident_bytes"), dump_every_records=(1000,)),
+    _T4("{system} graph dumps stall the workflow (every 5 vs 1000 records: >0.1s)",
+        lambda frequent, rare: frequent > rare + 0.1, "dump_every_records", (5, 1000),
+        own_metric=itemgetter("elapsed_s")),
+    _T4("{system} is high overhead (>3%)", lambda v: v > _LOW, system=("komadu",)),
+    _T4("{system} runs its server pipeline on the edge CPU (>10x its capture work)",
+        lambda v: v > 10.0, own_metric=itemgetter("server_cpu_ratio"), system=("komadu",)),
+    _T4("{system} keeps the edge CPU busy (>20%)", lambda v: v > 0.2,
+        own_metric=itemgetter("cpu_utilization"), system=("komadu",)),
     _T7("sub-0.5% overhead for long tasks " + _AT, lambda v: v < 0.005,
         task_duration_s=(3.5, 5.0)),
     _T7("overhead under 2% " + _AT, lambda v: v < 0.02, task_duration_s=(0.5, 1.0)),

@@ -18,11 +18,13 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..device import XEON_GOLD_5220
-from ..metrics import fmt_ci_pct, fmt_pct, render_table
+from ..metrics import fmt_bytes, fmt_ci_pct, fmt_pct, relative_overhead, render_table
 from ..workloads import SyntheticWorkloadConfig
 from . import paper_reference as paper
-from .experiments import ExperimentSetup, OverheadResult, measure_overhead
+from .experiments import ExperimentSetup, OverheadResult, measure_overhead, run_null_baseline
 from .relations import Cell, evaluate
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "default_repetitions",
     "table2",
     "table3",
+    "table4",
     "table7",
     "table8",
     "table9",
@@ -137,6 +140,42 @@ def table3(repetitions: Optional[int] = None,
                            repetitions, base)
 
 
+def table4(repetitions: Optional[int] = None,
+           base: ExperimentSetup = ExperimentSetup()) -> TableResult:
+    """Table IV: why PROV-IO and Komadu were left out of the performance
+    analysis.  Each system's capture model (:mod:`repro.baselines.excluded`)
+    runs on ``base``'s device, and the design limits the paper cites are
+    checked as relations over the runs' means."""
+    from ..baselines.excluded import ExcludedSetup, run_excluded
+
+    reps = default_repetitions() if repetitions is None else repetitions
+    config = SyntheticWorkloadConfig(number_of_tasks=20, attributes_per_task=100,
+                                     task_duration_s=0.1)
+    cells: Dict[tuple, Dict[str, float]] = {}
+    rows: List[Dict[str, Any]] = []
+    rendered = []
+    for system, dump_every in (("prov-io", 5), ("prov-io", 1000), ("komadu", 50)):
+        setup = ExcludedSetup(system, dump_every, base.device_spec)
+        runs = []
+        for seed in range(1, reps + 1):
+            run = run_excluded(setup, config, seed)
+            run["overhead"] = relative_overhead(
+                run["elapsed_s"], run_null_baseline(config, seed, device_spec=setup.device_spec))
+            runs.append(run)
+        mean = cells[setup, config] = {name: float(np.mean([run[name] for run in runs]))
+                                       for name in runs[0]}
+        rows.append({"system": system, "dump_every_records": dump_every, **mean})
+        rendered.append([setup.describe(), fmt_pct(mean["overhead"]),
+                         fmt_pct(mean["cpu_utilization"]), fmt_bytes(mean["tx_bytes"]),
+                         fmt_bytes(mean["resident_bytes"]), f"{mean['dumps']:.0f}"])
+    text = render_table(
+        f"Table IV - systems excluded from the performance analysis "
+        f"(20 tasks, 100 attrs, 0.1s, {reps} runs)",
+        ["system", "overhead", "edge CPU", "sent", "graph in RAM", "dumps"], rendered,
+        note="\n".join(f"paper: {system} {why}" for system, why in paper.TABLE4.items()))
+    return TableResult("table4", "Table IV", text, rows, evaluate(cells, table="table4"))
+
+
 def table7(repetitions: Optional[int] = None,
            base: ExperimentSetup = ExperimentSetup()) -> TableResult:
     """Table VII: ProvLight capture overhead on IoT/Edge."""
@@ -196,6 +235,7 @@ def table10(repetitions: Optional[int] = None,
 ALL_TABLES: Dict[str, Callable[..., TableResult]] = {
     "table2": table2,
     "table3": table3,
+    "table4": table4,
     "table7": table7,
     "table8": table8,
     "table9": table9,

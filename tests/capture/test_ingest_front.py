@@ -21,7 +21,7 @@ from repro.core import (
     Workflow,
     encode_payload,
 )
-from repro.core.translator import IngestFront
+from repro.core.translator import IngestFront, to_dfanalyzer
 from repro.device import A8M3, Device
 from repro.dfanalyzer import DfAnalyzerService
 from repro.net import Network
@@ -41,11 +41,12 @@ def record(i):
 
 def test_front_classifies_records_duplicates_and_malformed_payloads():
     env = Environment()
-    front = IngestFront("raw", metrics=env.metrics)
+    front = IngestFront(metrics=env.metrics)
     first = wrap_payload("c", 1, encode_payload(record(1)))
 
     key, records, translated = front.admit(first)
-    assert key == ("c", 1) and records == translated == [record(1)]
+    assert key == ("c", 1) and records == [record(1)]
+    assert translated == to_dfanalyzer(records)
     # admitted but not yet accepted: only the caller's batch knows it
     assert front.admit(first, batch={("c", 1)}) is None
     assert front.admit(first) is not None
@@ -92,7 +93,7 @@ def test_a_pool_batch_failing_midway_marks_its_delivered_prefix():
         ingested.extend(r["task_id"] for r in translated)
 
     server = ProvLightServer(net.hosts["cloud"], CallableBackend(ingest),
-                             target="raw", config=ServerConfig(workers=1))
+                             config=ServerConfig(workers=1))
     worker = server.pool.workers[0]
     for i in range(3):
         wire = wrap_payload("edge", i + 1, encode_payload(record(i)))

@@ -72,7 +72,6 @@ EXPECTED_ALL = {
         "records_from_payload",
         "to_dfanalyzer",
         "to_prov_json",
-        "to_provlake",
     ],
     "repro.coap": [
         "CODE_BAD_REQUEST",

@@ -10,7 +10,6 @@ from repro.core import (
     records_from_payload,
     to_dfanalyzer,
     to_prov_json,
-    to_provlake,
 )
 
 
@@ -115,26 +114,11 @@ def test_to_prov_json_via_mapping():
     assert "data:d1" in pj["entity"]
 
 
-def test_to_provlake_shapes():
-    out = to_provlake([rec(1, "task_begin"), rec(1, "task_end")])
-    assert out[0]["prov_obj"] == "task"
-    assert out[0]["used"] == {"d1": {"v": 1}}
-    assert out[0]["generated"] == {}
-    assert out[1]["generated"] == {"d1": {"v": 1}}
-
-
-def test_translator_dispatch_and_errors():
-    t = Translator("dfanalyzer")
+def test_translator_decodes_and_translates_to_dfanalyzer():
+    t = Translator()
     records, translated = t.translate_payload(encode_payload(rec(3)))
     assert records[0]["task_id"] == 3
+    assert translated == to_dfanalyzer(records)
     assert translated[0]["type"] == "task"
-    with pytest.raises(ValueError):
-        Translator("nonexistent-system")
-
-
-def test_translator_extensible_targets():
-    Translator.register_target("upper", lambda records: [r["kind"].upper() for r in records])
-    t = Translator("upper")
-    _, translated = t.translate_payload(encode_payload(rec(1)))
-    assert translated == ["TASK_END"]
-    assert "upper" in Translator.known_targets()
+    with pytest.raises(TranslationError):
+        t.translate_payload(encode_payload([rec(1), 2]))

@@ -1,10 +1,9 @@
-"""Tests for DfAnalyzer ingestion, dataflow specs and the paper queries."""
+"""Tests for DfAnalyzer ingestion and the paper queries."""
 
 import pytest
 
 from repro.core import to_dfanalyzer
 from repro.dfanalyzer import (
-    DataflowSpec,
     DfAnalyzerService,
     IngestError,
     latest_epoch_metrics,
@@ -156,45 +155,6 @@ def test_dataflow_summary():
     summary = service.dataflow_summary("1")
     assert summary["tasks"] == 3
     assert summary["by_status"] == {"FINISHED": 3}
-
-
-def test_spec_validation_warnings():
-    spec = DataflowSpec("1")
-    spec.add_dataset("out0", [("epoch", "numeric"), ("lr", "numeric"),
-                              ("loss", "numeric"), ("accuracy", "numeric")])
-    service = DfAnalyzerService(metrics=Environment().metrics)
-    service.register_dataflow(spec)
-    service.ingest(to_dfanalyzer(provlight_records(n_tasks=1)))
-    # out0 has an undeclared column: elapsed_time
-    assert any("elapsed_time" in w for w in service.validation_warnings)
-
-
-def test_spec_construction_validation():
-    spec = DataflowSpec("df")
-    spec.add_dataset("a", [("x", "numeric")])
-    with pytest.raises(ValueError):
-        spec.add_dataset("a")
-    spec.add_transformation("t", inputs=["a"])
-    with pytest.raises(ValueError):
-        spec.add_transformation("t")
-    with pytest.raises(ValueError):
-        spec.add_transformation("u", inputs=["ghost"])
-    assert spec.transformation("t").inputs == ["a"]
-    with pytest.raises(KeyError):
-        spec.transformation("nope")
-    describe = spec.describe()
-    assert describe["dataflow"] == "df"
-
-
-def test_attribute_spec_type_checks():
-    from repro.dfanalyzer import AttributeSpec
-
-    assert AttributeSpec("x", "numeric").validates(1.5)
-    assert not AttributeSpec("x", "numeric").validates("s")
-    assert not AttributeSpec("x", "numeric").validates(True)
-    assert AttributeSpec("x", "text").validates("s")
-    assert AttributeSpec("x", "list").validates([1])
-    assert AttributeSpec("x", "numeric").validates(None)
 
 
 # -- paper queries ---------------------------------------------------------

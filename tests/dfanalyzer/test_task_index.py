@@ -1,15 +1,11 @@
 """The keyed ``tasks`` upsert: index equivalence, scan-free ingest, key checks."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import to_dfanalyzer
-from repro.dfanalyzer import DfAnalyzerHttpService, DfAnalyzerService, IngestError, Table
-from repro.http import HttpSession
-from repro.net import Network
+from repro.dfanalyzer import DfAnalyzerService, IngestError, Table
 from repro.simkernel import Environment
 
 from .test_ingestion_queries import provlight_records
@@ -110,26 +106,3 @@ def test_unhashable_task_id_is_an_ingest_error(status):
         service.ingest({"type": "task", "dataflow_tag": "1", "task_id": [1],
                         "status": status})
     assert len(service.store.table("tasks")) == 0
-
-
-def test_http_service_answers_unhashable_task_id_with_400():
-    env = Environment()
-    net = Network(env, seed=1)
-    net.add_host("client")
-    net.add_host("server")
-    net.connect("client", "server", bandwidth_bps=1e9, latency_s=0.001)
-    http = DfAnalyzerHttpService(net.hosts["server"], 80, DfAnalyzerService(metrics=env.metrics))
-    session = HttpSession(net.hosts["client"])
-    statuses = []
-
-    def client(env):
-        for task_id in ([1], 1):
-            body = json.dumps({"type": "task", "dataflow_tag": "1",
-                               "task_id": task_id, "status": "RUNNING"})
-            response = yield from session.post(http.endpoint, "/pde", body.encode())
-            statuses.append(response.status)
-
-    env.process(client(env))
-    env.run()
-    assert statuses == [400, 201]
-    assert http.service.store.table("tasks").column("task_id") == [1]

@@ -4,8 +4,6 @@ import pytest
 
 from repro.e2clab import (
     Experiment,
-    OptimizationManager,
-    SearchSpace,
     WorkflowManager,
 )
 
@@ -174,65 +172,3 @@ def test_network_manager_reconfigure():
     assert exp.network.link("edge-client-0", "cloud-server").bandwidth_bps == 25e3
     with pytest.raises(KeyError):
         exp.network_manager.reconfigure("edge", "fog", loss=0.1)
-
-
-# -- optimization manager -----------------------------------------------------
-
-
-def test_grid_search_finds_minimum():
-    space = SearchSpace(choices={"x": [0, 1, 2, 3], "y": [-1, 1]})
-    opt = OptimizationManager(lambda p: (p["x"] - 2) ** 2 + p["y"], space)
-    best = opt.run()
-    assert best.params == {"x": 2, "y": -1}
-    assert len(opt.history) == 8
-    table = opt.as_table()
-    assert table[0]["trial"] == 0 and "objective" in table[0]
-
-
-def test_random_search_with_ranges():
-    space = SearchSpace(choices={"mode": ["a", "b"]}, ranges={"lr": (0.0, 1.0)})
-    opt = OptimizationManager(lambda p: abs(p["lr"] - 0.5), space,
-                              mode="random", budget=30, seed=1)
-    best = opt.run()
-    assert abs(best.params["lr"] - 0.5) < 0.2
-    assert best.params["mode"] in ("a", "b")
-
-
-def test_optimizer_validation():
-    with pytest.raises(ValueError):
-        OptimizationManager(lambda p: 0.0, SearchSpace(), mode="grid")
-    with pytest.raises(ValueError):
-        OptimizationManager(lambda p: 0.0, SearchSpace(choices={"x": [1]}),
-                            mode="random")  # no budget
-    with pytest.raises(ValueError):
-        OptimizationManager(lambda p: 0.0, SearchSpace(choices={"x": [1]}),
-                            mode="annealing")
-    space = SearchSpace(ranges={"x": (1.0, 0.0)})
-    with pytest.raises(ValueError):
-        OptimizationManager(lambda p: 0.0, space, mode="random", budget=1)
-
-
-def test_grid_over_ranges_rejected():
-    space = SearchSpace(ranges={"x": (0.0, 1.0)})
-    opt = OptimizationManager.__new__(OptimizationManager)  # bypass init checks
-    with pytest.raises(ValueError):
-        list(space.grid())
-
-
-def test_optimizer_over_experiment_group_size():
-    """Optimize ProvLight's group size for a tiny captured workload."""
-    from repro.harness import ExperimentSetup, measure_overhead
-    from repro.workloads import SyntheticWorkloadConfig
-
-    config = SyntheticWorkloadConfig(number_of_tasks=10, task_duration_s=0.05)
-
-    def objective(params):
-        result = measure_overhead(
-            ExperimentSetup(system="provlight", group_size=params["group_size"]),
-            config, repetitions=1, keep_outcomes=False,
-        )
-        return result.ci.mean
-
-    opt = OptimizationManager(objective, SearchSpace(choices={"group_size": [0, 5, 10]}))
-    best = opt.run()
-    assert best.params["group_size"] in (5, 10)  # grouping beats none

@@ -105,7 +105,7 @@ def _oracle(target, result, drawn):
     return fig6d(values, BASE_W)
 
 
-@pytest.mark.parametrize("target", ALL_TARGETS)
+@pytest.mark.parametrize("target", [*ORACLES, *ALL_FIGURES])
 def test_relations_give_the_frozen_checks_verdicts(target):
     """On drawn overheads and metrics, every target's relations give the
     inline checks' ``(description, verdict)`` set, minus Table VII's
@@ -210,3 +210,51 @@ def test_every_relation_names_a_paper_entry_and_a_target():
         assert hasattr(paper_reference, relation.reference)
         assert relation.table in ALL_TARGETS
     assert {relation.table for relation in RELATIONS} == set(ALL_TARGETS)
+
+
+#: Table IV's checks, each with the one change of its runs' measures that
+#: makes it fail: ``(system, dump interval) -> measures -> new measures``
+TABLE4_BREAKS = {
+    "prov-io sends no captured byte over the network (dump every 5)":
+        (("prov-io", 5), lambda m: {**m, "tx_bytes": 1.0}),
+    "prov-io sends no captured byte over the network (dump every 1000)":
+        (("prov-io", 1000), lambda m: {**m, "tx_bytes": 1.0}),
+    "prov-io holds its whole graph in RAM until a dump (every 1000 records)":
+        (("prov-io", 1000), lambda m: {**m, "resident_bytes": 0}),
+    "prov-io graph dumps stall the workflow (every 5 vs 1000 records: >0.1s)":
+        (("prov-io", 5), lambda m: {**m, "elapsed_s": m["elapsed_s"] - 0.09}),
+    # the no-capture run of seed 1 takes 1.9996 s: 2.04 s is a 2% overhead
+    "komadu is high overhead (>3%)":
+        (("komadu", 50), lambda m: {**m, "elapsed_s": 2.04}),
+    "komadu runs its server pipeline on the edge CPU (>10x its capture work)":
+        (("komadu", 50), lambda m: {**m, "server_cpu_ratio": 10.0}),
+    "komadu keeps the edge CPU busy (>20%)":
+        (("komadu", 50), lambda m: {**m, "cpu_utilization": 0.2}),
+}
+
+
+def test_table4_checks_the_limits_the_paper_cites_on_the_real_clients():
+    result = tables.table4(repetitions=1)
+    assert dict(result.checks) == dict.fromkeys(TABLE4_BREAKS, True)
+    assert [(row["system"], row["dump_every_records"]) for row in result.rows] == [
+        ("prov-io", 5), ("prov-io", 1000), ("komadu", 50)]
+    for system, why in paper_reference.TABLE4.items():
+        assert f"paper: {system} {why}" in result.text
+
+
+@pytest.mark.parametrize("check", TABLE4_BREAKS)
+def test_table4_fails_the_check_whose_limit_goes_away(check):
+    from repro.baselines import excluded
+
+    (system, dump_every), edit = TABLE4_BREAKS[check]
+    real = excluded.run_excluded
+
+    def run(setup, config, seed):
+        measures = real(setup, config, seed)
+        if (setup.system, setup.dump_every_records) == (system, dump_every):
+            measures = edit(measures)
+        return measures
+
+    with mock.patch.object(excluded, "run_excluded", run):
+        result = tables.table4(repetitions=1)
+    assert dict(result.checks) == {**dict.fromkeys(TABLE4_BREAKS, True), check: False}

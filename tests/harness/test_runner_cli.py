@@ -34,7 +34,8 @@ GOOD_VALUES = [
     ("--broker-placement", "p2c", "broker_placement", "p2c"),
     ("--pool-min", "2", "pool_min", 2),
     ("--pool-max", "4", "pool_max", 4),
-    ("--chaos", "kill-shard@2.0", "chaos", "kill-shard@2.0"),
+    # a schedule the default setup can run (kill-shard needs two shards)
+    ("--chaos", "crash-worker@2.0", "chaos", "crash-worker@2.0"),
     ("--topology", "wan-fog", "topology", "wan-fog"),
 ]
 

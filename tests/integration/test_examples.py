@@ -51,8 +51,10 @@ def test_sensor_aggregation(capsys):
 def test_e2clab_experiment(capsys):
     out = run_example("e2clab_experiment.py", capsys)
     assert "provenance records ingested" in out
-    assert "edge-client-0" in out
-    assert "finished tasks across all devices: 160" in out
+    assert "edge-client-0" in out and "edge-camera-1" in out
+    assert out.count("camera blob scores") == 2
+    # 8 devices x 20 synthetic tasks, 2 cameras x 4 images x 5 imaging steps
+    assert "finished tasks across all devices: 200" in out
 
 
 def test_system_comparison(capsys):

@@ -123,7 +123,7 @@ def test_experiment_setup_validates_chaos():
     from repro.harness.experiments import ExperimentSetup
 
     assert ExperimentSetup().chaos is None
-    assert ExperimentSetup(chaos="kill-shard@1").chaos_profile() is not None
+    assert ExperimentSetup(broker_shards=2, chaos="kill-shard@1").chaos_profile() is not None
     with pytest.raises(ValueError):
         ExperimentSetup(chaos="nonsense")
 
@@ -172,8 +172,8 @@ PREFLIGHT_REJECTIONS = {
 
 @pytest.mark.parametrize("case", PREFLIGHT_REJECTIONS)
 def test_chaos_preflight_rejects_before_any_side_effect(monkeypatch, case):
+    """A setup no run can execute fails when it is built."""
     from repro.harness import experiments
-    from repro.workloads import SyntheticWorkloadConfig
 
     chaos, kwargs, fragment = PREFLIGHT_REJECTIONS[case]
 
@@ -181,11 +181,47 @@ def test_chaos_preflight_rejects_before_any_side_effect(monkeypatch, case):
         raise AssertionError("the preflight must run before the world is built")
 
     monkeypatch.setattr(experiments, "Environment", no_world)
-    setup = experiments.ExperimentSetup(chaos=chaos, **kwargs)
     with pytest.raises(ValueError, match=re.escape(fragment)):
+        experiments.ExperimentSetup(chaos=chaos, **kwargs)
+
+
+def test_the_setups_of_the_roadmap_fail_when_built():
+    from repro.harness.experiments import ExperimentSetup
+
+    with pytest.raises(ValueError, match=r"^ExperimentSetup: kill-shard chaos needs"):
+        ExperimentSetup(chaos="kill-shard@2.0")
+    with pytest.raises(ValueError, match=r"^ExperimentSetup: crash-device/churn chaos "
+                                         r"needs group_size=0"):
+        ExperimentSetup(group_size=10, chaos="churn@5:0.2:2")
+
+
+def test_a_capture_config_override_is_preflighted_before_the_world(monkeypatch):
+    """``run_capture_experiment``'s ``capture_config`` replaces the setup's
+    own, so the run checks the schedule against it."""
+    from repro.capture import CaptureConfig
+    from repro.harness import experiments
+    from repro.workloads import SyntheticWorkloadConfig
+
+    def no_world(*args, **kwargs):
+        raise AssertionError("the preflight must run before the world is built")
+
+    monkeypatch.setattr(experiments, "Environment", no_world)
+    setup = experiments.ExperimentSetup(qos=1, chaos="churn@1:0.5:1")
+    with pytest.raises(ValueError, match="group_size=0"):
         experiments.run_capture_experiment(
-            setup, SyntheticWorkloadConfig(number_of_tasks=2), seed=1
+            setup, SyntheticWorkloadConfig(number_of_tasks=2), seed=1,
+            capture_config=CaptureConfig(qos=1, group_size=5),
         )
+
+
+def test_the_harness_cli_rejects_an_unrunnable_chaos_flag(capsys):
+    from repro.harness import runner
+
+    with pytest.raises(SystemExit) as exit_info:
+        runner.main(["table9", "--reps", "1", "--chaos", "kill-shard@2.0"])
+    assert exit_info.value.code == 2
+    assert "error: ExperimentSetup: kill-shard chaos needs broker_shards >= 2" in (
+        capsys.readouterr().err)
 
 
 # --------------------------------------------- client-plane grammar (fleet)
