@@ -190,6 +190,13 @@ class ExcludedSetup:
     dump_every_records: int = 50
     device_spec: DeviceSpec = A8M3
 
+    def __post_init__(self) -> None:
+        if self.system not in ("prov-io", "komadu"):
+            raise ValueError(f"ExcludedSetup: unknown system {self.system!r} "
+                             "(expected 'prov-io' or 'komadu')")
+        if self.dump_every_records <= 0:
+            raise ValueError("ExcludedSetup: dump_every_records must be positive")
+
     def describe(self) -> str:
         if self.system == "prov-io":
             return f"prov-io, dump every {self.dump_every_records} records"

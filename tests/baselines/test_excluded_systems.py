@@ -4,7 +4,13 @@ excluded from the performance analysis."""
 import numpy as np
 import pytest
 
-from repro.baselines.excluded import FlashStorage, KomaduClient, ProvIOClient
+from repro.baselines.excluded import (
+    ExcludedSetup,
+    FlashStorage,
+    KomaduClient,
+    ProvIOClient,
+    run_excluded,
+)
 from repro.device import A8M3, Device
 from repro.simkernel import Environment
 from repro.workloads import SyntheticWorkloadConfig, synthetic_workload
@@ -131,3 +137,48 @@ def test_komadu_backend_receives_records():
     env.process(proc(env))
     env.run()
     assert len(sink) == 1
+
+
+# -- run_excluded: one Table IV run ----------------------------------------
+
+#: capture calls of one CONFIG run: workflow begin/end, task begin/end
+RECORDS = 2 + 2 * CONFIG.number_of_tasks
+
+
+def test_excluded_setup_rejects_an_unknown_system():
+    """A system name that is neither excluded system must not run as Komadu."""
+    with pytest.raises(ValueError, match="'provlight'"):
+        ExcludedSetup("provlight")
+
+
+def test_excluded_setup_rejects_a_non_positive_dump_interval():
+    with pytest.raises(ValueError, match="dump_every_records"):
+        ExcludedSetup("prov-io", dump_every_records=0)
+
+
+def test_run_excluded_repeats_itself_for_a_seed():
+    setup = ExcludedSetup("prov-io", dump_every_records=5)
+    first = run_excluded(setup, CONFIG, 1)
+    assert run_excluded(setup, CONFIG, 1) == first
+    # the seed draws the task-duration jitter
+    assert run_excluded(setup, CONFIG, 2)["elapsed_s"] != first["elapsed_s"]
+
+
+@pytest.mark.parametrize("every", [5, 7, 1000])
+def test_run_excluded_counts_one_prov_io_dump_per_interval(every):
+    measures = run_excluded(ExcludedSetup("prov-io", every), CONFIG, 1)
+    assert measures["dumps"] == RECORDS // every
+    # the graph is never released, whatever the interval
+    assert measures["resident_bytes"] == run_excluded(
+        ExcludedSetup("prov-io", 1000), CONFIG, 1)["resident_bytes"] > 0
+    assert measures["tx_bytes"] == 0
+    assert measures["server_cpu_ratio"] == 0
+
+
+def test_run_excluded_charges_komadu_server_work_to_the_edge():
+    measures = run_excluded(ExcludedSetup("komadu"), CONFIG, 1)
+    assert measures["server_cpu_ratio"] > 10
+    assert measures["cpu_utilization"] > 0.2
+    assert measures["tx_bytes"] == 0
+    assert measures["resident_bytes"] == 0
+    assert measures["dumps"] == 0

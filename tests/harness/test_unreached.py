@@ -66,3 +66,38 @@ def test_a_failing_entry_fails_the_run(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "unreached: 0 of 2 function lines in 0 functions" in out
     assert f"entry failed: {entry}" in out
+
+
+def test_a_kept_module_does_not_fail_the_run(tmp_path, capsys, monkeypatch):
+    unreached = _load_script(monkeypatch)
+    monkeypatch.setattr(unreached, "KEEP", {"idle.py": "a fixture's reason"})
+    package = tmp_path / "src" / "fixture"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("def f():\n    return 1\n")
+    (package / "idle.py").write_text("def never():\n    return 3\n")
+    entry = shlex.join([sys.executable, "-c", "import fixture; fixture.f()"])
+
+    code = unreached.main(["--root", str(tmp_path), "--src", str(package),
+                           "--entry", entry])
+    out = capsys.readouterr().out.splitlines()
+    assert "idle.py:1 never 2 lines  [kept: a fixture's reason]" in out
+    assert "  idle.py  [kept: a fixture's reason]" in out
+    assert out[-1] == "unreached: 2 of 4 function lines in 1 functions (2 lines kept)"
+    assert code == 0
+
+
+def test_the_subprocesses_of_an_entry_are_hooked_too(tmp_path, capsys, monkeypatch):
+    unreached = _load_script(monkeypatch)
+    package = tmp_path / "src" / "fixture"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("def f():\n    return 1\n")
+    child = "import fixture; fixture.f()"
+    entry = shlex.join([sys.executable, "-c",
+                        f"import subprocess, sys; subprocess.run([sys.executable, "
+                        f"'-c', {child!r}], check=True)"])
+
+    code = unreached.main(["--root", str(tmp_path), "--src", str(package),
+                           "--entry", entry])
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "unreached: 0 of 2 function lines in 0 functions (0 lines kept)"
+    assert code == 0
