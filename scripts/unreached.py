@@ -1,13 +1,13 @@
 """List every ``src/repro`` function that no run of the program calls.
 
-    python scripts/unreached.py [--root DIR] [--src DIR] [--entry CMD ...]
+    python scripts/unreached.py [--root DIR]
 
 Runs each entry point in a fresh interpreter with a call hook
 (``sys.settrace``, 'call' events only, installed by a ``sitecustomize``
 module put first on ``PYTHONPATH``, so the Python subprocesses an entry
 starts are hooked too), then matches the code objects that ran against
-every ``def`` under ``--src`` (default ``src/repro``, ``analysis/``
-excluded: it is the lint, which no run calls).  The default entry set:
+every ``def`` under ``src/repro`` (``analysis/`` excluded: it is the
+lint, which no run calls).  The entry set:
 
 * ``python -m repro.harness all --reps 1``;
 * the harness flags smoke of ``scripts/ci.sh``;
@@ -15,7 +15,6 @@ excluded: it is the lint, which no run calls).  The default entry set:
 * one shrunk run of each ``bench/`` workload (``bench/tracer.py``);
 * the ``benchmarks/`` tests.
 
-``--entry CMD`` (repeatable, split like a shell line) replaces that set.
 It prints one line per unreached function (outermost only: a nested
 ``def`` of an unreached function counts with it), the modules with no
 function reached, and the totals.  A line is a source line of the
@@ -42,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: what stays although no entry reaches it: a module path (relative to
-#: ``--src``) or ``path:qualname`` -> why
+#: the scanned package) or ``path:qualname`` -> why
 KEEP = {
     "simkernel/debug.py": "the runtime hazard detector of `pytest --sim-debug`",
     "core/provdm.py": "W3C PROV mapping read back by the stored-content oracle "
@@ -53,22 +52,24 @@ KEEP = {
 }
 
 #: the hook every entry's interpreters import first; each writes the
-#: ``(filename, first line)`` of the code objects it ran to ``$UNREACHED_OUT``
+#: ``(filename, first line)`` of the code objects it ran to a new file in
+#: ``$UNREACHED_OUT`` (a reused process id overwrites nothing)
 _SITECUSTOMIZE = '''\
-import atexit, os, sys, threading
+import atexit, os, sys, tempfile, threading
 
 _seen = set()
 
 
 def _hook(frame, event, arg):
     code = frame.f_code
-    _seen.add((code.co_filename, code.co_firstlineno))
+    if code.co_name != "<module>":  # a module starting with a def runs none
+        _seen.add((code.co_filename, code.co_firstlineno))
 
 
 def _dump():
     sys.settrace(None)
-    path = os.path.join(os.environ["UNREACHED_OUT"], "%d.calls" % os.getpid())
-    with open(path, "w") as out:
+    fd, _ = tempfile.mkstemp(suffix=".calls", dir=os.environ["UNREACHED_OUT"])
+    with os.fdopen(fd, "w") as out:
         for filename, line in _seen:
             out.write("%s\\t%d\\n" % (os.path.realpath(filename), line))
 
@@ -226,20 +227,16 @@ def report(src: str, calls: Set[Tuple[str, int]]) -> List[str]:
     return dead_modules
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None, src: Optional[str] = None,
+         entries: Optional[List[Tuple[List[str], Optional[str]]]] = None) -> int:
+    """Run ``entries`` (default: :func:`default_entries`) and report the
+    functions under ``src`` (default: ``ROOT/src/repro``) none of them calls."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=ROOT,
                         help="repository to run the entries in (default: this one)")
-    parser.add_argument("--src", default=None,
-                        help="package directory to scan (default: ROOT/src/repro)")
-    parser.add_argument("--entry", action="append", default=None, metavar="CMD",
-                        help="an entry command line; replaces the default set")
-    args = parser.parse_args(argv)
-    root = os.path.abspath(args.root)
-    src = os.path.abspath(args.src or os.path.join(root, "src", "repro"))
-    if args.entry:
-        entries = [(shlex.split(entry), None) for entry in args.entry]
-    else:
+    root = os.path.abspath(parser.parse_args(argv).root)
+    src = os.path.abspath(src or os.path.join(root, "src", "repro"))
+    if entries is None:
         entries = default_entries(root)
     calls, failed = run_entries(entries, root, src)
     dead = [m for m in report(src, calls) if m not in KEEP]

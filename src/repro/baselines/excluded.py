@@ -28,7 +28,7 @@ import numpy as np
 from ..calibration import MS, SERVER_COSTS
 from ..core.model import count_attributes_from_record
 from ..core.serialization import encode_value
-from ..device import A8M3, Device, DeviceSpec
+from ..device import A8M3, Device
 from ..simkernel import Environment
 from ..workloads import SyntheticWorkloadConfig, synthetic_workload
 
@@ -183,12 +183,11 @@ class KomaduClient:
 
 @dataclass(frozen=True)
 class ExcludedSetup:
-    """One Table IV condition: an excluded system capturing on one device."""
+    """One Table IV condition: an excluded system capturing on an A8-M3."""
 
     system: str  # "prov-io" or "komadu"
     #: PROV-IO's dump interval in captured records (Komadu has none)
     dump_every_records: int = 50
-    device_spec: DeviceSpec = A8M3
 
     def __post_init__(self) -> None:
         if self.system not in ("prov-io", "komadu"):
@@ -209,7 +208,7 @@ def run_excluded(setup: ExcludedSetup, config: SyntheticWorkloadConfig,
     returns what Table IV reads of it.  The task-duration jitter is
     :func:`~repro.harness.run_null_baseline`'s for the same seed."""
     env = Environment()
-    device = Device(env, setup.device_spec, name="edge-0")
+    device = Device(env, A8M3, name="edge-0")
     client = (ProvIOClient(device, dump_every_records=setup.dump_every_records)
               if setup.system == "prov-io" else KomaduClient(device))
     result: Dict[str, Any] = {}

@@ -192,7 +192,7 @@ class ExperimentSetup:
                 transport=(normalize_transport(capture.transport)
                            if self.system == "provlight" else self.system),
                 broker_shards=self.broker_shards,
-                has_topology=self.topology is not None,
+                has_topology=self.topology_spec() is not None,
                 fleet_capture=capture,
             )
 

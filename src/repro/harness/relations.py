@@ -161,8 +161,7 @@ _GROUPS = dict(_EDGE, bandwidth=("1Gbit", "25Kbit"), group_size=paper.GROUPS,
 _FIG6 = dict(_EDGE, attributes_per_task=(100,), task_duration_s=(0.5,), attribute_kind=("int",))
 _T2 = _family("table2", "TABLE2", system=("provlake", "dfanalyzer"), **_TASKS)
 _T3 = _family("table3", "TABLE3", system=("provlake",), **_GROUPS)
-_T4 = _family("table4", "TABLE4", itemgetter("overhead"), system=("prov-io",),
-              device_spec=(A8M3,))
+_T4 = _family("table4", "TABLE4", itemgetter("overhead"), system=("prov-io",))
 _T7 = _family("table7", "TABLE7", system=("provlight",), **_TASKS)
 _T8 = _family("table8", "TABLE8", system=("provlight",), **_GROUPS)
 _T9 = _family("table9", "TABLE9", system=("provlight",), **dict(

@@ -157,6 +157,9 @@ PREFLIGHT_REJECTIONS = {
     "tier-events-without-topology": (
         "partition-tier:edge-fog@1:1", {}, "continuum topology",
     ),
+    "tier-events-with-an-empty-topology": (
+        "partition-tier:edge-fog@1:1", {"topology": ""}, "continuum topology",
+    ),
     "churn-with-grouping": (
         "churn@1:0.5:1", {"group_size": 5, "qos": 1}, "group_size=0",
     ),
