@@ -7,7 +7,9 @@ Runs ``WORKLOAD`` (a name from ``bench/workloads.py``) on seeds
 and sorts every ``Environment.step`` into one kind:
 
 ``timer``
-    a ``call_later`` timer, by the function it calls;
+    a ``call_later`` timer, by the function it calls; a mailbox
+    hand-off (``Mailbox._wake``) also names the consumer it wakes,
+    ``Mailbox._wake -> <callback>``;
 ``wakeup``
     an event that resumes a process, by the process it resumes
     (digit runs in process names read ``N``) and the event's type;
@@ -55,6 +57,11 @@ def _process_name(process) -> str:
     return re.sub(r"\d+", "N", process.name)
 
 
+def _name(fn) -> str:
+    fn = getattr(fn, "func", fn)  # a functools.partial: its function
+    return getattr(fn, "__qualname__", repr(fn))
+
+
 def kind_of(entry) -> Tuple[str, str]:
     """``(kind, detail)`` of the heap entry ``(time, priority, eid,
     target, args)`` an ``Environment.step`` is about to process: a
@@ -62,7 +69,10 @@ def kind_of(entry) -> Tuple[str, str]:
     an event's target is the event and ``args`` is ``None``."""
     event, args = entry[3:]
     if args is not None:
-        return "timer", getattr(event, "__qualname__", repr(event))
+        detail = _name(event)
+        if detail == "Mailbox._wake":
+            detail = f"{detail} -> {_name(args[0])}"
+        return "timer", detail
     callbacks = event.callbacks
     if isinstance(event, Initialize):
         return "initialize", _process_name(callbacks[0].__self__)

@@ -3,7 +3,7 @@
 This owns the paper's client-side critical path exactly once — the
 calibrated attribute-cost charging, ended-task grouping, binary
 encoding + compression, per-message memory accounting, the background
-sender loop and the ``flush_groups()/drain()/close()`` semantics — and
+sender and the ``flush_groups()/drain()/close()`` semantics — and
 delegates only the wire to a pluggable
 :class:`~repro.capture.CaptureTransport` picked from the registry by
 ``config.transport``.  Every transport runs through this one class, so
@@ -13,8 +13,11 @@ alone (the design property behind the protocol-comparison benchmark).
 Blocking transports (``transport.blocking``) are serviced inline: each
 send runs in the workflow's process, on its critical path, reproducing
 the baselines' Table II/III behaviour.  Asynchronous transports hand
-payloads to a background sender process, which is what keeps ProvLight's
-capture calls flat across bandwidths (Tables VII/VIII).
+payloads to a background sender, which is what keeps ProvLight's capture
+calls flat across bandwidths (Tables VII/VIII).  The sender is no
+process: it is the queue's ``Mailbox.on_item`` consumer, which ships one
+entry with ``transport.send(payload, on_done)`` and takes the next once
+``on_done`` reported the outcome.
 
 Durability (``config.durable``): every outbound payload is appended to
 a :class:`~repro.capture.journal.CaptureJournal` *before* dispatch and
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..core.grouping import GroupBuffer
@@ -64,9 +68,6 @@ __all__ = [
     "STATE_RECONNECTING",
     "STATE_CLOSED",
 ]
-
-#: queue sentinel that tells the background sender loop to exit
-_CLOSE = object()
 
 #: connection states reported to :meth:`CaptureClient.add_connection_listener`
 STATE_DISCONNECTED = "disconnected"
@@ -146,20 +147,17 @@ class CaptureClient:
         self._state_listeners: List = []
         #: entries awaiting replay after a delivery failure: (wire, nbytes, seq)
         self._replay: List = []
-        #: set while reconnecting: the sender parks here, and a blocking
-        #: capture queues behind the replay instead of racing it
+        #: set while the reconnect machine runs: the sender parks on it,
+        #: and a blocking capture queues behind the replay instead of
+        #: racing it
         self._pause_gate = None
-        self._recovery = None  # the reconnect state-machine process
         self._sender_failure: Optional[BaseException] = None
         self._sender_item = None  # item the sender holds while in flight
         self._rng = random.Random(zlib.crc32(self.client_id.encode("utf-8")))
         device.memory.allocate(config.footprints.provlight_lib_bytes,
                                tag="capture-static")
-        self._sender = None
         if not self.transport.blocking:
-            self._sender = self.env.process(
-                self._sender_loop(), name=f"capture-sender-{self.topic}"
-            )
+            self._queue.on_item(self._on_item)
 
     # ------------------------------------------------------------------ API
     @property
@@ -291,21 +289,14 @@ class CaptureClient:
         if self._closed:
             return
         self._closed = True
-        for item in self._queue.drain():
-            if item is _CLOSE:
-                continue
-            _, nbytes, _ = item
-            self.device.memory.free(nbytes, tag="capture-buffers")
-            self._outstanding -= 1
-        for _, nbytes, _ in self._replay:
+        for _, nbytes, _ in self._queue.drain() + self._replay:
             self.device.memory.free(nbytes, tag="capture-buffers")
             self._outstanding -= 1
         self._replay.clear()
-        if self._sender is not None:
-            self._queue.put_nowait(_CLOSE)
+        self._queue.close()  # an idle sender's registration goes with it
         gate, self._pause_gate = self._pause_gate, None
         if gate is not None:
-            gate.succeed()  # let a parked sender observe _closed and exit
+            gate.succeed()  # let a parked sender observe _closed
         waiters, self._drain_waiters = self._drain_waiters, []
         for event in waiters:
             event.fail(CaptureClosedError(
@@ -408,59 +399,42 @@ class CaptureClient:
             for event in waiters:
                 event.succeed()
 
-    # ------------------------------------------- sender loop + supervision
-    def _sender_loop(self):
-        """Supervised sender: an unexpected transport exception never
-        kills the background sender silently — the error is stashed for
-        the next ``capture()``/``drain()``, the in-flight entry is parked
-        for replay (durable) or counted lost (best-effort), and the loop
-        restarts after a backoff delay."""
-        while True:
-            try:
-                finished = yield from self._sender_body()
-            except Exception as exc:
-                self._sender_failure = exc
-                item, self._sender_item = self._sender_item, None
-                if item is not None:
-                    wire, nbytes, seq = item
-                    if self.journal is not None:
-                        self._mark_failed(wire, nbytes, seq)
-                    else:
-                        self._complete(wire, nbytes, seq, delivered=False)
-                yield self.env.timeout(self._backoff_delay(0))
-                continue
-            if finished:
-                return
+    # ------------------------------------------------ sender + supervision
+    def _on_item(self, item) -> None:
+        """The sender: the queue's consumer.  It ships one entry at a
+        time, in seq order, and registers for the next once the
+        transport reported the outcome."""
+        self._sender_item = item
+        self._transmit()
 
-    def _sender_body(self):
-        while True:
-            item = yield self._queue.get()
-            if item is _CLOSE:
-                return True
-            self._sender_item = item
-            wire, nbytes, seq = item
-            # while the reconnect machine owns the transport, park: the
-            # replay entries must go out first to preserve seq order
-            while self._pause_gate is not None:
-                yield self._pause_gate
-            if self._closed:
-                self._sender_item = None
-                self._complete(wire, nbytes, seq, delivered=False)
-                return True
-            done = self.transport.send(wire)
-            # delivery bookkeeping (QoS handshakes, retransmissions) runs
-            # on a background thread: busy CPU, but off the workflow path
-            self.device.cpu.run_async(
-                io_busy_s=self.costs.async_per_message_io_s, tag="capture"
-            )
-            delivered = True
-            try:
-                yield done
-            except Exception:
-                # delivery contract exhausted its retries
-                delivered = False
+    def _transmit(self, _gate=None) -> None:
+        gate = self._pause_gate
+        if gate is not None:
+            # the reconnect machine owns the transport: park until it
+            # ends, since the replay entries must go out first
+            gate.callbacks.append(self._transmit)
+            return
+        wire, nbytes, seq = self._sender_item
+        if self._closed:
             self._sender_item = None
-            if delivered:
+            self._complete(wire, nbytes, seq, delivered=False)
+            return
+        try:
+            self.transport.send(wire, self._on_sent)
+        except Exception as exc:
+            self._sender_crashed(exc)
+            return
+        # delivery bookkeeping (QoS handshakes, retransmissions) runs on
+        # a background thread: busy CPU, but off the workflow path
+        self.device.cpu.run_async(
+            io_busy_s=self.costs.async_per_message_io_s, tag="capture"
+        )
+
+    def _on_sent(self, exc: Optional[BaseException]) -> None:
+        wire, nbytes, seq = self._sender_item
+        self._sender_item = None
+        try:
+            if exc is None:
                 self._complete(wire, nbytes, seq)
             elif self.journal is None:
                 # without a journal the record is lost, but capture must
@@ -472,6 +446,30 @@ class CaptureClient:
                     self._start_recovery(probe_once=True)
             else:
                 self._mark_failed(wire, nbytes, seq)
+        except Exception as error:
+            self._sender_crashed(error)
+            return
+        self._await_item()
+
+    def _sender_crashed(self, exc: Exception) -> None:
+        """Supervision: an unexpected transport exception never stops the
+        sender silently — the error is stashed for the next
+        ``capture()``/``drain()``, the entry in hand is parked for
+        replay (durable) or counted lost (best-effort), and the sender
+        takes the next entry after a backoff delay."""
+        self._sender_failure = exc
+        item, self._sender_item = self._sender_item, None
+        if item is not None:
+            wire, nbytes, seq = item
+            if self.journal is not None:
+                self._mark_failed(wire, nbytes, seq)
+            else:
+                self._complete(wire, nbytes, seq, delivered=False)
+        self.env.call_later(self._backoff_delay(0), self._await_item)
+
+    def _await_item(self) -> None:
+        if not self._closed:
+            self._queue.on_item(self._on_item)
 
     # --------------------------------------------- reconnect state machine
     def _mark_failed(self, wire: bytes, nbytes: int, seq: Optional[int]) -> None:
@@ -497,27 +495,30 @@ class CaptureClient:
 
     def _start_recovery(self, established: bool = False,
                         probe_once: bool = False) -> None:
-        if self._closed or (self._recovery is not None
-                            and self._recovery.is_alive):
-            return
+        if self._closed or self._pause_gate is not None:
+            return  # closed, or the machine is already running
         self._set_state(STATE_RECONNECTING)
-        if self._pause_gate is None:
-            self._pause_gate = self.env.event()
-        self._recovery = self.env.process(
-            self._recovery_loop(established, probe_once),
+        self._pause_gate = self.env.event()
+        self._run_recovery(established, probe_once, 0)
+
+    def _run_recovery(self, established: bool, probe_once: bool,
+                      attempt: int) -> None:
+        self.env.process(
+            self._recovery_loop(established, probe_once, attempt),
             name=f"capture-recovery-{self.topic}",
         )
 
-    def _recovery_loop(self, established: bool, probe_once: bool):
+    def _recovery_loop(self, established: bool, probe_once: bool, attempt: int):
         """Exponential backoff + reconnect probe + in-order replay.
 
         ``established`` skips the first probe: crash recovery runs right
         after ``setup()`` already performed the handshake.  With
         ``probe_once`` (best-effort) a failed probe ends the machine: the
         sender resumes disconnected, and its next failed send starts the
-        machine again.
+        machine again.  An asynchronous transport replays through
+        :meth:`_replay_next`'s callbacks, and a failed replay send starts
+        this loop again at the next backoff ``attempt``.
         """
-        attempt = 0
         while not self._closed:
             if not established:
                 yield self.env.timeout(self._backoff_delay(attempt))
@@ -533,27 +534,54 @@ class CaptureClient:
                     continue  # uplink still down: back off harder
                 self.env.metrics.event("reconnect", client=self.client_id)
             established = False
+            if not self.transport.blocking:
+                self._replay_next(attempt)
+                return
             while self._replay and not self._closed:
                 wire, nbytes, seq = self._replay[0]
                 try:
-                    if self.transport.blocking:
-                        yield from self.transport.send(wire)
-                    else:
-                        yield self.transport.send(wire)
+                    yield from self.transport.send(wire)
                 except self.transport.delivery_error:
                     break  # still unreachable: back off and re-probe
                 if self._closed:
                     return  # close() already freed and cleared _replay
-                self._replay.pop(0)
-                self.replayed.record()
-                self._complete(wire, nbytes, seq, delivered=True)
+                self._replayed(wire, nbytes, seq)
             else:
                 if not self._closed:
                     self._end_recovery(STATE_CONNECTED)
                 return
 
+    def _replay_next(self, attempt: int) -> None:
+        """Send the oldest replay entry, or end the machine once none is
+        left."""
+        if self._closed:
+            return
+        if not self._replay:
+            self._end_recovery(STATE_CONNECTED)
+            return
+        try:
+            self.transport.send(self._replay[0][0], partial(self._on_replay_sent, attempt))
+        except self.transport.delivery_error:
+            self._run_recovery(False, False, attempt)  # back off and re-probe
+
+    def _on_replay_sent(self, attempt: int, exc: Optional[BaseException]) -> None:
+        if self._closed:
+            return  # close() already freed and cleared _replay
+        if exc is not None:
+            if not isinstance(exc, self.transport.delivery_error):
+                raise exc
+            # still unreachable: back off and re-probe
+            self._run_recovery(False, False, attempt)
+            return
+        self._replayed(*self._replay[0])
+        self._replay_next(attempt)
+
+    def _replayed(self, wire: bytes, nbytes: int, seq: Optional[int]) -> None:
+        self._replay.pop(0)
+        self.replayed.record()
+        self._complete(wire, nbytes, seq, delivered=True)
+
     def _end_recovery(self, state: str) -> None:
-        self._recovery = None
         gate, self._pause_gate = self._pause_gate, None
         if gate is not None:
             gate.succeed()  # resume the parked sender

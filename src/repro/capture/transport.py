@@ -36,13 +36,14 @@ class CaptureTransport:
     attributes:
 
     * ``blocking`` — ``True``: every send is awaited on the workflow's
-      critical path (the baselines' HTTP transport), and ``send()`` is
-      a generator the caller runs with ``yield from``; ``False``: sends
-      are queued to the background sender loop, and ``send()`` returns
-      a completion :class:`~repro.simkernel.Event`.
-    * ``delivery_error`` — what a failed delivery raises; anything else
-      out of a blocking ``send()`` is a bug and surfaces from
-      ``capture()``.
+      critical path (the baselines' HTTP transport), and ``send(payload)``
+      is a generator the caller runs with ``yield from``; ``False``:
+      sends are queued to the background sender, and
+      ``send(payload, on_done)`` returns at once and reports the outcome
+      through ``on_done``.
+    * ``delivery_error`` — what a failed delivery raises (or hands to
+      ``on_done``); anything else out of a blocking ``send()`` is a bug
+      and surfaces from ``capture()``.
     * ``requires_setup`` — ``True`` means ``capture()`` before
       ``setup()`` is a programming error (MQTT-SN needs its topic
       registered); connectionless transports set ``False``.  It also
@@ -54,7 +55,7 @@ class CaptureTransport:
     name: str = "abstract"
     #: True: capture() waits for each send on the workflow's critical path
     blocking: bool = False
-    #: the exception a failed delivery raises (or fails its event with)
+    #: the exception a failed delivery raises (or hands to ``on_done``)
     delivery_error: type = Exception
     #: True: the client must run setup() before the first capture()
     requires_setup: bool = True
@@ -71,19 +72,24 @@ class CaptureTransport:
         return None
         yield  # pragma: no cover - generator shape
 
-    def send(self, payload: bytes):
-        """Ship one opaque payload: return its completion event or, if
-        ``blocking``, run as a generator until the payload is delivered.
+    def send(self, payload: bytes, on_done=None):
+        """Ship one opaque payload.  An asynchronous transport returns at
+        once and later calls ``on_done(None)`` or ``on_done(exc)``; a
+        ``blocking`` one is a generator, ``send(payload)``, that returns
+        once the payload is delivered and raises when it is not.
 
-        This is the transport's **ack hook**: the event must *succeed*
-        (the generator return) only once the transport's delivery
-        contract for this payload is fulfilled (QoS 2: PUBCOMP; CoAP CON:
-        ACK; HTTP: 2xx response) and *fail* (the generator raise) when
-        the contract is exhausted (retries spent, server missing).  A
-        non-durable façade swallows the failure — capture loss must
-        never crash the instrumented workflow; a durable façade keeps
-        the journaled entry unacknowledged and replays it after
-        :meth:`reconnect`.
+        This is the transport's **ack hook**: ``on_done(None)`` (the
+        generator return) only once the transport's delivery contract
+        for this payload is fulfilled (QoS 2: PUBCOMP; CoAP CON: ACK;
+        HTTP: 2xx response), ``on_done(exc)`` (the generator raise) once
+        the contract is exhausted (retries spent, server missing).  An
+        asynchronous transport calls ``on_done`` on a zero-delay timer,
+        or in place only in tail position (see
+        :meth:`~repro.simkernel.Environment.zero_delay_is_next`), never
+        from inside ``send()``.  A non-durable façade swallows the
+        failure — capture loss must never crash the instrumented
+        workflow; a durable façade keeps the journaled entry
+        unacknowledged and replays it after :meth:`reconnect`.
         """
         raise NotImplementedError
 

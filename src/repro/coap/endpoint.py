@@ -22,6 +22,7 @@ from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from ..net import Endpoint, Host
+from ..simkernel import Event
 from .messages import (
     CODE_CHANGED,
     CODE_EMPTY,
@@ -151,7 +152,9 @@ class CoapClient:
         self.ack_timeout_s = ack_timeout_s
         self.max_retransmit = max_retransmit
         self._mids = itertools.cycle(range(1, 0x10000))
-        self._pending: Dict[int, object] = {}  # mid -> completion event
+        #: mid -> the event a :meth:`post` waits on, or the ``on_done``
+        #: callback of a :meth:`post_nowait`
+        self._pending: Dict[int, object] = {}
         self.posts = self.env.metrics.counter("coap", "posts", host=host.name)
         self.sock.on_item(self._on_datagram)
 
@@ -167,63 +170,80 @@ class CoapClient:
     def _on_reply(self, message: CoapMessage) -> None:
         if message.mtype not in (TYPE_ACK, TYPE_RST):
             return
-        event = self._pending.pop(message.message_id, None)
-        if event is not None and not event.triggered:
-            if message.mtype == TYPE_RST:
-                event.fail(ConnectionError("connection reset (RST)"))
-            elif message.code >> 5 == 5:
-                event.fail(CoapServerError(
-                    f"CON {message.message_id} answered {code_str(message.code)}"))
+        done = self._pending.pop(message.message_id, None)
+        if done is None:
+            return
+        if message.mtype == TYPE_RST:
+            self._settle(done, ConnectionError("connection reset (RST)"))
+        elif message.code >> 5 == 5:
+            self._settle(done, CoapServerError(
+                f"CON {message.message_id} answered {code_str(message.code)}"))
+        else:
+            self._settle(done, None, message)
+
+    def _settle(self, done, exc: Optional[BaseException], message=None) -> None:
+        """End an exchange from the socket callback or a retransmission
+        timer, as its last action: trigger the event a :meth:`post` waits
+        on, or call ``on_done(exc)`` — in place when it would be the very
+        next kernel step, else on a zero-delay timer in the event's slot
+        (see :meth:`repro.mqttsn.MqttSnClient._settle`)."""
+        if type(done) is Event:
+            if exc is None:
+                done.succeed(message)
             else:
-                event.succeed(message)
+                done.fail(exc)
+        elif not self.sock.items and self.env.zero_delay_is_next():
+            done(exc)
+        else:
+            self.env.call_later(0.0, done, exc)
 
     def post(self, path: str, payload: bytes, confirmable: bool = True):
         """Generator: POST ``payload``; returns the ACK message (or None
         for non-confirmable)."""
-        segments = [seg for seg in path.split("/") if seg]
-        mid = next(self._mids)
-        request = CoapMessage(
-            mtype=TYPE_CON if confirmable else TYPE_NON,
-            code=CODE_POST, message_id=mid, uri_path=segments,
-            content_format=42, payload=payload,
-        )
-        self.posts.record(len(payload))
         if not confirmable:
+            request = self._request(TYPE_NON, path, payload)
             self.sock.sendto(request.encode(), self.server)
             return None
         done = self.env.event()
-        self._pending[mid] = done
-        self.sock.sendto(request.encode(), self.server)
-        self.env.process(self._retransmit(request, mid, 0), name=f"coap-rtx-{mid}")
+        self._post(path, payload, done)
         response = yield done
         return response
 
-    def post_nowait(self, path: str, payload: bytes):
-        """Confirmable POST returning the completion event immediately
-        (the exchange runs in the socket callback — the async capture path)."""
-        segments = [seg for seg in path.split("/") if seg]
-        mid = next(self._mids)
-        request = CoapMessage(
-            mtype=TYPE_CON, code=CODE_POST, message_id=mid,
-            uri_path=segments, content_format=42, payload=payload,
-        )
+    def post_nowait(self, path: str, payload: bytes,
+                    on_done: Callable[[Optional[BaseException]], None]) -> None:
+        """Confirmable POST without waiting (the async capture path):
+        ``on_done(None)`` once the ACK arrives, ``on_done(exc)`` on a
+        reset, a 5.xx answer or spent retransmissions.  The exchange runs
+        in the socket callback and on retransmission timers."""
+        self._post(path, payload, on_done)
+
+    def _request(self, mtype: int, path: str, payload: bytes) -> CoapMessage:
         self.posts.record(len(payload))
-        done = self.env.event()
+        return CoapMessage(
+            mtype=mtype, code=CODE_POST, message_id=next(self._mids),
+            uri_path=[seg for seg in path.split("/") if seg],
+            content_format=42, payload=payload,
+        )
+
+    def _post(self, path: str, payload: bytes, done) -> None:
+        request = self._request(TYPE_CON, path, payload)
+        mid = request.message_id
         self._pending[mid] = done
         self.sock.sendto(request.encode(), self.server)
-        self.env.process(self._retransmit(request, mid, 0), name=f"coap-rtx-{mid}")
-        return done
+        self.env.call_later(self.ack_timeout_s, self._retransmit, request, mid, 0)
 
-    def _retransmit(self, request: CoapMessage, mid: int, attempt: int):
-        yield self.env.timeout(self.ack_timeout_s * (2 ** attempt))
-        event = self._pending.get(mid)
-        if event is None or event.triggered:
+    def _retransmit(self, request: CoapMessage, mid: int, attempt: int) -> None:
+        """CON watchdog, fired ``ack_timeout_s * 2**attempt`` after each
+        send."""
+        done = self._pending.get(mid)
+        if done is None:
             return
         if attempt >= self.max_retransmit:
-            self._pending.pop(mid, None)
-            event.fail(CoapTimeout(f"CON {mid} exhausted retransmissions"))
+            del self._pending[mid]
+            self._settle(done, CoapTimeout(f"CON {mid} exhausted retransmissions"))
             return
         self.sock.sendto(request.encode(), self.server)
-        self.env.process(
-            self._retransmit(request, mid, attempt + 1), name=f"coap-rtx-{mid}"
+        self.env.call_later(
+            self.ack_timeout_s * (2 ** (attempt + 1)),
+            self._retransmit, request, mid, attempt + 1,
         )

@@ -11,6 +11,9 @@ benchmark quantifies the trade.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Optional
+
 from ..calibration import SERVER_COSTS
 from ..capture import CaptureConfig, CaptureTransport, register_transport
 from ..core.server import ServerConfig
@@ -51,7 +54,7 @@ class ProvLightCoapServer:
         self.server = CoapServer(host, port)
         self._inbox = Mailbox(self.env)
         self.server.route(DEFAULT_CAPTURE_PATH, self._on_post)
-        self.env.process(self._work_loop(), name="coap-prov-translator")
+        self._inbox.on_item(self._on_item)
 
     @property
     def endpoint(self) -> Endpoint:
@@ -65,40 +68,45 @@ class ProvLightCoapServer:
     def _on_post(self, path, payload, reply):
         self._inbox.put_nowait((payload, reply))
 
-    def _work_loop(self):
+    def _on_item(self, item) -> None:
+        """The inbox consumer: admit one record, charge its translation
+        on the CPU, hand it to the backend, reply, then take the next."""
+        payload, reply = item
+        entry = self.front.admit(payload)
+        if entry is None:
+            reply(CODE_CHANGED)
+            self._inbox.on_item(self._on_item)
+            return
+        work = SERVER_COSTS.translate_per_message_s
+        if len(entry[1]) > 1:
+            work += SERVER_COSTS.translate_group_fixed_s
+        charged = partial(self._charged, entry, reply)
         device = self.host.device
-        while True:
-            payload, reply = yield self._inbox.get()
-            entry = self.front.admit(payload)
-            if entry is None:
-                reply(CODE_CHANGED)
-                continue
-            work = SERVER_COSTS.translate_per_message_s
-            if len(entry[1]) > 1:
-                work += SERVER_COSTS.translate_group_fixed_s
-            if device is not None:
-                yield from device.cpu.run(io_busy_s=work, tag="translator")
-            else:
-                yield self.env.timeout(work)
-            # uniform backend protocol: ingest() returns an iterable of
-            # simulation events (empty for synchronous backends)
-            try:
-                yield from self.backend.ingest(entry[2])
-            except Exception:
-                # unmarked: a durable client replays the record
-                self.front.failures.record()
-                reply(CODE_SERVICE_UNAVAILABLE)
-                continue
+        if device is None:
+            self.env.call_later(work, charged)
+        else:
+            device.cpu.run_async(io_busy_s=work, tag="translator", on_done=charged)
+
+    def _charged(self, entry, reply) -> None:
+        self.backend.ingest_batch([entry[2]], partial(self._ingested, entry, reply))
+
+    def _ingested(self, entry, reply, exc: Optional[BaseException]) -> None:
+        if exc is None:
             self.front.accepted((entry,))
             reply(CODE_CHANGED)
+        else:
+            # unmarked: a durable client replays the record
+            self.front.failures.record()
+            reply(CODE_SERVICE_UNAVAILABLE)
+        self._inbox.on_item(self._on_item)
 
 
 class CoapCaptureTransport(CaptureTransport):
     """Capture over confirmable CoAP POSTs.
 
-    ``send()`` is :meth:`~repro.coap.CoapClient.post_nowait`: the CON
-    retransmission machinery runs in the CoAP client's socket callback, off
-    the workflow's critical path.  CoAP is connectionless, so there is
+    ``send(payload, on_done)`` is :meth:`~repro.coap.CoapClient.post_nowait`:
+    the CON retransmission machinery runs in the CoAP client's socket
+    callback and timers, off the workflow's critical path.  CoAP is connectionless, so there is
     nothing to establish and capture may begin before ``setup()``.
     """
 
@@ -122,8 +130,8 @@ class CoapCaptureTransport(CaptureTransport):
         return self.path
         yield  # pragma: no cover - generator shape
 
-    def send(self, payload: bytes):
-        return self.coap.post_nowait(self.path, payload)
+    def send(self, payload: bytes, on_done) -> None:
+        self.coap.post_nowait(self.path, payload, on_done)
 
 
 register_transport("coap", CoapCaptureTransport)

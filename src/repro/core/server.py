@@ -25,16 +25,17 @@ Two layers of the server shard by consistent hashing (the same ring,
 
 Every server-plane knob lives in one frozen :class:`ServerConfig`.
 
-Backends follow a uniform generator protocol: ``ingest(translated)``
-and ``ingest_batch(batch)`` return an iterable of simulation events.
-Synchronous backends deliver inline and return no events; network
-backends return a generator that yields the I/O events of the request.
+Backends have one contract, ``ingest_batch(batch, on_done)``: deliver
+the translated groups of ``batch`` in order, then call ``on_done(None)``,
+or ``on_done(exc)`` on a failure.  A synchronous backend delivers and
+calls ``on_done`` inline and returns None; a network backend returns the
+process that delivers the batch, which a crashing worker interrupts.
 Pool workers call ``ingest_batch`` once per *drained worker batch*, which
 lets a network backend pipeline the whole batch into one bulk request
-instead of one POST per translated group; the CoAP sink calls
-``ingest``.  An ``ingest_batch`` that fails after delivering the first
-``n`` groups sets ``delivered = n`` on the exception it raises: the
-worker marks those groups and requeues only the rest.
+instead of one POST per translated group; the CoAP sink calls it once
+per record.  An ``ingest_batch`` that fails after delivering the first
+``n`` groups sets ``delivered = n`` on the exception it hands to
+``on_done``: the worker marks those groups and requeues only the rest.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from ..calibration import SERVER_COSTS, ServerCosts
 from ..hashring import ConsistentHashRing
@@ -58,7 +60,7 @@ from ..mqttsn import (
 )
 from ..mqttsn.topics import topic_matches
 from ..net import Endpoint, Host
-from ..simkernel import Mailbox
+from ..simkernel import Interrupt, Mailbox
 from .translator import IngestFront
 
 if TYPE_CHECKING:
@@ -84,23 +86,20 @@ class CallableBackend:
     def __init__(self, fn: Callable[[Any], None]):
         self.fn = fn
 
-    def ingest(self, translated: Any) -> Iterable:
-        """Deliver inline; no simulation events to wait on."""
-        self.fn(translated)
-        return ()
-
-    def ingest_batch(self, batch: Sequence[Any]) -> Iterable:
+    def ingest_batch(self, batch: Sequence[Any], on_done) -> None:
         """Deliver each group inline, in order — an in-process callable
-        gains nothing from bulk framing, so the single-group behaviour
-        is preserved group by group.  A failing group's error says how
-        many groups before it were delivered (``delivered``)."""
+        gains nothing from bulk framing — then call ``on_done`` inline.
+        A failing group's error goes to ``on_done`` and says how many
+        groups before it were delivered (``delivered``)."""
+        fn = self.fn
         for done, translated in enumerate(batch):
             try:
-                self.ingest(translated)
+                fn(translated)
             except Exception as exc:
                 exc.delivered = done
-                raise
-        return ()
+                on_done(exc)
+                return
+        on_done(None)
 
 
 class HttpBackend:
@@ -169,21 +168,29 @@ class HttpBackend:
         """Translated groups parked in the spill queue."""
         return sum(groups for _, groups in self._spill)
 
-    def ingest(self, translated: Any):
-        # compact separators: backend POST bodies are real wire bytes in
-        # the simulation, so whitespace would inflate every ingest
-        body = json.dumps(translated, default=str, separators=(",", ":")).encode()
-        yield from self._submit(body, 1)
-
-    def ingest_batch(self, batch: Sequence[Any]):
+    def ingest_batch(self, batch: Sequence[Any], on_done):
         """Pipelined ingest: one bulk POST (a JSON array body) covers the
         whole drained batch.  A batch of one keeps the bare-object body,
-        so light traffic stays wire-identical to the per-group path."""
-        if len(batch) == 1:
-            yield from self.ingest(batch[0])
+        so light traffic stays wire-identical to the per-group path.
+
+        Returns the ``backend-ingest`` process that runs the retries and
+        the spill, then calls ``on_done``; interrupting it abandons the
+        ingest (``on_done`` gets the :class:`~repro.simkernel.Interrupt`).
+        """
+        # compact separators: backend POST bodies are real wire bytes in
+        # the simulation, so whitespace would inflate every ingest
+        body = json.dumps(batch[0] if len(batch) == 1 else list(batch),
+                          default=str, separators=(",", ":")).encode()
+        return self.env.process(self._ingest(body, len(batch), on_done),
+                                name="backend-ingest")
+
+    def _ingest(self, body: bytes, groups: int, on_done):
+        try:
+            yield from self._submit(body, groups)
+        except Exception as exc:
+            on_done(exc)
             return
-        body = json.dumps(list(batch), default=str, separators=(",", ":")).encode()
-        yield from self._submit(body, len(batch))
+        on_done(None)
 
     # ------------------------------------------------------------ internals
     def _post(self, body: bytes):
@@ -318,17 +325,20 @@ class HttpBackend:
 
 
 class _TranslatorWorker:
-    """One pool worker: a subscriber client plus a batched work loop.
+    """One pool worker: a subscriber client plus a batched inbox consumer.
 
-    The work loop runs under a supervisor (mirroring the capture
-    client's sender supervision): an escaped exception — a backend
-    raising a fatal error, or a fault injected through :meth:`crash` —
-    is caught (a ``crash-worker`` event), the drained-but-unacked batch
-    is requeued, and the loop restarts after a jittered backoff (a
-    ``restart-worker`` event).  Requeued items are consumed
-    before the inbox, and the server's dedup index is only *marked*
-    after the backend accepted a batch, so a crash between drain and
-    ingest re-processes the batch instead of losing it.
+    No process runs it.  The worker takes a batch from its inbox with
+    ``Mailbox.on_item`` and ``drain``, charges the batch's CPU time with
+    :meth:`~repro.device.Cpu.run_async` and hands it to the backend's
+    ``ingest_batch(batch, on_done)``; the next batch starts in the step
+    the backend reported in.  The worker is supervised like the capture
+    client's sender: a backend failure, or a fault injected through
+    :meth:`crash`, is a ``crash-worker`` event.  The drained-but-unacked
+    batch is requeued, and the worker resumes after a jittered backoff
+    (a ``restart-worker`` event).  Requeued items are consumed before the
+    inbox, and the server's dedup index is only *marked* after the
+    backend accepted a batch, so a crash between drain and ingest
+    re-processes the batch instead of losing it.
     """
 
     def __init__(self, server: "ProvLightServer", index: int, max_batch: int):
@@ -355,41 +365,49 @@ class _TranslatorWorker:
         #: is strictly FIFO, so this preserves each client's seq order)
         self._requeue: List[Tuple[str, bytes]] = []
         self._inflight: List[Tuple[str, bytes]] = []
-        self._pending_get = None
+        #: the batch being charged or ingested: admitted entries and the
+        #: inbox item of each
+        self._admitted: List[tuple] = []
+        self._sources: List[Tuple[str, bytes]] = []
+        self._charge = None  # the batch's CPU charge
+        self._ingest = None  # a network backend's ingest process
+        #: bumped by every crash and retire: a completion callback
+        #: carrying an older epoch belongs to a dead batch and is dropped
+        self._epoch = 0
+        self._down = False  # crashed (until restarted) or retired
+        self._registered = False  # inbox callback registered, not yet run
+        self._settling = False  # see _stop
+        self._attempt = 0
+        self._restart_s = 0.0
         self._batches_completed = 0
         self._rng = random.Random(zlib.crc32(f"translator-{index}".encode()))
-        self._process = self.env.process(
-            self._supervised_loop(), name=f"translator-{index}"
-        )
+        self._await_batch()
 
     def crash(self, cause: Any = None) -> None:
-        """Injectable fault hook: kill the work loop at its current yield.
+        """Injectable fault hook: kill the worker where it stands.
 
-        The supervisor catches the interrupt, requeues in-flight work and
-        restarts the loop under backoff — this is exactly what a real
-        worker process dying and being respawned looks like from the
-        outside, minus the lost batch.
+        Its CPU charge stops (billed for the time it held its core), a
+        network backend's ingest is interrupted, in-flight work is
+        requeued and the worker restarts under backoff — exactly what a
+        real worker process dying and being respawned looks like from
+        the outside, minus the lost batch.  Call it as the last action of
+        a step, as a chaos timer does.
         """
-        self._process.interrupt(cause if cause is not None else "injected crash")
+        if not self._retired:
+            self._fail(Interrupt(cause if cause is not None else "injected crash"))
 
     def retire(self) -> None:
         """Permanently stop this worker (elastic shrink path).
 
-        Unlike :meth:`crash`, the supervisor does not restart a retired
-        worker: the interrupt lands, the loop observes ``_retired`` and
-        exits.  The pool has already migrated every topic filter away
-        and drained the queues before calling this, so there is no
-        in-flight work to recover — only the abandoned inbox waiter to
-        detach and the subscriber session to close.
+        Unlike :meth:`crash`, nothing restarts a retired worker.  The
+        pool has already migrated every topic filter away and drained
+        the queues before calling this, so there is normally no
+        in-flight work to requeue — only the subscriber session to
+        close.
         """
         self._retired = True
-        process = self._process
-        if process is not None and process.is_alive:
-            # nobody waits on the worker process: defuse so the interrupt
-            # cannot crash the whole simulation
-            process.defused = True
-            process.interrupt("retired")
-        self._recover_inflight()
+        if not self._down:
+            self._stop("retired")
         if self._connected:
             self.client.disconnect()
             self._connected = False
@@ -448,6 +466,96 @@ class _TranslatorWorker:
         """Payloads waiting in this worker's inbox (plus requeued work)."""
         return len(self._inbox.items) + len(self._requeue)
 
+    # -- the batch cycle ---------------------------------------------------
+    def _await_batch(self) -> None:
+        """Start the next batch: requeued work first, else the inbox's."""
+        if self._requeue:
+            batch = self._requeue[: self.max_batch]
+            del self._requeue[: len(batch)]
+            self._start(batch)
+        else:
+            self._registered = True
+            self._inbox.on_item(self._on_item)
+
+    def _on_item(self, first: Tuple[str, bytes]) -> None:
+        self._registered = False
+        if self._down:
+            # handed over after the worker died: an item handed over in
+            # the instant of the crash, before it, is in-flight work;
+            # a later one waits in the inbox for the restart
+            if self._settling:
+                self._requeue.insert(0, first)
+            else:
+                self._inbox.items.appendleft(first)
+            return
+        batch = [first]
+        if self.max_batch > 1:
+            batch.extend(self._inbox.drain(self.max_batch - 1))
+        self._start(batch)
+
+    def _start(self, batch: List[Tuple[str, bytes]]) -> None:
+        self._inflight = batch
+        server = self.server
+        front = server.front
+        costs = server.costs
+        work = 0.0
+        admitted = []
+        sources = []  # the batch item of each admitted entry
+        keys = set()
+        for item in batch:
+            entry = front.admit(item[1], keys)
+            if entry is not None:
+                keys.add(entry[0])
+                work += costs.translate_per_message_s
+                if len(entry[1]) > 1:
+                    work += costs.translate_group_fixed_s
+                admitted.append(entry)
+                sources.append(item)
+        if not admitted:
+            self._inflight = []
+            self._await_batch()
+            return
+        self._admitted = admitted
+        self._sources = sources
+        # one CPU charge covers the whole drained batch: same simulated
+        # work as per-message servicing, far fewer scheduler wakeups
+        charged = partial(self._charged, self._epoch)
+        device = server.host.device
+        if device is None:
+            self.env.call_later(work, charged)
+            return
+        charge = device.cpu.run_async(io_busy_s=work, tag="translator", on_done=charged)
+        if charge is not None:  # None: an empty charge already ran on
+            self._charge = charge
+
+    def _charged(self, epoch: int) -> None:
+        if epoch != self._epoch:
+            return
+        # pipelined ingest: hand the backend the whole drained batch (one
+        # bulk request for network backends), read off the server now so
+        # that ProvLightServer.close() frees it
+        self._ingest = self.server.backend.ingest_batch(
+            [t for _, _, t in self._admitted], partial(self._ingested, epoch)
+        )
+
+    def _ingested(self, epoch: int, exc: Optional[BaseException]) -> None:
+        if epoch != self._epoch:
+            return  # the worker crashed meanwhile and requeued the batch
+        self._ingest = None
+        front = self.server.front
+        if exc is not None:
+            # requeue the entries the backend did not take, unmarked
+            front.failures.record()
+            done = getattr(exc, "delivered", 0)
+            front.accepted(self._admitted[:done])
+            self._inflight = self._sources[done:]
+            self._fail(exc)
+            return
+        front.accepted(self._admitted)
+        self._inflight = []
+        self._batches_completed += 1
+        self._await_batch()
+
     # -- supervision -------------------------------------------------------
     #: restart backoff knobs (mirroring the capture client's sender
     #: supervision); per-instance overridable for tests
@@ -466,111 +574,56 @@ class _TranslatorWorker:
             delay *= 1.0 + self.restart_jitter * (2.0 * self._rng.random() - 1.0)
         return max(delay, 1e-9)
 
-    def _supervised_loop(self):
-        attempt = 0
-        while True:
-            try:
-                yield from self._work_loop()
-            except Exception as exc:  # includes injected Interrupts
-                if self._retired:
-                    return  # elastic shrink, not a fault: no restart
-                self.env.metrics.event("crash-worker", worker=self.index)
-                self.last_failure = exc
-                self._recover_inflight()
-                delay = self._restart_delay(attempt)
-                attempt += 1
-                if self._batches_completed:
-                    # progress since the last crash: treat this one as
-                    # fresh rather than escalating the backoff forever
-                    attempt = 1
-                    self._batches_completed = 0
-                while True:
-                    try:
-                        yield self.env.timeout(delay)
-                        break
-                    except Exception as exc:
-                        if self._retired:
-                            return
-                        # a crash landed while already restarting: record
-                        # it and re-arm the backoff from scratch
-                        self.env.metrics.event("crash-worker", worker=self.index)
-                        self.last_failure = exc
-                self.env.metrics.event("restart-worker", worker=self.index)
+    def _fail(self, exc: BaseException) -> None:
+        """A ``crash-worker``: stop, requeue, restart after a backoff.  A
+        crash while already restarting re-arms the same backoff."""
+        self.env.metrics.event("crash-worker", worker=self.index)
+        self.last_failure = exc
+        if not self._down:
+            self._stop(getattr(exc, "cause", None))
+            self._restart_s = self._restart_delay(self._attempt)
+            self._attempt += 1
+            if self._batches_completed:
+                # progress since the last crash: treat this one as fresh
+                # rather than escalating the backoff forever
+                self._attempt = 1
+                self._batches_completed = 0
+        self._epoch += 1
+        self.env.call_later(self._restart_s, self._restart, self._epoch)
 
-    def _recover_inflight(self) -> None:
-        """Requeue whatever the crashed loop had drained but not acked."""
-        pending = self._pending_get
-        self._pending_get = None
-        if pending is not None:
-            if pending.triggered:
-                # the get resolved in the same instant the crash landed:
-                # the item was popped off the inbox for a dead consumer
-                self._inflight.insert(0, pending.value)
-            else:
-                # abandoned waiter: cancel it or the inbox will feed the
-                # next arriving item to an event nobody resumes on
-                self._inbox.cancel(pending)
+    def _stop(self, cause: Any) -> None:
+        """Drop the pending callbacks and requeue whatever was drained but
+        not acked.  The inbox callback cannot be withdrawn: while the
+        worker is down it hands its item back (see :meth:`_on_item`).
+        Until the zero-delay ``_settled`` timer, i.e. for an item handed
+        over in this instant before the crash, that is to the requeue."""
+        self._down = True
+        self._epoch += 1
+        if self._charge is not None:
+            self._charge.cancel()
+            self._charge = None
+        ingest, self._ingest = self._ingest, None
+        if ingest is not None and ingest.is_alive:
+            self.server.front.failures.record()
+            self._inflight = self._sources
+            ingest.interrupt(cause)
         if self._inflight:
             self._requeue = self._inflight + self._requeue
             self._inflight = []
+        if self._registered:
+            self._settling = True
+            self.env.call_later(0.0, self._settled)
 
-    def _work_loop(self):
-        server = self.server
-        self._inflight = []
-        while True:
-            if self._requeue:
-                batch = self._requeue[: self.max_batch]
-                del self._requeue[: len(batch)]
-            else:
-                self._pending_get = self._inbox.get()
-                first = yield self._pending_get
-                self._pending_get = None
-                batch = [first]
-                if self.max_batch > 1:
-                    batch.extend(self._inbox.drain(self.max_batch - 1))
-            self._inflight = batch
-            front = server.front
-            costs = server.costs
-            work = 0.0
-            admitted = []
-            sources = []  # the batch item of each admitted entry
-            keys = set()
-            for item in batch:
-                entry = front.admit(item[1], keys)
-                if entry is not None:
-                    keys.add(entry[0])
-                    work += costs.translate_per_message_s
-                    if len(entry[1]) > 1:
-                        work += costs.translate_group_fixed_s
-                    admitted.append(entry)
-                    sources.append(item)
-            if not admitted:
-                self._inflight = []
-                continue
-            # one CPU grant covers the whole drained batch: same simulated
-            # work as per-message servicing, far fewer scheduler wakeups
-            device = server.host.device
-            if device is not None:
-                yield from device.cpu.run(io_busy_s=work, tag="translator")
-            else:
-                yield self.env.timeout(work)
-            # pipelined ingest: hand the backend the whole drained batch
-            # (one bulk request for network backends).  No local holds
-            # the backend across the next wait, so that
-            # ProvLightServer.close() frees it.  A failure propagates to
-            # the supervisor, which requeues the entries the backend did
-            # not take, unmarked
-            try:
-                yield from server.backend.ingest_batch([t for _, _, t in admitted])
-            except Exception as exc:
-                front.failures.record()
-                done = getattr(exc, "delivered", 0)
-                front.accepted(admitted[:done])
-                self._inflight = sources[done:]
-                raise
-            front.accepted(admitted)
-            self._inflight = []
-            self._batches_completed += 1
+    def _settled(self) -> None:
+        self._settling = False
+
+    def _restart(self, epoch: int) -> None:
+        if epoch != self._epoch or self._retired:
+            return
+        self.env.metrics.event("restart-worker", worker=self.index)
+        self._down = False
+        if not self._registered:
+            self._await_batch()
 
     def __repr__(self) -> str:
         return (

@@ -23,15 +23,15 @@ caller that finds every core busy waits for a grant event.
 grant, busy-core change and completion falls at the same simulated time
 as with one event per grant and one process per async charge; within an
 instant, an async charge takes a free core at the call, ahead of a
-request its caller makes before yielding.  An interrupted charge is
-accounted for the time it held its core, so an interrupt in the instant
-a core is taken charges nothing.
+request its caller makes before yielding.  An interrupted :meth:`Cpu.run`
+and a cancelled async charge are accounted for the time they held their
+core, so one stopped in the instant a core is taken charges nothing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generator
+from typing import Callable, Dict, Generator, Optional
 
 from ..simkernel import Environment, Resource, TimeWeighted
 from .specs import DeviceSpec
@@ -93,22 +93,24 @@ class Cpu:
         compute_s: float = 0.0,
         io_busy_s: float = 0.0,
         tag: str = "background",
-    ) -> None:
-        """Charge busy work off the caller's path (fire and forget).
+        on_done: Optional[Callable[[], None]] = None,
+    ) -> Optional["_Charge"]:
+        """Charge busy work off the caller's path, on timers.
 
         Models work done by a background thread (e.g. ProvLight's async
-        sender): it holds a core and shows up in utilization, but does
-        not delay the caller.  On a free core the charge starts now; on
-        a busy one it starts when its queued request is granted.
+        sender) or a callback consumer (a translator worker): it holds a
+        core and shows up in utilization, but does not delay the caller.
+        On a free core the charge starts now; on a busy one it starts
+        when its queued request is granted.  ``on_done()`` runs once the
+        core is released, in place for an empty charge.  Returns the
+        charge (``cancel()`` stops it), or None for an empty one.
         """
         busy = self._busy_s(compute_s, io_busy_s)
         if busy <= 0:
-            return
-        req = self._cores.request()
-        if req.callbacks is None:  # granted on a free core
-            self._start_async(req, busy, tag)
-        else:
-            req.callbacks.append(lambda granted: self._start_async(granted, busy, tag))
+            if on_done is not None:
+                on_done()
+            return None
+        return _Charge(self, busy, tag, on_done)
 
     def _busy_s(self, compute_s: float, io_busy_s: float) -> float:
         """Scaled seconds a charge holds one core."""
@@ -118,15 +120,6 @@ class Cpu:
         if io_busy_s:
             busy += self.spec.scale_io(io_busy_s)
         return busy
-
-    def _start_async(self, req, busy: float, tag: str) -> None:
-        self.busy_cores.add(1)
-        self.env.call_later(busy, self._finish_async, req, busy, tag)
-
-    def _finish_async(self, req, busy: float, tag: str) -> None:
-        self.busy_cores.add(-1)
-        self._busy_time_by_tag[tag] += busy
-        req.cancel()
 
     # -- accounting ---------------------------------------------------------
     def busy_time(self, tag: str | None = None) -> float:
@@ -160,3 +153,54 @@ class Cpu:
 
     def __repr__(self) -> str:
         return f"<Cpu {self.spec.name} cores={self.spec.cores}>"
+
+
+class _Charge:
+    """One :meth:`Cpu.run_async` charge: holds a core for ``busy``
+    seconds from its grant, then frees it and calls ``on_done()``."""
+
+    __slots__ = ("cpu", "busy", "tag", "on_done", "req", "start")
+
+    def __init__(self, cpu: Cpu, busy: float, tag: str,
+                 on_done: Optional[Callable[[], None]]):
+        self.cpu = cpu
+        self.busy = busy
+        self.tag = tag
+        self.on_done = on_done
+        self.start: Optional[float] = None
+        self.req = req = cpu._cores.request()
+        if req.callbacks is None:  # granted on a free core
+            self._begin(req)
+        else:
+            req.callbacks.append(self._begin)
+
+    def _begin(self, _granted) -> None:
+        if self.req is None:  # cancelled before its grant was processed
+            return
+        cpu = self.cpu
+        self.start = cpu.env.now
+        cpu.busy_cores.add(1)
+        cpu.env.call_later(self.busy, self._finish)
+
+    def _finish(self) -> None:
+        if self.req is None:  # cancelled
+            return
+        self._release(self.busy)
+        if self.on_done is not None:
+            self.on_done()
+
+    def cancel(self) -> None:
+        """Stop now, without ``on_done``: a started charge is billed for
+        the time it held its core, and the core (or the queued request)
+        is released."""
+        if self.req is not None:
+            start = self.start
+            self._release(None if start is None else self.cpu.env.now - start)
+
+    def _release(self, held: Optional[float]) -> None:
+        cpu = self.cpu
+        req, self.req = self.req, None
+        if held is not None:
+            cpu.busy_cores.add(-1)
+            cpu._busy_time_by_tag[self.tag] += held
+        req.cancel()

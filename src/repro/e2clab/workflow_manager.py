@@ -4,7 +4,8 @@ A workload is registered under a name and instantiated from the workflow
 config's ``parameters`` mapping.  Two shapes exist:
 
 * *per-device* workloads run once on every device of the selected
-  services (synthetic, sensors, imaging);
+  services (synthetic, sensors, imaging); device ``i`` of an entry runs
+  with the configured seed plus ``i``, so devices draw different data;
 * *group* workloads run once with all selected devices together
   (federated learning needs every client in one training loop).
 """
@@ -39,15 +40,22 @@ class WorkloadSpec:
     """A registered workload factory."""
 
     name: str
-    #: per-device: fn(env, capture_client, parameters, result) -> generator
+    #: per-device: fn(env, capture_client, parameters, result, index) ->
+    #: generator, ``index`` the device's position in the entry
     #: group: fn(env, capture_clients, parameters, result) -> generator
     factory: Callable
     group: bool = False
 
 
-def _synthetic(env, capture_client, parameters: Dict[str, Any], result: Dict):
-    params = dict(parameters)
-    seed = int(params.pop("seed", 0))
+def _seeded(parameters: Dict[str, Any], default: int, index: int) -> Dict[str, Any]:
+    """``parameters`` with ``seed`` (``default`` when unset) plus ``index``."""
+    return dict(parameters, seed=int(parameters.get("seed", default)) + index)
+
+
+def _synthetic(env, capture_client, parameters: Dict[str, Any], result: Dict,
+               index: int):
+    params = _seeded(parameters, 0, index)
+    seed = params.pop("seed")
     config = SyntheticWorkloadConfig(**params)
     return synthetic_workload(
         env, capture_client, config,
@@ -55,12 +63,16 @@ def _synthetic(env, capture_client, parameters: Dict[str, Any], result: Dict):
     )
 
 
-def _sensors(env, capture_client, parameters: Dict[str, Any], result: Dict):
-    return sensor_pipeline(env, capture_client, SensorConfig(**parameters), result)
+def _sensors(env, capture_client, parameters: Dict[str, Any], result: Dict,
+             index: int):
+    config = SensorConfig(**_seeded(parameters, SensorConfig.seed, index))
+    return sensor_pipeline(env, capture_client, config, result)
 
 
-def _imaging(env, capture_client, parameters: Dict[str, Any], result: Dict):
-    return imaging_pipeline(env, capture_client, ImagingConfig(**parameters), result)
+def _imaging(env, capture_client, parameters: Dict[str, Any], result: Dict,
+             index: int):
+    config = ImagingConfig(**_seeded(parameters, ImagingConfig.seed, index))
+    return imaging_pipeline(env, capture_client, config, result)
 
 
 def _federated(env, capture_clients, parameters: Dict[str, Any], result: Dict):
@@ -123,6 +135,6 @@ class WorkflowManager:
         for i, client in enumerate(capture_clients):
             result = {}
             out.append(
-                (f"{name}[{i}]", spec.factory(env, client, parameters, result), result)
+                (f"{name}[{i}]", spec.factory(env, client, parameters, result, i), result)
             )
         return out

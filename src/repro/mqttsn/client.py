@@ -10,15 +10,17 @@ Two publish entry points matter for ProvLight:
 
 * :meth:`publish` — generator completing when the QoS contract is done
   (QoS 2: after PUBCOMP);
-* :meth:`publish_nowait` — enqueue-and-return; the QoS machinery runs in
-  the client's socket callback.  This is what keeps capture off the
-  workflow's critical path.
+* :meth:`publish_nowait` — send-and-return, with an ``on_done``
+  callback; the QoS machinery runs in the client's socket callback.
+  This is what keeps capture off the workflow's critical path.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
+
+from ..simkernel import Event
 
 from ..net import Endpoint, Host
 from . import packets as pkt
@@ -27,6 +29,8 @@ from .topics import topic_matches
 __all__ = ["MqttSnClient", "MqttSnTimeout", "MessageHandler"]
 
 MessageHandler = Callable[[str, bytes], None]
+#: ``on_done(None)`` on delivery, ``on_done(exc)`` once retries are spent
+DoneCallback = Callable[[Optional[BaseException]], None]
 
 
 class MqttSnTimeout(pkt.MqttSnError):
@@ -34,13 +38,17 @@ class MqttSnTimeout(pkt.MqttSnError):
 
 
 class _Pending:
-    """One in-flight exchange awaiting a broker acknowledgement."""
+    """One in-flight exchange awaiting a broker acknowledgement.
 
-    __slots__ = ("kind", "event", "message", "state")
+    ``done`` is the event a generator waits on, or the ``on_done``
+    callback of :meth:`MqttSnClient.publish_nowait` (None: nobody is
+    told)."""
 
-    def __init__(self, kind: str, event, message: pkt.MqttSnMessage):
+    __slots__ = ("kind", "done", "message", "state")
+
+    def __init__(self, kind: str, done, message: pkt.MqttSnMessage):
         self.kind = kind
-        self.event = event
+        self.done = done
         self.message = message
         self.state = "sent"
 
@@ -165,17 +173,24 @@ class MqttSnClient:
 
     def publish(self, topic_id: int, payload: bytes, qos: int = 2):
         """Generator completing when the QoS contract is fulfilled."""
-        done = self.publish_nowait(topic_id, payload, qos)
+        done = self.env.event()
+        self._publish(topic_id, payload, qos, done)
         result = yield done
         return result
 
-    def publish_nowait(self, topic_id: int, payload: bytes, qos: int = 2):
-        """Send a PUBLISH; returns the completion event without waiting.
+    def publish_nowait(self, topic_id: int, payload: bytes, qos: int = 2,
+                       on_done: Optional[DoneCallback] = None) -> None:
+        """Send a PUBLISH without waiting.
 
-        QoS 0 events complete immediately; QoS 1 on PUBACK; QoS 2 on
-        PUBCOMP.  The exchange (including retransmissions) is driven by
-        the socket callback, off the caller's critical path.
+        ``on_done(None)`` runs once the QoS contract is fulfilled (QoS 0:
+        at once; QoS 1: PUBACK; QoS 2: PUBCOMP), ``on_done(exc)`` once its
+        retransmissions are spent, each on a zero-delay timer in the slot
+        a completion event would take.  The exchange is driven by the
+        socket callback, off the caller's critical path.
         """
+        self._publish(topic_id, payload, qos, on_done)
+
+    def _publish(self, topic_id: int, payload: bytes, qos: int, done) -> None:
         if not self.connected:
             raise pkt.MqttSnError("publish before connect")
         msg_id = next(self._msg_ids) if qos > 0 else 0
@@ -183,16 +198,15 @@ class MqttSnClient:
         self.published_count += 1
         if qos == 0:
             self._send(message)
-            done = self.env.event()
-            done.succeed(None)
-            return done
+            if type(done) is Event:
+                done.succeed(None)
+            elif done is not None:
+                self.env.call_later(0.0, done, None)
+            return
         kind = "publish"
-        done = self.env.event()
-        pending = _Pending(kind, done, message)
-        self._pending[(kind, msg_id)] = pending
+        self._pending[(kind, msg_id)] = _Pending(kind, done, message)
         self._send(message)
         self.env.call_later(self.retry_interval_s, self._retry_pending, kind, msg_id, 0)
-        return done
 
     def ping(self):
         """Generator: PINGREQ / PINGRESP round trip."""
@@ -226,7 +240,7 @@ class MqttSnClient:
             return
         if attempt >= self.max_retries:
             del self._pending[(kind, msg_id)]
-            pending.event.fail(MqttSnTimeout(f"{kind} #{msg_id} timed out"))
+            self._settle(pending.done, MqttSnTimeout(f"{kind} #{msg_id} timed out"))
             return
         message = pending.message
         if pending.state == "pubrel":
@@ -297,8 +311,26 @@ class MqttSnClient:
 
     def _complete(self, key: Tuple[str, int], message) -> None:
         pending = self._pending.pop(key, None)
-        if pending is not None and not pending.event.triggered:
-            pending.event.succeed(message)
+        if pending is not None:
+            self._settle(pending.done, None, message)
+
+    def _settle(self, done, exc: Optional[BaseException], message=None) -> None:
+        """End an exchange from a socket callback or a retry timer, as
+        its last action: trigger the event a generator waits on, or call
+        ``on_done(exc)``.  ``on_done`` runs in place when it would be the
+        very next kernel step (the socket callback re-registers on an
+        empty buffer, which schedules nothing), and otherwise on a
+        zero-delay timer, in the slot the event would take."""
+        if type(done) is Event:
+            if exc is None:
+                done.succeed(message)
+            else:
+                done.fail(exc)
+        elif done is not None:
+            if not self.sock.items and self.env.zero_delay_is_next():
+                done(exc)
+            else:
+                self.env.call_later(0.0, done, exc)
 
     def _on_inbound_publish(self, message: pkt.Publish) -> None:
         if message.qos == 1:

@@ -221,39 +221,27 @@ class _ClusterRelay:
         cluster = self._cluster
         for index, entries in staged.items():
             cluster.relayed.record(len(entries))
-            cluster.env.process(
-                self._deliver(cluster.shards[index], entries),
-                name=f"relay-deliver-{index}",
+            # one relay hop per (origin batch, destination shard): the
+            # same bundle + per-entry work the front dispatcher pays
+            cluster.env.call_later(
+                cluster.dispatch_fixed_s
+                + cluster.dispatch_per_datagram_s * len(entries),
+                self._deliver, cluster.shards[index], entries,
             )
 
     def _deliver(self, shard: MqttSnBroker, entries) -> None:
-        # one relay hop per (origin batch, destination shard): the same
-        # bundle + per-entry work the front dispatcher pays
         cluster = self._cluster
-        yield cluster.env.timeout(
-            cluster.dispatch_fixed_s
-            + cluster.dispatch_per_datagram_s * len(entries)
-        )
         if shard.crashed:
             # The destination died with this hop in flight.  Wait for the
             # watchdog to fail it over (which re-homes its subscriber
             # sessions), then re-route each entry to the new owner — a
             # relay must not become the loss window that the publisher's
             # QoS exchange already acknowledged past.
-            yield cluster._failover_event(cluster.index_of(shard))
-            cluster.relay_redirected.record(len(entries))
-            regrouped: Dict[int, List] = {}
-            for entry in entries:
-                home = cluster._home.get(entry[0].endpoint)
-                if home is None or not cluster.shards[home].alive:
-                    cluster.relay_dropped.record()
-                    continue
-                regrouped.setdefault(home, []).append(entry)
-            for home, group in regrouped.items():
-                dest = cluster.shards[home]
-                for session, topic_name, message, qos in group:
-                    dest._stage_delivery(session, topic_name, message, qos)
-                dest._flush_deliveries()
+            failed_over = cluster._failover_event(cluster.index_of(shard))
+            if failed_over.callbacks is None:  # already processed
+                self._redirect(entries)
+            else:
+                failed_over.callbacks.append(lambda _event: self._redirect(entries))
             return
         # A subscriber may have moved (shard-affinity rehome, failover
         # migration) while this hop was in flight: deliver each entry at
@@ -261,14 +249,29 @@ class _ClusterRelay:
         # session would park outbound QoS state whose acks can never
         # arrive there.
         fallback = cluster.index_of(shard)
-        regrouped = {}
+        regrouped: Dict[int, List] = {}
         for entry in entries:
             home = cluster._home.get(entry[0].endpoint, fallback)
             if home != fallback and not cluster.shards[home].alive:
                 home = fallback
             regrouped.setdefault(home, []).append(entry)
+        self._stage(regrouped)
+
+    def _redirect(self, entries) -> None:
+        cluster = self._cluster
+        cluster.relay_redirected.record(len(entries))
+        regrouped: Dict[int, List] = {}
+        for entry in entries:
+            home = cluster._home.get(entry[0].endpoint)
+            if home is None or not cluster.shards[home].alive:
+                cluster.relay_dropped.record()
+                continue
+            regrouped.setdefault(home, []).append(entry)
+        self._stage(regrouped)
+
+    def _stage(self, regrouped: Dict[int, List]) -> None:
         for home, group in regrouped.items():
-            dest = cluster.shards[home]
+            dest = self._cluster.shards[home]
             for session, topic_name, message, qos in group:
                 dest._stage_delivery(session, topic_name, message, qos)
             dest._flush_deliveries()
@@ -620,20 +623,16 @@ class BrokerCluster:
                 return index
         elif msg_type == pkt.MT_DISCONNECT and current is not None:
             # the session ends at its shard; release the sticky pin once
-            # this datagram has been forwarded (zero-delay event, so the
+            # this datagram has been classified (zero-delay timer, so the
             # DISCONNECT itself still routes by the pin) — churning
             # endpoints must not accrete dispatcher state forever
-            self.env.process(self._unpin_after_forward(source), name="dispatcher-unpin")
+            self.env.call_later(0.0, self.dispatcher.unpin, source)
         if current is not None:
             return current
         # unpinned non-CONNECT traffic: route deterministically by source
         # so the owning shard's no-session accounting sees it (a single
         # broker would record dropped_no_session for exactly this case)
         return self._ring.node_for(f"{source[0]}:{source[1]}")
-
-    def _unpin_after_forward(self, source: Endpoint):
-        yield self.env.timeout(0)
-        self.dispatcher.unpin(source)
 
     def _on_repin(self, source: Endpoint, old_index: int, new_index: int) -> None:
         """A source re-identified onto another shard: purge the old home.
@@ -699,7 +698,7 @@ class BrokerCluster:
         """Schedule a shard-affinity move when one remote origin dominates.
 
         Checked on the relay path only (local deliveries never motivate a
-        move).  The decision runs in a zero-delay process so the session
+        move).  The decision runs on a zero-delay timer so the session
         never moves in the middle of a routing match.
         """
         origins = self._sub_origins.get(endpoint)
@@ -717,12 +716,9 @@ class BrokerCluster:
         if origins[best] < self.REHOME_MARGIN * max(1, origins.get(home, 0)):
             return
         self._rehoming.add(endpoint)
-        self.env.process(
-            self._rehome_later(endpoint, best), name="cluster-rehome"
-        )
+        self.env.call_later(0.0, self._rehome_later, endpoint, best)
 
-    def _rehome_later(self, endpoint: Endpoint, new_index: int):
-        yield self.env.timeout(0)
+    def _rehome_later(self, endpoint: Endpoint, new_index: int) -> None:
         try:
             self.rehome_subscriber(endpoint, new_index)
         finally:

@@ -29,9 +29,10 @@ __all__ = ["MqttSnCaptureTransport"]
 class MqttSnCaptureTransport(CaptureTransport):
     """Capture over an asynchronous MQTT-SN publish (the paper's choice).
 
-    ``send()`` is :meth:`~repro.mqttsn.MqttSnClient.publish_nowait`: the
-    QoS machinery (PUBREC/PUBREL/PUBCOMP, retransmissions) runs in the
-    MQTT-SN client's socket callback, off the workflow's critical path.
+    ``send(payload, on_done)`` is
+    :meth:`~repro.mqttsn.MqttSnClient.publish_nowait`: the QoS machinery
+    (PUBREC/PUBREL/PUBCOMP, retransmissions) runs in the MQTT-SN client's
+    socket callback, off the workflow's critical path.
     Without ``config.client_id``, the n-th client built on a network is
     ``provlight-n``.
     """
@@ -57,8 +58,8 @@ class MqttSnCaptureTransport(CaptureTransport):
         self.topic_id = yield from self.mqtt.register(topic)
         return self.topic_id
 
-    def send(self, payload: bytes):
-        return self.mqtt.publish_nowait(self.topic_id, payload, qos=self.qos)
+    def send(self, payload: bytes, on_done) -> None:
+        self.mqtt.publish_nowait(self.topic_id, payload, qos=self.qos, on_done=on_done)
 
     def disconnect(self) -> None:
         self.mqtt.disconnect()

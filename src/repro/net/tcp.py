@@ -110,8 +110,7 @@ class TcpListener:
     Its backlog is a :class:`~repro.simkernel.Mailbox`: an established
     connection goes to the waiter if there is one and is queued
     otherwise.  The waiter is a one-shot callback registered with
-    :meth:`on_accept` or the event of an :meth:`accept`; a second waiter
-    raises.
+    :meth:`on_accept`; a second waiter raises.
     """
 
     def __init__(self, host: "Host", port: int):  # noqa: F821
@@ -119,16 +118,11 @@ class TcpListener:
         self.port = port
         self._backlog = Mailbox(host.env)
 
-    def accept(self) -> Event:
-        """Event yielding the next established :class:`TcpConnection`."""
-        return self._backlog.get()
-
     def on_accept(self, fn: Callable[["TcpConnection"], None]) -> None:
         """Call ``fn(conn)`` once, for the next established connection.
 
-        The callback form of :meth:`accept`, on a zero-delay timer where
-        the accept event would be processed; a server re-registers after
-        each connection.
+        It runs on a zero-delay timer after the handshake completes; a
+        server re-registers after each connection.
         """
         self._backlog.on_item(fn)
 

@@ -13,9 +13,7 @@ each datagram, so no process waits on the socket.  A datagram arrives
 inside the link's (or loopback's) propagation timer, as that timer's
 last action, so the callback runs in place when it would be the very
 next kernel step and on a zero-delay timer otherwise
-(:meth:`~repro.simkernel.Environment.zero_delay_is_next`).  The event
-form :meth:`~repro.simkernel.Mailbox.get` shares the same buffer and
-waiter slot, for processes that want to ``yield`` a datagram.
+(:meth:`~repro.simkernel.Environment.zero_delay_is_next`).
 """
 
 from __future__ import annotations

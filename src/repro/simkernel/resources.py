@@ -7,19 +7,20 @@ Two primitives, mirroring what network/device models need:
 * :class:`Mailbox` — the one FIFO hand-off: an unbounded buffer of items
   and one waiter slot (socket receive buffers, a TCP listener's
   backlog, the capture sender queue, translator and CoAP inboxes), fed
-  by :meth:`Mailbox.put_nowait` and emptied by :meth:`Mailbox.get`,
-  :meth:`Mailbox.on_item` and :meth:`Mailbox.drain`.
+  by :meth:`Mailbox.put_nowait` and emptied by the one-shot callback of
+  :meth:`Mailbox.on_item` and by :meth:`Mailbox.drain`.  Every consumer
+  is a callback that re-registers after handling an item; none is a
+  process.
 
 One event only where someone waits: an event exists to resume a waiter
 later, so an operation whose outcome is already decided when it is
 called schedules none.  :meth:`Resource.request` on a free slot returns
 a request already granted (yielding it resumes at once; only a queued
-request is granted by an event), :meth:`Mailbox.put_nowait` hands an
-item straight to the waiter, a ``get`` on a non-empty mailbox is served
-on the spot, and a wait nobody yields on is a timer
-(:meth:`~repro.simkernel.core.Environment.call_later`), not a process.
-Each shortcut decides exactly what the event path would have decided in
-the same instant, so simultaneous events keep their order.
+request is granted by an event), and a mailbox hand-off is a timer
+(:meth:`~repro.simkernel.core.Environment.call_later`), not an event,
+or runs in place under the tail-position rule.  Each shortcut decides
+exactly what the event path would have decided in the same instant, so
+simultaneous events keep their order.
 """
 
 from __future__ import annotations
@@ -115,13 +116,11 @@ class Mailbox:
     """Unbounded FIFO hand-off: one buffer of :attr:`items` and one
     waiter slot.
 
-    The waiter is the event of a :meth:`get` or a one-shot callback
-    registered with :meth:`on_item`; a second waiter raises.  An item goes
-    to the waiter if there is one and is buffered otherwise; a waiter
-    registered on a non-empty buffer takes the oldest item (an event
-    served on the spot, a callback on a zero-delay timer).  After
-    :meth:`close` no callback runs, and buffered and later items are
-    dropped.
+    The waiter is a one-shot callback registered with :meth:`on_item`;
+    a second waiter raises.  An item goes to the waiter if there is one
+    and is buffered otherwise; a waiter registered on a non-empty buffer
+    takes the oldest item on a zero-delay timer.  After :meth:`close` no
+    callback runs, and buffered and later items are dropped.
     """
 
     def __init__(self, env):
@@ -131,15 +130,13 @@ class Mailbox:
         self.closed = False
 
     def put_nowait(self, item: Any, tail: bool = False) -> None:
-        """Hand ``item`` to the waiter, or buffer it; creates no event of
-        its own.
+        """Hand ``item`` to the waiter, or buffer it; creates no event.
 
-        An event waiter is succeeded with ``item``.  ``tail`` says the
-        caller is in tail position (see
-        :meth:`~repro.simkernel.Environment.zero_delay_is_next`): a
-        callback waiter then runs in place when nothing else is due now.
-        A caller with more work after it in the same step passes False,
-        and the callback always runs on a zero-delay timer.
+        ``tail`` says the caller is in tail position (see
+        :meth:`~repro.simkernel.Environment.zero_delay_is_next`): the
+        waiter then runs in place when nothing else is due now.  A caller
+        with more work after it in the same step passes False, and the
+        waiter always runs on a zero-delay timer.
         """
         if self.closed:
             return
@@ -148,32 +145,16 @@ class Mailbox:
             self.items.append(item)
             return
         self._waiter = None
-        if isinstance(waiter, Event):
-            waiter.succeed(item)
-        elif tail and self.env.zero_delay_is_next():
+        if tail and self.env.zero_delay_is_next():
             waiter(item)
         else:
             self.env.call_later(0.0, self._wake, waiter, item)
 
-    def get(self) -> Event:
-        """Event yielding the oldest item; blocks while the buffer is
-        empty.  Cancel an abandoned one with :meth:`cancel`."""
-        if self.closed or self._waiter is not None:
-            self._refuse_waiter()
-        event = Event(self.env)
-        if self.items:
-            event.succeed(self.items.popleft())
-        else:
-            self._waiter = event
-        return event
-
     def on_item(self, fn: Callable[[Any], None]) -> None:
         """Call ``fn(item)`` once, for the next item.
 
-        The callback form of :meth:`get`: a consumer re-registers after
-        handling each item.  An item already buffered is handed over on
-        a zero-delay timer, where a :meth:`get` on a non-empty buffer
-        schedules its wake.
+        A consumer re-registers after handling each item.  An item
+        already buffered is handed over on a zero-delay timer.
         """
         if self.closed or self._waiter is not None:
             self._refuse_waiter()
@@ -182,20 +163,12 @@ class Mailbox:
         else:
             self._waiter = fn
 
-    def cancel(self, event: Event) -> None:
-        """Withdraw ``event``, the :meth:`get` of a consumer that stopped
-        waiting, so the next item is buffered for a live one; a no-op
-        when ``event`` is not the waiter."""
-        if self._waiter is event:
-            self._waiter = None
-
     def drain(self, limit: Optional[int] = None) -> list:
         """Items already buffered, oldest first, without waiting.
 
         Returns at most ``limit`` items (all when None), possibly none.
-        The batch companion of :meth:`get` and :meth:`on_item`: a
-        consumer woken by one item takes whatever else queued up behind
-        it in one go.
+        The batch companion of :meth:`on_item`: a consumer woken by one
+        item takes whatever else queued up behind it in one go.
         """
         items = self.items
         if not items:

@@ -110,16 +110,12 @@ def test_komadu_pays_server_costs_on_device():
     assert overhead > 0.03
 
 
-def test_komadu_overhead_worse_than_blocking_http_baselines():
-    """On this short-task workload Komadu's local pipeline costs more CPU
-    time than even ProvLake's blocking HTTP capture."""
+def test_komadu_local_pipeline_keeps_the_cpu_busy_with_no_server():
+    """On this short-task workload Komadu's local pipeline holds the CPU
+    busy for over a fifth of the nominal run and adds over 3% overhead,
+    with no capture server at all."""
     komadu, dev_k, _ = run_with(KomaduClient)
-    from repro.harness import ExperimentSetup, measure_overhead
-
-    provlake = measure_overhead(ExperimentSetup(system="provlake"), CONFIG,
-                                repetitions=1, keep_outcomes=False)
     komadu_overhead = komadu["elapsed"] / CONFIG.nominal_duration_s() - 1
-    # Komadu burns comparable-or-more *CPU-busy* time with no server at all
     assert dev_k.cpu.busy_time() / CONFIG.nominal_duration_s() > 0.2
     assert komadu_overhead > 0.03
 

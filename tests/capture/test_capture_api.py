@@ -183,8 +183,8 @@ def test_close_tears_down_sender_and_fails_drain_waiters():
     # ...and nothing leaks once the in-flight exchange resolves
     assert dev.memory.used("capture-buffers") == 0
     assert dev.memory.used("capture-static") == 0
-    # the background sender exited instead of blocking forever
-    assert client._sender.triggered
+    # the background sender's registration went with the closed queue
+    assert client._queue.closed
     assert client.closed
 
 
@@ -192,8 +192,8 @@ def test_close_without_traffic_is_clean():
     env, net, dev, server, client, sink = make_world()
     client.close()
     assert dev.memory.used("capture-static") == 0
-    env.run(until=1)  # sender wakes on the close sentinel and exits
-    assert client._sender.triggered
+    env.run(until=1)
+    assert client._queue.closed  # the idle sender's registration is gone
 
 
 def test_drain_after_close_raises_instead_of_hanging():

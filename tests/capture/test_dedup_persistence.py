@@ -17,6 +17,7 @@ from repro.core import ServerConfig, encode_payload
 from repro.device import A8M3, Device
 from repro.net import Network
 from repro.simkernel import Environment
+from ..waiting import outcome
 
 
 # ------------------------------------------------------------- unit level
@@ -116,7 +117,9 @@ def run_sink_incarnation(state_path, wires, transport="mqttsn", seed=7):
             if sender.blocking:
                 yield from sender.send(wire)
             else:
-                yield sender.send(wire)
+                done, on_done = outcome(env)
+                sender.send(wire, on_done)
+                yield done
             yield env.timeout(0.05)
 
     env.process(scenario(env))

@@ -333,11 +333,11 @@ def test_sender_survives_transport_raise_and_surfaces_error(tmp_path):
     real_send = client.transport.send
     blowups = {"left": 2}
 
-    def flaky_send(payload):
+    def flaky_send(payload, on_done):
         if blowups["left"] > 0:
             blowups["left"] -= 1
             raise RuntimeError("injected transport bug")
-        return real_send(payload)
+        real_send(payload, on_done)
 
     client.transport.send = flaky_send
     errors = []
@@ -378,11 +378,11 @@ def test_sender_failure_without_journal_counts_record_lost(tmp_path):
     real_send = client.transport.send
     blowups = {"left": 1}
 
-    def flaky_send(payload):
+    def flaky_send(payload, on_done):
         if blowups["left"] > 0:
             blowups["left"] -= 1
             raise RuntimeError("injected transport bug")
-        return real_send(payload)
+        real_send(payload, on_done)
 
     client.transport.send = flaky_send
     errors = []

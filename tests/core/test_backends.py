@@ -14,6 +14,7 @@ from repro.core import CallableBackend, HttpBackend, ProvLightServer
 from repro.http import HttpResponse, HttpServer
 from repro.net import Network
 from repro.simkernel import Environment
+from ..waiting import ingest, outcome
 
 
 def make_http_world():
@@ -38,7 +39,7 @@ def test_http_backend_batch_emits_one_bulk_post():
     groups = [{"a": 1}, {"b": 2}, {"c": 3}]
 
     def scenario(env):
-        yield from backend.ingest_batch(groups)
+        yield from ingest(env, backend, groups)
 
     env.process(scenario(env))
     env.run()
@@ -52,8 +53,8 @@ def test_http_backend_single_group_batch_keeps_bare_object_body():
     env, net, backend, bodies = make_http_world()
 
     def scenario(env):
-        yield from backend.ingest_batch([{"only": 1}])
-        yield from backend.ingest({"direct": 2})
+        yield from ingest(env, backend, [{"only": 1}])
+        yield from ingest(env, backend, [{"direct": 2}])
 
     env.process(scenario(env))
     env.run()
@@ -64,8 +65,9 @@ def test_http_backend_single_group_batch_keeps_bare_object_body():
 def test_callable_backend_batch_delivers_group_by_group():
     delivered = []
     backend = CallableBackend(delivered.append)
-    events = backend.ingest_batch([{"x": 1}, {"y": 2}])
-    assert list(events) == []  # synchronous: nothing to wait on
+    outcomes = []
+    assert backend.ingest_batch([{"x": 1}, {"y": 2}], outcomes.append) is None
+    assert outcomes == [None]  # synchronous: reported inline
     assert delivered == [{"x": 1}, {"y": 2}]
 
 
@@ -106,6 +108,8 @@ def _burst(env, server):
             "transformation_id": 0, "time": float(i),
             "data": [{"id": f"out{i}", "attributes": {"i": i}}],
         }
-        done.append(client.publish_nowait(tid, encode_payload(record), qos=1))
+        event, on_done = outcome(env)
+        client.publish_nowait(tid, encode_payload(record), qos=1, on_done=on_done)
+        done.append(event)
     for event in done:
         yield event

@@ -25,6 +25,7 @@ from repro.core import (
 from repro.http import HttpRequestError, HttpResponse, HttpServer
 from repro.net import LinkFaultInjector, Network
 from repro.simkernel import Environment
+from ..waiting import ingest
 
 
 def make_http_world(seed=5, status=None, handler=None, **backend_kwargs):
@@ -129,7 +130,7 @@ def test_transient_5xx_retries_then_succeeds():
     )
 
     def scenario(env):
-        yield from backend.ingest({"x": 1})
+        yield from ingest(env, backend, [{"x": 1}])
 
     env.process(scenario(env))
     env.run()
@@ -145,7 +146,7 @@ def test_fatal_4xx_raises_unretried():
 
     def scenario(env):
         try:
-            yield from backend.ingest({"x": 1})
+            yield from ingest(env, backend, [{"x": 1}])
         except BackendError as exc:
             errors.append(exc)
 
@@ -188,10 +189,10 @@ def test_down_backend_trips_breaker_and_spills_then_drains():
     backend.breaker = CircuitBreaker(env, failure_threshold=2, reset_timeout_s=0.3)
 
     def scenario(env):
-        yield from backend.ingest({"x": 1})   # retries exhaust -> spill
+        yield from ingest(env, backend, [{"x": 1}])   # retries exhaust -> spill
         assert backend.breaker.state != CircuitBreaker.CLOSED
         before = backend.retries.count
-        yield from backend.ingest({"x": 2})   # breaker open -> spill fast
+        yield from ingest(env, backend, [{"x": 2}])   # breaker open -> spill fast
         assert backend.retries.count == before  # no wire attempt made
         assert backend.pending_spill == 2
 
@@ -215,7 +216,7 @@ def test_spill_bound_sheds_oldest_first():
 
     def scenario(env):
         for i in range(4):
-            yield from backend.ingest({"i": i})
+            yield from ingest(env, backend, [{"i": i}])
             yield env.timeout(0.01)
 
     env.process(scenario(env))
@@ -240,7 +241,7 @@ def test_drainer_parks_on_a_permanently_dead_backend():
     faults.partition_now()
 
     def scenario(env):
-        yield from backend.ingest({"x": 1})
+        yield from ingest(env, backend, [{"x": 1}])
 
     env.process(scenario(env))
     env.run()  # terminates: the drainer gave up
@@ -269,7 +270,7 @@ def test_slow_backend_times_out_as_retryable():
 
     def scenario(env):
         started = env.now
-        yield from backend.ingest({"x": 1})
+        yield from ingest(env, backend, [{"x": 1}])
         caught.append(env.now - started)
 
     env.process(scenario(env))

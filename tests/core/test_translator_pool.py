@@ -319,10 +319,11 @@ def test_an_idle_elastic_pool_keeps_its_size_and_records_no_event():
     assert env.metrics.events() == []
 
 
-def test_callable_backend_uniform_generator_protocol():
+def test_callable_backend_reports_inline():
     delivered = []
+    outcomes = []
     backend = CallableBackend(delivered.append)
-    events = backend.ingest({"r": 1})
-    # synchronous backend: delivery happens inline, no events to wait on
+    backend.ingest_batch([{"r": 1}], outcomes.append)
+    # synchronous backend: delivery and its report happen inline
     assert delivered == [{"r": 1}]
-    assert list(events) == []
+    assert outcomes == [None]

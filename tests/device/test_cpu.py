@@ -212,7 +212,7 @@ def test_run_async_is_timers_not_processes(monkeypatch):
 
     monkeypatch.setattr(Process, "__init__", spy)
     env, cpu = make_cpu()  # 1 core
-    assert cpu.run_async(io_busy_s=0.1, tag="bg") is None
+    cpu.run_async(io_busy_s=0.1, tag="bg")
     assert cpu.busy_cores.value == 1  # a free core is taken at the call
     cpu.run_async(io_busy_s=0.1, tag="bg")  # queues behind the first
     cpu.run_async(tag="bg")  # no work, no event

@@ -139,7 +139,7 @@ def test_experiment_deploy_twice_rejected():
 def test_custom_workload_registration():
     manager = WorkflowManager()
 
-    def trivial(env, capture_client, parameters, result):
+    def trivial(env, capture_client, parameters, result, index):
         yield from capture_client.setup()
         result["ran"] = True
         yield env.timeout(parameters.get("sleep", 0.01))
@@ -172,3 +172,26 @@ def test_network_manager_reconfigure():
     assert exp.network.link("edge-client-0", "cloud-server").bandwidth_bps == 25e3
     with pytest.raises(KeyError):
         exp.network_manager.reconfigure("edge", "fog", loss=0.1)
+
+
+def test_per_device_workloads_draw_different_data():
+    """Device ``i`` of a per-device entry runs with the configured seed
+    plus ``i``: two synthetic devices jitter their tasks differently and
+    two cameras score different images."""
+    workflow = WORKFLOW + """
+- hosts: edge.Client
+  workload: imaging
+  parameters:
+    n_images: 2
+"""
+    results = Experiment(LAYERS, NETWORK, workflow).run()
+    first, second = results.entries["edge.Client:synthetic"]
+    assert first["elapsed"] != second["elapsed"]
+    first, second = results.entries["edge.Client:imaging"]
+    assert first["scores"] != second["scores"]
+
+
+def test_device_zero_keeps_the_configured_seed():
+    manager = WorkflowManager()
+    (label, gen, _), = manager.instantiate("imaging", None, [None], {"seed": 5})
+    assert gen.gi_frame.f_locals["config"].seed == 5

@@ -20,6 +20,7 @@ from repro.http import (
 from repro.http.messages import HEAD_END
 from repro.net import Network
 from repro.simkernel import Environment
+from ..waiting import next_connection
 
 BAD_REQUESTS = [
     b"POST /p HTTP/1.1\r\nContent-Length: abc\r\n\r\nabc",
@@ -96,7 +97,7 @@ def test_session_turns_a_malformed_response_into_a_request_error(raw):
     out = {}
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         received = b""
         while HEAD_END not in received:  # the GET has no body
             received += yield conn.recv()
@@ -136,7 +137,7 @@ def test_read_response_raises_http_error_once_the_head_is_in(raw):
     out = {}
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         conn.send(raw)
 
     def client(env):

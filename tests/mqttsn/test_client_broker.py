@@ -6,6 +6,7 @@ from repro.mqttsn import DEFAULT_BROKER_PORT, MqttSnBroker, MqttSnClient, MqttSn
 from repro.mqttsn import packets as pkt
 from repro.net import Network, Packet
 from repro.simkernel import Environment
+from ..waiting import outcome
 
 
 def make_world(n_clients=1, latency=0.023, bandwidth=1e9, loss=0.0, seed=3):
@@ -112,7 +113,8 @@ def test_publish_nowait_does_not_block():
         yield from pub.connect()
         tid = yield from pub.register("t")
         t0 = env.now
-        done = pub.publish_nowait(tid, b"x", qos=2)
+        done, on_done = outcome(env)
+        assert pub.publish_nowait(tid, b"x", qos=2, on_done=on_done) is None
         marks["inline"] = env.now - t0
         yield done
         marks["completed"] = env.now - t0

@@ -10,6 +10,7 @@ from repro.mqttsn import BrokerCluster, DEFAULT_BROKER_PORT, MqttSnBroker, MqttS
 from repro.mqttsn import packets as pkt
 from repro.net import Network
 from repro.simkernel import Environment
+from ..waiting import outcome
 
 
 def make_world(n_clients=2, loss=0.0, seed=7, retry_interval_s=0.3, max_retries=5):
@@ -136,8 +137,10 @@ def test_wildcard_register_precedes_coalesced_publishes():
         tid = yield from pub.register("prov/dev/fresh")
         yield env.timeout(0.5)
         # nowait back-to-back: both PUBLISHes land in one broker wakeup
-        first = pub.publish_nowait(tid, b"a", qos=2)
-        second = pub.publish_nowait(tid, b"b", qos=2)
+        first, on_first = outcome(env)
+        second, on_second = outcome(env)
+        pub.publish_nowait(tid, b"a", qos=2, on_done=on_first)
+        pub.publish_nowait(tid, b"b", qos=2, on_done=on_second)
         yield first
         yield second
 

@@ -105,7 +105,7 @@ def test_subscribe_invalid_filter_rejected_by_broker():
         msg_id = 5
         done = env.event()
         client._pending[("subscribe", msg_id)] = type(
-            "P", (), {"kind": "subscribe", "event": done, "message": None,
+            "P", (), {"kind": "subscribe", "done": done, "message": None,
                       "state": "sent"}
         )()
         client._send(pkt.Subscribe(msg_id=msg_id, topic_name="a/#/b", qos=1))

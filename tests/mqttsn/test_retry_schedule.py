@@ -15,6 +15,7 @@ from repro.mqttsn import DEFAULT_BROKER_PORT, MqttSnBroker, MqttSnClient, MqttSn
 from repro.mqttsn import packets as pkt
 from repro.net import Network
 from repro.simkernel import Environment, Process
+from ..waiting import outcome
 
 INTERVAL = 0.3
 RETRIES = 4
@@ -219,7 +220,8 @@ def test_acked_qos2_publish_spawns_no_process(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(Process, "__init__", spy)
-    done = pub.publish_nowait(tid, b"x", qos=2)
+    done, on_done = outcome(env)
+    pub.publish_nowait(tid, b"x", qos=2, on_done=on_done)
     env.run(done)
     env.run()
     assert got == [b"x"]

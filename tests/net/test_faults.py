@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import LinkFaultInjector, Network
 from repro.simkernel import Environment
+from ..waiting import next_item
 
 
 def make_net(seed=0):
@@ -22,7 +23,7 @@ def blast(env, net, n=400, size=100, spacing_s=0.01, port=9):
 
     def rx(env):
         while True:
-            data, src = yield sock_b.get()
+            data, src = yield next_item(sock_b)
             got.append(data)
 
     def tx(env):

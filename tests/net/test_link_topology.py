@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Link, Network, Packet, UnroutableError
 from repro.simkernel import Environment
+from ..waiting import next_item
 
 
 def make_pair(bandwidth=1e9, latency=0.01, **kw):
@@ -139,7 +140,7 @@ def test_multi_hop_forwarding_delivers_end_to_end():
     received = []
 
     def receiver(env):
-        payload, src = yield sock_c.get()
+        payload, src = yield next_item(sock_c)
         received.append((payload, env.now))
 
     def sender(env):
@@ -162,7 +163,7 @@ def test_loopback_delivery():
     got = []
 
     def receiver(env):
-        payload, src = yield sock_in.get()
+        payload, src = yield next_item(sock_in)
         got.append((payload, env.now))
 
     def sender(env):

@@ -5,6 +5,8 @@ import pytest
 from repro.net import ConnectionRefused, Network
 from repro.simkernel import Environment
 
+from ..waiting import next_connection
+
 
 def make_net(latency=0.01, bandwidth=1e9, **kw):
     env = Environment()
@@ -20,7 +22,7 @@ def echo_server(env, net, port=80, chunks=1):
     listener = net.hosts["server"].tcp_listen(port)
 
     def run(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         while True:
             data = yield conn.recv()
             if not data:
@@ -86,7 +88,7 @@ def test_large_transfer_is_segmented_and_reassembled():
     payload = bytes(range(256)) * 40  # 10240 bytes > 7 segments
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         while len(received) < len(payload):
             data = yield conn.recv()
             received.extend(data)
@@ -109,7 +111,7 @@ def test_transfer_time_respects_bandwidth():
     payload = b"z" * 10_000
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         got = 0
         while got < len(payload):
             data = yield conn.recv()
@@ -135,7 +137,7 @@ def test_loss_recovery_delivers_reliably():
     payload = b"R" * 20_000
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         while len(received) < len(payload):
             data = yield conn.recv()
             received.extend(data)
@@ -156,7 +158,7 @@ def test_close_signals_eof_to_peer():
     log = []
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         while True:
             data = yield conn.recv()
             if data == b"":
@@ -199,7 +201,7 @@ def test_bidirectional_streams_are_independent():
     got = {"server": b"", "client": b""}
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         conn.send(b"from-server")
         data = yield conn.recv()
         got["server"] = data
@@ -222,7 +224,7 @@ def test_recv_max_bytes_partial_read():
     reads = []
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         first = yield conn.recv(4)
         reads.append(first)
         rest = yield conn.recv()
@@ -245,7 +247,7 @@ def test_two_connections_to_same_listener():
 
     def server(env):
         for _ in range(2):
-            conn = yield listener.accept()
+            conn = yield next_connection(listener)
             env.process(handle(env, conn))
 
     def handle(env, conn):
@@ -268,7 +270,7 @@ def test_acks_consume_reverse_bandwidth():
     listener = net.hosts["server"].tcp_listen(80)
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         total = 0
         while total < 5000:
             data = yield conn.recv()
@@ -309,19 +311,18 @@ def test_send_returns_none_and_schedules_no_event():
 
 
 def test_listener_hands_connections_to_one_waiter():
-    """The backlog feeds one waiter at a time: an ``accept()`` event or
-    a one-shot ``on_accept`` callback; connections that arrive with no
-    waiter queue in order."""
+    """The backlog feeds one ``on_accept`` callback at a time;
+    connections that arrive with no waiter queue in order."""
     env, net = make_net()
     listener = net.hosts["server"].tcp_listen(80)
     accepted = []
 
     def on_accept(conn):
-        accepted.append(("callback", env.now, conn.remote[1]))
+        accepted.append((env.now, conn.remote[1]))
 
     listener.on_accept(on_accept)
     with pytest.raises(RuntimeError, match="already has a waiter"):
-        listener.accept()
+        listener.on_accept(on_accept)
 
     def client(env):
         for _ in range(3):
@@ -329,14 +330,14 @@ def test_listener_hands_connections_to_one_waiter():
 
     env.process(client(env))
     env.run()
-    assert [kind for kind, *_ in accepted] == ["callback"]
+    assert len(accepted) == 1
     # the second and third connections queued in the backlog
-    first = listener.accept()
-    env.run()
-    assert first.value.remote[1] == accepted[0][2] + 1
     listener.on_accept(on_accept)
     env.run()
-    assert accepted[1][2] == accepted[0][2] + 2
+    assert accepted[1][1] == accepted[0][1] + 1
+    listener.on_accept(on_accept)
+    env.run()
+    assert accepted[2][1] == accepted[0][1] + 2
     listener.close()
     with pytest.raises(RuntimeError, match="closed"):
-        listener.accept()
+        listener.on_accept(on_accept)

@@ -5,6 +5,7 @@ import pytest
 from repro.net import ConnectionRefused, Network
 from repro.net.tcp import DEFAULT_WINDOW, MSS, TcpConnection
 from repro.simkernel import Environment
+from ..waiting import next_connection
 
 
 def make_net(latency=0.01, bandwidth=1e9, jitter=0.0, seed=7):
@@ -24,7 +25,7 @@ def test_window_limits_inflight_bytes():
     payload = b"w" * (DEFAULT_WINDOW * 3)
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         while len(received) < len(payload):
             data = yield conn.recv()
             received.extend(data)
@@ -50,7 +51,7 @@ def test_rst_to_closed_connection_resets_peer():
     state = {}
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         yield conn.recv()
         conn.abort()  # hard close
         state["server_conn"] = conn
@@ -93,7 +94,7 @@ def test_jitter_reorders_but_stream_stays_in_order():
     payload = bytes(range(256)) * 30  # several segments
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         while len(received) < len(payload):
             data = yield conn.recv()
             received.extend(data)
@@ -122,7 +123,7 @@ def test_segments_use_mss():
     net.send = spy
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         got = 0
         while got < 4000:
             data = yield conn.recv()
@@ -145,7 +146,7 @@ def test_both_sides_can_close():
     states = {}
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         data = yield conn.recv()
         conn.send(b"reply:" + data)
         conn.close()
@@ -175,7 +176,7 @@ def test_abort_wakes_blocked_receiver():
     got = {}
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         data = yield conn.recv()  # blocked until abort
         got["data"] = data
 

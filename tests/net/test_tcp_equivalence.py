@@ -46,6 +46,7 @@ from repro.net.tcp import (
     TcpConnection,
 )
 from repro.simkernel import Environment
+from ..waiting import next_connection
 
 #: schedule slots are multiples of this many seconds (exact in binary)
 GRID_S = 1 / 8
@@ -225,7 +226,7 @@ def simulate(model, link, window, echo, actions, tail=False):
 
     def serve():
         while True:
-            conn = yield listener.accept()
+            conn = yield next_connection(listener)
             index = len(conns["server"])
             conns["server"].append(conn)
             conn.window = window

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Network, Packet, PortInUse
 from repro.simkernel import Environment
+from ..waiting import next_item
 
 
 def make_net(latency=0.01, **kw):
@@ -22,7 +23,7 @@ def test_send_receive_roundtrip():
     log = []
 
     def rx(env):
-        payload, src = yield server.get()
+        payload, src = yield next_item(server)
         log.append((payload, src))
 
     def tx(env):
@@ -110,7 +111,7 @@ def test_closed_socket_rejects_operations():
     with pytest.raises(RuntimeError):
         sock.sendto(b"x", ("b", 1))
     with pytest.raises(RuntimeError):
-        sock.get()
+        sock.on_item(lambda datagram: None)
 
 
 def test_close_releases_port_for_rebinding():
@@ -158,7 +159,7 @@ def test_second_waiter_is_rejected():
     sock = net.hosts["b"].udp_socket(port=100)
     sock.on_item(lambda datagram: None)
     with pytest.raises(RuntimeError):
-        sock.get()
+        sock.on_item(lambda datagram: None)
 
 
 def test_closed_socket_never_calls_its_callback_and_drops_its_buffer():

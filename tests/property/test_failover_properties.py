@@ -89,14 +89,15 @@ def test_worker_crashes_never_reorder_a_clients_seq_stream(
         def __init__(self):
             self.calls = 0
 
-        def ingest_batch(self, batch):
+        def ingest_batch(self, batch, on_done):
             index = self.calls
             self.calls += 1
             if index in fail_calls:
-                raise RuntimeError(f"backend rejected call {index}")
+                on_done(RuntimeError(f"backend rejected call {index}"))
+                return
             for translated in batch:
                 ingested.append(translated)
-            return ()
+            on_done(None)
 
     server = ProvLightServer(net.hosts["cloud"], FlakyBackend())
     worker = server.pool.workers[0]

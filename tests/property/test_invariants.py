@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from repro.simkernel import Environment, Mailbox
 
+from ..waiting import next_connection
+
 
 # -- kernel: time never goes backwards; timeouts fire in order -------------
 
@@ -47,13 +49,12 @@ def test_store_is_fifo_for_any_interleaving(items):
             box.put_nowait(item)
             yield env.timeout(0.01)
 
-    def consumer(env):
-        for _ in items:
-            value = yield box.get()
-            received.append(value)
+    def consume(value):
+        received.append(value)
+        box.on_item(consume)
 
     env.process(producer(env))
-    env.process(consumer(env))
+    box.on_item(consume)
     env.run()
     assert received == items
 
@@ -79,7 +80,7 @@ def test_tcp_delivers_any_chunk_sequence_in_order(chunks, loss):
     received = bytearray()
 
     def server(env):
-        conn = yield listener.accept()
+        conn = yield next_connection(listener)
         while len(received) < total:
             data = yield conn.recv()
             if not data:

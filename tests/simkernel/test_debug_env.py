@@ -25,6 +25,7 @@ from repro.simkernel import (
     uninstall_debug_environment,
 )
 from repro.simkernel.events import NORMAL
+from ..waiting import ingest
 
 
 @pytest.fixture
@@ -237,7 +238,7 @@ def test_backend_timeout_race_defuse_is_hazard_free():
     )
 
     def scenario(env):
-        yield from backend.ingest({"x": 1})
+        yield from ingest(env, backend, [{"x": 1}])
 
     env.process(scenario(env), name="scenario")
     env.run(until=60)

@@ -123,13 +123,12 @@ def test_store_fifo_order():
             box.put_nowait(item)
             yield env.timeout(0)
 
-    def consumer(env):
-        for _ in range(3):
-            item = yield box.get()
-            got.append(item)
+    def consume(item):
+        got.append(item)
+        box.on_item(consume)
 
     env.process(producer(env))
-    env.process(consumer(env))
+    box.on_item(consume)
     env.run()
     assert got == ["x", "y", "z"]
 
@@ -146,36 +145,32 @@ def test_store_drain_pending_batches_without_blocking():
     assert box.pending == 0
 
 
-def test_store_get_blocks_until_put():
+def test_on_item_waits_until_put():
     env = Environment()
     box = Mailbox(env)
     got = []
-
-    def consumer(env):
-        item = yield box.get()
-        got.append((item, env.now))
 
     def producer(env):
         yield env.timeout(4)
         box.put_nowait("late")
 
-    env.process(consumer(env))
+    box.on_item(lambda item: got.append((item, env.now)))
     env.process(producer(env))
     env.run()
     assert got == [("late", 4.0)]
 
 
-@pytest.mark.parametrize("first", ["get", "on_item"])
-@pytest.mark.parametrize("second", ["get", "on_item"])
-def test_mailbox_refuses_a_second_waiter(first, second):
+def test_mailbox_refuses_a_second_waiter():
     env = Environment()
     box = Mailbox(env)
-    waiters = {"get": box.get, "on_item": lambda: box.on_item(lambda item: None)}
-    waiters[first]()
+    got = []
+    box.on_item(got.append)
     with pytest.raises(RuntimeError, match="already has a waiter"):
-        waiters[second]()
+        box.on_item(lambda item: None)
     box.put_nowait("x")  # the first waiter still takes the next item
     assert box.pending == 0
+    env.run()
+    assert got == ["x"]
 
 
 def test_mailbox_callback_runs_in_place_only_in_tail_position():

@@ -1,6 +1,6 @@
 """Event-free kernel primitives: ``Environment.call_later`` timers,
-``Environment.zero_delay_is_next``, free-slot ``Resource.request`` grants, and ``Mailbox`` puts and gets that
-schedule no event beyond the waiter's own wakeup.
+``Environment.zero_delay_is_next``, free-slot ``Resource.request`` grants, and ``Mailbox`` hand-offs that
+schedule nothing beyond the waiter's own wake.
 
 The order oracle at the end runs random programs against a reference
 kernel whose timers are :class:`~repro.simkernel.Timeout` events."""
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.simkernel import (
     DebugEnvironment,
     Environment,
-    Interrupt,
     Process,
     Mailbox,
     Resource,
@@ -154,61 +153,26 @@ def test_put_nowait_hands_item_to_waiter_without_a_sweep():
     env = Environment()
     box = Mailbox(env)
     got = []
-
-    def getter():
-        got.append((yield box.get()))
-
-    env.process(getter())
-    env.run()
+    box.on_item(got.append)
     box.put_nowait("x")
-    # handed straight to the getter: nothing queued, one wakeup scheduled
+    # handed straight to the waiter: nothing buffered, one wake scheduled
     assert box.pending == 0 and len(env._queue) == 1
     env.run()
     assert got == ["x"]
 
 
-def test_cancelled_get_of_an_interrupted_getter_takes_no_item():
-    env = Environment()
-    box = Mailbox(env)
-    got = []
-    pending = {}
-
-    def dead():
-        pending["get"] = box.get()
-        try:
-            yield pending["get"]
-        except Interrupt:
-            box.cancel(pending["get"])
-
-    def live():
-        got.append((yield box.get()))
-
-    victim = env.process(dead())
-    env.run()
-    victim.interrupt()
-    env.run()
-    env.process(live())
-    env.run()
-    box.put_nowait("x")
-    env.run()
-    assert got == ["x"] and box.pending == 0
-    box.cancel(pending["get"])  # cancelling again is a no-op
-    assert not pending["get"].triggered
-
-
-# -- direct gets ----------------------------------------------------------------
-
-
-def test_get_on_nonempty_store_is_served_without_a_sweep():
+def test_on_item_on_nonempty_mailbox_is_served_without_a_sweep():
     env = Environment()
     box = Mailbox(env)
     box.put_nowait("a")
     box.put_nowait("b")
-    first = box.get()
-    assert first.triggered and first.value == "a"
+    got = []
+    box.on_item(got.append)
     assert list(box.items) == ["b"]
-    # the getter's own wakeup is the only scheduled event
+    # the waiter's own wake is the only scheduled entry
     assert len(env._queue) == 1
+    env.run()
+    assert got == ["a"]
 
 
 # -- Resource.request ---------------------------------------------------------
@@ -311,7 +275,8 @@ DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
 #: and starts ``children``.  ``("sleep", delays)`` is a process yielding
 #: timeouts, ``("event", delay)`` a process waiting on an event that a
 #: timer succeeds, and ``("put",)`` / ``("get",)`` a ``Mailbox`` hand-off
-#: (a ``get`` while another getter waits is refused and logged).
+#: (a ``get`` registers an ``on_item`` callback; one while another
+#: callback waits is refused and logged).
 #: A program is its top-level ops plus, optionally, ``(delay, position)``
 #: of a timer whose function raises, armed before op ``position``.
 LEAVES = st.one_of(
@@ -359,7 +324,7 @@ def run_program(kernel, program):
         elif kind == "put":
             box.put_nowait(label)
         else:
-            env.process(getter(label))
+            getter(label)
 
     def fire(label, children):
         log(label)
@@ -376,11 +341,9 @@ def run_program(kernel, program):
 
     def getter(label):
         try:
-            get = box.get()
+            box.on_item(lambda item: log(f"{label}/got:{item}"))
         except RuntimeError:
             log(f"{label}/refused")
-            return
-        log(f"{label}/got:{(yield get)}")
 
     def boom(label):
         log(label)
