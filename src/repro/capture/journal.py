@@ -269,6 +269,12 @@ class CaptureJournal:
         body = _HEADER_BODY.pack(self._anchor_seq, bytes.fromhex(self._anchor_hash))
         return _frame(_HEADER, body + self.client_id.encode("utf-8"))
 
+    def _open_fd(self) -> int:
+        """The file's descriptor; a closed journal raises :class:`JournalError`."""
+        if self._fd < 0:
+            raise JournalError(f"journal {self.path!r} of {self.client_id!r} is closed")
+        return self._fd
+
     def _write(self, frame: bytes) -> None:
         """One ``os.write`` of ``frame``; a failed or short one is cut back."""
         try:
@@ -282,7 +288,8 @@ class CaptureJournal:
     def _stored(self) -> List[Tuple[int, memoryview, int]]:
         """``(kind, body, end)`` of every frame in the file, header first;
         a torn or corrupt frame anywhere raises :class:`TamperError`."""
-        data = os.pread(self._fd, os.fstat(self._fd).st_size, 0)
+        fd = self._open_fd()
+        data = os.pread(fd, os.fstat(fd).st_size, 0)
         frames = list(_frames(data))
         if not frames or frames[0][0] != _HEADER or frames[-1][2] != len(data):
             raise TamperError(f"torn or headless journal {self.path!r}")
@@ -301,6 +308,7 @@ class CaptureJournal:
 
     def append(self, payload: bytes, ts: float = 0.0) -> int:
         """Append ``payload``; returns its sequence number."""
+        self._open_fd()
         seq = self._head_seq + 1
         digest = chain_hash(self._head_hash, seq, payload)
         sig = self.signer.sign(digest.encode("ascii")) if self.signer else b""
@@ -315,6 +323,7 @@ class CaptureJournal:
         """Mark ``seq`` delivered; truncate the contiguous acked prefix.
         An ack of a seq already acked, truncated or never appended
         writes nothing and changes nothing."""
+        self._open_fd()
         entry = self._window.get(seq)
         if entry is None or entry[1]:
             return
@@ -407,7 +416,9 @@ class CaptureJournal:
         return verified
 
     def close(self) -> None:
-        """Fsync and close; a second call does nothing, a later write fails."""
+        """Fsync and close; a second call does nothing, and a later
+        ``append``, ``ack``, ``unacked`` or ``verify_chain`` raises
+        :class:`JournalError`."""
         if not self._file.closed:
             try:
                 os.fsync(self._fd)

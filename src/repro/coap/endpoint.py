@@ -17,11 +17,10 @@ server error (5.xx) with :class:`CoapServerError`.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
-from ..net import Endpoint, Host
+from ..net import Endpoint, Host, message_ids
 from ..simkernel import Event
 from .messages import (
     CODE_CHANGED,
@@ -151,7 +150,7 @@ class CoapClient:
         self.sock = host.udp_socket()
         self.ack_timeout_s = ack_timeout_s
         self.max_retransmit = max_retransmit
-        self._mids = itertools.cycle(range(1, 0x10000))
+        self._mids = message_ids()
         #: mid -> the event a :meth:`post` waits on, or the ``on_done``
         #: callback of a :meth:`post_nowait`
         self._pending: Dict[int, object] = {}

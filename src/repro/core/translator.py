@@ -8,6 +8,7 @@ the DfAnalyzer data model, the one backend every capture sink feeds.
 
 from __future__ import annotations
 
+from sys import intern
 from typing import Any, Callable, Collection, Dict, Iterable, List, Optional
 
 from ..capture.envelope import ReplayDeduper, unwrap_payload
@@ -54,6 +55,8 @@ def to_dfanalyzer(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     DfAnalyzer models dataflows / transformations / tasks / datasets; the
     mapping is: workflow -> dataflow tag, transformation_id ->
     transformation tag, data items -> datasets with attribute elements.
+    The two tags are interned: every record of a dataflow names it with
+    one string object, however many records the store keeps.
     """
     out = []
     for record in records:
@@ -62,7 +65,7 @@ def to_dfanalyzer(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             out.append(
                 {
                     "type": "dataflow",
-                    "dataflow_tag": str(record["workflow_id"]),
+                    "dataflow_tag": intern(str(record["workflow_id"])),
                     "event": "begin" if kind == "workflow_begin" else "end",
                     "time": record.get("time"),
                 }
@@ -73,8 +76,8 @@ def to_dfanalyzer(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         out.append(
             {
                 "type": "task",
-                "dataflow_tag": str(record["workflow_id"]),
-                "transformation_tag": str(record.get("transformation_id")),
+                "dataflow_tag": intern(str(record["workflow_id"])),
+                "transformation_tag": intern(str(record.get("transformation_id"))),
                 "task_id": record["task_id"],
                 "status": "RUNNING" if kind == "task_begin" else "FINISHED",
                 "dependencies": list(record.get("dependencies", ())),

@@ -25,12 +25,11 @@ PUBCOMP).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..calibration import SERVER_COSTS
-from ..net import Endpoint, Host
+from ..net import Endpoint, Host, message_ids
 from . import packets as pkt
 from .topics import SubscriptionIndex, TopicRegistry
 
@@ -49,7 +48,7 @@ class _Session:
     #: topic ids this client can resolve (REGACKed or learned via its own
     #: REGISTER/SUBSCRIBE); others need a broker-side REGISTER first.
     known_topic_ids: Set[int] = field(default_factory=set)
-    msg_ids: itertools.cycle = field(default_factory=lambda: itertools.cycle(range(1, 0x10000)))
+    msg_ids: Iterator[int] = field(default_factory=message_ids)
 
 
 class _OutboundQos2:

@@ -17,12 +17,11 @@ Two publish entry points matter for ProvLight:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..simkernel import Event
 
-from ..net import Endpoint, Host
+from ..net import Endpoint, Host, message_ids
 from . import packets as pkt
 from .topics import topic_matches
 
@@ -73,7 +72,7 @@ class MqttSnClient:
 
         self.sock = host.udp_socket()
         self.connected = False
-        self._msg_ids = itertools.cycle(range(1, 0x10000))
+        self._msg_ids = message_ids()
         self._pending: Dict[Tuple[str, int], _Pending] = {}
         self._connect_event = None
         self._ping_event = None

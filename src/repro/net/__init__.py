@@ -47,6 +47,7 @@ _EXPORTS = {
     "Network": ".topology",
     "UnroutableError": ".topology",
     "UdpSocket": ".udp",
+    "message_ids": ".udp",
 }
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "UDP_HEADER_BYTES",
     "TCP_HEADER_BYTES",
     "UdpSocket",
+    "message_ids",
     "UdpShardDispatcher",
     "VirtualSocket",
     "TcpConnection",

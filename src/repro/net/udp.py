@@ -21,7 +21,15 @@ from __future__ import annotations
 from ..simkernel import Mailbox
 from .packet import Endpoint, Packet, UDP_HEADER_BYTES
 
-__all__ = ["UdpSocket"]
+__all__ = ["UdpSocket", "message_ids"]
+
+
+def message_ids():
+    """The 16-bit message ids of a datagram protocol's exchanges (MQTT-SN
+    msg ids, CoAP message ids): 1..0xFFFF, then from 1 again, forever.
+    Unlike ``itertools.cycle`` it keeps no copy of the ids it handed out."""
+    while True:
+        yield from range(1, 0x10000)
 
 
 class UdpSocket(Mailbox):

@@ -304,6 +304,27 @@ def test_short_write_is_cut_back_and_changes_nothing(tmp_path, monkeypatch):
     assert j.verify_chain() == 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda j: j.append(b"c"),
+    lambda j: j.ack(1),
+    lambda j: j.ack(2),  # already acked: still refused
+    lambda j: j.unacked(),
+    lambda j: j.verify_chain(),
+], ids=["append", "ack", "duplicate-ack", "unacked", "verify_chain"])
+def test_a_closed_journal_refuses_every_call_and_changes_nothing(tmp_path, call):
+    j = make_journal(tmp_path)
+    j.append(b"a")
+    j.append(b"b")
+    j.ack(2)
+    j.close()
+    state = j.head, j.anchor, j.pending, len(j)
+    with pytest.raises(JournalError, match="closed"):
+        call(j)
+    assert (j.head, j.anchor, j.pending, len(j)) == state
+    reopened = make_journal(tmp_path)
+    assert reopened.unacked() == [(1, b"a")]
+
+
 def test_reopen_truncates_an_acked_row_at_the_anchor(tmp_path):
     """Ack frames past the header's anchor are replayed on open: the
     anchor moves over the contiguous acked run, and stops at the gap."""

@@ -103,6 +103,21 @@ def test_to_dfanalyzer_workflow_events():
     assert out == [{"type": "dataflow", "dataflow_tag": "9", "event": "begin", "time": 0.0}]
 
 
+def test_translated_records_share_one_object_per_tag():
+    """Tags are interned: the store keeps one ``"1"`` however many
+    records of dataflow 1 it holds."""
+    t = Translator()
+    (_r, (first,)), (_s, (second,)) = (
+        t.translate_payload(encode_payload(rec(i))) for i in (1, 2))
+    assert first["dataflow_tag"] == "1"
+    assert first["dataflow_tag"] is second["dataflow_tag"]
+    assert first["transformation_tag"] is second["transformation_tag"]
+    begin, end = to_dfanalyzer([
+        {"kind": "workflow_begin", "workflow_id": 1, "time": 0.0},
+        {"kind": "workflow_end", "workflow_id": 1, "time": 1.0}])
+    assert begin["dataflow_tag"] is end["dataflow_tag"] is first["dataflow_tag"]
+
+
 def test_to_dfanalyzer_rejects_unknown_kind():
     with pytest.raises(TranslationError):
         to_dfanalyzer([{"kind": "nope", "workflow_id": 1}])
